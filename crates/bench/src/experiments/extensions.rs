@@ -1,9 +1,10 @@
 //! Extension experiments beyond the paper's tables.
 //!
 //! * **Tree quality** — how the insertion/loading algorithm (R\*, Guttman
-//!   quadratic, Guttman linear, STR bulk load) affects join cost; §3 of the
-//!   paper motivates R\*-trees with exactly this argument but never
-//!   measures it for joins.
+//!   quadratic, Guttman linear, STR and Hilbert bulk load) affects join
+//!   cost, next to the shape of the tree it built (nodes per level and
+//!   their mean width × height); §3 of the paper motivates R\*-trees with
+//!   exactly this argument but never measures it for joins.
 //! * **Baselines** — SJ4 against the index nested-loop join (one window
 //!   query per outer record) and, at small scale, the flat nested loop;
 //!   quantifies §2.1's claim that classical join methods are not viable.
@@ -12,7 +13,7 @@
 //!   I/O the refinement step adds.
 
 use crate::experiments::{run_join, run_on};
-use crate::{build_str, build_with_policy, fmt_count, Workbench};
+use crate::{build_hilbert, build_str, build_with_policy, fmt_count, Workbench};
 use rsj_core::{baseline, id_join, JoinConfig, JoinPlan, ObjectRelation};
 use rsj_datagen::TestId;
 use rsj_rtree::InsertPolicy;
@@ -30,9 +31,10 @@ pub fn tree_quality(w: &mut Workbench, out: &mut dyn Write) -> std::io::Result<(
     )?;
     writeln!(
         out,
-        "| construction | disk accesses | comparisons | result pairs |"
+        "| construction | disk accesses | comparisons | result pairs \
+         | R nodes per level, leaves first: count @ mean width × height |"
     )?;
-    writeln!(out, "|---|---|---|---|")?;
+    writeln!(out, "|---|---|---|---|---|")?;
     let items_r = rsj_datagen::mbr_items(&w.data.r);
     let items_s = rsj_datagen::mbr_items(&w.data.s);
     type Builder = Box<dyn Fn(&[(rsj_geom::Rect, u64)]) -> rsj_rtree::RTree>;
@@ -50,6 +52,7 @@ pub fn tree_quality(w: &mut Workbench, out: &mut dyn Write) -> std::io::Result<(
             Box::new(|i| build_with_policy(i, PAGE, InsertPolicy::GuttmanLinear)),
         ),
         ("STR bulk load", Box::new(|i| build_str(i, PAGE))),
+        ("Hilbert bulk load", Box::new(|i| build_hilbert(i, PAGE))),
     ];
     for (name, build) in &builds {
         let r = build(&items_r);
@@ -57,14 +60,32 @@ pub fn tree_quality(w: &mut Workbench, out: &mut dyn Write) -> std::io::Result<(
         let stats = run_join(&r, &s, JoinPlan::sj4(), BUFFER);
         writeln!(
             out,
-            "| {name} | {} | {} | {} |",
+            "| {name} | {} | {} | {} | {} |",
             fmt_count(stats.io.disk_accesses),
             fmt_count(stats.total_comparisons()),
-            fmt_count(stats.result_pairs)
+            fmt_count(stats.result_pairs),
+            level_shapes(&r)
         )?;
     }
     writeln!(out)?;
     Ok(())
+}
+
+/// Node count and mean node-MBR width × height of every level, leaves
+/// first — strips or heavy overlap show here before they show as a slow
+/// join.
+fn level_shapes(t: &rsj_rtree::RTree) -> String {
+    let mut levels = vec![(0usize, 0.0f64, 0.0f64); t.height() as usize];
+    t.for_each_node(|_, node| {
+        let bb = node.mbr();
+        let l = &mut levels[node.level as usize];
+        *l = (l.0 + 1, l.1 + bb.width(), l.2 + bb.height());
+    });
+    let cells: Vec<String> = levels
+        .iter()
+        .map(|&(n, w, h)| format!("{n} @ {:.1} × {:.1}", w / n as f64, h / n as f64))
+        .collect();
+    cells.join("; ")
 }
 
 /// SJ4 vs the baseline join strategies.
@@ -220,6 +241,7 @@ mod tests {
         refinement(0.002, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("tree quality"));
+        assert!(text.contains("| Hilbert bulk load |") && text.contains(" @ "));
         assert!(text.contains("index nested loop"));
         assert!(text.contains("Clock"));
         assert!(text.contains("selectivity") || text.contains("ID-spatial-join"));

@@ -39,13 +39,26 @@ pub fn build_with_policy(
 
 /// Builds an STR bulk-loaded tree (tree-quality ablation).
 pub fn build_str(items: &[(rsj_geom::Rect, u64)], page_bytes: usize) -> RTree {
+    build_bulk(items, page_bytes, bulk::BulkLayout::Str)
+}
+
+/// Builds a Hilbert-packed tree (tree-quality ablation).
+pub fn build_hilbert(items: &[(rsj_geom::Rect, u64)], page_bytes: usize) -> RTree {
+    build_bulk(items, page_bytes, bulk::BulkLayout::Hilbert)
+}
+
+fn build_bulk(
+    items: &[(rsj_geom::Rect, u64)],
+    page_bytes: usize,
+    layout: bulk::BulkLayout,
+) -> RTree {
     let data: Vec<(rsj_geom::Rect, DataId)> =
         items.iter().map(|&(r, id)| (r, DataId(id))).collect();
-    bulk::str_load(
-        RTreeParams::for_page_size(page_bytes),
-        &data,
-        bulk::DEFAULT_FILL,
-    )
+    let params = RTreeParams::for_page_size(page_bytes);
+    match layout {
+        bulk::BulkLayout::Str => bulk::str_load(params, &data, bulk::DEFAULT_FILL),
+        bulk::BulkLayout::Hilbert => bulk::hilbert_load(params, &data, bulk::DEFAULT_FILL),
+    }
     .expect("preset rectangles are finite")
 }
 
@@ -158,7 +171,7 @@ mod tests {
     fn builders_produce_valid_trees() {
         let w = Workbench::new(TestId::A, 0.002);
         let items = rsj_datagen::mbr_items(&w.data.s);
-        for build in [build_rstar as fn(&_, _) -> RTree, build_str] {
+        for build in [build_rstar as fn(&_, _) -> RTree, build_str, build_hilbert] {
             let t = build(&items, 1024);
             t.validate().unwrap();
             assert_eq!(t.len(), items.len());

@@ -8,29 +8,33 @@
 //! benchmark suite compares join cost over R\*-inserted, Guttman-inserted,
 //! and bulk-loaded trees.
 //!
-//! * **STR** (Sort-Tile-Recursive, Leutenegger et al. 1997): sort by centre
-//!   x, cut into √P vertical slabs, sort each slab by centre y, pack runs.
+//! * **STR** (Sort-Tile-Recursive, Leutenegger et al. 1997): with `cap`
+//!   entries to a packed node, n rectangles fill P = ⌈n / cap⌉ leaves.
+//!   Sort by centre x, cut S = ⌈√P⌉ vertical slabs of ⌈P / S⌉ · cap
+//!   entries each — a whole number of leaves, so no leaf straddles two
+//!   slabs — sort each slab by centre y, pack runs of `cap`. The leaves
+//!   come out as a near-square S × ⌈P / S⌉ grid of tiles.
 //! * **Hilbert packing** (Kamel & Faloutsos 1993): sort by the Hilbert value
 //!   of the centre, pack consecutive runs.
 //!
 //! Two build paths share the ordering and group-cut machinery:
 //!
 //! * [`str_load`] / [`hilbert_load`] — the in-memory loaders: pack level
-//!   by level into a [`PageStore`] and return an [`RTree`]. The STR
-//!   variant re-tiles each directory level, which polishes the upper
-//!   directory slightly.
+//!   by level into a [`PageStore`] and return an [`RTree`].
 //! * [`load_to_file`] / [`load_to_sharded`] — the **streaming** loaders:
 //!   a level-streaming packer emits every finished node exactly once,
 //!   bottom-up, through a [`rsj_storage::BulkPageWriter`], so peak
 //!   resident *node* memory is one forming node per level — O(M × height)
-//!   entries — regardless of input size. Upper levels keep the order the
-//!   packing below induces (Leutenegger's original formulation; no
-//!   re-tiling pass, which would require materializing a level). The root
+//!   entries — regardless of input size. The root
 //!   is the last page emitted and header/manifest are written only on
 //!   success, so a build that dies mid-stream reads back as a typed
 //!   [`StorageError`], never a half tree. Files open through the ordinary
 //!   [`RTree::open_from`] / [`RTree::open_sharded_from`] and serve every
 //!   file backend unchanged.
+//!
+//! Both paths order the data entries once and let every directory level
+//! keep the order the packing below induces, so for one input they build
+//! the same tree, node for node.
 //!
 //! The ordering pass is parallel for either path: chunked per-worker
 //! stable sorts merged by key (and, for STR, the per-slab y-sorts fan out
@@ -146,6 +150,13 @@ pub struct BulkStats {
     /// Peak entries resident in the packer across all level buffers — the
     /// streaming memory contract bounds this by `M × height`.
     pub peak_resident_entries: usize,
+    /// Vertical slabs the STR order pass cut (0 for the Hilbert layout,
+    /// which cuts none).
+    pub slabs: usize,
+    /// Leaves per full slab — the last slab holds what is left. The leaf
+    /// level is a `slabs × nodes_per_slab` grid of tiles, so the two being
+    /// close is what makes the tiles near-square.
+    pub nodes_per_slab: usize,
 }
 
 /// Builds an R-tree over `items` with the STR algorithm.
@@ -322,10 +333,13 @@ impl Loader {
         // Order the data entries spatially.
         let mut entries: Vec<Entry> = items.iter().map(|&(r, id)| Entry::data(r, id)).collect();
         match layout {
-            BulkLayout::Str => str_order(&mut entries, workers),
+            BulkLayout::Str => {
+                str_order(&mut entries, &self.params, self.node_cap, workers);
+            }
             BulkLayout::Hilbert => hilbert_order(&mut entries, workers),
         }
-        // Pack level by level until a single node remains.
+        // Pack level by level until a single node remains; upper levels
+        // keep the ordering induced by the packing below.
         let mut level = 0u32;
         let mut current = entries;
         loop {
@@ -349,11 +363,6 @@ impl Loader {
                     entries: group,
                 });
                 next.push(Entry::dir(bb, page));
-            }
-            // Upper levels keep the ordering induced by the packing below;
-            // for STR re-tiling on the coarser level improves the directory.
-            if let BulkLayout::Str = layout {
-                str_order(&mut next, workers);
             }
             current = next;
             level += 1;
@@ -457,27 +466,51 @@ fn sort_entries_by_key(entries: &mut [Entry], key: impl Fn(&Entry) -> u64 + Sync
     }
 }
 
-/// Orders entries with Sort-Tile-Recursive tiling. The x-sort runs as one
-/// (possibly parallel) keyed sort; the per-slab y-sorts are independent
-/// and fan out across the workers.
-fn str_order(entries: &mut [Entry], workers: usize) {
+/// Orders entries with Sort-Tile-Recursive tiling for packing `node_cap`
+/// to a node: P = ⌈n / node_cap⌉ nodes tile as S = ⌈√P⌉ x-sorted slabs of
+/// ⌈P / S⌉ nodes, each slab then sorted by y. A slab is a whole number of
+/// nodes under [`cut_size`]: a last slab too short to hold a legal node
+/// joins the one before it, exactly as `cut_size` folds a short tail into
+/// the last node. The x-sort runs as one (possibly parallel) keyed sort;
+/// the per-slab y-sorts are independent and fan out across the workers.
+/// Returns `(slabs, nodes_per_slab)` for [`BulkStats`].
+fn str_order(
+    entries: &mut [Entry],
+    params: &RTreeParams,
+    node_cap: usize,
+    workers: usize,
+) -> (usize, usize) {
     let n = entries.len();
-    if n <= 1 {
-        return;
-    }
-    let slabs = (n as f64).sqrt().ceil() as usize;
-    let slab_size = n.div_ceil(slabs);
-    sort_entries_by_key(entries, |e| f64_key(e.rect.center().x), workers);
     let y_key = |e: &Entry| f64_key(e.rect.center().y);
+    if n <= params.max_entries {
+        // Everything fits the root: one tile.
+        entries.sort_by_cached_key(y_key);
+        return (1, 1);
+    }
+    let nodes = n.div_ceil(node_cap);
+    let nodes_per_slab = nodes.div_ceil((nodes as f64).sqrt().ceil() as usize);
+    let slab_len = nodes_per_slab * node_cap;
+    sort_entries_by_key(entries, |e| f64_key(e.rect.center().x), workers);
+    let mut slabs: Vec<&mut [Entry]> = Vec::new();
+    let mut rest = entries;
+    while !rest.is_empty() {
+        let take = if rest.len() >= slab_len + params.min_entries {
+            slab_len
+        } else {
+            rest.len()
+        };
+        let (slab, tail) = rest.split_at_mut(take);
+        slabs.push(slab);
+        rest = tail;
+    }
     if workers <= 1 || n < PAR_SORT_MIN {
-        for chunk in entries.chunks_mut(slab_size) {
-            chunk.sort_by_cached_key(y_key);
+        for slab in &mut slabs {
+            slab.sort_by_cached_key(y_key);
         }
     } else {
-        let mut slab_refs: Vec<&mut [Entry]> = entries.chunks_mut(slab_size).collect();
-        let per = slab_refs.len().div_ceil(workers);
+        let per = slabs.len().div_ceil(workers);
         std::thread::scope(|s| {
-            for group in slab_refs.chunks_mut(per) {
+            for group in slabs.chunks_mut(per) {
                 s.spawn(move || {
                     for slab in group.iter_mut() {
                         slab.sort_by_cached_key(y_key);
@@ -486,6 +519,7 @@ fn str_order(entries: &mut [Entry], workers: usize) {
             }
         });
     }
+    (slabs.len(), nodes_per_slab)
 }
 
 /// Orders entries by the Hilbert index of their centre.
@@ -640,6 +674,8 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
                 pages: self.writer.emitted(),
                 height: self.levels.len() as u32,
                 peak_resident_entries: self.peak,
+                slabs: 0,
+                nodes_per_slab: 0,
             },
         ))
     }
@@ -658,17 +694,29 @@ fn build_to_writer<W: WritablePageFile>(
     } else {
         cfg.workers
     };
+    let cap = node_cap(&params, cfg.fill);
     let mut entries: Vec<Entry> = items.iter().map(|&(r, id)| Entry::data(r, id)).collect();
-    match layout {
-        BulkLayout::Str => str_order(&mut entries, workers),
-        BulkLayout::Hilbert => hilbert_order(&mut entries, workers),
-    }
-    let mut packer = StreamPacker::new(writer, &params, node_cap(&params, cfg.fill));
+    let (slabs, nodes_per_slab) = match layout {
+        BulkLayout::Str => str_order(&mut entries, &params, cap, workers),
+        BulkLayout::Hilbert => {
+            hilbert_order(&mut entries, workers);
+            (0, 0)
+        }
+    };
+    let mut packer = StreamPacker::new(writer, &params, cap);
     packer.start(entries.len());
     for e in entries {
         packer.push(0, e)?;
     }
-    Ok(packer.finish()?)
+    let (root, stats) = packer.finish()?;
+    Ok((
+        root,
+        BulkStats {
+            slabs,
+            nodes_per_slab,
+            ..stats
+        },
+    ))
 }
 
 /// Convenience: pick the page id of the root after loading (used in tests).
@@ -825,14 +873,136 @@ mod tests {
         for workers in [2usize, 3, 8] {
             let mut seq = base.clone();
             let mut par = base.clone();
-            str_order(&mut seq, 1);
-            str_order(&mut par, workers);
+            let cap = node_cap(&params(), DEFAULT_FILL);
+            let tiling = str_order(&mut seq, &params(), cap, 1);
+            assert_eq!(str_order(&mut par, &params(), cap, workers), tiling);
             assert_eq!(seq, par, "STR order diverged at {workers} workers");
             let mut seq = base.clone();
             let mut par = base.clone();
             hilbert_order(&mut seq, 1);
             hilbert_order(&mut par, workers);
             assert_eq!(seq, par, "Hilbert order diverged at {workers} workers");
+        }
+    }
+
+    /// `n` rectangles of side 2 spread evenly over a 1000 × 1000 world (the
+    /// R2 low-discrepancy sequence — `items` repeats its 1000 lattice
+    /// points).
+    fn uniform_items(n: u64) -> Vec<(Rect, DataId)> {
+        let at = |i: u64, step: f64| (i as f64 * step).fract() * 998.0;
+        (0..n)
+            .map(|i| {
+                let (x, y) = (at(i, 0.754_877_666_246_693), at(i, 0.569_840_290_998_053));
+                (Rect::from_corners(x, y, x + 2.0, y + 2.0), DataId(i))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn str_leaves_are_near_square_tiles() {
+        // Regression: slabs were cut per √n entries, not per √P pages, so
+        // every leaf was a full-height strip (aspect ~1/100 here) and no
+        // test noticed.
+        let p = RTreeParams::for_page_size(4096);
+        let data = uniform_items(20_000);
+        let t = str_load(p, &data, DEFAULT_FILL).unwrap();
+        t.validate().unwrap();
+        let (mut aspects, mut width_sum) = (Vec::new(), 0.0);
+        t.for_each_node(|_, node| {
+            if node.is_leaf() {
+                let bb = node.mbr();
+                aspects.push(bb.width() / bb.height());
+                width_sum += bb.width();
+            }
+        });
+        let leaves = aspects.len();
+        assert_eq!(leaves, data.len().div_ceil(node_cap(&p, DEFAULT_FILL)));
+        aspects.sort_by(f64::total_cmp);
+        let median = aspects[leaves / 2];
+        assert!(
+            (1.0 / 3.0..=3.0).contains(&median),
+            "median leaf aspect {median}"
+        );
+        let mean_width = width_sum / leaves as f64;
+        let tile = 1000.0 / (leaves as f64).sqrt();
+        assert!(
+            mean_width <= 3.0 * tile,
+            "mean leaf width {mean_width} vs tile side {tile}"
+        );
+    }
+
+    #[test]
+    fn str_slabs_are_whole_nodes_at_the_edges() {
+        let p = params();
+        let (m, max) = (p.min_entries, p.max_entries);
+        let x = |e: &Entry| f64_key(e.rect.center().x);
+        let y = |e: &Entry| f64_key(e.rect.center().y);
+        for fill in [0.5, DEFAULT_FILL, 1.0] {
+            let cap = node_cap(&p, fill);
+            // One leaf, one entry over, P = S², S² − 1, S² + 1 for S = 3
+            // and 4, and every ragged tail in between.
+            let mut sizes = vec![1, cap - 1, cap, cap + 1, max, max + 1];
+            sizes.extend(7 * cap..=17 * cap + 1);
+            for n in sizes {
+                let tag = format!("n={n} fill={fill}");
+                let data = uniform_items(n as u64);
+                let mut entries: Vec<Entry> =
+                    data.iter().map(|&(r, id)| Entry::data(r, id)).collect();
+                let (slab_count, nodes_per_slab) = str_order(&mut entries, &p, cap, 1);
+
+                // The leaf boundaries the packers will cut (up to `max`
+                // entries are a root leaf).
+                let mut node_ends = Vec::new();
+                let mut rem = n;
+                while rem > 0 {
+                    rem -= if n > max {
+                        cut_size(rem, cap, m, max)
+                    } else {
+                        n
+                    };
+                    node_ends.push(n - rem);
+                }
+                let slab_len = if n > max {
+                    let pages = n.div_ceil(cap);
+                    let s = (1..).find(|s| s * s >= pages).unwrap();
+                    assert_eq!(nodes_per_slab, pages.div_ceil(s), "{tag}");
+                    assert!(slab_count == s || slab_count == s - 1, "{tag}");
+                    nodes_per_slab * cap
+                } else {
+                    assert_eq!((slab_count, nodes_per_slab), (1, 1), "{tag}");
+                    n
+                };
+
+                // The order really is that tiling: slabs ascend in x, each
+                // is sorted by y, and each ends where a node ends.
+                let mut slabs: Vec<&[Entry]> = entries.chunks(slab_len).collect();
+                if slabs.len() == slab_count + 1 {
+                    let short = slabs.pop().unwrap();
+                    assert!(short.len() < m, "{tag}: a legal last slab was folded");
+                    let start = entries.len() - short.len() - slab_len;
+                    *slabs.last_mut().unwrap() = &entries[start..];
+                }
+                assert_eq!(slabs.len(), slab_count, "{tag}");
+                let mut end = 0;
+                for (i, slab) in slabs.iter().enumerate() {
+                    end += slab.len();
+                    assert!(node_ends.contains(&end), "{tag}: slab {i} splits a node");
+                    assert!(slab.windows(2).all(|w| y(&w[0]) <= y(&w[1])), "{tag}");
+                    if let Some(next) = slabs.get(i + 1) {
+                        let hi = slab.iter().map(x).max().unwrap();
+                        assert!(hi <= next.iter().map(x).min().unwrap(), "{tag}");
+                    }
+                }
+
+                let t = str_load(p, &data, fill).unwrap();
+                t.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
+                let mut leaves = 0;
+                t.for_each_node(|id, node| {
+                    leaves += usize::from(node.is_leaf());
+                    assert!(node.len() <= max && (id == t.root() || node.len() >= m));
+                });
+                assert_eq!(leaves, node_ends.len(), "{tag}");
+            }
         }
     }
 

@@ -5,16 +5,14 @@
 //! counterparts once opened:
 //!
 //! * `RTree::open_from` / `open_sharded_from` loads are validator-clean
-//!   and hold the identical data-entry multiset;
+//!   and hold the identical tree: the same node sequence, level by level
+//!   (one ordering pass, one cut rule, no per-loader directory pass);
+//! * STR leaves are near-square tiles of the world, not strips, whichever
+//!   loader built them;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
 //!   backend: plain file, prefetching, completion-queue, sharded, and the
 //!   latched shared page cache.
-//!
-//! Exact `IoStats` are *not* pinned against the in-memory tree: the
-//! streaming STR build keeps the order its leaf packing induces for upper
-//! levels (no re-tiling pass), so page layout — and with it buffer
-//! behaviour — legitimately differs. Results may not.
 
 use rsj::prelude::*;
 use rsj::rtree::bulk::{self, BulkConfig, BulkLayout};
@@ -118,25 +116,41 @@ impl Fixture {
     }
 }
 
-/// Sorted data-entry multiset of a tree.
-fn entry_multiset(t: &RTree) -> Vec<(u64, [u64; 4])> {
-    let mut v: Vec<(u64, [u64; 4])> = t
-        .data_entries()
-        .iter()
-        .map(|(r, d)| {
-            (
-                d.0,
-                [
-                    r.xl.to_bits(),
-                    r.yl.to_bits(),
-                    r.xu.to_bits(),
-                    r.yu.to_bits(),
-                ],
-            )
-        })
-        .collect();
-    v.sort_unstable();
-    v
+/// One node's `(rect, data id)` entries; the id is `None` on directory nodes.
+type NodeEntries = Vec<(Rect, Option<DataId>)>;
+
+/// The tree as node sequences — root level first, each level left to
+/// right — of `(rect, data id)` entries. Child page ids are left out: they
+/// follow the loader's emission order, not the tree's shape.
+fn node_sequence(t: &RTree) -> Vec<Vec<NodeEntries>> {
+    let mut levels = Vec::new();
+    let mut frontier = vec![t.root()];
+    while !frontier.is_empty() {
+        let entries = |&id| t.node(id).entries.iter();
+        levels.push(
+            frontier
+                .iter()
+                .map(|id| entries(id).map(|e| (e.rect, e.child.data())).collect())
+                .collect(),
+        );
+        frontier = frontier
+            .iter()
+            .flat_map(|id| entries(id).filter_map(|e| e.child.page()))
+            .collect();
+    }
+    levels
+}
+
+/// Equal node sequences, reporting only the first node that differs.
+fn assert_same_nodes(got: &RTree, want: &RTree, tag: &str) {
+    let (got, want) = (node_sequence(got), node_sequence(want));
+    assert_eq!(got.len(), want.len(), "{tag}: height");
+    for (depth, (g, w)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(g.len(), w.len(), "{tag}: nodes at depth {depth}");
+        for (i, (g, w)) in g.iter().zip(w).enumerate() {
+            assert_eq!(g, w, "{tag}: node {i} at depth {depth}");
+        }
+    }
 }
 
 #[test]
@@ -152,23 +166,61 @@ fn streamed_files_load_validator_clean_with_identical_entries() {
         for (t, name) in [(&fx.r_file, "R"), (&fx.s_file, "S")] {
             t.validate().unwrap_or_else(|e| panic!("{tag}/{name}: {e}"));
         }
-        assert_eq!(
-            entry_multiset(&fx.r_file),
-            entry_multiset(&fx.r_mem),
-            "{tag}: R entries"
-        );
-        assert_eq!(
-            entry_multiset(&fx.s_file),
-            entry_multiset(&fx.s_mem),
-            "{tag}: S entries"
-        );
+        assert_same_nodes(&fx.r_file, &fx.r_mem, &format!("{tag}: R"));
+        assert_same_nodes(&fx.s_file, &fx.s_mem, &format!("{tag}: S"));
         // The sharded twin carries the same tree.
         let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
         r_back.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_eq!(
-            entry_multiset(&r_back),
-            entry_multiset(&fx.r_mem),
-            "{tag}: sharded R entries"
+        assert_same_nodes(&r_back, &fx.r_mem, &format!("{tag}: sharded R"));
+    }
+}
+
+#[test]
+fn str_leaves_are_near_square_tiles_in_every_build() {
+    // Uniform data at the benchmark's page size: P leaves should tile the
+    // world roughly √P × √P. (Slabs cut per √n entries instead of per √P
+    // pages once made every leaf a full-height strip — aspect ~1/100 —
+    // and nothing but the join's comparison count showed it.)
+    let items: Vec<(Rect, DataId)> = rsj::datagen::synthetic::uniform_rects(20_000, 4.0, 7)
+        .iter()
+        .map(|o| (o.mbr, DataId(o.id)))
+        .collect();
+    let params = RTreeParams::for_page_size(4096);
+    let dir = TempDir::new("bulk-shape").unwrap();
+    let (path, base) = (dir.file("u.rsj"), dir.file("u.sharded.rsj"));
+    let cfg = BulkConfig::default();
+    let (_, stats) = bulk::load_to_file(params, &items, BulkLayout::Str, cfg, &path).unwrap();
+    bulk::load_to_sharded(params, &items, BulkLayout::Str, cfg, &base, SHARDS).unwrap();
+    assert!(
+        stats.slabs.abs_diff(stats.nodes_per_slab) <= 1,
+        "{stats:?}: the leaf grid should be near-square"
+    );
+    for (tree, name) in [
+        (
+            bulk::str_load(params, &items, bulk::DEFAULT_FILL).unwrap(),
+            "memory",
+        ),
+        (RTree::open_from(&path).unwrap(), "file"),
+        (RTree::open_sharded_from(&base).unwrap(), "sharded"),
+    ] {
+        let mut mbrs = Vec::new();
+        tree.for_each_node(|_, node| {
+            if node.is_leaf() {
+                mbrs.push(node.mbr());
+            }
+        });
+        let mut aspects: Vec<f64> = mbrs.iter().map(|r| r.width() / r.height()).collect();
+        aspects.sort_by(f64::total_cmp);
+        let median = aspects[aspects.len() / 2];
+        assert!(
+            (1.0 / 3.0..=3.0).contains(&median),
+            "{name}: median leaf aspect {median}"
+        );
+        let mean_width = mbrs.iter().map(Rect::width).sum::<f64>() / mbrs.len() as f64;
+        let tile = rsj::datagen::WORLD.width() / (mbrs.len() as f64).sqrt();
+        assert!(
+            mean_width <= 3.0 * tile,
+            "{name}: mean leaf width {mean_width} vs tile side {tile}"
         );
     }
 }
