@@ -41,8 +41,8 @@ use rsj_rtree::{DataId, OpenCachedTree, OpenFileTree, RTree};
 use rsj_storage::sharded::shard_lane_queue;
 use rsj_storage::{
     BufferPool, CacheConfig, CompletionConfig, CompletionFileAccess, EntryFormat, EvictionPolicy,
-    FileNodeAccess, PageFile, PrefetchConfig, PrefetchingFileAccess, ShardReaderConfig,
-    ShardedFileAccess, ShardedPageFile, SharedPageCache, TempDir, READ_LATENCY_ENV,
+    FileNodeAccess, PageFile, ShardedCompletionFileAccess, ShardedFileAccess, ShardedPageFile,
+    SharedPageCache, TempDir, READ_LATENCY_ENV,
 };
 
 const PAGE: usize = 4096;
@@ -144,18 +144,15 @@ impl PlanReport {
 /// from disk, and joined with every buffer miss performing a real page
 /// read. "Cold" resets the whole backend (LRU, path buffers, page-file
 /// counters) before every run; "warm" reuses the populated buffer.
-/// The schedule-aware additions ride along: a prefetch-on cold run
-/// ([`PrefetchingFileAccess`], identical `disk_accesses` by contract)
-/// and a shard-count sweep over [`ShardedFileAccess`].
+/// A shard-count sweep over [`ShardedFileAccess`] and its queued twin
+/// rides along. (The queued strategy over plain files at zero latency is
+/// `overlap.no_latency`; it is not timed a second time here.)
 struct FileReport {
     buffer_pages: usize,
     cold_secs: f64,
     cold_disk: u64,
     warm_secs: f64,
     warm_disk: u64,
-    prefetch_secs: f64,
-    prefetch_disk: u64,
-    prefetch_hits: u64,
     /// `(shard_count, best cold secs, disk accesses, best parallel-reader
     /// secs, staged hits)` per sweep point.
     shards: Vec<(usize, f64, u64, f64, u64)>,
@@ -221,47 +218,6 @@ fn measure_file_backend(
         "a warm buffer cannot read more than a cold one"
     );
 
-    // Prefetch-on cold runs: same files, same buffer, plus the hint-driven
-    // read-ahead workers. The disk-access accounting must not move.
-    let mut pre = PrefetchingFileAccess::new(
-        vec![
-            PageFile::open(&rp).expect("open R file"),
-            PageFile::open(&sp).expect("open S file"),
-        ],
-        cfg.buffer_bytes,
-        &[rf.height() as usize, sf.height() as usize],
-        EvictionPolicy::Lru,
-        PrefetchConfig::default(),
-    )
-    .expect("prefetch backend");
-    let run_pre = |access: &mut PrefetchingFileAccess| -> (u64, u64) {
-        let mut cursor = JoinCursor::new(&rf, &sf, plan, &mut *access);
-        let pairs = (&mut cursor).count() as u64;
-        (pairs, cursor.stats().io.disk_accesses)
-    };
-    let (pairs, prefetch_disk) = {
-        pre.reset();
-        run_pre(&mut pre)
-    };
-    assert_eq!(pairs, expect_pairs, "prefetch backend must agree");
-    assert_eq!(
-        prefetch_disk, cold_disk,
-        "prefetching must not move the disk-access accounting"
-    );
-    // Report the best staged share observed: how many misses prefetching
-    // *can* serve once the workers are warm (the split is scheduler-
-    // dependent at page-cache speeds; a real disk gives the workers
-    // milliseconds of lead per hint).
-    let mut prefetch_hits = 0;
-    let mut prefetch_secs = f64::INFINITY;
-    for _ in 0..iters {
-        pre.reset();
-        let start = Instant::now();
-        run_pre(&mut pre);
-        prefetch_secs = prefetch_secs.min(start.elapsed().as_secs_f64());
-        prefetch_hits = prefetch_hits.max(pre.prefetch_hits());
-    }
-
     // Shard-count sweep: the same join over subtree-partitioned files,
     // demand-only and with the per-shard parallel reader pool.
     let mut shards = Vec::new();
@@ -309,7 +265,7 @@ fn measure_file_backend(
         // The same sweep point with one reader thread per physical shard
         // file eating the executor's hints: accounting must not move; the
         // staged split shows how much demand latency the spindles covered.
-        let mut par = ShardedFileAccess::with_parallel_readers(
+        let mut par = ShardedCompletionFileAccess::with_capacity_pages(
             vec![
                 ShardedPageFile::open(&rb).expect("open sharded R"),
                 ShardedPageFile::open(&sb).expect("open sharded S"),
@@ -317,10 +273,13 @@ fn measure_file_backend(
             buffer_pages, // capacity in PAGES — same budget as every other backend here
             &[rs.height() as usize, ss.height() as usize],
             EvictionPolicy::Lru,
-            ShardReaderConfig::default(),
+            CompletionConfig {
+                workers_per_lane: 1,
+                ..CompletionConfig::default()
+            },
         )
         .expect("parallel sharded backend");
-        let run_par = |access: &mut ShardedFileAccess| -> (u64, u64) {
+        let run_par = |access: &mut ShardedCompletionFileAccess| -> (u64, u64) {
             let mut cursor = JoinCursor::new(&rs, &ss, plan, &mut *access);
             let pairs = (&mut cursor).count() as u64;
             (pairs, cursor.stats().io.disk_accesses)
@@ -352,9 +311,6 @@ fn measure_file_backend(
         cold_disk,
         warm_secs,
         warm_disk,
-        prefetch_secs,
-        prefetch_disk,
-        prefetch_hits,
         shards,
     }
 }
@@ -376,15 +332,12 @@ impl FileReport {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"prefetch\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"prefetch_hits\": {} }},\n    \"shard_sweep\": [{}],\n    \"cold_over_cursor\": {:.4}\n  }}",
+            "{{\n    \"buffer_pages\": {},\n    \"cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"warm\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"shard_sweep\": [{}],\n    \"cold_over_cursor\": {:.4}\n  }}",
             self.buffer_pages,
             self.cold_secs,
             self.cold_disk,
             self.warm_secs,
             self.warm_disk,
-            self.prefetch_secs,
-            self.prefetch_disk,
-            self.prefetch_hits,
             shards,
             cursor_secs / self.cold_secs,
         )
@@ -558,13 +511,13 @@ fn measure_overlap(
             let start = Instant::now();
             let res =
                 rsj_core::parallel_spatial_join_with_access(rs, ss, plan, false, workers, |_w| {
-                    ShardedFileAccess::with_shared_queue(
+                    ShardedCompletionFileAccess::with_shared_queue(
                         files(),
                         cap_pages,
                         &heights,
                         EvictionPolicy::Lru,
                         queue.clone(),
-                        ShardReaderConfig::default(),
+                        CompletionConfig::default().window,
                     )
                     .expect("shared-queue backend")
                 });

@@ -19,6 +19,27 @@ use std::io::Write;
 
 const DEFAULT_SCALE: f64 = 0.1;
 
+/// Every target besides `all`, in run order. Argument validation and the
+/// usage string both read this one list.
+const TARGETS: [&str; 13] = [
+    "table1",
+    "table2",
+    "figure2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "figure8",
+    "figure9",
+    "table8",
+    "figure10",
+    "extensions",
+];
+
+/// The targets that do *not* run on the shared Test (A) trees.
+const NOT_ON_A: [&str; 3] = ["table7", "table8", "figure10"];
+
 fn main() {
     let mut scale = DEFAULT_SCALE;
     let mut targets: Vec<String> = Vec::new();
@@ -31,17 +52,21 @@ fn main() {
                     .unwrap_or_else(|| usage("missing value after --scale"));
                 scale = v
                     .parse()
-                    .unwrap_or_else(|_| usage("--scale expects a float in (0, 1]"));
+                    .ok()
+                    .filter(|s| *s > 0.0 && *s <= 1.0)
+                    .unwrap_or_else(|| usage("--scale expects a float in (0, 1]"));
             }
             "--help" | "-h" => usage(""),
-            other => targets.push(other.to_string()),
+            "all" => targets.extend(TARGETS.map(String::from)),
+            known if TARGETS.contains(&known) => targets.push(arg),
+            other => usage(&format!("unknown target or flag `{other}`")),
         }
     }
     if targets.is_empty() {
-        targets.push("all".to_string());
+        targets.extend(TARGETS.map(String::from));
     }
-    let all = targets.iter().any(|t| t == "all");
-    let want = |name: &str| all || targets.iter().any(|t| t == name);
+    let want = |name: &str| targets.iter().any(|t| t == name);
+    let want_any = |names: &[&str]| names.iter().any(|n| want(n));
 
     let out = &mut std::io::stdout();
     writeln!(
@@ -55,49 +80,31 @@ fn main() {
     )
     .unwrap();
 
-    // Test (A) trees are shared by Tables 1-6 and Figures 2, 8, 9.
-    let needs_a = [
-        "table1",
-        "table2",
-        "figure2",
-        "table3",
-        "table4",
-        "table5",
-        "table6",
-        "figure8",
-        "figure9",
-        "extensions",
-    ]
-    .iter()
-    .any(|n| want(n));
+    // Test (A) trees are shared by Tables 1-6, Figures 2, 8, 9 and the
+    // extensions.
+    let needs_a = targets.iter().any(|t| !NOT_ON_A.contains(&t.as_str()));
     let mut wa = needs_a.then(|| Workbench::new(TestId::A, scale));
 
     if want("table1") {
         table1::run(wa.as_mut().unwrap(), out).unwrap();
     }
-    let mut sj1_grid = None;
-    if want("table2") || want("figure2") || want("table6") || want("figure9") {
-        let grid = sj1_io::table2(wa.as_mut().unwrap(), out).unwrap();
-        sj1_grid = Some(grid);
-    }
+    // Each grid is computed (and its table printed) when any consumer
+    // wants it: Table 6 and Figures 8/9 build on Table 2's SJ1 grid.
+    let sj1_grid = want_any(&["table2", "figure2", "table6", "figure8", "figure9"])
+        .then(|| sj1_io::table2(wa.as_mut().unwrap(), out).unwrap());
     if want("figure2") {
         sj1_io::figure2(sj1_grid.as_ref().unwrap(), out).unwrap();
     }
-    let mut sj_counts = None;
-    if want("table3") || want("table4") {
-        sj_counts = Some(cpu::table3(wa.as_mut().unwrap(), out).unwrap());
-    }
+    let sj_counts =
+        want_any(&["table3", "table4"]).then(|| cpu::table3(wa.as_mut().unwrap(), out).unwrap());
     if want("table4") {
         cpu::table4(wa.as_mut().unwrap(), sj_counts.as_ref().unwrap(), out).unwrap();
     }
     if want("table5") {
         io_sched::table5(wa.as_mut().unwrap(), out).unwrap();
     }
-    let mut sj4_grid = None;
-    if want("table6") || want("figure8") || want("figure9") {
-        let grid = io_sched::table6(wa.as_mut().unwrap(), sj1_grid.as_ref().unwrap(), out).unwrap();
-        sj4_grid = Some(grid);
-    }
+    let sj4_grid = want_any(&["table6", "figure8", "figure9"])
+        .then(|| io_sched::table6(wa.as_mut().unwrap(), sj1_grid.as_ref().unwrap(), out).unwrap());
     if want("table7") {
         diff_height::run(scale, out).unwrap();
     }
@@ -130,8 +137,8 @@ fn usage(err: &str) -> ! {
         eprintln!("error: {err}\n");
     }
     eprintln!(
-        "usage: experiments [--scale S] [all | table1 | table2 | figure2 | table3 | table4 \
-         | table5 | table6 | table7 | figure8 | figure9 | table8 | figure10 | extensions]"
+        "usage: experiments [--scale S in (0, 1]] [all | {}]",
+        TARGETS.join(" | ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

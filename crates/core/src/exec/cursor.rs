@@ -10,10 +10,11 @@
 //!
 //! The cursor is generic over two pluggable layers:
 //!
-//! * [`NodeAccess`] — the page-access boundary: sequential joins plug in a
-//!   private [`rsj_storage::BufferPool`], shared-buffer parallel workers a
-//!   [`rsj_storage::SharedBufferHandle`], and `&mut A` works for reusing
-//!   one accountant across many cursors.
+//! * [`NodeAccess`] — the page-access boundary: in-memory joins plug in
+//!   a private [`rsj_storage::BufferPool`], file-backed ones an
+//!   [`rsj_storage::FileAccess`] stack or a
+//!   [`rsj_storage::SharedCacheFileAccess`] handle, and `&mut A` works
+//!   for reusing one accountant across many cursors.
 //! * [`Meter`] — the comparison-accounting boundary: [`CmpCounter`]
 //!   (constructors [`JoinCursor::new`]/[`JoinCursor::with_tasks`]) keeps
 //!   the paper's CPU accounting bit-identical to the recursive oracle;
@@ -395,7 +396,7 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     charge_tasks: bool,
     /// The accountant's tallies at cursor construction: [`JoinCursor::stats`]
     /// reports the delta, so a borrowed accountant reused across cursors
-    /// (e.g. a worker's `&mut SharedBufferHandle`) is not double-counted.
+    /// (e.g. a bench's long-lived `&mut FileNodeAccess`) is not double-counted.
     io_baseline: IoStats,
     /// Whether the backend consumes read-schedule hints
     /// ([`NodeAccess::wants_hints`] at construction). When false the

@@ -6,17 +6,19 @@
 //! * [`JoinCursor`] — the production executor. An explicit-work-stack
 //!   state machine that yields result pairs incrementally and charges all
 //!   I/O through [`rsj_storage::NodeAccess`], so the same engine serves
-//!   sequential joins (private [`rsj_storage::BufferPool`]), shared-buffer
-//!   parallel workers ([`rsj_storage::SharedBufferHandle`]), and any
-//!   future backend that can account a page access.
+//!   all three implementors: the in-memory [`rsj_storage::BufferPool`]
+//!   oracle, the [`rsj_storage::FileAccess`] stack over real page files
+//!   (page source {plain, sharded} × read strategy {blocking, queued}),
+//!   and [`rsj_storage::SharedCacheFileAccess`] handles onto the shared
+//!   frame cache.
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential
 //!   tests and the `exec` bench.
 //! * [`schedule`] — the §4.3 read schedule as a first-class artifact:
 //!   pair ordering (sweep/z-order) extracted out of the cursor, plus the
 //!   materialized `(store, page, depth)` tails the cursor announces to
-//!   hint-aware backends ([`rsj_storage::NodeAccess::hint`]) so a
-//!   prefetching backend can overlap reads with computation. Hints are
+//!   hint-aware backends ([`rsj_storage::NodeAccess::hint`]) so the
+//!   queued read strategy can overlap reads with computation. Hints are
 //!   advisory and accounting-neutral; backends that don't opt in via
 //!   [`rsj_storage::NodeAccess::wants_hints`] cost nothing.
 //!

@@ -17,8 +17,9 @@
 //!   hands them to the backend through [`NodeAccess::hint`]. This is the
 //!   planner→pager channel: accounting backends ignore it (and the
 //!   cursor skips building it when [`NodeAccess::wants_hints`] is false),
-//!   while [`rsj_storage::PrefetchingFileAccess`] overlaps the reads with
-//!   the computation that happens between hint and demand.
+//!   while the queued read strategy of [`rsj_storage::FileAccess`]
+//!   overlaps the reads with the computation that happens between hint
+//!   and demand.
 //!
 //! The executor's contract: every page pushed into a schedule that is
 //! announced will subsequently be demanded through

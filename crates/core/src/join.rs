@@ -81,11 +81,10 @@ pub fn spatial_join_metered<M: Meter>(
 
 /// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
 /// backend instead of a private [`BufferPool`] — the entry point for the
-/// file-backed [`rsj_storage::FileNodeAccess`], the hint-driven
-/// [`rsj_storage::PrefetchingFileAccess`] (the cursor announces its read
-/// schedules to backends that opt in via
-/// [`rsj_storage::NodeAccess::wants_hints`]), the
-/// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, or any
+/// file-backed [`rsj_storage::FileAccess`] stack in any of its four
+/// instantiations (the cursor announces its read schedules to those that
+/// opt in via [`rsj_storage::NodeAccess::wants_hints`] — the queued read
+/// strategy), a [`rsj_storage::SharedCacheFileAccess`] handle, or any
 /// other accountant.
 /// Returns the accountant alongside the result so its backend-specific
 /// state (file read counters, LRU contents for a warm re-run) stays

@@ -22,8 +22,9 @@
 //! the cursor. Costs are accounted the paper's way: floating-point
 //! comparisons through [`rsj_geom::CmpCounter`] and disk accesses through
 //! the pluggable [`rsj_storage::NodeAccess`] boundary (path buffers +
-//! shared LRU buffer, §4.1 — or the sharded
-//! [`rsj_storage::SharedBufferPool`] for concurrent workers).
+//! LRU buffer, §4.1): the in-memory [`rsj_storage::BufferPool`], the
+//! [`rsj_storage::FileAccess`] stack over real page files, or handles
+//! onto the [`rsj_storage::SharedPageCache`] for concurrent workers.
 //!
 //! Trees of different height are handled per §4.4 with the three policies
 //! (a) window query per pair, (b) batched multi-window queries, (c) sweep
@@ -35,8 +36,8 @@
 //! [`baseline`] provides the naive nested-loop join and an index
 //! nested-loop join for comparison. [`multiway`] generalizes to k
 //! relations (streaming the leading binary join off a cursor) and
-//! [`parallel`] to multiple workers, in shared-nothing and shared-buffer
-//! (work-stealing over one sharded pool) deployments.
+//! [`parallel`] to multiple shared-nothing workers (optionally sharing
+//! physical frames through one warm page cache).
 //!
 //! ```
 //! use rsj_core::{spatial_join, JoinConfig, JoinPlan};
@@ -79,8 +80,7 @@ pub use multiway::{
 };
 pub use parallel::{
     parallel_metered_with_access, parallel_spatial_join, parallel_spatial_join_fast,
-    parallel_spatial_join_warm, parallel_spatial_join_with_access, parallel_spatial_join_with_mode,
-    ParallelMode,
+    parallel_spatial_join_warm, parallel_spatial_join_with_access,
 };
 pub use plan::{DiffHeightPolicy, Enumerate, JoinConfig, JoinPlan, JoinPredicate, Schedule};
 pub use refine::{id_join, object_join, ObjectRelation, RefineResult};

@@ -87,7 +87,7 @@ fn multiway_join_metered<M: Meter>(
 /// the trees it touches, mirroring the private per-stage [`BufferPool`]s
 /// of the in-memory pipeline. The leading stage runs off a
 /// [`JoinCursor`], so a hint-aware stage-0 backend (e.g.
-/// [`rsj_storage::PrefetchingFileAccess`]) receives its read-schedule
+/// [`rsj_storage::CompletionFileAccess`]) receives its read-schedule
 /// hints; the probe stages traverse on demand and emit none.
 pub fn multiway_join_with_access<A, F>(
     trees: &[&RTree],

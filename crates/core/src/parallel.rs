@@ -2,33 +2,29 @@
 //!
 //! "Parallel computer systems and disk arrays are very interesting for
 //! performing spatial joins and window queries, for example using parallel
-//! R-trees \[14\]." Two deployments are modelled, selected by
-//! [`ParallelMode`]:
+//! R-trees \[14\]." The deployment modelled is **shared-nothing**: the
+//! qualifying pairs of *root entries* are partitioned into contiguous runs
+//! of the sweep-ordered pair list and dealt to worker threads up front, so
+//! each worker sees spatially local work — the same locality argument as
+//! the SJ3/SJ4 read schedules, applied across workers. Each worker joins
+//! its subtree pairs through a **private accountant** from the three
+//! `NodeAccess` implementors:
 //!
-//! * **Shared-nothing** — the qualifying pairs of *root entries* are
-//!   partitioned into contiguous runs of the sweep-ordered pair list and
-//!   dealt to worker threads up front; each worker joins its subtree pairs
-//!   with a **private buffer pool** (modelling per-worker buffer/disk
-//!   resources, as with a disk array). A page needed by two workers is
-//!   fetched twice — exactly what a shared-nothing deployment pays.
-//! * **Shared-buffer** — all workers charge one sharded, lock-based
-//!   [`SharedBufferPool`] holding the *full* buffer budget, and pull task
-//!   chunks from per-worker deques with **work stealing** (own deque from
-//!   the front, a victim's from the back, so stolen work is the spatially
-//!   most distant). A page faulted by one worker is a buffer hit for the
-//!   next — summed disk accesses approach the sequential join's from
-//!   above instead of the shared-nothing sum.
-//!
-//! Work is dealt in contiguous runs of the sweep-ordered pair list in both
-//! modes, so each worker sees spatially local work — the same locality
-//! argument as the SJ3/SJ4 read schedules, applied across workers.
+//! * [`parallel_spatial_join`] — a private [`rsj_storage::BufferPool`] of
+//!   `buffer / workers` per worker (per-worker buffer/disk resources, as
+//!   with a disk array). A page needed by two workers is fetched twice —
+//!   exactly what a shared-nothing deployment pays;
+//! * [`parallel_spatial_join_with_access`] — any caller-built backend per
+//!   worker, e.g. an [`rsj_storage::FileAccess`] stack over the worker's
+//!   own file handles;
+//! * [`parallel_spatial_join_warm`] — handles onto one
+//!   [`SharedPageCache`]: logical charges stay private and bit-identical
+//!   to shared-nothing, but a page faulted by one worker is *physically*
+//!   free for the next — the §6 shared-buffer win, at the frame layer.
 //!
 //! Accounting semantics: the merged `disk_accesses` is the *sum* over
 //! workers (plus the coordinator's two root reads), directly comparable
-//! between modes and against the sequential join.
-
-use std::collections::VecDeque;
-use std::sync::Mutex;
+//! against the sequential join.
 
 use crate::exec::JoinCursor;
 use crate::join::JoinResult;
@@ -36,30 +32,14 @@ use crate::plan::{JoinConfig, JoinPlan};
 use crate::stats::JoinStats;
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
 use rsj_rtree::RTree;
-use rsj_storage::{IoStats, NodeAccess, PageId, SharedBufferPool, SharedPageCache};
+use rsj_storage::{BufferPool, IoStats, NodeAccess, PageId, SharedPageCache};
 
-/// How parallel workers share buffer resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParallelMode {
-    /// Private buffer pool per worker, `cfg.buffer_bytes / workers` each;
-    /// static contiguous partitioning. The original mode.
-    #[default]
-    SharedNothing,
-    /// One sharded [`SharedBufferPool`] of the full `cfg.buffer_bytes`
-    /// shared by all workers; dynamic load balancing by work stealing
-    /// over sweep-ordered task chunks.
-    SharedBuffer,
-}
-
-/// Tasks per worker dealt as stealable chunks in shared-buffer mode: small
-/// enough to balance, big enough to keep the sweep locality per steal.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// A contiguous run of sweep-ordered subjoin tasks.
-type TaskSlice<'a> = &'a [(PageId, PageId, Rect)];
-
-/// Computes the spatial join with `workers` threads in the default
-/// shared-nothing mode (see [`parallel_spatial_join_with_mode`]).
+/// Computes the spatial join with `workers` threads, each charging a
+/// private [`BufferPool`] of `cfg.buffer_bytes / workers`.
+///
+/// Falls back to the sequential [`crate::spatial_join`] when `workers <= 1`
+/// or when a root is a leaf (nothing to partition). The result-pair *set*
+/// equals the sequential join's; pair order differs.
 pub fn parallel_spatial_join(
     r: &RTree,
     s: &RTree,
@@ -67,26 +47,10 @@ pub fn parallel_spatial_join(
     cfg: &JoinConfig,
     workers: usize,
 ) -> JoinResult {
-    parallel_spatial_join_with_mode(r, s, plan, cfg, workers, ParallelMode::SharedNothing)
+    parallel_join_metered::<CmpCounter>(r, s, plan, cfg, workers)
 }
 
-/// Computes the spatial join with `workers` threads under `mode`.
-///
-/// Falls back to the sequential [`crate::spatial_join`] when `workers <= 1`
-/// or when a root is a leaf (nothing to partition). The result-pair *set*
-/// equals the sequential join's; pair order differs.
-pub fn parallel_spatial_join_with_mode(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    cfg: &JoinConfig,
-    workers: usize,
-    mode: ParallelMode,
-) -> JoinResult {
-    parallel_join_metered::<CmpCounter>(r, s, plan, cfg, workers, mode)
-}
-
-/// [`parallel_spatial_join_with_mode`] in raw mode: every worker runs a
+/// [`parallel_spatial_join`] in raw mode: every worker runs a
 /// [`NoOp`]-metered cursor, so comparison accounting compiles out of the
 /// whole fleet. Same result-pair multiset; `stats` report zero
 /// comparisons and the summed worker I/O.
@@ -96,9 +60,8 @@ pub fn parallel_spatial_join_fast(
     plan: JoinPlan,
     cfg: &JoinConfig,
     workers: usize,
-    mode: ParallelMode,
 ) -> JoinResult {
-    parallel_join_metered::<NoOp>(r, s, plan, cfg, workers, mode)
+    parallel_join_metered::<NoOp>(r, s, plan, cfg, workers)
 }
 
 /// Enumerates qualifying root-entry pairs as sweep-ordered subjoin tasks
@@ -167,7 +130,6 @@ fn parallel_join_metered<M: Meter>(
     plan: JoinPlan,
     cfg: &JoinConfig,
     workers: usize,
-    mode: ParallelMode,
 ) -> JoinResult {
     assert_eq!(r.params().page_bytes, s.params().page_bytes);
     if workers <= 1 || r.node(r.root()).is_leaf() || s.node(s.root()).is_leaf() {
@@ -176,11 +138,17 @@ fn parallel_join_metered<M: Meter>(
     let mut cmp = M::default();
     let tasks = root_tasks(r, s, plan, &mut cmp);
     let workers = workers.min(tasks.len()).max(1);
-
-    let results = match mode {
-        ParallelMode::SharedNothing => shared_nothing::<M>(r, s, plan, cfg, workers, &tasks),
-        ParallelMode::SharedBuffer => shared_buffer::<M>(r, s, plan, cfg, workers, &tasks),
-    };
+    // The budget is split over the workers that actually run.
+    let per_worker_buffer = cfg.buffer_bytes / workers;
+    let results =
+        static_partition::<M, _, _>(r, s, plan, cfg.collect_pairs, workers, &tasks, &|_w| {
+            BufferPool::with_policy(
+                per_worker_buffer,
+                r.params().page_bytes,
+                &[r.height() as usize, s.height() as usize],
+                cfg.eviction,
+            )
+        });
     merge_results(results, cmp.get(), r.params().page_bytes)
 }
 
@@ -192,17 +160,16 @@ fn parallel_join_metered<M: Meter>(
 /// like a worker process would; for genuinely disjoint physical files, a
 /// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, whose
 /// partition matches the subtree-pair tasks dealt here). Tasks are
-/// partitioned statically as in shared-nothing mode; accounting
-/// semantics match [`parallel_spatial_join_with_mode`]. Each worker's
-/// cursor announces its task list — and every frame schedule below it —
-/// as read-schedule hints, so a hint-aware backend (e.g.
-/// [`rsj_storage::PrefetchingFileAccess`]) prefetches per worker.
+/// partitioned statically and accounted as in [`parallel_spatial_join`].
+/// Each worker's cursor announces its task list — and every frame
+/// schedule below it — as read-schedule hints, so a stack with the queued
+/// read strategy reads ahead per worker.
 ///
 /// Completion-driven deployments share one I/O engine across the fleet:
 /// build a single [`rsj_storage::CompletionQueue`] (for sharded files,
 /// [`rsj_storage::sharded::shard_lane_queue`] — one lane per physical
 /// shard file) and have `make_access(w)` wrap a clone of it per worker
-/// ([`rsj_storage::ShardedFileAccess::with_shared_queue`]). Every worker
+/// ([`rsj_storage::FileAccess::with_shared_queue`]). Every worker
 /// keeps private buffers and private `IoStats` — the charge order inside
 /// each worker stays deterministic — while demand misses and hints from
 /// all workers multiplex onto the shared per-shard submission lanes, and
@@ -304,8 +271,7 @@ where
     merge_results(results, cmp.get(), r.params().page_bytes)
 }
 
-/// The static-partition worker scaffold shared by every shared-nothing
-/// deployment: deal `tasks` as contiguous chunks to `workers` threads,
+/// The static-partition worker scaffold shared by every deployment: deal `tasks` as contiguous chunks to `workers` threads,
 /// each draining a task cursor over its own accountant from
 /// `make_access(w)`.
 fn static_partition<M, A, F>(
@@ -337,120 +303,6 @@ where
                         slice.iter().copied(),
                     );
                     crate::join::drain(cursor, collect)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-}
-
-/// Static partitioning with private per-worker buffer pools.
-fn shared_nothing<M: Meter>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    cfg: &JoinConfig,
-    workers: usize,
-    tasks: &[(PageId, PageId, Rect)],
-) -> Vec<JoinResult> {
-    let per_worker_buffer = cfg.buffer_bytes / workers;
-    static_partition::<M, _, _>(r, s, plan, cfg.collect_pairs, workers, tasks, &|_w| {
-        rsj_storage::BufferPool::with_policy(
-            per_worker_buffer,
-            r.params().page_bytes,
-            &[r.height() as usize, s.height() as usize],
-            cfg.eviction,
-        )
-    })
-}
-
-/// Work-stealing execution against one shared, sharded buffer pool.
-///
-/// Each worker owns a deque seeded with a contiguous region of the
-/// sweep-ordered task list, split into [`CHUNKS_PER_WORKER`] chunks. A
-/// worker pops its own deque from the front (preserving sweep order) and,
-/// when empty, steals from another worker's back — the victim's spatially
-/// most distant chunk, which minimizes buffer interference between the
-/// thief and the victim.
-fn shared_buffer<M: Meter>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    cfg: &JoinConfig,
-    workers: usize,
-    tasks: &[(PageId, PageId, Rect)],
-) -> Vec<JoinResult> {
-    let pool = SharedBufferPool::for_workers(
-        cfg.buffer_bytes,
-        r.params().page_bytes,
-        &[r.height() as usize, s.height() as usize],
-        cfg.eviction,
-        workers,
-    );
-    // Deal each worker a contiguous region, subdivided into stealable
-    // chunks.
-    let region = tasks.len().div_ceil(workers).max(1);
-    let queues: Vec<Mutex<VecDeque<TaskSlice>>> = tasks
-        .chunks(region)
-        .map(|r| {
-            let chunk = r.len().div_ceil(CHUNKS_PER_WORKER).max(1);
-            Mutex::new(r.chunks(chunk).collect())
-        })
-        .collect();
-    let queues = &queues;
-
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..queues.len())
-            .map(|w| {
-                let mut handle = pool.handle();
-                scope.spawn(move || {
-                    let mut pairs = Vec::new();
-                    let mut cmp_total = 0u64;
-                    let mut sort_total = 0u64;
-                    let mut emitted = 0u64;
-                    loop {
-                        // Own work first (front), then steal (victims'
-                        // backs).
-                        let mine = queues[w].lock().expect("queue poisoned").pop_front();
-                        let slice = mine.or_else(|| {
-                            (1..queues.len()).find_map(|d| {
-                                queues[(w + d) % queues.len()]
-                                    .lock()
-                                    .expect("queue poisoned")
-                                    .pop_back()
-                            })
-                        });
-                        let Some(slice) = slice else { break };
-                        let mut cursor = JoinCursor::<_, M>::metered_with_tasks(
-                            r,
-                            s,
-                            plan,
-                            &mut handle,
-                            slice.iter().copied(),
-                        );
-                        if cfg.collect_pairs {
-                            pairs.extend(&mut cursor);
-                        } else {
-                            for _ in &mut cursor {}
-                        }
-                        let stats = cursor.stats();
-                        cmp_total += stats.join_comparisons;
-                        sort_total += stats.sort_comparisons;
-                        emitted += stats.result_pairs;
-                    }
-                    JoinResult {
-                        pairs,
-                        stats: JoinStats {
-                            join_comparisons: cmp_total,
-                            sort_comparisons: sort_total,
-                            io: handle.stats(),
-                            result_pairs: emitted,
-                            page_bytes: r.params().page_bytes,
-                        },
-                    }
                 })
             })
             .collect();
@@ -499,12 +351,9 @@ mod tests {
         let seq = crate::spatial_join(&ta, &tb, JoinPlan::sj4(), &cfg);
         let want = sorted_pairs(&seq);
         for workers in [1usize, 2, 3, 4, 8, 64] {
-            for mode in [ParallelMode::SharedNothing, ParallelMode::SharedBuffer] {
-                let par =
-                    parallel_spatial_join_with_mode(&ta, &tb, JoinPlan::sj4(), &cfg, workers, mode);
-                assert_eq!(sorted_pairs(&par), want, "workers = {workers}, {mode:?}");
-                assert_eq!(par.stats.result_pairs, seq.stats.result_pairs);
-            }
+            let par = parallel_spatial_join(&ta, &tb, JoinPlan::sj4(), &cfg, workers);
+            assert_eq!(sorted_pairs(&par), want, "workers = {workers}");
+            assert_eq!(par.stats.result_pairs, seq.stats.result_pairs);
         }
     }
 
@@ -539,45 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_buffer_beats_shared_nothing_on_io() {
-        // The acceptance bar of the shared-buffer mode: same pair set as
-        // sequential SJ4, strictly fewer summed disk accesses than
-        // shared-nothing with the same total budget. Shared-buffer I/O is
-        // schedule-dependent, but the margin on this fixture is wide
-        // (shared-nothing is deterministic at 484; shared-buffer ranged
-        // 312–326 over 10 measured runs), so the strict inequality is
-        // safe in practice.
-        let a = items(800, 0.0);
-        let b = items(800, 2.0);
-        let (ta, tb) = (build(&a), build(&b));
-        let cfg = JoinConfig::with_buffer(32 * 200);
-        let seq = crate::spatial_join(&ta, &tb, JoinPlan::sj4(), &cfg);
-        let nothing = parallel_spatial_join_with_mode(
-            &ta,
-            &tb,
-            JoinPlan::sj4(),
-            &cfg,
-            4,
-            ParallelMode::SharedNothing,
-        );
-        let shared = parallel_spatial_join_with_mode(
-            &ta,
-            &tb,
-            JoinPlan::sj4(),
-            &cfg,
-            4,
-            ParallelMode::SharedBuffer,
-        );
-        assert_eq!(sorted_pairs(&shared), sorted_pairs(&seq));
-        assert!(
-            shared.stats.io.disk_accesses < nothing.stats.io.disk_accesses,
-            "shared {} vs shared-nothing {}",
-            shared.stats.io.disk_accesses,
-            nothing.stats.io.disk_accesses
-        );
-    }
-
-    #[test]
     fn works_with_predicates() {
         use crate::plan::JoinPredicate;
         let a = items(400, 0.0);
@@ -586,9 +396,7 @@ mod tests {
         let cfg = JoinConfig::default();
         let plan = JoinPlan::sj4().with_predicate(JoinPredicate::WithinDistance(4.0));
         let seq = crate::spatial_join(&ta, &tb, plan, &cfg);
-        for mode in [ParallelMode::SharedNothing, ParallelMode::SharedBuffer] {
-            let par = parallel_spatial_join_with_mode(&ta, &tb, plan, &cfg, 3, mode);
-            assert_eq!(sorted_pairs(&par), sorted_pairs(&seq), "{mode:?}");
-        }
+        let par = parallel_spatial_join(&ta, &tb, plan, &cfg, 3);
+        assert_eq!(sorted_pairs(&par), sorted_pairs(&seq));
     }
 }

@@ -169,8 +169,8 @@ impl<B: UpdateBackend> OpenTree<B> {
     pub fn from_parts_at(mut tree: RTree, access: B, store: u8) -> Result<Self, StorageError> {
         if !access.supports_writes() {
             return Err(StorageError::Corrupt(
-                "backend is read-only in this configuration (parallel shard \
-                 readers hold independent file handles a write could race)"
+                "backend handle is read-only (a shared-cache join handle owns \
+                 no read-write file; open an update handle)"
                     .into(),
             ));
         }
@@ -585,23 +585,16 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_rejects_a_read_only_parallel_reader_backend() {
-        use rsj_storage::{ShardReaderConfig, ShardedFileAccess, ShardedPageFile};
+    fn from_parts_rejects_a_read_only_cache_join_handle() {
+        use rsj_storage::CacheConfig;
         let dir = TempDir::new("open-tree").unwrap();
-        let base = dir.file("t.sharded.rsj");
-        let tree = build(150);
-        tree.save_sharded_to(&base, 2).unwrap();
-        let loaded = RTree::open_sharded_from(&base).unwrap();
-        let access = ShardedFileAccess::with_parallel_readers(
-            vec![ShardedPageFile::open_rw(&base).unwrap()],
-            8,
-            &[MAX_HEIGHT],
-            EvictionPolicy::Lru,
-            ShardReaderConfig::default(),
-        )
-        .unwrap();
+        let path = dir.file("t.rsj");
+        build(150).save_to(&path).unwrap();
+        let loaded = RTree::open_from(&path).unwrap();
+        let cache =
+            SharedPageCache::open(&[path], 8, &[MAX_HEIGHT], CacheConfig::default()).unwrap();
         // Typed refusal up front — not a panic on the first update.
-        let err = OpenTree::from_parts(loaded, access).unwrap_err();
+        let err = OpenTree::from_parts(loaded, cache.handle(8)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 

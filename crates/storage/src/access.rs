@@ -4,24 +4,21 @@
 //! trees hand out charge-free borrows ([`crate::PageStore::peek`]) and the
 //! executor *reports* every logical page access so the buffer hierarchy can
 //! answer the paper's question: "would this access have gone to disk?"
-//! [`NodeAccess`] is that reporting interface. Implementations:
+//! [`NodeAccess`] is that reporting interface. Three types implement it:
 //!
-//! * [`crate::BufferPool`] — the sequential stack of §4.1 (path buffer →
-//!   LRU → disk), owned by one executor;
-//! * [`crate::SharedBufferHandle`] — a per-worker handle onto the sharded,
-//!   lock-based [`crate::SharedBufferPool`], for concurrent workers that
-//!   share one system buffer (each worker keeps private path buffers, as
-//!   each drives its own traversal);
-//! * [`crate::FileNodeAccess`] — the same hierarchy over real page files,
-//!   where every miss performs an actual read;
-//! * [`crate::PrefetchingFileAccess`] — the file backend plus a small
-//!   thread-pool that services *read-schedule hints* ahead of demand;
-//! * [`crate::ShardedFileAccess`] — the file backend over trees split
-//!   across several physical files by subtree partition.
+//! * [`crate::BufferPool`] — the §4.1 hierarchy (path buffer → LRU →
+//!   disk) as pure accounting over an in-memory tree: the oracle;
+//! * [`crate::FileAccess`] — the same hierarchy over real page files,
+//!   where every miss performs an actual read; page source {plain,
+//!   sharded} × read strategy {blocking, queued} gives its four aliases
+//!   (the 2 × 2 table in [`crate::stack`]);
+//! * [`crate::SharedCacheFileAccess`] — a worker's handle onto the
+//!   latched [`crate::SharedPageCache`]: private logical buffers, shared
+//!   physical frames.
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
-//! accountant instead of owning it — the shared-buffer parallel join runs
-//! many cursors against one worker handle this way.
+//! accountant instead of owning it — benches re-run joins against one
+//! long-lived backend this way.
 //!
 //! ## Read-schedule hints
 //!
@@ -40,8 +37,8 @@
 //!
 //! ## Completion-driven reads
 //!
-//! A *completion-driven* backend ([`crate::CompletionFileAccess`], and the
-//! prefetching/sharded backends built on the same
+//! A *completion-driven* backend (the queued strategy of
+//! [`crate::FileAccess`], and [`crate::SharedCacheFileAccess`] — both on
 //! [`crate::CompletionQueue`]) services a demand miss by **submitting** the
 //! physical read to a submission/completion queue and returning
 //! immediately: the miss is charged exactly where a blocking backend

@@ -3,12 +3,12 @@
 //! warm buffer — and, since the write latch landed, so background
 //! updaters can mutate pages *under* that join traffic.
 //!
-//! [`crate::SharedBufferPool`] already models the §6 shared-buffer win
-//! for *in-memory* trees: a page faulted by one worker is a buffer hit
-//! for the next. The file-backed parallel deployments could not say the
-//! same — every worker owned a private LRU over its own file handles, so
-//! the upper-level pages every subtree task touches were physically read
-//! N times, and nothing stayed warm between requests. [`SharedPageCache`]
+//! This is the one shared-frame owner of the storage layer — the §6
+//! shared-buffer win: a page faulted by one worker is free for the next.
+//! With only private [`crate::FileAccess`] stacks every worker owns an
+//! LRU over its own file handles, so the upper-level pages every subtree
+//! task touches are physically read N times, and nothing stays warm
+//! between requests. [`SharedPageCache`]
 //! closes that gap: one sharded frame table holds the page budget for
 //! the whole deployment, frames carry a state machine, a pin counter and
 //! a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint), and
@@ -95,12 +95,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionQueue, DelayFn};
-use crate::file::{validate_stores, PageFile};
+use crate::file::PageFile;
 use crate::lru::{EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::path::PathBuffer;
 use crate::pool::{BufKey, IoStats};
-use crate::shared::auto_shard_count;
+use crate::stack::validate_stores;
 use crate::writeback::UpdateBackend;
 
 /// Path-buffer height of a store opened for updates: an updatable tree
@@ -131,8 +131,9 @@ pub enum FrameState {
 /// Configuration of a [`SharedPageCache`].
 #[derive(Clone)]
 pub struct CacheConfig {
-    /// Expected worker fleet size — sizes the shard count via
-    /// [`auto_shard_count`] unless `shards` overrides it.
+    /// Expected worker fleet size — sizes the shard count (rounded up
+    /// to a power of two, capped at 32 and at the page capacity) unless
+    /// `shards` overrides it.
     pub workers: usize,
     /// Explicit shard count (0 = auto from `workers` and the capacity).
     pub shards: usize,
@@ -162,6 +163,23 @@ impl fmt::Debug for CacheConfig {
             .field("delay", &self.delay.as_ref().map(|_| "fn"))
             .finish()
     }
+}
+
+/// Upper bound for [`auto_shard_count`]: past this, extra shards only
+/// fragment the page budget without reducing contention further.
+const MAX_AUTO_SHARDS: usize = 32;
+
+/// Shard count sized to the deployment: the worker count rounded up to a
+/// power of two (so [`crate::partition`]'s multiplicative hash spreads
+/// evenly), capped at [`MAX_AUTO_SHARDS`] — and never more shards than
+/// the cache has pages, so small caches do not split into degenerate
+/// zero-capacity slices.
+fn auto_shard_count(workers: usize, cap_pages: usize) -> usize {
+    workers
+        .max(1)
+        .next_power_of_two()
+        .min(MAX_AUTO_SHARDS)
+        .min(cap_pages.max(1))
 }
 
 /// One shard of the frame table: residency, recency, pins and dirty bits
@@ -270,7 +288,7 @@ impl SharedPageCache {
             .iter()
             .map(PageFile::open)
             .collect::<Result<Vec<_>, _>>()?;
-        validate_stores(&files, heights, PageFile::page_bytes)?;
+        validate_stores(&files, heights)?;
         let page_bytes = files
             .first()
             .map(PageFile::page_bytes)
@@ -857,8 +875,10 @@ impl SharedPageCache {
     }
 }
 
-/// One worker's backend over a [`SharedPageCache`]: the fifth file
-/// backend. Private path buffers, private logical LRU, private
+/// One worker's backend over a [`SharedPageCache`] — beside
+/// [`crate::BufferPool`] and [`crate::FileAccess`] the third and last
+/// [`NodeAccess`] implementor, the one whose frames are shared. Private
+/// path buffers, private logical LRU, private
 /// [`IoStats`] — charged through [`crate::pool::hierarchy_access`]
 /// exactly like [`crate::BufferPool`], so the logical accounting is
 /// bit-identical to a private-buffer worker of the same capacity — while
@@ -1595,5 +1615,18 @@ mod tests {
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
         let (_, fresh) = c.materialize(0, PageId(2));
         assert!(fresh, "the pool keeps serving after a worker panic");
+    }
+
+    #[test]
+    fn shard_count_tracks_workers_without_degenerate_slices() {
+        // Worker count rounds up to a power of two…
+        assert_eq!(auto_shard_count(1, 1024), 1);
+        assert_eq!(auto_shard_count(3, 1024), 4);
+        assert_eq!(auto_shard_count(6, 1024), 8);
+        // …capped so huge fleets don't fragment the budget…
+        assert_eq!(auto_shard_count(100, 1024), MAX_AUTO_SHARDS);
+        // …and a small cache never splits below one page per shard.
+        assert_eq!(auto_shard_count(8, 3), 3);
+        assert_eq!(auto_shard_count(8, 0), 1);
     }
 }

@@ -1,31 +1,33 @@
-//! The submission/completion queue and the completion-driven file backend.
+//! The submission/completion queue.
 //!
 //! This is the io_uring-shaped core of the overlap story: demand misses
-//! and read-schedule hints become *submissions* — `submit(store, page)` →
+//! and read-schedule hints become *submissions* — `submit(lane, page)` →
 //! [`Ticket`] — serviced by per-lane worker threads over real
 //! [`PageFile`] handles, and the executor checks tickets
 //! ([`CompletionQueue::is_complete`]) or parks on them
 //! ([`CompletionQueue::await_ticket`]) instead of blocking inside
-//! `access()`. A *lane* is one physical file (one per store here; one per
-//! shard file in [`crate::ShardedFileAccess`]), so submissions to
-//! different files proceed in parallel while each lane stays FIFO —
-//! except that a demand miss adopting a still-queued submission promotes
-//! it to the front of its lane ([`crate::inflight::InflightTables`]).
+//! `access()`. A *lane* is one physical file (one per plain page file, one
+//! per shard file of a sharded one), so submissions to different files
+//! proceed in parallel while each lane stays FIFO — except that a demand
+//! miss adopting a still-queued submission promotes it to the front of its
+//! lane ([`crate::inflight::InflightTables`]). The queue is the engine of
+//! the file-access stack's queued read strategy ([`crate::stack::Queued`])
+//! and of [`crate::SharedPageCache`].
 //!
 //! ## Accounting invariants
 //!
-//! The backend charges [`IoStats`] *synchronously* in `access()` through
-//! the shared [`crate::pool::hierarchy_access`] chokepoint — identical, in
-//! order and in value, to [`crate::BufferPool`] and
-//! [`crate::FileNodeAccess`]. Only the *physical read* is asynchronous.
-//! Every submission is consumed by exactly one charged miss (hints beyond
-//! the pipeline window are dropped at submission time, never
+//! The owning backends charge [`IoStats`](crate::IoStats) *synchronously*
+//! in `access()` through the shared [`crate::pool::hierarchy_access`]
+//! chokepoint — identical, in order and in value, to
+//! [`crate::BufferPool`]. Only the *physical read* is asynchronous. Every
+//! submission is consumed by exactly one charged miss (hints beyond the
+//! pipeline window are dropped at submission time, never
 //! read-then-discarded), so once [`CompletionQueue::drain`] returns, the
 //! lane read counters sum to exactly the reads the charges promised.
 //!
 //! A failed worker read completes its ticket (so no waiter hangs) and
-//! poisons the queue; the next wait/drain panics, preserving
-//! [`crate::FileNodeAccess`]'s "storage broke mid-join" contract.
+//! poisons the queue; the next wait/drain panics, preserving the blocking
+//! strategy's "storage broke mid-join" contract.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -34,14 +36,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::access::{NodeAccess, Ticket};
+use crate::access::Ticket;
 use crate::codec::StorageError;
-use crate::file::{validate_stores, PageFile};
+use crate::file::PageFile;
 use crate::inflight::{InflightTables, Phase};
-use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
+use crate::lru::BufKey;
 use crate::page::PageId;
-use crate::path::PathBuffer;
-use crate::pool::IoStats;
 
 /// Test hook: per-page extra latency applied by the worker *before* the
 /// physical read — lets the adversarial-order suites force completions
@@ -277,7 +277,8 @@ impl CompletionQueue {
     }
 
     /// Whether every submission up to **and including** `ticket` has
-    /// completed — the emission-gate predicate ([`NodeAccess::is_settled`]).
+    /// completed — the emission-gate predicate
+    /// ([`crate::NodeAccess::is_settled`]).
     /// Completions arrive out of submission order, so this is strictly
     /// stronger than [`CompletionQueue::is_complete`]; it is lock-free
     /// whenever it returns `true` (the frontier mirror suffices) and
@@ -482,287 +483,19 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
     }
 }
 
-/// The completion-driven file backend: the §4.1 buffer hierarchy of
-/// [`crate::FileNodeAccess`] (bit-identical [`IoStats`] by construction,
-/// charged synchronously in schedule order), but every miss *submits* its
-/// physical read to a [`CompletionQueue`] — one lane per store — and
-/// returns immediately with a ticket for the executor to park on.
-pub struct CompletionFileAccess {
-    /// Store metadata handles (page sizes, counters); the *reads* happen
-    /// on the queue workers' own handles.
-    files: Vec<PageFile>,
-    queue: CompletionQueue,
-    lru: LruBuffer,
-    paths: Vec<PathBuffer>,
-    stats: IoStats,
-    window: usize,
-    last_miss: Ticket,
-    /// Misses whose read a hint had already started or finished.
-    staged_hits: u64,
-    /// Misses that submitted (or adopted a still-queued) read themselves.
-    demand_reads: u64,
-}
-
-impl fmt::Debug for CompletionFileAccess {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompletionFileAccess")
-            .field("stores", &self.files.len())
-            .field("window", &self.window)
-            .field("stats", &self.stats)
-            .finish()
-    }
-}
-
-impl CompletionFileAccess {
-    /// Backend over `files` (store `i` = lane `i`) with an LRU buffer of
-    /// `cap_pages` and one path buffer per entry of `heights`.
-    pub fn with_capacity_pages(
-        files: Vec<PageFile>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        cfg: CompletionConfig,
-    ) -> Result<Self, StorageError> {
-        validate_stores(&files, heights, PageFile::page_bytes)?;
-        let paths: Vec<PathBuf> = files.iter().map(|f| f.path().to_path_buf()).collect();
-        let queue = CompletionQueue::open(&paths, cfg.workers_per_lane, cfg.delay)?;
-        Ok(CompletionFileAccess {
-            files,
-            queue,
-            lru: LruBuffer::with_policy(cap_pages, policy),
-            paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
-            stats: IoStats::default(),
-            window: cfg.window.max(1),
-            last_miss: Ticket::NONE,
-            staged_hits: 0,
-            demand_reads: 0,
-        })
-    }
-
-    /// [`CompletionFileAccess::with_capacity_pages`] with the capacity
-    /// given as a byte budget over the files' logical page size.
-    pub fn new(
-        files: Vec<PageFile>,
-        buffer_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        cfg: CompletionConfig,
-    ) -> Result<Self, StorageError> {
-        let page_bytes = files
-            .first()
-            .map(PageFile::page_bytes)
-            .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
-        Self::with_capacity_pages(files, buffer_bytes / page_bytes, heights, policy, cfg)
-    }
-
-    /// Statistics so far.
-    #[inline]
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// The queue this backend submits to.
-    #[inline]
-    pub fn queue(&self) -> &CompletionQueue {
-        &self.queue
-    }
-
-    /// The backing (metadata) file of `store`.
-    #[inline]
-    pub fn file(&self, store: u8) -> &PageFile {
-        &self.files[store as usize]
-    }
-
-    /// The underlying LRU buffer (for inspection in tests).
-    #[inline]
-    pub fn lru(&self) -> &LruBuffer {
-        &self.lru
-    }
-
-    /// Misses served by a hint-started read (the prefetcher paid).
-    #[inline]
-    pub fn staged_hits(&self) -> u64 {
-        self.staged_hits
-    }
-
-    /// Misses that had to submit (or wait out a queued) read themselves.
-    #[inline]
-    pub fn demand_reads(&self) -> u64 {
-        self.demand_reads
-    }
-
-    /// Physical page reads completed by the queue workers so far.
-    pub fn file_reads(&self) -> u64 {
-        self.queue.total_reads()
-    }
-
-    /// Completed-but-unconsumed hint reads.
-    pub fn staged_pages(&self) -> usize {
-        self.queue.staged_len()
-    }
-
-    /// Drains the queue and zeroes every counter — buffers, [`IoStats`],
-    /// LRU channels, queue reads/polls — so the next run starts cold.
-    pub fn reset(&mut self) {
-        self.queue.reset();
-        self.lru.clear();
-        self.lru.reset_io();
-        for p in &mut self.paths {
-            p.clear();
-        }
-        for f in &mut self.files {
-            f.reset_io();
-        }
-        self.stats = IoStats::default();
-        self.last_miss = Ticket::NONE;
-        self.staged_hits = 0;
-        self.demand_reads = 0;
-    }
-}
-
-impl NodeAccess for CompletionFileAccess {
-    fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = crate::pool::hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            depth,
-        );
-        if miss {
-            let key = BufKey::new(store, page);
-            let (ticket, hinted) = self.queue.adopt_or_submit(store as usize, key, page);
-            if hinted {
-                self.staged_hits += 1;
-            } else {
-                self.demand_reads += 1;
-            }
-            self.last_miss = ticket;
-        }
-        miss
-    }
-
-    fn pin(&mut self, store: u8, page: PageId) {
-        self.lru.pin(BufKey::new(store, page));
-    }
-
-    fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats
-    }
-
-    fn wants_hints(&self) -> bool {
-        true
-    }
-
-    fn will_access(&mut self, store: u8, page: PageId, _depth: usize) {
-        let key = BufKey::new(store, page);
-        // Skip pages a demand access would not read anyway; the queue
-        // itself dedupes against in-flight submissions and enforces the
-        // window bound.
-        if self.lru.contains(key) || self.paths[store as usize].contains(page) {
-            return;
-        }
-        self.queue
-            .submit_hint(store as usize, key, page, self.window);
-    }
-
-    fn completion_driven(&self) -> bool {
-        true
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        self.last_miss
-    }
-
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        self.queue.is_complete(ticket)
-    }
-
-    fn await_ticket(&self, ticket: Ticket) {
-        self.queue.await_ticket(ticket)
-    }
-
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        self.queue.is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        self.queue.await_settled(ticket)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.queue.in_flight()
-    }
-
-    fn drain_completions(&self) {
-        self.queue.drain()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{self, META_BYTES};
+    use crate::lru::EvictionPolicy;
+    use crate::pool::IoStats;
+    use crate::temp::demo::demo_file;
     use crate::temp::TempDir;
-    use crate::FileNodeAccess;
-
-    fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PageFile {
-        let slot = codec::slot_bytes_for(2);
-        let mut f = PageFile::create(dir.file(name), 1024, slot).unwrap();
-        let mut buf = Vec::new();
-        for i in 0..pages {
-            let node = codec::DiskNode {
-                level: 0,
-                entries: vec![codec::DiskEntry {
-                    rect: [f64::from(i), 0.0, f64::from(i) + 1.0, 1.0],
-                    child: u64::from(i),
-                }],
-            };
-            codec::encode_node(&node, slot, &mut buf).unwrap();
-            f.append_page(&buf).unwrap();
-        }
-        f.set_meta([7; META_BYTES]);
-        f.flush().unwrap();
-        f
-    }
+    use crate::{CompletionFileAccess, NodeAccess};
 
     fn completion_access(dir: &TempDir, pages: u32, cfg: CompletionConfig) -> CompletionFileAccess {
         let f = demo_file(dir, "t.rsj", pages);
         CompletionFileAccess::with_capacity_pages(vec![f], 2, &[2], EvictionPolicy::Lru, cfg)
             .unwrap()
-    }
-
-    #[test]
-    fn charges_match_the_blocking_backend_and_reads_settle_at_drain() {
-        let dir = TempDir::new("cq").unwrap();
-        let mut acc = completion_access(&dir, 6, CompletionConfig::default());
-        let f2 = demo_file(&dir, "o.rsj", 6);
-        let mut oracle =
-            FileNodeAccess::with_capacity_pages(vec![f2], 2, &[2], EvictionPolicy::Lru).unwrap();
-        let seq = [
-            (PageId(0), 0),
-            (PageId(1), 1),
-            (PageId(2), 1),
-            (PageId(1), 1),
-            (PageId(4), 1),
-            (PageId(0), 0),
-        ];
-        for &(p, d) in &seq {
-            assert_eq!(acc.access(0, p, d), oracle.access(0, p, d), "page {p}");
-        }
-        assert_eq!(acc.stats(), oracle.stats());
-        acc.drain_completions();
-        assert_eq!(
-            acc.file_reads(),
-            acc.stats().disk_accesses,
-            "every charge became exactly one physical read"
-        );
-        assert!(acc.is_complete(acc.last_miss_ticket()));
     }
 
     #[test]
@@ -772,12 +505,12 @@ mod tests {
         acc.will_access(0, PageId(3), 1);
         // Wait for the hint's read to stage.
         for _ in 0..500 {
-            if acc.staged_pages() == 1 {
+            if acc.queue().staged_len() == 1 {
                 break;
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(acc.staged_pages(), 1);
+        assert_eq!(acc.queue().staged_len(), 1);
         assert!(acc.access(0, PageId(3), 1), "still a charged miss");
         assert_eq!(acc.staged_hits(), 1);
         assert_eq!(acc.demand_reads(), 0);
@@ -799,7 +532,7 @@ mod tests {
         let t = acc.last_miss_ticket();
         acc.await_ticket(t);
         assert!(acc.is_complete(t));
-        assert_eq!(acc.file_reads(), 1);
+        assert_eq!(acc.queue().total_reads(), 1);
     }
 
     #[test]
@@ -817,7 +550,10 @@ mod tests {
         }
         assert!(acc.queue().pipeline_len() <= 2);
         acc.drain_completions();
-        assert!(acc.file_reads() <= 2, "over-window hints were never read");
+        assert!(
+            acc.queue().total_reads() <= 2,
+            "over-window hints were never read"
+        );
     }
 
     #[test]
@@ -828,31 +564,12 @@ mod tests {
         acc.access(0, PageId(1), 1);
         acc.reset();
         assert_eq!(acc.stats(), IoStats::default());
-        assert_eq!(acc.file_reads(), 0);
-        assert_eq!(acc.staged_pages(), 0);
+        assert_eq!(acc.queue().total_reads(), 0);
+        assert_eq!(acc.queue().staged_len(), 0);
         assert_eq!((acc.staged_hits(), acc.demand_reads()), (0, 0));
         assert_eq!(acc.queue().poll_count(), 0);
         assert!(acc.access(0, PageId(1), 1), "cold again after reset");
         assert_eq!(acc.demand_reads(), 1);
-    }
-
-    #[test]
-    fn mismatched_page_sizes_are_rejected() {
-        let dir = TempDir::new("cq").unwrap();
-        let a = demo_file(&dir, "a.rsj", 1);
-        let slot = codec::slot_bytes_for(2);
-        let b = PageFile::create(dir.file("b.rsj"), 2048, slot).unwrap();
-        assert!(matches!(
-            CompletionFileAccess::with_capacity_pages(
-                vec![a, b],
-                4,
-                &[1, 1],
-                EvictionPolicy::Lru,
-                CompletionConfig::default(),
-            )
-            .unwrap_err(),
-            StorageError::PageSizeMismatch { .. }
-        ));
     }
 
     #[test]
@@ -890,6 +607,6 @@ mod tests {
         assert!(acc.is_complete(fast), "later ticket completed first");
         acc.await_ticket(slow);
         assert!(acc.is_complete(slow));
-        assert_eq!(acc.file_reads(), 2);
+        assert_eq!(acc.queue().total_reads(), 2);
     }
 }

@@ -1,33 +1,23 @@
-//! Persistent page files and the file-backed [`NodeAccess`] implementation.
+//! Persistent page files.
 //!
 //! [`PageFile`] owns a real `std::fs::File` in the format of
 //! [`crate::codec`]: header, then fixed-size page slots. Reads and writes
 //! go through `seek` + `read_exact`/`write_all` and are counted, so a
-//! cold-opened tree pays genuine file I/O for every buffer miss.
-//!
-//! [`FileNodeAccess`] is the third [`NodeAccess`] backend (after
-//! [`crate::BufferPool`] and [`crate::SharedBufferHandle`]): the same §4.1
-//! buffer hierarchy — per-tree path buffer first, then the shared LRU
-//! buffer — but every miss performs an actual page read from the backing
-//! file instead of merely bumping a counter. Given the same LRU capacity
-//! it reports *bit-identical* `disk_accesses` to [`crate::BufferPool`]
-//! (the storage-conformance suite enforces this across SJ1–SJ5); what
-//! changes is that the misses are real.
+//! cold-opened tree pays genuine file I/O for every buffer miss. It is
+//! the plain [`PageSource`] of the file-access stack
+//! ([`crate::FileAccess`]); [`crate::ShardedPageFile`] is the other.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::access::{NodeAccess, NodeAccessMut};
 use crate::codec::{
     self, EntryFormat, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES,
 };
-use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
 use crate::page::PageId;
-use crate::path::PathBuffer;
-use crate::pool::IoStats;
-use crate::writeback::{DirtyPages, FreeChain, UpdateBackend, WritablePageFile};
+use crate::stack::PageSource;
+use crate::writeback::{FreeChain, WritablePageFile};
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.
 ///
@@ -137,7 +127,7 @@ impl PageFile {
 
     /// Opens an existing page file read-only, validating magic, version
     /// and length. Read-only is deliberate: this open path serves
-    /// `open_from`/`FileNodeAccess`, which never write, so saved trees on
+    /// `open_from` and join-only stacks, which never write, so saved trees on
     /// read-only media stay usable; write operations against a file
     /// opened this way fail with [`StorageError::Io`].
     /// [`PageFile::open_rw`] holds a writable handle for the update path.
@@ -538,239 +528,19 @@ impl WritablePageFile for PageFile {
     }
 }
 
-/// Shared constructor validation of the file-backend family
-/// ([`FileNodeAccess`], [`crate::PrefetchingFileAccess`],
-/// [`crate::ShardedFileAccess`]): one backing store per tree height, and
-/// every store on one logical page size.
-pub(crate) fn validate_stores<T>(
-    stores: &[T],
-    heights: &[usize],
-    page_bytes: impl Fn(&T) -> usize,
-) -> Result<(), StorageError> {
-    if stores.len() != heights.len() {
-        return Err(StorageError::Corrupt(format!(
-            "{} backing stores but {} tree heights",
-            stores.len(),
-            heights.len()
-        )));
-    }
-    if let Some((first, rest)) = stores.split_first() {
-        let expected = page_bytes(first);
-        for s in rest {
-            let found = page_bytes(s);
-            if found != expected {
-                return Err(StorageError::PageSizeMismatch {
-                    expected: expected as u32,
-                    found: found as u32,
-                });
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The file-backed [`NodeAccess`] backend: path buffers + one LRU buffer
-/// over a set of [`PageFile`]s, one per participating tree/store.
-///
-/// The access logic replays [`crate::BufferPool`]'s decision sequence
-/// exactly — path probe, path install, LRU access — so with the same LRU
-/// capacity the reported [`IoStats`] are identical; a miss additionally
-/// performs a real page read from the backing file (visible in
-/// [`PageFile::reads`]). A read failure panics: files are validated on
-/// open, so a failing read within bounds means the storage itself broke
-/// mid-join, which this executor cannot meaningfully continue from.
-#[derive(Debug)]
-pub struct FileNodeAccess {
-    files: Vec<PageFile>,
-    lru: LruBuffer,
-    paths: Vec<PathBuffer>,
-    stats: IoStats,
-    scratch: Vec<u8>,
-    /// Dirty-page payloads awaiting write-back ([`NodeAccessMut`]).
-    dirty: DirtyPages,
-}
-
-impl FileNodeAccess {
-    /// Backend over `files` (store `i` resolves to `files[i]`) with an LRU
-    /// buffer of `cap_pages` and one path buffer per entry of `heights`.
-    pub fn with_capacity_pages(
-        files: Vec<PageFile>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Result<Self, StorageError> {
-        validate_stores(&files, heights, PageFile::page_bytes)?;
-        Ok(FileNodeAccess {
-            files,
-            lru: LruBuffer::with_policy(cap_pages, policy),
-            paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
-            stats: IoStats::default(),
-            scratch: Vec::new(),
-            dirty: DirtyPages::default(),
-        })
+impl PageSource for PageFile {
+    fn reset_io(&mut self) {
+        PageFile::reset_io(self)
     }
 
-    /// [`FileNodeAccess::with_capacity_pages`] with the capacity given as
-    /// a byte budget over the files' logical page size (the paper quotes
-    /// buffer sizes in KBytes).
-    pub fn new(
-        files: Vec<PageFile>,
-        buffer_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Result<Self, StorageError> {
-        let page_bytes = files
-            .first()
-            .map(PageFile::page_bytes)
-            .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
-        Self::with_capacity_pages(files, buffer_bytes / page_bytes, heights, policy)
+    fn lane_paths(&self) -> Vec<PathBuf> {
+        vec![self.path.clone()]
     }
 
-    /// Statistics so far.
-    #[inline]
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// The backing file of `store` (counter inspection, reopening).
-    #[inline]
-    pub fn file(&self, store: u8) -> &PageFile {
-        &self.files[store as usize]
-    }
-
-    /// The backing file of `store`, mutably — the update path allocates
-    /// and releases pages through this.
-    #[inline]
-    pub fn file_mut(&mut self, store: u8) -> &mut PageFile {
-        &mut self.files[store as usize]
-    }
-
-    /// Number of dirty pages currently buffered (awaiting write-back).
-    #[inline]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Writes back every dirty page the LRU evicted since the last drain.
-    /// A write-back failure panics, like a failed demand read: the
-    /// storage broke mid-operation and the buffered payload has nowhere
-    /// else to go.
-    fn write_back_evicted(&mut self) {
-        let files = &mut self.files;
-        self.dirty
-            .write_back_evicted(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
-            .expect("dirty-page write-back failed");
-    }
-
-    /// The underlying LRU buffer (for inspection in tests).
-    #[inline]
-    pub fn lru(&self) -> &LruBuffer {
-        &self.lru
-    }
-
-    /// Empties all buffers and zeroes *every* I/O counter — the
-    /// [`IoStats`] tallies, the LRU hit/miss/eviction counters, and the
-    /// read/write counters of all backing [`PageFile`]s — so consecutive
-    /// bench runs start genuinely cold. Un-flushed dirty pages are
-    /// **discarded** (callers on the update path flush first; a reset is
-    /// a measurement boundary, not a durability point).
-    pub fn reset(&mut self) {
-        self.lru.clear();
-        self.lru.reset_io();
-        self.dirty.clear();
-        for p in &mut self.paths {
-            p.clear();
-        }
-        for f in &mut self.files {
-            f.reset_io();
-        }
-        self.stats = IoStats::default();
-    }
-
-    /// Consumes the backend, returning the page files.
-    pub fn into_files(self) -> Vec<PageFile> {
-        self.files
-    }
-}
-
-impl NodeAccess for FileNodeAccess {
-    fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = crate::pool::hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            depth,
-        );
-        // An insertion may have evicted a dirty page: write it back
-        // before anything else touches the file.
-        self.write_back_evicted();
-        if miss {
-            // The honest part: a miss is a real read from the file, into
-            // the backend's one reusable scratch buffer (steady-state
-            // misses allocate nothing).
-            self.files[store as usize]
-                .read_page_into(page, &mut self.scratch)
-                .expect("page file read failed mid-join");
-        }
-        miss
-    }
-
-    fn pin(&mut self, store: u8, page: PageId) {
-        self.lru.pin(BufKey::new(store, page));
-        self.write_back_evicted();
-    }
-
-    fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
-        self.write_back_evicted();
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats
-    }
-}
-
-impl NodeAccessMut for FileNodeAccess {
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        let files = &mut self.files;
-        self.dirty
-            .stash(
-                BufKey::new(store, page),
-                payload,
-                &mut self.lru,
-                &mut self.stats,
-                |key, buf| files[key.store as usize].write_page(key.page, buf),
-            )
-            .expect("dirty-page write-through failed");
-        self.write_back_evicted();
-    }
-
-    fn discard(&mut self, store: u8, page: PageId) {
-        self.dirty.discard(BufKey::new(store, page), &mut self.lru);
-    }
-
-    fn flush_writes(&mut self) -> Result<(), StorageError> {
-        let files = &mut self.files;
-        self.dirty
-            .flush_all(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
-    }
-}
-
-impl UpdateBackend for FileNodeAccess {
-    type File = PageFile;
-
-    fn store_file(&self, store: u8) -> &PageFile {
-        self.file(store)
-    }
-
-    fn store_file_mut(&mut self, store: u8) -> &mut PageFile {
-        self.file_mut(store)
+    /// Lane 0 at `page` itself. Not range-checked: a concurrent updater
+    /// may have appended the page, and the reading handle checks anyway.
+    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)> {
+        Some((0, page))
     }
 }
 
@@ -778,27 +548,8 @@ impl UpdateBackend for FileNodeAccess {
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::temp::demo::{demo_file, payload};
     use crate::temp::TempDir;
-
-    fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PageFile {
-        let slot = codec::slot_bytes_for(2);
-        let mut f = PageFile::create(dir.file(name), 1024, slot).unwrap();
-        let mut buf = Vec::new();
-        for i in 0..pages {
-            let node = codec::DiskNode {
-                level: 0,
-                entries: vec![codec::DiskEntry {
-                    rect: [i as f64, 0.0, i as f64 + 1.0, 1.0],
-                    child: u64::from(i),
-                }],
-            };
-            codec::encode_node(&node, slot, &mut buf).unwrap();
-            f.append_page(&buf).unwrap();
-        }
-        f.set_meta([9; META_BYTES]);
-        f.flush().unwrap();
-        f
-    }
 
     #[test]
     fn create_append_reopen_read() {
@@ -862,78 +613,7 @@ mod tests {
         assert_eq!(got, node);
     }
 
-    #[test]
-    fn file_access_counts_like_buffer_pool_and_reads_for_real() {
-        let dir = TempDir::new("fna").unwrap();
-        let f = demo_file(&dir, "t.rsj", 4);
-        let mut acc =
-            FileNodeAccess::with_capacity_pages(vec![f], 2, &[2], EvictionPolicy::Lru).unwrap();
-        let mut pool = crate::BufferPool::with_capacity_pages(2, &[2]);
-        // Same access sequence against both accountants.
-        let seq = [
-            (PageId(0), 0),
-            (PageId(1), 1),
-            (PageId(2), 1),
-            (PageId(1), 1),
-        ];
-        for &(p, d) in &seq {
-            let a = acc.access(0, p, d);
-            let b = pool.access(0, p, d);
-            assert_eq!(a, b, "page {p} depth {d}");
-        }
-        assert_eq!(acc.stats(), pool.stats());
-        // Every miss was a real file read.
-        assert_eq!(acc.file(0).reads(), acc.stats().disk_accesses);
-    }
-
-    #[test]
-    fn reset_clears_every_counter() {
-        let dir = TempDir::new("fna").unwrap();
-        let f = demo_file(&dir, "t.rsj", 3);
-        let mut acc =
-            FileNodeAccess::with_capacity_pages(vec![f], 1, &[1], EvictionPolicy::Lru).unwrap();
-        acc.access(0, PageId(0), 0);
-        acc.access(0, PageId(1), 0);
-        acc.access(0, PageId(0), 0);
-        assert!(acc.file(0).reads() > 0);
-        assert!(acc.lru().misses() > 0);
-        acc.reset();
-        assert_eq!(acc.stats(), IoStats::default());
-        assert_eq!(acc.file(0).reads(), 0);
-        assert_eq!(
-            (acc.lru().hits(), acc.lru().misses(), acc.lru().evictions()),
-            (0, 0, 0)
-        );
-        assert!(acc.access(0, PageId(0), 0), "cold again after reset");
-    }
-
-    #[test]
-    fn mismatched_page_sizes_are_rejected() {
-        let dir = TempDir::new("fna").unwrap();
-        let a = demo_file(&dir, "a.rsj", 1);
-        let slot = codec::slot_bytes_for(2);
-        let b = PageFile::create(dir.file("b.rsj"), 2048, slot).unwrap();
-        assert!(matches!(
-            FileNodeAccess::with_capacity_pages(vec![a, b], 4, &[1, 1], EvictionPolicy::Lru)
-                .unwrap_err(),
-            StorageError::PageSizeMismatch { .. }
-        ));
-    }
-
-    // --- Write path (PR 5): free-page list and dirty write-back.
-
-    fn node_payload(tag: u32, slot: usize) -> Vec<u8> {
-        let node = codec::DiskNode {
-            level: 0,
-            entries: vec![codec::DiskEntry {
-                rect: [f64::from(tag); 4],
-                child: u64::from(tag),
-            }],
-        };
-        let mut buf = Vec::new();
-        codec::encode_node(&node, slot, &mut buf).unwrap();
-        buf
-    }
+    // --- Write path: the persistent free-page list.
 
     #[test]
     fn release_then_allocate_reuses_before_append() {
@@ -946,9 +626,9 @@ mod tests {
         assert_eq!(f.free_head(), Some(PageId(3)));
         assert_eq!(f.free_pages(), &[PageId(1), PageId(3)]);
         // Reuse LIFO: 3 first, then 1, then append.
-        assert_eq!(f.allocate(&node_payload(30, slot)).unwrap(), PageId(3));
-        assert_eq!(f.allocate(&node_payload(10, slot)).unwrap(), PageId(1));
-        assert_eq!(f.allocate(&node_payload(40, slot)).unwrap(), PageId(4));
+        assert_eq!(f.allocate(&payload(30, slot)).unwrap(), PageId(3));
+        assert_eq!(f.allocate(&payload(10, slot)).unwrap(), PageId(1));
+        assert_eq!(f.allocate(&payload(40, slot)).unwrap(), PageId(4));
         assert_eq!(f.page_count(), 5, "one append after two reuses");
         let got = codec::decode_node(&f.read_page(PageId(3)).unwrap()).unwrap();
         assert_eq!(got.entries[0].child, 30);
@@ -972,8 +652,8 @@ mod tests {
         // Writable reopen allocates in the same LIFO order.
         let mut f = PageFile::open_rw(&path).unwrap();
         let slot = f.slot_bytes();
-        assert_eq!(f.allocate(&node_payload(1, slot)).unwrap(), PageId(4));
-        assert_eq!(f.allocate(&node_payload(2, slot)).unwrap(), PageId(0));
+        assert_eq!(f.allocate(&payload(1, slot)).unwrap(), PageId(4));
+        assert_eq!(f.allocate(&payload(2, slot)).unwrap(), PageId(0));
         f.flush().unwrap();
         drop(f);
         let f = PageFile::open(&path).unwrap();
@@ -1042,59 +722,5 @@ mod tests {
             PageFile::open(&path).unwrap_err(),
             StorageError::Corrupt(_)
         ));
-    }
-
-    #[test]
-    fn dirty_write_back_reaches_the_file_on_eviction_and_flush() {
-        let dir = TempDir::new("wb").unwrap();
-        let path = demo_file(&dir, "t.rsj", 4).path().to_path_buf();
-        let slot = PageFile::open(&path).unwrap().slot_bytes();
-        let mut acc = FileNodeAccess::with_capacity_pages(
-            vec![PageFile::open_rw(&path).unwrap()],
-            1,
-            &[1],
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        // Mutate page 0; the write is deferred...
-        acc.write(0, PageId(0), &node_payload(100, slot));
-        assert_eq!(acc.dirty_len(), 1);
-        assert_eq!(acc.stats().page_writes, 0);
-        // ...until eviction pressure pushes it out.
-        acc.access(0, PageId(1), 0);
-        assert_eq!(acc.dirty_len(), 0);
-        assert_eq!(acc.stats().page_writes, 1);
-        // Mutate page 2 and flush explicitly.
-        acc.access(0, PageId(2), 0);
-        acc.write(0, PageId(2), &node_payload(200, slot));
-        acc.flush_writes().unwrap();
-        assert_eq!(acc.stats().page_writes, 2);
-        drop(acc);
-        let mut f = PageFile::open(&path).unwrap();
-        let n0 = codec::decode_node(&f.read_page(PageId(0)).unwrap()).unwrap();
-        let n2 = codec::decode_node(&f.read_page(PageId(2)).unwrap()).unwrap();
-        assert_eq!(n0.entries[0].child, 100);
-        assert_eq!(n2.entries[0].child, 200);
-    }
-
-    #[test]
-    fn discard_suppresses_the_write_back() {
-        let dir = TempDir::new("wb").unwrap();
-        let path = demo_file(&dir, "t.rsj", 2).path().to_path_buf();
-        let slot = PageFile::open(&path).unwrap().slot_bytes();
-        let mut acc = FileNodeAccess::with_capacity_pages(
-            vec![PageFile::open_rw(&path).unwrap()],
-            2,
-            &[1],
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        acc.write(0, PageId(1), &node_payload(99, slot));
-        acc.discard(0, PageId(1));
-        acc.flush_writes().unwrap();
-        assert_eq!(acc.stats().page_writes, 0);
-        let mut f = PageFile::open(&path).unwrap();
-        let n1 = codec::decode_node(&f.read_page(PageId(1)).unwrap()).unwrap();
-        assert_eq!(n1.entries[0].child, 1, "original content untouched");
     }
 }

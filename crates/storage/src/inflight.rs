@@ -1,14 +1,10 @@
 //! In-flight read bookkeeping shared by every asynchronous file backend.
 //!
-//! Before the completion queue existed, [`crate::PrefetchingFileAccess`]
-//! and [`crate::ShardedFileAccess`]'s parallel readers each kept their own
-//! staged-token / in-flight-key tables (a `staged` map plus `queued` and
-//! `in_flight` sets, with subtly different payload policies). This module
-//! is the one copy both now share: [`InflightTables`] tracks every
-//! submitted read from hint or demand until its completion is consumed,
-//! keyed both by [`BufKey`] (for deduplication and demand adoption) and by
-//! ticket (for completion gating). [`crate::CompletionQueue`] owns an
-//! instance behind its lock; the backends never touch raw tables anymore.
+//! [`InflightTables`] tracks every submitted read from hint or demand
+//! until its completion is consumed, keyed both by [`BufKey`] (for
+//! deduplication and demand adoption) and by ticket (for completion
+//! gating). [`crate::CompletionQueue`] owns an instance behind its lock;
+//! the backends never touch raw tables.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Instant;

@@ -14,11 +14,10 @@
 //! * [`BufferPool`] — composes the two lookup layers (path buffer first,
 //!   then LRU, then "disk") and tallies [`IoStats`].
 //! * [`NodeAccess`] — the pluggable page-access interface the join
-//!   executors charge against; implemented by [`BufferPool`] and by
-//!   [`SharedBufferHandle`].
-//! * [`SharedBufferPool`] — a sharded, lock-based LRU layer shared by
-//!   concurrent join workers, each holding a [`SharedBufferHandle`] with
-//!   private path buffers and statistics.
+//!   executors charge against. Exactly three types implement it:
+//!   [`BufferPool`] (the in-memory accounting oracle), [`FileAccess`]
+//!   (the one file stack, below) and [`SharedCacheFileAccess`] (a
+//!   worker's handle onto the shared frame cache).
 //! * [`CostModel`] — the paper's linear execution-time estimate: 15 ms
 //!   positioning per access, 5 ms per KByte transferred, 3.9 µs per
 //!   floating-point comparison (§4.1, Figure 2).
@@ -37,20 +36,22 @@
 //!   [`StorageError`]s;
 //! * [`PageFile`] — a page file over `std::fs::File` with read/write
 //!   counters;
-//! * [`FileNodeAccess`] — the file-backed [`NodeAccess`] backend: the same
-//!   path-buffer → LRU hierarchy as [`BufferPool`] (bit-identical
-//!   `disk_accesses` at equal capacity), but every miss performs an actual
-//!   page read from the backing file;
-//! * [`PrefetchingFileAccess`] — the file backend plus a small thread-pool
-//!   servicing the executor's read-schedule hints ([`NodeAccess::hint`]):
-//!   hinted pages are staged ahead of demand, overlapping I/O with
-//!   computation while leaving every `IoStats` number untouched;
-//! * [`ShardedPageFile`] / [`ShardedFileAccess`] — one tree split across N
-//!   physical files (manifest + per-shard page files; the R\*-tree crate
-//!   partitions by root-entry subtree), so shared-nothing parallel workers
-//!   read genuinely disjoint files — optionally with one hint-fed reader
-//!   thread per shard file
-//!   ([`ShardedFileAccess::with_parallel_readers`]);
+//! * [`FileAccess<S, R>`](FileAccess) — the file-backed [`NodeAccess`]
+//!   stack: the same path-buffer → LRU hierarchy as [`BufferPool`]
+//!   (bit-identical `IoStats` at equal capacity), but every miss performs
+//!   an actual page read. It is assembled from a page source `S` and a
+//!   read strategy `R`, and the familiar names are its four aliases:
+//!
+//!   | source ╲ strategy   | [`stack::Blocking`]   | [`stack::Queued`]                |
+//!   |---------------------|-----------------------|----------------------------------|
+//!   | [`PageFile`]        | [`FileNodeAccess`]    | [`CompletionFileAccess`]         |
+//!   | [`ShardedPageFile`] | [`ShardedFileAccess`] | [`ShardedCompletionFileAccess`]  |
+//!
+//!   [`ShardedPageFile`] splits one tree across N physical files by
+//!   root-entry subtree, so shared-nothing workers read disjoint files;
+//!   the queued strategy submits misses — and the executor's
+//!   read-schedule hints ([`NodeAccess::hint`]) — to a [`CompletionQueue`]
+//!   lane per physical file, moving no `IoStats` number ([`stack`]);
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
 //!   frame cache over the completion queue: sharded, pin-counted frames
 //!   walking an Empty → Reading → Resident → Dirty state machine,
@@ -59,7 +60,7 @@
 //!   path buffers and a private logical LRU, so its [`IoStats`] stay
 //!   bit-identical to a private-buffer worker;
 //! * [`partition`] — the one Fibonacci-hash partitioner shared by the
-//!   buffer shards and the subtree partitioner;
+//!   cache's frame shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -68,8 +69,8 @@
 //! * [`NodeAccessMut`] — the write half of the access boundary: dirty-page
 //!   registration with pin-aware write-back on eviction and explicit
 //!   flush, charged in [`IoStats::page_writes`] ([`BufferPool`] is the
-//!   accounting oracle, the file backends write for real through the
-//!   shared [`writeback`] machinery);
+//!   accounting oracle, the blocking file stack and the shared cache
+//!   write for real through the shared [`writeback`] machinery);
 //! * persistent **free-page lists** in [`PageFile`] and
 //!   [`ShardedPageFile`] — header-chained marker slots,
 //!   `allocate`/`release` with reuse-before-append, validated on open;
@@ -100,9 +101,8 @@ pub mod page;
 pub mod partition;
 pub mod path;
 pub mod pool;
-pub mod prefetch;
 pub mod sharded;
-pub mod shared;
+pub mod stack;
 pub mod temp;
 pub mod writeback;
 
@@ -110,17 +110,19 @@ pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};
-pub use completion::{CompletionConfig, CompletionFileAccess, CompletionLag, CompletionQueue};
+pub use completion::{CompletionConfig, CompletionLag, CompletionQueue};
 pub use cost::CostModel;
-pub use file::{FileNodeAccess, PageFile, READ_LATENCY_ENV};
+pub use file::{PageFile, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
 pub use partition::{partition, partition_key};
 pub use path::PathBuffer;
 pub use pool::{BufKey, BufferPool, IoStats};
-pub use prefetch::{PrefetchConfig, PrefetchingFileAccess};
-pub use sharded::{ShardReaderConfig, ShardedFileAccess, ShardedPageFile};
-pub use shared::{auto_shard_count, SharedBufferHandle, SharedBufferPool};
+pub use sharded::ShardedPageFile;
+pub use stack::{
+    CompletionFileAccess, FileAccess, FileNodeAccess, PageSource, ReadStrategy,
+    ShardedCompletionFileAccess, ShardedFileAccess,
+};
 pub use temp::TempDir;
 pub use writeback::{UpdateBackend, WritablePageFile};

@@ -1,7 +1,7 @@
 //! The one hash partitioner of the storage layer.
 //!
 //! Several components split keyed work across a small number of buckets:
-//! [`crate::SharedBufferPool`] maps buffer keys onto lock shards, and the
+//! [`crate::SharedPageCache`] maps buffer keys onto frame shards, and the
 //! R\*-tree's sharded persistence maps subtree indices (and stray pages)
 //! onto physical page files. Both used to carry their own copy of the
 //! same Fibonacci-hashing trick; this module is the single definition.

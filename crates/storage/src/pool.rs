@@ -43,11 +43,11 @@ impl IoStats {
     }
 }
 
-/// The §4.1 access decision shared by every backend that owns its buffers
-/// privately ([`BufferPool`], [`crate::FileNodeAccess`] and its prefetching
-/// and sharded siblings): probe the owning tree's path buffer, fall through
-/// to the LRU buffer, and charge a disk access on a miss. Returns `true`
-/// iff the caller must actually fetch the page.
+/// The §4.1 access decision shared by all three [`crate::NodeAccess`]
+/// implementors ([`BufferPool`], [`crate::FileAccess`],
+/// [`crate::SharedCacheFileAccess`]): probe the owning tree's path buffer,
+/// fall through to the LRU buffer, and charge a disk access on a miss.
+/// Returns `true` iff the caller must actually fetch the page.
 ///
 /// Keeping this in one function is what makes the backends' `disk_accesses`
 /// *bit-identical by construction* — only what a miss does differs.
@@ -215,7 +215,7 @@ impl BufferPool {
     /// Empties all buffers and zeroes the statistics — including the LRU
     /// buffer's own hit/miss/eviction counters, so a reset pool reports a
     /// genuinely cold start on every channel (benches rely on this; the
-    /// file-backed twin [`crate::FileNodeAccess::reset`] additionally
+    /// file-backed twin [`crate::FileAccess::reset`] additionally
     /// zeroes its page-file counters in the same way).
     pub fn reset(&mut self) {
         self.lru.clear();

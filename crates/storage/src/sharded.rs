@@ -23,15 +23,14 @@
 //! from shards traverses (and charges buffers) exactly like the original.
 //! The tree metadata blob rides in shard 0's header.
 //!
-//! [`ShardedFileAccess`] is the matching [`NodeAccess`] backend: the same
-//! path-buffer → LRU hierarchy as every other backend (shared decision
-//! code ⇒ bit-identical `disk_accesses`), with each miss reading from
-//! whichever shard owns the page. With
-//! [`ShardedFileAccess::with_parallel_readers`] the backend additionally
-//! spawns one reader thread per physical shard file, servicing the
-//! executor's read-schedule hints concurrently — the disk-array model the
-//! subtree partition exists for, with per-spindle read counters to show
-//! the split.
+//! [`ShardedPageFile`] is the sharded [`PageSource`] of the file-access
+//! stack ([`crate::FileAccess`]): each shard file is one *lane*, so the
+//! blocking strategy ([`crate::ShardedFileAccess`]) reads a miss from
+//! whichever shard owns the page, and the queued strategy
+//! ([`crate::ShardedCompletionFileAccess`]) gives every physical shard
+//! file its own completion-queue lane and worker — the disk-array model
+//! the subtree partition exists for, with per-spindle read counters
+//! ([`crate::FileAccess::read_split`]) to show the split.
 //!
 //! ## Updates and the shard-migration policy
 //!
@@ -54,16 +53,13 @@
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
 use crate::codec::{self, EntryFormat, StorageError, META_BYTES};
 use crate::completion::CompletionQueue;
 use crate::file::PageFile;
-use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::partition::partition;
-use crate::path::PathBuffer;
-use crate::pool::IoStats;
-use crate::writeback::{DirtyPages, FreeChain, UpdateBackend, WritablePageFile};
+use crate::stack::PageSource;
+use crate::writeback::{FreeChain, WritablePageFile};
 
 /// Manifest signature.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"RSJS";
@@ -501,17 +497,6 @@ impl ShardedPageFile {
         Ok(())
     }
 
-    /// The path of shard `i`'s physical page file.
-    pub fn shard_file_path(&self, i: usize) -> PathBuf {
-        shard_path(&self.base, i)
-    }
-
-    /// The local slot of global page `id` within its owning shard.
-    pub fn local_slot(&self, id: PageId) -> Result<PageId, StorageError> {
-        self.shard_of(id)?;
-        Ok(PageId(self.local[id.0 as usize]))
-    }
-
     /// Page reads charged so far, summed over shards.
     pub fn reads(&self) -> u64 {
         self.shards.iter().map(PageFile::reads).sum()
@@ -599,498 +584,42 @@ fn local_slots(assign: &[u8], shard_count: usize) -> Vec<u32> {
         .collect()
 }
 
-/// Tuning of the per-shard parallel reader pool
-/// ([`ShardedFileAccess::with_parallel_readers`]).
-#[derive(Debug, Clone, Copy)]
-pub struct ShardReaderConfig {
-    /// Maximum pages queued, in flight or staged ahead of demand across
-    /// all shard readers.
-    pub window: usize,
-}
+impl PageSource for ShardedPageFile {
+    fn reset_io(&mut self) {
+        ShardedPageFile::reset_io(self)
+    }
 
-impl Default for ShardReaderConfig {
-    fn default() -> Self {
-        ShardReaderConfig { window: 32 }
+    fn lane_paths(&self) -> Vec<PathBuf> {
+        (0..self.shards.len())
+            .map(|i| shard_path(&self.base, i))
+            .collect()
+    }
+
+    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)> {
+        let shard = *self.assign.get(page.0 as usize)?;
+        Some((usize::from(shard), PageId(self.local[page.0 as usize])))
     }
 }
 
-/// The per-shard submission view of a [`CompletionQueue`]: lane
-/// `offsets[store] + shard` is the physical shard file of `(store,
-/// shard)`, with its own dedicated worker(s) and read counter — the
-/// disk-array model, now expressed as completion-queue lanes. The queue
-/// handle may be private to this backend
-/// ([`ShardedFileAccess::with_parallel_readers`]) or shared with sibling
-/// backends of parallel join workers
-/// ([`ShardedFileAccess::with_shared_queue`]).
-#[derive(Debug)]
-struct ShardQueue {
-    queue: CompletionQueue,
-    /// Lane of `(store, shard)` = `offsets[store] + shard`.
-    offsets: Vec<usize>,
-    window: usize,
-}
-
 /// One completion-queue lane per physical shard file of `files`, in
-/// store-major order — the layout [`ShardedFileAccess::with_shared_queue`]
-/// expects. Parallel join workers build one queue here and hand clones to
-/// their per-worker backends, so all workers draw from one submission/
-/// completion stream while each shard file keeps its dedicated lane.
+/// store-major order — the layout
+/// [`crate::FileAccess::with_shared_queue`] expects. Parallel join workers
+/// build one queue here and hand clones to their per-worker stacks, so all
+/// workers draw from one submission/completion stream while each shard
+/// file keeps its dedicated lane.
 pub fn shard_lane_queue(
     files: &[ShardedPageFile],
     workers_per_lane: usize,
 ) -> Result<CompletionQueue, StorageError> {
-    let mut paths = Vec::new();
-    for f in files {
-        for i in 0..f.shard_count() {
-            paths.push(f.shard_file_path(i));
-        }
-    }
-    CompletionQueue::open(&paths, workers_per_lane, None)
-}
-
-/// The sharded-file [`NodeAccess`] backend: path buffers + one LRU buffer
-/// over a set of [`ShardedPageFile`]s, one per participating tree/store.
-/// Same decision hierarchy as every other backend (bit-identical
-/// `disk_accesses` at equal capacity); a miss reads from whichever shard
-/// owns the page — synchronously, or (with
-/// [`ShardedFileAccess::with_parallel_readers`]) overlapped by the
-/// per-shard reader pool when the executor hinted the page in time.
-#[derive(Debug)]
-pub struct ShardedFileAccess {
-    files: Vec<ShardedPageFile>,
-    lru: LruBuffer,
-    paths: Vec<PathBuffer>,
-    stats: IoStats,
-    scratch: Vec<u8>,
-    /// Dirty-page payloads awaiting write-back ([`NodeAccessMut`]).
-    dirty: DirtyPages,
-    /// The per-shard completion-queue lanes, if enabled.
-    readers: Option<ShardQueue>,
-    /// Ticket of the most recent demand-miss submission.
-    last_miss: Ticket,
-    /// Misses whose physical read a shard lane started ahead of demand.
-    staged_hits: u64,
-    /// Misses that submitted (or adopted a still-queued) read themselves.
-    demand_reads: u64,
-}
-
-impl ShardedFileAccess {
-    /// Backend over `files` (store `i` resolves to `files[i]`) with an
-    /// LRU of `cap_pages` and one path buffer per entry of `heights`.
-    pub fn with_capacity_pages(
-        files: Vec<ShardedPageFile>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Result<Self, StorageError> {
-        crate::file::validate_stores(&files, heights, ShardedPageFile::page_bytes)?;
-        Ok(ShardedFileAccess {
-            files,
-            lru: LruBuffer::with_policy(cap_pages, policy),
-            paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
-            stats: IoStats::default(),
-            scratch: Vec::new(),
-            dirty: DirtyPages::default(),
-            readers: None,
-            last_miss: Ticket::NONE,
-            staged_hits: 0,
-            demand_reads: 0,
-        })
-    }
-
-    /// [`ShardedFileAccess::with_capacity_pages`] plus **one completion-
-    /// queue lane per physical shard file**, each with its own dedicated
-    /// worker holding a private read-only file handle. Read-schedule
-    /// hints ([`NodeAccess::hint`]) become lane submissions, and a demand
-    /// miss *adopts* the hint's submission (ticket and all) instead of
-    /// reading synchronously. Accounting is untouched — a hinted page
-    /// still charges its miss on demand — but the physical read may
-    /// already have happened on the owning shard's spindle, visible in
-    /// the [`ShardedFileAccess::staged_hits`] /
-    /// [`ShardedFileAccess::demand_reads`] split and the per-shard
-    /// [`ShardedFileAccess::reader_reads`] counters. Read-only: this
-    /// backend refuses [`NodeAccessMut::write`].
-    pub fn with_parallel_readers(
-        files: Vec<ShardedPageFile>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        cfg: ShardReaderConfig,
-    ) -> Result<Self, StorageError> {
-        let queue = shard_lane_queue(&files, 1)?;
-        Self::with_shared_queue(files, cap_pages, heights, policy, queue, cfg)
-    }
-
-    /// [`ShardedFileAccess::with_parallel_readers`] over an externally
-    /// built queue ([`shard_lane_queue`]) — shard-parallel join workers
-    /// each wrap their own backend (private buffers, private `IoStats`)
-    /// around clones of **one** queue, sharing its workers, tickets and
-    /// per-lane read counters. The queue must have exactly one lane per
-    /// physical shard file of `files`, in store-major order.
-    pub fn with_shared_queue(
-        files: Vec<ShardedPageFile>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        queue: CompletionQueue,
-        cfg: ShardReaderConfig,
-    ) -> Result<Self, StorageError> {
-        let mut acc = Self::with_capacity_pages(files, cap_pages, heights, policy)?;
-        let mut offsets = Vec::with_capacity(acc.files.len());
-        let mut lanes = 0;
-        for file in &acc.files {
-            offsets.push(lanes);
-            lanes += file.shard_count();
-        }
-        if queue.lane_count() != lanes {
-            return Err(StorageError::Corrupt(format!(
-                "completion queue has {} lanes but the files hold {lanes} shard files",
-                queue.lane_count()
-            )));
-        }
-        acc.readers = Some(ShardQueue {
-            queue,
-            offsets,
-            window: cfg.window.max(1),
-        });
-        Ok(acc)
-    }
-
-    /// [`ShardedFileAccess::with_capacity_pages`] with the capacity given
-    /// as a byte budget over the files' logical page size.
-    pub fn new(
-        files: Vec<ShardedPageFile>,
-        buffer_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Result<Self, StorageError> {
-        let page_bytes = files
-            .first()
-            .map(ShardedPageFile::page_bytes)
-            .ok_or_else(|| StorageError::Corrupt("no sharded files".into()))?;
-        Self::with_capacity_pages(files, buffer_bytes / page_bytes, heights, policy)
-    }
-
-    /// Statistics so far.
-    #[inline]
-    pub fn stats(&self) -> IoStats {
-        self.stats
-    }
-
-    /// The backing sharded file of `store`.
-    #[inline]
-    pub fn file(&self, store: u8) -> &ShardedPageFile {
-        &self.files[store as usize]
-    }
-
-    /// The backing sharded file of `store`, mutably — the update path
-    /// allocates and releases pages through this.
-    #[inline]
-    pub fn file_mut(&mut self, store: u8) -> &mut ShardedPageFile {
-        &mut self.files[store as usize]
-    }
-
-    /// The underlying LRU buffer (for inspection in tests).
-    #[inline]
-    pub fn lru(&self) -> &LruBuffer {
-        &self.lru
-    }
-
-    /// Number of dirty pages currently buffered (awaiting write-back).
-    #[inline]
-    pub fn dirty_len(&self) -> usize {
-        self.dirty.len()
-    }
-
-    /// Misses whose physical read a shard reader finished ahead of demand
-    /// (always zero without parallel readers).
-    #[inline]
-    pub fn staged_hits(&self) -> u64 {
-        self.staged_hits
-    }
-
-    /// Misses read synchronously on the demand path. With parallel
-    /// readers, `staged_hits + demand_reads == disk_accesses`.
-    #[inline]
-    pub fn demand_reads(&self) -> u64 {
-        self.demand_reads
-    }
-
-    /// Physical reads the completion-queue lane of `store`'s shard `i`
-    /// performed (zero without parallel readers). Together with
-    /// [`ShardedPageFile::shard_reads`] this is the full per-spindle
-    /// split. With a shared queue this counts reads for *all* backends
-    /// drawing from it, not just this one.
-    pub fn reader_reads(&self, store: u8, shard: usize) -> u64 {
-        match &self.readers {
-            Some(r) => r.queue.lane_reads(r.offsets[store as usize] + shard),
-            None => 0,
-        }
-    }
-
-    /// The completion queue driving the shard lanes, if parallel readers
-    /// are enabled.
-    pub fn queue(&self) -> Option<&CompletionQueue> {
-        self.readers.as_ref().map(|r| &r.queue)
-    }
-
-    /// Physical reads on `store`'s shard `i` from both the demand path
-    /// and its reader thread.
-    pub fn shard_reads_total(&self, store: u8, shard: usize) -> u64 {
-        self.files[store as usize].shard_reads(shard) + self.reader_reads(store, shard)
-    }
-
-    /// The full per-shard physical read split of `store` — one total
-    /// per shard, demand and parallel-reader reads combined. This is
-    /// the vector the telemetry layer exports as the
-    /// `shard="<i>"`-labeled read family.
-    pub fn read_split(&self, store: u8) -> Vec<u64> {
-        (0..self.files[store as usize].shard_count())
-            .map(|shard| self.shard_reads_total(store, shard))
-            .collect()
-    }
-
-    /// Empties all buffers and zeroes every I/O counter, including the
-    /// per-shard read/write counters and the reader-pool state —
-    /// consecutive runs start cold. Un-flushed dirty pages are discarded
-    /// (update paths flush first). Blocks until in-flight reads finish.
-    pub fn reset(&mut self) {
-        self.lru.clear();
-        self.lru.reset_io();
-        self.dirty.clear();
-        for p in &mut self.paths {
-            p.clear();
-        }
-        for f in &mut self.files {
-            f.reset_io();
-        }
-        self.stats = IoStats::default();
-        self.staged_hits = 0;
-        self.demand_reads = 0;
-        self.last_miss = Ticket::NONE;
-        if let Some(readers) = &self.readers {
-            readers.queue.reset();
-        }
-    }
-
-    /// Consumes the backend, returning the sharded files.
-    pub fn into_files(self) -> Vec<ShardedPageFile> {
-        self.files
-    }
-
-    /// Lane and shard-local slot of `(store, page)` — the submission
-    /// coordinates of a demand miss or hint.
-    fn lane_of(&self, readers: &ShardQueue, store: u8, page: PageId) -> Option<(usize, PageId)> {
-        let file = &self.files[store as usize];
-        let (Ok(shard), Ok(local)) = (file.shard_of(page), file.local_slot(page)) else {
-            return None;
-        };
-        Some((readers.offsets[store as usize] + shard, local))
-    }
-}
-
-impl NodeAccess for ShardedFileAccess {
-    fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = crate::pool::hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            depth,
-        );
-        self.write_back_evicted();
-        if miss {
-            let key = BufKey::new(store, page);
-            if let Some(readers) = &self.readers {
-                let (lane, local) = self
-                    .lane_of(readers, store, page)
-                    .expect("sharded page read failed mid-join: page outside every shard");
-                let (ticket, already_started) = readers.queue.adopt_or_submit(lane, key, local);
-                if already_started {
-                    self.staged_hits += 1;
-                } else {
-                    self.demand_reads += 1;
-                }
-                self.last_miss = ticket;
-            } else {
-                self.files[store as usize]
-                    .read_page_into(page, &mut self.scratch)
-                    .expect("sharded page read failed mid-join");
-                self.demand_reads += 1;
-            }
-        }
-        miss
-    }
-
-    fn pin(&mut self, store: u8, page: PageId) {
-        self.lru.pin(BufKey::new(store, page));
-        self.write_back_evicted();
-    }
-
-    fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
-        self.write_back_evicted();
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.stats
-    }
-
-    fn wants_hints(&self) -> bool {
-        self.readers.is_some()
-    }
-
-    fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-        self.hint(&[PageRef::new(store, page, depth)]);
-    }
-
-    fn hint(&mut self, upcoming: &[PageRef]) {
-        let Some(readers) = &self.readers else {
-            return;
-        };
-        for r in upcoming {
-            let key = BufKey::new(r.store, r.page);
-            if self.lru.contains(key) || self.paths[r.store as usize].contains(r.page) {
-                continue;
-            }
-            let Some((lane, local)) = self.lane_of(readers, r.store, r.page) else {
-                continue; // hints are advisory; bad ones are dropped
-            };
-            // The queue dedupes against in-flight submissions and enforces
-            // the window bound; hints past the window are dropped, never
-            // read-then-discarded.
-            readers.queue.submit_hint(lane, key, local, readers.window);
-        }
-    }
-
-    fn completion_driven(&self) -> bool {
-        self.readers.is_some()
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        self.last_miss
-    }
-
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        match &self.readers {
-            Some(r) => r.queue.is_complete(ticket),
-            None => true,
-        }
-    }
-
-    fn await_ticket(&self, ticket: Ticket) {
-        if let Some(r) = &self.readers {
-            r.queue.await_ticket(ticket);
-        }
-    }
-
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        match &self.readers {
-            Some(r) => r.queue.is_settled(ticket),
-            None => true,
-        }
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        if let Some(r) = &self.readers {
-            r.queue.await_settled(ticket);
-        }
-    }
-
-    fn in_flight(&self) -> usize {
-        match &self.readers {
-            Some(r) => r.queue.in_flight(),
-            None => 0,
-        }
-    }
-
-    fn drain_completions(&self) {
-        if let Some(r) = &self.readers {
-            r.queue.drain();
-        }
-    }
-}
-
-impl ShardedFileAccess {
-    /// Writes back every dirty page the LRU evicted since the last drain.
-    fn write_back_evicted(&mut self) {
-        let files = &mut self.files;
-        self.dirty
-            .write_back_evicted(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
-            .expect("dirty-page write-back failed");
-    }
-}
-
-impl NodeAccessMut for ShardedFileAccess {
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        assert!(
-            self.readers.is_none(),
-            "a parallel-reader backend is read-only: its reader threads \
-             hold independent file handles that a write could race"
-        );
-        let files = &mut self.files;
-        self.dirty
-            .stash(
-                BufKey::new(store, page),
-                payload,
-                &mut self.lru,
-                &mut self.stats,
-                |key, buf| files[key.store as usize].write_page(key.page, buf),
-            )
-            .expect("dirty-page write-through failed");
-        self.write_back_evicted();
-    }
-
-    fn discard(&mut self, store: u8, page: PageId) {
-        self.dirty.discard(BufKey::new(store, page), &mut self.lru);
-    }
-
-    fn flush_writes(&mut self) -> Result<(), StorageError> {
-        let files = &mut self.files;
-        self.dirty
-            .flush_all(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
-    }
-}
-
-impl UpdateBackend for ShardedFileAccess {
-    type File = ShardedPageFile;
-
-    fn store_file(&self, store: u8) -> &ShardedPageFile {
-        self.file(store)
-    }
-
-    fn store_file_mut(&mut self, store: u8) -> &mut ShardedPageFile {
-        self.file_mut(store)
-    }
-
-    fn supports_writes(&self) -> bool {
-        self.readers.is_none()
-    }
+    crate::stack::open_lanes(files, workers_per_lane, None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec;
+    use crate::temp::demo::payload;
     use crate::temp::TempDir;
-
-    fn payload(i: u32, slot: usize) -> Vec<u8> {
-        let node = codec::DiskNode {
-            level: 0,
-            entries: vec![codec::DiskEntry {
-                rect: [i as f64, 0.0, i as f64 + 1.0, 1.0],
-                child: u64::from(i),
-            }],
-        };
-        let mut buf = Vec::new();
-        codec::encode_node(&node, slot, &mut buf).unwrap();
-        buf
-    }
 
     fn build(dir: &TempDir, name: &str, assign: &[u8], shards: usize) -> PathBuf {
         let slot = codec::slot_bytes_for(2);
@@ -1235,8 +764,7 @@ mod tests {
         ));
     }
 
-    // --- Write path (PR 5): global free chain, birth-shard allocation,
-    // dirty write-back, and the parallel reader pool.
+    // --- Write path: global free chain, birth-shard allocation.
 
     #[test]
     fn release_then_allocate_keeps_birth_shard_and_reuses_lifo() {
@@ -1290,130 +818,5 @@ mod tests {
         let f = ShardedPageFile::open(&base).unwrap();
         assert_eq!(f.free_pages(), &[PageId(4), PageId(0), PageId(2)]);
         assert_eq!(f.free_count(), 3);
-    }
-
-    #[test]
-    fn sharded_write_back_reaches_the_owning_shard() {
-        let dir = TempDir::new("sharded-wp").unwrap();
-        let base = build(&dir, "t.rsj", &[0, 1, 0, 1], 2);
-        let slot = codec::slot_bytes_for(2);
-        let mut acc = ShardedFileAccess::with_capacity_pages(
-            vec![ShardedPageFile::open_rw(&base).unwrap()],
-            1,
-            &[1],
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        acc.write(0, PageId(1), &payload(111, slot));
-        assert_eq!(acc.stats().page_writes, 0);
-        acc.access(0, PageId(0), 0); // evicts dirty page 1
-        assert_eq!(acc.stats().page_writes, 1);
-        acc.access(0, PageId(2), 0);
-        acc.write(0, PageId(2), &payload(222, slot));
-        acc.flush_writes().unwrap();
-        assert_eq!(acc.stats().page_writes, 2);
-        drop(acc);
-        let mut f = ShardedPageFile::open(&base).unwrap();
-        let mut buf = Vec::new();
-        f.read_page_into(PageId(1), &mut buf).unwrap();
-        assert_eq!(codec::decode_node(&buf).unwrap().entries[0].child, 111);
-        f.read_page_into(PageId(2), &mut buf).unwrap();
-        assert_eq!(codec::decode_node(&buf).unwrap().entries[0].child, 222);
-    }
-
-    #[test]
-    fn parallel_readers_stage_hints_without_moving_accounting() {
-        let dir = TempDir::new("sharded-par").unwrap();
-        let assign: Vec<u8> = (0..16u32).map(|i| (i % 4) as u8).collect();
-        let base = build(&dir, "t.rsj", &assign, 4);
-        let mut plain = ShardedFileAccess::with_capacity_pages(
-            vec![ShardedPageFile::open(&base).unwrap()],
-            4,
-            &[2],
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        let mut par = ShardedFileAccess::with_parallel_readers(
-            vec![ShardedPageFile::open(&base).unwrap()],
-            4,
-            &[2],
-            EvictionPolicy::Lru,
-            ShardReaderConfig::default(),
-        )
-        .unwrap();
-        assert!(par.wants_hints() && !plain.wants_hints());
-        // Hint everything, then replay one access sequence on both.
-        let refs: Vec<PageRef> = (0..16).map(|i| PageRef::new(0, PageId(i), 1)).collect();
-        par.hint(&refs);
-        for i in [0u32, 3, 5, 3, 8, 0, 12, 15, 5] {
-            let a = par.access(0, PageId(i), 1);
-            let b = plain.access(0, PageId(i), 1);
-            assert_eq!(a, b, "page {i}");
-        }
-        assert_eq!(par.stats(), plain.stats(), "hints never move IoStats");
-        assert_eq!(
-            par.staged_hits() + par.demand_reads(),
-            par.stats().disk_accesses,
-            "every miss was served exactly once"
-        );
-        // The lanes' physical reads land on the right spindles: once the
-        // pipeline drains, total per-shard reads cover all misses.
-        par.drain_completions();
-        let total: u64 = (0..4).map(|s| par.shard_reads_total(0, s)).sum();
-        assert!(total >= par.stats().disk_accesses);
-        par.reset();
-        assert_eq!((par.staged_hits(), par.demand_reads()), (0, 0));
-        assert_eq!(par.stats(), IoStats::default());
-        assert!(par.access(0, PageId(0), 1), "cold again after reset");
-    }
-
-    #[test]
-    fn parallel_reader_window_bounds_read_ahead() {
-        let dir = TempDir::new("sharded-par").unwrap();
-        let assign: Vec<u8> = (0..32u32).map(|i| (i % 2) as u8).collect();
-        let base = build(&dir, "t.rsj", &assign, 2);
-        let mut par = ShardedFileAccess::with_parallel_readers(
-            vec![ShardedPageFile::open(&base).unwrap()],
-            32,
-            &[1],
-            EvictionPolicy::Lru,
-            ShardReaderConfig { window: 4 },
-        )
-        .unwrap();
-        let refs: Vec<PageRef> = (0..32).map(|i| PageRef::new(0, PageId(i), 0)).collect();
-        par.hint(&refs);
-        par.hint(&refs); // repeats are free
-        par.drain_completions();
-        let total: u64 = (0..2).map(|s| par.reader_reads(0, s)).sum();
-        assert!(total <= 4, "window 4 but {total} pages read ahead");
-        assert_eq!(par.queue().unwrap().staged_len(), total as usize);
-    }
-
-    #[test]
-    fn access_backend_counts_like_buffer_pool_and_reads_for_real() {
-        let dir = TempDir::new("sharded").unwrap();
-        let base = build(&dir, "t.rsj", &[0, 1, 0, 1], 2);
-        let f = ShardedPageFile::open(&base).unwrap();
-        let mut acc =
-            ShardedFileAccess::with_capacity_pages(vec![f], 2, &[2], EvictionPolicy::Lru).unwrap();
-        let mut pool = crate::BufferPool::with_capacity_pages(2, &[2]);
-        let seq = [
-            (PageId(0), 0usize),
-            (PageId(1), 1),
-            (PageId(2), 1),
-            (PageId(1), 1),
-            (PageId(3), 1),
-        ];
-        for &(p, d) in &seq {
-            let a = acc.access(0, p, d);
-            let b = pool.access(0, p, d);
-            assert_eq!(a, b, "page {p} depth {d}");
-        }
-        assert_eq!(acc.stats(), pool.stats());
-        assert_eq!(acc.file(0).reads(), acc.stats().disk_accesses);
-        acc.reset();
-        assert_eq!(acc.stats(), IoStats::default());
-        assert_eq!(acc.file(0).reads(), 0);
-        assert!(acc.access(0, PageId(0), 0), "cold again after reset");
     }
 }

@@ -68,6 +68,41 @@ impl Drop for TempDir {
     }
 }
 
+/// Page-file fixtures shared by the unit tests of the file layers.
+#[cfg(test)]
+pub(crate) mod demo {
+    use super::TempDir;
+    use crate::codec::{self, META_BYTES};
+    use crate::file::PageFile;
+
+    /// An encoded one-entry leaf page whose entry points at child `tag`.
+    pub fn payload(tag: u32, slot: usize) -> Vec<u8> {
+        let node = codec::DiskNode {
+            level: 0,
+            entries: vec![codec::DiskEntry {
+                rect: [f64::from(tag), 0.0, f64::from(tag) + 1.0, 1.0],
+                child: u64::from(tag),
+            }],
+        };
+        let mut buf = Vec::new();
+        codec::encode_node(&node, slot, &mut buf).unwrap();
+        buf
+    }
+
+    /// A flushed 1-KByte-page file of `pages` pages, page `i` holding
+    /// [`payload`]`(i)`, metadata all nines.
+    pub fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PageFile {
+        let slot = codec::slot_bytes_for(2);
+        let mut f = PageFile::create(dir.file(name), 1024, slot).unwrap();
+        for i in 0..pages {
+            f.append_page(&payload(i, slot)).unwrap();
+        }
+        f.set_meta([9; META_BYTES]);
+        f.flush().unwrap();
+        f
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,13 +3,12 @@
 //!
 //! The accounting backends ([`crate::BufferPool`]) model write-back as a
 //! counter; the file backends must hold the actual bytes of every dirty
-//! page until the write happens. [`DirtyPages`] is that payload table,
-//! shared by [`crate::FileNodeAccess`] and [`crate::ShardedFileAccess`]:
-//! `stash` registers a mutated page's encoded bytes, `write_back_evicted`
-//! drains the LRU's dirty-eviction queue into physical writes, and
-//! `flush_all` writes whatever is still dirty. Keeping this in one place
-//! mirrors `pool::hierarchy_access` on the read side — the backends cannot
-//! drift apart in *when* they write any more than in when they read.
+//! page until the write happens. [`DirtyPages`] is that payload table of
+//! the [`crate::FileAccess`] stack: `stash` registers a mutated page's
+//! encoded bytes, `write_back_evicted` drains the LRU's dirty-eviction
+//! queue into physical writes, and `flush_all` writes whatever is still
+//! dirty — one write-back path over either page source, as
+//! `pool::hierarchy_access` is the one read-side decision.
 //!
 //! [`WritablePageFile`] abstracts the physical file an updatable tree sits
 //! on ([`crate::PageFile`] or [`crate::ShardedPageFile`]): in-place page
@@ -270,11 +269,6 @@ impl DirtyPages {
         Ok(())
     }
 
-    /// Number of dirty pages currently staged.
-    pub fn len(&self) -> usize {
-        self.payloads.len()
-    }
-
     /// Discards all staged payloads without writing (backend reset).
     pub fn clear(&mut self) {
         for (_, buf) in self.payloads.drain() {
@@ -340,10 +334,11 @@ pub trait UpdateBackend: NodeAccessMut {
     fn store_file_mut(&mut self, store: u8) -> &mut Self::File;
 
     /// Whether this backend *instance* accepts writes. A type can be
-    /// write-capable while a particular configuration is not (a
-    /// parallel-reader sharded backend holds independent read handles a
-    /// write could race); update drivers check this up front and refuse
-    /// the backend with a typed error instead of panicking mid-update.
+    /// write-capable while a particular instance is not (a
+    /// [`crate::SharedCacheFileAccess`] join handle owns no read-write
+    /// file; only update handles do); update drivers check this up front
+    /// and refuse the backend with a typed error instead of panicking
+    /// mid-update.
     fn supports_writes(&self) -> bool {
         true
     }
@@ -372,12 +367,12 @@ mod tests {
         dirty
             .stash(k(1), b"one", &mut lru, &mut stats, no_write)
             .unwrap();
-        assert_eq!(dirty.len(), 1);
+        assert_eq!(dirty.payloads.len(), 1);
         // Second stash of the same key overwrites, no growth.
         dirty
             .stash(k(1), b"one!", &mut lru, &mut stats, no_write)
             .unwrap();
-        assert_eq!(dirty.len(), 1);
+        assert_eq!(dirty.payloads.len(), 1);
 
         lru.access(k(2)); // evicts dirty 1
         dirty
@@ -388,7 +383,7 @@ mod tests {
             .unwrap();
         assert_eq!(written, vec![(k(1), b"one!".to_vec())]);
         assert_eq!(stats.page_writes, 1);
-        assert_eq!(dirty.len(), 0);
+        assert_eq!(dirty.payloads.len(), 0);
 
         dirty
             .stash(k(2), b"two", &mut lru, &mut stats, no_write)
@@ -437,7 +432,7 @@ mod tests {
             .unwrap();
         assert_eq!(written, vec![(k(1), b"thru".to_vec())]);
         assert_eq!(stats.page_writes, 1);
-        assert_eq!(dirty.len(), 0, "nothing deferred");
+        assert_eq!(dirty.payloads.len(), 0, "nothing deferred");
         // All-pinned buffer behaves the same.
         let mut lru = LruBuffer::new(1);
         lru.access(k(9));
@@ -469,7 +464,7 @@ mod tests {
         });
         assert!(err.is_err());
         assert_eq!(stats.page_writes, 0);
-        assert_eq!(dirty.len(), 2, "payloads survive the failure");
+        assert_eq!(dirty.payloads.len(), 2, "payloads survive the failure");
         // Retry succeeds and writes both.
         let mut written = Vec::new();
         dirty
@@ -480,7 +475,7 @@ mod tests {
             .unwrap();
         assert_eq!(written.len(), 2);
         assert_eq!(stats.page_writes, 2);
-        assert_eq!(dirty.len(), 0);
+        assert_eq!(dirty.payloads.len(), 0);
 
         // Same for an eviction-driven write-back: the failed page stays
         // queued and a later call (or flush) picks it up.

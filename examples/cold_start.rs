@@ -8,9 +8,10 @@
 //!    page read;
 //! 2. **warm** — the same accountant again: the LRU still holds the
 //!    working set;
-//! 3. **prefetched** — a cold `PrefetchingFileAccess`: the executor's
-//!    read-schedule hints let worker threads stage pages ahead of demand
-//!    (identical `disk_accesses`, part of the misses served early);
+//! 3. **prefetched** — a cold `CompletionFileAccess` (the same file
+//!    stack with the queued read strategy): the executor's read-schedule
+//!    hints let the queue's workers stage pages ahead of demand (identical
+//!    `disk_accesses`, part of the misses served early);
 //! 4. **sharded** — a cold `ShardedFileAccess` over 4 files per tree,
 //!    split by root-entry subtree: the physical layout a shared-nothing
 //!    parallel deployment would put on separate spindles;
@@ -24,9 +25,7 @@
 //! Run with: `cargo run --release --example cold_start`
 
 use rsj::prelude::*;
-use rsj::storage::{
-    PrefetchConfig, PrefetchingFileAccess, ShardedFileAccess, ShardedPageFile, TempDir,
-};
+use rsj::storage::{CompletionConfig, CompletionFileAccess, TempDir};
 use rsj_storage::IoStats;
 
 const PAGE: usize = 1024;
@@ -123,14 +122,14 @@ fn main() {
     );
 
     // 3: prefetched cold run — same accounting, misses served early.
-    let access = PrefetchingFileAccess::new(
+    let access = CompletionFileAccess::new(
         open_files(),
         BUFFER,
         &heights,
         EvictionPolicy::Lru,
-        PrefetchConfig::default(),
+        CompletionConfig::default(),
     )
-    .expect("prefetch backend");
+    .expect("queued backend");
     let (pre, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
     assert_eq!(pre.stats.io, cold.stats.io, "prefetch never moves IoStats");
     report(
@@ -138,8 +137,8 @@ fn main() {
         pre.stats.io,
         &format!(
             "  ({} of {} misses staged ahead of demand)",
-            access.prefetch_hits(),
-            access.prefetch_hits() + access.demand_reads()
+            access.staged_hits(),
+            access.staged_hits() + access.demand_reads()
         ),
     );
     println!(

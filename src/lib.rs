@@ -12,15 +12,19 @@
 //!   exact polyline/polygon geometry;
 //! * [`storage`] — simulated paged disk, LRU buffer with pinning, path
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
-//!   pluggable [`storage::NodeAccess`] boundary with its five backends:
-//!   private [`storage::BufferPool`], sharded [`storage::SharedBufferPool`]
-//!   for concurrent workers, the persistent [`storage::FileNodeAccess`]
-//!   over real [`storage::PageFile`]s (endian-stable binary page format,
-//!   typed [`storage::StorageError`]s), the hint-driven
-//!   [`storage::PrefetchingFileAccess`] whose worker threads service the
-//!   executor's read-schedule hints ahead of demand, and the
-//!   [`storage::ShardedFileAccess`] over trees split across N physical
-//!   files by subtree partition — trees saved with
+//!   pluggable [`storage::NodeAccess`] boundary with its three
+//!   implementors: the in-memory [`storage::BufferPool`] oracle, the one
+//!   file stack [`storage::FileAccess`] over real page files
+//!   (endian-stable binary page format, typed
+//!   [`storage::StorageError`]s) — page source {[`storage::PageFile`],
+//!   [`storage::ShardedPageFile`] split across N physical files by
+//!   subtree partition} × read strategy {blocking, completion-queue
+//!   submissions that also service the executor's read-schedule hints
+//!   ahead of demand}, named [`storage::FileNodeAccess`],
+//!   [`storage::CompletionFileAccess`], [`storage::ShardedFileAccess`]
+//!   and [`storage::ShardedCompletionFileAccess`] — and
+//!   [`storage::SharedCacheFileAccess`] handles onto the latched
+//!   [`storage::SharedPageCache`] for concurrent workers. Trees saved with
 //!   [`rtree::RTree::save_to`] (or [`rtree::RTree::save_sharded_to`])
 //!   reopen cold via [`rtree::RTree::open_from`] /
 //!   [`rtree::RTree::open_sharded_from`] and join with honest cold/warm
@@ -31,9 +35,9 @@
 //!   updates page for page;
 //! * [`rtree`] — the R\*-tree (plus Guttman baselines and bulk loading);
 //! * [`join`] — the spatial-join algorithms SJ1–SJ5, different-height
-//!   policies, baselines, the parallel (shared-nothing and shared-buffer)
-//!   and multi-way joins, and the ID-/object-join refinement step. The
-//!   engine underneath is the **streaming executor**
+//!   policies, baselines, the parallel (shared-nothing, optionally over
+//!   one warm page cache) and multi-way joins, and the ID-/object-join
+//!   refinement step. The engine underneath is the **streaming executor**
 //!   [`join::exec::JoinCursor`], which yields result pairs incrementally
 //!   through `Iterator` and allocates nothing per node pair (its scratch
 //!   arena recycles every frame buffer); [`join::spatial_join`] is the
@@ -139,8 +143,7 @@ pub mod prelude {
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, PrefetchConfig, PrefetchingFileAccess, ShardReaderConfig,
-        ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
+        PageFile, PageRef, ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

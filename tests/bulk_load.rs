@@ -11,41 +11,19 @@
 //!   loader built them;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
-//!   backend: plain file, prefetching, completion-queue, sharded, and the
+//!   backend: the four [`rsj_storage::FileAccess`] instantiations — page
+//!   source {plain, sharded} × read strategy {blocking, queued} — and the
 //!   latched shared page cache.
 
+mod common;
+
+use common::{plans, Files, CAP_PAGES, PAGE, SHARDS};
 use rsj::prelude::*;
 use rsj::rtree::bulk::{self, BulkConfig, BulkLayout};
-use rsj_core::spatial_join_with_access;
-use rsj_storage::{
-    BufferPool, CacheConfig, CompletionConfig, CompletionFileAccess, FileNodeAccess, NodeAccess,
-    PageFile, PrefetchConfig, PrefetchingFileAccess, ShardedFileAccess, ShardedPageFile,
-    SharedPageCache, TempDir,
-};
-
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
+use rsj_storage::{BufferPool, CacheConfig, NodeAccess, SharedPageCache, TempDir};
 
 fn run<A: NodeAccess>(r: &RTree, s: &RTree, plan: JoinPlan, access: A) -> Vec<(u64, u64)> {
-    let (res, _) = spatial_join_with_access(r, s, plan, true, access);
-    sorted_ids(&res.pairs)
+    common::run(r, s, plan, access).0
 }
 
 struct Fixture {
@@ -53,14 +31,8 @@ struct Fixture {
     /// The in-memory bulk-loaded trees — the join oracle.
     r_mem: RTree,
     s_mem: RTree,
-    _dir: TempDir,
-    r_path: std::path::PathBuf,
-    s_path: std::path::PathBuf,
-    r_sharded: std::path::PathBuf,
-    s_sharded: std::path::PathBuf,
-    /// The streamed files reopened cold.
-    r_file: RTree,
-    s_file: RTree,
+    /// The streamed files, plain and sharded, reopened cold.
+    files: Files,
 }
 
 impl Fixture {
@@ -71,48 +43,29 @@ impl Fixture {
                 .map(|o| (o.mbr, DataId(o.id)))
                 .collect::<Vec<_>>()
         };
-        let (items_r, items_s) = (items(&data.r), items(&data.s));
+        let items = [items(&data.r), items(&data.s)];
         let params = RTreeParams::for_page_size(PAGE);
         let mem = |it: &[(rsj_geom::Rect, DataId)]| match layout {
             BulkLayout::Str => bulk::str_load(params, it, bulk::DEFAULT_FILL).unwrap(),
             BulkLayout::Hilbert => bulk::hilbert_load(params, it, bulk::DEFAULT_FILL).unwrap(),
         };
-        let (r_mem, s_mem) = (mem(&items_r), mem(&items_s));
+        let (r_mem, s_mem) = (mem(&items[0]), mem(&items[1]));
 
-        let dir = TempDir::new("bulk-conformance").unwrap();
-        let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
-        let (r_sharded, s_sharded) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
         let cfg = BulkConfig::default();
-        bulk::load_to_file(params, &items_r, layout, cfg, &r_path).unwrap();
-        bulk::load_to_file(params, &items_s, layout, cfg, &s_path).unwrap();
-        bulk::load_to_sharded(params, &items_r, layout, cfg, &r_sharded, SHARDS).unwrap();
-        bulk::load_to_sharded(params, &items_s, layout, cfg, &s_sharded, SHARDS).unwrap();
-
-        let r_file = RTree::open_from(&r_path).unwrap();
-        let s_file = RTree::open_from(&s_path).unwrap();
+        let files = Files::create("bulk-conformance", |path, rel, sharded| {
+            let it = &items[rel];
+            if sharded {
+                bulk::load_to_sharded(params, it, layout, cfg, path, SHARDS).unwrap();
+            } else {
+                bulk::load_to_file(params, it, layout, cfg, path).unwrap();
+            }
+        });
         Fixture {
             layout,
             r_mem,
             s_mem,
-            _dir: dir,
-            r_path,
-            s_path,
-            r_sharded,
-            s_sharded,
-            r_file,
-            s_file,
+            files,
         }
-    }
-
-    fn heights(&self) -> [usize; 2] {
-        [self.r_file.height() as usize, self.s_file.height() as usize]
-    }
-
-    fn files(&self) -> Vec<PageFile> {
-        vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ]
     }
 }
 
@@ -163,15 +116,16 @@ fn streamed_files_load_validator_clean_with_identical_entries() {
     ] {
         let fx = Fixture::new(test, 0.003, layout);
         let tag = format!("{test:?}/{:?}", fx.layout);
-        for (t, name) in [(&fx.r_file, "R"), (&fx.s_file, "S")] {
+        let [r_file, s_file] = &fx.files.plain_trees;
+        for (t, name) in [(r_file, "R"), (s_file, "S")] {
             t.validate().unwrap_or_else(|e| panic!("{tag}/{name}: {e}"));
         }
-        assert_same_nodes(&fx.r_file, &fx.r_mem, &format!("{tag}: R"));
-        assert_same_nodes(&fx.s_file, &fx.s_mem, &format!("{tag}: S"));
+        assert_same_nodes(r_file, &fx.r_mem, &format!("{tag}: R"));
+        assert_same_nodes(s_file, &fx.s_mem, &format!("{tag}: S"));
         // The sharded twin carries the same tree.
-        let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
+        let r_back = &fx.files.sharded_trees[0];
         r_back.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_same_nodes(&r_back, &fx.r_mem, &format!("{tag}: sharded R"));
+        assert_same_nodes(r_back, &fx.r_mem, &format!("{tag}: sharded R"));
     }
 }
 
@@ -234,87 +188,35 @@ fn bulk_files_join_identically_across_all_backends() {
         (TestId::B, BulkLayout::Hilbert),
     ] {
         let fx = Fixture::new(test, 0.003, layout);
+        let heights = fx.files.heights();
         let cache = SharedPageCache::open(
-            &[fx.r_path.clone(), fx.s_path.clone()],
+            &fx.files.plain,
             CAP_PAGES,
-            &fx.heights(),
+            &heights,
             CacheConfig {
                 workers: 1,
                 ..CacheConfig::default()
             },
         )
         .unwrap();
-        let r_shard_tree = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-        let s_shard_tree = RTree::open_sharded_from(&fx.s_sharded).unwrap();
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{:?}/{name}", fx.layout);
 
             // Oracle: the in-memory bulk tree through the BufferPool.
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
             let want = run(&fx.r_mem, &fx.s_mem, plan, pool);
             assert!(!want.is_empty(), "{tag}: fixture must join");
 
-            // Plain file backend.
-            let file = FileNodeAccess::with_capacity_pages(
-                fx.files(),
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap();
-            assert_eq!(run(&fx.r_file, &fx.s_file, plan, file), want, "{tag}: file");
-
-            // Prefetching backend.
-            let pf = PrefetchingFileAccess::with_capacity_pages(
-                fx.files(),
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-                PrefetchConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                run(&fx.r_file, &fx.s_file, plan, pf),
-                want,
-                "{tag}: prefetch"
-            );
-
-            // Completion-queue backend.
-            let cq = CompletionFileAccess::with_capacity_pages(
-                fx.files(),
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-                CompletionConfig::default(),
-            )
-            .unwrap();
-            assert_eq!(
-                run(&fx.r_file, &fx.s_file, plan, cq),
-                want,
-                "{tag}: completion"
-            );
-
-            // Sharded backend over the streamed sharded twins.
-            let sharded = ShardedFileAccess::with_capacity_pages(
-                vec![
-                    ShardedPageFile::open(&fx.r_sharded).unwrap(),
-                    ShardedPageFile::open(&fx.s_sharded).unwrap(),
-                ],
-                CAP_PAGES,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap();
-            assert_eq!(
-                run(&r_shard_tree, &s_shard_tree, plan, sharded),
-                want,
-                "{tag}: sharded"
-            );
+            // The four file stacks, each over the streamed layout it reads.
+            fx.files.for_each_stack(CAP_PAGES, |label, [r, s], access| {
+                assert_eq!(run(r, s, plan, access), want, "{tag}: {label}");
+            });
 
             // Latched shared page cache.
             cache.clear();
+            let [r_file, s_file] = &fx.files.plain_trees;
             assert_eq!(
-                run(&fx.r_file, &fx.s_file, plan, cache.handle(CAP_PAGES)),
+                run(r_file, s_file, plan, cache.handle(CAP_PAGES)),
                 want,
                 "{tag}: shared cache"
             );

@@ -1,11 +1,11 @@
 //! Cross-algorithm equivalence: every join strategy in the stack — SJ1–SJ5,
-//! the nested-loop and index-nested-loop baselines, both parallel modes,
+//! the nested-loop and index-nested-loop baselines, the parallel join,
 //! and the streaming cursor consumed incrementally — must produce the
 //! identical result-pair set on generated presets.
 
 use rsj::prelude::*;
+use rsj_core::baseline;
 use rsj_core::exec::{recursive_spatial_join, JoinCursor};
-use rsj_core::{baseline, parallel_spatial_join_with_mode, ParallelMode};
 use rsj_storage::BufferPool;
 
 fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
@@ -58,11 +58,9 @@ fn all_strategies_agree_on_presets() {
         let (inl_pairs, _) = baseline::index_nested_loop_join(&r, &s, &cfg);
         assert_eq!(ids(&inl_pairs), want, "{test:?}: index nested loop");
 
-        // Both parallel modes.
-        for mode in [ParallelMode::SharedNothing, ParallelMode::SharedBuffer] {
-            let res = parallel_spatial_join_with_mode(&r, &s, JoinPlan::sj4(), &cfg, 4, mode);
-            assert_eq!(ids(&res.pairs), want, "{test:?}: parallel {mode:?}");
-        }
+        // The parallel (shared-nothing) join.
+        let res = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        assert_eq!(ids(&res.pairs), want, "{test:?}: parallel");
 
         // The batched different-height policy (the default §4.4 policy):
         // its sort-and-group window construction must leave the result

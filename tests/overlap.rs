@@ -2,170 +2,74 @@
 //! overlaps demand misses with join work, but *when* a read completes
 //! must never leak into *what* is charged or produced. Under every
 //! adversarial completion order — random per-page latency, reversed
-//! order, single-page starvation — the [`CompletionFileAccess`] backend
-//! and the shared-queue sharded deployment must emit pair multisets and
-//! [`IoStats`] bit-identical to the blocking backends, and a parked
-//! cursor must sleep on the completion condvar instead of busy-polling.
+//! order, single-page starvation — the queued read strategy over both
+//! page sources ([`rsj_storage::CompletionFileAccess`],
+//! [`rsj_storage::ShardedCompletionFileAccess`]) and the shared-queue
+//! parallel deployment must emit pair multisets and `IoStats`
+//! bit-identical to their blocking twins, and a parked cursor must sleep
+//! on the completion condvar instead of busy-polling.
+
+mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{plans, run, sorted_ids, Fixture, Stack, CAP_PAGES};
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::sharded::shard_lane_queue;
-use rsj_storage::{
-    BufKey, BufferPool, CompletionConfig, CompletionFileAccess, FileNodeAccess, IoStats,
-    NodeAccess, PageFile, ShardReaderConfig, ShardedFileAccess, ShardedPageFile, TempDir,
-};
+use rsj_storage::{BufKey, BufferPool, CompletionConfig, ShardedCompletionFileAccess};
 
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
-
-/// One cold-start counted join over an arbitrary backend.
-fn run<A: NodeAccess>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    access: A,
-) -> (Vec<(u64, u64)>, IoStats, A) {
-    let (res, access) = spatial_join_with_access(r, s, plan, true, access);
-    (sorted_ids(&res.pairs), res.stats.io, access)
-}
-
-struct Fixture {
-    r: RTree,
-    s: RTree,
-    _dir: TempDir,
-    r_path: std::path::PathBuf,
-    s_path: std::path::PathBuf,
-    r_sharded: std::path::PathBuf,
-    s_sharded: std::path::PathBuf,
-    /// The trees reopened cold from disk (page-identical layout).
-    r_file: RTree,
-    s_file: RTree,
-}
-
-impl Fixture {
-    fn new(test: TestId, scale: f64) -> Fixture {
-        let data = rsj::datagen::preset(test, scale);
-        let r = build_tree(&data.r);
-        let s = build_tree(&data.s);
-        let dir = TempDir::new("overlap").unwrap();
-        let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
-        r.save_to(&r_path).unwrap();
-        s.save_to(&s_path).unwrap();
-        let (r_sharded, s_sharded) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-        r.save_sharded_to(&r_sharded, SHARDS).unwrap();
-        s.save_sharded_to(&s_sharded, SHARDS).unwrap();
-        let r_file = RTree::open_from(&r_path).unwrap();
-        let s_file = RTree::open_from(&s_path).unwrap();
-        Fixture {
-            r,
-            s,
-            _dir: dir,
-            r_path,
-            s_path,
-            r_sharded,
-            s_sharded,
-            r_file,
-            s_file,
-        }
-    }
-
-    fn heights(&self) -> [usize; 2] {
-        [self.r.height() as usize, self.s.height() as usize]
-    }
-
-    fn file_access(&self) -> FileNodeAccess {
-        let files = vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ];
-        FileNodeAccess::with_capacity_pages(files, CAP_PAGES, &self.heights(), EvictionPolicy::Lru)
-            .unwrap()
-    }
-
-    fn completion_access(&self, delay: Option<DelayFn>) -> CompletionFileAccess {
-        let files = vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ];
-        CompletionFileAccess::with_capacity_pages(
-            files,
-            CAP_PAGES,
-            &self.heights(),
-            EvictionPolicy::Lru,
-            CompletionConfig {
-                delay,
-                ..CompletionConfig::default()
-            },
-        )
-        .unwrap()
-    }
-}
-
-/// Pairs and IoStats of the completion backend under `delay` must be
-/// bit-identical to the blocking [`FileNodeAccess`] oracle, for SJ1–SJ5,
-/// and the miss-service split must cover every charged disk access.
-fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
+/// One queued row under `delay` against its blocking twin: pairs and
+/// whole `IoStats` bit-identical for SJ1–SJ5, the miss-service split
+/// covering every charged disk access, every charge one physical read.
+fn check_row<B: Stack, Q: Stack>(
+    tag: &str,
+    [r, s]: &[RTree; 2],
+    blocking: impl Fn() -> B,
+    queued: impl Fn() -> Q,
+) {
     for (plan, name) in plans() {
-        let tag = format!("{label}/{name}");
-        let (want_pairs, want_io, _) = run(&fx.r_file, &fx.s_file, plan, fx.file_access());
+        let tag = format!("{tag}/{name}");
+        let (want_pairs, want_io, _) = run(r, s, plan, blocking());
         assert!(!want_pairs.is_empty(), "{tag}: fixture must join");
 
-        let (pairs, io, access) = run(
-            &fx.r_file,
-            &fx.s_file,
-            plan,
-            fx.completion_access(delay.clone()),
-        );
-        assert_eq!(pairs, want_pairs, "{tag}: completion-backend pairs");
-        assert_eq!(io, want_io, "{tag}: completion-backend I/O");
+        let (pairs, io, access) = run(r, s, plan, queued());
+        assert_eq!(pairs, want_pairs, "{tag}: queued pairs");
+        assert_eq!(io, want_io, "{tag}: queued I/O");
         // Every charged miss was served exactly once: either an adopted
         // hint read paid for it, or the demand submitted its own.
-        assert_eq!(
-            access.demand_reads() + access.staged_hits(),
-            io.disk_accesses,
-            "{tag}: miss service split"
-        );
-        // After the queue settles, physical reads cover at least the
-        // misses (dropped-window hints are never read; over-reads of
-        // still-staged hints are legal, phantom charges are not).
+        let (staged, demand) = access.served();
+        assert_eq!(staged + demand, io.disk_accesses, "{tag}: miss split");
+        // After the queue settles, physical reads equal the misses
+        // (dropped-window hints are never read, and the executor demands
+        // every page it hints).
         access.drain_completions();
-        assert!(
-            access.file_reads() >= io.disk_accesses,
-            "{tag}: {} physical reads < {} charged misses",
-            access.file_reads(),
-            io.disk_accesses
-        );
+        assert_eq!(access.physical_reads(), io.disk_accesses, "{tag}: reads");
     }
+}
+
+/// Both queued rows — plain and sharded — under `delay`, each against the
+/// blocking stack over the same page source.
+fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
+    let f = &fx.files;
+    let cfg = || CompletionConfig {
+        delay: delay.clone(),
+        ..CompletionConfig::default()
+    };
+    check_row(
+        &format!("{label}/plain"),
+        &f.plain_trees,
+        || f.plain_blocking(CAP_PAGES),
+        || f.plain_queued(CAP_PAGES, cfg()),
+    );
+    check_row(
+        &format!("{label}/sharded"),
+        &f.sharded_trees,
+        || f.sharded_blocking(CAP_PAGES),
+        || f.sharded_queued(CAP_PAGES, cfg()),
+    );
 }
 
 /// Drop-in conformance without any injected delay: completion-driven
@@ -173,7 +77,7 @@ fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
 #[test]
 fn overlap_backend_agrees_with_blocking_on_pairs_and_io() {
     for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
+        let fx = Fixture::new("overlap", test, scale);
         check_against_blocking(&fx, None, &format!("{test:?}"));
     }
 }
@@ -183,7 +87,7 @@ fn overlap_backend_agrees_with_blocking_on_pairs_and_io() {
 /// opposite of submission order. Charges must not move.
 #[test]
 fn overlap_survives_reversed_completion_order() {
-    let fx = Fixture::new(TestId::A, 0.003);
+    let fx = Fixture::new("overlap", TestId::A, 0.003);
     let delay: DelayFn = Arc::new(|key: BufKey| {
         let inverted = 512u64.saturating_sub(u64::from(key.page.0));
         Some(Duration::from_micros(inverted * 4))
@@ -197,8 +101,8 @@ fn overlap_survives_reversed_completion_order() {
 /// emit bit-identical results.
 #[test]
 fn overlap_survives_one_page_starvation() {
-    let fx = Fixture::new(TestId::B, 0.003);
-    let starved = BufKey::new(0, fx.r_file.root());
+    let fx = Fixture::new("overlap", TestId::B, 0.003);
+    let starved = BufKey::new(0, fx.files.plain_trees[0].root());
     let delay: DelayFn = Arc::new(move |key: BufKey| {
         if key == starved {
             Some(Duration::from_millis(20))
@@ -223,7 +127,7 @@ proptest! {
         span_us in 50u64..400,
     ) {
         let test = if which == 0 { TestId::A } else { TestId::B };
-        let fx = Fixture::new(test, 0.003);
+        let fx = Fixture::new("overlap", test, 0.003);
         let delay: DelayFn = Arc::new(move |key: BufKey| {
             let mut h = (u64::from(key.page.0) << 8 | u64::from(key.store)) ^ seed;
             h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -240,14 +144,15 @@ proptest! {
 /// per-pair, per-miss budget. A busy-spin would show millions of polls.
 #[test]
 fn overlap_parked_cursor_never_busy_spins() {
-    let fx = Fixture::new(TestId::A, 0.003);
+    let fx = Fixture::new("overlap", TestId::A, 0.003);
     let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
-    let (pairs, io, access) = run(
-        &fx.r_file,
-        &fx.s_file,
-        JoinPlan::sj2(),
-        fx.completion_access(Some(delay)),
-    );
+    let [r_file, s_file] = &fx.files.plain_trees;
+    let cfg = CompletionConfig {
+        delay: Some(delay),
+        ..CompletionConfig::default()
+    };
+    let access = fx.files.plain_queued(CAP_PAGES, cfg);
+    let (pairs, io, access) = run(r_file, s_file, JoinPlan::sj2(), access);
     assert!(io.disk_accesses > 0, "fixture must miss");
     let polls = access.queue().poll_count();
     // One settled check per emitted pair, plus a bounded run-ahead burst
@@ -268,34 +173,28 @@ fn overlap_parked_cursor_never_busy_spins() {
 fn overlap_shared_queue_parallel_matches_sequential() {
     use rsj_core::parallel_spatial_join_with_access;
 
-    let fx = Fixture::new(TestId::A, 0.003);
+    let fx = Fixture::new("overlap", TestId::A, 0.003);
     let plan = JoinPlan::sj4();
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
     let (want_pairs, _, _) = run(&fx.r, &fx.s, plan, pool);
+    let [r_file, s_file] = &fx.files.plain_trees;
 
     for workers in [2usize, 4] {
-        let shard_files = || {
-            vec![
-                ShardedPageFile::open(&fx.r_sharded).unwrap(),
-                ShardedPageFile::open(&fx.s_sharded).unwrap(),
-            ]
-        };
         // One queue for the whole deployment: every worker clones the
         // handle and submits on the lanes of whichever shard owns the
         // page it misses on.
-        let queue = shard_lane_queue(&shard_files(), 1).unwrap();
-        let par =
-            parallel_spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, workers, |_w| {
-                ShardedFileAccess::with_shared_queue(
-                    shard_files(),
-                    (CAP_PAGES / workers).max(1),
-                    &fx.heights(),
-                    EvictionPolicy::Lru,
-                    queue.clone(),
-                    ShardReaderConfig::default(),
-                )
-                .unwrap()
-            });
+        let queue = shard_lane_queue(&fx.files.sharded_files(), 1).unwrap();
+        let par = parallel_spatial_join_with_access(r_file, s_file, plan, true, workers, |_w| {
+            ShardedCompletionFileAccess::with_shared_queue(
+                fx.files.sharded_files(),
+                (CAP_PAGES / workers).max(1),
+                &fx.files.heights(),
+                EvictionPolicy::Lru,
+                queue.clone(),
+                CompletionConfig::default().window,
+            )
+            .unwrap()
+        });
         assert_eq!(
             sorted_ids(&par.pairs),
             want_pairs,

@@ -2,11 +2,11 @@
 //! generated presets, compiling the comparison accounting out must never
 //! change *what* a join computes — only what it reports. The raw join's
 //! result-pair multiset must equal the counted join's for every named
-//! plan and for both parallel deployments.
+//! plan and for the parallel deployment.
 
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::{parallel_spatial_join_fast, parallel_spatial_join_with_mode, ParallelMode};
+use rsj_core::parallel_spatial_join_fast;
 
 fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
     let mut t = RTree::new(RTreeParams::for_page_size(page));
@@ -27,7 +27,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Raw mode computes the exact counted result on presets A and B, for
-    /// SJ1–SJ5 sequentially and SJ4 under both parallel modes.
+    /// SJ1–SJ5 sequentially and SJ4 in parallel.
     #[test]
     fn raw_mode_matches_counted_multiset(
         which in 0usize..2,
@@ -61,24 +61,13 @@ proptest! {
             prop_assert!(counted.stats.join_comparisons > 0);
         }
 
-        // Both parallel deployments, counted and raw, agree with the
-        // sequential counted join.
+        // The parallel join, counted and raw, agrees with the sequential
+        // counted join.
         let want = multiset(&spatial_join(&r, &s, JoinPlan::sj4(), &cfg).pairs);
-        for mode in [ParallelMode::SharedNothing, ParallelMode::SharedBuffer] {
-            let counted_par =
-                parallel_spatial_join_with_mode(&r, &s, JoinPlan::sj4(), &cfg, 4, mode);
-            let raw_par = parallel_spatial_join_fast(&r, &s, JoinPlan::sj4(), &cfg, 4, mode);
-            prop_assert_eq!(
-                multiset(&counted_par.pairs),
-                want.clone(),
-                "{:?} counted parallel {:?}", test, mode
-            );
-            prop_assert_eq!(
-                multiset(&raw_par.pairs),
-                want.clone(),
-                "{:?} raw parallel {:?}", test, mode
-            );
-            prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
-        }
+        let counted_par = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        let raw_par = parallel_spatial_join_fast(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        prop_assert_eq!(multiset(&counted_par.pairs), want.clone(), "{:?} counted parallel", test);
+        prop_assert_eq!(multiset(&raw_par.pairs), want, "{:?} raw parallel", test);
+        prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
     }
 }

@@ -1,218 +1,129 @@
-//! Storage-backend conformance: the [`rsj_storage::NodeAccess`]
-//! implementations — the in-memory [`BufferPool`], a single-handle
-//! [`SharedBufferPool`], the persistent [`FileNodeAccess`], the
-//! hint-driven [`PrefetchingFileAccess`], and the [`ShardedFileAccess`]
-//! over subtree-partitioned page files — must be interchangeable under
-//! every join algorithm.
+//! Storage-backend conformance: the three [`rsj_storage::NodeAccess`]
+//! implementors' accounting must be interchangeable under every join
+//! algorithm. This suite drives the one file stack,
+//! [`rsj_storage::FileAccess`], in all four instantiations — page source
+//! {plain, sharded} × read strategy {blocking, queued} — against the
+//! in-memory [`BufferPool`] oracle (`tests/warm_cache.rs` does the same
+//! for the shared page cache).
 //!
-//! For SJ1–SJ5 on presets A and B the suite asserts, at the same LRU
-//! capacity and from a cold start:
+//! For SJ1–SJ5 on presets A and B each row of the table must show, at the
+//! same LRU capacity and from a cold start:
 //!
-//! * identical result-pair **multisets** across all backends (the file
-//!   backend joins trees that went through a `save_to`/`open_from` round
-//!   trip, so this also covers persistence fidelity);
-//! * identical **`disk_accesses`** (and path/LRU hit counts) — the buffer
-//!   hierarchy is the same §4.1 stack everywhere, only what a miss *does*
-//!   differs. The shared pool runs with a single shard for this check: a
-//!   sharded LRU splits its capacity and legitimately evicts differently.
-//!
-//! The file backend is additionally checked for honesty (every reported
-//! disk access is a real page read) and warm-cache behavior (a second run
-//! without a reset does fewer disk accesses; a reset restores the cold
-//! counts exactly).
+//! * the oracle's result-pair **multiset** (the files went through a
+//!   `save_to`/`open_from` round trip, so this also covers persistence
+//!   fidelity);
+//! * the oracle's whole **`IoStats`** — the buffer hierarchy is the same
+//!   §4.1 stack everywhere, only what a miss *does* differs; hints never
+//!   move a number;
+//! * honesty: `staged_hits + demand_reads == disk_accesses`, and once the
+//!   completions drain every charged miss was exactly one real page read;
+//! * cold → warm → `reset` → cold: a second run without a reset does fewer
+//!   disk accesses; a reset replays the cold counts exactly.
 
+mod common;
+
+use common::{plans, run, sorted_ids, Fixture, Stack, CAP_PAGES, PAGE, SHARDS};
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
-use rsj_storage::{
-    BufferPool, FileNodeAccess, IoStats, NodeAccess, PageFile, PrefetchConfig,
-    PrefetchingFileAccess, ShardedFileAccess, SharedBufferPool, TempDir,
-};
+use rsj_storage::{BufferPool, CompletionConfig, PageId};
 
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
+/// One row of the table against the oracle: pairs, whole `IoStats`, the
+/// miss-service split and the drained physical reads, SJ1–SJ5 × presets
+/// A/B. `row` picks the row's trees and builds its cold stack.
+fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Fixture) -> (&[RTree; 2], A)) {
+    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
+        let fx = Fixture::new("conformance", test, scale);
+        for (plan, plan_name) in plans() {
+            let label = format!("{name}: {test:?}/{plan_name}");
+            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
+            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
+            assert!(!want_pairs.is_empty(), "{label}: fixture must join");
 
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
-
-/// One cold-start counted join over an arbitrary backend.
-fn run<A: NodeAccess>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    access: A,
-) -> (Vec<(u64, u64)>, IoStats, A) {
-    let (res, access) = spatial_join_with_access(r, s, plan, true, access);
-    (sorted_ids(&res.pairs), res.stats.io, access)
-}
-
-/// Shard count the sharded fixture files are partitioned into.
-const SHARDS: usize = 4;
-
-struct Fixture {
-    r: RTree,
-    s: RTree,
-    /// Keeps the on-disk files alive for the fixture's lifetime.
-    _dir: TempDir,
-    r_path: std::path::PathBuf,
-    s_path: std::path::PathBuf,
-    /// Sharded twins of the page files (subtree partition, 4 shards).
-    r_sharded: std::path::PathBuf,
-    s_sharded: std::path::PathBuf,
-    /// The trees reopened cold from disk.
-    r_file: RTree,
-    s_file: RTree,
-}
-
-impl Fixture {
-    fn new(test: TestId, scale: f64) -> Fixture {
-        let data = rsj::datagen::preset(test, scale);
-        let r = build_tree(&data.r);
-        let s = build_tree(&data.s);
-        let dir = TempDir::new("conformance").unwrap();
-        let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
-        r.save_to(&r_path).unwrap();
-        s.save_to(&s_path).unwrap();
-        let (r_sharded, s_sharded) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-        r.save_sharded_to(&r_sharded, SHARDS).unwrap();
-        s.save_sharded_to(&s_sharded, SHARDS).unwrap();
-        let r_file = RTree::open_from(&r_path).unwrap();
-        let s_file = RTree::open_from(&s_path).unwrap();
-        Fixture {
-            r,
-            s,
-            _dir: dir,
-            r_path,
-            s_path,
-            r_sharded,
-            s_sharded,
-            r_file,
-            s_file,
+            let ([r, s], access) = row(&fx);
+            let (pairs, io, access) = run(r, s, plan, access);
+            assert_eq!(pairs, want_pairs, "{label}: pairs");
+            assert_eq!(io, want_io, "{label}: I/O");
+            // Honesty: every charged miss was served exactly once, by a
+            // consumed hint read or by the demand path...
+            let (staged, demand) = access.served();
+            assert_eq!(staged + demand, io.disk_accesses, "{label}: split");
+            // ...and was exactly one real page read: the executor demands
+            // every page it hints, and over-window hints are dropped, not
+            // read-then-discarded.
+            access.drain_completions();
+            assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
         }
-    }
-
-    fn heights(&self) -> [usize; 2] {
-        [self.r.height() as usize, self.s.height() as usize]
-    }
-
-    fn file_access(&self) -> FileNodeAccess {
-        self.file_access_with_cap(CAP_PAGES)
-    }
-
-    fn file_access_with_cap(&self, cap_pages: usize) -> FileNodeAccess {
-        let files = vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ];
-        FileNodeAccess::with_capacity_pages(files, cap_pages, &self.heights(), EvictionPolicy::Lru)
-            .unwrap()
-    }
-
-    fn prefetch_access(&self) -> PrefetchingFileAccess {
-        let files = vec![
-            PageFile::open(&self.r_path).unwrap(),
-            PageFile::open(&self.s_path).unwrap(),
-        ];
-        PrefetchingFileAccess::with_capacity_pages(
-            files,
-            CAP_PAGES,
-            &self.heights(),
-            EvictionPolicy::Lru,
-            PrefetchConfig::default(),
-        )
-        .unwrap()
-    }
-
-    fn sharded_access(&self) -> ShardedFileAccess {
-        let files = vec![
-            rsj_storage::ShardedPageFile::open(&self.r_sharded).unwrap(),
-            rsj_storage::ShardedPageFile::open(&self.s_sharded).unwrap(),
-        ];
-        ShardedFileAccess::with_capacity_pages(
-            files,
-            CAP_PAGES,
-            &self.heights(),
-            EvictionPolicy::Lru,
-        )
-        .unwrap()
     }
 }
 
 #[test]
 fn backends_agree_on_pairs_and_disk_accesses() {
-    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
-        for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
+    check_agrees_with_the_pool("plain × blocking", |fx| {
+        (&fx.files.plain_trees, fx.files.plain_blocking(CAP_PAGES))
+    });
+}
 
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
-            assert!(!want_pairs.is_empty(), "{label}: fixture must join");
-
-            // Shared pool, one handle, one shard: capacity undivided.
-            let shared =
-                SharedBufferPool::with_shards(CAP_PAGES, &fx.heights(), EvictionPolicy::Lru, 1);
-            let (pairs, io, _) = run(&fx.r, &fx.s, plan, shared.handle());
-            assert_eq!(pairs, want_pairs, "{label}: shared-pool pairs");
-            assert_eq!(io, want_io, "{label}: shared-pool I/O");
-
-            // File backend over the reopened trees.
-            let (pairs, io, access) = run(&fx.r_file, &fx.s_file, plan, fx.file_access());
-            assert_eq!(pairs, want_pairs, "{label}: file-backend pairs");
-            assert_eq!(io, want_io, "{label}: file-backend I/O");
-            // Honesty: each reported disk access was a real page read.
-            let real_reads = access.file(0).reads() + access.file(1).reads();
-            assert_eq!(real_reads, io.disk_accesses, "{label}: real reads");
-        }
+#[test]
+fn queued_backend_agrees_on_pairs_and_disk_accesses() {
+    // The queued strategy must be a drop-in replacement: it changes when
+    // the physical read happens, never what is charged.
+    for cfg in [CompletionConfig::default, common::narrow] {
+        check_agrees_with_the_pool("plain × queued", |fx| {
+            (
+                &fx.files.plain_trees,
+                fx.files.plain_queued(CAP_PAGES, cfg()),
+            )
+        });
     }
 }
 
 #[test]
-fn sharded_shared_pool_agrees_on_pairs() {
-    // With the default shard count the eviction decisions differ, so only
-    // the result multiset (not the exact I/O split) is comparable.
-    let fx = Fixture::new(TestId::A, 0.003);
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-    let (want_pairs, _, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), pool);
-    let shared = SharedBufferPool::with_shards(CAP_PAGES, &fx.heights(), EvictionPolicy::Lru, 8);
-    let (pairs, _, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), shared.handle());
-    assert_eq!(pairs, want_pairs);
+fn sharded_backend_agrees_on_pairs_and_disk_accesses() {
+    // Sharding redistributes pages over physical files but preserves the
+    // global page-id space, so traversal — and with it every buffer
+    // decision — is identical to the single-file backend.
+    check_agrees_with_the_pool("sharded × blocking", |fx| {
+        (
+            &fx.files.sharded_trees,
+            fx.files.sharded_blocking(CAP_PAGES),
+        )
+    });
+
+    let fx = Fixture::new("conformance", TestId::A, 0.003);
+    // The sharded files round-trip the trees page-identically.
+    let r_back = &fx.files.sharded_trees[0];
+    assert_eq!(r_back.len(), fx.r.len());
+    assert_eq!(r_back.root(), fx.r.root());
+    for id in 0..fx.r.page_store().len() {
+        let p = PageId(id as u32);
+        assert_eq!(r_back.node(p), fx.r.node(p), "page {p}");
+    }
+    // And the reads actually spread over the shard files.
+    let [r, s] = &fx.files.sharded_trees;
+    let (_, _, access) = run(r, s, JoinPlan::sj4(), fx.files.sharded_blocking(CAP_PAGES));
+    let touched = access.read_split(0).iter().filter(|&&n| n > 0).count();
+    assert!(touched > 1, "all reads landed on one of {SHARDS} shards");
 }
 
 #[test]
-fn file_backend_cold_warm_and_reset() {
-    let fx = Fixture::new(TestId::A, 0.003);
-    let plan = JoinPlan::sj2();
-    // A buffer big enough for the whole working set: the warm run must
-    // then be served from memory.
-    let mut access = fx.file_access_with_cap(4096);
+fn sharded_queued_backend_agrees_on_pairs_and_disk_accesses() {
+    for cfg in [CompletionConfig::default, common::narrow] {
+        check_agrees_with_the_pool("sharded × queued", |fx| {
+            (
+                &fx.files.sharded_trees,
+                fx.files.sharded_queued(CAP_PAGES, cfg()),
+            )
+        });
+    }
+}
 
-    let (cold_pairs, cold_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
+/// Cold → warm → `reset` → cold, for one row of the table.
+fn check_cold_warm_and_reset<A: Stack>([r, s]: &[RTree; 2], plan: JoinPlan, mut access: A) {
+    let (cold_pairs, cold_io, a) = run(r, s, plan, access);
     access = a;
     assert!(cold_io.disk_accesses > 0, "cold start must hit the files");
 
     // Warm: same accountant, LRU still populated.
-    let (warm_pairs, warm_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
+    let (warm_pairs, warm_io, a) = run(r, s, plan, access);
     access = a;
     assert_eq!(warm_pairs, cold_pairs);
     assert!(
@@ -222,30 +133,74 @@ fn file_backend_cold_warm_and_reset() {
         cold_io.disk_accesses
     );
 
-    // Reset: everything cold again, including the page-file counters.
+    // Reset: everything cold again, including the physical read counters.
     access.reset();
-    assert_eq!(access.file(0).reads(), 0);
-    assert_eq!(access.file(1).reads(), 0);
-    let (reset_pairs, reset_io, access) = run(&fx.r_file, &fx.s_file, plan, access);
+    assert_eq!(access.physical_reads(), 0);
+    assert_eq!(access.served(), (0, 0));
+    let (reset_pairs, reset_io, access) = run(r, s, plan, access);
     assert_eq!(reset_pairs, cold_pairs);
     assert_eq!(
         reset_io, cold_io,
         "a reset backend must replay the cold run"
     );
-    assert_eq!(
-        access.file(0).reads() + access.file(1).reads(),
-        reset_io.disk_accesses
+    let (staged, demand) = access.served();
+    assert_eq!(staged + demand, reset_io.disk_accesses);
+    access.drain_completions();
+    assert_eq!(access.physical_reads(), reset_io.disk_accesses);
+}
+
+// A buffer big enough for the whole working set: the warm run must then
+// be served from memory.
+const WHOLE_SET: usize = 4096;
+
+#[test]
+fn file_backend_cold_warm_and_reset() {
+    let f = Fixture::new("conformance", TestId::A, 0.003).files;
+    check_cold_warm_and_reset(&f.plain_trees, JoinPlan::sj2(), f.plain_blocking(WHOLE_SET));
+}
+
+#[test]
+fn queued_backend_cold_warm_and_reset() {
+    let f = Fixture::new("conformance", TestId::A, 0.003).files;
+    let cfg = CompletionConfig::default();
+    check_cold_warm_and_reset(
+        &f.plain_trees,
+        JoinPlan::sj4(),
+        f.plain_queued(CAP_PAGES, cfg),
+    );
+}
+
+#[test]
+fn sharded_backend_cold_warm_and_reset() {
+    let f = Fixture::new("conformance", TestId::A, 0.003).files;
+    check_cold_warm_and_reset(
+        &f.sharded_trees,
+        JoinPlan::sj2(),
+        f.sharded_blocking(WHOLE_SET),
+    );
+}
+
+#[test]
+fn sharded_queued_backend_cold_warm_and_reset() {
+    let f = Fixture::new("conformance", TestId::A, 0.003).files;
+    let cfg = CompletionConfig::default();
+    check_cold_warm_and_reset(
+        &f.sharded_trees,
+        JoinPlan::sj4(),
+        f.sharded_queued(CAP_PAGES, cfg),
     );
 }
 
 #[test]
 fn raw_cursor_runs_over_the_file_backend() {
     use rsj_core::exec::RawJoinCursor;
-    let fx = Fixture::new(TestId::B, 0.002);
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+    let fx = Fixture::new("conformance", TestId::B, 0.002);
+    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
     let (want_pairs, want_io, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), pool);
 
-    let mut cursor = RawJoinCursor::raw(&fx.r_file, &fx.s_file, JoinPlan::sj4(), fx.file_access());
+    let [r_file, s_file] = &fx.files.plain_trees;
+    let access = fx.files.plain_blocking(CAP_PAGES);
+    let mut cursor = RawJoinCursor::raw(r_file, s_file, JoinPlan::sj4(), access);
     let mut pairs: Vec<(u64, u64)> = (&mut cursor).map(|(a, b)| (a.0, b.0)).collect();
     pairs.sort_unstable();
     let stats = cursor.stats();
@@ -258,7 +213,8 @@ fn raw_cursor_runs_over_the_file_backend() {
 fn parallel_and_multiway_run_over_the_file_backend() {
     use rsj_core::{multiway_join, multiway_join_with_access, parallel_spatial_join_with_access};
 
-    let fx = Fixture::new(TestId::A, 0.003);
+    let fx = Fixture::new("conformance", TestId::A, 0.003);
+    let [r_file, s_file] = &fx.files.plain_trees;
     let cfg = JoinConfig::with_buffer(CAP_PAGES * PAGE);
 
     // Parallel: file-backed shared-nothing, each worker with its own file
@@ -286,26 +242,10 @@ fn parallel_and_multiway_run_over_the_file_backend() {
         "fixture must give every worker a task (got {root_tasks})"
     );
     let seq = rsj_core::spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg);
-    let par = parallel_spatial_join_with_access(
-        &fx.r_file,
-        &fx.s_file,
-        JoinPlan::sj4(),
-        true,
-        workers,
-        |_w| {
-            let files = vec![
-                PageFile::open(&fx.r_path).unwrap(),
-                PageFile::open(&fx.s_path).unwrap(),
-            ];
-            FileNodeAccess::with_capacity_pages(
-                files,
-                CAP_PAGES / workers,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap()
-        },
-    );
+    let par =
+        parallel_spatial_join_with_access(r_file, s_file, JoinPlan::sj4(), true, workers, |_w| {
+            fx.files.plain_blocking(CAP_PAGES / workers)
+        });
     assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
     let inmem = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
     assert_eq!(
@@ -317,22 +257,15 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     // file-backed accountant.
     let trees = [&fx.r, &fx.s, &fx.s];
     let want = multiway_join(&trees, JoinPlan::sj4(), &cfg);
-    let file_trees = [&fx.r_file, &fx.s_file, &fx.s_file];
+    let file_trees = [r_file, s_file, s_file];
     let got = multiway_join_with_access(&file_trees, JoinPlan::sj4(), |stage| {
-        let (files, heights): (Vec<PageFile>, Vec<usize>) = if stage == 0 {
-            (
-                vec![
-                    PageFile::open(&fx.r_path).unwrap(),
-                    PageFile::open(&fx.s_path).unwrap(),
-                ],
-                fx.heights().to_vec(),
-            )
-        } else {
-            (
-                vec![PageFile::open(&fx.s_path).unwrap()],
-                vec![fx.s.height() as usize],
-            )
-        };
+        let mut files = fx.files.plain_files();
+        let mut heights = fx.files.heights().to_vec();
+        if stage > 0 {
+            // The probe stages touch S alone.
+            files.remove(0);
+            heights.remove(0);
+        }
         FileNodeAccess::with_capacity_pages(files, CAP_PAGES, &heights, EvictionPolicy::Lru)
             .unwrap()
     });
@@ -351,132 +284,20 @@ fn parallel_and_multiway_run_over_the_file_backend() {
 }
 
 #[test]
-fn prefetch_backend_agrees_on_pairs_and_disk_accesses() {
-    // The prefetching backend must be a drop-in replacement: identical
-    // pair multisets and identical IoStats to the in-memory BufferPool
-    // for SJ1–SJ5 on both presets — prefetching changes when the physical
-    // read happens, never what is charged.
-    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
-        for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
-
-            let (pairs, io, access) = run(&fx.r_file, &fx.s_file, plan, fx.prefetch_access());
-            assert_eq!(pairs, want_pairs, "{label}: prefetch pairs");
-            assert_eq!(io, want_io, "{label}: prefetch I/O");
-            // Honesty: every charged miss was served exactly once, either
-            // by a consumed prefetch or by a synchronous demand read.
-            assert_eq!(
-                access.demand_reads() + access.prefetch_hits(),
-                io.disk_accesses,
-                "{label}: miss service split"
-            );
-            // And once the completion queue drains, the physical read
-            // tally covers at least the misses (prefetch over-reads
-            // beyond the window are legal, phantom *charges* are not).
-            access.drain_completions();
-            assert!(access.file_reads() >= io.disk_accesses, "{label}");
-        }
-    }
-}
-
-#[test]
-fn prefetch_backend_cold_warm_and_reset() {
-    let fx = Fixture::new(TestId::A, 0.003);
-    let plan = JoinPlan::sj4();
-    let mut access = fx.prefetch_access();
-
-    let (cold_pairs, cold_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
-    access = a;
-    assert!(cold_io.disk_accesses > 0, "cold start must hit the files");
-
-    let (warm_pairs, warm_io, a) = run(&fx.r_file, &fx.s_file, plan, access);
-    access = a;
-    assert_eq!(warm_pairs, cold_pairs);
-    assert!(
-        warm_io.disk_accesses < cold_io.disk_accesses,
-        "warm run reuses the buffer"
-    );
-
-    access.reset();
-    let (reset_pairs, reset_io, access) = run(&fx.r_file, &fx.s_file, plan, access);
-    assert_eq!(reset_pairs, cold_pairs);
-    assert_eq!(
-        reset_io, cold_io,
-        "a reset backend must replay the cold run"
-    );
-    assert_eq!(
-        access.demand_reads() + access.prefetch_hits(),
-        reset_io.disk_accesses
-    );
-}
-
-#[test]
-fn sharded_backend_agrees_on_pairs_and_disk_accesses() {
-    // Sharding redistributes pages over physical files but preserves the
-    // global page-id space, so traversal — and with it every buffer
-    // decision — is identical to the single-file backend.
-    for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
-        let fx = Fixture::new(test, scale);
-        // The sharded files round-trip the trees page-identically.
-        let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-        assert_eq!(r_back.len(), fx.r.len());
-        assert_eq!(r_back.root(), fx.r.root());
-        for id in 0..fx.r.page_store().len() {
-            let p = rsj_storage::PageId(id as u32);
-            assert_eq!(r_back.node(p), fx.r.node(p), "{test:?}: page {p}");
-        }
-        let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
-
-        for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
-
-            let (pairs, io, access) = run(&r_back, &s_back, plan, fx.sharded_access());
-            assert_eq!(pairs, want_pairs, "{label}: sharded pairs");
-            assert_eq!(io, want_io, "{label}: sharded I/O");
-            // Honesty: every reported disk access was a real page read
-            // from some shard.
-            let real_reads = access.file(0).reads() + access.file(1).reads();
-            assert_eq!(real_reads, io.disk_accesses, "{label}: real reads");
-            // The reads actually spread over the shard files.
-            let touched = (0..SHARDS)
-                .filter(|&i| access.file(0).shard_reads(i) > 0)
-                .count();
-            assert!(touched > 1, "{label}: all reads landed on one shard");
-        }
-    }
-}
-
-#[test]
 fn sharded_parallel_workers_read_disjoint_subtree_files() {
     // The point of the subtree partition: shared-nothing workers joining
     // disjoint subtree pairs pull from disjoint physical files. Run the
     // file-backed parallel join with per-worker sharded handles and pin
     // that the summed I/O matches the in-memory shared-nothing run.
     use rsj_core::parallel_spatial_join_with_access;
-    let fx = Fixture::new(TestId::A, 0.003);
+    let fx = Fixture::new("conformance", TestId::A, 0.003);
     let workers = 4;
-    let r_back = RTree::open_sharded_from(&fx.r_sharded).unwrap();
-    let s_back = RTree::open_sharded_from(&fx.s_sharded).unwrap();
+    let [r_back, s_back] = &fx.files.sharded_trees;
     let cfg = JoinConfig::with_buffer(CAP_PAGES * PAGE);
     let seq = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
     let par =
-        parallel_spatial_join_with_access(&r_back, &s_back, JoinPlan::sj4(), true, workers, |_w| {
-            let files = vec![
-                rsj_storage::ShardedPageFile::open(&fx.r_sharded).unwrap(),
-                rsj_storage::ShardedPageFile::open(&fx.s_sharded).unwrap(),
-            ];
-            ShardedFileAccess::with_capacity_pages(
-                files,
-                CAP_PAGES / workers,
-                &fx.heights(),
-                EvictionPolicy::Lru,
-            )
-            .unwrap()
+        parallel_spatial_join_with_access(r_back, s_back, JoinPlan::sj4(), true, workers, |_w| {
+            fx.files.sharded_blocking(CAP_PAGES / workers)
         });
     assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
     assert_eq!(

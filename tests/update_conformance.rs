@@ -13,45 +13,18 @@
 //!   (`BufferPool`) or comes off the updated file (`FileNodeAccess`);
 //! * free-list reuse really happens (deletions release pages, insertions
 //!   reuse them, the file does not grow monotonically);
-//! * the `prefetch` and `sharded` backends conformance-match on the
-//!   updated files too;
+//! * every row of the file-stack table — page source {plain, sharded} ×
+//!   read strategy {blocking, queued} — conformance-matches on the updated
+//!   files too;
 //! * the sharded migration policy holds: pages stay in their birth shard,
 //!   the manifest stays authoritative, fresh pages fall to the partition
 //!   fallback — and none of it moves a single accounting number.
 
+mod common;
+
+use common::{build_tree, plans, run, Files, Stack, CAP_PAGES, SHARDS};
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
-use rsj_storage::{
-    partition, BufferPool, IoStats, NodeAccess, PageId, ShardedPageFile, SharedBufferPool, TempDir,
-};
-
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
+use rsj_storage::{partition, BufferPool, CompletionConfig, PageId, TempDir};
 
 /// One update operation of the scripted workload.
 #[derive(Clone, Copy)]
@@ -147,15 +120,44 @@ fn assert_page_identical(a: &RTree, b: &RTree, label: &str) {
     }
 }
 
-/// One cold counted join over an arbitrary backend.
-fn run<A: NodeAccess>(
-    r: &RTree,
-    s: &RTree,
+/// One row of the file-stack table on updated files against the
+/// in-memory oracle: pairs, whole `IoStats`, every miss served exactly
+/// once and read for real.
+fn check_on_updated_files<A: Stack>(
+    label: &str,
+    oracle: [&RTree; 2],
+    [r, s]: &[RTree; 2],
     plan: JoinPlan,
     access: A,
-) -> (Vec<(u64, u64)>, IoStats, A) {
-    let (res, access) = spatial_join_with_access(r, s, plan, true, access);
-    (sorted_ids(&res.pairs), res.stats.io, access)
+) -> A {
+    let heights = oracle.map(|t| t.height() as usize);
+    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
+    let (want_pairs, want_io, _) = run(oracle[0], oracle[1], plan, pool);
+    assert!(!want_pairs.is_empty(), "{label}: updated fixture joins");
+    let (pairs, io, access) = run(r, s, plan, access);
+    assert_eq!(pairs, want_pairs, "{label}: pairs on updated files");
+    assert_eq!(io, want_io, "{label}: IoStats on updated files");
+    let (staged, demand) = access.served();
+    assert_eq!(staged + demand, io.disk_accesses, "{label}: miss split");
+    access.drain_completions();
+    assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
+    access
+}
+
+/// Saves `(r0, s0)` both ways, runs `script` against R through the open
+/// plain file *and* the open sharded file, and returns the reopened
+/// layouts with the in-memory oracle of the updated R.
+fn updated_files(tag: &str, r0: &RTree, s0: &RTree, script: &[Op]) -> (Files, RTree) {
+    let f = Files::save(tag, r0, s0);
+    let mut oracle = r0.clone();
+    apply_to_oracle(&mut oracle, script);
+    let mut open = OpenFileTree::open(&f.plain[0], CAP_PAGES).unwrap();
+    apply_to_open(&mut open, script);
+    open.close().unwrap();
+    let mut open = OpenShardedTree::open_sharded(&f.sharded[0], CAP_PAGES).unwrap();
+    apply_to_open(&mut open, script);
+    open.close().unwrap();
+    (Files::reopen(f.dir, f.plain, f.sharded), oracle)
 }
 
 #[test]
@@ -204,12 +206,8 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
 
         // SJ1–SJ5: identical pairs AND identical IoStats, memory vs file.
         let heights = [r_oracle.height() as usize, s_oracle.height() as usize];
+        let trees = [r_file, s_file];
         for (plan, name) in plans() {
-            let label = format!("{test:?}/{name}");
-            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-            let (want_pairs, want_io, _) = run(&r_oracle, &s_oracle, plan, pool);
-            assert!(!want_pairs.is_empty(), "{label}: updated fixture joins");
-
             let files = vec![PageFile::open(&rp).unwrap(), PageFile::open(&sp).unwrap()];
             let access = FileNodeAccess::with_capacity_pages(
                 files,
@@ -218,17 +216,8 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
                 EvictionPolicy::Lru,
             )
             .unwrap();
-            let (pairs, io, access) = run(&r_file, &s_file, plan, access);
-            assert_eq!(pairs, want_pairs, "{label}: pairs");
-            assert_eq!(io, want_io, "{label}: IoStats");
-            let real = access.file(0).reads() + access.file(1).reads();
-            assert_eq!(real, io.disk_accesses, "{label}: honest reads");
-
-            // The shared pool agrees too (single shard = undivided LRU).
-            let shared = SharedBufferPool::with_shards(CAP_PAGES, &heights, EvictionPolicy::Lru, 1);
-            let (pairs, io, _) = run(&r_oracle, &s_oracle, plan, shared.handle());
-            assert_eq!(pairs, want_pairs, "{label}: shared pairs");
-            assert_eq!(io, want_io, "{label}: shared IoStats");
+            let label = format!("{test:?}/{name}");
+            check_on_updated_files(&label, [&r_oracle, &s_oracle], &trees, plan, access);
         }
     }
 }
@@ -268,71 +257,42 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
     assert_eq!(back.len(), tree.len());
 }
 
+/// Preset-A trees plus an update script over R of `ops` operations.
+fn scripted(ops: usize, seed: u64) -> (RTree, RTree, Vec<Op>) {
+    let data = rsj::datagen::preset(TestId::A, 0.003);
+    let script = update_script(&data.r, ops, seed);
+    (build_tree(&data.r), build_tree(&data.s), script)
+}
+
 #[test]
 fn prefetch_backend_conformance_on_updated_files() {
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-prefetch").unwrap();
-    let (rp, sp) = (dir.file("r.rsj"), dir.file("s.rsj"));
-    r0.save_to(&rp).unwrap();
-    s0.save_to(&sp).unwrap();
-    let script = update_script(&data.r, 200, 23);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenFileTree::open(&rp, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-
-    let r_file = RTree::open_from(&rp).unwrap();
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
+    // "Prefetch" is the queued strategy fed by the executor's hints (SJ3
+    // announces exact schedules, SJ4 re-hints drain tails after each pin).
+    let (r0, s0, script) = scripted(200, 23);
+    let (f, r_oracle) = updated_files("update-queued", &r0, &s0, &script);
     for (plan, name) in [(JoinPlan::sj3(), "SJ3"), (JoinPlan::sj4(), "SJ4")] {
-        let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-        let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-        let access = PrefetchingFileAccess::with_capacity_pages(
-            vec![PageFile::open(&rp).unwrap(), PageFile::open(&sp).unwrap()],
-            CAP_PAGES,
-            &heights,
-            EvictionPolicy::Lru,
-            PrefetchConfig::default(),
-        )
-        .unwrap();
-        let (pairs, io, access) = run(&r_file, &s0, plan, access);
-        assert_eq!(pairs, want_pairs, "{name}: prefetch pairs on updated file");
-        assert_eq!(io, want_io, "{name}: prefetch IoStats on updated file");
-        assert_eq!(
-            access.demand_reads() + access.prefetch_hits(),
-            io.disk_accesses,
-            "{name}: miss service split"
-        );
+        for cfg in [CompletionConfig::default, common::narrow] {
+            let access = f.plain_queued(CAP_PAGES, cfg());
+            let label = format!("plain × queued/{name}");
+            check_on_updated_files(&label, [&r_oracle, &s0], &f.plain_trees, plan, access);
+        }
     }
 }
 
 #[test]
 fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-sharded").unwrap();
-    let (rb, sb) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-    r0.save_sharded_to(&rb, SHARDS).unwrap();
-    s0.save_sharded_to(&sb, SHARDS).unwrap();
+    let (r0, s0, script) = scripted(260, 41);
     let initial_pages = r0.allocated_pages() as u32;
+    let (f, r_oracle) = updated_files("update-sharded", &r0, &s0, &script);
 
-    let script = update_script(&data.r, 260, 41);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenShardedTree::open_sharded(&rb, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-
-    // Reopen: page-identical to the oracle, across shards.
-    let r_file = RTree::open_sharded_from(&rb).unwrap();
-    r_file.validate().unwrap();
-    assert_page_identical(&r_file, &r_oracle, "sharded/R");
+    // Reopened: page-identical to the oracle, across shards.
+    f.sharded_trees[0].validate().unwrap();
+    assert_page_identical(&f.sharded_trees[0], &r_oracle, "sharded/R");
 
     // Migration policy: the manifest is authoritative. After this much
     // churn, at least one live page sits on a shard a *fresh* subtree
     // partition would no longer choose (it stayed in its birth shard)...
-    let manifest = ShardedPageFile::open(&rb).unwrap();
+    let manifest = ShardedPageFile::open(&f.sharded[0]).unwrap();
     let fresh_assignment = r_oracle.shard_assignment(SHARDS);
     let migrated = (0..r_oracle.allocated_pages())
         .filter(|&id| {
@@ -358,82 +318,34 @@ fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
 
     // And none of that moves the accounting: sharded joins on the updated
     // files match the in-memory oracle bit-for-bit.
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
     for (plan, name) in [(JoinPlan::sj2(), "SJ2"), (JoinPlan::sj4(), "SJ4")] {
-        let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-        let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-        let access = ShardedFileAccess::with_capacity_pages(
-            vec![
-                ShardedPageFile::open(&rb).unwrap(),
-                ShardedPageFile::open(&sb).unwrap(),
-            ],
-            CAP_PAGES,
-            &heights,
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        let (pairs, io, access) = run(&r_file, &s0, plan, access);
-        assert_eq!(pairs, want_pairs, "{name}: sharded pairs on updated file");
-        assert_eq!(io, want_io, "{name}: sharded IoStats on updated file");
-        let real = access.file(0).reads() + access.file(1).reads();
-        assert_eq!(real, io.disk_accesses, "{name}: honest reads");
+        let access = f.sharded_blocking(CAP_PAGES);
+        let label = format!("sharded × blocking/{name}");
+        check_on_updated_files(&label, [&r_oracle, &s0], &f.sharded_trees, plan, access);
     }
 }
 
 #[test]
 fn parallel_shard_readers_conformance_on_updated_files() {
-    // The per-shard reader pool is a pure I/O-overlap optimization: same
-    // pairs, same IoStats, every miss served exactly once — on updated
-    // files too.
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
-    let dir = TempDir::new("update-parshard").unwrap();
-    let (rb, sb) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-    r0.save_sharded_to(&rb, SHARDS).unwrap();
-    s0.save_sharded_to(&sb, SHARDS).unwrap();
-    let script = update_script(&data.r, 200, 57);
-    let mut r_oracle = r0.clone();
-    apply_to_oracle(&mut r_oracle, &script);
-    let mut r_open = OpenShardedTree::open_sharded(&rb, CAP_PAGES).unwrap();
-    apply_to_open(&mut r_open, &script);
-    r_open.close().unwrap();
-    let r_file = RTree::open_sharded_from(&rb).unwrap();
-
-    let heights = [r_oracle.height() as usize, s0.height() as usize];
-    // SJ4 hints drain tails after each pin — the schedule the readers eat.
-    let plan = JoinPlan::sj4();
-    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
-    let (want_pairs, want_io, _) = run(&r_oracle, &s0, plan, pool);
-    let access = ShardedFileAccess::with_parallel_readers(
-        vec![
-            ShardedPageFile::open(&rb).unwrap(),
-            ShardedPageFile::open(&sb).unwrap(),
-        ],
-        CAP_PAGES,
-        &heights,
-        EvictionPolicy::Lru,
-        ShardReaderConfig::default(),
-    )
-    .unwrap();
-    let (pairs, io, access) = run(&r_file, &s0, plan, access);
-    assert_eq!(pairs, want_pairs, "parallel-reader pairs");
-    assert_eq!(io, want_io, "parallel-reader IoStats");
-    assert_eq!(
-        access.staged_hits() + access.demand_reads(),
-        io.disk_accesses,
-        "every miss served exactly once"
-    );
-    let physical: u64 = (0..2u8)
-        .map(|st| {
-            (0..SHARDS)
-                .map(|sh| access.shard_reads_total(st, sh))
-                .sum::<u64>()
-        })
-        .sum();
-    assert!(
-        physical >= io.disk_accesses,
-        "per-spindle reads cover misses"
-    );
+    // One queue lane per physical shard file is a pure I/O-overlap
+    // optimization: same pairs, same IoStats, every miss served exactly
+    // once — on updated files too.
+    let (r0, s0, script) = scripted(200, 57);
+    let (f, r_oracle) = updated_files("update-parshard", &r0, &s0, &script);
+    // SJ4 hints drain tails after each pin — the schedule the lanes eat.
+    for cfg in [CompletionConfig::default, common::narrow] {
+        let (oracle, trees) = ([&r_oracle, &s0], &f.sharded_trees);
+        let access = f.sharded_queued(CAP_PAGES, cfg());
+        let access =
+            check_on_updated_files("sharded × queued", oracle, trees, JoinPlan::sj4(), access);
+        // The per-spindle split covers the same reads.
+        let physical: u64 = (0..2).flat_map(|st| access.read_split(st)).sum();
+        assert_eq!(
+            physical,
+            access.stats().disk_accesses,
+            "per-spindle reads cover misses"
+        );
+    }
 }
 
 #[test]
