@@ -435,7 +435,7 @@ fn measure_overlap(
     drop(access);
 
     // Injected latency: every PageFile handle opened from here on sleeps
-    // per counted read — including the queue workers' own handles.
+    // per counted read — including the queue's own lane handles.
     let latency_us = 200;
     std::env::set_var(READ_LATENCY_ENV, latency_us.to_string());
     let lat_iters = iters.clamp(1, 5);

@@ -342,8 +342,8 @@ impl<B: UpdateBackend> OpenTree<B> {
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         // No read may still be in flight when the write-back starts: a
-        // completion-driven backend's lane workers hold their own handles
-        // onto the same physical file.
+        // completion-driven backend's queue holds its own handles onto
+        // the same physical file.
         self.access.drain_completions();
         self.access.flush_writes()?;
         let meta = encode_meta(&self.tree);

@@ -36,6 +36,8 @@
 //! | `rsj_cq_lane_depth` | gauge | `lane` | queued submissions per lane |
 //! | `rsj_cq_lane_reads` | gauge | `lane` | completed reads per lane |
 //! | `rsj_cq_completion_lag_us` | gauge | `stat` | mean/max submit→complete lag |
+//! | `rsj_cq_queue_wait_us` | gauge | `stat` | mean/max submit→claim share of the lag (waiting for a worker) |
+//! | `rsj_cq_service_us` | gauge | `stat` | mean/max claim→complete share of the lag (the read) |
 //! | `rsj_sharded_reads` | gauge | `store`, `shard` | per-shard physical read split |
 
 use std::sync::Arc;
@@ -214,20 +216,32 @@ pub fn export_queue(registry: &Registry, queue: &CompletionQueue) {
             .set(queue.lane_reads(lane) as i64);
     }
     let lag = queue.completion_lag();
-    registry
-        .gauge(
+    for (name, help, mean_nanos, max_nanos) in [
+        (
             "rsj_cq_completion_lag_us",
             "submit-to-complete lag, microseconds",
-            &[("stat", "mean")],
-        )
-        .set((lag.mean_nanos() / 1_000) as i64);
-    registry
-        .gauge(
-            "rsj_cq_completion_lag_us",
-            "submit-to-complete lag, microseconds",
-            &[("stat", "max")],
-        )
-        .set((lag.max_nanos / 1_000) as i64);
+            lag.mean_nanos(),
+            lag.max_nanos,
+        ),
+        (
+            "rsj_cq_queue_wait_us",
+            "submit-to-claim share of the lag: waiting for a worker, microseconds",
+            lag.queue_wait_mean_nanos(),
+            lag.queue_wait_max_nanos,
+        ),
+        (
+            "rsj_cq_service_us",
+            "claim-to-complete share of the lag: the read itself, microseconds",
+            lag.service_mean_nanos(),
+            lag.service_max_nanos,
+        ),
+    ] {
+        for (stat, nanos) in [("mean", mean_nanos), ("max", max_nanos)] {
+            registry
+                .gauge(name, help, &[("stat", stat)])
+                .set((nanos / 1_000) as i64);
+        }
+    }
     registry
         .gauge(
             "rsj_cq_completions",

@@ -137,7 +137,8 @@ pub struct CacheConfig {
     pub workers: usize,
     /// Explicit shard count (0 = auto from `workers` and the capacity).
     pub shards: usize,
-    /// Queue reader threads per store lane (minimum 1).
+    /// Queue reader threads per store lane (minimum 1); pooled, so a run
+    /// of misses on one store is read by all `stores × workers_per_lane`.
     pub workers_per_lane: usize,
     /// Optional per-page completion delay (tests only).
     pub delay: Option<DelayFn>,
@@ -277,7 +278,7 @@ impl SharedPageCache {
     /// Opens one cache over the page files at `paths` (store `i` = lane
     /// `i`), holding `cap_pages` frames split over the shards, for trees
     /// of the given `heights`. The files are validated (consistent page
-    /// size) and then read only by the queue's own lane workers.
+    /// size) and then read only by the queue's worker pool.
     pub fn open(
         paths: &[PathBuf],
         cap_pages: usize,
@@ -463,10 +464,11 @@ impl SharedPageCache {
             return (Ticket::NONE, false);
         }
         // Empty → Reading: install the frame, read-pin it so eviction
-        // skips it, submit exactly one pread on the store's lane. The
-        // queue-level hint-adoption table is bypassed on purpose
-        // (`adopt_or_submit` with no prior hint = demand submission):
-        // the frame table is the single-flight authority here.
+        // skips it, submit exactly one pread of the store's file. The
+        // cache never hints, so this is always a fresh demand submission
+        // — queued behind every older demand, served by whichever pool
+        // worker frees up first — and the queue's hint-adoption table
+        // stays empty: the frame table is the single-flight authority.
         s.lru.install(key);
         s.lru.pin(key);
         self.harvest(&mut s);

@@ -2,17 +2,27 @@
 //!
 //! This is the io_uring-shaped core of the overlap story: demand misses
 //! and read-schedule hints become *submissions* — `submit(lane, page)` →
-//! [`Ticket`] — serviced by per-lane worker threads over real
+//! [`Ticket`] — serviced by one pool of worker threads over real
 //! [`PageFile`] handles, and the executor checks tickets
 //! ([`CompletionQueue::is_complete`]) or parks on them
 //! ([`CompletionQueue::await_ticket`]) instead of blocking inside
 //! `access()`. A *lane* is one physical file (one per plain page file, one
-//! per shard file of a sharded one), so submissions to different files
-//! proceed in parallel while each lane stays FIFO — except that a demand
-//! miss adopting a still-queued submission promotes it to the front of its
-//! lane ([`crate::inflight::InflightTables`]). The queue is the engine of
+//! per shard file of a sharded one): it names where a job reads and where
+//! the read is counted, not who serves it. The queue is the engine of
 //! the file-access stack's queued read strategy ([`crate::stack::Queued`])
 //! and of [`crate::SharedPageCache`].
+//!
+//! ## Service order
+//!
+//! One rule ([`crate::inflight::InflightTables`]): **demand-class jobs by
+//! ticket, then hints FIFO; any worker, any lane.** Demand-class is a fresh
+//! demand submission or a hint a demand miss has adopted. The queue is
+//! *age-ordered* — a parked cursor waits on the oldest unsettled ticket
+//! ([`CompletionQueue::await_settled`] is a prefix predicate), so that is
+//! the read served next, ahead of younger demands and of all read-ahead —
+//! and *work-conserving*: no worker sleeps while any lane has a queued job,
+//! so `lanes × workers_per_lane` is the read parallelism a run of misses
+//! on a single file really gets.
 //!
 //! ## Accounting invariants
 //!
@@ -34,7 +44,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::access::Ticket;
 use crate::codec::StorageError;
@@ -51,7 +61,8 @@ pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 /// Configuration of a [`CompletionQueue`] and its owning backends.
 #[derive(Clone)]
 pub struct CompletionConfig {
-    /// Worker threads per submission lane (minimum 1).
+    /// Worker threads per submission lane (minimum 1). The pool holds
+    /// `lanes × workers_per_lane` threads; each serves every lane.
     pub workers_per_lane: usize,
     /// Maximum unconsumed submissions across the queue; *hints* beyond
     /// this are dropped at submission (demand always submits).
@@ -80,9 +91,11 @@ impl fmt::Debug for CompletionConfig {
     }
 }
 
-/// Shared state between submitters, waiters and lane workers.
+/// Shared state between submitters, waiters and the worker pool.
 struct CqShared {
     state: Mutex<InflightTables>,
+    /// One read-only handle per lane, read positionally by every worker.
+    files: Vec<PageFile>,
     /// Workers sleep here for submissions.
     wakeup: Condvar,
     /// Waiters ([`CompletionQueue::await_ticket`], drain, reset) sleep
@@ -97,15 +110,51 @@ struct CqShared {
     reads: Vec<AtomicU64>,
     /// Total `is_complete` calls — the busy-spin budget tests meter.
     polls: AtomicU64,
-    /// Summed submit→complete latency in nanoseconds (queue wait
-    /// included), over `lag_samples` completions.
-    lag_nanos: AtomicU64,
+    /// Completions accumulated into the latency spans below.
     lag_samples: AtomicU64,
     /// Worst single submit→complete latency seen, in nanoseconds.
     lag_max_nanos: AtomicU64,
+    /// The two spans that partition the lag: submit→claim (waiting for a
+    /// worker) and claim→complete (the read itself). Their totals sum to
+    /// the lag's.
+    queue_wait: SpanNanos,
+    service: SpanNanos,
     /// Sticky read-failure flag; surfaced as a panic at the next wait.
     failed: AtomicBool,
     delay: Option<DelayFn>,
+}
+
+fn saturating_nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Sum and worst case of one latency span over all completions, in
+/// nanoseconds (statistics only: `Relaxed`).
+#[derive(Default)]
+struct SpanNanos {
+    total: AtomicU64,
+    max: AtomicU64,
+}
+
+impl SpanNanos {
+    fn record(&self, span: Duration) {
+        let nanos = saturating_nanos(span);
+        self.total.fetch_add(nanos, Ordering::Relaxed);
+        self.max.fetch_max(nanos, Ordering::Relaxed);
+    }
+
+    /// `(total, max)`.
+    fn load(&self) -> (u64, u64) {
+        (
+            self.total.load(Ordering::Relaxed),
+            self.max.load(Ordering::Relaxed),
+        )
+    }
+
+    fn reset(&self) {
+        self.total.store(0, Ordering::Relaxed);
+        self.max.store(0, Ordering::Relaxed);
+    }
 }
 
 /// Owns the worker threads; dropped exactly once, when the last
@@ -148,42 +197,41 @@ impl fmt::Debug for CompletionQueue {
 
 impl CompletionQueue {
     /// Opens one queue over `lane_paths`: lane `i` reads the page file at
-    /// `lane_paths[i]`, with `workers_per_lane` dedicated threads each
-    /// holding its own read-only [`PageFile`] handle (true per-file read
-    /// parallelism; handles inherit [`crate::file::READ_LATENCY_ENV`]).
+    /// `lane_paths[i]` through one shared read-only [`PageFile`] handle
+    /// (inheriting [`crate::file::READ_LATENCY_ENV`]), and a pool of
+    /// `lane_paths.len() × workers_per_lane` threads serves all lanes —
+    /// positional reads, so any number of workers read one file at once.
     pub fn open(
         lane_paths: &[PathBuf],
         workers_per_lane: usize,
         delay: Option<DelayFn>,
     ) -> Result<Self, StorageError> {
-        let per_lane = workers_per_lane.max(1);
         // Open every handle before spawning anything, so a bad path is a
         // constructor error, not a dead worker.
-        let mut handles = Vec::with_capacity(lane_paths.len() * per_lane);
-        for (lane, path) in lane_paths.iter().enumerate() {
-            for _ in 0..per_lane {
-                handles.push((lane, PageFile::open(path)?));
-            }
-        }
+        let files = lane_paths
+            .iter()
+            .map(PageFile::open)
+            .collect::<Result<Vec<_>, _>>()?;
         let shared = Arc::new(CqShared {
             state: Mutex::new(InflightTables::new(lane_paths.len())),
+            files,
             wakeup: Condvar::new(),
             complete: Condvar::new(),
             done_floor: AtomicU64::new(1),
             outstanding: AtomicUsize::new(0),
             reads: (0..lane_paths.len()).map(|_| AtomicU64::new(0)).collect(),
             polls: AtomicU64::new(0),
-            lag_nanos: AtomicU64::new(0),
             lag_samples: AtomicU64::new(0),
             lag_max_nanos: AtomicU64::new(0),
+            queue_wait: SpanNanos::default(),
+            service: SpanNanos::default(),
             failed: AtomicBool::new(false),
             delay,
         });
-        let workers = handles
-            .into_iter()
-            .map(|(lane, file)| {
+        let workers = (0..lane_paths.len() * workers_per_lane.max(1))
+            .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || worker_loop(shared, lane, file))
+                std::thread::spawn(move || worker_loop(shared))
             })
             .collect();
         Ok(CompletionQueue {
@@ -215,17 +263,13 @@ impl CompletionQueue {
         st.submit(lane, key, local);
         sh.outstanding.store(st.outstanding, Ordering::Relaxed);
         drop(st);
-        // All lane workers share one wakeup condvar but each claims only
-        // its own lane: notify_one could wake a wrong-lane worker, which
-        // would re-sleep and strand the job (a lost wakeup = a ticket
-        // that never completes = a parked cursor that never resumes).
-        sh.wakeup.notify_all();
+        sh.wakeup.notify_one();
         true
     }
 
     /// A demand miss for `key`: adopts the existing submission if one is
-    /// unconsumed (promoting it past queued read-ahead on its lane), or
-    /// submits a fresh read. Returns the ticket the caller's frame parks
+    /// unconsumed (a still-queued one becomes demand-class, ordered by its
+    /// own ticket), or submits a fresh read. Returns the ticket the caller's frame parks
     /// on, and whether the adopted read was already started or staged by
     /// a hint (`true` = the hint paid; `false` = demand pays).
     pub fn adopt_or_submit(&self, lane: usize, key: BufKey, local: PageId) -> (Ticket, bool) {
@@ -240,8 +284,7 @@ impl CompletionQueue {
             let ticket = st.submit_demand(lane, key, local);
             sh.outstanding.store(st.outstanding, Ordering::Relaxed);
             drop(st);
-            // notify_all for the same lost-wakeup reason as `submit_hint`.
-            sh.wakeup.notify_all();
+            sh.wakeup.notify_one();
             (Ticket(ticket), false)
         }
     }
@@ -366,13 +409,20 @@ impl CompletionQueue {
     }
 
     /// Submit→complete latency accounting across all completions so
-    /// far: queue wait plus read service time, per completed job.
+    /// far: queue wait plus read service time, per completed job, and
+    /// each of the two spans on its own.
     pub fn completion_lag(&self) -> CompletionLag {
         let sh = self.shared();
+        let (queue_wait_total_nanos, queue_wait_max_nanos) = sh.queue_wait.load();
+        let (service_total_nanos, service_max_nanos) = sh.service.load();
         CompletionLag {
-            total_nanos: sh.lag_nanos.load(Ordering::Relaxed),
+            total_nanos: queue_wait_total_nanos + service_total_nanos,
             samples: sh.lag_samples.load(Ordering::Relaxed),
             max_nanos: sh.lag_max_nanos.load(Ordering::Relaxed),
+            queue_wait_total_nanos,
+            queue_wait_max_nanos,
+            service_total_nanos,
+            service_max_nanos,
         }
     }
 
@@ -397,9 +447,10 @@ impl CompletionQueue {
             r.store(0, Ordering::Relaxed);
         }
         sh.polls.store(0, Ordering::Relaxed);
-        sh.lag_nanos.store(0, Ordering::Relaxed);
         sh.lag_samples.store(0, Ordering::Relaxed);
         sh.lag_max_nanos.store(0, Ordering::Relaxed);
+        sh.queue_wait.reset();
+        sh.service.reset();
     }
 
     fn check_failed(&self) {
@@ -410,15 +461,26 @@ impl CompletionQueue {
 }
 
 /// Submit→complete latency totals of a [`CompletionQueue`] (queue wait
-/// plus read service time, accumulated per completed job).
+/// plus read service time, accumulated per completed job), and the two
+/// spans apart: a large lag over a fast device is queue wait — a service
+/// *order* or worker-count problem, not a device one.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompletionLag {
     /// Summed lag over all completions, nanoseconds.
     pub total_nanos: u64,
-    /// Completions accumulated into `total_nanos`.
+    /// Completions accumulated into every `*total_nanos`.
     pub samples: u64,
     /// Worst single completion lag, nanoseconds.
     pub max_nanos: u64,
+    /// Summed submit→claim wait (queued, no worker yet), nanoseconds.
+    pub queue_wait_total_nanos: u64,
+    /// Worst single submit→claim wait, nanoseconds.
+    pub queue_wait_max_nanos: u64,
+    /// Summed claim→complete time (delay hook, injected latency, the
+    /// read), nanoseconds.
+    pub service_total_nanos: u64,
+    /// Worst single claim→complete time, nanoseconds.
+    pub service_max_nanos: u64,
 }
 
 impl CompletionLag {
@@ -426,12 +488,27 @@ impl CompletionLag {
     pub fn mean_nanos(&self) -> u64 {
         self.total_nanos.checked_div(self.samples).unwrap_or(0)
     }
+
+    /// Mean submit→claim wait in nanoseconds (0 with no samples).
+    pub fn queue_wait_mean_nanos(&self) -> u64 {
+        self.queue_wait_total_nanos
+            .checked_div(self.samples)
+            .unwrap_or(0)
+    }
+
+    /// Mean claim→complete time in nanoseconds (0 with no samples).
+    pub fn service_mean_nanos(&self) -> u64 {
+        self.service_total_nanos
+            .checked_div(self.samples)
+            .unwrap_or(0)
+    }
 }
 
-/// One lane worker: claim the lane's oldest submission, read it with this
-/// worker's own file handle (injected latency and the test delay hook
-/// apply here), complete the ticket, repeat until shutdown.
-fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
+/// One pool worker: claim the best queued job of any lane (demand-class
+/// by ticket, then hints FIFO), read it positionally through its lane's
+/// shared handle (injected latency and the test delay hook apply here),
+/// complete the ticket, repeat until shutdown.
+fn worker_loop(shared: Arc<CqShared>) {
     let mut buf = Vec::new();
     loop {
         let job = {
@@ -440,12 +517,13 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
                 if st.shutdown {
                     return;
                 }
-                if let Some(job) = st.claim(lane) {
+                if let Some(job) = st.claim() {
                     break job;
                 }
                 st = shared.wakeup.wait(st).unwrap();
             }
         };
+        let claimed = Instant::now();
         if let Some(delay) = &shared.delay {
             if let Some(d) = delay(job.key) {
                 if !d.is_zero() {
@@ -455,25 +533,32 @@ fn worker_loop(shared: Arc<CqShared>, lane: usize, mut file: PageFile) {
         }
         // A demand read can land on a page a concurrent updater appended
         // through its own rw handle: the slot bytes hit the disk on
-        // append, but this worker's header (cached at open) — and the
+        // append, but the lane handle's header (cached at open) — and the
         // on-disk header, until the updater flushes — still carry the old
         // page count. Retry once against the physical file length before
         // declaring the read failed.
+        let file = &shared.files[job.lane];
         let read = file
-            .read_page_into(job.local, &mut buf)
+            .read_page_at(job.local, &mut buf)
             .or_else(|_| file.read_slot_fresh(job.local, &mut buf));
         match read {
             Ok(()) => {
-                shared.reads[lane].fetch_add(1, Ordering::Relaxed);
+                shared.reads[job.lane].fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
                 shared.failed.store(true, Ordering::Relaxed);
             }
         }
-        let lag = job.submitted.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        shared.lag_nanos.fetch_add(lag, Ordering::Relaxed);
+        let done = Instant::now();
+        shared
+            .queue_wait
+            .record(claimed.duration_since(job.submitted));
+        shared.service.record(done.duration_since(claimed));
         shared.lag_samples.fetch_add(1, Ordering::Relaxed);
-        shared.lag_max_nanos.fetch_max(lag, Ordering::Relaxed);
+        shared.lag_max_nanos.fetch_max(
+            saturating_nanos(done.duration_since(job.submitted)),
+            Ordering::Relaxed,
+        );
         let mut st = shared.state.lock().unwrap();
         st.complete(&job);
         shared.done_floor.store(st.done_floor(), Ordering::Release);
@@ -584,6 +669,105 @@ mod tests {
             acc.will_access(0, PageId(p), 1);
         }
         drop(acc); // joins workers without draining the queue
+    }
+
+    /// A queue straight over `lanes` demo files of 16 pages each.
+    fn demo_queue(dir: &TempDir, lanes: usize, per_lane: usize, delay: DelayFn) -> CompletionQueue {
+        let paths: Vec<PathBuf> = (0..lanes)
+            .map(|l| {
+                demo_file(dir, &format!("l{l}.rsj"), 16)
+                    .path()
+                    .to_path_buf()
+            })
+            .collect();
+        CompletionQueue::open(&paths, per_lane, Some(delay)).unwrap()
+    }
+
+    #[test]
+    fn oldest_demand_is_never_starved() {
+        use std::sync::mpsc;
+        let dir = TempDir::new("cq").unwrap();
+        // The hook records the order jobs are served in, and holds the
+        // first one flying until the test has queued the other eight.
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let log = Arc::clone(&served);
+        let delay: DelayFn = Arc::new(move |key: BufKey| {
+            log.lock().unwrap().push(key.page);
+            if key.page == PageId(0) {
+                let _ = gate.lock().unwrap().recv_timeout(Duration::from_secs(5));
+            }
+            Some(Duration::from_millis(2))
+        });
+        let q = demo_queue(&dir, 1, 1, delay);
+        let submit = |p: u32| q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p)).0;
+        let mut tickets = vec![submit(0)];
+        while served.lock().unwrap().is_empty() {
+            std::thread::yield_now(); // until page 0 is flying
+        }
+        tickets.extend((1..=8).map(submit));
+        release.send(()).unwrap();
+        q.await_settled(*tickets.last().unwrap());
+        assert!(tickets.windows(2).all(|w| w[0] < w[1]));
+        let ticket_order: Vec<PageId> = (0..=8).map(PageId).collect();
+        assert_eq!(*served.lock().unwrap(), ticket_order, "oldest demand first");
+        // Page 8 was queued before page 1 was claimed: it waited out the
+        // 2 ms services of pages 1..=7, and that shows as queue wait.
+        assert!(q.completion_lag().queue_wait_max_nanos >= 7 * 2_000_000);
+    }
+
+    #[test]
+    fn idle_workers_serve_a_busy_lane() {
+        let dir = TempDir::new("cq").unwrap();
+        // A 2-party rendezvous with a timeout: both of lane 0's jobs must
+        // be flying at once, which one lane-bound worker can never do.
+        let meet = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let met = Arc::new(AtomicBool::new(true));
+        let (m, ok) = (Arc::clone(&meet), Arc::clone(&met));
+        let delay: DelayFn = Arc::new(move |_| {
+            let (arrived, cv) = &*m;
+            let mut n = arrived.lock().unwrap();
+            *n += 1;
+            cv.notify_all();
+            let (_n, res) = cv
+                .wait_timeout_while(n, Duration::from_secs(2), |n| *n < 2)
+                .unwrap();
+            if res.timed_out() {
+                ok.store(false, Ordering::Relaxed);
+            }
+            None
+        });
+        let q = demo_queue(&dir, 2, 1, delay);
+        for p in [3, 4] {
+            q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p));
+        }
+        q.drain();
+        assert!(
+            met.load(Ordering::Relaxed),
+            "lane 0's two jobs were never in service together"
+        );
+        assert_eq!((q.lane_reads(0), q.lane_reads(1)), (2, 0));
+    }
+
+    #[test]
+    fn completion_lag_splits_queue_wait_from_service() {
+        let dir = TempDir::new("cq").unwrap();
+        let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(3)));
+        let q = demo_queue(&dir, 1, 1, delay);
+        for p in 0..4 {
+            q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p));
+        }
+        q.drain();
+        let lag = q.completion_lag();
+        assert_eq!(lag.samples, 4);
+        assert!(lag.service_mean_nanos() >= 3_000_000, "the hook's 3 ms");
+        assert!(lag.max_nanos >= lag.queue_wait_max_nanos.max(lag.service_max_nanos));
+        q.reset();
+        let zero = q.completion_lag();
+        // A zero total means both span totals are zero.
+        assert_eq!((zero.samples, zero.total_nanos, zero.max_nanos), (0, 0, 0));
+        assert_eq!((zero.queue_wait_max_nanos, zero.service_max_nanos), (0, 0));
     }
 
     #[test]

@@ -67,6 +67,31 @@ fn env_read_latency() -> Option<Duration> {
     (us > 0).then(|| Duration::from_micros(us))
 }
 
+/// Fills `buf` from `off` without moving a shared seek cursor, so any
+/// number of threads can read through one handle.
+#[cfg(unix)]
+fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, off)
+}
+
+#[cfg(windows)]
+fn read_exact_at(file: &File, mut buf: &mut [u8], mut off: u64) -> std::io::Result<()> {
+    use std::io::ErrorKind;
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_read(buf, off) {
+            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+            Ok(n) => {
+                buf = &mut buf[n..];
+                off += n as u64;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
+}
+
 impl PageFile {
     /// Creates (truncating) a page file with the given logical page size
     /// and physical slot size and writes the initial header.
@@ -399,17 +424,33 @@ impl PageFile {
         Ok(())
     }
 
-    /// Reads one slot bounds-checked against the *physical* file length
-    /// instead of the header page count cached at open. Charges one read,
-    /// skips the injected latency (it is a retry, not a fresh
-    /// positioning). The completion-queue lane workers fall back to this
+    /// Reads one slot *positionally* through a shared reference — the
+    /// read the completion-queue worker pool performs, any number of
+    /// workers at once on one read-only handle per lane. The injected
+    /// latency is paid exactly as in [`PageFile::read_page_into`]; the
+    /// handle's own read counter is not touched (the queue counts per
+    /// lane).
+    pub(crate) fn read_page_at(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        if let Some(lat) = self.read_latency {
+            std::thread::sleep(lat);
+        }
+        let off = self.slot_offset(id)?;
+        buf.resize(self.slot_bytes(), 0);
+        read_exact_at(&self.file, buf, off)?;
+        Ok(())
+    }
+
+    /// [`PageFile::read_page_at`] bounds-checked against the *physical*
+    /// file length instead of the header page count cached at open, and
+    /// without the injected latency (it is a retry, not a fresh
+    /// positioning). The completion-queue workers fall back to this
     /// when a demand read lands on a page a concurrent updater appended
     /// through its own handle: the slot bytes are on disk the moment
     /// `append_page` returns, but neither this handle's cached header nor
     /// the on-disk header (stale until the updater flushes) knows the new
     /// count — only the file length does.
     pub(crate) fn read_slot_fresh(
-        &mut self,
+        &self,
         id: PageId,
         buf: &mut Vec<u8>,
     ) -> Result<(), StorageError> {
@@ -422,9 +463,7 @@ impl PageFile {
             )));
         }
         buf.resize(slot, 0);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
-        self.reads += 1;
+        read_exact_at(&self.file, buf, off)?;
         Ok(())
     }
 

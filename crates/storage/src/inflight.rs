@@ -6,29 +6,30 @@
 //! gating). [`crate::CompletionQueue`] owns an instance behind its lock;
 //! the backends never touch raw tables.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use crate::lru::BufKey;
 use crate::page::PageId;
 
-/// One submitted read: the global buffer key it serves, and the slot to
-/// read in its lane's physical file (identical to `key.page` for
+/// One submitted read: the global buffer key it serves, the lane (physical
+/// file) it reads, and the slot to read there (identical to `key.page` for
 /// whole-tree files, a shard-local slot for sharded ones).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadJob {
     pub ticket: u64,
     pub key: BufKey,
+    pub lane: usize,
     pub local: PageId,
-    /// When the submission entered its lane — completion lag (submit →
-    /// complete, queue wait included) is measured from here.
+    /// When the submission was queued — queue wait (submit → claim) and
+    /// completion lag (submit → complete) are measured from here.
     pub submitted: Instant,
 }
 
 /// Where a submission currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
-    /// In a lane's submission queue, no worker has claimed it.
+    /// In the submission queue, no worker has claimed it.
     Queued,
     /// A worker is reading it right now.
     Flying,
@@ -36,27 +37,43 @@ pub(crate) enum Phase {
     Staged,
 }
 
-/// A submission as seen from its [`BufKey`]: which ticket identifies it,
-/// which lane it was submitted on, and how far along it is.
+/// Claim class of a queued job. The variant order is the claim order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Class {
+    /// A fresh demand submission, or a hint a demand miss has adopted.
+    Demand,
+    /// Read-ahead nobody waits on yet.
+    Hint,
+}
+
+/// A submission as seen from its [`BufKey`]: which ticket identifies it
+/// and how far along it is.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct KeyEntry {
     pub ticket: u64,
-    pub lane: usize,
     pub phase: Phase,
 }
 
 /// The shared submission/in-flight/completion tables (module docs).
 ///
 /// Lifecycle of one submission: [`InflightTables::submit`] issues a ticket
-/// and queues a [`ReadJob`] on its lane → a worker
-/// [`InflightTables::claim`]s it (phase `Flying`) →
-/// [`InflightTables::complete`] marks the ticket done (phase `Staged`).
-/// A demand miss [`InflightTables::consume`]s the key at any phase — the
-/// physical read still happens exactly once; only who waits changes.
+/// and queues a [`ReadJob`] → a worker [`InflightTables::claim`]s it
+/// (phase `Flying`) → [`InflightTables::complete`] marks the ticket done
+/// (phase `Staged`). A demand miss [`InflightTables::consume`]s the key at
+/// any phase — the physical read still happens exactly once; only who
+/// waits changes.
+///
+/// **Claim order** (the one rule): demand-class jobs — fresh demand
+/// submissions plus hints a demand has adopted — by ticket, then
+/// un-adopted hints FIFO; any worker, any lane. Ticket order is the order
+/// [`InflightTables::done_floor`] advances in, so the read a parked cursor
+/// waits on is always the next one served.
 #[derive(Default)]
 pub(crate) struct InflightTables {
-    /// Per-lane submission queues, oldest first.
-    pub lanes: Vec<VecDeque<ReadJob>>,
+    /// Every queued job of every lane; the key order is the claim order.
+    queued: BTreeMap<(Class, u64), ReadJob>,
+    /// Queued jobs per lane, both classes.
+    depth: Vec<usize>,
     /// Every submission not yet consumed by a demand miss.
     by_key: HashMap<BufKey, KeyEntry>,
     /// Submissions in phase `Staged` (completed, unconsumed).
@@ -77,7 +94,8 @@ pub(crate) struct InflightTables {
 impl InflightTables {
     pub fn new(lanes: usize) -> Self {
         InflightTables {
-            lanes: (0..lanes).map(|_| VecDeque::new()).collect(),
+            queued: BTreeMap::new(),
+            depth: vec![0; lanes],
             by_key: HashMap::new(),
             staged: 0,
             outstanding: 0,
@@ -108,27 +126,36 @@ impl InflightTables {
         self.by_key.contains_key(&key)
     }
 
-    /// Issues a ticket for a new read of `key` on `lane` and queues the
-    /// job. The caller must have checked [`InflightTables::is_submitted`].
-    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
-        debug_assert!(!self.by_key.contains_key(&key));
+    /// Issues the next ticket and queues the job that carries it.
+    fn enqueue(&mut self, class: Class, lane: usize, key: BufKey, local: PageId) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
+        self.depth[lane] += 1;
+        self.outstanding += 1;
+        let job = ReadJob {
+            ticket,
+            key,
+            lane,
+            local,
+            submitted: Instant::now(),
+        };
+        self.queued.insert((class, ticket), job);
+        ticket
+    }
+
+    /// Issues a ticket for a *hint* read of `key` on `lane` and queues the
+    /// job behind every earlier hint. The caller must have checked
+    /// [`InflightTables::is_submitted`].
+    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
+        debug_assert!(!self.by_key.contains_key(&key));
+        let ticket = self.enqueue(Class::Hint, lane, key, local);
         self.by_key.insert(
             key,
             KeyEntry {
                 ticket,
-                lane,
                 phase: Phase::Queued,
             },
         );
-        self.lanes[lane].push_back(ReadJob {
-            ticket,
-            key,
-            local,
-            submitted: Instant::now(),
-        });
-        self.outstanding += 1;
         ticket
     }
 
@@ -140,30 +167,23 @@ impl InflightTables {
     /// demand entry adopted twice would make one physical read serve two
     /// charged accesses.
     pub fn submit_demand(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
-        let ticket = self.next_ticket;
-        self.next_ticket += 1;
-        // Demand outranks queued read-ahead on its lane, same as the
-        // promotion a demand adoption performs in `consume`.
-        self.lanes[lane].push_front(ReadJob {
-            ticket,
-            key,
-            local,
-            submitted: Instant::now(),
-        });
-        self.outstanding += 1;
-        ticket
+        // The newest ticket: behind every older demand-class job, ahead
+        // of every un-adopted hint (claim order, type docs).
+        self.enqueue(Class::Demand, lane, key, local)
     }
 
     /// Submissions currently queued on `lane` (not yet claimed by a
     /// worker).
     #[inline]
     pub fn lane_depth(&self, lane: usize) -> usize {
-        self.lanes[lane].len()
+        self.depth[lane]
     }
 
-    /// A worker claims the oldest queued job of `lane`, if any.
-    pub fn claim(&mut self, lane: usize) -> Option<ReadJob> {
-        let job = self.lanes[lane].pop_front()?;
+    /// A worker claims the best queued job over all lanes, if any: the
+    /// oldest demand-class job, else the oldest hint.
+    pub fn claim(&mut self) -> Option<ReadJob> {
+        let (_, job) = self.queued.pop_first()?;
+        self.depth[job.lane] -= 1;
         if let Some(e) = self.by_key.get_mut(&job.key) {
             // Entry may be gone (demand consumed the submission early) or
             // may belong to a *newer* submission of the same key; only
@@ -197,11 +217,10 @@ impl InflightTables {
         match entry.phase {
             Phase::Staged => self.staged -= 1,
             Phase::Queued => {
-                // Jump the queue: demand outranks read-ahead on its lane.
-                let lane = &mut self.lanes[entry.lane];
-                if let Some(pos) = lane.iter().position(|j| j.ticket == entry.ticket) {
-                    let job = lane.remove(pos).expect("position just found");
-                    lane.push_front(job);
+                // The adopted hint becomes demand-class: it takes its
+                // place among the demands by its own (older) ticket.
+                if let Some(job) = self.queued.remove(&(Class::Hint, entry.ticket)) {
+                    self.queued.insert((Class::Demand, entry.ticket), job);
                 }
             }
             Phase::Flying => {}
@@ -232,8 +251,8 @@ impl InflightTables {
     /// no waiter can hang on a read that will never happen — the reset
     /// path. Flying jobs are untouched; the caller waits them out.
     pub fn abandon_queued(&mut self) {
-        let jobs: Vec<ReadJob> = self.lanes.iter_mut().flat_map(|l| l.drain(..)).collect();
-        for job in jobs {
+        for job in std::mem::take(&mut self.queued).into_values() {
+            self.depth[job.lane] -= 1;
             self.outstanding -= 1;
             self.mark_done(job.ticket);
             if let Some(e) = self.by_key.get(&job.key) {
@@ -267,11 +286,7 @@ mod tests {
         let a = t.submit(0, key(1), PageId(1));
         let b = t.submit(0, key(2), PageId(2));
         let c = t.submit(0, key(3), PageId(3));
-        let (ja, jb, jc) = (
-            t.claim(0).unwrap(),
-            t.claim(0).unwrap(),
-            t.claim(0).unwrap(),
-        );
+        let (ja, jb, jc) = (t.claim().unwrap(), t.claim().unwrap(), t.claim().unwrap());
         t.complete(&jc);
         assert!(t.is_done(c) && !t.is_done(a) && !t.is_done(b));
         t.complete(&ja);
@@ -283,16 +298,46 @@ mod tests {
         assert_eq!(t.staged_len(), 3);
     }
 
+    /// Tickets in the order a single worker would claim them.
+    fn claim_order(t: &mut InflightTables) -> Vec<u64> {
+        std::iter::from_fn(|| t.claim().map(|j| j.ticket)).collect()
+    }
+
     #[test]
-    fn demand_consumption_promotes_queued_jobs() {
+    fn demands_are_claimed_in_ticket_order() {
         let mut t = InflightTables::new(1);
-        t.submit(0, key(1), PageId(1));
-        let b = t.submit(0, key(2), PageId(2));
-        let e = t.consume(key(2)).expect("submitted");
-        assert_eq!((e.ticket, e.phase), (b, Phase::Queued));
-        // The consumed job jumped to the front of its lane.
-        assert_eq!(t.claim(0).unwrap().ticket, b);
-        assert!(t.consume(key(2)).is_none(), "consumed exactly once");
+        let order: Vec<u64> = (1..=3)
+            .map(|p| t.submit_demand(0, key(p), PageId(p)))
+            .collect();
+        assert_eq!(claim_order(&mut t), order, "oldest demand first");
+    }
+
+    #[test]
+    fn a_demand_outranks_queued_hints_but_not_an_older_demand() {
+        let mut t = InflightTables::new(1);
+        let d1 = t.submit_demand(0, key(1), PageId(1));
+        let h1 = t.submit(0, key(2), PageId(2));
+        let h2 = t.submit(0, key(3), PageId(3));
+        let d2 = t.submit_demand(0, key(4), PageId(4));
+        assert_eq!(claim_order(&mut t), [d1, d2, h1, h2]);
+    }
+
+    #[test]
+    fn an_adopted_hint_is_ordered_among_demands_by_its_ticket() {
+        let mut t = InflightTables::new(2);
+        let d1 = t.submit_demand(0, key(1), PageId(1));
+        let h1 = t.submit(1, key(2), PageId(2));
+        let h2 = t.submit(0, key(3), PageId(3));
+        let d2 = t.submit_demand(1, key(4), PageId(4));
+        let d3 = t.submit_demand(0, key(5), PageId(5));
+        // Adopting h2 slots it between d1 and d2 — by ticket, not at the
+        // front and not at the back; h1 stays a hint. Lanes do not matter.
+        let e = t.consume(key(3)).expect("submitted");
+        assert_eq!((e.ticket, e.phase), (h2, Phase::Queued));
+        assert!(t.consume(key(3)).is_none(), "consumed exactly once");
+        assert_eq!((t.lane_depth(0), t.lane_depth(1)), (3, 2));
+        assert_eq!(claim_order(&mut t), [d1, h2, d2, d3, h1]);
+        assert_eq!((t.lane_depth(0), t.lane_depth(1)), (0, 0));
     }
 
     #[test]

@@ -28,9 +28,10 @@
 //! blocking strategy ([`crate::ShardedFileAccess`]) reads a miss from
 //! whichever shard owns the page, and the queued strategy
 //! ([`crate::ShardedCompletionFileAccess`]) gives every physical shard
-//! file its own completion-queue lane and worker — the disk-array model
-//! the subtree partition exists for, with per-spindle read counters
-//! ([`crate::FileAccess::read_split`]) to show the split.
+//! file its own completion-queue lane, served by the queue's one worker
+//! pool — the disk-array model the subtree partition exists for, with
+//! per-spindle read counters ([`crate::FileAccess::read_split`]) to show
+//! the split.
 //!
 //! ## Updates and the shard-migration policy
 //!
@@ -605,8 +606,9 @@ impl PageSource for ShardedPageFile {
 /// store-major order — the layout
 /// [`crate::FileAccess::with_shared_queue`] expects. Parallel join workers
 /// build one queue here and hand clones to their per-worker stacks, so all
-/// workers draw from one submission/completion stream while each shard
-/// file keeps its dedicated lane.
+/// workers draw from one submission/completion stream and one pool of
+/// `lanes × workers_per_lane` readers, while each shard file keeps its
+/// own lane (handle and read counter).
 pub fn shard_lane_queue(
     files: &[ShardedPageFile],
     workers_per_lane: usize,

@@ -133,8 +133,8 @@ impl ReadStrategy for Queued {
         let (lane, local) = files[store as usize]
             .lane_of(page)
             .expect("page read failed mid-join: page outside every lane");
-        // Adopts the hint's submission if one is unconsumed (promoting it
-        // past queued read-ahead on its lane), submits a fresh read if not.
+        // Adopts the hint's submission if one is unconsumed (making it
+        // demand-class, ordered by its ticket), submits a fresh read if not.
         self.queue.adopt_or_submit(
             self.lane_base[store as usize] + lane,
             BufKey::new(store, page),
@@ -174,7 +174,7 @@ pub(crate) fn open_lanes<S: PageSource>(
 #[derive(Debug)]
 pub struct FileAccess<S, R> {
     /// With [`Queued`] these are metadata handles (page sizes, counters);
-    /// the reads happen on the queue workers' own handles.
+    /// the reads happen on the queue's own lane handles.
     files: Vec<S>,
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
@@ -324,7 +324,7 @@ impl<S: PageSource> FileAccess<S, Blocking> {
 impl<S: PageSource> FileAccess<S, Queued> {
     /// Stack over `files` with an LRU buffer of `cap_pages`, one path
     /// buffer per entry of `heights`, and a private completion queue of
-    /// `cfg.workers_per_lane` workers per physical file.
+    /// `cfg.workers_per_lane` pooled workers per physical file.
     pub fn with_capacity_pages(
         files: Vec<S>,
         cap_pages: usize,

@@ -208,9 +208,10 @@ fn bulk_files_join_identically_across_all_backends() {
             assert!(!want.is_empty(), "{tag}: fixture must join");
 
             // The four file stacks, each over the streamed layout it reads.
-            fx.files.for_each_stack(CAP_PAGES, |label, [r, s], access| {
-                assert_eq!(run(r, s, plan, access), want, "{tag}: {label}");
-            });
+            fx.files
+                .for_each_stack(CAP_PAGES, None, |label, [r, s], access| {
+                    assert_eq!(run(r, s, plan, access), want, "{tag}: {label}");
+                });
 
             // Latched shared page cache.
             cache.clear();

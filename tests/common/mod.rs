@@ -9,6 +9,7 @@ use std::path::PathBuf;
 
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
+use rsj_storage::completion::DelayFn;
 use rsj_storage::stack::{Blocking, Queued};
 use rsj_storage::{
     CompletionConfig, CompletionFileAccess, FileAccess, IoStats, NodeAccess, PageSource,
@@ -175,10 +176,12 @@ impl Files {
 impl Files {
     /// Calls `check(row name, the row's [R, S] trees, a cold stack of
     /// `cap_pages`)` once per row of the instantiation table — {plain,
-    /// sharded} × {blocking, queued (default and [`narrow`] configs)}.
+    /// sharded} × {blocking, queued (default and [`narrow`] configs, both
+    /// under the per-page completion `delay`)}.
     pub fn for_each_stack(
         &self,
         cap_pages: usize,
+        delay: Option<DelayFn>,
         mut check: impl FnMut(&str, &[RTree; 2], &mut dyn Stack),
     ) {
         let (plain, sharded) = (&self.plain_trees, &self.sharded_trees);
@@ -194,6 +197,10 @@ impl Files {
         );
         let default: fn() -> CompletionConfig = CompletionConfig::default;
         for (name, cfg) in [("default", default), ("1 worker, window 4", narrow)] {
+            let cfg = || CompletionConfig {
+                delay: delay.clone(),
+                ..cfg()
+            };
             let mut access = self.plain_queued(cap_pages, cfg());
             check(&format!("plain × queued ({name})"), plain, &mut access);
             let mut access = self.sharded_queued(cap_pages, cfg());

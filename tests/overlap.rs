@@ -2,7 +2,8 @@
 //! overlaps demand misses with join work, but *when* a read completes
 //! must never leak into *what* is charged or produced. Under every
 //! adversarial completion order — random per-page latency, reversed
-//! order, single-page starvation — the queued read strategy over both
+//! order, single-page starvation, one slow store — the queued read
+//! strategy over both
 //! page sources ([`rsj_storage::CompletionFileAccess`],
 //! [`rsj_storage::ShardedCompletionFileAccess`]) and the shared-queue
 //! parallel deployment must emit pair multisets and `IoStats`
@@ -19,7 +20,9 @@ use proptest::prelude::*;
 use rsj::prelude::*;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::sharded::shard_lane_queue;
-use rsj_storage::{BufKey, BufferPool, CompletionConfig, ShardedCompletionFileAccess};
+use rsj_storage::{
+    BufKey, BufferPool, CacheConfig, CompletionConfig, ShardedCompletionFileAccess, SharedPageCache,
+};
 
 /// One queued row under `delay` against its blocking twin: pairs and
 /// whole `IoStats` bit-identical for SJ1–SJ5, the miss-service split
@@ -111,6 +114,54 @@ fn overlap_survives_one_page_starvation() {
         }
     });
     check_against_blocking(&fx, Some(delay), "starved");
+}
+
+/// One slow store: every page of R completes 300 µs late, S at once —
+/// the order most hostile to an age-ordered worker pool, where the whole
+/// pool can sit in R's reads while S's younger demands queue behind them.
+/// Over every stack row and through the shared cache, SJ4 must stay on
+/// the `BufferPool` oracle in pairs and `IoStats`, one physical read per
+/// charge.
+#[test]
+fn overlap_survives_one_slow_store_on_every_stack() {
+    let fx = Fixture::new("overlap", TestId::A, 0.003);
+    let plan = JoinPlan::sj4();
+    let heights = fx.files.heights();
+    let delay: DelayFn =
+        Arc::new(|key: BufKey| (key.store == 0).then(|| Duration::from_micros(300)));
+    let oracle = |[r, s]: &[RTree; 2]| {
+        let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
+        let (pairs, io, _) = run(r, s, plan, pool);
+        assert!(io.disk_accesses > 0, "fixture must miss");
+        (pairs, io)
+    };
+
+    let stacks = |label: &str, trees: &[RTree; 2], access: &mut dyn Stack| {
+        let [r, s] = trees;
+        let (pairs, io, access) = run(r, s, plan, access);
+        assert_eq!((pairs, io), oracle(trees), "{label}");
+        access.drain_completions();
+        assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
+    };
+    fx.files
+        .for_each_stack(CAP_PAGES, Some(delay.clone()), stacks);
+
+    let cfg = CacheConfig {
+        workers: 1,
+        delay: Some(delay),
+        ..CacheConfig::default()
+    };
+    let cache = SharedPageCache::open(&fx.files.plain, CAP_PAGES, &heights, cfg).unwrap();
+    let trees = &fx.files.plain_trees;
+    let (pairs, io, _) = run(&trees[0], &trees[1], plan, cache.handle(CAP_PAGES));
+    assert_eq!((pairs, io), oracle(trees), "shared cache");
+    cache.drain();
+    let physical = cache.physical_reads();
+    assert_eq!(physical, cache.queue().total_reads(), "shared cache: reads");
+    assert!(
+        physical <= io.disk_accesses,
+        "a lone handle reads <= charges"
+    );
 }
 
 proptest! {

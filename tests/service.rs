@@ -181,6 +181,8 @@ fn telemetry_text_reports_the_catalogue() {
         "rsj_cache_reads",
         "rsj_cache_physical_reads",
         "rsj_cq_completion_lag_us",
+        "rsj_cq_queue_wait_us",
+        "rsj_cq_service_us",
         "quantile=\"0.99\"",
     ] {
         assert!(text.contains(family), "exposition must carry {family}");
