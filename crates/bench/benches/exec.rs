@@ -262,9 +262,11 @@ fn measure_file_backend(
             secs = secs.min(start.elapsed().as_secs_f64());
         }
 
-        // The same sweep point with one reader thread per physical shard
-        // file eating the executor's hints: accounting must not move; the
-        // staged split shows how much demand latency the spindles covered.
+        // The same sweep point through the queued read strategy: one lane
+        // per physical shard file, all served by the queue's one pool of
+        // `QUEUE_DEPTH` workers whatever the shard count. Accounting must
+        // not move; the staged split shows how many misses a hint had
+        // already read.
         let mut par = ShardedCompletionFileAccess::with_capacity_pages(
             vec![
                 ShardedPageFile::open(&rb).expect("open sharded R"),
@@ -273,10 +275,7 @@ fn measure_file_backend(
             buffer_pages, // capacity in PAGES — same budget as every other backend here
             &[rs.height() as usize, ss.height() as usize],
             EvictionPolicy::Lru,
-            CompletionConfig {
-                workers_per_lane: 1,
-                ..CompletionConfig::default()
-            },
+            CompletionConfig::default(),
         )
         .expect("parallel sharded backend");
         let run_par = |access: &mut ShardedCompletionFileAccess| -> (u64, u64) {
@@ -362,6 +361,11 @@ struct OverlapReport {
     completion_disk: u64,
     staged_hits: u64,
     demand_reads: u64,
+    /// The queue's own split of the last completion-driven cold run's
+    /// reads: mean submit→claim wait and mean claim→complete service, µs.
+    /// Wait ≫ service ⇒ the pool, not the device, bounds the run.
+    queue_wait_us_mean: f64,
+    service_us_mean: f64,
     /// Completion-driven cold run *without* injected latency — the
     /// page-cache-speed overhead check against the in-memory cursor.
     nolat_completion_secs: f64,
@@ -490,6 +494,7 @@ fn measure_overlap(
         staged_hits = access.staged_hits();
         demand_reads = access.demand_reads();
     }
+    let lag = access.queue().completion_lag();
     drop(access);
 
     // Shard-parallel workers over ONE shared completion queue: worker
@@ -507,7 +512,7 @@ fn measure_overlap(
                     ShardedPageFile::open(sb).expect("open sharded S"),
                 ]
             };
-            let queue = shard_lane_queue(&files(), 1).expect("lane queue");
+            let queue = shard_lane_queue(&files()).expect("lane queue");
             let start = Instant::now();
             let res =
                 rsj_core::parallel_spatial_join_with_access(rs, ss, plan, false, workers, |_w| {
@@ -539,6 +544,8 @@ fn measure_overlap(
         completion_disk,
         staged_hits,
         demand_reads,
+        queue_wait_us_mean: lag.queue_wait_mean_nanos() as f64 / 1e3,
+        service_us_mean: lag.service_mean_nanos() as f64 / 1e3,
         nolat_completion_secs,
         parallel,
     }
@@ -561,7 +568,7 @@ impl OverlapReport {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\n    \"latency_us\": {},\n    \"blocking_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"completion_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"staged_hits\": {}, \"demand_reads\": {} }},\n    \"completion_over_blocking\": {:.4},\n    \"no_latency\": {{ \"completion_cold_secs\": {:.6}, \"cold_over_cursor\": {:.4} }},\n    \"parallel\": [{}]\n  }}",
+            "{{\n    \"latency_us\": {},\n    \"blocking_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {} }},\n    \"completion_cold\": {{ \"secs_per_join\": {:.6}, \"disk_accesses\": {}, \"staged_hits\": {}, \"demand_reads\": {}, \"queue_wait_us_mean\": {:.1}, \"service_us_mean\": {:.1} }},\n    \"completion_over_blocking\": {:.4},\n    \"no_latency\": {{ \"completion_cold_secs\": {:.6}, \"cold_over_cursor\": {:.4} }},\n    \"parallel\": [{}]\n  }}",
             self.latency_us,
             self.blocking_secs,
             self.blocking_disk,
@@ -569,6 +576,8 @@ impl OverlapReport {
             self.completion_disk,
             self.staged_hits,
             self.demand_reads,
+            self.queue_wait_us_mean,
+            self.service_us_mean,
             self.blocking_secs / self.completion_secs,
             self.nolat_completion_secs,
             cursor_secs / self.nolat_completion_secs,

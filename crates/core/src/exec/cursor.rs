@@ -53,7 +53,7 @@ use crate::stats::JoinStats;
 use crate::sweep::{sort_keyed_by_xl, sorted_intersection_test_keyed, KeyedRect};
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
 use rsj_rtree::{DataId, Entry, RTree};
-use rsj_storage::{IoStats, NodeAccess, PageId};
+use rsj_storage::{IoStats, NodeAccess, PageId, QUEUE_DEPTH};
 
 /// Which side of a directory pair is pinned during a drain.
 #[derive(Debug, Clone, Copy)]
@@ -426,11 +426,12 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
 /// Completion-driven run-ahead caps: while the head result pair waits on
 /// an in-flight read, the cursor keeps stepping the machine — submitting
 /// further reads so the queue's lanes stay busy — until it has buffered
-/// `RUN_AHEAD_STEPS` more steps or `MAX_IN_FLIGHT` reads are outstanding,
+/// `RUN_AHEAD_STEPS` more steps or [`QUEUE_DEPTH`] reads are outstanding,
 /// and only then parks on the blocking ticket. The caps bound both the
 /// pending-pair backlog and the submission burst a slow read can cause.
+/// The in-flight cap is the queue's own constant: a read submitted beyond
+/// what the queue serves at once only waits in its table.
 const RUN_AHEAD_STEPS: u32 = 32;
-const MAX_IN_FLIGHT: usize = 16;
 
 /// A [`JoinCursor`] running with the zero-cost [`NoOp`] meter: the raw
 /// production mode. Same result-pair multiset, no comparison accounting.
@@ -1250,7 +1251,7 @@ impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
                     }
                     Some(ticket) => {
                         if self.run_ahead < RUN_AHEAD_STEPS
-                            && self.access.in_flight() < MAX_IN_FLIGHT
+                            && self.access.in_flight() < QUEUE_DEPTH
                             && self.step_gated()
                         {
                             self.run_ahead += 1;

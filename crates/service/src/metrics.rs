@@ -33,10 +33,11 @@
 //! | `rsj_cache_resident_pages` | gauge | | frames resident or in flight |
 //! | `rsj_cache_physical_writes` | gauge | | pages written back |
 //! | `rsj_cq_in_flight` | gauge | | submissions not yet completed |
+//! | `rsj_cq_workers` | gauge | | worker-pool size: reads the queue serves at once |
 //! | `rsj_cq_lane_depth` | gauge | `lane` | queued submissions per lane |
 //! | `rsj_cq_lane_reads` | gauge | `lane` | completed reads per lane |
 //! | `rsj_cq_completion_lag_us` | gauge | `stat` | mean/max submit→complete lag |
-//! | `rsj_cq_queue_wait_us` | gauge | `stat` | mean/max submit→claim share of the lag (waiting for a worker) |
+//! | `rsj_cq_queue_wait_us` | gauge | `stat` | mean/max submit→claim share of the lag (waiting for a worker); ≫ `rsj_cq_service_us` ⇒ the pool, not the device, bounds the reads |
 //! | `rsj_cq_service_us` | gauge | `stat` | mean/max claim→complete share of the lag (the read) |
 //! | `rsj_sharded_reads` | gauge | `store`, `shard` | per-shard physical read split |
 
@@ -198,6 +199,13 @@ pub fn export_queue(registry: &Registry, queue: &CompletionQueue) {
     registry
         .gauge("rsj_cq_in_flight", "submissions not yet completed", &[])
         .set(queue.in_flight() as i64);
+    registry
+        .gauge(
+            "rsj_cq_workers",
+            "worker-pool size: reads the queue serves at once",
+            &[],
+        )
+        .set(queue.workers() as i64);
     for lane in 0..queue.lane_count() {
         let label = lane.to_string();
         registry

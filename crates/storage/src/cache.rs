@@ -137,9 +137,6 @@ pub struct CacheConfig {
     pub workers: usize,
     /// Explicit shard count (0 = auto from `workers` and the capacity).
     pub shards: usize,
-    /// Queue reader threads per store lane (minimum 1); pooled, so a run
-    /// of misses on one store is read by all `stores × workers_per_lane`.
-    pub workers_per_lane: usize,
     /// Optional per-page completion delay (tests only).
     pub delay: Option<DelayFn>,
 }
@@ -149,7 +146,6 @@ impl Default for CacheConfig {
         CacheConfig {
             workers: 4,
             shards: 0,
-            workers_per_lane: 2,
             delay: None,
         }
     }
@@ -160,7 +156,6 @@ impl fmt::Debug for CacheConfig {
         f.debug_struct("CacheConfig")
             .field("workers", &self.workers)
             .field("shards", &self.shards)
-            .field("workers_per_lane", &self.workers_per_lane)
             .field("delay", &self.delay.as_ref().map(|_| "fn"))
             .finish()
     }
@@ -295,7 +290,7 @@ impl SharedPageCache {
             .map(PageFile::page_bytes)
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
         drop(files);
-        let queue = CompletionQueue::open(paths, cfg.workers_per_lane, cfg.delay)?;
+        let queue = CompletionQueue::open(paths, cfg.delay)?;
         let n = if cfg.shards > 0 {
             cfg.shards
         } else {
@@ -390,16 +385,14 @@ impl SharedPageCache {
         if s.reading.is_empty() {
             return;
         }
-        let done: Vec<BufKey> = s
-            .reading
-            .iter()
-            .filter(|&(_, &t)| self.queue.is_complete(t))
-            .map(|(&k, _)| k)
-            .collect();
-        for key in done {
-            s.reading.remove(&key);
-            s.lru.unpin(key);
-        }
+        let FrameShard { reading, lru, .. } = s;
+        reading.retain(|&key, &mut ticket| {
+            let done = self.queue.is_complete(ticket);
+            if done {
+                lru.unpin(key);
+            }
+            !done
+        });
     }
 
     /// Moves the payloads of freshly evicted dirty frames into the

@@ -20,9 +20,24 @@
 //! *age-ordered* — a parked cursor waits on the oldest unsettled ticket
 //! ([`CompletionQueue::await_settled`] is a prefix predicate), so that is
 //! the read served next, ahead of younger demands and of all read-ahead —
-//! and *work-conserving*: no worker sleeps while any lane has a queued job,
-//! so `lanes × workers_per_lane` is the read parallelism a run of misses
-//! on a single file really gets.
+//! and *work-conserving*: no worker sleeps while any lane has a queued job.
+//!
+//! ## Depth
+//!
+//! A worker is a thread blocked in one positional read, so a worker *is*
+//! one unit of device queue depth: the pool holds [`QUEUE_DEPTH`] of them
+//! per queue, however many lanes the queue has, and that is the number of
+//! reads the device sees at once. Submitters cap what they keep in flight
+//! at the same constant (the join cursor's run-ahead does), so a submitted
+//! read finds a worker instead of waiting in the table behind a smaller
+//! pool. Read `queue_wait` against `service` in [`CompletionLag`] to check
+//! it: wait ≫ service means the pool, not the device, bounds the reads.
+//!
+//! Both condvars are notified only when someone sleeps on them: the state
+//! mutex guards a sleeper count for each beside the tables, so a submitter
+//! that finds every worker busy, and a completion nobody is parked on, pay
+//! no futex syscall. A sleeper registers before it releases the mutex and
+//! a notifier reads the count under that mutex, so no wake-up is lost.
 //!
 //! ## Accounting invariants
 //!
@@ -42,7 +57,7 @@
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -58,12 +73,18 @@ use crate::page::PageId;
 /// into any order (reversed, starved, random) without touching the files.
 pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 
-/// Configuration of a [`CompletionQueue`] and its owning backends.
+/// Reads one [`CompletionQueue`] serves at a time — its worker-pool size
+/// — and therefore the most reads a submitter gains from keeping in
+/// flight on it (module docs, "Depth"). Sized on the repo benchmark's
+/// `join_cold` (100 µs modelled reads, two cores, three rounds each):
+/// depth 4 reads 81–89 ms per join, 8 50–53 ms, 16 44–46 ms, 32 45–47 ms
+/// at twice the threads.
+pub const QUEUE_DEPTH: usize = 16;
+
+/// Configuration of the queued read strategy ([`crate::stack::Queued`]).
+/// The pool size is not here: every queue serves [`QUEUE_DEPTH`] reads.
 #[derive(Clone)]
 pub struct CompletionConfig {
-    /// Worker threads per submission lane (minimum 1). The pool holds
-    /// `lanes × workers_per_lane` threads; each serves every lane.
-    pub workers_per_lane: usize,
     /// Maximum unconsumed submissions across the queue; *hints* beyond
     /// this are dropped at submission (demand always submits).
     pub window: usize,
@@ -74,7 +95,6 @@ pub struct CompletionConfig {
 impl Default for CompletionConfig {
     fn default() -> Self {
         CompletionConfig {
-            workers_per_lane: 2,
             window: 32,
             delay: None,
         }
@@ -84,7 +104,6 @@ impl Default for CompletionConfig {
 impl fmt::Debug for CompletionConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompletionConfig")
-            .field("workers_per_lane", &self.workers_per_lane)
             .field("window", &self.window)
             .field("delay", &self.delay.as_ref().map(|_| "fn"))
             .finish()
@@ -96,10 +115,11 @@ struct CqShared {
     state: Mutex<InflightTables>,
     /// One read-only handle per lane, read positionally by every worker.
     files: Vec<PageFile>,
-    /// Workers sleep here for submissions.
+    /// Workers sleep here for submissions, counted in
+    /// `InflightTables::idle_workers`.
     wakeup: Condvar,
     /// Waiters ([`CompletionQueue::await_ticket`], drain, reset) sleep
-    /// here for completions.
+    /// here for completions, counted in `InflightTables::parked_waiters`.
     complete: Condvar,
     /// Mirror of the completion frontier for the lock-free poll fast
     /// path: every ticket below this is complete.
@@ -122,6 +142,28 @@ struct CqShared {
     /// Sticky read-failure flag; surfaced as a panic at the next wait.
     failed: AtomicBool,
     delay: Option<DelayFn>,
+}
+
+impl CqShared {
+    /// After a submission: publishes the new `outstanding` and wakes one
+    /// worker if any sleeps. With every worker busy nobody needs waking —
+    /// each re-checks the table, under this mutex, before it sleeps.
+    fn wake_a_worker(&self, st: MutexGuard<'_, InflightTables>) {
+        self.outstanding.store(st.outstanding, Ordering::Relaxed);
+        let asleep = st.idle_workers > 0;
+        drop(st);
+        if asleep {
+            self.wakeup.notify_one();
+        }
+    }
+
+    /// Sleeps until the next completion that finds a waiter registered.
+    fn park<'a>(&self, mut st: MutexGuard<'a, InflightTables>) -> MutexGuard<'a, InflightTables> {
+        st.parked_waiters += 1;
+        st = self.complete.wait(st).unwrap();
+        st.parked_waiters -= 1;
+        st
+    }
 }
 
 fn saturating_nanos(d: Duration) -> u64 {
@@ -199,11 +241,17 @@ impl CompletionQueue {
     /// Opens one queue over `lane_paths`: lane `i` reads the page file at
     /// `lane_paths[i]` through one shared read-only [`PageFile`] handle
     /// (inheriting [`crate::file::READ_LATENCY_ENV`]), and a pool of
-    /// `lane_paths.len() × workers_per_lane` threads serves all lanes —
-    /// positional reads, so any number of workers read one file at once.
-    pub fn open(
+    /// [`QUEUE_DEPTH`] threads serves all lanes — positional reads, so any
+    /// number of workers read one file at once.
+    pub fn open(lane_paths: &[PathBuf], delay: Option<DelayFn>) -> Result<Self, StorageError> {
+        Self::open_pool(lane_paths, QUEUE_DEPTH, delay)
+    }
+
+    /// [`CompletionQueue::open`] with the pool size given: the service-order
+    /// tests need a pool of one to observe the claim order.
+    fn open_pool(
         lane_paths: &[PathBuf],
-        workers_per_lane: usize,
+        workers: usize,
         delay: Option<DelayFn>,
     ) -> Result<Self, StorageError> {
         // Open every handle before spawning anything, so a bad path is a
@@ -228,7 +276,7 @@ impl CompletionQueue {
             failed: AtomicBool::new(false),
             delay,
         });
-        let workers = (0..lane_paths.len() * workers_per_lane.max(1))
+        let workers = (0..workers)
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(shared))
@@ -250,6 +298,12 @@ impl CompletionQueue {
         self.shared().reads.len()
     }
 
+    /// Size of the worker pool: the reads this queue serves at once.
+    #[inline]
+    pub fn workers(&self) -> usize {
+        self.core.workers.len()
+    }
+
     /// Submits a read-ahead hint for `key` (slot `local` of `lane`'s
     /// file), unless the key is already submitted or the pipeline already
     /// holds `window` unconsumed submissions. Returns whether a
@@ -261,9 +315,7 @@ impl CompletionQueue {
             return false;
         }
         st.submit(lane, key, local);
-        sh.outstanding.store(st.outstanding, Ordering::Relaxed);
-        drop(st);
-        sh.wakeup.notify_one();
+        sh.wake_a_worker(st);
         true
     }
 
@@ -282,9 +334,7 @@ impl CompletionQueue {
             // must not be adoptable by a later re-miss of the same key
             // (see [`InflightTables::submit_demand`]).
             let ticket = st.submit_demand(lane, key, local);
-            sh.outstanding.store(st.outstanding, Ordering::Relaxed);
-            drop(st);
-            sh.wakeup.notify_one();
+            sh.wake_a_worker(st);
             (Ticket(ticket), false)
         }
     }
@@ -313,7 +363,7 @@ impl CompletionQueue {
         let sh = self.shared();
         let mut st = sh.state.lock().unwrap();
         while !st.is_done(ticket.0) {
-            st = sh.complete.wait(st).unwrap();
+            st = sh.park(st);
         }
         drop(st);
         self.check_failed();
@@ -347,7 +397,7 @@ impl CompletionQueue {
         let sh = self.shared();
         let mut st = sh.state.lock().unwrap();
         while ticket.0 >= st.done_floor() {
-            st = sh.complete.wait(st).unwrap();
+            st = sh.park(st);
         }
         drop(st);
         self.check_failed();
@@ -359,7 +409,7 @@ impl CompletionQueue {
         let sh = self.shared();
         let mut st = sh.state.lock().unwrap();
         while st.outstanding > 0 {
-            st = sh.complete.wait(st).unwrap();
+            st = sh.park(st);
         }
         drop(st);
         self.check_failed();
@@ -436,7 +486,7 @@ impl CompletionQueue {
         st.abandon_queued();
         sh.done_floor.store(st.done_floor(), Ordering::Release);
         while st.outstanding > 0 {
-            st = sh.complete.wait(st).unwrap();
+            st = sh.park(st);
         }
         st.clear_consumed();
         sh.done_floor.store(st.done_floor(), Ordering::Release);
@@ -520,7 +570,9 @@ fn worker_loop(shared: Arc<CqShared>) {
                 if let Some(job) = st.claim() {
                     break job;
                 }
+                st.idle_workers += 1;
                 st = shared.wakeup.wait(st).unwrap();
+                st.idle_workers -= 1;
             }
         };
         let claimed = Instant::now();
@@ -563,8 +615,11 @@ fn worker_loop(shared: Arc<CqShared>) {
         st.complete(&job);
         shared.done_floor.store(st.done_floor(), Ordering::Release);
         shared.outstanding.store(st.outstanding, Ordering::Relaxed);
+        let awaited = st.parked_waiters > 0;
         drop(st);
-        shared.complete.notify_all();
+        if awaited {
+            shared.complete.notify_all();
+        }
     }
 }
 
@@ -627,7 +682,6 @@ mod tests {
             window: 2,
             // Hold completions so the pipeline cannot drain under us.
             delay: Some(Arc::new(|_| Some(Duration::from_millis(50)))),
-            ..CompletionConfig::default()
         };
         let mut acc = completion_access(&dir, 8, cfg);
         for p in 0..8 {
@@ -671,16 +725,63 @@ mod tests {
         drop(acc); // joins workers without draining the queue
     }
 
-    /// A queue straight over `lanes` demo files of 16 pages each.
-    fn demo_queue(dir: &TempDir, lanes: usize, per_lane: usize, delay: DelayFn) -> CompletionQueue {
+    /// A queue of `workers` workers straight over `lanes` demo files of
+    /// `QUEUE_DEPTH` pages each.
+    fn demo_queue(dir: &TempDir, lanes: usize, workers: usize, delay: DelayFn) -> CompletionQueue {
         let paths: Vec<PathBuf> = (0..lanes)
             .map(|l| {
-                demo_file(dir, &format!("l{l}.rsj"), 16)
+                demo_file(dir, &format!("l{l}.rsj"), QUEUE_DEPTH as u32)
                     .path()
                     .to_path_buf()
             })
             .collect();
-        CompletionQueue::open(&paths, per_lane, Some(delay)).unwrap()
+        CompletionQueue::open_pool(&paths, workers, Some(delay)).unwrap()
+    }
+
+    fn demand(q: &CompletionQueue, lane: usize, page: u32) -> Ticket {
+        let page = PageId(page);
+        q.adopt_or_submit(lane, BufKey::new(lane as u8, page), page)
+            .0
+    }
+
+    /// A delay hook that holds every job until `parties` of them are in
+    /// service at once, and the flag it clears if 2 s pass without that.
+    fn rendezvous(parties: usize) -> (DelayFn, Arc<AtomicBool>) {
+        let meet = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let met = Arc::new(AtomicBool::new(true));
+        let ok = Arc::clone(&met);
+        let delay: DelayFn = Arc::new(move |_| {
+            let (arrived, cv) = &*meet;
+            let mut n = arrived.lock().unwrap();
+            *n += 1;
+            cv.notify_all();
+            let (_n, res) = cv
+                .wait_timeout_while(n, Duration::from_secs(2), |n| *n < parties)
+                .unwrap();
+            if res.timed_out() {
+                ok.store(false, Ordering::Relaxed);
+            }
+            None
+        });
+        (delay, met)
+    }
+
+    /// Runs `body` on its own thread and fails the test if it has not
+    /// returned within `limit` — a lost wake-up is a hang, not a panic.
+    fn within(limit: Duration, body: impl FnOnce() + Send + 'static) {
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        let (done, finished) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            body();
+            let _ = done.send(());
+        });
+        match finished.recv_timeout(limit) {
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("still blocked after {limit:?}: a wake-up was lost")
+            }
+            // Returned, or panicked and dropped the sender: join reports which.
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => runner.join().unwrap(),
+        }
     }
 
     #[test]
@@ -701,7 +802,7 @@ mod tests {
             Some(Duration::from_millis(2))
         });
         let q = demo_queue(&dir, 1, 1, delay);
-        let submit = |p: u32| q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p)).0;
+        let submit = |p: u32| demand(&q, 0, p);
         let mut tickets = vec![submit(0)];
         while served.lock().unwrap().is_empty() {
             std::thread::yield_now(); // until page 0 is flying
@@ -720,27 +821,12 @@ mod tests {
     #[test]
     fn idle_workers_serve_a_busy_lane() {
         let dir = TempDir::new("cq").unwrap();
-        // A 2-party rendezvous with a timeout: both of lane 0's jobs must
-        // be flying at once, which one lane-bound worker can never do.
-        let meet = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let met = Arc::new(AtomicBool::new(true));
-        let (m, ok) = (Arc::clone(&meet), Arc::clone(&met));
-        let delay: DelayFn = Arc::new(move |_| {
-            let (arrived, cv) = &*m;
-            let mut n = arrived.lock().unwrap();
-            *n += 1;
-            cv.notify_all();
-            let (_n, res) = cv
-                .wait_timeout_while(n, Duration::from_secs(2), |n| *n < 2)
-                .unwrap();
-            if res.timed_out() {
-                ok.store(false, Ordering::Relaxed);
-            }
-            None
-        });
-        let q = demo_queue(&dir, 2, 1, delay);
+        // Both of lane 0's jobs must be flying at once, which one
+        // lane-bound worker can never do.
+        let (delay, met) = rendezvous(2);
+        let q = demo_queue(&dir, 2, 2, delay);
         for p in [3, 4] {
-            q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p));
+            demand(&q, 0, p);
         }
         q.drain();
         assert!(
@@ -751,12 +837,99 @@ mod tests {
     }
 
     #[test]
+    fn one_lane_gets_the_whole_queue_depth() {
+        let dir = TempDir::new("cq").unwrap();
+        // What a cursor may keep in flight, submitted on the only lane of
+        // a one-lane queue, is all in service at once: depth is a property
+        // of the queue, not of how many files it reads.
+        let (delay, met) = rendezvous(QUEUE_DEPTH);
+        let f = demo_file(&dir, "t.rsj", QUEUE_DEPTH as u32);
+        let q = CompletionQueue::open(&[f.path().to_path_buf()], Some(delay)).unwrap();
+        assert_eq!(q.workers(), QUEUE_DEPTH);
+        for p in 0..QUEUE_DEPTH as u32 {
+            demand(&q, 0, p);
+        }
+        q.drain();
+        assert!(
+            met.load(Ordering::Relaxed),
+            "fewer than QUEUE_DEPTH reads were ever in service together"
+        );
+        assert_eq!(q.lane_reads(0), QUEUE_DEPTH as u64);
+    }
+
+    /// The sleeper-count elision loses no wake-up: submitters that park on
+    /// every read keep sending the pool to sleep and back, for a pool of
+    /// one (every submission races the one worker going idle) and for the
+    /// full pool.
+    #[test]
+    fn no_wakeup_is_lost_between_submitters_and_sleeping_workers() {
+        const SUBMITTERS: u32 = 4;
+        const ROUNDS: u32 = 400;
+        for workers in [1, QUEUE_DEPTH] {
+            within(Duration::from_secs(30), move || {
+                let dir = TempDir::new("cq").unwrap();
+                let q = demo_queue(&dir, 1, workers, Arc::new(|_| None));
+                std::thread::scope(|scope| {
+                    for s in 0..SUBMITTERS {
+                        let q = q.clone();
+                        scope.spawn(move || {
+                            for _ in 0..ROUNDS {
+                                // Alternate the two waits; each returns only
+                                // once a worker woke up for this read.
+                                let t = demand(&q, 0, s);
+                                if s % 2 == 0 {
+                                    q.await_ticket(t);
+                                } else {
+                                    q.await_settled(t);
+                                }
+                            }
+                        });
+                    }
+                });
+                q.drain();
+                assert_eq!(q.total_reads(), u64::from(SUBMITTERS * ROUNDS));
+            });
+        }
+    }
+
+    #[test]
+    fn the_last_completion_releases_a_parked_await_settled() {
+        use std::sync::mpsc;
+        // Every job blocks in the hook until the test lets it go, so the
+        // waiter below is parked before any completion can happen.
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let delay: DelayFn = Arc::new(move |_| {
+            let _ = gate.lock().unwrap().recv_timeout(Duration::from_secs(5));
+            None
+        });
+        within(Duration::from_secs(10), move || {
+            let dir = TempDir::new("cq").unwrap();
+            let q = demo_queue(&dir, 1, QUEUE_DEPTH, delay);
+            let tickets: Vec<Ticket> = (0..4).map(|p| demand(&q, 0, p)).collect();
+            let last = tickets[3];
+            let waiter = {
+                let q = q.clone();
+                std::thread::spawn(move || q.await_settled(last))
+            };
+            while q.shared().state.lock().unwrap().parked_waiters == 0 {
+                std::thread::yield_now();
+            }
+            for _ in 0..4 {
+                release.send(()).unwrap();
+            }
+            waiter.join().unwrap();
+            assert!(q.is_settled(last));
+        });
+    }
+
+    #[test]
     fn completion_lag_splits_queue_wait_from_service() {
         let dir = TempDir::new("cq").unwrap();
         let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(3)));
         let q = demo_queue(&dir, 1, 1, delay);
         for p in 0..4 {
-            q.adopt_or_submit(0, BufKey::new(0, PageId(p)), PageId(p));
+            demand(&q, 0, p);
         }
         q.drain();
         let lag = q.completion_lag();
@@ -775,7 +948,6 @@ mod tests {
         let dir = TempDir::new("cq").unwrap();
         // First submitted page completes last.
         let cfg = CompletionConfig {
-            workers_per_lane: 2,
             delay: Some(Arc::new(|key: BufKey| {
                 (key.page == PageId(0)).then(|| Duration::from_millis(30))
             })),

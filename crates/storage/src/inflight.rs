@@ -89,6 +89,13 @@ pub(crate) struct InflightTables {
     next_ticket: u64,
     /// Set once on drop; workers exit at the next wakeup.
     pub shutdown: bool,
+    /// Workers asleep on the queue's submission condvar, and waiters asleep
+    /// on its completion condvar. Kept here because this struct is what
+    /// the queue's mutex guards: a sleeper counts itself in before the
+    /// wait releases the mutex, so whoever changes the tables next sees it
+    /// and notifies — and skips the syscall when the count is zero.
+    pub idle_workers: usize,
+    pub parked_waiters: usize,
 }
 
 impl InflightTables {
@@ -103,6 +110,8 @@ impl InflightTables {
             done: BTreeSet::new(),
             next_ticket: 1,
             shutdown: false,
+            idle_workers: 0,
+            parked_waiters: 0,
         }
     }
 

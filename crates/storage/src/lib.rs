@@ -110,7 +110,7 @@ pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};
-pub use completion::{CompletionConfig, CompletionLag, CompletionQueue};
+pub use completion::{CompletionConfig, CompletionLag, CompletionQueue, QUEUE_DEPTH};
 pub use cost::CostModel;
 pub use file::{PageFile, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};

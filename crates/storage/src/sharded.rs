@@ -607,13 +607,10 @@ impl PageSource for ShardedPageFile {
 /// [`crate::FileAccess::with_shared_queue`] expects. Parallel join workers
 /// build one queue here and hand clones to their per-worker stacks, so all
 /// workers draw from one submission/completion stream and one pool of
-/// `lanes × workers_per_lane` readers, while each shard file keeps its
-/// own lane (handle and read counter).
-pub fn shard_lane_queue(
-    files: &[ShardedPageFile],
-    workers_per_lane: usize,
-) -> Result<CompletionQueue, StorageError> {
-    crate::stack::open_lanes(files, workers_per_lane, None)
+/// [`crate::QUEUE_DEPTH`] readers, while each shard file keeps its own
+/// lane (handle and read counter).
+pub fn shard_lane_queue(files: &[ShardedPageFile]) -> Result<CompletionQueue, StorageError> {
+    crate::stack::open_lanes(files, None)
 }
 
 #[cfg(test)]

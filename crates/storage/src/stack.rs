@@ -161,11 +161,10 @@ impl ReadStrategy for Queued {
 /// in store-major order — the layout [`Queued`] submits on.
 pub(crate) fn open_lanes<S: PageSource>(
     files: &[S],
-    workers_per_lane: usize,
     delay: Option<DelayFn>,
 ) -> Result<CompletionQueue, StorageError> {
     let paths: Vec<PathBuf> = files.iter().flat_map(PageSource::lane_paths).collect();
-    CompletionQueue::open(&paths, workers_per_lane, delay)
+    CompletionQueue::open(&paths, delay)
 }
 
 /// The file-backed [`NodeAccess`] implementation (module docs): path
@@ -323,8 +322,8 @@ impl<S: PageSource> FileAccess<S, Blocking> {
 
 impl<S: PageSource> FileAccess<S, Queued> {
     /// Stack over `files` with an LRU buffer of `cap_pages`, one path
-    /// buffer per entry of `heights`, and a private completion queue of
-    /// `cfg.workers_per_lane` pooled workers per physical file.
+    /// buffer per entry of `heights`, and a private completion queue with
+    /// one lane per physical file.
     pub fn with_capacity_pages(
         files: Vec<S>,
         cap_pages: usize,
@@ -332,7 +331,7 @@ impl<S: PageSource> FileAccess<S, Queued> {
         policy: EvictionPolicy,
         cfg: CompletionConfig,
     ) -> Result<Self, StorageError> {
-        let queue = open_lanes(&files, cfg.workers_per_lane, cfg.delay)?;
+        let queue = open_lanes(&files, cfg.delay)?;
         Self::with_shared_queue(files, cap_pages, heights, policy, queue, cfg.window)
     }
 
@@ -750,7 +749,6 @@ mod tests {
     fn queued_hints_never_move_a_number() {
         let fx = Fixture::new();
         let narrow = || CompletionConfig {
-            workers_per_lane: 1,
             window: 4,
             delay: None,
         };
@@ -769,7 +767,6 @@ mod tests {
             PAGES as usize,
             1,
             CompletionConfig {
-                workers_per_lane: 1,
                 window: 4,
                 delay: None,
             },
@@ -859,7 +856,7 @@ mod tests {
         ));
         // A shared queue must carry one lane per physical file.
         let sharded = || vec![ShardedPageFile::open(&fx.sharded).unwrap()];
-        let queue = open_lanes(&[PageFile::open(&fx.plain).unwrap()], 1, None).unwrap();
+        let queue = open_lanes(&[PageFile::open(&fx.plain).unwrap()], None).unwrap();
         assert!(matches!(
             ShardedCompletionFileAccess::with_shared_queue(
                 sharded(),

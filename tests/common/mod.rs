@@ -58,10 +58,9 @@ pub fn run<A: NodeAccess>(
 }
 
 /// The non-default queue configuration every queued row is also run
-/// under: one worker per lane, four hints in flight.
+/// under: four hints in flight.
 pub fn narrow() -> CompletionConfig {
     CompletionConfig {
-        workers_per_lane: 1,
         window: 4,
         delay: None,
     }

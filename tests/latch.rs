@@ -201,7 +201,6 @@ impl Fixture {
                 // working-set-sized pool provably never evicts.
                 shards: 1,
                 delay,
-                ..CacheConfig::default()
             },
         )
         .unwrap()

@@ -234,7 +234,7 @@ fn overlap_shared_queue_parallel_matches_sequential() {
         // One queue for the whole deployment: every worker clones the
         // handle and submits on the lanes of whichever shard owns the
         // page it misses on.
-        let queue = shard_lane_queue(&fx.files.sharded_files(), 1).unwrap();
+        let queue = shard_lane_queue(&fx.files.sharded_files()).unwrap();
         let par = parallel_spatial_join_with_access(r_file, s_file, plan, true, workers, |_w| {
             ShardedCompletionFileAccess::with_shared_queue(
                 fx.files.sharded_files(),

@@ -169,6 +169,11 @@ fn telemetry_text_reports_the_catalogue() {
         Some(SampleValue::Gauge(logical)) => assert!(*logical > 0),
         other => panic!("logical reads gauge missing: {other:?}"),
     }
+    assert_eq!(
+        snap.get("rsj_cq_workers", &[]).cloned(),
+        Some(SampleValue::Gauge(rsj_storage::QUEUE_DEPTH as i64)),
+        "the pool is as deep as the cursor's in-flight cap",
+    );
 
     let text = svc.telemetry_text();
     for family in [

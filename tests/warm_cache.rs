@@ -118,7 +118,6 @@ impl Fixture {
                 workers,
                 shards,
                 delay,
-                ..CacheConfig::default()
             },
         )
         .unwrap()
