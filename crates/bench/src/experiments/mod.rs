@@ -40,11 +40,22 @@ pub fn run_on(
 }
 
 /// Comparisons needed to sort every node of a tree once by `xl` — the
-/// "sorting" cost of Table 4's maintained-sorted scenario.
+/// "sorting" cost of Table 4's maintained-sorted scenario, which is the
+/// regime the engine runs: every writer in `rsj-rtree` keeps leaves in `xl`
+/// order, so this is a cost the trees have already paid. To price it, each
+/// node's entries are first put back in reference order (data id, page id:
+/// the arrival order an unsorted tree would hold them in) and sorted from
+/// there; sorting the nodes as stored would only count the n − 1
+/// comparisons that verify an order.
 pub fn tree_sort_comparisons(tree: &RTree) -> u64 {
     let mut cmp = rsj_geom::CmpCounter::new();
     tree.for_each_node(|_, node| {
-        let rects: Vec<rsj_geom::Rect> = node.entries.iter().map(|e| e.rect).collect();
+        let mut entries = node.entries.clone();
+        entries.sort_by_key(|e| match e.child {
+            rsj_rtree::ChildRef::Data(d) => d.0,
+            rsj_rtree::ChildRef::Page(p) => u64::from(p.0),
+        });
+        let rects: Vec<rsj_geom::Rect> = entries.iter().map(|e| e.rect).collect();
         let mut idx: Vec<usize> = (0..rects.len()).collect();
         rsj_core::sweep::sort_indices_by_xl(&rects, &mut idx, &mut cmp);
     });

@@ -13,6 +13,17 @@
 //!
 //! Crucially, the pairs are produced in **sweep order**, which doubles as
 //! the SJ3/SJ4 read schedule (§4.3 "Local plane-sweep order").
+//!
+//! Of Table 4's two sorting regimes — sort at every node-pair visit, or
+//! keep the nodes sorted in the tree — the trees run the second: every
+//! writer in `rsj_rtree` keeps a leaf's entries ordered by `xl`
+//! (`rsj_rtree::node`, "Entry order"), and restriction is an
+//! order-preserving filter. The sorts here exploit that and never assume
+//! it: they run on every sequence, cost the n − 1 comparisons of a stable
+//! sort that finds one ascending run when the order is there, and skip
+//! only the data movement that would move nothing. An unordered sequence
+//! (a directory node after updates, a tree some other writer built) is
+//! merely slower.
 
 use rsj_geom::{Meter, Rect};
 
@@ -152,10 +163,19 @@ pub fn sort_keyed_by_xl<M: Meter>(
                 .partial_cmp(&keyed[b].0.xl)
                 .expect("rect coordinates must not be NaN")
         });
+        // The sort moved nothing (the sequence came ordered, as a restricted
+        // leaf of an ordered tree does): skip the gather.
+        if perm.iter().enumerate().all(|(i, &k)| i == k) {
+            return;
+        }
         tmp.clear();
         tmp.extend(perm.iter().map(|&k| keyed[k]));
         std::mem::swap(keyed, tmp);
     } else {
+        // Already ordered: nothing to pack, sort or gather.
+        if keyed.windows(2).all(|w| w[0].0.xl <= w[1].0.xl) {
+            return;
+        }
         // Pack (order-preserving xl bits, position) into one u128 and sort
         // those: trivially branchless comparisons on 16-byte elements
         // instead of comparator calls shuffling 40-byte rects, then one

@@ -34,7 +34,11 @@
 //!
 //! Both paths order the data entries once and let every directory level
 //! keep the order the packing below induces, so for one input they build
-//! the same tree, node for node.
+//! the same tree, node for node. That order decides only which entries
+//! share a node: each cut group is then laid out by `xl` with the stable
+//! rule of [`crate::node`] ("Entry order") before it becomes a page, leaves
+//! and directory nodes alike, so a bulk-built tree hands the plane sweep
+//! sequences that are already sorted.
 //!
 //! The ordering pass is parallel for either path: chunked per-worker
 //! stable sorts merged by key (and, for STR, the per-slab y-sorts fan out
@@ -49,7 +53,7 @@
 
 use std::path::Path;
 
-use crate::node::{DataId, Entry, Node};
+use crate::node::{f64_key, sort_by_xl, xl_order, DataId, Entry, Node};
 use crate::params::RTreeParams;
 use crate::persist;
 use crate::tree::RTree;
@@ -344,6 +348,7 @@ impl Loader {
         let mut current = entries;
         loop {
             if current.len() <= self.params.max_entries {
+                sort_by_xl(&mut current);
                 let root = store.alloc(Node {
                     level,
                     entries: current,
@@ -356,7 +361,8 @@ impl Loader {
                 };
             }
             let mut next: Vec<Entry> = Vec::new();
-            for group in self.pack_groups(current) {
+            for mut group in self.pack_groups(current) {
+                sort_by_xl(&mut group);
                 let bb = mbr_of_entries(&group);
                 let page = store.alloc(Node {
                     level,
@@ -410,19 +416,6 @@ fn mbr_of_entries(entries: &[Entry]) -> Rect {
 // ---------------------------------------------------------------------------
 // Ordering passes (sequential and parallel — bit-identical output).
 // ---------------------------------------------------------------------------
-
-/// Strictly monotone `u64` image of a finite `f64`: sign-flipped IEEE bits
-/// (with `-0.0` collapsed onto `0.0`, matching `partial_cmp`). Stable
-/// sorts by this key order exactly like comparing the floats.
-fn f64_key(v: f64) -> u64 {
-    let v = if v == 0.0 { 0.0 } else { v };
-    let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
 
 /// Stable sort of `entries` by a `u64` key: sequential for one worker or
 /// small inputs, otherwise chunked per-worker stable sorts merged by key
@@ -560,6 +553,8 @@ struct StreamPacker<'w, W: WritablePageFile> {
     levels: Vec<LevelBuf>,
     /// Reused on-disk node (entry vec included) across emissions.
     scratch: DiskNode,
+    /// Reused `xl` order of the node being emitted.
+    order: Vec<(u64, u32)>,
     resident: usize,
     peak: usize,
 }
@@ -596,6 +591,7 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
                 level: 0,
                 entries: Vec::new(),
             },
+            order: Vec::new(),
             resident: 0,
             peak: 0,
         }
@@ -611,21 +607,30 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
             .collect();
     }
 
-    /// Emits the whole forming buffer of `level` as one page and returns
-    /// the parent directory entry.
-    fn emit_group(&mut self, level: usize) -> Result<Entry, StorageError> {
+    /// Writes the whole forming buffer of `level` as one page, laid out by
+    /// `xl`, and leaves the buffer empty.
+    fn emit_node(&mut self, level: usize) -> Result<PageId, StorageError> {
         let lb = &mut self.levels[level];
-        let bb = mbr_of_entries(&lb.buf);
+        // Sorted as it is encoded: only the keys move.
+        xl_order(&lb.buf, &mut self.order);
         self.scratch.level = level as u32;
         self.scratch.entries.clear();
-        self.scratch
-            .entries
-            .extend(lb.buf.iter().map(persist::disk_entry));
+        self.scratch.entries.extend(
+            self.order
+                .iter()
+                .map(|&(_, at)| persist::disk_entry(&lb.buf[at as usize])),
+        );
         lb.remaining -= lb.buf.len();
         self.resident -= lb.buf.len();
         lb.buf.clear();
-        let page = self.writer.emit(&self.scratch)?;
-        Ok(Entry::dir(bb, page))
+        self.writer.emit(&self.scratch)
+    }
+
+    /// Emits the forming buffer of `level` ([`Self::emit_node`]) and
+    /// returns the parent directory entry.
+    fn emit_group(&mut self, level: usize) -> Result<Entry, StorageError> {
+        let bb = mbr_of_entries(&self.levels[level].buf);
+        Ok(Entry::dir(bb, self.emit_node(level)?))
     }
 
     /// Pushes one entry at `level`, cascading completed groups upward.
@@ -662,12 +667,7 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
         }
         // The root is whatever the top level accumulated (for a root leaf:
         // all data entries) — emitted last, so root id == page count - 1.
-        self.scratch.level = top as u32;
-        self.scratch.entries.clear();
-        self.scratch
-            .entries
-            .extend(self.levels[top].buf.iter().map(persist::disk_entry));
-        let root = self.writer.emit(&self.scratch)?;
+        let root = self.emit_node(top)?;
         Ok((
             root,
             BulkStats {

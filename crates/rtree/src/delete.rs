@@ -22,7 +22,7 @@ impl RTree {
         let Some((path, leaf, entry_idx)) = self.find_leaf(rect, id) else {
             return false;
         };
-        self.node_mut(leaf).entries.swap_remove(entry_idx);
+        self.node_mut(leaf).entries.remove(entry_idx); // keeps the leaf's xl order
         self.len -= 1;
         self.condense(leaf, path);
         true

@@ -19,7 +19,7 @@
 //! The Guttman policies use pure area-enlargement ChooseSubtree and split
 //! immediately on overflow (no reinsertion).
 
-use crate::node::{DataId, Entry, Node};
+use crate::node::{f64_key, sort_by_xl, DataId, Entry, Node};
 use crate::params::InsertPolicy;
 use crate::split::split_entries;
 use crate::tree::RTree;
@@ -61,7 +61,14 @@ impl RTree {
         for &(p, idx) in &path {
             self.node_mut(p).entries[idx].rect.expand(&entry.rect);
         }
-        self.node_mut(cur).entries.push(entry);
+        let entries = &mut self.node_mut(cur).entries;
+        if target_level == 0 {
+            // Leaves stay ordered by `xl`, ties in arrival order.
+            let at = entries.partition_point(|e| e.rect.xl <= entry.rect.xl);
+            entries.insert(at, entry);
+        } else {
+            entries.push(entry);
+        }
         self.handle_overflow(cur, path, reinserted);
     }
 
@@ -84,13 +91,10 @@ impl RTree {
         let n = node.len();
         let mut candidates: Vec<usize> = (0..n).collect();
         if n > CHOOSE_SUBTREE_OVERLAP_CANDIDATES {
-            candidates.sort_by(|&a, &b| {
-                node.entries[a]
-                    .rect
-                    .enlargement(rect)
-                    .partial_cmp(&node.entries[b].rect.enlargement(rect))
-                    .expect("no NaN")
-            });
+            // One enlargement per entry, not two per comparison: a
+            // bulk-loaded directory node is laid out by `xl`, an order in
+            // which enlargement has no runs for the stable sort to find.
+            candidates.sort_by_cached_key(|&i| f64_key(node.entries[i].rect.enlargement(rect)));
             candidates.truncate(CHOOSE_SUBTREE_OVERLAP_CANDIDATES);
         }
         let mut best = candidates[0];
@@ -142,7 +146,11 @@ impl RTree {
             }
             // Split.
             let entries = std::mem::take(&mut self.node_mut(page).entries);
-            let (g1, g2) = split_entries(entries, &self.params);
+            let (mut g1, mut g2) = split_entries(entries, &self.params);
+            if level == 0 {
+                sort_by_xl(&mut g1);
+                sort_by_xl(&mut g2);
+            }
             let bb1 = Rect::mbr_of(&g1.iter().map(|e| e.rect).collect::<Vec<_>>());
             let bb2 = Rect::mbr_of(&g2.iter().map(|e| e.rect).collect::<Vec<_>>());
             self.node_mut(page).entries = g1;
@@ -184,6 +192,9 @@ impl RTree {
             .reinsert_count
             .min(entries.len() - self.params.min_entries);
         let removed = entries.split_off(entries.len() - p);
+        if level == 0 {
+            sort_by_xl(&mut entries);
+        }
         self.node_mut(page).entries = entries;
         self.recompute_path_mbrs(path, page);
         // Close reinsert: the removed tail is sorted ascending already.

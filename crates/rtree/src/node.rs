@@ -9,6 +9,23 @@
 //! Levels are counted from the leaves: leaves are level 0, the root is level
 //! `height - 1`. (Buffer-pool code counts *depth* from the root; the tree
 //! converts.)
+//!
+//! # Entry order
+//!
+//! **A leaf's entries are ordered by `rect.xl`**, ties in the order the
+//! writer met them. Every writer in this crate maintains it — both bulk
+//! loaders, insertion (placement at the `partition_point`, split halves,
+//! the survivors of a forced reinsertion), deletion (`remove`, not
+//! `swap_remove`), and the page decoder, which re-orders what a foreign
+//! or older writer left unordered — the sorting ones through the single
+//! rule of [`xl_order`], and [`crate::RTree::validate`] enforces it.
+//! This is the "maintained-sorted" regime of the join paper's Table 4: the
+//! sort the plane sweep needs is paid once, where the entry is written.
+//! The join exploits the order (a restricted subsequence of an ordered
+//! leaf is ordered, so its sort verifies in n − 1 comparisons and moves
+//! nothing) but never assumes it. Directory nodes leave the bulk loaders
+//! ordered as well but are *not* maintained under updates: their
+//! rectangles change in place while ancestor-path indices are live.
 
 use rsj_geom::Rect;
 use rsj_storage::PageId;
@@ -79,6 +96,47 @@ impl Entry {
             child: ChildRef::Data(id),
         }
     }
+}
+
+/// Strictly monotone `u64` image of a finite `f64`: sign-flipped IEEE bits
+/// (with `-0.0` collapsed onto `0.0`, matching `partial_cmp`). Stable
+/// sorts by this key order exactly like comparing the floats.
+pub(crate) fn f64_key(v: f64) -> u64 {
+    let v = if v == 0.0 { 0.0 } else { v };
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The one ordering rule every writer shares (module docs): fills `order`
+/// with `(xl key, index into entries)` in the order the entries belong in
+/// — ascending `xl`, ties by index, i.e. a stable sort — so two writers
+/// given the same entries in the same arrival order lay out the same
+/// page. Only these 16-byte pairs move; the bulk loaders cut a node per
+/// ~100 entries and would feel a comparator sort over 48-byte entries.
+pub(crate) fn xl_order(entries: &[Entry], order: &mut Vec<(u64, u32)>) {
+    order.clear();
+    order.extend(
+        entries
+            .iter()
+            .enumerate()
+            .map(|(at, e)| (f64_key(e.rect.xl), at as u32)),
+    );
+    order.sort_unstable();
+}
+
+/// Puts `entries` in [`xl_order`] (a no-op pass when they already are).
+pub(crate) fn sort_by_xl(entries: &mut [Entry]) {
+    if entries.is_sorted_by(|a, b| a.rect.xl <= b.rect.xl) {
+        return;
+    }
+    let mut order = Vec::new();
+    xl_order(entries, &mut order);
+    let sorted: Vec<Entry> = order.iter().map(|&(_, at)| entries[at as usize]).collect();
+    entries.copy_from_slice(&sorted);
 }
 
 /// One node — exactly one page (§3.1).

@@ -28,7 +28,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
-use crate::node::{ChildRef, DataId, Entry, Node};
+use crate::node::{sort_by_xl, ChildRef, DataId, Entry, Node};
 use crate::params::{InsertPolicy, RTreeParams};
 use crate::tree::RTree;
 use rsj_geom::Rect;
@@ -128,12 +128,15 @@ pub(crate) fn disk_entry(e: &Entry) -> DiskEntry {
 fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
     let is_leaf = disk.level == 0;
     let mut entries = Vec::with_capacity(disk.entries.len());
+    let (mut ordered, mut last_xl) = (true, f64::NEG_INFINITY);
     for e in disk.entries {
         let child = if is_leaf {
             ChildRef::Data(DataId(e.child))
         } else {
             ChildRef::Page(codec::child_page(&e, page_count)?)
         };
+        ordered &= last_xl <= e.rect[0];
+        last_xl = e.rect[0];
         entries.push(Entry {
             rect: Rect {
                 xl: e.rect[0],
@@ -143,6 +146,12 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
             },
             child,
         });
+    }
+    // Normalise, never trust: a leaf an older build or a foreign writer
+    // left unordered is put in `xl` order here, so every in-memory tree
+    // satisfies the invariant of `crate::node` whatever wrote its pages.
+    if is_leaf && !ordered {
+        sort_by_xl(&mut entries);
     }
     Ok(Node {
         level: disk.level,

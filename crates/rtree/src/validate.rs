@@ -7,6 +7,10 @@
 //! * every rectangle of a non-leaf entry covers all rectangles of its child
 //!   (and in this implementation is the *exact* MBR of the child).
 //!
+//! One invariant is this implementation's own, not the paper's: every
+//! leaf's entries are ordered by `rect.xl` ([`crate::node`], "Entry
+//! order") — the plane sweep's sort order, kept by every writer.
+//!
 //! The validator is used pervasively in tests after random workloads.
 
 use crate::node::ChildRef;
@@ -83,6 +87,15 @@ impl RTree {
         for (i, e) in node.entries.iter().enumerate() {
             match (node.is_leaf(), e.child) {
                 (true, ChildRef::Data(_)) => {
+                    if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl {
+                        return Err(ValidationError(format!(
+                            "leaf page {page} is not ordered by xl: entry {} has xl {} but \
+                             entry {i} has xl {}",
+                            i - 1,
+                            node.entries[i - 1].rect.xl,
+                            e.rect.xl
+                        )));
+                    }
                     *data_count += 1;
                 }
                 (false, ChildRef::Page(child)) => {
@@ -186,6 +199,24 @@ mod tests {
             t.node_mut(root).entries[0].child = ChildRef::Page(leaf);
         }
         assert!(t.validate().is_err());
+    }
+
+    #[test]
+    fn detects_unordered_leaf() {
+        let mut t = RTree::new(params());
+        for i in 0..40 {
+            let x = (i * 7 % 40) as f64;
+            t.insert(Rect::from_corners(x, 0.0, x + 0.5, 1.0), DataId(i));
+        }
+        t.validate().unwrap();
+        // Corrupt: reverse one leaf (MBR and fill are unaffected).
+        let mut leaf = t.root();
+        while !t.node(leaf).is_leaf() {
+            leaf = RTree::child_page(&t.node(leaf).entries[0]);
+        }
+        t.node_mut(leaf).entries.reverse();
+        let err = t.validate().unwrap_err();
+        assert!(err.0.contains("not ordered by xl"), "{err}");
     }
 
     #[test]

@@ -18,6 +18,18 @@ fn arb_policy() -> impl Strategy<Value = InsertPolicy> {
     ]
 }
 
+fn assert_leaves_ordered(t: &RTree, policy: InsertPolicy, step: usize) {
+    t.for_each_node(|page, node| {
+        if node.is_leaf() {
+            let xl: Vec<f64> = node.entries.iter().map(|e| e.rect.xl).collect();
+            assert!(
+                xl.windows(2).all(|w| w[0] <= w[1]),
+                "{policy:?}, step {step}: leaf {page} is not ordered by xl: {xl:?}"
+            );
+        }
+    });
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -74,6 +86,43 @@ proptest! {
         stored.sort_by_key(|&(id, _)| id);
         let expect: Vec<(u64, Rect)> = live.into_iter().collect();
         prop_assert_eq!(stored, expect);
+    }
+
+    /// Every leaf stays ordered by `xl` through interleaved inserts and
+    /// deletes under each policy: M = 10 over up to 400 steps forces
+    /// reinsertion, both split families, CondenseTree orphans and (the
+    /// script ends by deleting everything) root shrink. The order is read
+    /// off the nodes, not through `validate`, after every step.
+    #[test]
+    fn leaves_stay_ordered_by_xl_under_updates(
+        script in prop::collection::vec((arb_rect(), any::<prop::sample::Index>(), 0..3u8), 1..400),
+    ) {
+        for policy in [
+            InsertPolicy::RStar,
+            InsertPolicy::GuttmanQuadratic,
+            InsertPolicy::GuttmanLinear,
+        ] {
+            let mut t = RTree::new(RTreeParams::explicit(200, 10, 4, policy));
+            let mut live: Vec<(Rect, DataId)> = Vec::new();
+            for (step, (rect, pick, op)) in script.iter().enumerate() {
+                // Two inserts to one delete, so the tree grows before it drains.
+                if *op == 0 && !live.is_empty() {
+                    let (rect, id) = live.swap_remove(pick.index(live.len()));
+                    prop_assert!(t.delete(&rect, id));
+                } else {
+                    let id = DataId(step as u64);
+                    t.insert(*rect, id);
+                    live.push((*rect, id));
+                }
+                assert_leaves_ordered(&t, policy, step);
+            }
+            for (step, (rect, id)) in live.into_iter().enumerate() {
+                prop_assert!(t.delete(&rect, id));
+                assert_leaves_ordered(&t, policy, script.len() + step);
+            }
+            prop_assert_eq!(t.height(), 1);
+            t.validate().unwrap();
+        }
     }
 
     #[test]

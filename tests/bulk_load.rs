@@ -9,6 +9,9 @@
 //!   (one ordering pass, one cut rule, no per-loader directory pass);
 //! * STR leaves are near-square tiles of the world, not strips, whichever
 //!   loader built them;
+//! * a lattice whose `xl` values are all shared (node layout decided by
+//!   the tie rule alone) builds the same pages in every loader and joins
+//!   to the brute-force pair set;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
 //!   backend: the four [`rsj_storage::FileAccess`] instantiations — page
@@ -43,7 +46,10 @@ impl Fixture {
                 .map(|o| (o.mbr, DataId(o.id)))
                 .collect::<Vec<_>>()
         };
-        let items = [items(&data.r), items(&data.s)];
+        Fixture::from_items([items(&data.r), items(&data.s)], layout)
+    }
+
+    fn from_items(items: [Vec<(Rect, DataId)>; 2], layout: BulkLayout) -> Fixture {
         let params = RTreeParams::for_page_size(PAGE);
         let mem = |it: &[(rsj_geom::Rect, DataId)]| match layout {
             BulkLayout::Str => bulk::str_load(params, it, bulk::DEFAULT_FILL).unwrap(),
@@ -126,6 +132,52 @@ fn streamed_files_load_validator_clean_with_identical_entries() {
         let r_back = &fx.files.sharded_trees[0];
         r_back.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert_same_nodes(r_back, &fx.r_mem, &format!("{tag}: sharded R"));
+    }
+}
+
+/// A lattice of equal squares: every `xl` value is shared by a whole
+/// column, so node layout is decided by the tie rule alone.
+fn lattice(side: usize, offset: f64) -> Vec<(Rect, DataId)> {
+    (0..side * side)
+        .map(|i| {
+            let (x, y) = ((i % side) as f64 * 10.0 + offset, (i / side) as f64 * 10.0);
+            (
+                Rect::from_corners(x, y, x + 12.0, y + 12.0),
+                DataId(i as u64),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn duplicate_xl_values_build_identically_and_join_to_brute_force() {
+    let items = [lattice(40, 0.0), lattice(36, 5.0)];
+    let (mut want, _) = rsj_core::baseline::nested_loop_join(
+        &items[0]
+            .iter()
+            .map(|&(r, id)| (r, id.0))
+            .collect::<Vec<_>>(),
+        &items[1]
+            .iter()
+            .map(|&(r, id)| (r, id.0))
+            .collect::<Vec<_>>(),
+    );
+    want.sort_unstable();
+    for layout in [BulkLayout::Str, BulkLayout::Hilbert] {
+        let fx = Fixture::from_items(items.clone(), layout);
+        let tag = format!("lattice/{layout:?}");
+        // The tie rule is stable in both loaders: same pages either way.
+        for (rel, mem) in [&fx.r_mem, &fx.s_mem].into_iter().enumerate() {
+            mem.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
+            assert_same_nodes(&fx.files.plain_trees[rel], mem, &format!("{tag}: {rel}"));
+            let sharded = &fx.files.sharded_trees[rel];
+            assert_same_nodes(sharded, mem, &format!("{tag}: sharded {rel}"));
+        }
+        let heights = fx.files.heights();
+        for (plan, name) in plans() {
+            let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
+            assert_eq!(run(&fx.r_mem, &fx.s_mem, plan, pool), want, "{tag}/{name}");
+        }
     }
 }
 
