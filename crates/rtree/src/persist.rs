@@ -24,6 +24,27 @@
 //! The physical slot size is derived from the tree's actual node fill
 //! (never below the params' capacity M), so any node the insertion
 //! algorithms can produce fits its slot.
+//!
+//! ## Opening
+//!
+//! Every open path — [`RTree::open_from`], [`RTree::open_sharded_from`],
+//! the three `OpenTree` opens and the join service — ends in one
+//! function, `assemble`, and `assemble` has one read path:
+//! [`PageSource::scan`], which hands it every page of the file in id
+//! order on the calling thread. Page order is what the assembly depends
+//! on — page `i` is the `i`-th allocation of the store, the free-set
+//! checks and the decode see pages in file order, the first failing page
+//! in file order is the error returned, and [`RTree::validate`] runs once
+//! everything is in — so none of it can tell, and none of it had to
+//! change, when the scan overlaps the *reads* behind that order.
+//! [`rsj_storage::scan`] does so only when the open would otherwise sit
+//! waiting for the device (it measures; there is nothing to configure),
+//! up to [`rsj_storage::QUEUE_DEPTH`] reads at once into a bounded ring;
+//! each page is still read once and still pays the handle's modelled
+//! latency once, and the trees of a service are scanned one after the
+//! other, so an open never has more reads in flight than a join does.
+//! `tests/open_scan.rs` holds a slow and a fast handle against each
+//! other: same pages, same free list, same `JoinStats`, same errors.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -35,7 +56,7 @@ use rsj_geom::Rect;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
 };
-use rsj_storage::{partition, PageFile, PageId, PageStore, ShardedPageFile};
+use rsj_storage::{partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile};
 
 const POLICY_RSTAR: u8 = 0;
 const POLICY_GUTTMAN_QUADRATIC: u8 = 1;
@@ -159,31 +180,24 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
     })
 }
 
-/// Builds a tree from `page_count` decoded pages pulled through
-/// `read_page` — the shared assembly path of [`RTree::load`] and
-/// [`RTree::load_sharded`]. `format` is the file's entry format; `free`
-/// is the file's (already chain-validated) free list, reconstructed into
-/// the store so later updates allocate exactly like the tree that was
-/// saved.
-fn assemble(
-    page_bytes: usize,
-    page_count: u32,
-    meta: &[u8; META_BYTES],
-    format: EntryFormat,
-    free: &[PageId],
-    mut read_page: impl FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError>,
-) -> Result<RTree, StorageError> {
+/// Builds a tree from every page of `file` — the one assembly path of
+/// [`RTree::load`] and [`RTree::load_sharded`], and through them of every
+/// open. The pages arrive through [`PageSource::scan`]: in id order, on
+/// this thread, whether or not the reads behind them were overlapped
+/// (module docs, "Opening"). The file's (already chain-validated) free
+/// list is reconstructed into the store, so later updates allocate
+/// exactly like the tree that was saved.
+fn assemble(file: &mut impl PageSource) -> Result<RTree, StorageError> {
+    let (page_count, format) = (file.page_count(), file.entry_format());
     if page_count == 0 {
         return Err(StorageError::Corrupt("page file holds no pages".into()));
     }
-    let (root, len, params) = decode_meta(meta, page_bytes, page_count)?;
+    let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
+    let free = file.free_pages().to_vec();
     let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
     let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
-    let mut buf = Vec::new();
-    for id in 0..page_count {
-        let id = PageId(id);
-        read_page(id, &mut buf)?;
-        match codec::decode_page_fmt(&buf, format)? {
+    file.scan(|id, bytes| {
+        match codec::decode_page_fmt(bytes, format)? {
             DiskPage::Node(disk) => {
                 if free_set.contains(&id) {
                     return Err(StorageError::Corrupt(format!(
@@ -204,8 +218,9 @@ fn assemble(
                 store.alloc(Node::leaf()); // placeholder, unreachable
             }
         }
-    }
-    store.restore_free_list(free.to_vec());
+        Ok(())
+    })?;
+    store.restore_free_list(free);
     store.reset_io(); // loading is not join I/O
     let tree = RTree {
         store,
@@ -291,6 +306,7 @@ impl RTree {
     }
 
     /// Reopens a tree saved with [`RTree::save_to`]: decodes every page
+    /// (one ordered scan — module docs, "Opening")
     /// into a fresh in-memory store, so queries and joins run unchanged
     /// — while a [`rsj_storage::FileNodeAccess`] over the same file makes
     /// the buffer misses real. Page ids, root, parameters, entry count
@@ -302,12 +318,7 @@ impl RTree {
 
     /// [`RTree::open_from`] over an already-open [`PageFile`].
     pub fn load(file: &mut PageFile) -> Result<RTree, StorageError> {
-        let (page_bytes, page_count, meta) = (file.page_bytes(), file.page_count(), *file.meta());
-        let format = file.entry_format();
-        let free = file.free_pages().to_vec();
-        assemble(page_bytes, page_count, &meta, format, &free, |id, buf| {
-            file.read_page_into(id, buf)
-        })
+        assemble(file)
     }
 
     /// Partitions this tree's pages over `shards` physical files by
@@ -398,12 +409,7 @@ impl RTree {
     /// [`RTree::open_sharded_from`] over an already-open
     /// [`ShardedPageFile`].
     pub fn load_sharded(file: &mut ShardedPageFile) -> Result<RTree, StorageError> {
-        let (page_bytes, page_count, meta) = (file.page_bytes(), file.page_count(), *file.meta());
-        let format = file.entry_format();
-        let free = file.free_pages().to_vec();
-        assemble(page_bytes, page_count, &meta, format, &free, |id, buf| {
-            file.read_page_into(id, buf)
-        })
+        assemble(file)
     }
 }
 

@@ -38,11 +38,12 @@ pub use span::{InstrumentedAccess, SpanReport};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use rsj_core::exec::JoinCursor;
 use rsj_core::{JoinPlan, JoinStats};
 use rsj_rtree::{DataId, RTree};
-use rsj_storage::{CacheConfig, PageFile, SharedPageCache, StorageError};
+use rsj_storage::{CacheConfig, SharedPageCache, StorageError};
 use rsj_telemetry::{Disabled, Live, Recorder, Registry};
 
 use metrics::ServiceMetrics;
@@ -151,13 +152,16 @@ impl JoinService {
     /// Opens the trees at `r_path`/`s_path` and provisions the shared
     /// cache and admission layer.
     pub fn open(r_path: &Path, s_path: &Path, cfg: ServiceConfig) -> Result<Self, ServiceError> {
+        let started = Instant::now();
         let r = RTree::open_from(r_path)?;
         let s = RTree::open_from(s_path)?;
         let heights = [r.height() as usize, s.height() as usize];
+        // A loaded tree allocates exactly its file's pages.
+        let file_pages = r.allocated_pages() + s.allocated_pages();
         let cache_pages = if cfg.cache_pages > 0 {
             cfg.cache_pages
         } else {
-            (PageFile::open(r_path)?.page_count() + PageFile::open(s_path)?.page_count()) as usize
+            file_pages
         };
         let cache = SharedPageCache::open(
             &[r_path.to_path_buf(), s_path.to_path_buf()],
@@ -178,6 +182,7 @@ impl JoinService {
             metrics.in_flight.clone(),
             metrics.queue_depth.clone(),
         );
+        metrics::record_open(&registry, started.elapsed(), file_pages);
         Ok(JoinService {
             r,
             s,

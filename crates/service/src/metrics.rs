@@ -15,6 +15,8 @@
 //!
 //! | family | kind | labels | meaning |
 //! |---|---|---|---|
+//! | `rsj_service_open_us` | gauge | | wall time of [`JoinService::open`](crate::JoinService::open): both tree loads, cache and queue start-up |
+//! | `rsj_service_open_pages` | gauge | | pages that open read — every page of both files, once each |
 //! | `rsj_service_queries_total` | counter | `outcome` | completed (`ok`) vs rejected (`overloaded`) queries |
 //! | `rsj_service_in_flight` | gauge | | queries holding admission permits |
 //! | `rsj_service_queue_depth` | gauge | | callers parked in the admission queue |
@@ -42,6 +44,7 @@
 //! | `rsj_sharded_reads` | gauge | `store`, `shard` | per-shard physical read split |
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use rsj_storage::{CompletionQueue, ShardedFileAccess, SharedPageCache};
 use rsj_telemetry::{Counter, Gauge, Histogram, Registry};
@@ -111,6 +114,25 @@ impl ServiceMetrics {
             ),
         }
     }
+}
+
+/// Records what [`JoinService::open`](crate::JoinService::open) cost:
+/// set once, before the service serves anything.
+pub(crate) fn record_open(registry: &Registry, elapsed: Duration, pages: usize) {
+    registry
+        .gauge(
+            "rsj_service_open_us",
+            "wall time of the service's open, microseconds",
+            &[],
+        )
+        .set(elapsed.as_micros().min(i64::MAX as u128) as i64);
+    registry
+        .gauge(
+            "rsj_service_open_pages",
+            "pages read by the service's open (both page files, once each)",
+            &[],
+        )
+        .set(pages as i64);
 }
 
 /// Copies a [`SharedPageCache`]'s counters into the registry: hit

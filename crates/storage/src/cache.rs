@@ -272,8 +272,9 @@ fn wait_latch<'a>(
 impl SharedPageCache {
     /// Opens one cache over the page files at `paths` (store `i` = lane
     /// `i`), holding `cap_pages` frames split over the shards, for trees
-    /// of the given `heights`. The files are validated (consistent page
-    /// size) and then read only by the queue's worker pool.
+    /// of the given `heights`. The files are opened once, validated
+    /// (consistent page size) and handed to the queue, whose worker pool
+    /// is their only reader from then on.
     pub fn open(
         paths: &[PathBuf],
         cap_pages: usize,
@@ -289,8 +290,7 @@ impl SharedPageCache {
             .first()
             .map(PageFile::page_bytes)
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
-        drop(files);
-        let queue = CompletionQueue::open(paths, cfg.delay)?;
+        let queue = CompletionQueue::over(files, cfg.delay);
         let n = if cfg.shards > 0 {
             cfg.shards
         } else {

@@ -244,30 +244,35 @@ impl CompletionQueue {
     /// [`QUEUE_DEPTH`] threads serves all lanes — positional reads, so any
     /// number of workers read one file at once.
     pub fn open(lane_paths: &[PathBuf], delay: Option<DelayFn>) -> Result<Self, StorageError> {
-        Self::open_pool(lane_paths, QUEUE_DEPTH, delay)
-    }
-
-    /// [`CompletionQueue::open`] with the pool size given: the service-order
-    /// tests need a pool of one to observe the claim order.
-    fn open_pool(
-        lane_paths: &[PathBuf],
-        workers: usize,
-        delay: Option<DelayFn>,
-    ) -> Result<Self, StorageError> {
         // Open every handle before spawning anything, so a bad path is a
         // constructor error, not a dead worker.
         let files = lane_paths
             .iter()
             .map(PageFile::open)
             .collect::<Result<Vec<_>, _>>()?;
+        Ok(Self::over(files, delay))
+    }
+
+    /// [`CompletionQueue::open`] over handles the caller already holds:
+    /// lane `i` reads `files[i]`. A caller that opened its files to
+    /// validate them hands them on instead of having every free chain
+    /// walked a second time.
+    pub(crate) fn over(files: Vec<PageFile>, delay: Option<DelayFn>) -> Self {
+        Self::with_pool(files, QUEUE_DEPTH, delay)
+    }
+
+    /// [`CompletionQueue::over`] with the pool size given: the service-order
+    /// tests need a pool of one to observe the claim order.
+    fn with_pool(files: Vec<PageFile>, workers: usize, delay: Option<DelayFn>) -> Self {
+        let lanes = files.len();
         let shared = Arc::new(CqShared {
-            state: Mutex::new(InflightTables::new(lane_paths.len())),
+            state: Mutex::new(InflightTables::new(lanes)),
             files,
             wakeup: Condvar::new(),
             complete: Condvar::new(),
             done_floor: AtomicU64::new(1),
             outstanding: AtomicUsize::new(0),
-            reads: (0..lane_paths.len()).map(|_| AtomicU64::new(0)).collect(),
+            reads: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
             polls: AtomicU64::new(0),
             lag_samples: AtomicU64::new(0),
             lag_max_nanos: AtomicU64::new(0),
@@ -282,9 +287,9 @@ impl CompletionQueue {
                 std::thread::spawn(move || worker_loop(shared))
             })
             .collect();
-        Ok(CompletionQueue {
+        CompletionQueue {
             core: Arc::new(QueueCore { shared, workers }),
-        })
+        }
     }
 
     #[inline]
@@ -728,14 +733,13 @@ mod tests {
     /// A queue of `workers` workers straight over `lanes` demo files of
     /// `QUEUE_DEPTH` pages each.
     fn demo_queue(dir: &TempDir, lanes: usize, workers: usize, delay: DelayFn) -> CompletionQueue {
-        let paths: Vec<PathBuf> = (0..lanes)
+        let files = (0..lanes)
             .map(|l| {
-                demo_file(dir, &format!("l{l}.rsj"), QUEUE_DEPTH as u32)
-                    .path()
-                    .to_path_buf()
+                let path = demo_file(dir, &format!("l{l}.rsj"), QUEUE_DEPTH as u32);
+                PageFile::open(path.path()).unwrap()
             })
             .collect();
-        CompletionQueue::open_pool(&paths, workers, Some(delay)).unwrap()
+        CompletionQueue::with_pool(files, workers, Some(delay))
     }
 
     fn demand(q: &CompletionQueue, lane: usize, page: u32) -> Ticket {

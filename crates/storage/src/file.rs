@@ -3,9 +3,11 @@
 //! [`PageFile`] owns a real `std::fs::File` in the format of
 //! [`crate::codec`]: header, then fixed-size page slots. Reads and writes
 //! go through `seek` + `read_exact`/`write_all` and are counted, so a
-//! cold-opened tree pays genuine file I/O for every buffer miss. It is
-//! the plain [`PageSource`] of the file-access stack
-//! ([`crate::FileAccess`]); [`crate::ShardedPageFile`] is the other.
+//! cold-opened tree pays genuine file I/O for every buffer miss; the
+//! whole-file read an open does is its [`PageSource::scan`], positional and
+//! overlapped when reads wait ([`crate::scan`]). It is the plain
+//! [`PageSource`] of the file-access stack ([`crate::FileAccess`]);
+//! [`crate::ShardedPageFile`] is the other.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -425,11 +427,11 @@ impl PageFile {
     }
 
     /// Reads one slot *positionally* through a shared reference — the
-    /// read the completion-queue worker pool performs, any number of
-    /// workers at once on one read-only handle per lane. The injected
-    /// latency is paid exactly as in [`PageFile::read_page_into`]; the
-    /// handle's own read counter is not touched (the queue counts per
-    /// lane).
+    /// read the completion-queue worker pool and a scan's readers
+    /// perform, any number at once on one handle. The injected latency
+    /// is paid exactly as in [`PageFile::read_page_into`]; the handle's
+    /// own read counter is not touched (the queue counts per lane, a
+    /// scan charges what it delivered).
     pub(crate) fn read_page_at(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         if let Some(lat) = self.read_latency {
             std::thread::sleep(lat);
@@ -438,6 +440,12 @@ impl PageFile {
         buf.resize(self.slot_bytes(), 0);
         read_exact_at(&self.file, buf, off)?;
         Ok(())
+    }
+
+    /// Charges `n` reads made through [`PageFile::read_page_at`] on this
+    /// handle's behalf (a scan charges per page sunk, not per read made).
+    pub(crate) fn charge_reads(&mut self, n: u64) {
+        self.reads += n;
     }
 
     /// [`PageFile::read_page_at`] bounds-checked against the *physical*
@@ -570,6 +578,29 @@ impl WritablePageFile for PageFile {
 impl PageSource for PageFile {
     fn reset_io(&mut self) {
         PageFile::reset_io(self)
+    }
+
+    /// Feeds every page to `sink` in id order through
+    /// [`scan_pages`](crate::scan::scan_pages) — the read an open does:
+    /// one positional read per page (paying the injected latency exactly
+    /// as [`PageFile::read_page_into`] does), overlapped when the reads
+    /// are what the scan waits for. Charges one read per page handed to
+    /// the sink, as the same pages read one by one would.
+    fn scan(
+        &mut self,
+        mut sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let (file, mut delivered) = (&*self, 0);
+        let res = crate::scan::scan_pages(
+            file.page_count(),
+            |id, buf| file.read_page_at(id, buf),
+            |id, bytes| {
+                delivered += 1;
+                sink(id, bytes)
+            },
+        );
+        self.charge_reads(delivered);
+        res
     }
 
     fn lane_paths(&self) -> Vec<PathBuf> {

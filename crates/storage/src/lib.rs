@@ -36,6 +36,10 @@
 //!   [`StorageError`]s;
 //! * [`PageFile`] — a page file over `std::fs::File` with read/write
 //!   counters;
+//! * [`scan`] — the ordered whole-file read every tree open makes: pages
+//!   reach the consumer in id order on its own thread, read one at a time
+//!   or — when the reads are what it waits for — up to [`QUEUE_DEPTH`]
+//!   at once through a bounded read-ahead ring;
 //! * [`FileAccess<S, R>`](FileAccess) — the file-backed [`NodeAccess`]
 //!   stack: the same path-buffer → LRU hierarchy as [`BufferPool`]
 //!   (bit-identical `IoStats` at equal capacity), but every miss performs
@@ -101,6 +105,7 @@ pub mod page;
 pub mod partition;
 pub mod path;
 pub mod pool;
+pub mod scan;
 pub mod sharded;
 pub mod stack;
 pub mod temp;

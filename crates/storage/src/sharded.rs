@@ -498,6 +498,13 @@ impl ShardedPageFile {
         Ok(())
     }
 
+    /// [`PageFile::set_read_latency`] on every shard handle.
+    pub fn set_read_latency(&mut self, latency: Option<std::time::Duration>) {
+        for s in &mut self.shards {
+            s.set_read_latency(latency);
+        }
+    }
+
     /// Page reads charged so far, summed over shards.
     pub fn reads(&self) -> u64 {
         self.shards.iter().map(PageFile::reads).sum()
@@ -590,6 +597,33 @@ impl PageSource for ShardedPageFile {
         ShardedPageFile::reset_io(self)
     }
 
+    /// Feeds every page to `sink` in global-id order through
+    /// [`scan_pages`](crate::scan::scan_pages), each read positionally
+    /// from its owning shard — [`PageFile`]'s scan across the shard split.
+    /// Charges one read on the owning shard per page handed to the sink.
+    fn scan(
+        &mut self,
+        mut sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        let file = &*self;
+        let mut delivered = vec![0u64; file.shards.len()];
+        let res = crate::scan::scan_pages(
+            file.page_count(),
+            |id, buf| {
+                let shard = file.shard_of(id)?;
+                file.shards[shard].read_page_at(PageId(file.local[id.0 as usize]), buf)
+            },
+            |id, bytes| {
+                delivered[usize::from(file.assign[id.0 as usize])] += 1;
+                sink(id, bytes)
+            },
+        );
+        for (shard, n) in self.shards.iter_mut().zip(delivered) {
+            shard.charge_reads(n);
+        }
+        res
+    }
+
     fn lane_paths(&self) -> Vec<PathBuf> {
         (0..self.shards.len())
             .map(|i| shard_path(&self.base, i))
@@ -655,6 +689,33 @@ mod tests {
         assert_eq!(f.shard_reads(2), 3, "shard 2 owns pages 1, 4, 5");
         f.reset_io();
         assert_eq!(f.reads(), 0);
+    }
+
+    #[test]
+    fn scan_reads_every_page_from_its_shard_on_both_schedules() {
+        let dir = TempDir::new("sharded").unwrap();
+        let assign: Vec<u8> = (0..70u32).map(|i| (i * 7 % 3) as u8).collect();
+        let base = build(&dir, "t.rsj", &assign, 3);
+        let mut f = ShardedPageFile::open(&base).unwrap();
+        let per_shard = |s: u8| assign.iter().filter(|&&a| a == s).count() as u64;
+        for latency in [None, Some(std::time::Duration::from_micros(300))] {
+            f.set_read_latency(latency);
+            f.reset_io();
+            let mut next = 0;
+            f.scan(|id, bytes| {
+                assert_eq!(id.0, next, "global id order");
+                next += 1;
+                let node = codec::decode_node(bytes).unwrap();
+                assert_eq!(node.entries[0].child, u64::from(id.0));
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(next, 70);
+            assert_eq!(f.reads(), 70, "latency {latency:?}");
+            for s in 0..3 {
+                assert_eq!(f.shard_reads(usize::from(s)), per_shard(s), "shard {s}");
+            }
+        }
     }
 
     #[test]

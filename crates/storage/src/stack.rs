@@ -64,6 +64,13 @@ pub trait PageSource: WritablePageFile {
     /// Zeroes the read/write counters.
     fn reset_io(&mut self);
 
+    /// Feeds every page to `sink` in id order, each read (and charged)
+    /// once — what opening a tree does ([`crate::scan`]).
+    fn scan(
+        &mut self,
+        sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError>;
+
     /// The physical page files behind this source, in lane order.
     fn lane_paths(&self) -> Vec<PathBuf>;
 

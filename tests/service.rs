@@ -194,6 +194,32 @@ fn telemetry_text_reports_the_catalogue() {
     }
 }
 
+/// What the open cost is on the books before the first query: its wall
+/// time, and a page count equal to the two files' — the open reads every
+/// page of both once, whichever way its scan scheduled the reads.
+#[test]
+fn open_cost_is_exported() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let svc = fx.service(ServiceConfig::default());
+    let file_pages = [&fx.r_path, &fx.s_path]
+        .map(|p| i64::from(PageFile::open(p).unwrap().page_count()))
+        .iter()
+        .sum::<i64>();
+    let snap = svc.registry().snapshot();
+    assert_eq!(
+        snap.get("rsj_service_open_pages", &[]).cloned(),
+        Some(SampleValue::Gauge(file_pages)),
+    );
+    match snap.get("rsj_service_open_us", &[]) {
+        Some(SampleValue::Gauge(us)) => assert!(*us > 0),
+        other => panic!("open_us gauge missing: {other:?}"),
+    }
+    let text = svc.telemetry_text();
+    for family in ["rsj_service_open_us", "rsj_service_open_pages"] {
+        assert!(text.contains(family), "exposition must carry {family}");
+    }
+}
+
 /// With the pool and queue both full, a query is rejected with the
 /// typed [`Overloaded`] — counted, immediate, and recoverable once the
 /// permit frees.
