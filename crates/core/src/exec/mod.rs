@@ -13,7 +13,7 @@
 //!   frame cache.
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential
-//!   tests and the `exec` bench.
+//!   tests.
 //! * [`schedule`] — the §4.3 read schedule as a first-class artifact:
 //!   pair ordering (sweep/z-order) extracted out of the cursor, plus the
 //!   materialized `(store, page, depth)` tails the cursor announces to

@@ -6,8 +6,8 @@
 //! production executor; the recursion stays because it is the *accounting
 //! oracle* — the cursor must report bit-identical `disk_accesses`,
 //! `join_comparisons` and `sort_comparisons` for every sequential plan,
-//! and the differential tests in [`crate::exec`] plus the `exec` bench
-//! compare the two directly.
+//! and the differential tests in [`crate::exec`] compare the two
+//! directly.
 
 use crate::exec::{TAG_R, TAG_S};
 use crate::join::JoinResult;

@@ -66,12 +66,6 @@ impl ReadSchedule {
         self.refs.push(PageRef::new(store, page, depth));
     }
 
-    /// The scheduled accesses, in order.
-    #[inline]
-    pub fn as_refs(&self) -> &[PageRef] {
-        &self.refs
-    }
-
     /// Number of scheduled accesses.
     #[inline]
     pub fn len(&self) -> usize {

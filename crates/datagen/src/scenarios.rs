@@ -39,7 +39,7 @@ impl Scenario {
     /// Both scenarios, in declaration order.
     pub const ALL: [Scenario; 2] = [Scenario::SkewedClusters, Scenario::OverlapStress];
 
-    /// Stable lowercase name (used in BENCH output and CLI flags).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
             Scenario::SkewedClusters => "skewed_clusters",

@@ -719,11 +719,6 @@ fn build_to_writer<W: WritablePageFile>(
     ))
 }
 
-/// Convenience: pick the page id of the root after loading (used in tests).
-pub fn root_of(tree: &RTree) -> PageId {
-    tree.root()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

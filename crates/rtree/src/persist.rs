@@ -56,7 +56,9 @@ use rsj_geom::Rect;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
 };
-use rsj_storage::{partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile};
+use rsj_storage::{
+    partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile, WritablePageFile,
+};
 
 const POLICY_RSTAR: u8 = 0;
 const POLICY_GUTTMAN_QUADRATIC: u8 = 1;

@@ -31,11 +31,6 @@ impl TreeStats {
     pub fn total_pages(&self) -> usize {
         self.dir_pages + self.data_pages
     }
-
-    /// Total number of entries, ‖R‖.
-    pub fn total_entries(&self) -> usize {
-        self.dir_entries + self.data_entries
-    }
 }
 
 impl RTree {

@@ -101,7 +101,7 @@ use crate::page::PageId;
 use crate::path::PathBuffer;
 use crate::pool::{BufKey, IoStats};
 use crate::stack::validate_stores;
-use crate::writeback::UpdateBackend;
+use crate::writeback::{UpdateBackend, WritablePageFile};
 
 /// Path-buffer height of a store opened for updates: an updatable tree
 /// can grow past its open-time height (a root split shifts every depth),

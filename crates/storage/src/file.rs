@@ -235,41 +235,6 @@ impl PageFile {
         &self.path
     }
 
-    /// Logical page size in bytes (the accounting unit).
-    #[inline]
-    pub fn page_bytes(&self) -> usize {
-        self.header.page_bytes as usize
-    }
-
-    /// Physical bytes per page slot.
-    #[inline]
-    pub fn slot_bytes(&self) -> usize {
-        self.header.slot_bytes as usize
-    }
-
-    /// Number of pages.
-    #[inline]
-    pub fn page_count(&self) -> u32 {
-        self.header.page_count
-    }
-
-    /// The owner metadata blob.
-    #[inline]
-    pub fn meta(&self) -> &[u8; META_BYTES] {
-        &self.header.meta
-    }
-
-    /// Replaces the owner metadata (persisted on [`PageFile::flush`]).
-    pub fn set_meta(&mut self, meta: [u8; META_BYTES]) {
-        self.header.meta = meta;
-    }
-
-    /// The on-disk entry format recorded in the header.
-    #[inline]
-    pub fn entry_format(&self) -> EntryFormat {
-        self.header.entry_format()
-    }
-
     /// Head of the free chain (the page the next [`PageFile::allocate`]
     /// reuses), if any.
     #[inline]
@@ -277,55 +242,10 @@ impl PageFile {
         self.free.head()
     }
 
-    /// The free list, oldest release first (last element = chain head).
-    #[inline]
-    pub fn free_pages(&self) -> &[PageId] {
-        self.free.as_slice()
-    }
-
     /// Number of free (reusable) page slots.
     #[inline]
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// Allocates a slot for `payload`: pops the free-chain head and
-    /// overwrites it in place if a released page exists
-    /// (**reuse-before-append**), appends a fresh slot otherwise. Charges
-    /// one write either way.
-    pub fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        match self.free.pop() {
-            Some(id) => {
-                if let Err(e) = self.write_page(id, payload) {
-                    self.free.undo_pop(id); // failed: the slot is still free
-                    return Err(e);
-                }
-                self.free.commit_pop(id);
-                self.header.free_head = self.free.head();
-                Ok(id)
-            }
-            None => self.append_page(payload),
-        }
-    }
-
-    /// Releases a page onto the free chain: overwrites its slot with a
-    /// chain marker linking to the previous head and makes it the new
-    /// head. Charges one write. Double releases and out-of-range pages
-    /// are typed errors.
-    pub fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        let off = self.slot_offset(id)?;
-        if self.free.contains(id) {
-            return Err(StorageError::Corrupt(format!("double release of {id}")));
-        }
-        let slot = self.slot_bytes();
-        let mut marker = std::mem::take(&mut self.marker);
-        codec::encode_free_page(self.free.head(), slot, &mut marker)?;
-        let res = self.write_slot_at(off, &marker);
-        self.marker = marker;
-        res?;
-        self.free.push_released(id)?;
-        self.header.free_head = Some(id);
-        Ok(())
     }
 
     /// Registers `free` as this file's free list (oldest release first)
@@ -403,29 +323,6 @@ impl PageFile {
         Ok(id)
     }
 
-    /// Overwrites an existing page in place. Charges one write.
-    pub fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        let off = self.slot_offset(id)?;
-        self.write_slot_at(off, payload)
-    }
-
-    /// Reads one slot into `buf` (resized to `slot_bytes`). Charges one
-    /// read. When a read latency is injected, the sleep happens *before*
-    /// the read, modelling positioning time; open-time chain recovery
-    /// ([`PageFile::read_slot_uncounted`]) stays undelayed, matching its
-    /// uncounted status.
-    pub fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        if let Some(lat) = self.read_latency {
-            std::thread::sleep(lat);
-        }
-        let off = self.slot_offset(id)?;
-        buf.resize(self.slot_bytes(), 0);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
-        self.reads += 1;
-        Ok(())
-    }
-
     /// Reads one slot *positionally* through a shared reference — the
     /// read the completion-queue worker pool and a scan's readers
     /// perform, any number at once on one handle. The injected latency
@@ -497,14 +394,6 @@ impl PageFile {
         Ok(buf)
     }
 
-    /// Persists the in-memory header (page count, metadata) to disk.
-    pub fn flush(&mut self) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&self.header.encode())?;
-        self.file.flush()?;
-        Ok(())
-    }
-
     /// Page reads charged so far.
     #[inline]
     pub fn reads(&self) -> u64 {
@@ -526,52 +415,110 @@ impl PageFile {
 }
 
 impl WritablePageFile for PageFile {
+    /// Overwrites an existing page in place. Charges one write.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        PageFile::write_page(self, id, payload)
+        let off = self.slot_offset(id)?;
+        self.write_slot_at(off, payload)
     }
 
+    /// Reads one slot into `buf` (resized to `slot_bytes`). Charges one
+    /// read. When a read latency is injected, the sleep happens *before*
+    /// the read, modelling positioning time; open-time chain recovery
+    /// ([`PageFile::read_slot_uncounted`]) stays undelayed, matching its
+    /// uncounted status.
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        PageFile::read_page_into(self, id, buf)
+        if let Some(lat) = self.read_latency {
+            std::thread::sleep(lat);
+        }
+        let off = self.slot_offset(id)?;
+        buf.resize(self.slot_bytes(), 0);
+        self.file.seek(SeekFrom::Start(off))?;
+        self.file.read_exact(buf)?;
+        self.reads += 1;
+        Ok(())
     }
 
+    /// Allocates a slot for `payload`: pops the free-chain head and
+    /// overwrites it in place if a released page exists
+    /// (**reuse-before-append**), appends a fresh slot otherwise. Charges
+    /// one write either way.
     fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        PageFile::allocate(self, payload)
+        match self.free.pop() {
+            Some(id) => {
+                if let Err(e) = self.write_page(id, payload) {
+                    self.free.undo_pop(id); // failed: the slot is still free
+                    return Err(e);
+                }
+                self.free.commit_pop(id);
+                self.header.free_head = self.free.head();
+                Ok(id)
+            }
+            None => self.append_page(payload),
+        }
     }
 
+    /// Releases a page onto the free chain: overwrites its slot with a
+    /// chain marker linking to the previous head and makes it the new
+    /// head. Charges one write. Double releases and out-of-range pages
+    /// are typed errors.
     fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        PageFile::release(self, id)
+        let off = self.slot_offset(id)?;
+        if self.free.contains(id) {
+            return Err(StorageError::Corrupt(format!("double release of {id}")));
+        }
+        let slot = self.slot_bytes();
+        let mut marker = std::mem::take(&mut self.marker);
+        codec::encode_free_page(self.free.head(), slot, &mut marker)?;
+        let res = self.write_slot_at(off, &marker);
+        self.marker = marker;
+        res?;
+        self.free.push_released(id)?;
+        self.header.free_head = Some(id);
+        Ok(())
     }
 
+    #[inline]
     fn page_count(&self) -> u32 {
-        PageFile::page_count(self)
+        self.header.page_count
     }
 
+    /// Logical page size in bytes (the accounting unit).
+    #[inline]
     fn page_bytes(&self) -> usize {
-        PageFile::page_bytes(self)
+        self.header.page_bytes as usize
     }
 
+    #[inline]
     fn slot_bytes(&self) -> usize {
-        PageFile::slot_bytes(self)
+        self.header.slot_bytes as usize
     }
 
+    /// The on-disk entry format recorded in the header.
+    #[inline]
     fn entry_format(&self) -> EntryFormat {
-        PageFile::entry_format(self)
+        self.header.entry_format()
     }
 
+    #[inline]
     fn meta(&self) -> &[u8; META_BYTES] {
-        PageFile::meta(self)
+        &self.header.meta
     }
 
     fn set_meta(&mut self, meta: [u8; META_BYTES]) {
-        PageFile::set_meta(self, meta)
+        self.header.meta = meta;
     }
 
+    #[inline]
     fn free_pages(&self) -> &[PageId] {
-        PageFile::free_pages(self)
+        self.free.as_slice()
     }
 
+    /// Persists the in-memory header (page count, metadata) to disk.
     fn flush(&mut self) -> Result<(), StorageError> {
-        PageFile::flush(self)
+        self.file.seek(SeekFrom::Start(0))?;
+        self.file.write_all(&self.header.encode())?;
+        self.file.flush()?;
+        Ok(())
     }
 }
 

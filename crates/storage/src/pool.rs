@@ -206,12 +206,6 @@ impl BufferPool {
         &self.lru
     }
 
-    /// Number of path buffers.
-    #[inline]
-    pub fn store_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// Empties all buffers and zeroes the statistics — including the LRU
     /// buffer's own hit/miss/eviction counters, so a reset pool reports a
     /// genuinely cold start on every channel (benches rely on this; the

@@ -315,29 +315,6 @@ impl ShardedPageFile {
         self.shards.len()
     }
 
-    /// Logical page size in bytes.
-    #[inline]
-    pub fn page_bytes(&self) -> usize {
-        self.shards[0].page_bytes()
-    }
-
-    /// Total pages across all shards.
-    #[inline]
-    pub fn page_count(&self) -> u32 {
-        self.assign.len() as u32
-    }
-
-    /// The owner metadata blob (carried by shard 0).
-    #[inline]
-    pub fn meta(&self) -> &[u8; META_BYTES] {
-        self.shards[0].meta()
-    }
-
-    /// Replaces the owner metadata (persisted on flush).
-    pub fn set_meta(&mut self, meta: [u8; META_BYTES]) {
-        self.shards[0].set_meta(meta);
-    }
-
     /// Errors if the logical page size differs from `expected`.
     pub fn check_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
         self.shards[0].check_page_bytes(expected)
@@ -371,90 +348,10 @@ impl ShardedPageFile {
         Ok(PageId(id as u32))
     }
 
-    /// Reads global page `id` into `buf` from its owning shard. Charges
-    /// one read on that shard.
-    pub fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        let shard = self.shard_of(id)?;
-        self.shards[shard].read_page_into(PageId(self.local[id.0 as usize]), buf)
-    }
-
-    /// Overwrites global page `id` in place in its owning shard. Charges
-    /// one write on that shard.
-    pub fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        let shard = self.shard_of(id)?;
-        self.shards[shard].write_page(PageId(self.local[id.0 as usize]), payload)
-    }
-
-    /// The global free chain, oldest release first (last element = head).
-    #[inline]
-    pub fn free_pages(&self) -> &[PageId] {
-        self.free.as_slice()
-    }
-
     /// Number of free (reusable) page slots across all shards.
     #[inline]
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// The on-disk entry format (recorded in every shard header).
-    #[inline]
-    pub fn entry_format(&self) -> EntryFormat {
-        self.shards[0].entry_format()
-    }
-
-    /// Allocates a slot for `payload`. **Birth-shard policy** (module
-    /// docs): a reused free slot keeps the shard it was born in; a fresh
-    /// page is appended to shard [`partition`]`(id)` — the manifest grows
-    /// and stays authoritative. Only valid on a fully-appended file (an
-    /// opened one, or a created one after all assigned pages arrived).
-    pub fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        if (self.appended as usize) != self.assign.len() {
-            return Err(StorageError::Corrupt(format!(
-                "allocate before the initial append finished ({} of {} pages)",
-                self.appended,
-                self.assign.len()
-            )));
-        }
-        if let Some(id) = self.free.pop() {
-            let shard = self.shard_of(id)?;
-            let local = PageId(self.local[id.0 as usize]);
-            if let Err(e) = self.shards[shard].write_page(local, payload) {
-                self.free.undo_pop(id);
-                return Err(e);
-            }
-            self.free.commit_pop(id);
-            return Ok(id);
-        }
-        if self.assign.len() >= u32::MAX as usize {
-            return Err(StorageError::Corrupt("page count exceeds u32".into()));
-        }
-        let id = self.assign.len() as u32;
-        let shard = partition(u64::from(id), self.shards.len()) as u8;
-        let local = self.shards[usize::from(shard)].append_page(payload)?;
-        self.assign.push(shard);
-        self.local.push(local.0);
-        self.appended += 1;
-        Ok(PageId(id))
-    }
-
-    /// Releases global page `id` onto the free chain: writes its marker
-    /// into its owning shard, links it to the previous head. Double
-    /// releases and out-of-range pages are typed errors.
-    pub fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        let shard = self.shard_of(id)?;
-        if self.free.contains(id) {
-            return Err(StorageError::Corrupt(format!("double release of {id}")));
-        }
-        let local = PageId(self.local[id.0 as usize]);
-        let slot = self.shards[shard].slot_bytes();
-        let mut marker = std::mem::take(&mut self.marker);
-        codec::encode_free_page(self.free.head(), slot, &mut marker)?;
-        let res = self.shards[shard].write_page(local, &marker);
-        self.marker = marker;
-        res?;
-        self.free.push_released(id)?;
-        Ok(())
     }
 
     /// Registers `free` as the global free list (oldest release first)
@@ -465,37 +362,6 @@ impl ShardedPageFile {
             self.shard_of(id)?;
         }
         self.free.set_list(free)
-    }
-
-    /// Persists every shard header and writes the manifest (including the
-    /// free-chain head). Errors if not every assigned page was appended.
-    pub fn flush(&mut self) -> Result<(), StorageError> {
-        if (self.appended as usize) != self.assign.len() {
-            return Err(StorageError::Corrupt(format!(
-                "flush after {} of {} assigned pages",
-                self.appended,
-                self.assign.len()
-            )));
-        }
-        for shard in &mut self.shards {
-            shard.flush()?;
-        }
-        let mut head = [0u8; MANIFEST_HEADER_BYTES];
-        head[0..4].copy_from_slice(&MANIFEST_MAGIC);
-        head[4..6].copy_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        head[8..12].copy_from_slice(&(self.shards.len() as u32).to_le_bytes());
-        head[12..16].copy_from_slice(&(self.assign.len() as u32).to_le_bytes());
-        let free_head = self.free.head().map_or(0, |p| p.0 + 1);
-        head[16..20].copy_from_slice(&free_head.to_le_bytes());
-        let mut f = std::fs::OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&self.base)?;
-        f.write_all(&head)?;
-        f.write_all(&self.assign)?;
-        f.flush()?;
-        Ok(())
     }
 
     /// [`PageFile::set_read_latency`] on every shard handle.
@@ -530,52 +396,141 @@ impl ShardedPageFile {
 }
 
 impl WritablePageFile for ShardedPageFile {
+    /// Overwrites global page `id` in place in its owning shard. Charges
+    /// one write on that shard.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
-        ShardedPageFile::write_page(self, id, payload)
+        let shard = self.shard_of(id)?;
+        self.shards[shard].write_page(PageId(self.local[id.0 as usize]), payload)
     }
 
+    /// Reads global page `id` into `buf` from its owning shard. Charges
+    /// one read on that shard.
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        ShardedPageFile::read_page_into(self, id, buf)
+        let shard = self.shard_of(id)?;
+        self.shards[shard].read_page_into(PageId(self.local[id.0 as usize]), buf)
     }
 
+    /// Allocates a slot for `payload`. **Birth-shard policy** (module
+    /// docs): a reused free slot keeps the shard it was born in; a fresh
+    /// page is appended to shard [`partition`]`(id)` — the manifest grows
+    /// and stays authoritative. Only valid on a fully-appended file (an
+    /// opened one, or a created one after all assigned pages arrived).
     fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        ShardedPageFile::allocate(self, payload)
+        if (self.appended as usize) != self.assign.len() {
+            return Err(StorageError::Corrupt(format!(
+                "allocate before the initial append finished ({} of {} pages)",
+                self.appended,
+                self.assign.len()
+            )));
+        }
+        if let Some(id) = self.free.pop() {
+            let shard = self.shard_of(id)?;
+            let local = PageId(self.local[id.0 as usize]);
+            if let Err(e) = self.shards[shard].write_page(local, payload) {
+                self.free.undo_pop(id);
+                return Err(e);
+            }
+            self.free.commit_pop(id);
+            return Ok(id);
+        }
+        if self.assign.len() >= u32::MAX as usize {
+            return Err(StorageError::Corrupt("page count exceeds u32".into()));
+        }
+        let id = self.assign.len() as u32;
+        let shard = partition(u64::from(id), self.shards.len()) as u8;
+        let local = self.shards[usize::from(shard)].append_page(payload)?;
+        self.assign.push(shard);
+        self.local.push(local.0);
+        self.appended += 1;
+        Ok(PageId(id))
     }
 
+    /// Releases global page `id` onto the free chain: writes its marker
+    /// into its owning shard, links it to the previous head. Double
+    /// releases and out-of-range pages are typed errors.
     fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        ShardedPageFile::release(self, id)
+        let shard = self.shard_of(id)?;
+        if self.free.contains(id) {
+            return Err(StorageError::Corrupt(format!("double release of {id}")));
+        }
+        let local = PageId(self.local[id.0 as usize]);
+        let slot = self.shards[shard].slot_bytes();
+        let mut marker = std::mem::take(&mut self.marker);
+        codec::encode_free_page(self.free.head(), slot, &mut marker)?;
+        let res = self.shards[shard].write_page(local, &marker);
+        self.marker = marker;
+        res?;
+        self.free.push_released(id)?;
+        Ok(())
     }
 
+    /// Total pages across all shards.
+    #[inline]
     fn page_count(&self) -> u32 {
-        ShardedPageFile::page_count(self)
+        self.assign.len() as u32
     }
 
+    #[inline]
     fn page_bytes(&self) -> usize {
-        ShardedPageFile::page_bytes(self)
+        self.shards[0].page_bytes()
     }
 
+    #[inline]
     fn slot_bytes(&self) -> usize {
         self.shards[0].slot_bytes()
     }
 
+    /// The on-disk entry format (recorded in every shard header).
+    #[inline]
     fn entry_format(&self) -> EntryFormat {
-        ShardedPageFile::entry_format(self)
+        self.shards[0].entry_format()
     }
 
+    /// The owner metadata blob (carried by shard 0).
+    #[inline]
     fn meta(&self) -> &[u8; META_BYTES] {
-        ShardedPageFile::meta(self)
+        self.shards[0].meta()
     }
 
     fn set_meta(&mut self, meta: [u8; META_BYTES]) {
-        ShardedPageFile::set_meta(self, meta)
+        self.shards[0].set_meta(meta);
     }
 
+    /// The global free chain, oldest release first (last element = head).
+    #[inline]
     fn free_pages(&self) -> &[PageId] {
-        ShardedPageFile::free_pages(self)
+        self.free.as_slice()
     }
 
+    /// Persists every shard header and writes the manifest (including the
+    /// free-chain head). Errors if not every assigned page was appended.
     fn flush(&mut self) -> Result<(), StorageError> {
-        ShardedPageFile::flush(self)
+        if (self.appended as usize) != self.assign.len() {
+            return Err(StorageError::Corrupt(format!(
+                "flush after {} of {} assigned pages",
+                self.appended,
+                self.assign.len()
+            )));
+        }
+        for shard in &mut self.shards {
+            shard.flush()?;
+        }
+        let mut head = [0u8; MANIFEST_HEADER_BYTES];
+        head[0..4].copy_from_slice(&MANIFEST_MAGIC);
+        head[4..6].copy_from_slice(&MANIFEST_VERSION.to_le_bytes());
+        head[8..12].copy_from_slice(&(self.shards.len() as u32).to_le_bytes());
+        head[12..16].copy_from_slice(&(self.assign.len() as u32).to_le_bytes());
+        let free_head = self.free.head().map_or(0, |p| p.0 + 1);
+        head[16..20].copy_from_slice(&free_head.to_le_bytes());
+        let mut f = std::fs::OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&self.base)?;
+        f.write_all(&head)?;
+        f.write_all(&self.assign)?;
+        f.flush()?;
+        Ok(())
     }
 }
 

@@ -74,6 +74,7 @@ pub(crate) mod demo {
     use super::TempDir;
     use crate::codec::{self, META_BYTES};
     use crate::file::PageFile;
+    use crate::writeback::WritablePageFile;
 
     /// An encoded one-entry leaf page whose entry points at child `tag`.
     pub fn payload(tag: u32, slot: usize) -> Vec<u8> {

@@ -110,12 +110,6 @@ impl Histogram {
         self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Record a [`std::time::Duration`] in microseconds.
-    #[inline]
-    pub fn record_duration_us(&self, d: std::time::Duration) {
-        self.record(d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
     /// Point-in-time copy of all buckets. Concurrent `record`s land in
     /// either this snapshot or the next — never lost, never doubled.
     pub fn snapshot(&self) -> HistogramSnapshot {

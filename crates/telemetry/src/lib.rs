@@ -30,9 +30,9 @@
 //! `rsj_geom`'s `Meter`/`NoOp` pattern: [`Live`] records through the
 //! handles, the zero-sized [`Disabled`] compiles every call site (and,
 //! via [`Recorder::ENABLED`], the surrounding timestamping) down to
-//! nothing. The CI bench guard pins the instrumented cold join at
-//! ≥ 0.95× the uninstrumented path, so "effectively free" is a tested
-//! property, not a promise.
+//! nothing. The repo benchmark measures the instrumented served join
+//! against the uninstrumented path (`telemetry.overhead_frac`), so
+//! "effectively free" is a measured property, not a promise.
 //!
 //! [text exposition]: RegistrySnapshot::render_text
 

@@ -144,6 +144,7 @@ pub mod prelude {
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
         PageFile, PageRef, ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
+        WritablePageFile,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

@@ -21,11 +21,12 @@ pub const CAP_PAGES: usize = 16;
 /// Shard count the sharded twins are partitioned into.
 pub const SHARDS: usize = 4;
 
-pub fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
+pub fn build_tree(objs: &[rsj::datagen::SpatialObject], page_bytes: usize) -> RTree {
+    let mut t = RTree::new(RTreeParams::for_page_size(page_bytes));
     for o in objs {
         t.insert(o.mbr, DataId(o.id));
     }
+    t.validate().expect("tree invariants after build");
     t
 }
 
@@ -96,12 +97,17 @@ impl Files {
     /// [`Files::create`] for trees that exist in memory: `save_to` +
     /// `save_sharded_to`.
     pub fn save(tag: &str, r: &RTree, s: &RTree) -> Files {
+        Files::save_as(tag, r, s, EntryFormat::F64)
+    }
+
+    /// [`Files::save`] in an explicit on-disk entry format.
+    pub fn save_as(tag: &str, r: &RTree, s: &RTree, format: EntryFormat) -> Files {
         Files::create(tag, |path, rel, sharded| {
             let t = [r, s][rel];
             if sharded {
-                t.save_sharded_to(path, SHARDS).unwrap();
+                t.save_sharded_to_with_format(path, SHARDS, format).unwrap();
             } else {
-                t.save_to(path).unwrap();
+                t.save_to_with_format(path, format).unwrap();
             }
         })
     }
@@ -142,6 +148,14 @@ impl Files {
     pub fn plain_blocking(&self, cap_pages: usize) -> FileNodeAccess {
         let (files, h) = (self.plain_files(), self.heights());
         FileNodeAccess::with_capacity_pages(files, cap_pages, &h, EvictionPolicy::Lru).unwrap()
+    }
+
+    /// One cold SJ2 over the plain files behind a blocking stack of
+    /// `cap_pages`.
+    pub fn cold_sj2(&self, cap_pages: usize) -> (Vec<(u64, u64)>, IoStats) {
+        let [r, s] = &self.plain_trees;
+        let (pairs, io, _) = run(r, s, JoinPlan::sj2(), self.plain_blocking(cap_pages));
+        (pairs, io)
     }
 
     pub fn plain_queued(&self, cap_pages: usize, cfg: CompletionConfig) -> CompletionFileAccess {
@@ -219,7 +233,7 @@ pub struct Fixture {
 impl Fixture {
     pub fn new(tag: &str, test: TestId, scale: f64) -> Fixture {
         let data = rsj::datagen::preset(test, scale);
-        let (r, s) = (build_tree(&data.r), build_tree(&data.s));
+        let (r, s) = (build_tree(&data.r, PAGE), build_tree(&data.s, PAGE));
         let files = Files::save(tag, &r, &s);
         Fixture { r, s, files }
     }

@@ -3,18 +3,13 @@
 //! and the streaming cursor consumed incrementally — must produce the
 //! identical result-pair set on generated presets.
 
+mod common;
+
+use common::build_tree;
 use rsj::prelude::*;
 use rsj_core::baseline;
 use rsj_core::exec::{recursive_spatial_join, JoinCursor};
 use rsj_storage::BufferPool;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(page));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
 
 fn sorted(mut v: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
     v.sort_unstable();

@@ -1,16 +1,10 @@
 //! End-to-end integration: generated relations → R*-trees → every join
 //! algorithm → refinement, validated against brute force.
 
-use rsj::prelude::*;
+mod common;
 
-fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(page));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t.validate().expect("tree invariants after build");
-    t
-}
+use common::build_tree;
+use rsj::prelude::*;
 
 fn brute_force(
     a: &[rsj::datagen::SpatialObject],

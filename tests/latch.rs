@@ -17,31 +17,17 @@
 //! * physical writes never exceed the logical write charges (shared
 //!   frames absorb rewrites the way they absorb re-reads).
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{build_tree, sorted_ids, CAP_PAGES, PAGE};
 use proptest::prelude::*;
 use rsj::prelude::*;
 use rsj_core::parallel_spatial_join_with_access;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufKey, BufferPool, IoStats, PageId, TempDir};
-
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
 
 /// One update operation of the scripted workload.
 #[derive(Clone, Copy)]
@@ -152,8 +138,8 @@ struct Fixture {
 impl Fixture {
     fn new(test: TestId, ops: usize, seed: u64) -> Fixture {
         let data = rsj::datagen::preset(test, 0.003);
-        let r0 = build_tree(&data.r);
-        let s0 = build_tree(&data.s);
+        let r0 = build_tree(&data.r, PAGE);
+        let s0 = build_tree(&data.s, PAGE);
         let dir = TempDir::new("latch").unwrap();
         let r_path = dir.file("r.rsj");
         let r_oracle_path = dir.file("r.oracle.rsj");

@@ -62,7 +62,7 @@ fn assert_page_identical(got: &RTree, want: &RTree, tag: &str) {
 /// R churned until released pages sit between live ones, and a plain S.
 fn fixture() -> (RTree, RTree) {
     let objs = uniform_rects(4000, 6.0, 21);
-    let mut r = common::build_tree(&objs);
+    let mut r = common::build_tree(&objs, common::PAGE);
     for o in objs.iter().filter(|o| o.id % 5 != 0) {
         assert!(r.delete(&o.mbr, DataId(o.id)));
     }
@@ -83,7 +83,10 @@ fn fixture() -> (RTree, RTree) {
         r.allocated_pages(),
         r.height()
     );
-    (r, common::build_tree(&uniform_rects(3000, 6.0, 22)))
+    (
+        r,
+        common::build_tree(&uniform_rects(3000, 6.0, 22), common::PAGE),
+    )
 }
 
 #[test]

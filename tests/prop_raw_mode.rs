@@ -4,17 +4,12 @@
 //! result-pair multiset must equal the counted join's for every named
 //! plan and for the parallel deployment.
 
+mod common;
+
+use common::build_tree;
 use proptest::prelude::*;
 use rsj::prelude::*;
 use rsj_core::parallel_spatial_join_fast;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(page));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
 
 /// Result pairs as a sorted multiset of id pairs.
 fn multiset(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {

@@ -4,20 +4,15 @@
 //! phantom reads. A backend that trusts a hint to prefetch must never
 //! fetch a page the join would not have read anyway.
 
+mod common;
+
+use common::build_tree;
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use rsj::prelude::*;
 use rsj_core::exec::JoinCursor;
 use rsj_storage::{BufferPool, IoStats, NodeAccess, PageId, PageRef};
 use std::collections::HashMap;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject], page: usize) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(page));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
 
 /// A hint-aware accountant that records both channels: the demand stream
 /// (every `access`) and, for each hinted page, the demand-stream position

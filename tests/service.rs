@@ -5,41 +5,16 @@
 //! physical reads, bounded admission, typed overload, panic-safe
 //! permits, text exposition) hold around it.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE, SHARDS};
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_service::{export_sharded_reads, JoinService, ServiceError};
 use rsj_storage::{BufferPool, TempDir};
 use rsj_telemetry::SampleValue;
-
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-const SHARDS: usize = 4;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
 
 struct Fixture {
     _dir: TempDir,
@@ -52,8 +27,8 @@ struct Fixture {
 impl Fixture {
     fn new(test: TestId, scale: f64) -> Fixture {
         let data = rsj::datagen::preset(test, scale);
-        let r = build_tree(&data.r);
-        let s = build_tree(&data.s);
+        let r = build_tree(&data.r, PAGE);
+        let s = build_tree(&data.s, PAGE);
         let dir = TempDir::new("service").unwrap();
         let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
         r.save_to(&r_path).unwrap();
@@ -338,8 +313,8 @@ fn panicking_sink_releases_its_permit() {
 #[test]
 fn sharded_read_split_exports() {
     let data = rsj::datagen::preset(TestId::A, 0.003);
-    let r = build_tree(&data.r);
-    let s = build_tree(&data.s);
+    let r = build_tree(&data.r, PAGE);
+    let s = build_tree(&data.s, PAGE);
     let dir = TempDir::new("service-sharded").unwrap();
     let (rp, sp) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
     r.save_sharded_to(&rp, SHARDS).unwrap();

@@ -22,7 +22,7 @@
 
 mod common;
 
-use common::{build_tree, plans, run, Files, Stack, CAP_PAGES, SHARDS};
+use common::{build_tree, plans, run, Files, Stack, CAP_PAGES, PAGE, SHARDS};
 use rsj::prelude::*;
 use rsj_storage::{partition, BufferPool, CompletionConfig, PageId, TempDir};
 
@@ -164,7 +164,7 @@ fn updated_files(tag: &str, r0: &RTree, s0: &RTree, script: &[Op]) -> (Files, RT
 fn updated_open_trees_join_identically_to_in_memory_oracles() {
     for (test, scale, seed) in [(TestId::A, 0.003, 7u64), (TestId::B, 0.003, 11)] {
         let data = rsj::datagen::preset(test, scale);
-        let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
+        let (r0, s0) = (build_tree(&data.r, PAGE), build_tree(&data.s, PAGE));
         let dir = TempDir::new("update-conf").unwrap();
         let (rp, sp) = (dir.file("r.rsj"), dir.file("s.rsj"));
         r0.save_to(&rp).unwrap();
@@ -225,7 +225,7 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
 #[test]
 fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
     let data = rsj::datagen::preset(TestId::A, 0.003);
-    let tree = build_tree(&data.r);
+    let tree = build_tree(&data.r, PAGE);
     let dir = TempDir::new("update-churn").unwrap();
     let path = dir.file("r.rsj");
     tree.save_to(&path).unwrap();
@@ -261,7 +261,7 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
 fn scripted(ops: usize, seed: u64) -> (RTree, RTree, Vec<Op>) {
     let data = rsj::datagen::preset(TestId::A, 0.003);
     let script = update_script(&data.r, ops, seed);
-    (build_tree(&data.r), build_tree(&data.s), script)
+    (build_tree(&data.r, PAGE), build_tree(&data.s, PAGE), script)
 }
 
 #[test]
@@ -350,11 +350,11 @@ fn parallel_shard_readers_conformance_on_updated_files() {
 
 #[test]
 fn post_update_cold_join_equals_a_freshly_saved_tree() {
-    // The CI bench guard's counterpart in test form: a tree updated in
-    // place and a fresh `save_to` of the identically-updated in-memory
-    // tree are interchangeable — same cold SJ2 disk accesses.
+    // A tree updated in place and a fresh `save_to` of the
+    // identically-updated in-memory tree are interchangeable — same cold
+    // SJ2 disk accesses.
     let data = rsj::datagen::preset(TestId::A, 0.003);
-    let (r0, s0) = (build_tree(&data.r), build_tree(&data.s));
+    let (r0, s0) = (build_tree(&data.r, PAGE), build_tree(&data.s, PAGE));
     let dir = TempDir::new("update-vs-fresh").unwrap();
     let (rp, sp) = (dir.file("r.rsj"), dir.file("s.rsj"));
     r0.save_to(&rp).unwrap();

@@ -6,9 +6,12 @@
 //! [`BufferPool`] oracle, for every plan, worker count and completion
 //! order.
 
+mod common;
+
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE};
 use proptest::prelude::*;
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
@@ -18,33 +21,6 @@ use rsj_storage::{
     BufKey, BufferPool, CacheConfig, IoStats, NodeAccess, PageFile, PageId, SharedPageCache,
     TempDir,
 };
-
-const PAGE: usize = 1024;
-const CAP_PAGES: usize = 16;
-
-fn build_tree(objs: &[rsj::datagen::SpatialObject]) -> RTree {
-    let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
-    for o in objs {
-        t.insert(o.mbr, DataId(o.id));
-    }
-    t
-}
-
-fn sorted_ids(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
-    let mut v: Vec<(u64, u64)> = pairs.iter().map(|&(a, b)| (a.0, b.0)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn plans() -> [(JoinPlan, &'static str); 5] {
-    [
-        (JoinPlan::sj1(), "SJ1"),
-        (JoinPlan::sj2(), "SJ2"),
-        (JoinPlan::sj3(), "SJ3"),
-        (JoinPlan::sj4(), "SJ4"),
-        (JoinPlan::sj5(), "SJ5"),
-    ]
-}
 
 struct Fixture {
     _dir: TempDir,
@@ -58,8 +34,8 @@ struct Fixture {
 impl Fixture {
     fn new(test: TestId, scale: f64) -> Fixture {
         let data = rsj::datagen::preset(test, scale);
-        let r = build_tree(&data.r);
-        let s = build_tree(&data.s);
+        let r = build_tree(&data.r, PAGE);
+        let s = build_tree(&data.s, PAGE);
         let dir = TempDir::new("warm-cache").unwrap();
         let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
         r.save_to(&r_path).unwrap();
