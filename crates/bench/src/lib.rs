@@ -4,8 +4,8 @@
 //! paper's evaluation; this library holds the shared machinery: tree
 //! construction over the generated relations, the paper's parameter grids
 //! (page sizes 1/2/4/8 KByte, LRU buffers 0/8/32/128/512 KByte), and small
-//! formatting helpers. The Criterion benches under `benches/` reuse it for
-//! wall-clock measurements.
+//! formatting helpers. Wall time is not measured here: that is the repo
+//! benchmark's job (`benchmark/`).
 
 pub mod experiments;
 

@@ -17,30 +17,32 @@
 //! * **Hilbert packing** (Kamel & Faloutsos 1993): sort by the Hilbert value
 //!   of the centre, pack consecutive runs.
 //!
-//! Two build paths share the ordering and group-cut machinery:
+//! There is one build path — order the data entries once, then run them
+//! through one level-streaming packer that emits every finished node
+//! exactly once, bottom-up, root last — and two sinks a finished node can
+//! go to:
 //!
-//! * [`str_load`] / [`hilbert_load`] — the in-memory loaders: pack level
-//!   by level into a [`PageStore`] and return an [`RTree`].
+//! * [`str_load`] / [`hilbert_load`] — the in-memory loaders: each node is
+//!   allocated in a [`PageStore`] and the result is an [`RTree`].
 //! * [`load_to_file`] / [`load_to_sharded`] — the **streaming** loaders:
-//!   a level-streaming packer emits every finished node exactly once,
-//!   bottom-up, through a [`rsj_storage::BulkPageWriter`], so peak
-//!   resident *node* memory is one forming node per level — O(M × height)
-//!   entries — regardless of input size. The root
-//!   is the last page emitted and header/manifest are written only on
-//!   success, so a build that dies mid-stream reads back as a typed
-//!   [`StorageError`], never a half tree. Files open through the ordinary
-//!   [`RTree::open_from`] / [`RTree::open_sharded_from`] and serve every
-//!   file backend unchanged.
+//!   each node is encoded through a [`rsj_storage::BulkPageWriter`], so
+//!   peak resident *node* memory is one forming node per level —
+//!   O(M × height) entries — regardless of input size. Header/manifest
+//!   are written only on success, so a build that dies mid-stream reads
+//!   back as a typed [`StorageError`], never a half tree. Files open
+//!   through the ordinary [`RTree::open_from`] /
+//!   [`RTree::open_sharded_from`] and serve every file backend unchanged.
 //!
-//! Both paths order the data entries once and let every directory level
-//! keep the order the packing below induces, so for one input they build
-//! the same tree, node for node. That order decides only which entries
-//! share a node: each cut group is then laid out by `xl` with the stable
-//! rule of [`crate::node`] ("Entry order") before it becomes a page, leaves
-//! and directory nodes alike, so a bulk-built tree hands the plane sweep
-//! sequences that are already sorted.
+//! Every directory level keeps the order the packing below induces, and
+//! page ids are handed out in emission order by either sink, so for one
+//! input the loaders build the same tree, node for node and id for id.
+//! The data order decides only which entries share a node: each cut group
+//! is then laid out by `xl` with the stable rule of [`crate::node`]
+//! ("Entry order") before it becomes a page, leaves and directory nodes
+//! alike, so a bulk-built tree hands the plane sweep sequences that are
+//! already sorted.
 //!
-//! The ordering pass is parallel for either path: chunked per-worker
+//! The ordering pass is parallel for every loader: chunked per-worker
 //! stable sorts merged by key (and, for STR, the per-slab y-sorts fan out
 //! across workers). Parallel order output is bit-identical to the
 //! sequential order — sorts are stable and the sort key is a strictly
@@ -53,7 +55,7 @@
 
 use std::path::Path;
 
-use crate::node::{f64_key, sort_by_xl, xl_order, DataId, Entry, Node};
+use crate::node::{f64_key, xl_order, DataId, Entry, Node};
 use crate::params::RTreeParams;
 use crate::persist;
 use crate::tree::RTree;
@@ -176,8 +178,7 @@ pub fn str_load(
     items: &[(Rect, DataId)],
     fill: f64,
 ) -> Result<RTree, BulkError> {
-    validate_items(items)?;
-    Ok(Loader::new(params, fill).build(items, BulkLayout::Str, auto_workers(items.len())))
+    load(params, items, BulkLayout::Str, fill)
 }
 
 /// Builds an R-tree over `items` by Hilbert-sorting centres and packing.
@@ -190,8 +191,32 @@ pub fn hilbert_load(
     items: &[(Rect, DataId)],
     fill: f64,
 ) -> Result<RTree, BulkError> {
+    load(params, items, BulkLayout::Hilbert, fill)
+}
+
+/// The in-memory loaders: the packer's nodes go into a [`PageStore`].
+fn load(
+    params: RTreeParams,
+    items: &[(Rect, DataId)],
+    layout: BulkLayout,
+    fill: f64,
+) -> Result<RTree, BulkError> {
     validate_items(items)?;
-    Ok(Loader::new(params, fill).build(items, BulkLayout::Hilbert, auto_workers(items.len())))
+    let cfg = BulkConfig {
+        fill,
+        ..Default::default()
+    };
+    let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
+    let (root, _) = build_into(params, items, layout, cfg, |level, group, order| {
+        let entries = order.iter().map(|&(_, at)| group[at as usize]).collect();
+        Ok(store.alloc(Node { level, entries }))
+    })?;
+    Ok(RTree {
+        store,
+        root,
+        params,
+        len: items.len(),
+    })
 }
 
 /// Streams a bulk build straight into a page file at `path`: order pass,
@@ -208,7 +233,7 @@ pub fn load_to_file(
     validate_items(items)?;
     let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
     let mut writer = BulkPageWriter::create_file(path, params.page_bytes, slot, cfg.format)?;
-    let (root, stats) = build_to_writer(params, items, layout, cfg, &mut writer)?;
+    let (root, stats) = build_into(params, items, layout, cfg, file_sink(&mut writer))?;
     let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
     Ok((file, stats))
 }
@@ -229,7 +254,7 @@ pub fn load_to_sharded(
     let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
     let mut writer =
         BulkPageWriter::create_sharded(base, params.page_bytes, slot, shards, cfg.format)?;
-    let (root, stats) = build_to_writer(params, items, layout, cfg, &mut writer)?;
+    let (root, stats) = build_into(params, items, layout, cfg, file_sink(&mut writer))?;
     let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
     Ok((file, stats))
 }
@@ -302,9 +327,9 @@ fn auto_workers(n: usize) -> usize {
 /// Size of the next group cut from an ordered run of `remaining` entries:
 /// a full `node_cap` while at least `node_cap + m` remain (the leftover
 /// can always still form a legal node), otherwise an even two-way split of
-/// an overfull tail, otherwise everything. Shared by the in-memory
-/// [`Loader`] and the streaming [`StreamPacker`], so both cut identical
-/// group boundaries.
+/// an overfull tail, otherwise everything. Shared by [`StreamPacker`],
+/// its level plan and the STR slab cut, so all three agree on where a
+/// node ends.
 fn cut_size(remaining: usize, node_cap: usize, m: usize, max: usize) -> usize {
     if remaining >= node_cap + m {
         node_cap
@@ -312,95 +337,6 @@ fn cut_size(remaining: usize, node_cap: usize, m: usize, max: usize) -> usize {
         remaining / 2
     } else {
         remaining
-    }
-}
-
-struct Loader {
-    params: RTreeParams,
-    node_cap: usize,
-}
-
-impl Loader {
-    fn new(params: RTreeParams, fill: f64) -> Self {
-        let cap = node_cap(&params, fill);
-        Loader {
-            params,
-            node_cap: cap,
-        }
-    }
-
-    fn build(&self, items: &[(Rect, DataId)], layout: BulkLayout, workers: usize) -> RTree {
-        if items.is_empty() {
-            return RTree::new(self.params);
-        }
-        let mut store: PageStore<Node> = PageStore::new(self.params.page_bytes);
-        // Order the data entries spatially.
-        let mut entries: Vec<Entry> = items.iter().map(|&(r, id)| Entry::data(r, id)).collect();
-        match layout {
-            BulkLayout::Str => {
-                str_order(&mut entries, &self.params, self.node_cap, workers);
-            }
-            BulkLayout::Hilbert => hilbert_order(&mut entries, workers),
-        }
-        // Pack level by level until a single node remains; upper levels
-        // keep the ordering induced by the packing below.
-        let mut level = 0u32;
-        let mut current = entries;
-        loop {
-            if current.len() <= self.params.max_entries {
-                sort_by_xl(&mut current);
-                let root = store.alloc(Node {
-                    level,
-                    entries: current,
-                });
-                return RTree {
-                    store,
-                    root,
-                    params: self.params,
-                    len: items.len(),
-                };
-            }
-            let mut next: Vec<Entry> = Vec::new();
-            for mut group in self.pack_groups(current) {
-                sort_by_xl(&mut group);
-                let bb = mbr_of_entries(&group);
-                let page = store.alloc(Node {
-                    level,
-                    entries: group,
-                });
-                next.push(Entry::dir(bb, page));
-            }
-            current = next;
-            level += 1;
-        }
-    }
-
-    /// Cuts an ordered entry run into groups of `node_cap`, rebalancing the
-    /// tail so no group falls under the minimum fill.
-    fn pack_groups(&self, mut entries: Vec<Entry>) -> Vec<Vec<Entry>> {
-        let (m, max) = (self.params.min_entries, self.params.max_entries);
-        let mut groups = Vec::with_capacity(entries.len() / self.node_cap + 1);
-        while !entries.is_empty() {
-            let take = cut_size(entries.len(), self.node_cap, m, max);
-            let rest = entries.split_off(take);
-            groups.push(entries);
-            entries = rest;
-        }
-        // Real invariant, not a debug assertion: an illegal group here
-        // would silently persist as a malformed node and only surface as a
-        // validator error much later (or in somebody else's reopened
-        // file).
-        for (i, g) in groups.iter().enumerate() {
-            assert!(
-                g.len() >= m && g.len() <= max,
-                "pack_groups produced an illegal group: group {i} of {} holds {} entries \
-                 outside [{m}, {max}] (node_cap {})",
-                groups.len(),
-                g.len(),
-                self.node_cap,
-            );
-        }
-        groups
     }
 }
 
@@ -529,30 +465,57 @@ fn hilbert_order(entries: &mut [Entry], workers: usize) {
 // The level-streaming packer.
 // ---------------------------------------------------------------------------
 
+/// Where the packer's finished nodes go: called with a node's level, its
+/// entries and their [`xl_order`], a sink returns the page the node became.
+/// Either sink hands out consecutive [`PageId`]s (`0, 1, 2, …`) in emission
+/// order, which is what lets a parent entry point at an already-emitted
+/// child.
+trait NodeSink: FnMut(u32, &[Entry], &[(u64, u32)]) -> Result<PageId, StorageError> {}
+
+impl<F: FnMut(u32, &[Entry], &[(u64, u32)]) -> Result<PageId, StorageError>> NodeSink for F {}
+
+/// The file sink: each node is encoded into one reused on-disk node (entry
+/// vec included) and appended through the writer. (The in-memory sink is
+/// `PageStore::alloc`, in [`load`].)
+fn file_sink<W: WritablePageFile>(writer: &mut BulkPageWriter<W>) -> impl NodeSink + '_ {
+    let mut scratch = DiskNode {
+        level: 0,
+        entries: Vec::new(),
+    };
+    move |level, group, order| {
+        // Sorted as it is encoded: only the keys move.
+        scratch.level = level;
+        scratch.entries.clear();
+        scratch.entries.extend(
+            order
+                .iter()
+                .map(|&(_, at)| persist::disk_entry(&group[at as usize])),
+        );
+        writer.emit(&scratch)
+    }
+}
+
 /// Per-level forming buffer of the streaming packer.
 struct LevelBuf {
     /// The group currently forming (never exceeds one node's entries).
     buf: Vec<Entry>,
     /// Entries this level has yet to emit (total per the level plan minus
-    /// groups already cut) — drives [`cut_size`] exactly like the
-    /// in-memory loader's remaining-run length.
+    /// groups already cut) — what [`cut_size`] cuts the next group from.
     remaining: usize,
 }
 
-/// Streams ordered data entries into finished pages, bottom-up: each level
-/// holds only its one forming group; a completed group is emitted through
-/// the writer immediately and its directory entry cascades upward. The
+/// Streams ordered data entries into finished nodes, bottom-up: each level
+/// holds only its one forming group; a completed group is emitted to the
+/// sink immediately and its directory entry cascades upward. The
 /// per-level totals are precomputed from the input count alone
 /// ([`level_counts`]), so cut boundaries — including the root decision —
-/// match the in-memory loader's for the same ordered input.
-struct StreamPacker<'w, W: WritablePageFile> {
-    writer: &'w mut BulkPageWriter<W>,
+/// depend on nothing but the ordered input.
+struct StreamPacker<S> {
+    sink: S,
     cap: usize,
     m: usize,
     max: usize,
     levels: Vec<LevelBuf>,
-    /// Reused on-disk node (entry vec included) across emissions.
-    scratch: DiskNode,
     /// Reused `xl` order of the node being emitted.
     order: Vec<(u64, u32)>,
     resident: usize,
@@ -579,51 +542,53 @@ fn level_counts(n: usize, cap: usize, m: usize, max: usize) -> Vec<usize> {
     counts
 }
 
-impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
-    fn new(writer: &'w mut BulkPageWriter<W>, params: &RTreeParams, cap: usize) -> Self {
-        StreamPacker {
-            writer,
-            cap,
-            m: params.min_entries,
-            max: params.max_entries,
-            levels: Vec::new(),
-            scratch: DiskNode {
-                level: 0,
-                entries: Vec::new(),
-            },
-            order: Vec::new(),
-            resident: 0,
-            peak: 0,
-        }
-    }
-
-    fn start(&mut self, n: usize) {
-        self.levels = level_counts(n, self.cap, self.m, self.max)
+impl<S: NodeSink> StreamPacker<S> {
+    /// A packer for `n` data entries, `cap` to a node.
+    fn new(sink: S, params: &RTreeParams, cap: usize, n: usize) -> Self {
+        let (m, max) = (params.min_entries, params.max_entries);
+        let levels = level_counts(n, cap, m, max)
             .into_iter()
             .map(|remaining| LevelBuf {
                 buf: Vec::new(),
                 remaining,
             })
             .collect();
+        StreamPacker {
+            sink,
+            cap,
+            m,
+            max,
+            levels,
+            order: Vec::new(),
+            resident: 0,
+            peak: 0,
+        }
     }
 
-    /// Writes the whole forming buffer of `level` as one page, laid out by
-    /// `xl`, and leaves the buffer empty.
+    /// Hands the whole forming buffer of `level` to the sink as one node,
+    /// laid out by `xl`, and leaves the buffer empty.
     fn emit_node(&mut self, level: usize) -> Result<PageId, StorageError> {
+        let root = level == self.levels.len() - 1;
         let lb = &mut self.levels[level];
-        // Sorted as it is encoded: only the keys move.
-        xl_order(&lb.buf, &mut self.order);
-        self.scratch.level = level as u32;
-        self.scratch.entries.clear();
-        self.scratch.entries.extend(
-            self.order
-                .iter()
-                .map(|&(_, at)| persist::disk_entry(&lb.buf[at as usize])),
+        let len = lb.buf.len();
+        // Real invariant, not a debug assertion: an illegal group here
+        // would silently persist as a malformed node and only surface as a
+        // validator error much later (or in somebody else's reopened
+        // file).
+        assert!(
+            len <= self.max && (root || len >= self.m),
+            "bulk packer cut an illegal group: a level-{level} node of {len} entries \
+             outside [{}, {}] (node_cap {})",
+            self.m,
+            self.max,
+            self.cap,
         );
-        lb.remaining -= lb.buf.len();
-        self.resident -= lb.buf.len();
+        xl_order(&lb.buf, &mut self.order);
+        let page = (self.sink)(level as u32, &lb.buf, &self.order);
+        lb.remaining -= len;
+        self.resident -= len;
         lb.buf.clear();
-        self.writer.emit(&self.scratch)
+        page
     }
 
     /// Emits the forming buffer of `level` ([`Self::emit_node`]) and
@@ -671,7 +636,7 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
         Ok((
             root,
             BulkStats {
-                pages: self.writer.emitted(),
+                pages: root.0 + 1,
                 height: self.levels.len() as u32,
                 peak_resident_entries: self.peak,
                 slabs: 0,
@@ -681,13 +646,13 @@ impl<'w, W: WritablePageFile> StreamPacker<'w, W> {
     }
 }
 
-/// Shared driver of the streaming loaders: order, plan, stream-pack.
-fn build_to_writer<W: WritablePageFile>(
+/// Shared driver of every loader: order, plan, stream-pack into `sink`.
+fn build_into(
     params: RTreeParams,
     items: &[(Rect, DataId)],
     layout: BulkLayout,
     cfg: BulkConfig,
-    writer: &mut BulkPageWriter<W>,
+    sink: impl NodeSink,
 ) -> Result<(PageId, BulkStats), BulkError> {
     let workers = if cfg.workers == 0 {
         auto_workers(items.len())
@@ -703,8 +668,7 @@ fn build_to_writer<W: WritablePageFile>(
             (0, 0)
         }
     };
-    let mut packer = StreamPacker::new(writer, &params, cap);
-    packer.start(entries.len());
+    let mut packer = StreamPacker::new(sink, &params, cap, entries.len());
     for e in entries {
         packer.push(0, e)?;
     }

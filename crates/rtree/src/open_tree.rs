@@ -42,6 +42,7 @@ use rsj_storage::codec::{self, StorageError};
 use rsj_storage::{
     EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, ShardedFileAccess,
     ShardedPageFile, SharedCacheFileAccess, SharedPageCache, UpdateBackend, WritablePageFile,
+    UPDATE_MAX_HEIGHT,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -49,11 +50,6 @@ use std::sync::Arc;
 use crate::node::DataId;
 use crate::persist::{encode_meta, to_disk};
 use crate::tree::RTree;
-
-/// Path buffers of an updatable tree are sized for any height the tree
-/// can grow to, not the height at open time — a root split shifts every
-/// depth.
-const MAX_HEIGHT: usize = 64;
 
 /// The default store tag updates are charged under (a private backend —
 /// [`FileNodeAccess`], [`ShardedFileAccess`] — serves exactly one file,
@@ -110,7 +106,7 @@ impl OpenFileTree {
         let access = FileNodeAccess::with_capacity_pages(
             vec![file],
             cap_pages,
-            &[MAX_HEIGHT],
+            &[UPDATE_MAX_HEIGHT],
             EvictionPolicy::Lru,
         )?;
         Self::from_parts(tree, access)
@@ -127,7 +123,7 @@ impl OpenShardedTree {
         let access = ShardedFileAccess::with_capacity_pages(
             vec![file],
             cap_pages,
-            &[MAX_HEIGHT],
+            &[UPDATE_MAX_HEIGHT],
             EvictionPolicy::Lru,
         )?;
         Self::from_parts(tree, access)
@@ -302,7 +298,7 @@ impl<B: UpdateBackend> OpenTree<B> {
                     let depth = self
                         .tree
                         .depth_of_level(self.tree.node(p).level)
-                        .min(MAX_HEIGHT - 1);
+                        .min(UPDATE_MAX_HEIGHT - 1);
                     self.access.access(self.store, p, depth);
                     codec::encode_node_fmt(
                         &to_disk(self.tree.node(p)),
@@ -591,8 +587,8 @@ mod tests {
         let path = dir.file("t.rsj");
         build(150).save_to(&path).unwrap();
         let loaded = RTree::open_from(&path).unwrap();
-        let cache =
-            SharedPageCache::open(&[path], 8, &[MAX_HEIGHT], CacheConfig::default()).unwrap();
+        let cache = SharedPageCache::open(&[path], 8, &[UPDATE_MAX_HEIGHT], CacheConfig::default())
+            .unwrap();
         // Typed refusal up front — not a panic on the first update.
         let err = OpenTree::from_parts(loaded, cache.handle(8)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
@@ -605,9 +601,13 @@ mod tests {
         build(100).save_to(&path).unwrap();
         let other = build(200); // a different tree: page counts disagree
         let file = PageFile::open_rw(&path).unwrap();
-        let access =
-            FileNodeAccess::with_capacity_pages(vec![file], 8, &[MAX_HEIGHT], EvictionPolicy::Lru)
-                .unwrap();
+        let access = FileNodeAccess::with_capacity_pages(
+            vec![file],
+            8,
+            &[UPDATE_MAX_HEIGHT],
+            EvictionPolicy::Lru,
+        )
+        .unwrap();
         let err = OpenTree::from_parts(other, access).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }

@@ -269,6 +269,34 @@ impl RTree {
             .collect()
     }
 
+    /// The one save loop, over either file shape: one slot per allocated
+    /// page, appended in id order — a free-chain marker for a free page,
+    /// the encoded node otherwise — then free list, tree metadata, flush.
+    /// `append` and `set_free_list` are the shape's own (they are not part
+    /// of [`WritablePageFile`]).
+    fn write_pages<F: WritablePageFile>(
+        &self,
+        mut file: F,
+        append: fn(&mut F, &[u8]) -> Result<PageId, StorageError>,
+        set_free_list: fn(&mut F, &[PageId]) -> Result<(), StorageError>,
+    ) -> Result<F, StorageError> {
+        let (slot, format) = (file.slot_bytes(), file.entry_format());
+        let chain = self.free_chain();
+        let mut buf = Vec::with_capacity(slot);
+        for id in 0..self.page_store().len() {
+            let id = PageId(id as u32);
+            match chain.get(&id) {
+                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
+                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
+            }
+            append(&mut file, &buf)?;
+        }
+        set_free_list(&mut file, self.page_store().free_pages())?;
+        file.set_meta(encode_meta(self));
+        file.flush()?;
+        Ok(file)
+    }
+
     /// Writes the tree to `path` in the [`rsj_storage::codec`] page-file
     /// format: one slot per allocated page (ids preserved — free slots
     /// become chain markers), tree metadata in the header. Returns the
@@ -290,21 +318,8 @@ impl RTree {
         format: EntryFormat,
     ) -> Result<PageFile, StorageError> {
         let slot = self.slot_bytes(format);
-        let mut file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
-        let chain = self.free_chain();
-        let mut buf = Vec::with_capacity(slot);
-        for id in 0..self.page_store().len() {
-            let id = PageId(id as u32);
-            match chain.get(&id) {
-                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
-                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
-            }
-            file.append_page(&buf)?;
-        }
-        file.set_free_list(self.page_store().free_pages())?;
-        file.set_meta(encode_meta(self));
-        file.flush()?;
-        Ok(file)
+        let file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
+        self.write_pages(file, PageFile::append_page, PageFile::set_free_list)
     }
 
     /// Reopens a tree saved with [`RTree::save_to`]: decodes every page
@@ -375,7 +390,7 @@ impl RTree {
         let slot = self.slot_bytes(format);
         let assignment = self.shard_assignment(shards);
         let shard_count = shards.clamp(1, rsj_storage::sharded::MAX_SHARDS);
-        let mut file = ShardedPageFile::create_with_format(
+        let file = ShardedPageFile::create_with_format(
             base,
             self.params().page_bytes,
             slot,
@@ -383,20 +398,11 @@ impl RTree {
             &assignment,
             format,
         )?;
-        let chain = self.free_chain();
-        let mut buf = Vec::with_capacity(slot);
-        for id in 0..self.page_store().len() {
-            let id = PageId(id as u32);
-            match chain.get(&id) {
-                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
-                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
-            }
-            file.append_page(&buf)?;
-        }
-        file.set_free_list(self.page_store().free_pages())?;
-        file.set_meta(encode_meta(self));
-        file.flush()?;
-        Ok(file)
+        self.write_pages(
+            file,
+            ShardedPageFile::append_page,
+            ShardedPageFile::set_free_list,
+        )
     }
 
     /// Reopens a tree saved with [`RTree::save_sharded_to`]. Page ids,

@@ -4,17 +4,20 @@
 //! trees hand out charge-free borrows ([`crate::PageStore::peek`]) and the
 //! executor *reports* every logical page access so the buffer hierarchy can
 //! answer the paper's question: "would this access have gone to disk?"
-//! [`NodeAccess`] is that reporting interface. Three types implement it:
+//! [`NodeAccess`] is that reporting interface. Three types implement it,
+//! and there is one hierarchy between them — a value, [`crate::BufferPool`]
+//! ([`crate::pool`]), which the other two each own:
 //!
 //! * [`crate::BufferPool`] — the §4.1 hierarchy (path buffer → LRU →
-//!   disk) as pure accounting over an in-memory tree: the oracle;
-//! * [`crate::FileAccess`] — the same hierarchy over real page files,
-//!   where every miss performs an actual read; page source {plain,
-//!   sharded} × read strategy {blocking, queued} gives its four aliases
-//!   (the 2 × 2 table in [`crate::stack`]);
+//!   disk, dirty pages charged at eviction or flush) as pure accounting
+//!   over an in-memory tree: the oracle;
+//! * [`crate::FileAccess`] — a pool over real page files, where every miss
+//!   performs an actual read and every charged write an actual write; page
+//!   source {plain, sharded} × read strategy {blocking, queued} gives its
+//!   four aliases (the 2 × 2 table in [`crate::stack`]);
 //! * [`crate::SharedCacheFileAccess`] — a worker's handle onto the
-//!   latched [`crate::SharedPageCache`]: private logical buffers, shared
-//!   physical frames.
+//!   latched [`crate::SharedPageCache`]: a private pool for the logical
+//!   side, shared physical frames for the bytes.
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
 //! accountant instead of owning it — benches re-run joins against one
@@ -197,10 +200,11 @@ pub trait NodeAccess {
 /// many times between evictions costs one physical write. Every physical
 /// write-back charges one [`IoStats::page_writes`].
 ///
-/// Accounting-only backends ([`crate::BufferPool`]) implement the same
-/// protocol without materializing bytes: they charge `page_writes` where a
-/// real backend would write, which makes them the write-path accounting
-/// oracle exactly as they are the read-path one.
+/// The protocol itself — which page is written when, and what it costs —
+/// has one implementation, [`crate::BufferPool`]. On its own the pool
+/// materializes no bytes and charges `page_writes` where a real backend
+/// would write; the real backends own a pool and hand it the writer, so it
+/// is the write-path oracle exactly as it is the read-path one.
 pub trait NodeAccessMut: NodeAccess {
     /// Registers `page` of `store` as mutated, with its current encoded
     /// payload. The page becomes buffer-resident (without hit/miss

@@ -60,10 +60,10 @@
 //! ## Logical vs physical accounting
 //!
 //! Each worker drives the cache through a [`SharedCacheFileAccess`]
-//! handle carrying **private path buffers and a private logical LRU** —
-//! the full §4.1 decision hierarchy of [`crate::BufferPool`], charged
-//! through the same [`crate::pool::hierarchy_access`] chokepoint. A
-//! handle's [`IoStats`] is therefore bit-identical to a private-buffer
+//! handle that owns a private [`BufferPool`] — the full §4.1 hierarchy
+//! ([`crate::pool`]): path buffers, a logical LRU, the write-back
+//! protocol, every charge — and drives it exactly as the oracle is
+//! driven. A handle's [`IoStats`] is therefore that of a private-buffer
 //! worker of the same capacity *by construction*, independent of what
 //! other workers do. Only on a charged logical miss does the handle
 //! consult the shared frame layer, where the *physical* story is
@@ -78,9 +78,10 @@
 //! The write path mirrors the split. A handle opened through
 //! [`SharedPageCache::update_handle`] owns the read-write [`PageFile`] of
 //! its store and implements [`crate::NodeAccessMut`]/[`UpdateBackend`]:
-//! its *logical* `page_writes` replay the [`crate::BufferPool`] oracle
-//! bit-for-bit (install + dirty, charged at private eviction or flush),
-//! while the *bytes* ride the shared frames and reach the disk once, at
+//! its *logical* `page_writes` are charged by its pool (install + dirty,
+//! charged at private eviction or flush — with nothing to write, the
+//! handle holds no bytes), while the *bytes* ride the shared frames and
+//! reach the disk once, at
 //! [`SharedPageCache::flush_dirty`] — counted in
 //! [`SharedPageCache::physical_writes`], so
 //! `physical_writes ≤ Σ per-worker page_writes` for the same reason the
@@ -98,18 +99,10 @@ use crate::completion::{CompletionQueue, DelayFn};
 use crate::file::PageFile;
 use crate::lru::{EvictionPolicy, LruBuffer};
 use crate::page::PageId;
-use crate::path::PathBuffer;
-use crate::pool::{BufKey, IoStats};
+use crate::path::UPDATE_MAX_HEIGHT;
+use crate::pool::{BufKey, BufferPool, IoStats};
 use crate::stack::validate_stores;
 use crate::writeback::{UpdateBackend, WritablePageFile};
-
-/// Path-buffer height of a store opened for updates: an updatable tree
-/// can grow past its open-time height (a root split shifts every depth),
-/// so the buffer is sized for any height the tree can reach — the same
-/// bound the rtree crate's `OpenTree` uses (`MAX_HEIGHT`), which keeps
-/// the update handle's logical charges aligned with the
-/// [`crate::FileNodeAccess`] oracle.
-const UPDATE_MAX_HEIGHT: usize = 64;
 
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -333,26 +326,29 @@ impl SharedPageCache {
     /// [`IoStats`] over the shared frame layer. Read-only — see
     /// [`SharedPageCache::update_handle`] for the write path.
     pub fn handle(self: &Arc<Self>, cap_pages: usize) -> SharedCacheFileAccess {
+        self.handle_over(BufferPool::with_capacity_pages(cap_pages, &self.heights))
+    }
+
+    fn handle_over(self: &Arc<Self>, pool: BufferPool) -> SharedCacheFileAccess {
         SharedCacheFileAccess {
             cache: Arc::clone(self),
-            lru: LruBuffer::with_policy(cap_pages, EvictionPolicy::Lru),
-            paths: self.heights.iter().map(|&h| PathBuffer::new(h)).collect(),
+            pool,
             files: self.heights.iter().map(|_| None).collect(),
-            stats: IoStats::default(),
             last_miss: Ticket::NONE,
             warm_hits: 0,
             cold_faults: 0,
-            evicted: Vec::new(),
         }
     }
 
     /// A worker's view *with the write path open* for `store`: the
     /// returned handle owns a read-write [`PageFile`] on that store (the
     /// handle its [`UpdateBackend`] impl serves) and a path buffer sized
-    /// for any height an updated tree can grow to. Logical write charges
-    /// replay the [`crate::BufferPool`] oracle; payload bytes ride the
-    /// shared frames until [`crate::NodeAccessMut::flush_writes`] pushes
-    /// them through [`SharedPageCache::flush_dirty`].
+    /// for any height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`],
+    /// which keeps the handle's logical charges aligned with the
+    /// [`crate::FileNodeAccess`] oracle). Logical write charges are its
+    /// pool's; payload bytes ride the shared frames until
+    /// [`crate::NodeAccessMut::flush_writes`] pushes them through
+    /// [`SharedPageCache::flush_dirty`].
     pub fn update_handle(
         self: &Arc<Self>,
         store: u8,
@@ -364,8 +360,9 @@ impl SharedPageCache {
                 self.paths.len()
             ))
         })?;
-        let mut h = self.handle(cap_pages);
-        h.paths[store as usize] = PathBuffer::new(UPDATE_MAX_HEIGHT);
+        let mut heights = self.heights.clone();
+        heights[store as usize] = UPDATE_MAX_HEIGHT;
+        let mut h = self.handle_over(BufferPool::with_capacity_pages(cap_pages, &heights));
         h.files[store as usize] = Some(PageFile::open_rw(path)?);
         Ok(h)
     }
@@ -872,12 +869,10 @@ impl SharedPageCache {
 
 /// One worker's backend over a [`SharedPageCache`] — beside
 /// [`crate::BufferPool`] and [`crate::FileAccess`] the third and last
-/// [`NodeAccess`] implementor, the one whose frames are shared. Private
-/// path buffers, private logical LRU, private
-/// [`IoStats`] — charged through [`crate::pool::hierarchy_access`]
-/// exactly like [`crate::BufferPool`], so the logical accounting is
-/// bit-identical to a private-buffer worker of the same capacity — while
-/// every charged miss is *served* by the shared frame layer
+/// [`NodeAccess`] implementor, the one whose frames are shared. It owns
+/// a private [`BufferPool`] — path buffers, logical LRU, [`IoStats`] — so
+/// the logical accounting is that of a private-buffer worker of the same
+/// capacity, while every charged miss is *served* by the shared frame layer
 /// (single-flight physical reads, warm frames across workers and across
 /// requests). Completion-driven: a miss returns a ticket for the cursor
 /// to park on instead of blocking in `access()`.
@@ -887,27 +882,23 @@ impl SharedPageCache {
 /// [`crate::NodeAccessMut`]/[`UpdateBackend`] impls below.
 pub struct SharedCacheFileAccess {
     cache: Arc<SharedPageCache>,
-    /// Private *logical* LRU — accounting only; bytes live in the shared
-    /// frames.
-    lru: LruBuffer,
-    paths: Vec<PathBuffer>,
+    /// The private *logical* hierarchy — accounting only, driven like the
+    /// oracle; bytes live in the shared frames.
+    pool: BufferPool,
     /// Read-write file handles, by store — `Some` only for stores opened
     /// through [`SharedPageCache::update_handle`].
     files: Vec<Option<PageFile>>,
-    stats: IoStats,
     last_miss: Ticket,
     /// Charged misses served by a frame already resident or in flight.
     warm_hits: u64,
     /// Charged misses that submitted the physical read themselves.
     cold_faults: u64,
-    /// Scratch for draining the private LRU's dirty evictions.
-    evicted: Vec<BufKey>,
 }
 
 impl fmt::Debug for SharedCacheFileAccess {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedCacheFileAccess")
-            .field("stats", &self.stats)
+            .field("stats", &self.pool.stats())
             .field("warm_hits", &self.warm_hits)
             .field("cold_faults", &self.cold_faults)
             .finish()
@@ -918,7 +909,7 @@ impl SharedCacheFileAccess {
     /// Statistics recorded through this handle.
     #[inline]
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.pool.stats()
     }
 
     /// The cache this handle charges against.
@@ -939,32 +930,11 @@ impl SharedCacheFileAccess {
     pub fn cold_faults(&self) -> u64 {
         self.cold_faults
     }
-
-    /// Logical write-back accounting, bit-identical to
-    /// [`crate::BufferPool`]: every dirty page the *private* LRU evicted
-    /// would have been written by a shared-nothing backend — charge it.
-    /// A no-op on read-only handles (nothing private is ever dirty), so
-    /// join statistics are untouched.
-    fn charge_private_dirty_evictions(&mut self) {
-        if self.lru.has_dirty_evicted() {
-            self.evicted.clear();
-            self.lru.take_dirty_evicted(&mut self.evicted);
-            self.stats.page_writes += self.evicted.len() as u64;
-        }
-    }
 }
 
 impl NodeAccess for SharedCacheFileAccess {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = crate::pool::hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            depth,
-        );
-        self.charge_private_dirty_evictions();
+        let miss = self.pool.access(store, page, depth);
         if miss {
             let (ticket, fresh) = self.cache.materialize(store, page);
             if fresh {
@@ -978,22 +948,20 @@ impl NodeAccess for SharedCacheFileAccess {
     }
 
     fn pin(&mut self, store: u8, page: PageId) {
-        // Logical pin mirrors the BufferPool oracle (it shapes eviction
-        // decisions, hence the charge sequence); the shared-layer pin
-        // keeps the frame eviction-proof for every worker.
-        self.lru.pin(BufKey::new(store, page));
-        self.charge_private_dirty_evictions();
+        // The logical pin shapes eviction decisions, hence the charge
+        // sequence; the shared-layer pin keeps the frame eviction-proof
+        // for every worker.
+        self.pool.pin(store, page);
         self.cache.pin(store, page);
     }
 
     fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
-        self.charge_private_dirty_evictions();
+        self.pool.unpin(store, page);
         self.cache.unpin(store, page);
     }
 
     fn io_stats(&self) -> IoStats {
-        self.stats
+        self.pool.stats()
     }
 
     // No hint plumbing (wants_hints stays false): a hint prefetched into
@@ -1036,35 +1004,25 @@ impl NodeAccess for SharedCacheFileAccess {
 }
 
 impl NodeAccessMut for SharedCacheFileAccess {
-    /// Registers a mutated page: the *logical* charge replays
-    /// [`crate::BufferPool::mark_dirty`] bit-for-bit against the private
-    /// LRU (install + dirty; write-through charge when nothing can stay
-    /// resident; eviction charges drained after), while the *bytes* take
-    /// the latched shared-frame path ([`SharedPageCache::write`]).
+    /// Registers a mutated page: the *logical* charge is the private
+    /// pool's ([`BufferPool::mark_dirty`]), while the *bytes* take the
+    /// latched shared-frame path ([`SharedPageCache::write`]).
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        let key = BufKey::new(store, page);
-        self.lru.install(key);
-        if !self.lru.mark_dirty(key) {
-            self.stats.page_writes += 1; // write-through, no residency
-        }
-        self.charge_private_dirty_evictions();
+        self.pool.mark_dirty(store, page);
         self.cache.write(store, page, payload);
     }
 
     fn discard(&mut self, store: u8, page: PageId) {
-        self.lru.clear_dirty(BufKey::new(store, page));
+        self.pool.discard_dirty(store, page);
         self.cache.clear_dirty(store, page);
     }
 
-    /// Charges one logical write per remaining private dirty page (the
-    /// [`crate::BufferPool::flush_writes`] image), then pushes every
-    /// pending payload of the stores this handle owns through
+    /// Charges one logical write per remaining private dirty page
+    /// ([`BufferPool::flush_writes`]), then pushes every pending payload
+    /// of the stores this handle owns through
     /// [`SharedPageCache::flush_dirty`] into the real files.
     fn flush_writes(&mut self) -> Result<(), StorageError> {
-        for key in self.lru.dirty_keys() {
-            self.lru.clear_dirty(key);
-            self.stats.page_writes += 1;
-        }
+        self.pool.flush_writes();
         let cache = Arc::clone(&self.cache);
         for (store, slot) in self.files.iter_mut().enumerate() {
             if let Some(file) = slot {
@@ -1100,7 +1058,6 @@ mod tests {
     use super::*;
     use crate::codec::{self, META_BYTES};
     use crate::temp::TempDir;
-    use crate::BufferPool;
     use std::time::Duration;
 
     fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PathBuf {

@@ -42,9 +42,9 @@
 //! ## Accounting invariants
 //!
 //! The owning backends charge [`IoStats`](crate::IoStats) *synchronously*
-//! in `access()` through the shared [`crate::pool::hierarchy_access`]
-//! chokepoint — identical, in order and in value, to
-//! [`crate::BufferPool`]. Only the *physical read* is asynchronous. Every
+//! in `access()`, through the [`crate::BufferPool`] each of them owns —
+//! identical, in order and in value, to the oracle because it is the
+//! oracle's code. Only the *physical read* is asynchronous. Every
 //! submission is consumed by exactly one charged miss (hints beyond the
 //! pipeline window are dropped at submission time, never
 //! read-then-discarded), so once [`CompletionQueue::drain`] returns, the

@@ -11,13 +11,16 @@
 //!   SJ4/SJ5 rely on: a pinned page is never chosen as eviction victim.
 //! * [`PathBuffer`] — the tree-private buffer of §4.1 ("a so-called path
 //!   buffer accommodating all nodes of the path which was accessed last").
-//! * [`BufferPool`] — composes the two lookup layers (path buffer first,
-//!   then LRU, then "disk") and tallies [`IoStats`].
+//! * [`BufferPool`] — the buffer hierarchy as one value: the two lookup
+//!   layers (path buffer first, then LRU, then "disk"), the write-back
+//!   protocol of dirty pages, and every [`IoStats`] charge ([`pool`]).
 //! * [`NodeAccess`] — the pluggable page-access interface the join
 //!   executors charge against. Exactly three types implement it:
-//!   [`BufferPool`] (the in-memory accounting oracle), [`FileAccess`]
-//!   (the one file stack, below) and [`SharedCacheFileAccess`] (a
-//!   worker's handle onto the shared frame cache).
+//!   [`BufferPool`] (on its own: the in-memory accounting oracle),
+//!   [`FileAccess`] (the one file stack, below) and
+//!   [`SharedCacheFileAccess`] (a worker's handle onto the shared frame
+//!   cache) — the latter two each *own* a pool, so all three decide and
+//!   charge with the same code.
 //! * [`CostModel`] — the paper's linear execution-time estimate: 15 ms
 //!   positioning per access, 5 ms per KByte transferred, 3.9 µs per
 //!   floating-point comparison (§4.1, Figure 2).
@@ -41,8 +44,8 @@
 //!   or — when the reads are what it waits for — up to [`QUEUE_DEPTH`]
 //!   at once through a bounded read-ahead ring;
 //! * [`FileAccess<S, R>`](FileAccess) — the file-backed [`NodeAccess`]
-//!   stack: the same path-buffer → LRU hierarchy as [`BufferPool`]
-//!   (bit-identical `IoStats` at equal capacity), but every miss performs
+//!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
+//!   capacity) over page files, where every miss performs
 //!   an actual page read. It is assembled from a page source `S` and a
 //!   read strategy `R`, and the familiar names are its four aliases:
 //!
@@ -60,9 +63,9 @@
 //!   frame cache over the completion queue: sharded, pin-counted frames
 //!   walking an Empty → Reading → Resident → Dirty state machine,
 //!   single-flight physical reads across concurrent demanders, and warm
-//!   frames that outlive a single join — while every worker keeps private
-//!   path buffers and a private logical LRU, so its [`IoStats`] stay
-//!   bit-identical to a private-buffer worker;
+//!   frames that outlive a single join — while every worker's handle owns
+//!   a private [`BufferPool`], so its [`IoStats`] are those of a
+//!   private-buffer worker;
 //! * [`partition`] — the one Fibonacci-hash partitioner shared by the
 //!   cache's frame shards and the subtree partitioner;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
@@ -72,9 +75,10 @@
 //!
 //! * [`NodeAccessMut`] — the write half of the access boundary: dirty-page
 //!   registration with pin-aware write-back on eviction and explicit
-//!   flush, charged in [`IoStats::page_writes`] ([`BufferPool`] is the
-//!   accounting oracle, the blocking file stack and the shared cache
-//!   write for real through the shared [`writeback`] machinery);
+//!   flush, charged in [`IoStats::page_writes`] — one protocol, in
+//!   [`BufferPool`]: alone it only counts, the blocking file stack hands
+//!   it a writer over its [`writeback`] payload table and files, the
+//!   shared-cache handle lets it count while the bytes ride the frames;
 //! * persistent **free-page lists** in [`PageFile`] and
 //!   [`ShardedPageFile`] — header-chained marker slots,
 //!   `allocate`/`release` with reuse-before-append, validated on open;
@@ -122,7 +126,7 @@ pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
 pub use partition::{partition, partition_key};
-pub use path::PathBuffer;
+pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};
 pub use pool::{BufKey, BufferPool, IoStats};
 pub use sharded::ShardedPageFile;
 pub use stack::{

@@ -12,6 +12,12 @@
 
 use crate::page::PageId;
 
+/// Path-buffer height of a tree opened for updates: an updatable tree can
+/// grow past its open-time height (a root split shifts every depth), so
+/// its buffer is sized for any height the tree can reach. One bound for
+/// every update backend, so their logical charges stay aligned.
+pub const UPDATE_MAX_HEIGHT: usize = 64;
+
 /// Per-tree buffer holding the most recently accessed page of every level.
 #[derive(Debug, Clone)]
 pub struct PathBuffer {

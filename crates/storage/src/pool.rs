@@ -1,18 +1,39 @@
-//! The composed buffer hierarchy and I/O statistics.
+//! The §4.1 buffer hierarchy, its write-back protocol and the I/O
+//! statistics — one value, [`BufferPool`].
 //!
 //! A page access during a join resolves in this order (§4.1):
 //!
 //! 1. the owning tree's **path buffer** (free, belongs to the data
 //!    structure);
-//! 2. the shared system **LRU buffer**;
+//! 2. the shared system **LRU buffer**, with pinning on top (§4.3);
 //! 3. "disk" — charged as one **disk access**, the paper's I/O unit.
 //!
-//! [`BufferPool`] owns the LRU buffer and one path buffer per participating
-//! store/tree, and tallies everything in [`IoStats`]. It deliberately does
-//! *not* own the page payloads — the join algorithms borrow node data from
-//! their `PageStore`s and only report accesses here; this keeps the borrow
-//! structure simple and mirrors the paper's accounting, where the buffer
-//! question is purely "would this access have gone to disk?".
+//! A mutated page stays buffered *dirty* and costs one **page write** when
+//! the LRU evicts it, when a flush reaches it, or on the spot when nothing
+//! can stay resident (zero capacity, every slot pinned).
+//!
+//! [`BufferPool`] owns all of that — path buffers, LRU buffer, the queue of
+//! dirty pages evicted but not yet written, [`IoStats`], every charge — but
+//! deliberately *not* the page payloads: the join algorithms borrow node
+//! data from their `PageStore`s and only report accesses here, mirroring
+//! the paper's accounting, where the buffer question is purely "would this
+//! access have gone to disk?". Whoever does hold the bytes passes a
+//! **writer** to the `_with` form of an operation: the pool calls it with
+//! each key whose physical write is due and charges the write once the
+//! writer returned `Ok`. Three owners:
+//!
+//! * on its own the pool is the accounting oracle — the public operations
+//!   run with a writer that has nothing to write and cannot fail;
+//! * [`crate::FileAccess`] holds one and supplies a writer over its payload
+//!   table and page files ([`crate::writeback`]);
+//! * [`crate::SharedCacheFileAccess`] holds one as its private logical side
+//!   and drives it like the oracle — its bytes ride the shared frames.
+//!
+//! So the decisions and `IoStats` of all three [`crate::NodeAccess`]
+//! implementors are the same code, reads and writes alike; only what a miss
+//! *does* and where the bytes live differ.
+
+use std::convert::Infallible;
 
 use crate::access::NodeAccess;
 pub use crate::lru::BufKey;
@@ -43,51 +64,22 @@ impl IoStats {
     }
 }
 
-/// The §4.1 access decision shared by all three [`crate::NodeAccess`]
-/// implementors ([`BufferPool`], [`crate::FileAccess`],
-/// [`crate::SharedCacheFileAccess`]): probe the owning tree's path buffer,
-/// fall through to the LRU buffer, and charge a disk access on a miss.
-/// Returns `true` iff the caller must actually fetch the page.
-///
-/// Keeping this in one function is what makes the backends' `disk_accesses`
-/// *bit-identical by construction* — only what a miss does differs.
-#[inline]
-pub(crate) fn hierarchy_access(
-    lru: &mut LruBuffer,
-    paths: &mut [PathBuffer],
-    stats: &mut IoStats,
-    store: u8,
-    page: PageId,
-    depth: usize,
-) -> bool {
-    let path = &mut paths[store as usize];
-    if path.probe(page) {
-        stats.path_hits += 1;
-        // A path-buffered page is still "used", but the path buffer is
-        // separate memory owned by the tree — do not force LRU residency.
-        path.install(depth, page);
-        return false;
-    }
-    path.install(depth, page);
-    match lru.access(BufKey::new(store, page)) {
-        Access::Hit => {
-            stats.lru_hits += 1;
-            false
-        }
-        Access::Miss => {
-            stats.disk_accesses += 1;
-            true
-        }
-    }
+/// The writer of an owner that holds no bytes: every write-back "succeeds"
+/// and is only counted.
+fn no_bytes(_: BufKey) -> Result<(), Infallible> {
+    Ok(())
 }
 
-/// The buffer hierarchy shared by the trees participating in a join.
+/// The buffer hierarchy shared by the trees participating in a join
+/// (module docs).
 #[derive(Debug, Clone)]
 pub struct BufferPool {
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
     stats: IoStats,
-    /// Scratch for draining dirty evictions (write-back accounting).
+    /// Dirty pages the LRU evicted whose write has not returned `Ok` yet.
+    /// Empty between operations unless a writer failed: the failing key
+    /// and everything queued behind it wait here for the next drain.
     evicted: Vec<BufKey>,
 }
 
@@ -108,18 +100,18 @@ impl BufferPool {
         policy: EvictionPolicy,
     ) -> Self {
         assert!(page_bytes > 0, "page size must be positive");
-        BufferPool {
-            lru: LruBuffer::with_policy(buffer_bytes / page_bytes, policy),
-            paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
-            stats: IoStats::default(),
-            evicted: Vec::new(),
-        }
+        Self::with_pages(buffer_bytes / page_bytes, heights, policy)
     }
 
     /// Pool with explicit LRU page capacity (mostly for tests).
     pub fn with_capacity_pages(cap_pages: usize, heights: &[usize]) -> Self {
+        Self::with_pages(cap_pages, heights, EvictionPolicy::Lru)
+    }
+
+    /// Pool with explicit LRU page capacity and eviction policy.
+    pub(crate) fn with_pages(cap_pages: usize, heights: &[usize], policy: EvictionPolicy) -> Self {
         BufferPool {
-            lru: LruBuffer::new(cap_pages),
+            lru: LruBuffer::with_policy(cap_pages, policy),
             paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
             stats: IoStats::default(),
             evicted: Vec::new(),
@@ -129,29 +121,77 @@ impl BufferPool {
     /// Records an access by tree `store` to `page` at depth `level`
     /// (0 = root). Returns `true` if the access had to go to disk.
     pub fn access(&mut self, store: u8, page: PageId, level: usize) -> bool {
-        let miss = hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            level,
-        );
-        self.charge_dirty_evictions();
+        let Ok(miss) = self.access_with(store, page, level, no_bytes);
         miss
+    }
+
+    /// The §4.1 access decision — probe the owning tree's path buffer, fall
+    /// through to the LRU buffer, charge a disk access on a miss — followed
+    /// by the write-back of whatever the LRU evicted to make room. Returns
+    /// `true` iff the caller must actually fetch the page.
+    #[inline]
+    pub(crate) fn access_with<E>(
+        &mut self,
+        store: u8,
+        page: PageId,
+        depth: usize,
+        write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<bool, E> {
+        let path = &mut self.paths[store as usize];
+        let on_path = path.probe(page);
+        path.install(depth, page);
+        if on_path {
+            // A path-buffered page is still "used", but the path buffer is
+            // separate memory owned by the tree — do not force LRU
+            // residency (so nothing was evicted either).
+            self.stats.path_hits += 1;
+            return Ok(false);
+        }
+        let miss = match self.lru.access(BufKey::new(store, page)) {
+            Access::Hit => {
+                self.stats.lru_hits += 1;
+                false
+            }
+            Access::Miss => {
+                self.stats.disk_accesses += 1;
+                true
+            }
+        };
+        self.write_back_evicted(write)?;
+        Ok(miss)
     }
 
     /// Pins `store`'s `page` in the LRU buffer (see
     /// [`LruBuffer::pin`]).
     pub fn pin(&mut self, store: u8, page: PageId) {
+        let Ok(()) = self.pin_with(store, page, no_bytes);
+    }
+
+    /// [`BufferPool::pin`] for an owner that holds the bytes.
+    pub(crate) fn pin_with<E>(
+        &mut self,
+        store: u8,
+        page: PageId,
+        write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.lru.pin(BufKey::new(store, page));
-        self.charge_dirty_evictions();
+        self.write_back_evicted(write)
     }
 
     /// Releases one pin.
     pub fn unpin(&mut self, store: u8, page: PageId) {
+        let Ok(()) = self.unpin_with(store, page, no_bytes);
+    }
+
+    /// [`BufferPool::unpin`] for an owner that holds the bytes.
+    pub(crate) fn unpin_with<E>(
+        &mut self,
+        store: u8,
+        page: PageId,
+        write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.lru.unpin(BufKey::new(store, page));
-        self.charge_dirty_evictions();
+        self.write_back_evicted(write)
     }
 
     /// Registers `store`'s `page` as mutated: buffer-resident (installed
@@ -162,36 +202,97 @@ impl BufferPool {
     /// (zero capacity / all slots pinned) is charged immediately: a real
     /// backend writes it through on the spot.
     pub fn mark_dirty(&mut self, store: u8, page: PageId) {
+        let Ok(()) = self.mark_dirty_with(store, page, no_bytes);
+    }
+
+    /// [`BufferPool::mark_dirty`] for an owner that holds the bytes (it has
+    /// them ready for `write` before it calls).
+    pub(crate) fn mark_dirty_with<E>(
+        &mut self,
+        store: u8,
+        page: PageId,
+        write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
         let key = BufKey::new(store, page);
         self.lru.install(key);
         if !self.lru.mark_dirty(key) {
-            self.stats.page_writes += 1; // write-through, no residency
+            // The install itself was evicted, clean, so the LRU did not
+            // queue it: there is no residency to defer the write under.
+            // It is the eviction it looks like — written through now,
+            // ahead of anything the install pushed out.
+            self.evicted.push(key);
         }
-        self.charge_dirty_evictions();
+        self.drain_evicted(write)
     }
 
     /// Drops the dirty state of `store`'s `page` without charging a write.
     pub fn discard_dirty(&mut self, store: u8, page: PageId) {
-        self.lru.clear_dirty(BufKey::new(store, page));
+        let key = BufKey::new(store, page);
+        self.lru.clear_dirty(key);
+        self.evicted.retain(|&k| k != key);
     }
 
     /// Charges one write per remaining dirty resident and cleans them —
     /// the accounting image of a backend flush.
     pub fn flush_writes(&mut self) {
+        let Ok(()) = self.flush_writes_with(no_bytes);
+    }
+
+    /// Writes back every page still dirty — evicted ones a failed write
+    /// left queued first, then the residents in the LRU's deterministic
+    /// recency order — and cleans them. Error-safe: pages written before a
+    /// failure are clean and charged, the failing page and the rest stay
+    /// dirty, so a retry resumes where this stopped.
+    pub(crate) fn flush_writes_with<E>(
+        &mut self,
+        mut write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.drain_evicted(&mut write)?;
         for key in self.lru.dirty_keys() {
+            write(key)?;
             self.lru.clear_dirty(key);
             self.stats.page_writes += 1;
         }
+        Ok(())
     }
 
-    /// Write-back accounting: every dirty page the LRU evicted would have
-    /// been written to disk by a real backend — charge it.
-    fn charge_dirty_evictions(&mut self) {
-        if self.lru.has_dirty_evicted() {
-            self.evicted.clear();
-            self.lru.take_dirty_evicted(&mut self.evicted);
-            self.stats.page_writes += self.evicted.len() as u64;
+    /// Write-back after an operation that may have evicted: a no-op unless
+    /// the LRU pushed a dirty page out — which a join, never writing,
+    /// cannot cause.
+    #[inline]
+    fn write_back_evicted<E>(
+        &mut self,
+        write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
+        if !self.lru.has_dirty_evicted() {
+            return Ok(());
         }
+        self.drain_evicted(write)
+    }
+
+    /// Hands every evicted dirty page to `write`, in eviction order, and
+    /// charges each write that returned `Ok`. Error-safe: the failing key
+    /// and everything behind it stay queued for the next drain.
+    fn drain_evicted<E>(
+        &mut self,
+        mut write: impl FnMut(BufKey) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.lru.take_dirty_evicted(&mut self.evicted);
+        let mut done = 0;
+        let res = self.evicted.iter().try_for_each(|&key| {
+            write(key)?;
+            done += 1;
+            Ok(())
+        });
+        self.stats.page_writes += done as u64;
+        self.evicted.drain(..done);
+        res
+    }
+
+    /// Whether a buffer holds `store`'s `page`, i.e. a demand access would
+    /// not go to disk.
+    pub(crate) fn holds(&self, store: u8, page: PageId) -> bool {
+        self.lru.contains(BufKey::new(store, page)) || self.paths[store as usize].contains(page)
     }
 
     /// Statistics so far.
@@ -210,17 +311,18 @@ impl BufferPool {
     /// buffer's own hit/miss/eviction counters, so a reset pool reports a
     /// genuinely cold start on every channel (benches rely on this; the
     /// file-backed twin [`crate::FileAccess::reset`] additionally
-    /// zeroes its page-file counters in the same way).
+    /// zeroes its page-file counters in the same way). Dirty state is
+    /// dropped uncharged.
     pub fn reset(&mut self) {
         self.lru.clear();
         self.lru.reset_io();
         for p in &mut self.paths {
             p.clear();
         }
+        self.evicted.clear();
         self.stats = IoStats::default();
     }
 }
-
 impl NodeAccess for BufferPool {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
         BufferPool::access(self, store, page, depth)

@@ -19,10 +19,14 @@
 //!   [`Ticket`] for the executor to park on, and turns read-schedule hints
 //!   into early submissions that a later demand miss adopts.
 //!
-//! Everything else is shared: the path-buffer → LRU decision runs through
-//! the function [`crate::BufferPool`] charges through, so `IoStats` are
-//! bit-identical to the oracle by construction in all four instantiations,
-//! and dirty pages ride [`crate::writeback`] until eviction or flush.
+//! Everything else is shared, and not only among the four: the stack
+//! *owns a* [`BufferPool`] — the path buffers, the LRU buffer, the
+//! write-back protocol and every charge are that one value
+//! ([`crate::pool`]) — so its decisions and `IoStats` are the oracle's by
+//! construction, reads and writes alike. What the stack adds is the bytes:
+//! a miss is a real read, and the writer it hands the hierarchy
+//! (`page_writer`) puts a dirty page's stashed payload
+//! ([`crate::writeback`]) into the file that owns it.
 //!
 //! ## Properties of the queued strategy
 //!
@@ -50,10 +54,9 @@ use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionConfig, CompletionQueue, DelayFn};
 use crate::file::PageFile;
-use crate::lru::{BufKey, EvictionPolicy, LruBuffer};
+use crate::lru::{BufKey, EvictionPolicy};
 use crate::page::PageId;
-use crate::path::PathBuffer;
-use crate::pool::IoStats;
+use crate::pool::{BufferPool, IoStats};
 use crate::sharded::ShardedPageFile;
 use crate::writeback::{DirtyPages, UpdateBackend, WritablePageFile};
 
@@ -174,18 +177,35 @@ pub(crate) fn open_lanes<S: PageSource>(
     CompletionQueue::open(&paths, delay)
 }
 
-/// The file-backed [`NodeAccess`] implementation (module docs): path
-/// buffers + one LRU buffer over one page source per participating
-/// tree/store, with every miss performing a real page read.
+/// The writer a [`FileAccess`] hands its hierarchy: the hierarchy names
+/// the page whose write is due, this puts the page's stashed payload into
+/// the file of its store.
+fn page_writer<'a, S: PageSource>(
+    files: &'a mut [S],
+    dirty: &'a mut DirtyPages,
+) -> impl FnMut(BufKey) -> Result<(), StorageError> + 'a {
+    dirty.writer(|key, buf| files[key.store as usize].write_page(key.page, buf))
+}
+
+/// Unwraps a hierarchy operation that wrote the dirty pages it evicted
+/// back through [`page_writer`]. A write-back failure panics, like a
+/// failed demand read: the storage broke mid-operation and the buffered
+/// payload has nowhere else to go.
+fn write_back_evicted<T>(done: Result<T, StorageError>) -> T {
+    done.expect("dirty-page write-back failed")
+}
+
+/// The file-backed [`NodeAccess`] implementation (module docs): the
+/// buffer hierarchy over one page source per participating tree/store,
+/// with every miss performing a real page read.
 #[derive(Debug)]
 pub struct FileAccess<S, R> {
     /// With [`Queued`] these are metadata handles (page sizes, counters);
     /// the reads happen on the queue's own lane handles.
     files: Vec<S>,
-    lru: LruBuffer,
-    paths: Vec<PathBuffer>,
-    stats: IoStats,
-    /// Dirty-page payloads awaiting write-back ([`NodeAccessMut`]).
+    /// Path buffers, LRU buffer, write-back protocol, [`IoStats`].
+    pool: BufferPool,
+    /// The bytes of the pages `pool` holds dirty ([`NodeAccessMut`]).
     dirty: DirtyPages,
     reads: R,
     /// Ticket of the most recent demand-miss submission.
@@ -230,9 +250,7 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
         validate_stores(&files, heights)?;
         Ok(FileAccess {
             files,
-            lru: LruBuffer::with_policy(cap_pages, policy),
-            paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
-            stats: IoStats::default(),
+            pool: BufferPool::with_pages(cap_pages, heights, policy),
             dirty: DirtyPages::default(),
             reads,
             last_miss: Ticket::NONE,
@@ -243,7 +261,7 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
 
     /// Statistics so far.
     pub fn stats(&self) -> IoStats {
-        self.stats
+        self.pool.stats()
     }
 
     /// The backing page source of `store` (counter inspection, reopening).
@@ -273,32 +291,14 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
         if let Some(queue) = self.reads.queue() {
             queue.reset();
         }
-        self.lru.clear();
-        self.lru.reset_io();
+        self.pool.reset();
         self.dirty.clear();
-        for p in &mut self.paths {
-            p.clear();
-        }
         for f in &mut self.files {
             f.reset_io();
         }
-        self.stats = IoStats::default();
         self.last_miss = Ticket::NONE;
         self.staged_hits = 0;
         self.demand_reads = 0;
-    }
-
-    /// Writes back every dirty page the LRU evicted since the last drain.
-    /// A write-back failure panics, like a failed demand read: the
-    /// storage broke mid-operation and the buffered payload has nowhere
-    /// else to go.
-    fn write_back_evicted(&mut self) {
-        let files = &mut self.files;
-        self.dirty
-            .write_back_evicted(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
-            .expect("dirty-page write-back failed");
     }
 }
 
@@ -417,17 +417,10 @@ impl<R: ReadStrategy> FileAccess<ShardedPageFile, R> {
 
 impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = crate::pool::hierarchy_access(
-            &mut self.lru,
-            &mut self.paths,
-            &mut self.stats,
-            store,
-            page,
-            depth,
-        );
-        // An insertion may have evicted a dirty page: write it back
-        // before anything else touches the file.
-        self.write_back_evicted();
+        // The decision may evict a dirty page: the hierarchy writes it
+        // back before anything else touches the file.
+        let write = page_writer(&mut self.files, &mut self.dirty);
+        let miss = write_back_evicted(self.pool.access_with(store, page, depth, write));
         if miss {
             // The honest part: a miss is a real read from the file.
             let (ticket, staged) = self.reads.read(&mut self.files, store, page);
@@ -442,17 +435,17 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
     }
 
     fn pin(&mut self, store: u8, page: PageId) {
-        self.lru.pin(BufKey::new(store, page));
-        self.write_back_evicted();
+        let write = page_writer(&mut self.files, &mut self.dirty);
+        write_back_evicted(self.pool.pin_with(store, page, write));
     }
 
     fn unpin(&mut self, store: u8, page: PageId) {
-        self.lru.unpin(BufKey::new(store, page));
-        self.write_back_evicted();
+        let write = page_writer(&mut self.files, &mut self.dirty);
+        write_back_evicted(self.pool.unpin_with(store, page, write));
     }
 
     fn io_stats(&self) -> IoStats {
-        self.stats
+        self.pool.stats()
     }
 
     fn wants_hints(&self) -> bool {
@@ -461,8 +454,7 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
 
     fn will_access(&mut self, store: u8, page: PageId, _depth: usize) {
         // Skip pages a demand access would not read anyway.
-        if self.lru.contains(BufKey::new(store, page)) || self.paths[store as usize].contains(page)
-        {
+        if self.pool.holds(store, page) {
             return;
         }
         self.reads.read_ahead(&self.files, store, page);
@@ -509,29 +501,23 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
 
 impl<S: PageSource> NodeAccessMut for FileAccess<S, Blocking> {
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        let files = &mut self.files;
-        self.dirty
-            .stash(
-                BufKey::new(store, page),
-                payload,
-                &mut self.lru,
-                &mut self.stats,
-                |key, buf| files[key.store as usize].write_page(key.page, buf),
-            )
+        self.dirty.stash(BufKey::new(store, page), payload);
+        let write = page_writer(&mut self.files, &mut self.dirty);
+        self.pool
+            .mark_dirty_with(store, page, write)
             .expect("dirty-page write-through failed");
-        self.write_back_evicted();
     }
 
     fn discard(&mut self, store: u8, page: PageId) {
-        self.dirty.discard(BufKey::new(store, page), &mut self.lru);
+        self.pool.discard_dirty(store, page);
+        self.dirty.discard(BufKey::new(store, page));
     }
 
     fn flush_writes(&mut self) -> Result<(), StorageError> {
-        let files = &mut self.files;
-        self.dirty
-            .flush_all(&mut self.lru, &mut self.stats, |key, buf| {
-                files[key.store as usize].write_page(key.page, buf)
-            })
+        let write = page_writer(&mut self.files, &mut self.dirty);
+        self.pool.flush_writes_with(write)?;
+        debug_assert!(self.dirty.is_empty(), "payloads without dirty bits");
+        Ok(())
     }
 }
 
@@ -583,7 +569,6 @@ mod tests {
     use crate::codec;
     use crate::temp::demo::payload;
     use crate::temp::TempDir;
-    use crate::BufferPool;
 
     const PAGES: u32 = 16;
     const SHARDS: usize = 4;
@@ -699,14 +684,18 @@ mod tests {
             acc.stats().disk_accesses,
             "every charge became exactly one physical read"
         );
-        assert!(acc.lru.misses() > 0);
+        assert!(acc.pool.lru().misses() > 0);
 
         acc.reset();
         assert_eq!(acc.stats(), IoStats::default());
         assert_eq!(physical(&acc), 0);
         assert_eq!((acc.staged_hits(), acc.demand_reads()), (0, 0));
         assert_eq!(
-            (acc.lru.hits(), acc.lru.misses(), acc.lru.evictions()),
+            (
+                acc.pool.lru().hits(),
+                acc.pool.lru().misses(),
+                acc.pool.lru().evictions()
+            ),
             (0, 0, 0)
         );
         assert!(acc.access(0, PageId(0), 0), "cold again after reset");
@@ -805,11 +794,11 @@ mod tests {
         let mut acc = blocking::<S>(fx, 1, 1);
         // Mutate page 1; the write is deferred...
         acc.write(0, PageId(1), &payload(111, fx.slot));
-        assert_eq!(acc.lru.dirty_len(), 1);
+        assert_eq!(acc.pool.lru().dirty_len(), 1);
         assert_eq!(acc.stats().page_writes, 0);
         // ...until eviction pressure pushes it out.
         acc.access(0, PageId(0), 0);
-        assert_eq!(acc.lru.dirty_len(), 0);
+        assert_eq!(acc.pool.lru().dirty_len(), 0);
         assert_eq!(acc.stats().page_writes, 1);
         // Mutate page 2 and flush explicitly.
         acc.access(0, PageId(2), 0);

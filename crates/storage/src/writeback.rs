@@ -1,14 +1,16 @@
-//! Shared write-back machinery of the file-backed access backends, and
-//! the traits the update path is generic over.
+//! The byte-holding half of the file backends' write-back, and the traits
+//! the update path is generic over.
 //!
-//! The accounting backends ([`crate::BufferPool`]) model write-back as a
-//! counter; the file backends must hold the actual bytes of every dirty
-//! page until the write happens. [`DirtyPages`] is that payload table of
-//! the [`crate::FileAccess`] stack: `stash` registers a mutated page's
-//! encoded bytes, `write_back_evicted` drains the LRU's dirty-eviction
-//! queue into physical writes, and `flush_all` writes whatever is still
-//! dirty — one write-back path over either page source, as
-//! `pool::hierarchy_access` is the one read-side decision.
+//! *Which* page is dirty, when it is written and what that costs is one
+//! protocol, owned by the buffer hierarchy ([`crate::pool`]): write
+//! through when nothing can stay resident, write at dirty eviction, write
+//! at flush, charge each write once it returned `Ok`. On its own the
+//! hierarchy models that as a counter; the [`crate::FileAccess`] stack
+//! must hold the actual bytes of every dirty page until the write
+//! happens. [`DirtyPages`] is that payload table and nothing more:
+//! `stash` keeps a mutated page's encoded bytes, `writer` is what the
+//! hierarchy calls with each key whose write is due, `discard` drops the
+//! bytes of a released page.
 //!
 //! [`WritablePageFile`] abstracts the physical file an updatable tree sits
 //! on ([`crate::PageFile`] or [`crate::ShardedPageFile`]): in-place page
@@ -20,9 +22,8 @@ use std::collections::{HashMap, HashSet};
 
 use crate::access::NodeAccessMut;
 use crate::codec::{EntryFormat, StorageError, META_BYTES};
-use crate::lru::{BufKey, LruBuffer};
+use crate::lru::BufKey;
 use crate::page::PageId;
-use crate::pool::IoStats;
 
 /// The in-memory mirror of a persistent free-page chain, shared by
 /// [`crate::PageFile`] and [`crate::ShardedPageFile`]: the LIFO list
@@ -151,122 +152,59 @@ impl FreeChain {
     }
 }
 
-/// The dirty-payload table of a write-back buffer (module docs).
+/// The dirty-payload table of the [`crate::FileAccess`] stack (module
+/// docs): bytes only — which page is dirty, and when it is written, is
+/// the hierarchy's business.
 #[derive(Debug, Default)]
 pub(crate) struct DirtyPages {
-    /// Encoded payload per dirty resident page.
+    /// Encoded payload per page awaiting its write-back.
     payloads: HashMap<BufKey, Vec<u8>>,
     /// Recycled payload buffers — steady-state updates allocate nothing.
     spare: Vec<Vec<u8>>,
-    /// Drain scratch for the LRU's dirty-eviction queue.
-    evicted: Vec<BufKey>,
 }
 
 impl DirtyPages {
-    /// Registers `key` as dirty with `payload`, installing it
-    /// counter-neutrally in `lru` (overwrites any previous payload). If
-    /// the buffer cannot hold the page at all — zero capacity, or every
-    /// slot pinned — the install evicts it on the spot and there is no
-    /// residency to defer under: the payload **writes through** instead
-    /// (charged as one `page_writes`, like the eviction it is).
-    pub fn stash(
-        &mut self,
-        key: BufKey,
-        payload: &[u8],
-        lru: &mut LruBuffer,
-        stats: &mut IoStats,
-        write: impl FnMut(BufKey, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        lru.install(key);
-        if lru.mark_dirty(key) {
-            let buf = self
-                .payloads
-                .entry(key)
-                .or_insert_with(|| self.spare.pop().unwrap_or_default());
-            buf.clear();
-            buf.extend_from_slice(payload);
-            Ok(())
-        } else {
-            // The install itself was evicted (clean, so not queued for
-            // write-back): write through now.
-            let mut write = write;
-            write(key, payload)?;
-            stats.page_writes += 1;
-            Ok(())
-        }
+    /// Keeps `payload` as the bytes `key` will be written back with
+    /// (overwrites any previous payload).
+    pub fn stash(&mut self, key: BufKey, payload: &[u8]) {
+        let buf = self
+            .payloads
+            .entry(key)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default());
+        buf.clear();
+        buf.extend_from_slice(payload);
     }
 
-    /// Drops `key`'s dirty state without writing (released page).
-    pub fn discard(&mut self, key: BufKey, lru: &mut LruBuffer) {
-        lru.clear_dirty(key);
+    /// Drops `key`'s payload without writing (released page).
+    pub fn discard(&mut self, key: BufKey) {
         if let Some(buf) = self.payloads.remove(&key) {
             self.spare.push(buf);
         }
-        self.evicted.retain(|&k| k != key);
     }
 
-    /// Writes back every dirty page the LRU has evicted since the last
-    /// drain, charging one `page_writes` each. Error-safe: a failed write
-    /// leaves the failing page (payload included) and everything after it
-    /// queued, so a caller that recovers (e.g. frees disk space) simply
-    /// calls again.
-    pub fn write_back_evicted(
-        &mut self,
-        lru: &mut LruBuffer,
-        stats: &mut IoStats,
-        mut write: impl FnMut(BufKey, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        if !lru.has_dirty_evicted() && self.evicted.is_empty() {
-            return Ok(()); // the hot path: nothing pending
-        }
-        lru.take_dirty_evicted(&mut self.evicted);
-        let mut done = 0;
-        let res = loop {
-            let Some(&key) = self.evicted.get(done) else {
-                break Ok(());
-            };
+    /// The writer the hierarchy drives ([`crate::pool`]): hands the stashed
+    /// payload of each key it is called with to `sink`. A payload leaves
+    /// the table only after its write returned `Ok`, so a failed write
+    /// loses nothing and a retry finds the bytes where they were.
+    pub fn writer<'a>(
+        &'a mut self,
+        mut sink: impl FnMut(BufKey, &[u8]) -> Result<(), StorageError> + 'a,
+    ) -> impl FnMut(BufKey) -> Result<(), StorageError> + 'a {
+        move |key| {
             let buf = self
                 .payloads
                 .get(&key)
-                .expect("dirty-evicted page must have a stashed payload");
-            if let Err(e) = write(key, buf) {
-                break Err(e);
-            }
-            stats.page_writes += 1;
+                .expect("a page due for write-back must have a stashed payload");
+            sink(key, buf)?;
             let buf = self.payloads.remove(&key).expect("present above");
             self.spare.push(buf);
-            done += 1;
-        };
-        self.evicted.drain(..done);
-        res
+            Ok(())
+        }
     }
 
-    /// Writes back every still-dirty resident page (in the LRU's
-    /// deterministic recency order), charging one `page_writes` each, and
-    /// clears the dirty set. Error-safe: pages written before a failure
-    /// are clean, the failing page and the rest stay dirty with their
-    /// payloads — a retry resumes where this stopped.
-    pub fn flush_all(
-        &mut self,
-        lru: &mut LruBuffer,
-        stats: &mut IoStats,
-        mut write: impl FnMut(BufKey, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        // Evicted-but-unwritten pages (a previous failure) come first.
-        self.write_back_evicted(lru, stats, &mut write)?;
-        for key in lru.dirty_keys() {
-            let buf = self
-                .payloads
-                .get(&key)
-                .expect("dirty resident page must have a stashed payload");
-            write(key, buf)?;
-            stats.page_writes += 1;
-            let buf = self.payloads.remove(&key).expect("present above");
-            self.spare.push(buf);
-            lru.clear_dirty(key);
-        }
-        debug_assert!(self.payloads.is_empty(), "payloads without dirty bits");
-        Ok(())
+    /// True once no payload awaits a write.
+    pub fn is_empty(&self) -> bool {
+        self.payloads.is_empty()
     }
 
     /// Discards all staged payloads without writing (backend reset).
@@ -274,7 +212,6 @@ impl DirtyPages {
         for (_, buf) in self.payloads.drain() {
             self.spare.push(buf);
         }
-        self.evicted.clear();
     }
 }
 
@@ -347,73 +284,85 @@ pub trait UpdateBackend: NodeAccessMut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BufferPool;
+
+    type Written = Vec<(BufKey, Vec<u8>)>;
 
     fn k(n: u32) -> BufKey {
         BufKey::new(0, PageId(n))
+    }
+
+    /// A hierarchy whose path buffer never hits, so every access is an LRU
+    /// access.
+    fn pool(cap_pages: usize) -> BufferPool {
+        BufferPool::with_capacity_pages(cap_pages, &[0])
     }
 
     fn no_write(_: BufKey, _: &[u8]) -> Result<(), StorageError> {
         panic!("write-through not expected here");
     }
 
+    fn disk_full(_: BufKey, _: &[u8]) -> Result<(), StorageError> {
+        Err(StorageError::Corrupt("disk full".into()))
+    }
+
+    fn record(written: &mut Written) -> impl FnMut(BufKey, &[u8]) -> Result<(), StorageError> + '_ {
+        |key, buf| {
+            written.push((key, buf.to_vec()));
+            Ok(())
+        }
+    }
+
+    /// What [`crate::FileAccess`]'s `write` does with the two halves.
+    fn stash(
+        dirty: &mut DirtyPages,
+        key: BufKey,
+        payload: &[u8],
+        pool: &mut BufferPool,
+        sink: impl FnMut(BufKey, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError> {
+        dirty.stash(key, payload);
+        pool.mark_dirty_with(key.store, key.page, dirty.writer(sink))
+    }
+
     #[test]
     fn stash_write_back_flush_lifecycle() {
         let mut dirty = DirtyPages::default();
-        let mut lru = LruBuffer::new(1);
-        let mut stats = IoStats::default();
-        let mut written: Vec<(BufKey, Vec<u8>)> = Vec::new();
+        let mut pool = pool(1);
+        let mut written = Written::new();
 
-        lru.access(k(1));
-        dirty
-            .stash(k(1), b"one", &mut lru, &mut stats, no_write)
-            .unwrap();
+        pool.access(0, PageId(1), 0);
+        stash(&mut dirty, k(1), b"one", &mut pool, no_write).unwrap();
         assert_eq!(dirty.payloads.len(), 1);
         // Second stash of the same key overwrites, no growth.
-        dirty
-            .stash(k(1), b"one!", &mut lru, &mut stats, no_write)
-            .unwrap();
+        stash(&mut dirty, k(1), b"one!", &mut pool, no_write).unwrap();
         assert_eq!(dirty.payloads.len(), 1);
 
-        lru.access(k(2)); // evicts dirty 1
-        dirty
-            .write_back_evicted(&mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        // The access evicts dirty 1, and writes it back.
+        let write = dirty.writer(record(&mut written));
+        pool.access_with(0, PageId(2), 0, write).unwrap();
         assert_eq!(written, vec![(k(1), b"one!".to_vec())]);
-        assert_eq!(stats.page_writes, 1);
+        assert_eq!(pool.stats().page_writes, 1);
         assert_eq!(dirty.payloads.len(), 0);
 
-        dirty
-            .stash(k(2), b"two", &mut lru, &mut stats, no_write)
-            .unwrap();
-        dirty
-            .flush_all(&mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        stash(&mut dirty, k(2), b"two", &mut pool, no_write).unwrap();
+        let write = dirty.writer(record(&mut written));
+        pool.flush_writes_with(write).unwrap();
         assert_eq!(written.last().unwrap(), &(k(2), b"two".to_vec()));
-        assert_eq!(stats.page_writes, 2);
-        assert!(!lru.is_dirty(k(2)), "flush cleans the page");
+        assert_eq!(pool.stats().page_writes, 2);
+        assert!(!pool.lru().is_dirty(k(2)), "flush cleans the page");
     }
 
     #[test]
     fn discard_prevents_the_write() {
         let mut dirty = DirtyPages::default();
-        let mut lru = LruBuffer::new(4);
-        let mut stats = IoStats::default();
-        dirty
-            .stash(k(1), b"x", &mut lru, &mut stats, no_write)
-            .unwrap();
-        dirty.discard(k(1), &mut lru);
-        dirty
-            .flush_all(&mut lru, &mut stats, |_, _| {
-                panic!("nothing to write");
-            })
-            .unwrap();
-        assert_eq!(stats.page_writes, 0);
+        let mut pool = pool(4);
+        stash(&mut dirty, k(1), b"x", &mut pool, no_write).unwrap();
+        pool.discard_dirty(0, PageId(1));
+        dirty.discard(k(1));
+        let write = dirty.writer(|_, _| panic!("nothing to write"));
+        pool.flush_writes_with(write).unwrap();
+        assert_eq!(pool.stats().page_writes, 0);
     }
 
     #[test]
@@ -421,81 +370,59 @@ mod tests {
         // Zero-capacity buffer: install evicts the key on the spot, so
         // the payload must reach the file now, not get lost.
         let mut dirty = DirtyPages::default();
-        let mut lru = LruBuffer::new(0);
-        let mut stats = IoStats::default();
-        let mut written = Vec::new();
-        dirty
-            .stash(k(1), b"thru", &mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        let mut zero = pool(0);
+        let mut written = Written::new();
+        stash(&mut dirty, k(1), b"thru", &mut zero, record(&mut written)).unwrap();
         assert_eq!(written, vec![(k(1), b"thru".to_vec())]);
-        assert_eq!(stats.page_writes, 1);
+        assert_eq!(zero.stats().page_writes, 1);
         assert_eq!(dirty.payloads.len(), 0, "nothing deferred");
         // All-pinned buffer behaves the same.
-        let mut lru = LruBuffer::new(1);
-        lru.access(k(9));
-        lru.pin(k(9));
-        dirty
-            .stash(k(2), b"thru2", &mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        let mut pinned = pool(1);
+        pinned.access(0, PageId(9), 0);
+        pinned.pin(0, PageId(9));
+        stash(
+            &mut dirty,
+            k(2),
+            b"thru2",
+            &mut pinned,
+            record(&mut written),
+        )
+        .unwrap();
         assert_eq!(written.last().unwrap(), &(k(2), b"thru2".to_vec()));
-        assert_eq!(stats.page_writes, 2);
+        assert_eq!(zero.stats().page_writes + pinned.stats().page_writes, 2);
     }
 
     #[test]
     fn failed_write_back_is_retryable_without_losing_payloads() {
         let mut dirty = DirtyPages::default();
-        let mut lru = LruBuffer::new(2);
-        let mut stats = IoStats::default();
-        dirty
-            .stash(k(1), b"a", &mut lru, &mut stats, no_write)
-            .unwrap();
-        dirty
-            .stash(k(2), b"b", &mut lru, &mut stats, no_write)
-            .unwrap();
+        let mut two = pool(2);
+        stash(&mut dirty, k(1), b"a", &mut two, no_write).unwrap();
+        stash(&mut dirty, k(2), b"b", &mut two, no_write).unwrap();
         // First flush attempt: every write fails (disk full).
-        let err = dirty.flush_all(&mut lru, &mut stats, |_, _| {
-            Err(StorageError::Corrupt("disk full".into()))
-        });
+        let err = two.flush_writes_with(dirty.writer(disk_full));
         assert!(err.is_err());
-        assert_eq!(stats.page_writes, 0);
+        assert_eq!(two.stats().page_writes, 0);
         assert_eq!(dirty.payloads.len(), 2, "payloads survive the failure");
         // Retry succeeds and writes both.
-        let mut written = Vec::new();
-        dirty
-            .flush_all(&mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        let mut written = Written::new();
+        let write = dirty.writer(record(&mut written));
+        two.flush_writes_with(write).unwrap();
         assert_eq!(written.len(), 2);
-        assert_eq!(stats.page_writes, 2);
+        assert_eq!(two.stats().page_writes, 2);
         assert_eq!(dirty.payloads.len(), 0);
 
         // Same for an eviction-driven write-back: the failed page stays
         // queued and a later call (or flush) picks it up.
-        let mut lru = LruBuffer::new(1);
-        lru.access(k(3));
-        dirty
-            .stash(k(3), b"c", &mut lru, &mut stats, no_write)
-            .unwrap();
-        lru.access(k(4)); // evicts dirty 3
-        let err = dirty.write_back_evicted(&mut lru, &mut stats, |_, _| {
-            Err(StorageError::Corrupt("disk full".into()))
-        });
+        let mut one = pool(1);
+        one.access(0, PageId(3), 0);
+        stash(&mut dirty, k(3), b"c", &mut one, no_write).unwrap();
+        // The access evicts dirty 3; its write-back fails.
+        let err = one.access_with(0, PageId(4), 0, dirty.writer(disk_full));
         assert!(err.is_err());
-        let mut written = Vec::new();
-        dirty
-            .flush_all(&mut lru, &mut stats, |key, buf| {
-                written.push((key, buf.to_vec()));
-                Ok(())
-            })
-            .unwrap();
+        assert_eq!(one.stats().page_writes, 0, "charged after the write");
+        let mut written = Written::new();
+        let write = dirty.writer(record(&mut written));
+        one.flush_writes_with(write).unwrap();
         assert_eq!(written, vec![(k(3), b"c".to_vec())]);
     }
 }
