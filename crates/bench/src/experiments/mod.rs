@@ -2,8 +2,9 @@
 //!
 //! Every experiment prints a markdown table mirroring the paper's rows and
 //! columns, so `experiments all | tee` produces a document directly
-//! comparable against the original. The per-experiment index lives in
-//! DESIGN.md; measured-vs-paper numbers are recorded in EXPERIMENTS.md.
+//! comparable against the original. The per-experiment index is the
+//! target list of the `experiments` binary (`--help`), one target per
+//! module below.
 
 pub mod cpu;
 pub mod diff_height;

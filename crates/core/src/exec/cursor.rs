@@ -2,11 +2,10 @@
 //!
 //! [`JoinCursor`] runs the SJ1–SJ5 synchronized traversal as an
 //! explicit-work-stack state machine and yields `(DataId, DataId)` result
-//! pairs incrementally through [`Iterator`], instead of materializing the
-//! whole result like the old recursive driver. Consumers that only count
-//! never allocate the result; consumers that stream (refinement,
-//! pipelined multi-way stages, network sinks) see the first pair after a
-//! single root-to-leaf descent.
+//! pairs incrementally through [`Iterator`], never materializing the whole
+//! result. Consumers that only count never allocate the result; consumers
+//! that stream (refinement, pipelined multi-way stages, network sinks) see
+//! the first pair after a single root-to-leaf descent.
 //!
 //! The cursor is generic over two pluggable layers:
 //!
@@ -18,10 +17,9 @@
 //! * [`Meter`] — the comparison-accounting boundary: [`CmpCounter`]
 //!   (constructors [`JoinCursor::new`]/[`JoinCursor::with_tasks`]) keeps
 //!   the paper's CPU accounting bit-identical to the recursive oracle;
-//!   the zero-sized [`NoOp`] meter ([`JoinCursor::raw`]/
-//!   [`JoinCursor::raw_with_tasks`]) compiles the accounting out entirely
-//!   — the production "raw" mode, same result-pair multiset with no
-//!   metering overhead.
+//!   the zero-sized [`NoOp`] meter ([`JoinCursor::raw`]) compiles the
+//!   accounting out entirely — the production "raw" mode, same
+//!   result-pair multiset with no metering overhead.
 //!
 //! **Zero allocation in steady state.** All per-node-pair buffers —
 //! effective rectangles, restriction index lists, sweep output, z-order
@@ -39,12 +37,13 @@
 //! `disk_accesses`, `join_comparisons` and `sort_comparisons` to
 //! [`crate::exec::recursive_spatial_join`]; the differential tests in
 //! [`crate::exec`] enforce this. The per-side remaining-degree tables
-//! (which replace the old O(n²) `count_remaining` scans) and the
-//! sort-and-group batched-window construction (which replaces a
-//! `HashMap`) are pure data-structure swaps: they never change which
-//! pages are touched in which order.
+//! (O(1) where the recursion rescans the pair list) and the sort-and-group
+//! batched-window construction (grouping without hashing) only answer the
+//! recursion's questions faster: they never change which pages are
+//! touched in which order.
 
 use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule, TicketGate};
 use crate::exec::{TAG_R, TAG_S};
@@ -87,8 +86,8 @@ enum DirState {
 /// `rem_s[js]`). Because the outer cursor `k` only ever moves forward past
 /// completed pairs, every unprocessed pair lies at an index `> k`, so
 /// these tables answer the §4.3 degree question ("number of intersections
-/// […] not processed until now") in O(1) where the old code rescanned the
-/// pair list twice per pair. Empty when the plan does not pin.
+/// […] not processed until now") in O(1) instead of two rescans of the
+/// pair list per pair. Empty when the plan does not pin.
 #[derive(Debug)]
 struct DirFrame {
     rp: PageId,
@@ -372,9 +371,8 @@ fn enumerate_pairs<M: Meter>(
 ///
 /// Construct with [`JoinCursor::new`] for a whole-tree counted join,
 /// [`JoinCursor::with_tasks`] for an explicit task list (the parallel
-/// worker unit), or the [`JoinCursor::raw`]/[`JoinCursor::raw_with_tasks`]
-/// twins for the meter-free raw mode; iterate, then read
-/// [`JoinCursor::stats`].
+/// worker unit), or [`JoinCursor::raw`] for the meter-free raw mode;
+/// iterate, then read [`JoinCursor::stats`].
 #[derive(Debug)]
 pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     r: &'t RTree,
@@ -418,6 +416,8 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// [`JoinStats`], which is compared bit-identically across backends
     /// while parks vary with completion timing.
     parks: u64,
+    /// Wall time inside the two blocking calls ([`JoinCursor::blocked`]).
+    blocked: Duration,
     stack: Vec<Frame>,
     pending: VecDeque<(DataId, DataId)>,
     scratch: ExecScratch,
@@ -471,17 +471,6 @@ impl<'t, A: NodeAccess> RawJoinCursor<'t, A> {
     pub fn raw(r: &'t RTree, s: &'t RTree, plan: JoinPlan, access: A) -> Self {
         Self::metered(r, s, plan, access)
     }
-
-    /// [`JoinCursor::with_tasks`] with the [`NoOp`] meter.
-    pub fn raw_with_tasks(
-        r: &'t RTree,
-        s: &'t RTree,
-        plan: JoinPlan,
-        access: A,
-        tasks: impl IntoIterator<Item = (PageId, PageId, Rect)>,
-    ) -> Self {
-        Self::metered_with_tasks(r, s, plan, access, tasks)
-    }
 }
 
 impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
@@ -501,7 +490,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     }
 
     /// Task-list cursor with an explicit meter type (see
-    /// [`JoinCursor::with_tasks`] / [`JoinCursor::raw_with_tasks`]).
+    /// [`JoinCursor::with_tasks`]; pass [`NoOp`] for raw mode).
     pub fn metered_with_tasks(
         r: &'t RTree,
         s: &'t RTree,
@@ -554,6 +543,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             gate: TicketGate::default(),
             run_ahead: 0,
             parks: 0,
+            blocked: Duration::ZERO,
             stack: Vec::new(),
             pending: VecDeque::new(),
             scratch: ExecScratch::default(),
@@ -568,16 +558,10 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// mid-stream reports the partial work actually performed. A raw
     /// ([`NoOp`]-metered) cursor reports zero comparisons.
     pub fn stats(&self) -> JoinStats {
-        let io = self.access.io_stats();
         JoinStats {
             join_comparisons: self.cmp.get(),
             sort_comparisons: self.sort_cmp.get(),
-            io: IoStats {
-                disk_accesses: io.disk_accesses - self.io_baseline.disk_accesses,
-                path_hits: io.path_hits - self.io_baseline.path_hits,
-                lru_hits: io.lru_hits - self.io_baseline.lru_hits,
-                page_writes: io.page_writes - self.io_baseline.page_writes,
-            },
+            io: self.access.io_stats() - self.io_baseline,
             result_pairs: self.emitted,
             page_bytes: self.page_bytes,
         }
@@ -592,6 +576,18 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     #[inline]
     pub fn parks(&self) -> u64 {
         self.parks
+    }
+
+    /// Wall time this cursor has spent blocked on reads: inside its parks
+    /// ([`NodeAccess::await_settled`], see [`JoinCursor::parks`]) and inside
+    /// the final [`NodeAccess::drain_completions`] — the only two places a
+    /// join ever waits, so a wait is timed where it happens and no wrapper
+    /// around the backend is needed to learn it. Zero for blocking
+    /// backends, whose reads finish inside `access()`; telemetry only, not
+    /// part of [`JoinStats`].
+    #[inline]
+    pub fn blocked(&self) -> Duration {
+        self.blocked
     }
 
     /// Consumes the cursor, returning the page-access accountant.
@@ -824,8 +820,8 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 // Group the leaf windows per directory entry, preserving
                 // first-occurrence order: rank each directory entry by
                 // first appearance, stable-sort a scratch copy of the
-                // pairs by that rank, and cut the sorted run into batches.
-                // Equivalent to the old HashMap grouping, without hashing.
+                // pairs by that rank, and cut the sorted run into batches —
+                // grouping by key without hashing.
                 let scratch = &mut self.scratch;
                 scratch.first_seen.clear();
                 scratch.first_seen.resize(dir_node.entries.len(), u32::MAX);
@@ -1257,7 +1253,9 @@ impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
                             self.run_ahead += 1;
                             continue;
                         }
+                        let parked = Instant::now();
                         self.access.await_settled(ticket);
+                        self.blocked += parked.elapsed();
                         self.run_ahead = 0;
                         self.parks += 1;
                         continue;
@@ -1268,7 +1266,9 @@ impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
                 // Machine exhausted. Settle every outstanding read (the
                 // honesty point: lane reads now cover all charges), which
                 // unblocks any still-gated buffered pairs.
+                let draining = Instant::now();
                 self.access.drain_completions();
+                self.blocked += draining.elapsed();
                 if self.pending.is_empty() {
                     return None;
                 }

@@ -236,7 +236,7 @@ mod tests {
             rsj_storage::EvictionPolicy::Lru,
         );
         let cursor = JoinCursor::with_tasks(&tr, &ts, plan, pool, tasks.iter().copied());
-        let got = crate::join::drain(cursor, true);
+        let got = crate::join::drain(cursor, true).0;
         assert_eq!(got.pairs, want.pairs);
         assert_eq!(got.stats, want.stats);
     }

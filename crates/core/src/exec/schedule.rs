@@ -2,9 +2,9 @@
 //!
 //! The paper's SJ3–SJ5 win because the join decides the order in which
 //! child pages will be visited *before* descending — sweep order, pinned
-//! max-degree drains, or local z-order. Historically that decision lived
-//! implicitly inside the cursor's state machine; this module makes it
-//! explicit, in two halves:
+//! max-degree drains, or local z-order. Left implicit inside the cursor's
+//! state machine, that decision could be neither announced to a backend
+//! nor tested on its own; this module makes it explicit, in two halves:
 //!
 //! * **Ordering** — [`order_dir_pairs`] applies the plan's read schedule
 //!   to the qualifying directory pairs of one node pair (today: the local

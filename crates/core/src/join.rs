@@ -14,7 +14,7 @@
 //!
 //! Accounting mirrors the paper:
 //! * every `ReadPage` goes through a [`rsj_storage::NodeAccess`]
-//!   accountant (here: the [`BufferPool`] stack path buffer → LRU → disk),
+//!   accountant (here: the [`rsj_storage::BufferPool`] stack path buffer → LRU → disk),
 //!   so `stats.io.disk_accesses` is the Table 2/5/6/7 metric;
 //! * every join-condition test runs through counted predicates, so
 //!   `stats.join_comparisons` is the Table 2/3/4 metric;
@@ -25,7 +25,6 @@ use crate::exec::JoinCursor;
 use crate::plan::{JoinConfig, JoinPlan};
 use rsj_geom::{Meter, NoOp};
 use rsj_rtree::{DataId, RTree};
-use rsj_storage::BufferPool;
 
 pub use crate::exec::{TAG_R, TAG_S};
 
@@ -45,7 +44,7 @@ use crate::stats::JoinStats;
 ///
 /// Both trees must use the same page size (they share one LRU buffer whose
 /// capacity is `cfg.buffer_bytes / page_bytes` pages). This drains a
-/// [`JoinCursor`] over a private [`BufferPool`]; use the cursor directly to
+/// [`JoinCursor`] over a private [`rsj_storage::BufferPool`]; use the cursor directly to
 /// consume pairs incrementally.
 pub fn spatial_join(r: &RTree, s: &RTree, plan: JoinPlan, cfg: &JoinConfig) -> JoinResult {
     spatial_join_metered::<rsj_geom::CmpCounter>(r, s, plan, cfg)
@@ -69,18 +68,12 @@ pub fn spatial_join_metered<M: Meter>(
     plan: JoinPlan,
     cfg: &JoinConfig,
 ) -> JoinResult {
-    let pool = BufferPool::with_policy(
-        cfg.buffer_bytes,
-        r.params().page_bytes,
-        &[r.height() as usize, s.height() as usize],
-        cfg.eviction,
-    );
-    let cursor = JoinCursor::<_, M>::metered(r, s, plan, pool);
-    drain(cursor, cfg.collect_pairs)
+    let cursor = JoinCursor::<_, M>::metered(r, s, plan, cfg.buffer_pool(&[r, s]));
+    drain(cursor, cfg.collect_pairs).0
 }
 
 /// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
-/// backend instead of a private [`BufferPool`] — the entry point for the
+/// backend instead of a private [`rsj_storage::BufferPool`] — the entry point for the
 /// file-backed [`rsj_storage::FileAccess`] stack in any of its four
 /// instantiations (the cursor announces its read schedules to those that
 /// opt in via [`rsj_storage::NodeAccess::wants_hints`] — the queued read
@@ -100,18 +93,8 @@ pub fn spatial_join_with_access<A: rsj_storage::NodeAccess>(
     spatial_join_metered_with_access::<A, rsj_geom::CmpCounter>(r, s, plan, collect_pairs, access)
 }
 
-/// [`spatial_join_with_access`] in raw mode (the [`NoOp`] meter).
-pub fn spatial_join_fast_with_access<A: rsj_storage::NodeAccess>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    collect_pairs: bool,
-    access: A,
-) -> (JoinResult, A) {
-    spatial_join_metered_with_access::<A, NoOp>(r, s, plan, collect_pairs, access)
-}
-
-/// The generic engine behind the `_with_access` pair.
+/// The generic engine behind [`spatial_join_with_access`]; pass [`NoOp`]
+/// for raw mode.
 pub fn spatial_join_metered_with_access<A: rsj_storage::NodeAccess, M: Meter>(
     r: &RTree,
     s: &RTree,
@@ -119,24 +102,16 @@ pub fn spatial_join_metered_with_access<A: rsj_storage::NodeAccess, M: Meter>(
     collect_pairs: bool,
     access: A,
 ) -> (JoinResult, A) {
-    drain_keep(
+    drain(
         JoinCursor::<A, M>::metered(r, s, plan, access),
         collect_pairs,
     )
 }
 
 /// Exhausts a cursor into a [`JoinResult`], materializing pairs only when
-/// asked to. Crate-visible: the parallel workers drain their task
-/// cursors through the same path.
+/// asked to, and hands the page-access accountant back. Crate-visible: the
+/// parallel workers drain their task cursors through the same path.
 pub(crate) fn drain<A: rsj_storage::NodeAccess, M: Meter>(
-    cursor: JoinCursor<'_, A, M>,
-    collect: bool,
-) -> JoinResult {
-    drain_keep(cursor, collect).0
-}
-
-/// [`drain`] that hands the page-access accountant back to the caller.
-fn drain_keep<A: rsj_storage::NodeAccess, M: Meter>(
     mut cursor: JoinCursor<'_, A, M>,
     collect: bool,
 ) -> (JoinResult, A) {

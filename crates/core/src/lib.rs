@@ -71,12 +71,11 @@ pub mod sweep;
 
 pub use exec::{JoinCursor, RawJoinCursor};
 pub use join::{
-    spatial_join, spatial_join_fast, spatial_join_fast_with_access, spatial_join_metered,
-    spatial_join_metered_with_access, spatial_join_with_access, JoinResult,
+    spatial_join, spatial_join_fast, spatial_join_metered, spatial_join_metered_with_access,
+    spatial_join_with_access, JoinResult,
 };
 pub use multiway::{
-    multiway_join, multiway_join_fast, multiway_join_metered_with_access,
-    multiway_join_with_access, MultiwayResult,
+    multiway_join, multiway_join_metered_with_access, multiway_join_with_access, MultiwayResult,
 };
 pub use parallel::{
     parallel_metered_with_access, parallel_spatial_join, parallel_spatial_join_fast,

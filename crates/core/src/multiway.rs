@@ -21,9 +21,9 @@
 
 use crate::exec::JoinCursor;
 use crate::plan::{JoinConfig, JoinPlan};
-use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
+use rsj_geom::{CmpCounter, Meter, Rect};
 use rsj_rtree::{DataId, RTree};
-use rsj_storage::{BufferPool, IoStats, NodeAccess};
+use rsj_storage::{IoStats, NodeAccess};
 
 /// Upper bound on windows per batched probe traversal; bounds the window
 /// lists propagated down the probe tree.
@@ -46,35 +46,14 @@ pub struct MultiwayResult {
 /// join; probes use batched window queries. The predicate is common
 /// intersection of all k MBRs; `plan.predicate` must be `Intersects`.
 pub fn multiway_join(trees: &[&RTree], plan: JoinPlan, cfg: &JoinConfig) -> MultiwayResult {
-    multiway_join_metered::<CmpCounter>(trees, plan, cfg)
-}
-
-/// [`multiway_join`] in raw mode: the [`NoOp`] meter compiles comparison
-/// accounting out of the leading binary join and every probe pass. Same
-/// tuple multiset; `comparisons` reports zero.
-pub fn multiway_join_fast(trees: &[&RTree], plan: JoinPlan, cfg: &JoinConfig) -> MultiwayResult {
-    multiway_join_metered::<NoOp>(trees, plan, cfg)
-}
-
-fn multiway_join_metered<M: Meter>(
-    trees: &[&RTree],
-    plan: JoinPlan,
-    cfg: &JoinConfig,
-) -> MultiwayResult {
-    let page_bytes = trees
-        .first()
-        .expect("at least one relation")
-        .params()
-        .page_bytes;
-    multiway_join_metered_with_access::<M, _, _>(trees, plan, |stage| {
+    multiway_join_with_access(trees, plan, |stage| {
         // Stage 0 joins trees[0] and trees[1] through one buffer; stage
         // k >= 1 probes trees[k + 1] alone.
-        let heights: Vec<usize> = if stage == 0 {
-            vec![trees[0].height() as usize, trees[1].height() as usize]
+        cfg.buffer_pool(if stage == 0 {
+            &trees[..2]
         } else {
-            vec![trees[stage + 1].height() as usize]
-        };
-        BufferPool::with_policy(cfg.buffer_bytes, page_bytes, &heights, cfg.eviction)
+            &trees[stage + 1..=stage + 1]
+        })
     })
 }
 
@@ -84,7 +63,7 @@ fn multiway_join_metered<M: Meter>(
 /// `make_access(k)` for `k >= 1` accounts the probe pass over
 /// `trees[k + 1]` (store 0). For the file-backed deployment each stage
 /// gets a fresh [`rsj_storage::FileNodeAccess`] over the page files of
-/// the trees it touches, mirroring the private per-stage [`BufferPool`]s
+/// the trees it touches, mirroring the private per-stage [`rsj_storage::BufferPool`]s
 /// of the in-memory pipeline. The leading stage runs off a
 /// [`JoinCursor`], so a hint-aware stage-0 backend (e.g.
 /// [`rsj_storage::CompletionFileAccess`]) receives its read-schedule
@@ -101,7 +80,7 @@ where
     multiway_join_metered_with_access::<CmpCounter, A, F>(trees, plan, make_access)
 }
 
-/// The generic engine behind every multi-way entry point; pass [`NoOp`]
+/// The generic engine behind every multi-way entry point; pass [`rsj_geom::NoOp`]
 /// for raw mode.
 pub fn multiway_join_metered_with_access<M, A, F>(
     trees: &[&RTree],
@@ -179,11 +158,7 @@ where
             }
         }
         comparisons += cmp.get();
-        let probe_io = pool.io_stats();
-        io.disk_accesses += probe_io.disk_accesses;
-        io.path_hits += probe_io.path_hits;
-        io.lru_hits += probe_io.lru_hits;
-        io.page_writes += probe_io.page_writes;
+        io += pool.io_stats();
         tuples = next;
         if tuples.is_empty() {
             break;

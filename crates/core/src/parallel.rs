@@ -32,10 +32,10 @@ use crate::plan::{JoinConfig, JoinPlan};
 use crate::stats::JoinStats;
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
 use rsj_rtree::RTree;
-use rsj_storage::{BufferPool, IoStats, NodeAccess, PageId, SharedPageCache};
+use rsj_storage::{IoStats, NodeAccess, PageId, SharedPageCache};
 
 /// Computes the spatial join with `workers` threads, each charging a
-/// private [`BufferPool`] of `cfg.buffer_bytes / workers`.
+/// private [`rsj_storage::BufferPool`] of `cfg.buffer_bytes / workers`.
 ///
 /// Falls back to the sequential [`crate::spatial_join`] when `workers <= 1`
 /// or when a root is a leaf (nothing to partition). The result-pair *set*
@@ -104,10 +104,7 @@ fn merge_results(results: Vec<JoinResult>, root_comparisons: u64, page_bytes: us
     let mut result_pairs = 0;
     for res in results {
         pairs.extend(res.pairs);
-        io.disk_accesses += res.stats.io.disk_accesses;
-        io.path_hits += res.stats.io.path_hits;
-        io.lru_hits += res.stats.io.lru_hits;
-        io.page_writes += res.stats.io.page_writes;
+        io += res.stats.io;
         join_comparisons += res.stats.join_comparisons;
         sort_comparisons += res.stats.sort_comparisons;
         result_pairs += res.stats.result_pairs;
@@ -139,15 +136,13 @@ fn parallel_join_metered<M: Meter>(
     let tasks = root_tasks(r, s, plan, &mut cmp);
     let workers = workers.min(tasks.len()).max(1);
     // The budget is split over the workers that actually run.
-    let per_worker_buffer = cfg.buffer_bytes / workers;
+    let per_worker = JoinConfig {
+        buffer_bytes: cfg.buffer_bytes / workers,
+        ..*cfg
+    };
     let results =
         static_partition::<M, _, _>(r, s, plan, cfg.collect_pairs, workers, &tasks, &|_w| {
-            BufferPool::with_policy(
-                per_worker_buffer,
-                r.params().page_bytes,
-                &[r.height() as usize, s.height() as usize],
-                cfg.eviction,
-            )
+            per_worker.buffer_pool(&[r, s])
         });
     merge_results(results, cmp.get(), r.params().page_bytes)
 }
@@ -302,7 +297,7 @@ where
                         make_access(w),
                         slice.iter().copied(),
                     );
-                    crate::join::drain(cursor, collect)
+                    crate::join::drain(cursor, collect).0
                 })
             })
             .collect();

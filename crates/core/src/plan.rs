@@ -252,6 +252,19 @@ impl JoinConfig {
             ..Default::default()
         }
     }
+
+    /// The private buffer hierarchy this config describes for a join (or
+    /// probe) over `trees`: one path buffer per tree, in store order, over
+    /// one buffer of `buffer_bytes / page size` pages under `eviction`.
+    pub fn buffer_pool(&self, trees: &[&rsj_rtree::RTree]) -> rsj_storage::BufferPool {
+        let heights: Vec<usize> = trees.iter().map(|t| t.height() as usize).collect();
+        let page_bytes = trees
+            .first()
+            .expect("at least one tree")
+            .params()
+            .page_bytes;
+        rsj_storage::BufferPool::with_policy(self.buffer_bytes, page_bytes, &heights, self.eviction)
+    }
 }
 
 #[cfg(test)]

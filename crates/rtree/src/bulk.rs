@@ -62,7 +62,7 @@ use crate::tree::RTree;
 use rsj_geom::{hilbert, Rect};
 use rsj_storage::codec::{self, DiskNode, EntryFormat};
 use rsj_storage::{
-    BulkPageWriter, PageFile, PageId, PageStore, ShardedPageFile, StorageError, WritablePageFile,
+    BulkPageWriter, PageFile, PageId, PageSource, PageStore, ShardedPageFile, StorageError,
 };
 
 /// Default fraction of M that packed nodes are filled to. Partial fill
@@ -259,44 +259,6 @@ pub fn load_to_sharded(
     Ok((file, stats))
 }
 
-/// [`load_to_file`] with the STR layout and default config.
-pub fn str_load_to_file(
-    params: RTreeParams,
-    items: &[(Rect, DataId)],
-    fill: f64,
-    path: impl AsRef<Path>,
-) -> Result<(PageFile, BulkStats), BulkError> {
-    load_to_file(
-        params,
-        items,
-        BulkLayout::Str,
-        BulkConfig {
-            fill,
-            ..Default::default()
-        },
-        path,
-    )
-}
-
-/// [`load_to_file`] with the Hilbert layout and default config.
-pub fn hilbert_load_to_file(
-    params: RTreeParams,
-    items: &[(Rect, DataId)],
-    fill: f64,
-    path: impl AsRef<Path>,
-) -> Result<(PageFile, BulkStats), BulkError> {
-    load_to_file(
-        params,
-        items,
-        BulkLayout::Hilbert,
-        BulkConfig {
-            fill,
-            ..Default::default()
-        },
-        path,
-    )
-}
-
 /// Rejects non-finite rectangles before any ordering pass runs.
 fn validate_items(items: &[(Rect, DataId)]) -> Result<(), BulkError> {
     for (index, (r, _)) in items.iter().enumerate() {
@@ -477,7 +439,7 @@ impl<F: FnMut(u32, &[Entry], &[(u64, u32)]) -> Result<PageId, StorageError>> Nod
 /// The file sink: each node is encoded into one reused on-disk node (entry
 /// vec included) and appended through the writer. (The in-memory sink is
 /// `PageStore::alloc`, in [`load`].)
-fn file_sink<W: WritablePageFile>(writer: &mut BulkPageWriter<W>) -> impl NodeSink + '_ {
+fn file_sink<W: PageSource>(writer: &mut BulkPageWriter<W>) -> impl NodeSink + '_ {
     let mut scratch = DiskNode {
         level: 0,
         entries: Vec::new(),
@@ -770,7 +732,8 @@ mod tests {
                 }
             }
             let dir = TempDir::new("rtree-bulk").unwrap();
-            match str_load_to_file(params(), &data, DEFAULT_FILL, dir.file("bad.rsj")) {
+            let (layout, cfg) = (BulkLayout::Str, BulkConfig::default());
+            match load_to_file(params(), &data, layout, cfg, dir.file("bad.rsj")) {
                 Err(BulkError::NonFiniteRect { index }) => assert_eq!(index, 37),
                 other => panic!("expected NonFiniteRect, got {other:?}"),
             }
@@ -1046,7 +1009,8 @@ mod tests {
         let mem = hilbert_load(params(), &data, DEFAULT_FILL).unwrap();
         let dir = TempDir::new("rtree-bulk").unwrap();
         let path = dir.file("h.rsj");
-        let (_, stats) = hilbert_load_to_file(params(), &data, DEFAULT_FILL, &path).unwrap();
+        let (layout, cfg) = (BulkLayout::Hilbert, BulkConfig::default());
+        let (_, stats) = load_to_file(params(), &data, layout, cfg, &path).unwrap();
         let streamed = RTree::open_from(&path).unwrap();
         assert_eq!(streamed.height(), mem.height());
         assert_eq!(stats.pages as usize, mem.allocated_pages());

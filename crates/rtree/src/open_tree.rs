@@ -1,9 +1,9 @@
 //! Incremental updates on open page files: [`OpenTree`].
 //!
-//! PRs 3–4 made persistence real but read-only — any update forced a
-//! whole-tree `save_to` rewrite. [`OpenTree`] closes the gap the paper's
-//! §3.1 premise demands (an R-tree is *completely dynamic*; insertions and
-//! deletions intermix with queries with no global reorganization):
+//! [`OpenTree`] is what the paper's §3.1 premise demands of a persisted
+//! tree (an R-tree is *completely dynamic*; insertions and deletions
+//! intermix with queries with no global reorganization, so an update must
+//! not cost a whole-tree `save_to` rewrite):
 //! `insert` and `delete` run against a tree sitting on an **open**
 //! [`rsj_storage::PageFile`] (or [`rsj_storage::ShardedPageFile`]), with
 //! every page effect flowing through the buffer manager —
@@ -32,17 +32,18 @@
 //! The mechanism: the page store records [`PageEvent`]s (touched /
 //! allocated / freed, in order) while the tree code runs; after each
 //! update the events replay against the backend — `Alloc` goes to
-//! [`WritablePageFile::allocate`] (which must hand back the very same page
+//! [`PageSource::allocate`] (which must hand back the very same page
 //! id the in-memory allocator chose; divergence is a hard error), `Freed`
-//! to [`WritablePageFile::release`] plus a dirty-state discard, `Touched`
+//! to [`PageSource::release`] plus a dirty-state discard, `Touched`
 //! to an access charge plus a dirty registration.
 
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
+use rsj_storage::stack::Blocking;
 use rsj_storage::{
-    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, ShardedFileAccess,
-    ShardedPageFile, SharedCacheFileAccess, SharedPageCache, UpdateBackend, WritablePageFile,
-    UPDATE_MAX_HEIGHT,
+    EvictionPolicy, FileAccess, FileNodeAccess, IoStats, PageEvent, PageFile, PageSource,
+    ShardedFileAccess, ShardedPageFile, SharedCacheFileAccess, SharedPageCache, StoreFile,
+    UpdateBackend, UPDATE_MAX_HEIGHT,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -94,16 +95,16 @@ pub type OpenShardedTree = OpenTree<ShardedFileAccess>;
 /// [`OpenTree`] over one store of a live [`SharedPageCache`]: updates run
 /// through the latched shared frames while parallel joins serve reads
 /// from the same pool. Opened via [`OpenCachedTree::open_cached`].
-pub type OpenCachedTree = OpenTree<SharedCacheFileAccess>;
+pub type OpenCachedTree = OpenTree<SharedCacheFileAccess<StoreFile>>;
 
-impl OpenFileTree {
-    /// Opens the page file at `path` read-write for incremental updates,
-    /// buffering through an LRU of `cap_pages`.
-    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        let mut file = PageFile::open_rw(path)?;
+impl<S: PageSource> OpenTree<FileAccess<S, Blocking>> {
+    /// The one body of [`OpenFileTree::open`] and
+    /// [`OpenShardedTree::open_sharded`]: loads the tree from `file` and
+    /// wraps the file in a private blocking stack of `cap_pages`.
+    fn over_file(mut file: S, cap_pages: usize) -> Result<Self, StorageError> {
         let tree = RTree::load(&mut file)?;
         file.reset_io(); // loading is not update I/O
-        let access = FileNodeAccess::with_capacity_pages(
+        let access = FileAccess::<S, Blocking>::with_capacity_pages(
             vec![file],
             cap_pages,
             &[UPDATE_MAX_HEIGHT],
@@ -113,20 +114,19 @@ impl OpenFileTree {
     }
 }
 
+impl OpenFileTree {
+    /// Opens the page file at `path` read-write for incremental updates,
+    /// buffering through an LRU of `cap_pages`.
+    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
+        Self::over_file(PageFile::open_rw(path)?, cap_pages)
+    }
+}
+
 impl OpenShardedTree {
     /// Opens the sharded file at `base` read-write for incremental
     /// updates, buffering through an LRU of `cap_pages`.
     pub fn open_sharded(base: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        let mut file = ShardedPageFile::open_rw(base)?;
-        let tree = RTree::load_sharded(&mut file)?;
-        file.reset_io();
-        let access = ShardedFileAccess::with_capacity_pages(
-            vec![file],
-            cap_pages,
-            &[UPDATE_MAX_HEIGHT],
-            EvictionPolicy::Lru,
-        )?;
-        Self::from_parts(tree, access)
+        Self::over_file(ShardedPageFile::open_rw(base)?, cap_pages)
     }
 }
 
@@ -163,13 +163,6 @@ impl<B: UpdateBackend> OpenTree<B> {
     /// agree on page count, page size and free list — the lockstep the
     /// event replay depends on.
     pub fn from_parts_at(mut tree: RTree, access: B, store: u8) -> Result<Self, StorageError> {
-        if !access.supports_writes() {
-            return Err(StorageError::Corrupt(
-                "backend handle is read-only (a shared-cache join handle owns \
-                 no read-write file; open an update handle)"
-                    .into(),
-            ));
-        }
         let file = access.store_file(store);
         if file.page_count() as usize != tree.allocated_pages() {
             return Err(StorageError::Corrupt(format!(
@@ -178,7 +171,7 @@ impl<B: UpdateBackend> OpenTree<B> {
                 tree.allocated_pages()
             )));
         }
-        file.check_consistent_page_bytes(tree.params().page_bytes)?;
+        file.check_page_bytes(tree.params().page_bytes)?;
         if file.free_pages() != tree.page_store().free_pages() {
             return Err(StorageError::Corrupt(
                 "file and tree disagree on the free list".into(),
@@ -365,24 +358,6 @@ impl<B: UpdateBackend> OpenTree<B> {
             Ok(()) => Ok(self.access),
             Err(e) => Err((self, e)),
         }
-    }
-}
-
-/// The page-size consistency check, expressed on the trait so
-/// [`OpenTree::from_parts`] works for any backend.
-trait CheckPageBytes {
-    fn check_consistent_page_bytes(&self, expected: usize) -> Result<(), StorageError>;
-}
-
-impl<F: WritablePageFile> CheckPageBytes for F {
-    fn check_consistent_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
-        if self.page_bytes() != expected {
-            return Err(StorageError::PageSizeMismatch {
-                expected: expected as u32,
-                found: self.page_bytes() as u32,
-            });
-        }
-        Ok(())
     }
 }
 
@@ -577,20 +552,6 @@ mod tests {
             .save_to_with_format(&path, EntryFormat::F32)
             .unwrap();
         let err = OpenFileTree::open(&path, 8).unwrap_err();
-        assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
-    }
-
-    #[test]
-    fn from_parts_rejects_a_read_only_cache_join_handle() {
-        use rsj_storage::CacheConfig;
-        let dir = TempDir::new("open-tree").unwrap();
-        let path = dir.file("t.rsj");
-        build(150).save_to(&path).unwrap();
-        let loaded = RTree::open_from(&path).unwrap();
-        let cache = SharedPageCache::open(&[path], 8, &[UPDATE_MAX_HEIGHT], CacheConfig::default())
-            .unwrap();
-        // Typed refusal up front — not a panic on the first update.
-        let err = OpenTree::from_parts(loaded, cache.handle(8)).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 

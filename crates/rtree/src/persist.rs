@@ -28,8 +28,8 @@
 //! ## Opening
 //!
 //! Every open path — [`RTree::open_from`], [`RTree::open_sharded_from`],
-//! the three `OpenTree` opens and the join service — ends in one
-//! function, `assemble`, and `assemble` has one read path:
+//! the `OpenTree` opens and the join service — ends in one function,
+//! [`RTree::load`], and `load` has one read path:
 //! [`PageSource::scan`], which hands it every page of the file in id
 //! order on the calling thread. Page order is what the assembly depends
 //! on — page `i` is the `i`-th allocation of the store, the free-set
@@ -56,9 +56,7 @@ use rsj_geom::Rect;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
 };
-use rsj_storage::{
-    partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile, WritablePageFile,
-};
+use rsj_storage::{partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile};
 
 const POLICY_RSTAR: u8 = 0;
 const POLICY_GUTTMAN_QUADRATIC: u8 = 1;
@@ -182,69 +180,6 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
     })
 }
 
-/// Builds a tree from every page of `file` — the one assembly path of
-/// [`RTree::load`] and [`RTree::load_sharded`], and through them of every
-/// open. The pages arrive through [`PageSource::scan`]: in id order, on
-/// this thread, whether or not the reads behind them were overlapped
-/// (module docs, "Opening"). The file's (already chain-validated) free
-/// list is reconstructed into the store, so later updates allocate
-/// exactly like the tree that was saved.
-fn assemble(file: &mut impl PageSource) -> Result<RTree, StorageError> {
-    let (page_count, format) = (file.page_count(), file.entry_format());
-    if page_count == 0 {
-        return Err(StorageError::Corrupt("page file holds no pages".into()));
-    }
-    let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
-    let free = file.free_pages().to_vec();
-    let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
-    let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
-    file.scan(|id, bytes| {
-        match codec::decode_page_fmt(bytes, format)? {
-            DiskPage::Node(disk) => {
-                if free_set.contains(&id) {
-                    return Err(StorageError::Corrupt(format!(
-                        "free chain claims live page {id}"
-                    )));
-                }
-                store.alloc(from_disk(disk, page_count)?);
-            }
-            DiskPage::Free { .. } => {
-                // The chain itself was validated by the file layer; here
-                // we only reject markers the chain does not account for
-                // (a free page no allocation could ever reach again).
-                if !free_set.contains(&id) {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {id} is a free marker but not on the free chain"
-                    )));
-                }
-                store.alloc(Node::leaf()); // placeholder, unreachable
-            }
-        }
-        Ok(())
-    })?;
-    store.restore_free_list(free);
-    store.reset_io(); // loading is not join I/O
-    let tree = RTree {
-        store,
-        root,
-        params,
-        len,
-    };
-    if free_set.contains(&tree.root) {
-        return Err(StorageError::Corrupt(format!(
-            "root page {} is on the free chain",
-            tree.root
-        )));
-    }
-    // A decodable file can still be structurally broken (reference
-    // cycles, unbalanced levels, lying entry counts); the invariant
-    // checker is cycle-safe, so corruption surfaces here as a typed
-    // error instead of hanging the first traversal.
-    tree.validate()
-        .map_err(|e| StorageError::Corrupt(e.to_string()))?;
-    Ok(tree)
-}
-
 impl RTree {
     /// Physical slot size for this tree: the params' capacity, but never
     /// below the fattest node actually present (defensive: a saved tree
@@ -272,14 +207,7 @@ impl RTree {
     /// The one save loop, over either file shape: one slot per allocated
     /// page, appended in id order — a free-chain marker for a free page,
     /// the encoded node otherwise — then free list, tree metadata, flush.
-    /// `append` and `set_free_list` are the shape's own (they are not part
-    /// of [`WritablePageFile`]).
-    fn write_pages<F: WritablePageFile>(
-        &self,
-        mut file: F,
-        append: fn(&mut F, &[u8]) -> Result<PageId, StorageError>,
-        set_free_list: fn(&mut F, &[PageId]) -> Result<(), StorageError>,
-    ) -> Result<F, StorageError> {
+    fn write_pages<F: PageSource>(&self, mut file: F) -> Result<F, StorageError> {
         let (slot, format) = (file.slot_bytes(), file.entry_format());
         let chain = self.free_chain();
         let mut buf = Vec::with_capacity(slot);
@@ -289,9 +217,9 @@ impl RTree {
                 Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
                 None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
             }
-            append(&mut file, &buf)?;
+            file.append_page(&buf)?;
         }
-        set_free_list(&mut file, self.page_store().free_pages())?;
+        file.set_free_list(self.page_store().free_pages())?;
         file.set_meta(encode_meta(self));
         file.flush()?;
         Ok(file)
@@ -319,7 +247,7 @@ impl RTree {
     ) -> Result<PageFile, StorageError> {
         let slot = self.slot_bytes(format);
         let file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
-        self.write_pages(file, PageFile::append_page, PageFile::set_free_list)
+        self.write_pages(file)
     }
 
     /// Reopens a tree saved with [`RTree::save_to`]: decodes every page
@@ -333,9 +261,67 @@ impl RTree {
         Self::load(&mut file)
     }
 
-    /// [`RTree::open_from`] over an already-open [`PageFile`].
-    pub fn load(file: &mut PageFile) -> Result<RTree, StorageError> {
-        assemble(file)
+    /// Builds a tree from every page of an already-open page file of
+    /// either shape — the one assembly path behind every open. The pages
+    /// arrive through [`PageSource::scan`]: in id order, on this thread,
+    /// whether or not the reads behind them were overlapped (module docs,
+    /// "Opening"). The file's (already chain-validated) free list is
+    /// reconstructed into the store, so later updates allocate exactly
+    /// like the tree that was saved.
+    pub fn load(file: &mut impl PageSource) -> Result<RTree, StorageError> {
+        let (page_count, format) = (file.page_count(), file.entry_format());
+        if page_count == 0 {
+            return Err(StorageError::Corrupt("page file holds no pages".into()));
+        }
+        let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
+        let free = file.free_pages().to_vec();
+        let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
+        let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
+        file.scan(|id, bytes| {
+            match codec::decode_page_fmt(bytes, format)? {
+                DiskPage::Node(disk) => {
+                    if free_set.contains(&id) {
+                        return Err(StorageError::Corrupt(format!(
+                            "free chain claims live page {id}"
+                        )));
+                    }
+                    store.alloc(from_disk(disk, page_count)?);
+                }
+                DiskPage::Free { .. } => {
+                    // The chain itself was validated by the file layer; here
+                    // we only reject markers the chain does not account for
+                    // (a free page no allocation could ever reach again).
+                    if !free_set.contains(&id) {
+                        return Err(StorageError::Corrupt(format!(
+                            "page {id} is a free marker but not on the free chain"
+                        )));
+                    }
+                    store.alloc(Node::leaf()); // placeholder, unreachable
+                }
+            }
+            Ok(())
+        })?;
+        store.restore_free_list(free);
+        store.reset_io(); // loading is not join I/O
+        let tree = RTree {
+            store,
+            root,
+            params,
+            len,
+        };
+        if free_set.contains(&tree.root) {
+            return Err(StorageError::Corrupt(format!(
+                "root page {} is on the free chain",
+                tree.root
+            )));
+        }
+        // A decodable file can still be structurally broken (reference
+        // cycles, unbalanced levels, lying entry counts); the invariant
+        // checker is cycle-safe, so corruption surfaces here as a typed
+        // error instead of hanging the first traversal.
+        tree.validate()
+            .map_err(|e| StorageError::Corrupt(e.to_string()))?;
+        Ok(tree)
     }
 
     /// Partitions this tree's pages over `shards` physical files by
@@ -398,11 +384,7 @@ impl RTree {
             &assignment,
             format,
         )?;
-        self.write_pages(
-            file,
-            ShardedPageFile::append_page,
-            ShardedPageFile::set_free_list,
-        )
+        self.write_pages(file)
     }
 
     /// Reopens a tree saved with [`RTree::save_sharded_to`]. Page ids,
@@ -411,13 +393,7 @@ impl RTree {
     /// whichever shard owns them.
     pub fn open_sharded_from(base: impl AsRef<Path>) -> Result<RTree, StorageError> {
         let mut file = ShardedPageFile::open(base)?;
-        Self::load_sharded(&mut file)
-    }
-
-    /// [`RTree::open_sharded_from`] over an already-open
-    /// [`ShardedPageFile`].
-    pub fn load_sharded(file: &mut ShardedPageFile) -> Result<RTree, StorageError> {
-        assemble(file)
+        Self::load(&mut file)
     }
 }
 

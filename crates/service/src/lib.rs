@@ -24,7 +24,8 @@
 //!
 //! Recording compiles out: [`JoinService::execute_unrecorded`] runs
 //! the identical query path with [`rsj_telemetry::Disabled`], which
-//! removes every clock read and metric touch at compile time — the
+//! removes every clock read and metric touch of the service at compile
+//! time (what stays is the cursor's own two clock reads per park) — the
 //! repo benchmark reports what the instrumented path costs over that as
 //! `telemetry.overhead_frac`.
 
@@ -34,7 +35,7 @@ pub mod span;
 
 pub use admission::{Admission, Overloaded, Permit};
 pub use metrics::{export_cache, export_queue, export_sharded_reads, STAGES};
-pub use span::{InstrumentedAccess, SpanReport};
+pub use span::SpanReport;
 
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +49,7 @@ use rsj_storage::{CacheConfig, SharedPageCache, StorageError};
 use rsj_telemetry::{Disabled, Live, Recorder, Registry};
 
 use metrics::ServiceMetrics;
-use span::{now_if, us_since};
+use span::{micros, now_if, us_since};
 
 /// How a [`JoinService`] is provisioned.
 #[derive(Debug, Clone)]
@@ -206,9 +207,9 @@ impl JoinService {
         self.execute_with::<Live>(plan, collect_pairs)
     }
 
-    /// The identical query path with recording compiled out (zero
-    /// clock reads, zero metric touches) — the uninstrumented baseline
-    /// the CI overhead guard compares against.
+    /// The identical query path with recording compiled out (no clock
+    /// read of the service's, no metric touch) — the uninstrumented
+    /// baseline the benchmark's `telemetry.overhead_frac` compares against.
     pub fn execute_unrecorded(
         &self,
         plan: JoinPlan,
@@ -218,7 +219,7 @@ impl JoinService {
     }
 
     /// [`JoinService::execute`], generic over the recording switch.
-    pub fn execute_with<R: Recorder>(
+    fn execute_with<R: Recorder>(
         &self,
         plan: JoinPlan,
         collect_pairs: bool,
@@ -262,26 +263,30 @@ impl JoinService {
                 return Err(overloaded.into());
             }
         };
-        let queue_us = permit.waited().as_micros().min(u64::MAX as u128) as u64;
+        let queue_us = micros(permit.waited());
 
-        // plan: session handle + cursor construction (schedule
+        // plan: the query's cache handle + cursor construction (schedule
         // materialization included).
         let t_plan = now_if::<R>();
         let handle = self.cache.handle(self.handle_pages);
-        let mut access = InstrumentedAccess::<_, R>::new(handle);
-        let mut cursor = JoinCursor::new(&self.r, &self.s, plan, &mut access);
+        let mut cursor = JoinCursor::new(&self.r, &self.s, plan, handle);
         let plan_us = us_since(t_plan);
 
-        // drive: join compute + blocked-on-read time, separated below.
+        // drive: join compute + blocked-on-read time; the cursor timed
+        // its own waits, which separates the two below.
         let t_drive = now_if::<R>();
         for (a, b) in &mut cursor {
             sink(a, b);
         }
         let stats = cursor.stats();
         let parks = cursor.parks();
+        let io_us = if R::ENABLED {
+            micros(cursor.blocked())
+        } else {
+            0
+        };
         drop(cursor);
         let drive_us = us_since(t_drive);
-        let io_us = access.blocked_nanos() / 1_000;
         let join_us = drive_us.saturating_sub(io_us);
         self.logical_reads
             .fetch_add(stats.io.disk_accesses, Ordering::Relaxed);
@@ -362,41 +367,5 @@ impl JoinService {
     /// The served trees, `(R, S)`.
     pub fn trees(&self) -> (&RTree, &RTree) {
         (&self.r, &self.s)
-    }
-
-    /// Opens a [`Session`]: one plan, queried repeatedly.
-    pub fn session(&self, plan: JoinPlan) -> Session<'_> {
-        Session {
-            service: self,
-            plan,
-            collect_pairs: false,
-        }
-    }
-}
-
-/// A session-scoped plan: the plan is fixed once, every
-/// [`Session::query`] reuses it over the service's warm cache.
-#[derive(Clone, Copy)]
-pub struct Session<'s> {
-    service: &'s JoinService,
-    plan: JoinPlan,
-    collect_pairs: bool,
-}
-
-impl Session<'_> {
-    /// Whether queries materialize their pairs into the response.
-    pub fn collect_pairs(mut self, yes: bool) -> Self {
-        self.collect_pairs = yes;
-        self
-    }
-
-    /// Runs the session's plan once.
-    pub fn query(&self) -> Result<QueryResponse, ServiceError> {
-        self.service.execute(self.plan, self.collect_pairs)
-    }
-
-    /// The session's plan.
-    pub fn plan(&self) -> JoinPlan {
-        self.plan
     }
 }

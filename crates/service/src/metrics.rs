@@ -42,6 +42,7 @@
 //! | `rsj_cq_completion_lag_us` | gauge | `stat` | mean/max submit→complete lag |
 //! | `rsj_cq_queue_wait_us` | gauge | `stat` | mean/max submit→claim share of the lag (waiting for a worker); ≫ `rsj_cq_service_us` ⇒ the pool, not the device, bounds the reads |
 //! | `rsj_cq_service_us` | gauge | `stat` | mean/max claim→complete share of the lag (the read) |
+//! | `rsj_cq_completions` | gauge | | completed submissions the three lag families above average over |
 //! | `rsj_sharded_reads` | gauge | `store`, `shard` | per-shard physical read split |
 
 use std::sync::Arc;

@@ -11,12 +11,12 @@
 //! ```
 //!
 //! * **queue** — time parked in the admission wait queue;
-//! * **plan** — opening the session's cache handle and building the
+//! * **plan** — opening the query's cache handle and building the
 //!   cursor (schedule materialization included);
-//! * **io** — wall time the driver was *blocked on reads*: the summed
-//!   durations of `await_ticket`/`await_settled`/`drain_completions`
-//!   measured inside [`InstrumentedAccess`]. Submission itself is
-//!   asynchronous and costs nanoseconds; what hurts a query is
+//! * **io** — wall time the driver was *blocked on reads*: what the
+//!   cursor measured around its own two blocking calls, the park and the
+//!   final drain ([`rsj_core::JoinCursor::blocked`]). Submission itself
+//!   is asynchronous and costs nanoseconds; what hurts a query is
 //!   waiting, and that is exactly what this stage counts;
 //! * **join** — drive-loop time minus io: comparisons, sweeps, scratch
 //!   work, and the per-pair sink;
@@ -24,13 +24,11 @@
 //!   last pair.
 //!
 //! With the [`Disabled`](rsj_telemetry::Disabled) recorder every clock
-//! read above compiles out and the span reports zeros.
+//! read of the service compiles out and the span reports zeros; the
+//! cursor's two clock reads per park are its own and stay.
 
-use std::cell::Cell;
-use std::marker::PhantomData;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use rsj_storage::{IoStats, NodeAccess, PageId, PageRef, Ticket};
 use rsj_telemetry::Recorder;
 
 /// One query's stage split, all in microseconds. `total_us` is
@@ -56,128 +54,14 @@ pub(crate) fn now_if<R: Recorder>() -> Option<Instant> {
     }
 }
 
+/// `d` in whole microseconds, saturating.
+#[inline]
+pub(crate) fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u64::MAX as u128) as u64
+}
+
 /// Microseconds since `start` (0 when recording is off).
 #[inline]
 pub(crate) fn us_since(start: Option<Instant>) -> u64 {
-    start.map_or(0, |t| t.elapsed().as_micros().min(u64::MAX as u128) as u64)
-}
-
-/// A [`NodeAccess`] wrapper that accumulates the wall time its owner
-/// spends *blocked* inside the backend — the span's io stage. Pure
-/// forwarding otherwise: accounting ([`IoStats`]) is bit-identical to
-/// the wrapped backend by construction, which the service conformance
-/// test pins against the `BufferPool` oracle.
-pub struct InstrumentedAccess<A, R: Recorder> {
-    inner: A,
-    /// Nanoseconds spent inside blocking waits. `Cell`: the blocking
-    /// methods take `&self`, and a query's access is single-threaded.
-    blocked_nanos: Cell<u64>,
-    _recorder: PhantomData<R>,
-}
-
-impl<A: NodeAccess, R: Recorder> InstrumentedAccess<A, R> {
-    pub fn new(inner: A) -> Self {
-        InstrumentedAccess {
-            inner,
-            blocked_nanos: Cell::new(0),
-            _recorder: PhantomData,
-        }
-    }
-
-    /// Total wall time spent blocked on reads, in nanoseconds (0 with
-    /// recording off).
-    pub fn blocked_nanos(&self) -> u64 {
-        self.blocked_nanos.get()
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Consumes the wrapper, returning the wrapped backend.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    #[inline]
-    fn timed<T>(&self, f: impl FnOnce(&A) -> T) -> T {
-        if R::ENABLED {
-            let start = Instant::now();
-            let out = f(&self.inner);
-            let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            self.blocked_nanos.set(self.blocked_nanos.get() + ns);
-            out
-        } else {
-            f(&self.inner)
-        }
-    }
-}
-
-impl<A: NodeAccess, R: Recorder> NodeAccess for InstrumentedAccess<A, R> {
-    #[inline]
-    fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        self.inner.access(store, page, depth)
-    }
-
-    #[inline]
-    fn pin(&mut self, store: u8, page: PageId) {
-        self.inner.pin(store, page)
-    }
-
-    #[inline]
-    fn unpin(&mut self, store: u8, page: PageId) {
-        self.inner.unpin(store, page)
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.inner.io_stats()
-    }
-
-    fn wants_hints(&self) -> bool {
-        self.inner.wants_hints()
-    }
-
-    fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-        self.inner.will_access(store, page, depth)
-    }
-
-    fn hint(&mut self, upcoming: &[PageRef]) {
-        self.inner.hint(upcoming)
-    }
-
-    fn completion_driven(&self) -> bool {
-        self.inner.completion_driven()
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        self.inner.last_miss_ticket()
-    }
-
-    #[inline]
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        self.inner.is_complete(ticket)
-    }
-
-    fn await_ticket(&self, ticket: Ticket) {
-        self.timed(|a| a.await_ticket(ticket))
-    }
-
-    #[inline]
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        self.inner.is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        self.timed(|a| a.await_settled(ticket))
-    }
-
-    #[inline]
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight()
-    }
-
-    fn drain_completions(&self) {
-        self.timed(|a| a.drain_completions())
-    }
+    start.map_or(0, |t| micros(t.elapsed()))
 }

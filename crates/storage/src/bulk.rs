@@ -2,7 +2,7 @@
 //!
 //! A bulk loader produces finished pages one at a time, bottom-up, and
 //! never revisits one. [`BulkPageWriter`] is the matching write path: an
-//! append-order allocator over any [`WritablePageFile`] that encodes each
+//! append-order allocator over any [`PageSource`] that encodes each
 //! emitted node into one reused scratch buffer and defers everything
 //! header-shaped — page count, owner metadata, manifest — to
 //! [`BulkPageWriter::finish`].
@@ -24,14 +24,13 @@
 use std::path::Path;
 
 use crate::codec::{self, DiskNode, EntryFormat, StorageError, META_BYTES};
-use crate::file::PageFile;
+use crate::file::{PageFile, PageSource};
 use crate::sharded::ShardedPageFile;
-use crate::writeback::WritablePageFile;
 use crate::PageId;
 
 /// Append-order page writer for streaming bulk builds. See the module
 /// docs for the crash posture and the id contract.
-pub struct BulkPageWriter<W: WritablePageFile> {
+pub struct BulkPageWriter<W: PageSource> {
     file: W,
     scratch: Vec<u8>,
     emitted: u32,
@@ -73,7 +72,7 @@ impl BulkPageWriter<ShardedPageFile> {
     }
 }
 
-impl<W: WritablePageFile> BulkPageWriter<W> {
+impl<W: PageSource> BulkPageWriter<W> {
     /// Wraps an already-created, still-empty writable file.
     pub fn over(file: W) -> Self {
         debug_assert_eq!(file.page_count(), 0, "bulk writer over a non-empty file");

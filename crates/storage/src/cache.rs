@@ -1,6 +1,6 @@
 //! The latched shared page cache: pin-counted frames over the
 //! submission/completion queue, so file-backed parallel joins share one
-//! warm buffer — and, since the write latch landed, so background
+//! warm buffer — and, through the per-frame write latch, background
 //! updaters can mutate pages *under* that join traffic.
 //!
 //! This is the one shared-frame owner of the storage layer — the §6
@@ -96,13 +96,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionQueue, DelayFn};
-use crate::file::PageFile;
+use crate::file::{PageFile, PageSource};
 use crate::lru::{EvictionPolicy, LruBuffer};
 use crate::page::PageId;
 use crate::path::UPDATE_MAX_HEIGHT;
 use crate::pool::{BufKey, BufferPool, IoStats};
 use crate::stack::validate_stores;
-use crate::writeback::{UpdateBackend, WritablePageFile};
+use crate::writeback::UpdateBackend;
 
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -323,17 +323,35 @@ impl SharedPageCache {
 
     /// A worker's view: private path buffers (sized from the cache's
     /// heights), a private logical LRU of `cap_pages` and zeroed
-    /// [`IoStats`] over the shared frame layer. Read-only — see
-    /// [`SharedPageCache::update_handle`] for the write path.
+    /// [`IoStats`] over the shared frame layer. It reads and nothing else:
+    /// a join handle is a [`NodeAccess`], never an [`UpdateBackend`] — the
+    /// write path is a different type, [`SharedPageCache::update_handle`].
+    ///
+    /// An updater takes the one and refuses the other at compile time:
+    ///
+    /// ```no_run
+    /// # use rsj_storage::{CacheConfig, SharedPageCache, UpdateBackend};
+    /// fn updater(_: impl UpdateBackend) {}
+    /// let cache = SharedPageCache::open(&[], 8, &[], CacheConfig::default()).unwrap();
+    /// updater(cache.update_handle(0, 8).unwrap());
+    /// ```
+    ///
+    /// ```compile_fail,E0277
+    /// # use rsj_storage::{CacheConfig, SharedPageCache, UpdateBackend};
+    /// fn updater(_: impl UpdateBackend) {}
+    /// let cache = SharedPageCache::open(&[], 8, &[], CacheConfig::default()).unwrap();
+    /// updater(cache.handle(8)); // a join handle is not an `UpdateBackend`
+    /// ```
     pub fn handle(self: &Arc<Self>, cap_pages: usize) -> SharedCacheFileAccess {
-        self.handle_over(BufferPool::with_capacity_pages(cap_pages, &self.heights))
+        let pool = BufferPool::with_capacity_pages(cap_pages, &self.heights);
+        self.handle_over(pool, ())
     }
 
-    fn handle_over(self: &Arc<Self>, pool: BufferPool) -> SharedCacheFileAccess {
+    fn handle_over<W>(self: &Arc<Self>, pool: BufferPool, writes: W) -> SharedCacheFileAccess<W> {
         SharedCacheFileAccess {
             cache: Arc::clone(self),
             pool,
-            files: self.heights.iter().map(|_| None).collect(),
+            writes,
             last_miss: Ticket::NONE,
             warm_hits: 0,
             cold_faults: 0,
@@ -342,7 +360,7 @@ impl SharedPageCache {
 
     /// A worker's view *with the write path open* for `store`: the
     /// returned handle owns a read-write [`PageFile`] on that store (the
-    /// handle its [`UpdateBackend`] impl serves) and a path buffer sized
+    /// file its [`UpdateBackend`] impl serves) and a path buffer sized
     /// for any height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`],
     /// which keeps the handle's logical charges aligned with the
     /// [`crate::FileNodeAccess`] oracle). Logical write charges are its
@@ -353,7 +371,7 @@ impl SharedPageCache {
         self: &Arc<Self>,
         store: u8,
         cap_pages: usize,
-    ) -> Result<SharedCacheFileAccess, StorageError> {
+    ) -> Result<SharedCacheFileAccess<StoreFile>, StorageError> {
         let path = self.paths.get(store as usize).ok_or_else(|| {
             StorageError::Corrupt(format!(
                 "store {store} out of range of a {}-store cache",
@@ -362,9 +380,9 @@ impl SharedPageCache {
         })?;
         let mut heights = self.heights.clone();
         heights[store as usize] = UPDATE_MAX_HEIGHT;
-        let mut h = self.handle_over(BufferPool::with_capacity_pages(cap_pages, &heights));
-        h.files[store as usize] = Some(PageFile::open_rw(path)?);
-        Ok(h)
+        let pool = BufferPool::with_capacity_pages(cap_pages, &heights);
+        let file = PageFile::open_rw(path)?;
+        Ok(self.handle_over(pool, StoreFile { store, file }))
     }
 
     #[inline]
@@ -877,17 +895,18 @@ impl SharedPageCache {
 /// requests). Completion-driven: a miss returns a ticket for the cursor
 /// to park on instead of blocking in `access()`.
 ///
-/// Handles from [`SharedPageCache::update_handle`] additionally own the
-/// read-write [`PageFile`] of their store and drive updates through the
-/// [`crate::NodeAccessMut`]/[`UpdateBackend`] impls below.
-pub struct SharedCacheFileAccess {
+/// `W` is the handle's write capability, and the type says which handle
+/// this is: `()` — the default, what [`SharedPageCache::handle`] returns —
+/// reads only; [`StoreFile`], what [`SharedPageCache::update_handle`]
+/// returns, additionally owns the read-write [`PageFile`] of its store and
+/// drives updates through the [`crate::NodeAccessMut`]/[`UpdateBackend`]
+/// impls below.
+pub struct SharedCacheFileAccess<W = ()> {
     cache: Arc<SharedPageCache>,
     /// The private *logical* hierarchy — accounting only, driven like the
     /// oracle; bytes live in the shared frames.
     pool: BufferPool,
-    /// Read-write file handles, by store — `Some` only for stores opened
-    /// through [`SharedPageCache::update_handle`].
-    files: Vec<Option<PageFile>>,
+    writes: W,
     last_miss: Ticket,
     /// Charged misses served by a frame already resident or in flight.
     warm_hits: u64,
@@ -895,7 +914,15 @@ pub struct SharedCacheFileAccess {
     cold_faults: u64,
 }
 
-impl fmt::Debug for SharedCacheFileAccess {
+/// The write capability of an update handle: the read-write file of the
+/// one store it was opened for.
+#[derive(Debug)]
+pub struct StoreFile {
+    store: u8,
+    file: PageFile,
+}
+
+impl<W> fmt::Debug for SharedCacheFileAccess<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedCacheFileAccess")
             .field("stats", &self.pool.stats())
@@ -905,7 +932,7 @@ impl fmt::Debug for SharedCacheFileAccess {
     }
 }
 
-impl SharedCacheFileAccess {
+impl<W> SharedCacheFileAccess<W> {
     /// Statistics recorded through this handle.
     #[inline]
     pub fn stats(&self) -> IoStats {
@@ -932,7 +959,7 @@ impl SharedCacheFileAccess {
     }
 }
 
-impl NodeAccess for SharedCacheFileAccess {
+impl<W> NodeAccess for SharedCacheFileAccess<W> {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
         let miss = self.pool.access(store, page, depth);
         if miss {
@@ -1003,7 +1030,7 @@ impl NodeAccess for SharedCacheFileAccess {
     }
 }
 
-impl NodeAccessMut for SharedCacheFileAccess {
+impl NodeAccessMut for SharedCacheFileAccess<StoreFile> {
     /// Registers a mutated page: the *logical* charge is the private
     /// pool's ([`BufferPool::mark_dirty`]), while the *bytes* take the
     /// latched shared-frame path ([`SharedPageCache::write`]).
@@ -1019,37 +1046,29 @@ impl NodeAccessMut for SharedCacheFileAccess {
 
     /// Charges one logical write per remaining private dirty page
     /// ([`BufferPool::flush_writes`]), then pushes every pending payload
-    /// of the stores this handle owns through
-    /// [`SharedPageCache::flush_dirty`] into the real files.
+    /// of the store this handle owns through
+    /// [`SharedPageCache::flush_dirty`] into the real file.
     fn flush_writes(&mut self) -> Result<(), StorageError> {
         self.pool.flush_writes();
-        let cache = Arc::clone(&self.cache);
-        for (store, slot) in self.files.iter_mut().enumerate() {
-            if let Some(file) = slot {
-                cache.flush_dirty(store as u8, |page, buf| file.write_page(page, buf))?;
-            }
-        }
-        Ok(())
+        let StoreFile { store, file } = &mut self.writes;
+        self.cache
+            .flush_dirty(*store, |page, buf| file.write_page(page, buf))
     }
 }
 
-impl UpdateBackend for SharedCacheFileAccess {
+/// The one check the type leaves: `store` must be the store the handle
+/// was opened for.
+impl UpdateBackend for SharedCacheFileAccess<StoreFile> {
     type File = PageFile;
 
     fn store_file(&self, store: u8) -> &PageFile {
-        self.files[store as usize]
-            .as_ref()
-            .expect("store has no write handle: open it via SharedPageCache::update_handle")
+        assert_eq!(store, self.writes.store, "handle opened for another store");
+        &self.writes.file
     }
 
     fn store_file_mut(&mut self, store: u8) -> &mut PageFile {
-        self.files[store as usize]
-            .as_mut()
-            .expect("store has no write handle: open it via SharedPageCache::update_handle")
-    }
-
-    fn supports_writes(&self) -> bool {
-        self.files.iter().any(Option::is_some)
+        assert_eq!(store, self.writes.store, "handle opened for another store");
+        &mut self.writes.file
     }
 }
 

@@ -30,7 +30,7 @@
 //! reference — matching Table 1's page capacities on disk at the cost of
 //! coordinate precision.
 //!
-//! The **write path** (PR 5) adds two persistent structures: a `free_head`
+//! The **write path** adds two persistent structures: a `free_head`
 //! field in the header chaining *free page slots* through the file (each
 //! free slot stores the next free page in place of a node — see
 //! [`encode_free_page`]), and the `flags` word carrying the entry format.

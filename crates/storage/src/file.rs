@@ -1,16 +1,17 @@
 //! Persistent page files.
 //!
 //! [`PageFile`] owns a real `std::fs::File` in the format of
-//! [`crate::codec`]: header, then fixed-size page slots. Reads and writes
-//! go through `seek` + `read_exact`/`write_all` and are counted, so a
-//! cold-opened tree pays genuine file I/O for every buffer miss; the
-//! whole-file read an open does is its [`PageSource::scan`], positional and
-//! overlapped when reads wait ([`crate::scan`]). It is the plain
-//! [`PageSource`] of the file-access stack ([`crate::FileAccess`]);
-//! [`crate::ShardedPageFile`] is the other.
+//! [`crate::codec`]: header, then fixed-size page slots. Every page read is
+//! one positional read, every write a `seek` + `write_all`, and both are
+//! counted, so a cold-opened tree pays genuine file I/O for every buffer
+//! miss; the whole-file read an open does is its [`PageSource::scan`],
+//! overlapped when reads wait ([`crate::scan`]). [`PageSource`] — declared
+//! here — is what a page file can do; [`PageFile`] is the plain one of the
+//! file-access stack ([`crate::FileAccess`]), [`crate::ShardedPageFile`]
+//! the other.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -18,8 +19,93 @@ use crate::codec::{
     self, EntryFormat, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES,
 };
 use crate::page::PageId;
-use crate::stack::PageSource;
-use crate::writeback::{FreeChain, WritablePageFile};
+use crate::writeback::FreeChain;
+
+/// A store's pages as a physical page file: in-place page overwrite,
+/// reuse-before-append allocation off a persistent free list, release back
+/// onto it, metadata and flush — what the save, bulk-build and update paths
+/// write through — plus what [`crate::FileAccess`] reads through: the
+/// ordered whole-file scan of an open, counter reset, and the mapping of
+/// pages onto physical files ("lanes"). Implemented by [`PageFile`] (one
+/// lane) and [`crate::ShardedPageFile`] (one lane per shard).
+pub trait PageSource {
+    /// Overwrites an existing page.
+    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
+
+    /// Reads one page slot into `buf`.
+    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError>;
+
+    /// Appends the next page in id order (the save protocol: every page
+    /// once, then free list, metadata, flush) and returns its id.
+    fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
+
+    /// Allocates a page for `payload`: the head of the free chain if one
+    /// exists (reuse-before-append), a fresh appended slot otherwise.
+    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
+
+    /// Releases a page onto the free chain (writes its chain marker).
+    fn release(&mut self, id: PageId) -> Result<(), StorageError>;
+
+    /// Registers `free` as the free list (oldest release first) without
+    /// writing anything — for save paths that already encoded the chain
+    /// markers into the corresponding slots. The head is persisted with
+    /// the next [`PageSource::flush`].
+    fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError>;
+
+    /// Number of page slots.
+    fn page_count(&self) -> u32;
+
+    /// Logical page size in bytes.
+    fn page_bytes(&self) -> usize;
+
+    /// Physical bytes per page slot.
+    fn slot_bytes(&self) -> usize;
+
+    /// The on-disk entry format.
+    fn entry_format(&self) -> EntryFormat;
+
+    /// The owner metadata blob.
+    fn meta(&self) -> &[u8; META_BYTES];
+
+    /// Replaces the owner metadata (persisted on flush).
+    fn set_meta(&mut self, meta: [u8; META_BYTES]);
+
+    /// The free list, oldest release first (last element = chain head).
+    fn free_pages(&self) -> &[PageId];
+
+    /// Persists headers (page counts, free head, metadata) durably.
+    fn flush(&mut self) -> Result<(), StorageError>;
+
+    /// Errors if the logical page size differs from `expected` — trees
+    /// joined through one buffer must share a page size.
+    fn check_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
+        let found = self.page_bytes();
+        if found != expected {
+            return Err(StorageError::PageSizeMismatch {
+                expected: expected as u32,
+                found: found as u32,
+            });
+        }
+        Ok(())
+    }
+
+    /// Zeroes the read/write counters.
+    fn reset_io(&mut self);
+
+    /// Feeds every page to `sink` in id order, each read (and charged)
+    /// once — what opening a tree does ([`crate::scan`]).
+    fn scan(
+        &mut self,
+        sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
+    ) -> Result<(), StorageError>;
+
+    /// The physical page files behind this source, in lane order.
+    fn lane_paths(&self) -> Vec<PathBuf>;
+
+    /// The lane owning `page` and the page's slot within that lane's
+    /// file; `None` if no lane holds it.
+    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)>;
+}
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.
 ///
@@ -170,7 +256,7 @@ impl PageFile {
     }
 
     fn open_with(path: impl AsRef<Path>, writable: bool) -> Result<Self, StorageError> {
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(writable)
             .open(path.as_ref())?;
@@ -182,8 +268,7 @@ impl PageFile {
             });
         }
         let mut buf = [0u8; HEADER_BYTES];
-        file.seek(SeekFrom::Start(0))?;
-        file.read_exact(&mut buf)?;
+        read_exact_at(&file, &mut buf, 0)?;
         let header = FileHeader::decode(&buf, file_len)?;
         let mut pf = PageFile {
             file,
@@ -204,29 +289,59 @@ impl PageFile {
     /// Rebuilds the in-memory free list from the on-disk chain via the
     /// shared walker ([`FreeChain::walk`]), uncounted — chain recovery is
     /// open-time work, not join or update I/O.
-    fn walk_free_chain(&mut self) -> Result<Vec<PageId>, StorageError> {
-        let (head, page_count, format) = (
+    fn walk_free_chain(&self) -> Result<Vec<PageId>, StorageError> {
+        FreeChain::walk(
             self.header.free_head,
             self.header.page_count,
             self.header.entry_format(),
-        );
-        FreeChain::walk(head, page_count, format, |id, buf| {
-            self.read_slot_uncounted(id, buf)
-        })
+            |id, buf| self.read_slot_uncounted(id, buf),
+        )
     }
 
-    /// Reads one slot without touching the read counter — open-time chain
-    /// recovery only (also used by the sharded manifest layer).
+    /// The one positional slot read behind every read this file serves;
+    /// the callers differ in exactly its two switches and in whether they
+    /// count. `latency` pays the injected read latency *before* the read
+    /// (modelling positioning time); `physical` bounds `id` by the
+    /// file's length on disk instead of the header page count cached at
+    /// open. Takes `&self` and moves no seek cursor, so any number of
+    /// threads can read through one handle.
+    fn pread_slot(
+        &self,
+        id: PageId,
+        buf: &mut Vec<u8>,
+        latency: bool,
+        physical: bool,
+    ) -> Result<(), StorageError> {
+        if let (true, Some(lat)) = (latency, self.read_latency) {
+            std::thread::sleep(lat);
+        }
+        let slot = self.slot_bytes();
+        let off = if physical {
+            let off = self.slot_start(id);
+            let len = self.file.metadata()?.len();
+            if off + slot as u64 > len {
+                return Err(StorageError::Corrupt(format!(
+                    "page {id} beyond the physical end of a {len}-byte file"
+                )));
+            }
+            off
+        } else {
+            self.slot_offset(id)?
+        };
+        buf.resize(slot, 0);
+        read_exact_at(&self.file, buf, off)?;
+        Ok(())
+    }
+
+    /// Reads one slot without latency and without touching the read
+    /// counter — open-time chain recovery only (also used by the sharded
+    /// manifest layer).
     pub(crate) fn read_slot_uncounted(
-        &mut self,
+        &self,
         id: PageId,
         buf: &mut Vec<u8>,
     ) -> Result<(), StorageError> {
-        let off = self.slot_offset(id)?;
-        buf.resize(self.slot_bytes(), 0);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
-        Ok(())
+        self.pread_slot(id, buf, false, false)
     }
 
     /// The path this file lives at.
@@ -248,37 +363,9 @@ impl PageFile {
         self.free.len()
     }
 
-    /// Registers `free` as this file's free list (oldest release first)
-    /// without writing anything — for save paths that already encoded the
-    /// chain markers into the corresponding slots. The head is persisted
-    /// with the next [`PageFile::flush`].
-    pub fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
-        for &id in free {
-            if id.0 >= self.header.page_count {
-                return Err(StorageError::Corrupt(format!(
-                    "free list references page {id} out of range of a {}-page file",
-                    self.header.page_count
-                )));
-            }
-        }
-        if let Err(e) = self.free.set_list(free) {
-            self.header.free_head = None;
-            return Err(e);
-        }
-        self.header.free_head = self.free.head();
-        Ok(())
-    }
-
-    /// Errors if the file's logical page size differs from `expected` —
-    /// trees joined through one buffer must share a page size.
-    pub fn check_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
-        if self.page_bytes() != expected {
-            return Err(StorageError::PageSizeMismatch {
-                expected: expected as u32,
-                found: self.header.page_bytes,
-            });
-        }
-        Ok(())
+    /// Byte offset of slot `id`, in range or not.
+    fn slot_start(&self, id: PageId) -> u64 {
+        HEADER_BYTES as u64 + u64::from(id.0) * u64::from(self.header.slot_bytes)
     }
 
     fn slot_offset(&self, id: PageId) -> Result<u64, StorageError> {
@@ -288,7 +375,7 @@ impl PageFile {
                 self.header.page_count
             )));
         }
-        Ok(HEADER_BYTES as u64 + u64::from(id.0) * u64::from(self.header.slot_bytes))
+        Ok(self.slot_start(id))
     }
 
     /// Writes `payload` at `off`, zero-padded to the slot size, reusing
@@ -313,16 +400,6 @@ impl PageFile {
         Ok(())
     }
 
-    /// Appends one encoded page (at most `slot_bytes` long; zero-padded)
-    /// and returns its id. Charges one write.
-    pub fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        let id = PageId(self.header.page_count);
-        let off = HEADER_BYTES as u64 + u64::from(id.0) * u64::from(self.header.slot_bytes);
-        self.write_slot_at(off, payload)?;
-        self.header.page_count += 1;
-        Ok(id)
-    }
-
     /// Reads one slot *positionally* through a shared reference — the
     /// read the completion-queue worker pool and a scan's readers
     /// perform, any number at once on one handle. The injected latency
@@ -330,13 +407,7 @@ impl PageFile {
     /// own read counter is not touched (the queue counts per lane, a
     /// scan charges what it delivered).
     pub(crate) fn read_page_at(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        if let Some(lat) = self.read_latency {
-            std::thread::sleep(lat);
-        }
-        let off = self.slot_offset(id)?;
-        buf.resize(self.slot_bytes(), 0);
-        read_exact_at(&self.file, buf, off)?;
-        Ok(())
+        self.pread_slot(id, buf, true, false)
     }
 
     /// Charges `n` reads made through [`PageFile::read_page_at`] on this
@@ -359,17 +430,7 @@ impl PageFile {
         id: PageId,
         buf: &mut Vec<u8>,
     ) -> Result<(), StorageError> {
-        let slot = self.slot_bytes();
-        let off = HEADER_BYTES as u64 + u64::from(id.0) * u64::from(self.header.slot_bytes);
-        let len = self.file.metadata()?.len();
-        if off + slot as u64 > len {
-            return Err(StorageError::Corrupt(format!(
-                "page {id} beyond the physical end of a {len}-byte file"
-            )));
-        }
-        buf.resize(slot, 0);
-        read_exact_at(&self.file, buf, off)?;
-        Ok(())
+        self.pread_slot(id, buf, false, true)
     }
 
     /// Injects (or clears) an artificial latency charged on every counted
@@ -405,16 +466,9 @@ impl PageFile {
     pub fn writes(&self) -> u64 {
         self.writes
     }
-
-    /// Resets the read/write counters (e.g. after building, before
-    /// measuring — same contract as [`crate::PageStore::reset_io`]).
-    pub fn reset_io(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
-    }
 }
 
-impl WritablePageFile for PageFile {
+impl PageSource for PageFile {
     /// Overwrites an existing page in place. Charges one write.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
         let off = self.slot_offset(id)?;
@@ -427,15 +481,18 @@ impl WritablePageFile for PageFile {
     /// ([`PageFile::read_slot_uncounted`]) stays undelayed, matching its
     /// uncounted status.
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        if let Some(lat) = self.read_latency {
-            std::thread::sleep(lat);
-        }
-        let off = self.slot_offset(id)?;
-        buf.resize(self.slot_bytes(), 0);
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.read_exact(buf)?;
+        self.pread_slot(id, buf, true, false)?;
         self.reads += 1;
         Ok(())
+    }
+
+    /// Appends one encoded page (at most `slot_bytes` long; zero-padded)
+    /// and returns its id. Charges one write.
+    fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
+        let id = PageId(self.header.page_count);
+        self.write_slot_at(self.slot_start(id), payload)?;
+        self.header.page_count += 1;
+        Ok(id)
     }
 
     /// Allocates a slot for `payload`: pops the free-chain head and
@@ -474,6 +531,23 @@ impl WritablePageFile for PageFile {
         res?;
         self.free.push_released(id)?;
         self.header.free_head = Some(id);
+        Ok(())
+    }
+
+    fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
+        for &id in free {
+            if id.0 >= self.header.page_count {
+                return Err(StorageError::Corrupt(format!(
+                    "free list references page {id} out of range of a {}-page file",
+                    self.header.page_count
+                )));
+            }
+        }
+        if let Err(e) = self.free.set_list(free) {
+            self.header.free_head = None;
+            return Err(e);
+        }
+        self.header.free_head = self.free.head();
         Ok(())
     }
 
@@ -520,11 +594,12 @@ impl WritablePageFile for PageFile {
         self.file.flush()?;
         Ok(())
     }
-}
 
-impl PageSource for PageFile {
+    /// Resets the read/write counters (e.g. after building, before
+    /// measuring — same contract as [`crate::PageStore::reset_io`]).
     fn reset_io(&mut self) {
-        PageFile::reset_io(self)
+        self.reads = 0;
+        self.writes = 0;
     }
 
     /// Feeds every page to `sink` in id order through

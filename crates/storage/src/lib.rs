@@ -82,8 +82,11 @@
 //! * persistent **free-page lists** in [`PageFile`] and
 //!   [`ShardedPageFile`] — header-chained marker slots,
 //!   `allocate`/`release` with reuse-before-append, validated on open;
-//! * [`WritablePageFile`] / [`UpdateBackend`] — the traits the R\*-tree
-//!   crate's `OpenTree` drives incremental `insert`/`delete` through;
+//! * [`PageSource`] / [`UpdateBackend`] — the traits the R\*-tree crate's
+//!   `OpenTree` drives incremental `insert`/`delete` through: what a page
+//!   file can do (declared once, beside [`PageFile`]), and a write-capable
+//!   backend over such files — a capability of the type, so a shared-cache
+//!   join handle or a queued stack cannot reach an updater;
 //! * [`EntryFormat`] — the on-disk entry layout: 40-byte f64 entries by
 //!   default, or the paper's literal 20-byte f32 entries (outward-rounded)
 //!   behind a header flag;
@@ -117,11 +120,11 @@ pub mod writeback;
 
 pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
-pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache};
+pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache, StoreFile};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};
 pub use completion::{CompletionConfig, CompletionLag, CompletionQueue, QUEUE_DEPTH};
 pub use cost::CostModel;
-pub use file::{PageFile, READ_LATENCY_ENV};
+pub use file::{PageFile, PageSource, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
@@ -130,8 +133,8 @@ pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};
 pub use pool::{BufKey, BufferPool, IoStats};
 pub use sharded::ShardedPageFile;
 pub use stack::{
-    CompletionFileAccess, FileAccess, FileNodeAccess, PageSource, ReadStrategy,
-    ShardedCompletionFileAccess, ShardedFileAccess,
+    CompletionFileAccess, FileAccess, FileNodeAccess, ReadStrategy, ShardedCompletionFileAccess,
+    ShardedFileAccess,
 };
 pub use temp::TempDir;
-pub use writeback::{UpdateBackend, WritablePageFile};
+pub use writeback::UpdateBackend;

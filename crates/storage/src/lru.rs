@@ -603,7 +603,7 @@ mod tests {
         assert_eq!(b.hits(), 1);
     }
 
-    // --- Pin-accounting regressions (PR 3): pinned pages must survive any
+    // --- Pin-accounting regressions: pinned pages must survive any
     // amount of eviction pressure, and stray unpins must never corrupt the
     // hit/miss/eviction counters or the pin state of other pages.
 
@@ -649,7 +649,7 @@ mod tests {
         assert_eq!(b.evictions(), before.2 + 1);
     }
 
-    // --- Dirty-page tracking (PR 5): the write-back contract of the
+    // --- Dirty-page tracking: the write-back contract of the
     // buffer manager — dirty evictions are surfaced exactly once, pinned
     // dirty pages survive pressure, and install never moves a counter.
 

@@ -3,8 +3,8 @@
 //! Several components split keyed work across a small number of buckets:
 //! [`crate::SharedPageCache`] maps buffer keys onto frame shards, and the
 //! R\*-tree's sharded persistence maps subtree indices (and stray pages)
-//! onto physical page files. Both used to carry their own copy of the
-//! same Fibonacci-hashing trick; this module is the single definition.
+//! onto physical page files. Both need the same Fibonacci-hashing trick,
+//! and two copies could drift apart; this module is the single definition.
 //!
 //! The scheme multiplies by the 64-bit golden-ratio constant and takes the
 //! high bits — cheap, deterministic across platforms (everything is

@@ -64,6 +64,32 @@ impl IoStats {
     }
 }
 
+/// Field-wise sum: tallies of independent accountants (parallel workers,
+/// pipeline stages) merged into one.
+impl std::ops::AddAssign for IoStats {
+    fn add_assign(&mut self, rhs: IoStats) {
+        self.disk_accesses += rhs.disk_accesses;
+        self.path_hits += rhs.path_hits;
+        self.lru_hits += rhs.lru_hits;
+        self.page_writes += rhs.page_writes;
+    }
+}
+
+/// Field-wise difference: what one accountant charged since an earlier
+/// reading `rhs` of the same (monotone) tallies.
+impl std::ops::Sub for IoStats {
+    type Output = IoStats;
+
+    fn sub(self, rhs: IoStats) -> IoStats {
+        IoStats {
+            disk_accesses: self.disk_accesses - rhs.disk_accesses,
+            path_hits: self.path_hits - rhs.path_hits,
+            lru_hits: self.lru_hits - rhs.lru_hits,
+            page_writes: self.page_writes - rhs.page_writes,
+        }
+    }
+}
+
 /// The writer of an owner that holds no bytes: every write-back "succeeds"
 /// and is only counted.
 fn no_bytes(_: BufKey) -> Result<(), Infallible> {

@@ -325,7 +325,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stack::PageSource;
+    use crate::file::PageSource;
     use crate::temp::demo::demo_file;
     use crate::temp::TempDir;
     use std::collections::HashSet;

@@ -56,11 +56,10 @@ use std::path::{Path, PathBuf};
 
 use crate::codec::{self, EntryFormat, StorageError, META_BYTES};
 use crate::completion::CompletionQueue;
-use crate::file::PageFile;
+use crate::file::{PageFile, PageSource};
 use crate::page::PageId;
 use crate::partition::partition;
-use crate::stack::PageSource;
-use crate::writeback::{FreeChain, WritablePageFile};
+use crate::writeback::FreeChain;
 
 /// Manifest signature.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"RSJS";
@@ -294,12 +293,10 @@ impl ShardedPageFile {
     /// the shared walker ([`FreeChain::walk`]); markers are read from
     /// whichever shard owns each link, uncounted — open-time recovery,
     /// not join or update I/O.
-    fn walk_free_chain(&mut self, head: Option<PageId>) -> Result<Vec<PageId>, StorageError> {
-        let (page_count, format) = (self.page_count(), self.entry_format());
-        let (shards, assign, local) = (&mut self.shards, &self.assign, &self.local);
-        FreeChain::walk(head, page_count, format, |id, buf| {
-            let shard = usize::from(assign[id.0 as usize]);
-            shards[shard].read_slot_uncounted(PageId(local[id.0 as usize]), buf)
+    fn walk_free_chain(&self, head: Option<PageId>) -> Result<Vec<PageId>, StorageError> {
+        FreeChain::walk(head, self.page_count(), self.entry_format(), |id, buf| {
+            let shard = usize::from(self.assign[id.0 as usize]);
+            self.shards[shard].read_slot_uncounted(PageId(self.local[id.0 as usize]), buf)
         })
     }
 
@@ -315,11 +312,6 @@ impl ShardedPageFile {
         self.shards.len()
     }
 
-    /// Errors if the logical page size differs from `expected`.
-    pub fn check_page_bytes(&self, expected: usize) -> Result<(), StorageError> {
-        self.shards[0].check_page_bytes(expected)
-    }
-
     /// The shard owning global page `id` (bench/test inspection).
     pub fn shard_of(&self, id: PageId) -> Result<usize, StorageError> {
         self.assign
@@ -333,35 +325,10 @@ impl ShardedPageFile {
             })
     }
 
-    /// Appends the next page in global-id order to its assigned shard and
-    /// returns its global id. Charges one write on that shard.
-    pub fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        let id = self.appended as usize;
-        let Some(&shard) = self.assign.get(id) else {
-            return Err(StorageError::Corrupt(format!(
-                "appending page {id} beyond the assignment of {} pages",
-                self.assign.len()
-            )));
-        };
-        self.shards[usize::from(shard)].append_page(payload)?;
-        self.appended += 1;
-        Ok(PageId(id as u32))
-    }
-
     /// Number of free (reusable) page slots across all shards.
     #[inline]
     pub fn free_count(&self) -> usize {
         self.free.len()
-    }
-
-    /// Registers `free` as the global free list (oldest release first)
-    /// without writing anything — for save paths that already encoded the
-    /// chain markers. Persisted with the next [`ShardedPageFile::flush`].
-    pub fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
-        for &id in free {
-            self.shard_of(id)?;
-        }
-        self.free.set_list(free)
     }
 
     /// [`PageFile::set_read_latency`] on every shard handle.
@@ -386,16 +353,9 @@ impl ShardedPageFile {
     pub fn writes(&self) -> u64 {
         self.shards.iter().map(PageFile::writes).sum()
     }
-
-    /// Resets the read/write counters of every shard.
-    pub fn reset_io(&mut self) {
-        for s in &mut self.shards {
-            s.reset_io();
-        }
-    }
 }
 
-impl WritablePageFile for ShardedPageFile {
+impl PageSource for ShardedPageFile {
     /// Overwrites global page `id` in place in its owning shard. Charges
     /// one write on that shard.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
@@ -408,6 +368,21 @@ impl WritablePageFile for ShardedPageFile {
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         let shard = self.shard_of(id)?;
         self.shards[shard].read_page_into(PageId(self.local[id.0 as usize]), buf)
+    }
+
+    /// Appends the next page in global-id order to its assigned shard and
+    /// returns its global id. Charges one write on that shard.
+    fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
+        let id = self.appended as usize;
+        let Some(&shard) = self.assign.get(id) else {
+            return Err(StorageError::Corrupt(format!(
+                "appending page {id} beyond the assignment of {} pages",
+                self.assign.len()
+            )));
+        };
+        self.shards[usize::from(shard)].append_page(payload)?;
+        self.appended += 1;
+        Ok(PageId(id as u32))
     }
 
     /// Allocates a slot for `payload`. **Birth-shard policy** (module
@@ -462,6 +437,14 @@ impl WritablePageFile for ShardedPageFile {
         res?;
         self.free.push_released(id)?;
         Ok(())
+    }
+
+    /// The global free list; its head is persisted in the manifest.
+    fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
+        for &id in free {
+            self.shard_of(id)?;
+        }
+        self.free.set_list(free)
     }
 
     /// Total pages across all shards.
@@ -532,24 +515,12 @@ impl WritablePageFile for ShardedPageFile {
         f.flush()?;
         Ok(())
     }
-}
 
-/// Local slot per global page: its rank among the pages of its shard.
-fn local_slots(assign: &[u8], shard_count: usize) -> Vec<u32> {
-    let mut next = vec![0u32; shard_count];
-    assign
-        .iter()
-        .map(|&s| {
-            let l = next[usize::from(s)];
-            next[usize::from(s)] += 1;
-            l
-        })
-        .collect()
-}
-
-impl PageSource for ShardedPageFile {
+    /// Resets the read/write counters of every shard.
     fn reset_io(&mut self) {
-        ShardedPageFile::reset_io(self)
+        for s in &mut self.shards {
+            s.reset_io();
+        }
     }
 
     /// Feeds every page to `sink` in global-id order through
@@ -589,6 +560,19 @@ impl PageSource for ShardedPageFile {
         let shard = *self.assign.get(page.0 as usize)?;
         Some((usize::from(shard), PageId(self.local[page.0 as usize])))
     }
+}
+
+/// Local slot per global page: its rank among the pages of its shard.
+fn local_slots(assign: &[u8], shard_count: usize) -> Vec<u32> {
+    let mut next = vec![0u32; shard_count];
+    assign
+        .iter()
+        .map(|&s| {
+            let l = next[usize::from(s)];
+            next[usize::from(s)] += 1;
+            l
+        })
+        .collect()
 }
 
 /// One completion-queue lane per physical shard file of `files`, in

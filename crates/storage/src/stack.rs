@@ -53,34 +53,12 @@ use std::path::PathBuf;
 use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionConfig, CompletionQueue, DelayFn};
-use crate::file::PageFile;
+use crate::file::{PageFile, PageSource};
 use crate::lru::{BufKey, EvictionPolicy};
 use crate::page::PageId;
 use crate::pool::{BufferPool, IoStats};
 use crate::sharded::ShardedPageFile;
-use crate::writeback::{DirtyPages, UpdateBackend, WritablePageFile};
-
-/// What [`FileAccess`] needs of a store's pages beyond
-/// [`WritablePageFile`]: counter reset, and the mapping of pages onto
-/// physical files ("lanes").
-pub trait PageSource: WritablePageFile {
-    /// Zeroes the read/write counters.
-    fn reset_io(&mut self);
-
-    /// Feeds every page to `sink` in id order, each read (and charged)
-    /// once — what opening a tree does ([`crate::scan`]).
-    fn scan(
-        &mut self,
-        sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError>;
-
-    /// The physical page files behind this source, in lane order.
-    fn lane_paths(&self) -> Vec<PathBuf>;
-
-    /// The lane owning `page` and the page's slot within that lane's
-    /// file; `None` if no lane holds it.
-    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)>;
-}
+use crate::writeback::{DirtyPages, UpdateBackend};
 
 /// What a charged miss does (module docs). Implemented by [`Blocking`]
 /// and [`Queued`].
@@ -227,16 +205,6 @@ pub type ShardedFileAccess = FileAccess<ShardedPageFile, Blocking>;
 /// physical shard file — the disk-array model).
 pub type ShardedCompletionFileAccess = FileAccess<ShardedPageFile, Queued>;
 
-/// `buffer_bytes` as a page count over the files' logical page size (the
-/// paper quotes buffer sizes in KBytes).
-fn pages_in<S: PageSource>(files: &[S], buffer_bytes: usize) -> Result<usize, StorageError> {
-    let page_bytes = files
-        .first()
-        .map(S::page_bytes)
-        .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
-    Ok(buffer_bytes / page_bytes)
-}
-
 impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
     /// Validates one backing store per tree height, all on one logical
     /// page size, and assembles the stack around `reads`.
@@ -313,18 +281,6 @@ impl<S: PageSource> FileAccess<S, Blocking> {
     ) -> Result<Self, StorageError> {
         Self::assemble(files, cap_pages, heights, policy, Blocking::default())
     }
-
-    /// [`FileAccess::with_capacity_pages`] with the capacity given as a
-    /// byte budget over the files' logical page size.
-    pub fn new(
-        files: Vec<S>,
-        buffer_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Result<Self, StorageError> {
-        let cap_pages = pages_in(&files, buffer_bytes)?;
-        Self::with_capacity_pages(files, cap_pages, heights, policy)
-    }
 }
 
 impl<S: PageSource> FileAccess<S, Queued> {
@@ -340,19 +296,6 @@ impl<S: PageSource> FileAccess<S, Queued> {
     ) -> Result<Self, StorageError> {
         let queue = open_lanes(&files, cfg.delay)?;
         Self::with_shared_queue(files, cap_pages, heights, policy, queue, cfg.window)
-    }
-
-    /// [`FileAccess::with_capacity_pages`] with the capacity given as a
-    /// byte budget over the files' logical page size.
-    pub fn new(
-        files: Vec<S>,
-        buffer_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        cfg: CompletionConfig,
-    ) -> Result<Self, StorageError> {
-        let cap_pages = pages_in(&files, buffer_bytes)?;
-        Self::with_capacity_pages(files, cap_pages, heights, policy, cfg)
     }
 
     /// A stack over an externally built queue
@@ -536,7 +479,7 @@ impl<S: PageSource> UpdateBackend for FileAccess<S, Blocking> {
 /// Constructor validation shared with [`crate::SharedPageCache`]: one
 /// backing store per tree height, and every store on one logical page
 /// size.
-pub(crate) fn validate_stores<S: WritablePageFile>(
+pub(crate) fn validate_stores<S: PageSource>(
     stores: &[S],
     heights: &[usize],
 ) -> Result<(), StorageError> {
@@ -550,13 +493,7 @@ pub(crate) fn validate_stores<S: WritablePageFile>(
     if let Some((first, rest)) = stores.split_first() {
         let expected = first.page_bytes();
         for s in rest {
-            let found = s.page_bytes();
-            if found != expected {
-                return Err(StorageError::PageSizeMismatch {
-                    expected: expected as u32,
-                    found: found as u32,
-                });
-            }
+            s.check_page_bytes(expected)?;
         }
     }
     Ok(())

@@ -73,8 +73,7 @@ impl Drop for TempDir {
 pub(crate) mod demo {
     use super::TempDir;
     use crate::codec::{self, META_BYTES};
-    use crate::file::PageFile;
-    use crate::writeback::WritablePageFile;
+    use crate::file::{PageFile, PageSource};
 
     /// An encoded one-entry leaf page whose entry points at child `tag`.
     pub fn payload(tag: u32, slot: usize) -> Vec<u8> {

@@ -1,4 +1,4 @@
-//! The byte-holding half of the file backends' write-back, and the traits
+//! The byte-holding half of the file backends' write-back, and the trait
 //! the update path is generic over.
 //!
 //! *Which* page is dirty, when it is written and what that costs is one
@@ -12,16 +12,15 @@
 //! hierarchy calls with each key whose write is due, `discard` drops the
 //! bytes of a released page.
 //!
-//! [`WritablePageFile`] abstracts the physical file an updatable tree sits
-//! on ([`crate::PageFile`] or [`crate::ShardedPageFile`]): in-place page
-//! overwrite, free-list `allocate`/`release`, metadata, flush.
-//! [`UpdateBackend`] ties a write-capable access backend to its files; the
-//! R\*-tree crate's `OpenTree` drives updates through it.
+//! [`UpdateBackend`] ties a write-capable access backend to the physical
+//! files ([`PageSource`]) its stores sit on; the R\*-tree crate's `OpenTree`
+//! drives updates through it.
 
 use std::collections::{HashMap, HashSet};
 
 use crate::access::NodeAccessMut;
-use crate::codec::{EntryFormat, StorageError, META_BYTES};
+use crate::codec::{EntryFormat, StorageError};
+use crate::file::PageSource;
 use crate::lru::BufKey;
 use crate::page::PageId;
 
@@ -215,70 +214,19 @@ impl DirtyPages {
     }
 }
 
-/// A physical page file the update path can mutate in place: overwrite,
-/// reuse-before-append allocation off a persistent free list, release back
-/// onto it, metadata, flush. Implemented by [`crate::PageFile`] and
-/// [`crate::ShardedPageFile`].
-pub trait WritablePageFile {
-    /// Overwrites an existing page.
-    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
-
-    /// Reads one page slot into `buf`.
-    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError>;
-
-    /// Allocates a page for `payload`: the head of the free chain if one
-    /// exists (reuse-before-append), a fresh appended slot otherwise.
-    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
-
-    /// Releases a page onto the free chain (writes its chain marker).
-    fn release(&mut self, id: PageId) -> Result<(), StorageError>;
-
-    /// Number of page slots.
-    fn page_count(&self) -> u32;
-
-    /// Logical page size in bytes.
-    fn page_bytes(&self) -> usize;
-
-    /// Physical bytes per page slot.
-    fn slot_bytes(&self) -> usize;
-
-    /// The on-disk entry format.
-    fn entry_format(&self) -> EntryFormat;
-
-    /// The owner metadata blob.
-    fn meta(&self) -> &[u8; META_BYTES];
-
-    /// Replaces the owner metadata (persisted on flush).
-    fn set_meta(&mut self, meta: [u8; META_BYTES]);
-
-    /// The free list, oldest release first (last element = chain head).
-    fn free_pages(&self) -> &[PageId];
-
-    /// Persists headers (page counts, free head, metadata) durably.
-    fn flush(&mut self) -> Result<(), StorageError>;
-}
-
-/// A write-capable access backend over one [`WritablePageFile`] per store
-/// — what an incrementally-updated tree drives its I/O through.
+/// A write-capable access backend over one [`PageSource`] per store —
+/// what an incrementally-updated tree drives its I/O through. Whether a
+/// backend can write is a property of its type: a queued file stack and a
+/// shared-cache join handle do not implement this.
 pub trait UpdateBackend: NodeAccessMut {
     /// The physical file type.
-    type File: WritablePageFile;
+    type File: PageSource;
 
     /// The backing file of `store`.
     fn store_file(&self, store: u8) -> &Self::File;
 
     /// The backing file of `store`, mutably (allocate/release/metadata).
     fn store_file_mut(&mut self, store: u8) -> &mut Self::File;
-
-    /// Whether this backend *instance* accepts writes. A type can be
-    /// write-capable while a particular instance is not (a
-    /// [`crate::SharedCacheFileAccess`] join handle owns no read-write
-    /// file; only update handles do); update drivers check this up front
-    /// and refuse the backend with a typed error instead of panicking
-    /// mid-update.
-    fn supports_writes(&self) -> bool {
-        true
-    }
 }
 
 #[cfg(test)]

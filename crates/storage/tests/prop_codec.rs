@@ -7,7 +7,7 @@ use proptest::TestCaseError;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, FileHeader, StorageError, HEADER_BYTES, META_BYTES,
 };
-use rsj_storage::{PageFile, PageId, TempDir, WritablePageFile};
+use rsj_storage::{PageFile, PageId, PageSource, TempDir};
 
 const MAX_ENTRIES: usize = 24;
 

@@ -9,8 +9,8 @@ use proptest::TestCaseError;
 use rsj_storage::codec::slot_bytes_for;
 use rsj_storage::{
     Access, BufKey, BufferPool, CacheConfig, EvictionPolicy, FileNodeAccess, LruBuffer,
-    NodeAccessMut, PageFile, PageId, ShardedFileAccess, ShardedPageFile, SharedPageCache, TempDir,
-    WritablePageFile, UPDATE_MAX_HEIGHT,
+    NodeAccessMut, PageFile, PageId, PageSource, ShardedFileAccess, ShardedPageFile,
+    SharedPageCache, TempDir, UPDATE_MAX_HEIGHT,
 };
 
 /// Reference model: a vector ordered MRU-first plus pin counts.
@@ -213,7 +213,7 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
 
 /// Checks that every page of `file` with a live expectation holds it.
 fn check_pages(
-    file: &mut impl WritablePageFile,
+    file: &mut impl PageSource,
     store: u8,
     expect: &HashMap<(u8, u32), Option<Vec<u8>>>,
     owner: &str,

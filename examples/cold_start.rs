@@ -99,8 +99,13 @@ fn main() {
     };
 
     // 1 + 2: cold, then warm on the same accountant.
-    let access = FileNodeAccess::new(open_files(), BUFFER, &heights, EvictionPolicy::Lru)
-        .expect("file backend");
+    let access = FileNodeAccess::with_capacity_pages(
+        open_files(),
+        BUFFER / PAGE,
+        &heights,
+        EvictionPolicy::Lru,
+    )
+    .expect("file backend");
     let (cold, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
     println!("\n{} result pairs\n", cold.stats.result_pairs);
     report(
@@ -122,9 +127,9 @@ fn main() {
     );
 
     // 3: prefetched cold run — same accounting, misses served early.
-    let access = CompletionFileAccess::new(
+    let access = CompletionFileAccess::with_capacity_pages(
         open_files(),
-        BUFFER,
+        BUFFER / PAGE,
         &heights,
         EvictionPolicy::Lru,
         CompletionConfig::default(),
@@ -152,12 +157,12 @@ fn main() {
         RTree::open_sharded_from(&rb).expect("reopen sharded R"),
         RTree::open_sharded_from(&sb).expect("reopen sharded S"),
     );
-    let access = ShardedFileAccess::new(
+    let access = ShardedFileAccess::with_capacity_pages(
         vec![
             ShardedPageFile::open(&rb).expect("open sharded R"),
             ShardedPageFile::open(&sb).expect("open sharded S"),
         ],
-        BUFFER,
+        BUFFER / PAGE,
         &heights,
         EvictionPolicy::Lru,
     )
@@ -222,12 +227,12 @@ fn main() {
     // Rejoin the updated file cold, against a fresh save of the same tree.
     let rf2 = RTree::open_from(&rup).expect("reopen updated R");
     let heights2 = [rf2.height() as usize, sf.height() as usize];
-    let access = FileNodeAccess::new(
+    let access = FileNodeAccess::with_capacity_pages(
         vec![
             PageFile::open(&rup).expect("open updated R"),
             PageFile::open(&sp).expect("open S file"),
         ],
-        BUFFER,
+        BUFFER / PAGE,
         &heights2,
         EvictionPolicy::Lru,
     )
@@ -235,12 +240,12 @@ fn main() {
     let (upd, _) = rsj_core::spatial_join_with_access(&rf2, &sf, plan, false, access);
     let rfresh = dir.file("updated/r.fresh.rsj");
     rf2.save_to(&rfresh).expect("fresh save of updated tree");
-    let access = FileNodeAccess::new(
+    let access = FileNodeAccess::with_capacity_pages(
         vec![
             PageFile::open(&rfresh).expect("open fresh R"),
             PageFile::open(&sp).expect("open S file"),
         ],
-        BUFFER,
+        BUFFER / PAGE,
         &heights2,
         EvictionPolicy::Lru,
     )

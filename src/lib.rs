@@ -52,8 +52,8 @@
 //!   [`telemetry::Registry`] with snapshot/delta semantics and text
 //!   exposition, and the [`telemetry::Recorder`] switch that compiles
 //!   recording out entirely;
-//! * [`service`] — the long-lived [`service::JoinService`]: session
-//!   plans over one warm [`storage::SharedPageCache`], bounded
+//! * [`service`] — the long-lived [`service::JoinService`]: every
+//!   query a cursor over one warm [`storage::SharedPageCache`], bounded
 //!   admission with typed [`service::Overloaded`] rejection, and
 //!   per-query queue/plan/io/join/emit spans feeding the registry.
 //!
@@ -104,9 +104,9 @@
 //! r.save_to(&rp).unwrap();
 //! s.save_to(&sp).unwrap();
 //! let (r2, s2) = (RTree::open_from(&rp).unwrap(), RTree::open_from(&sp).unwrap());
-//! let access = FileNodeAccess::new(
+//! let access = FileNodeAccess::with_capacity_pages(
 //!     vec![PageFile::open(&rp).unwrap(), PageFile::open(&sp).unwrap()],
-//!     128 * 1024,
+//!     128 * 1024 / r2.params().page_bytes,
 //!     &[r2.height() as usize, s2.height() as usize],
 //!     EvictionPolicy::Lru,
 //! ).unwrap();
@@ -143,8 +143,8 @@ pub mod prelude {
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, ShardedFileAccess, ShardedPageFile, SharedPageCache, StorageError,
-        WritablePageFile,
+        PageFile, PageRef, PageSource, ShardedFileAccess, ShardedPageFile, SharedPageCache,
+        StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

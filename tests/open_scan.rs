@@ -39,7 +39,7 @@ fn open_plain(path: &Path, latency: Option<Duration>) -> Result<RTree, StorageEr
 fn open_sharded(base: &Path, latency: Option<Duration>) -> Result<RTree, StorageError> {
     let mut file = ShardedPageFile::open(base)?;
     file.set_read_latency(latency);
-    let tree = RTree::load_sharded(&mut file)?;
+    let tree = RTree::load(&mut file)?;
     assert_eq!(file.reads(), u64::from(file.page_count()));
     Ok(tree)
 }

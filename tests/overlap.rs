@@ -217,6 +217,35 @@ fn overlap_parked_cursor_never_busy_spins() {
     );
 }
 
+/// A wait is timed where it happens: a cursor over the `BufferPool`
+/// oracle never parks and has been blocked for no time at all; the same
+/// join over the queued stack under 2 ms reads parks, and the time it was
+/// parked is on the cursor's own clock.
+#[test]
+fn overlap_cursor_times_its_own_waits() {
+    use rsj_core::JoinCursor;
+
+    let fx = Fixture::new("overlap", TestId::A, 0.003);
+    let plan = JoinPlan::sj4();
+    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
+    let mut cursor = JoinCursor::new(&fx.r, &fx.s, plan, pool);
+    let pairs = cursor.by_ref().count();
+    assert!(pairs > 0, "fixture must join");
+    assert_eq!((cursor.parks(), cursor.blocked()), (0, Duration::ZERO));
+
+    let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
+    let cfg = CompletionConfig {
+        delay: Some(delay),
+        ..CompletionConfig::default()
+    };
+    let [r_file, s_file] = &fx.files.plain_trees;
+    let access = fx.files.plain_queued(CAP_PAGES, cfg);
+    let mut cursor = JoinCursor::new(r_file, s_file, plan, access);
+    assert_eq!(cursor.by_ref().count(), pairs);
+    assert!(cursor.parks() > 0, "2 ms reads must park the cursor");
+    assert!(cursor.blocked() > Duration::ZERO, "a park takes time");
+}
+
 /// Shard-parallel workers sharing ONE completion queue (per-shard
 /// submission lanes, private buffers and stats) must produce the same
 /// pair multiset as the sequential in-memory join.

@@ -8,11 +8,13 @@
 mod common;
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE, SHARDS};
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_service::{export_sharded_reads, JoinService, ServiceError};
+use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufferPool, TempDir};
 use rsj_telemetry::SampleValue;
 
@@ -56,7 +58,8 @@ impl Fixture {
 /// For SJ1–SJ5, a recorded service query must return the same pairs and
 /// a bit-identical [`JoinStats`] as the in-memory BufferPool oracle at
 /// the same logical capacity: instrumentation (spans, histograms, the
-/// access wrapper) must not move the paper's accounting by one count.
+/// cursor timing its waits) must not move the paper's accounting by one
+/// count.
 #[test]
 fn service_stats_match_buffer_pool_oracle() {
     for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
@@ -114,6 +117,47 @@ fn warm_queries_do_zero_physical_reads() {
         "warm queries must perform zero physical reads"
     );
     assert_eq!(svc.hit_ratio(), 1.0, "warm hit ratio must be 1.0");
+}
+
+/// The io stage is the time the cursor itself spent waiting: with every
+/// page read taking 2 ms a cold query cannot finish without waiting out
+/// at least one read, that wait shows up as `io_us`, and io and join
+/// together stay inside the query's wall time. Unrecorded, the same cold
+/// query reports no span at all. Neither moves the accounting off the
+/// `BufferPool` oracle.
+#[test]
+fn io_stage_is_the_time_the_cursor_waited() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
+    let defaults = ServiceConfig::default();
+    let svc = fx.service(ServiceConfig {
+        handle_pages: CAP_PAGES,
+        cache: CacheConfig {
+            delay: Some(delay),
+            ..defaults.cache
+        },
+        ..defaults
+    });
+    let plan = JoinPlan::sj4();
+    let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
+    let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, false, pool);
+
+    let cold = svc.execute(plan, false).expect("cold query");
+    assert_eq!(cold.stats, want.stats, "recorded: JoinStats bit-identical");
+    assert!(cold.parks > 0, "2 ms reads must park the cursor");
+    let span = cold.span;
+    assert!(span.io_us >= 2_000, "io stage missed the wait: {span:?}");
+    assert!(span.io_us + span.join_us <= span.total_us, "{span:?}");
+
+    svc.cache().clear();
+    let unrecorded = svc.execute_unrecorded(plan, false).expect("cold query");
+    assert_eq!(unrecorded.stats, want.stats, "unrecorded: JoinStats");
+    assert!(unrecorded.parks > 0, "the second query must be cold too");
+    assert_eq!(
+        unrecorded.span,
+        SpanReport::default(),
+        "disabled recorder must report a zero span"
+    );
 }
 
 /// The push families count queries exactly, and the rendered exposition
