@@ -49,7 +49,9 @@ use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule, TicketGat
 use crate::exec::{TAG_R, TAG_S};
 use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
 use crate::stats::JoinStats;
-use crate::sweep::{sort_keyed_by_xl, sorted_intersection_test_keyed, KeyedRect};
+use crate::sweep::{
+    eff_rect, restrict_keyed, sort_keyed_by_xl, sorted_intersection_test_keyed, KeyedRect,
+};
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
 use rsj_rtree::{DataId, Entry, RTree};
 use rsj_storage::{IoStats, NodeAccess, PageId, QUEUE_DEPTH};
@@ -178,17 +180,8 @@ enum Frame {
 /// no further heap allocation.
 #[derive(Debug, Default)]
 struct ExecScratch {
-    /// Effective (ε-expanded) R-side rectangles tagged with entry indices,
-    /// restriction-filtered; the sweep sorts and scans this contiguously.
-    akeyed: Vec<KeyedRect>,
-    /// S-side rectangles tagged with entry indices, restriction-filtered.
-    bkeyed: Vec<KeyedRect>,
-    /// Sort permutation scratch (counting-mode keyed sort).
-    perm: Vec<usize>,
-    /// Packed-key scratch (raw-mode keyed sort).
-    packed: Vec<u128>,
-    /// Keyed permutation-apply scratch.
-    ktmp: Vec<KeyedRect>,
+    /// Working set of the pair enumeration.
+    keyed: KeyedScratch,
     /// Enumeration output: qualifying `(i, j)` pairs in schedule order.
     raw: Vec<(usize, usize)>,
     /// Scratch of the §4.3 pair-ordering step (z-order keys and
@@ -248,71 +241,48 @@ impl ExecScratch {
     }
 }
 
-/// The effective rectangle of an entry: virtually ε-expanded for distance
-/// joins, the plain MBR otherwise.
-#[inline(always)]
-fn eff_rect(e: &Entry, eps: f64) -> Rect {
-    if eps > 0.0 {
-        e.rect.expanded(eps)
-    } else {
-        e.rect
-    }
-}
-
-/// Fills `keyed` with the (effective) entry rectangles that pass the
-/// search-space restriction, in entry order — the same tests in the same
-/// order as the recursive driver's restriction scan.
-#[inline]
-fn restrict_into<M: Meter>(
-    entries: &[Entry],
-    eps: f64,
-    restrict: bool,
-    rect: &Rect,
-    cmp: &mut M,
-    keyed: &mut Vec<KeyedRect>,
-) {
-    keyed.clear();
-    keyed.reserve(entries.len());
-    if restrict {
-        for (i, e) in entries.iter().enumerate() {
-            let r = eff_rect(e, eps);
-            if r.intersects_counted(rect, cmp) {
-                keyed.push((r, i as u32));
-            }
-        }
-    } else {
-        keyed.extend(
-            entries
-                .iter()
-                .enumerate()
-                .map(|(i, e)| (eff_rect(e, eps), i as u32)),
-        );
-    }
+/// The keyed working set of one pair enumeration: both sides' restricted
+/// rectangles and what the keyed sort needs to order them.
+#[derive(Debug, Default)]
+struct KeyedScratch {
+    /// Effective (ε-expanded) rectangles of the first side tagged with
+    /// entry indices, restriction-filtered; the sweep sorts and scans this
+    /// contiguously.
+    akeyed: Vec<KeyedRect>,
+    /// The second side's, likewise.
+    bkeyed: Vec<KeyedRect>,
+    /// Sort permutation scratch (counted sort of an unordered sequence).
+    perm: Vec<usize>,
+    /// Packed-key scratch (raw sort of an unordered sequence).
+    packed: Vec<u128>,
+    /// Permutation-apply scratch.
+    ktmp: Vec<KeyedRect>,
 }
 
 /// Enumerates qualifying `(index into a, index into b)` pairs into `out` —
 /// identical logic and counting to the recursive driver, but working on
 /// contiguous keyed scratch arrays instead of allocating rect and index
-/// vectors per node pair.
-#[allow(clippy::too_many_arguments)]
+/// vectors per node pair. Each side is its entries and the ε expansion
+/// their rectangles carry.
 fn enumerate_pairs<M: Meter>(
     plan: &JoinPlan,
-    a_entries: &[Entry],
-    a_eps: f64,
-    b_entries: &[Entry],
-    b_eps: f64,
+    (a_entries, a_eps): (&[Entry], f64),
+    (b_entries, b_eps): (&[Entry], f64),
     rect: &Rect,
-    akeyed: &mut Vec<KeyedRect>,
-    bkeyed: &mut Vec<KeyedRect>,
-    perm: &mut Vec<usize>,
-    packed: &mut Vec<u128>,
-    ktmp: &mut Vec<KeyedRect>,
-    cmp: &mut M,
-    sort_cmp: &mut M,
+    keyed: &mut KeyedScratch,
+    (cmp, sort_cmp): (&mut M, &mut M),
     out: &mut Vec<(usize, usize)>,
 ) {
-    restrict_into(a_entries, a_eps, plan.restrict_space, rect, cmp, akeyed);
-    restrict_into(b_entries, b_eps, plan.restrict_space, rect, cmp, bkeyed);
+    let KeyedScratch {
+        akeyed,
+        bkeyed,
+        perm,
+        packed,
+        ktmp,
+    } = keyed;
+    let space = plan.restrict_space.then_some(rect);
+    restrict_keyed(a_entries, a_eps, space, cmp, akeyed);
+    restrict_keyed(b_entries, b_eps, space, cmp, bkeyed);
     out.clear();
     match plan.enumerate {
         Enumerate::NestedLoop => {
@@ -654,34 +624,14 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         }
     }
 
-    /// Runs the enumeration for the node pair `(a_entries, b_entries)`
-    /// into `scratch.raw`. `a_eps` is the R-side ε expansion (the side
-    /// carrying it depends on the mixed-pair orientation).
+    /// Runs the enumeration for the node pair `(a, b)` into `scratch.raw`.
+    /// Each side is its entries and their ε expansion (the R side carries
+    /// it, whichever side of a mixed pair that is).
     #[inline]
-    fn enumerate_into_scratch(
-        &mut self,
-        a_entries: &[Entry],
-        a_eps: f64,
-        b_entries: &[Entry],
-        b_eps: f64,
-        rect: &Rect,
-    ) {
-        enumerate_pairs(
-            &self.plan,
-            a_entries,
-            a_eps,
-            b_entries,
-            b_eps,
-            rect,
-            &mut self.scratch.akeyed,
-            &mut self.scratch.bkeyed,
-            &mut self.scratch.perm,
-            &mut self.scratch.packed,
-            &mut self.scratch.ktmp,
-            &mut self.cmp,
-            &mut self.sort_cmp,
-            &mut self.scratch.raw,
-        );
+    fn enumerate_into_scratch(&mut self, a: (&[Entry], f64), b: (&[Entry], f64), rect: &Rect) {
+        let ExecScratch { keyed, raw, .. } = &mut self.scratch;
+        let meters = (&mut self.cmp, &mut self.sort_cmp);
+        enumerate_pairs(&self.plan, a, b, rect, keyed, meters, raw);
     }
 
     /// Advances the machine by one unit of work. Returns `false` when all
@@ -715,22 +665,27 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         let sn = self.s.node(sp);
         match (rn.is_leaf(), sn.is_leaf()) {
             (true, true) => {
-                self.enumerate_into_scratch(&rn.entries, self.eps, &sn.entries, 0.0, &rect);
+                self.enumerate_into_scratch((&rn.entries, self.eps), (&sn.entries, 0.0), &rect);
                 // Drain the whole leaf frame into `pending` in one step —
                 // no suspended frame, no per-pair pop/re-push cycle.
-                self.pending.reserve(self.scratch.raw.len());
-                for idx in 0..self.scratch.raw.len() {
-                    let (ir, js) = self.scratch.raw[idx];
-                    let (r_rect, s_rect) = (rn.entries[ir].rect, sn.entries[js].rect);
-                    if self.leaf_predicate_holds(&r_rect, &s_rect) {
-                        let rid = rn.entries[ir].child.data().expect("leaf entry");
-                        let sid = sn.entries[js].child.data().expect("leaf entry");
-                        self.emit(rid, sid);
+                let id = |e: &Entry| e.child.data().expect("leaf entry");
+                if self.plan.predicate.decided_by_mbr_intersection() {
+                    let ids =
+                        |&(ir, js): &(usize, usize)| (id(&rn.entries[ir]), id(&sn.entries[js]));
+                    self.pending.extend(self.scratch.raw.iter().map(ids));
+                } else {
+                    self.pending.reserve(self.scratch.raw.len());
+                    for idx in 0..self.scratch.raw.len() {
+                        let (ir, js) = self.scratch.raw[idx];
+                        let (r, s) = (&rn.entries[ir], &sn.entries[js]);
+                        if self.leaf_predicate_holds(&r.rect, &s.rect) {
+                            self.emit(id(r), id(s));
+                        }
                     }
                 }
             }
             (false, false) => {
-                self.enumerate_into_scratch(&rn.entries, self.eps, &sn.entries, 0.0, &rect);
+                self.enumerate_into_scratch((&rn.entries, self.eps), (&sn.entries, 0.0), &rect);
                 let eps = self.eps;
                 let mut pairs = self.scratch.take_dir();
                 pairs.extend(self.scratch.raw.iter().map(|&(ir, js)| {
@@ -805,10 +760,8 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         let dir_eps = if dir_tag == TAG_R { self.eps } else { 0.0 };
         let leaf_eps = if leaf_tag == TAG_R { self.eps } else { 0.0 };
         self.enumerate_into_scratch(
-            &dir_node.entries,
-            dir_eps,
-            &leaf_node.entries,
-            leaf_eps,
+            (&dir_node.entries, dir_eps),
+            (&leaf_node.entries, leaf_eps),
             &rect,
         );
         let mut pairs = self.scratch.take_pairs();

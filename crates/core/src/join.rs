@@ -52,8 +52,9 @@ pub fn spatial_join(r: &RTree, s: &RTree, plan: JoinPlan, cfg: &JoinConfig) -> J
 
 /// [`spatial_join`] in raw mode: the [`NoOp`] meter compiles all
 /// comparison accounting out of the hot path. Produces the same
-/// result-pair *multiset* as the counted join (pair order may differ
-/// where sort keys tie); `stats` report zero comparisons but full I/O.
+/// result-pair *multiset* as the counted join, in the same order except
+/// under a z-order schedule (SJ5), whose raw key sort is unstable
+/// (`exec/schedule.rs`); `stats` report zero comparisons but full I/O.
 /// This is the production entry point when Table-4-style CPU accounting
 /// is not needed.
 pub fn spatial_join_fast(r: &RTree, s: &RTree, plan: JoinPlan, cfg: &JoinConfig) -> JoinResult {

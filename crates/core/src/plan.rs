@@ -80,6 +80,16 @@ impl JoinPredicate {
             _ => 0.0,
         }
     }
+
+    /// Whether intersection of the (ε-expanded) MBRs already decides the
+    /// predicate, so a pair the enumeration found needs no further test;
+    /// the containment operators re-check the original rectangles.
+    pub(crate) fn decided_by_mbr_intersection(&self) -> bool {
+        matches!(
+            self,
+            JoinPredicate::Intersects | JoinPredicate::WithinDistance(_)
+        )
+    }
 }
 
 /// A fully-specified join plan.

@@ -26,16 +26,15 @@
 //! merely slower.
 
 use rsj_geom::{Meter, Rect};
+use rsj_rtree::Entry;
 
 /// Sorts `index` (indices into `rects`) ascending by `xl`, charging the
 /// comparator invocations to `cmp` — sorting cost is accounted separately
 /// from join cost in the paper's Table 4.
 ///
-/// The counting path uses a stable sort so the tie order (and hence the
-/// downstream read schedule) is deterministic and bit-identical to the
-/// reference recursion. A non-counting meter takes the faster unstable
-/// sort: the pair *multiset* is unaffected, only the order among equal
-/// `xl` keys may differ.
+/// A stable sort under either meter, so the tie order (and hence the
+/// downstream read schedule) is deterministic; its comparator count is
+/// what [`sort_keyed_by_xl`] must charge.
 pub fn sort_indices_by_xl<M: Meter>(rects: &[Rect], index: &mut [usize], cmp: &mut M) {
     index.sort_by(|&a, &b| {
         cmp.bump();
@@ -115,36 +114,108 @@ fn is_sorted_by_xl(rects: &[Rect], seq: &[usize]) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed kernel: the executor's cache-friendly variant.
+// Keyed kernels: what the streaming executor runs.
 //
-// The streaming executor stores each (possibly ε-expanded) entry rectangle
-// next to its original entry index and sweeps over the contiguous array,
-// instead of sorting an index list and chasing `rects[seq[k]]` double
-// indirection. The counting path performs the exact same floating-point
-// comparisons in the exact same order as the index-based kernel above
-// (same stable sort, same sweep advancement), so the paper's accounting is
-// unchanged; the non-counting path additionally swaps the short-circuit
-// y-test for a branchless one and the stable sort for an unstable one —
-// representation freedoms a meter that must count short-circuits exactly
-// does not have.
+// The executor stores each (possibly ε-expanded) entry rectangle next to
+// its original entry index and works on the contiguous array, instead of
+// sorting an index list and chasing `rects[seq[k]]` double indirection.
+//
+// The literal kernels above are the *definition* of the comparison count:
+// they evaluate the paper's short-circuit predicates and bump the meter
+// once per comparison. What a short-circuit charges is a function of its
+// outcomes — `a && b` costs `1 + [a]` — so the keyed kernels perform every
+// comparison unconditionally, compact their hits with unconditional
+// writes, and add the tally the short-circuit evaluation *would* have
+// produced with one `Meter::add` (which `NoOp` compiles away). One
+// branch-free body serves both meters: counted mode is defined by the same
+// *charge*, not by the same branch structure. The only place the two
+// meters still part ways is the sort of a sequence that is not already
+// ordered (see `sort_keyed_by_xl`), and there the order they produce is
+// the same. `tests/prop_kernels.rs` holds every keyed kernel to its
+// literal twin — pairs, order and tally — and a debug build re-runs the
+// literal sweep behind every keyed one.
 // ---------------------------------------------------------------------------
 
 /// A rectangle tagged with the index of the entry it came from.
 pub type KeyedRect = (Rect, u32);
 
+/// The effective rectangle of an entry: virtually ε-expanded for distance
+/// joins, the plain MBR otherwise.
+#[inline(always)]
+pub(crate) fn eff_rect(e: &Entry, eps: f64) -> Rect {
+    if eps > 0.0 {
+        e.rect.expanded(eps)
+    } else {
+        e.rect
+    }
+}
+
+/// The search-space restriction of §4.2 over one node's entries: fills
+/// `keyed` with the (ε-expanded) rectangles that intersect `space`, in
+/// entry order, each tagged with its entry index — every entry when
+/// `space` is `None`.
+///
+/// Charges what [`Rect::intersects_counted`] charges the recursion's
+/// restriction scan: `1 + [c1] + [c1·c2] + [c1·c2·c3]` per entry for its
+/// four tests `c1..c4` in order.
+pub fn restrict_keyed<M: Meter>(
+    entries: &[Entry],
+    eps: f64,
+    space: Option<&Rect>,
+    cmp: &mut M,
+    keyed: &mut Vec<KeyedRect>,
+) {
+    keyed.clear();
+    keyed.reserve(entries.len());
+    let Some(space) = space else {
+        keyed.extend(
+            entries
+                .iter()
+                .enumerate()
+                .map(|(i, e)| (eff_rect(e, eps), i as u32)),
+        );
+        return;
+    };
+    let mut buf = [(*space, 0u32); CHUNK];
+    let mut len = 0usize;
+    let mut charge = 0u64;
+    for (i, e) in entries.iter().enumerate() {
+        let r = eff_rect(e, eps);
+        let c1 = r.xl <= space.xu;
+        let c2 = space.xl <= r.xu;
+        let c3 = r.yl <= space.yu;
+        let c4 = space.yl <= r.yu;
+        let c12 = c1 & c2;
+        let c123 = c12 & c3;
+        buf[len] = (r, i as u32);
+        len += usize::from(c123 & c4);
+        charge += 1 + u64::from(c1) + u64::from(c12) + u64::from(c123);
+        if len == CHUNK {
+            keyed.extend_from_slice(&buf);
+            len = 0;
+        }
+    }
+    keyed.extend_from_slice(&buf[..len]);
+    cmp.add(charge);
+}
+
 /// Sorts a keyed vector ascending by `xl`, charging comparator invocations
 /// to `cmp`.
 ///
-/// The counting path must report *exactly* the comparison count of the
-/// recursion's index-list sort — and the standard library's stable sort
-/// picks its strategy based on element size, so sorting the 40-byte keyed
-/// elements directly would charge a (slightly) different count. It
-/// therefore sorts a `usize` permutation exactly like
-/// [`sort_indices_by_xl`] does (same element type, same stable algorithm,
-/// same key sequence ⇒ same count) and then applies the permutation with
-/// uncounted moves through `tmp`. The non-counting path sorts the keyed
-/// elements in place with the faster unstable sort; tie order is free
-/// there (the pair multiset is unaffected).
+/// The charge must be *exactly* the comparison count of the recursion's
+/// index-list sort ([`sort_indices_by_xl`]). The sequence is verified
+/// first, under either meter: when it is already non-descending — a
+/// restricted leaf of an ordered tree — the stable sort would have found
+/// one run with `len − 1` comparisons and moved nothing, so that is what is
+/// charged and nothing else happens.
+///
+/// Only an unordered sequence is sorted, and only there do the meters
+/// differ. The standard library's stable sort picks its strategy by element
+/// size, so a counting meter sorts a `usize` permutation exactly like
+/// [`sort_indices_by_xl`] does (same element type, same algorithm, same key
+/// sequence ⇒ same count) and applies it with uncounted moves through
+/// `tmp`; a non-counting meter sorts packed `(xl bits, position)` keys
+/// instead. Both are stable, so the resulting order is the same.
 pub fn sort_keyed_by_xl<M: Meter>(
     keyed: &mut Vec<KeyedRect>,
     perm: &mut Vec<usize>,
@@ -152,6 +223,11 @@ pub fn sort_keyed_by_xl<M: Meter>(
     tmp: &mut Vec<KeyedRect>,
     cmp: &mut M,
 ) {
+    if keyed.windows(2).all(|w| w[0].0.xl <= w[1].0.xl) {
+        cmp.add(keyed.len().saturating_sub(1) as u64);
+        return;
+    }
+    tmp.clear();
     if M::COUNTING {
         perm.clear();
         perm.extend(0..keyed.len());
@@ -163,19 +239,8 @@ pub fn sort_keyed_by_xl<M: Meter>(
                 .partial_cmp(&keyed[b].0.xl)
                 .expect("rect coordinates must not be NaN")
         });
-        // The sort moved nothing (the sequence came ordered, as a restricted
-        // leaf of an ordered tree does): skip the gather.
-        if perm.iter().enumerate().all(|(i, &k)| i == k) {
-            return;
-        }
-        tmp.clear();
         tmp.extend(perm.iter().map(|&k| keyed[k]));
-        std::mem::swap(keyed, tmp);
     } else {
-        // Already ordered: nothing to pack, sort or gather.
-        if keyed.windows(2).all(|w| w[0].0.xl <= w[1].0.xl) {
-            return;
-        }
         // Pack (order-preserving xl bits, position) into one u128 and sort
         // those: trivially branchless comparisons on 16-byte elements
         // instead of comparator calls shuffling 40-byte rects, then one
@@ -189,18 +254,18 @@ pub fn sort_keyed_by_xl<M: Meter>(
                 .map(|(p, k)| (u128::from(f64_order_bits(k.0.xl)) << 32) | p as u128),
         );
         packed.sort_unstable();
-        tmp.clear();
         tmp.extend(packed.iter().map(|&v| keyed[(v & 0xffff_ffff) as usize]));
-        std::mem::swap(keyed, tmp);
     }
+    std::mem::swap(keyed, tmp);
 }
 
 /// Maps a non-NaN `f64` to a `u64` whose unsigned order equals the float's
-/// total order: flip all bits of negatives, set the sign bit of
-/// non-negatives.
+/// order under `partial_cmp`: flip all bits of negatives, set the sign bit
+/// of non-negatives. `x + 0.0` first turns −0.0 into +0.0, which compare
+/// equal and so must share a key.
 #[inline(always)]
 fn f64_order_bits(x: f64) -> u64 {
-    let b = x.to_bits();
+    let b = (x + 0.0).to_bits();
     if b >> 63 == 1 {
         !b
     } else {
@@ -208,9 +273,16 @@ fn f64_order_bits(x: f64) -> u64 {
     }
 }
 
+/// Hits are compacted through a stack buffer of this many pairs before
+/// they reach the output vector: an unconditional write needs a slot that
+/// exists, and zero-filling the vector's tail instead costs more than the
+/// branch it saves.
+const CHUNK: usize = 32;
+
 /// The `SortedIntersectionTest` of §4.2 over keyed slices sorted by `xl`.
 /// Appends every intersecting `(r entry index, s entry index)` pair to
-/// `out` in sweep order.
+/// `out` in sweep order and charges `cmp` what [`sorted_intersection_test`]
+/// would have.
 pub fn sorted_intersection_test_keyed<M: Meter>(
     rseq: &[KeyedRect],
     sseq: &[KeyedRect],
@@ -219,64 +291,71 @@ pub fn sorted_intersection_test_keyed<M: Meter>(
 ) {
     debug_assert!(rseq.windows(2).all(|w| w[0].0.xl <= w[1].0.xl));
     debug_assert!(sseq.windows(2).all(|w| w[0].0.xl <= w[1].0.xl));
+    #[cfg(debug_assertions)]
+    let (out_before, tally_before) = (out.len(), cmp.get());
+
+    let mut buf = [(0usize, 0usize); CHUNK];
+    let mut len = 0usize;
+    let mut charge = 0u64;
     let (mut i, mut j) = (0usize, 0usize);
     while i < rseq.len() && j < sseq.len() {
-        let r = &rseq[i].0;
-        let s = &sseq[j].0;
-        if cmp.lt(r.xl, s.xl) {
-            internal_loop_keyed::<false, M>(r, rseq[i].1, sseq, j, cmp, out);
-            i += 1;
+        // The sweep line stops at the lower `xl` (one comparison); `t` is
+        // the rectangle there and the *other* sequence is scanned forward
+        // from its first unprocessed entry. Which side that is comes close
+        // to a coin flip, so it is selected, not branched on.
+        let pick_r = rseq[i].0.xl < sseq[j].0.xl;
+        let ((t, t_index), tail) = if pick_r {
+            (rseq[i], &sseq[j..])
         } else {
-            internal_loop_keyed::<true, M>(s, sseq[j].1, rseq, i, cmp, out);
-            j += 1;
-        }
-    }
-}
+            (sseq[j], &rseq[i..])
+        };
+        i += usize::from(pick_r);
+        j += usize::from(!pick_r);
 
-/// The `InternalLoop` over a keyed sequence: scans `seq` from `unmarked`
-/// while the x-projections can still intersect `t`, testing y-projections.
-#[inline]
-fn internal_loop_keyed<const SWAPPED: bool, M: Meter>(
-    t: &Rect,
-    t_index: u32,
-    seq: &[KeyedRect],
-    unmarked: usize,
-    cmp: &mut M,
-    out: &mut Vec<(usize, usize)>,
-) {
-    if M::COUNTING {
-        // Short-circuit evaluation with one charge per comparison — the
-        // paper's accounting, identical to the index-based kernel.
-        let mut k = unmarked;
-        while k < seq.len() && cmp.le(seq[k].0.xl, t.xu) {
-            let other = &seq[k].0;
-            if cmp.le(t.yl, other.yu) && cmp.le(other.yl, t.yu) {
-                push_pair::<SWAPPED>(t_index, seq[k].1, out);
+        // The `InternalLoop`: scan while the x-projections can still
+        // intersect `t`, testing y-projections.
+        let mut n = 0usize;
+        while n < tail.len() && tail[n].0.xl <= t.xu {
+            let (o, o_index) = tail[n];
+            let a = t.yl <= o.yu;
+            let b = o.yl <= t.yu;
+            // `len < CHUNK` always; the `%` spares the bounds check (worth
+            // ~5 % here, nothing in the restriction).
+            buf[len % CHUNK] = if pick_r {
+                (t_index as usize, o_index as usize)
+            } else {
+                (o_index as usize, t_index as usize)
+            };
+            len += usize::from(a & b);
+            // `a && b` evaluates `b` only when `a` holds.
+            charge += 1 + u64::from(a);
+            if len == CHUNK {
+                out.extend_from_slice(&buf);
+                len = 0;
             }
-            k += 1;
+            n += 1;
         }
-    } else {
-        // Branchless y-test: on node-sized inputs the y outcome is close
-        // to a coin flip, so trading the two short-circuit branches for
-        // straight-line comparisons sidesteps the mispredictions.
-        for item in &seq[unmarked..] {
-            let other = &item.0;
-            if other.xl > t.xu {
-                break;
-            }
-            if (t.yl <= other.yu) & (other.yl <= t.yu) {
-                push_pair::<SWAPPED>(t_index, item.1, out);
-            }
-        }
+        // One x-test per scanned candidate, plus the failing one unless
+        // the scan ran off the end of the sequence.
+        charge += 1 + n as u64 + u64::from(n < tail.len());
     }
-}
+    out.extend_from_slice(&buf[..len]);
+    cmp.add(charge);
 
-#[inline(always)]
-fn push_pair<const SWAPPED: bool>(t_index: u32, other: u32, out: &mut Vec<(usize, usize)>) {
-    if SWAPPED {
-        out.push((other as usize, t_index as usize));
-    } else {
-        out.push((t_index as usize, other as usize));
+    #[cfg(debug_assertions)]
+    {
+        // Every debug run is a differential test against the definition.
+        let split = |seq: &[KeyedRect]| -> (Vec<Rect>, Vec<usize>) {
+            (seq.iter().map(|k| k.0).collect(), (0..seq.len()).collect())
+        };
+        let ((rr, ri), (sr, si)) = (split(rseq), split(sseq));
+        let (mut literal, mut want) = (M::default(), Vec::new());
+        sorted_intersection_test(&rr, &ri, &sr, &si, &mut literal, &mut want);
+        for p in &mut want {
+            *p = (rseq[p.0].1 as usize, sseq[p.1].1 as usize);
+        }
+        debug_assert_eq!(out[out_before..], want[..], "keyed sweep pairs");
+        debug_assert_eq!(cmp.get() - tally_before, literal.get(), "keyed sweep tally");
     }
 }
 

@@ -15,6 +15,21 @@
 //! * [`NoOp`] — a zero-sized meter whose charges compile away entirely; the
 //!   production-fast "raw" execution mode, identical results with no
 //!   accounting overhead.
+//!
+//! **Two ways to charge.** [`Meter::lt`]/[`Meter::le`]/[`Meter::bump`]
+//! charge one comparison where it is evaluated; a predicate written with
+//! them and `&&`/early returns *is* the paper's accounting, and the literal
+//! kernels that define every count ([`crate::Rect::intersects_counted`],
+//! `rsj_core::sweep::sorted_intersection_test`) are written that way. The
+//! join's hot path charges with [`Meter::add`] instead: what a short-circuit
+//! evaluation costs is a function of its outcomes, so a kernel may perform
+//! all of a predicate's comparisons unconditionally, without a branch, and
+//! add the number the short-circuit order would have evaluated — `1 + [a]`
+//! for `a && b`, `1 + [c1] + [c1·c2] + [c1·c2·c3]` for the four-test
+//! rectangle intersection, `len − 1` for a stable sort that finds its
+//! input in order. An arithmetic charge must equal, input for input, the
+//! tally of the literal evaluation it stands for; `rsj-core`'s
+//! `tests/prop_kernels.rs` checks exactly that.
 
 /// Charges floating-point comparisons to some accounting sink.
 ///
@@ -32,7 +47,9 @@ pub trait Meter: Default {
     /// Charge a single comparison.
     fn bump(&mut self);
 
-    /// Charge `n` comparisons at once (e.g. a sort pass reporting a total).
+    /// Charge `n` comparisons at once: the hot-path charge of a kernel
+    /// that compares unconditionally and adds what the short-circuit
+    /// evaluation would have cost (see the module docs).
     fn add(&mut self, n: u64);
 
     /// Current tally (always 0 for non-counting meters).
