@@ -24,7 +24,7 @@
 //! **Zero allocation in steady state.** All per-node-pair buffers —
 //! effective rectangles, restriction index lists, sweep output, z-order
 //! keys, window-query hit lists and the vectors owned by suspended frames
-//! — live in an [`ExecScratch`] arena owned by the cursor. Completed
+//! — live in an `ExecScratch` arena owned by the cursor. Completed
 //! frames return their vectors to the arena's pools, so after warm-up the
 //! hot path performs no heap allocation (the paper's plane sweep needs
 //! "no auxiliary data structure"; the executor now matches it).

@@ -8,7 +8,7 @@
 //!   I/O through [`rsj_storage::NodeAccess`], so the same engine serves
 //!   all three implementors: the in-memory [`rsj_storage::BufferPool`]
 //!   oracle, the [`rsj_storage::FileAccess`] stack over real page files
-//!   (page source {plain, sharded} × read strategy {blocking, queued}),
+//!   (read strategy {blocking, queued}),
 //!   and [`rsj_storage::SharedCacheFileAccess`] handles onto the shared
 //!   frame cache.
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original

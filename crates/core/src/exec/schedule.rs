@@ -6,7 +6,7 @@
 //! state machine, that decision could be neither announced to a backend
 //! nor tested on its own; this module makes it explicit, in two halves:
 //!
-//! * **Ordering** — [`order_dir_pairs`] applies the plan's read schedule
+//! * **Ordering** — `order_dir_pairs` applies the plan's read schedule
 //!   to the qualifying directory pairs of one node pair (today: the local
 //!   z-order sort of SJ5/`zorder-nopin`; sweep order falls out of the
 //!   plane-sweep enumeration itself). Comparator invocations are charged

@@ -15,8 +15,9 @@
 //!   with a disk array). A page needed by two workers is fetched twice —
 //!   exactly what a shared-nothing deployment pays;
 //! * [`parallel_spatial_join_with_access`] — any caller-built backend per
-//!   worker, e.g. an [`rsj_storage::FileAccess`] stack over the worker's
-//!   own file handles;
+//!   worker, e.g. a private [`rsj_storage::FileAccess`] stack — blocking,
+//!   or queued with its own completion queue — over the worker's own file
+//!   handles;
 //! * [`parallel_spatial_join_warm`] — handles onto one
 //!   [`SharedPageCache`]: logical charges stay private and bit-identical
 //!   to shared-nothing, but a page faulted by one worker is *physically*
@@ -150,27 +151,20 @@ fn parallel_join_metered<M: Meter>(
 /// [`parallel_spatial_join`] over caller-supplied [`NodeAccess`] backends:
 /// `make_access(w)` builds worker `w`'s private accountant (for a
 /// file-backed shared-nothing deployment: a
-/// [`rsj_storage::FileNodeAccess`] over freshly-opened page files and a
-/// slice of the buffer budget — each worker gets its own file handles,
-/// like a worker process would; for genuinely disjoint physical files, a
-/// [`rsj_storage::ShardedFileAccess`] over subtree-sharded files, whose
-/// partition matches the subtree-pair tasks dealt here). Tasks are
-/// partitioned statically and accounted as in [`parallel_spatial_join`].
-/// Each worker's cursor announces its task list — and every frame
-/// schedule below it — as read-schedule hints, so a stack with the queued
-/// read strategy reads ahead per worker.
+/// [`rsj_storage::FileNodeAccess`] or [`rsj_storage::CompletionFileAccess`]
+/// over freshly-opened page files — one file per store — and a slice of
+/// the buffer budget; each worker gets its own file handles, like a
+/// worker process would). Tasks are partitioned statically and accounted
+/// as in [`parallel_spatial_join`]. Each worker's cursor announces its
+/// task list — and every frame schedule below it — as read-schedule
+/// hints, so a stack with the queued read strategy reads ahead per
+/// worker.
 ///
-/// Completion-driven deployments share one I/O engine across the fleet:
-/// build a single [`rsj_storage::CompletionQueue`] (for sharded files,
-/// [`rsj_storage::sharded::shard_lane_queue`] — one lane per physical
-/// shard file) and have `make_access(w)` wrap a clone of it per worker
-/// ([`rsj_storage::FileAccess::with_shared_queue`]). Every worker
-/// keeps private buffers and private `IoStats` — the charge order inside
-/// each worker stays deterministic — while demand misses and hints from
-/// all workers multiplex onto the shared per-shard submission lanes, and
-/// each worker's cursor parks only on its own tickets. A cursor drains
-/// the queue when its machine is exhausted, so a worker's result is final
-/// before its thread joins.
+/// A completion-driven worker owns its stack's queue: private buffers,
+/// private `IoStats` — the charge order inside each worker stays
+/// deterministic — and private submission lanes its cursor parks on. A
+/// cursor drains its queue when its machine is exhausted, so a worker's
+/// result is final before its thread joins.
 ///
 /// Falls back to a sequential join over `make_access(0)` when `workers <=
 /// 1` or a root is a leaf.

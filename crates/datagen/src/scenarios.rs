@@ -5,7 +5,7 @@
 //! skewed data) need workloads the map generators do not produce:
 //! massively *skewed* cluster populations and deliberately *over-dense*
 //! regions. These scenarios wire the Neyman–Scott
-//! [`clustered_rects`](crate::synthetic::clustered_rects) process into two
+//! [`clustered_rects`] process into two
 //! named, seeded, deterministic presets that scale the same way the paper
 //! presets do (a `scale` factor on cardinality) and plug into the same
 //! `(mbr, id)` pipeline as tests A/B.

@@ -24,14 +24,13 @@
 //!
 //! * [`str_load`] / [`hilbert_load`] — the in-memory loaders: each node is
 //!   allocated in a [`PageStore`] and the result is an [`RTree`].
-//! * [`load_to_file`] / [`load_to_sharded`] — the **streaming** loaders:
-//!   each node is encoded through a [`rsj_storage::BulkPageWriter`], so
-//!   peak resident *node* memory is one forming node per level —
-//!   O(M × height) entries — regardless of input size. Header/manifest
-//!   are written only on success, so a build that dies mid-stream reads
-//!   back as a typed [`StorageError`], never a half tree. Files open
-//!   through the ordinary [`RTree::open_from`] /
-//!   [`RTree::open_sharded_from`] and serve every file backend unchanged.
+//! * [`load_to_file`] — the **streaming** loader: each node is encoded
+//!   through a [`rsj_storage::BulkPageWriter`], so peak resident *node*
+//!   memory is one forming node per level — O(M × height) entries —
+//!   regardless of input size. The header is written only on success, so
+//!   a build that dies mid-stream reads back as a typed [`StorageError`],
+//!   never a half tree. Files open through the ordinary
+//!   [`RTree::open_from`] and serve every file backend unchanged.
 //!
 //! Every directory level keeps the order the packing below induces, and
 //! page ids are handed out in emission order by either sink, so for one
@@ -61,9 +60,7 @@ use crate::persist;
 use crate::tree::RTree;
 use rsj_geom::{hilbert, Rect};
 use rsj_storage::codec::{self, DiskNode, EntryFormat};
-use rsj_storage::{
-    BulkPageWriter, PageFile, PageId, PageSource, PageStore, ShardedPageFile, StorageError,
-};
+use rsj_storage::{BulkPageWriter, PageFile, PageId, PageStore, StorageError};
 
 /// Default fraction of M that packed nodes are filled to. Partial fill
 /// leaves room for later dynamic inserts; 0.7 is in line with the storage
@@ -233,27 +230,6 @@ pub fn load_to_file(
     validate_items(items)?;
     let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
     let mut writer = BulkPageWriter::create_file(path, params.page_bytes, slot, cfg.format)?;
-    let (root, stats) = build_into(params, items, layout, cfg, file_sink(&mut writer))?;
-    let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
-    Ok((file, stats))
-}
-
-/// [`load_to_file`] over N physical shard files (manifest at `base`).
-/// Pages land on shard `partition(id, shards)` in emission order — the
-/// subtree structure is not known while streaming — and the manifest is
-/// written only on success. Opens through [`RTree::open_sharded_from`].
-pub fn load_to_sharded(
-    params: RTreeParams,
-    items: &[(Rect, DataId)],
-    layout: BulkLayout,
-    cfg: BulkConfig,
-    base: impl AsRef<Path>,
-    shards: usize,
-) -> Result<(ShardedPageFile, BulkStats), BulkError> {
-    validate_items(items)?;
-    let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
-    let mut writer =
-        BulkPageWriter::create_sharded(base, params.page_bytes, slot, shards, cfg.format)?;
     let (root, stats) = build_into(params, items, layout, cfg, file_sink(&mut writer))?;
     let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
     Ok((file, stats))
@@ -439,7 +415,7 @@ impl<F: FnMut(u32, &[Entry], &[(u64, u32)]) -> Result<PageId, StorageError>> Nod
 /// The file sink: each node is encoded into one reused on-disk node (entry
 /// vec included) and appended through the writer. (The in-memory sink is
 /// `PageStore::alloc`, in [`load`].)
-fn file_sink<W: PageSource>(writer: &mut BulkPageWriter<W>) -> impl NodeSink + '_ {
+fn file_sink(writer: &mut BulkPageWriter) -> impl NodeSink + '_ {
     let mut scratch = DiskNode {
         level: 0,
         entries: Vec::new(),
@@ -649,7 +625,7 @@ fn build_into(
 mod tests {
     use super::*;
     use crate::params::InsertPolicy;
-    use rsj_storage::TempDir;
+    use rsj_storage::{PageSource, TempDir};
 
     fn items(n: u64) -> Vec<(Rect, DataId)> {
         (0..n)
@@ -1021,29 +997,6 @@ mod tests {
             v
         };
         assert_eq!(sizes(&streamed), sizes(&mem));
-    }
-
-    #[test]
-    fn streamed_sharded_file_round_trips() {
-        let dir = TempDir::new("rtree-bulk").unwrap();
-        let data = items(2500);
-        let base = dir.file("s.sharded.rsj");
-        let (file, stats) = load_to_sharded(
-            params(),
-            &data,
-            BulkLayout::Str,
-            BulkConfig::default(),
-            &base,
-            4,
-        )
-        .unwrap();
-        assert_eq!(file.page_count(), stats.pages);
-        assert_eq!(file.shard_count(), 4);
-        drop(file);
-        let t = RTree::open_sharded_from(&base).unwrap();
-        t.validate().unwrap();
-        assert_eq!(t.len(), 2500);
-        assert_eq!(sorted_ids(&t), (0..2500).collect::<Vec<_>>());
     }
 
     #[test]

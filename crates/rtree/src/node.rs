@@ -18,7 +18,7 @@
 //! the survivors of a forced reinsertion), deletion (`remove`, not
 //! `swap_remove`), and the page decoder, which re-orders what a foreign
 //! or older writer left unordered — the sorting ones through the single
-//! rule of [`xl_order`], and [`crate::RTree::validate`] enforces it.
+//! rule of `xl_order`, and [`crate::RTree::validate`] enforces it.
 //! This is the "maintained-sorted" regime of the join paper's Table 4: the
 //! sort the plane sweep needs is paid once, where the entry is written.
 //! The join exploits the order (a restricted subsequence of an ordered

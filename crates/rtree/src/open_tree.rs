@@ -5,8 +5,8 @@
 //! intermix with queries with no global reorganization, so an update must
 //! not cost a whole-tree `save_to` rewrite):
 //! `insert` and `delete` run against a tree sitting on an **open**
-//! [`rsj_storage::PageFile`] (or [`rsj_storage::ShardedPageFile`]), with
-//! every page effect flowing through the buffer manager —
+//! [`rsj_storage::PageFile`], with every page effect flowing through the
+//! buffer manager —
 //!
 //! * pages the update descends through are charged as reads
 //!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read);
@@ -39,11 +39,9 @@
 
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
-use rsj_storage::stack::Blocking;
 use rsj_storage::{
-    EvictionPolicy, FileAccess, FileNodeAccess, IoStats, PageEvent, PageFile, PageSource,
-    ShardedFileAccess, ShardedPageFile, SharedCacheFileAccess, SharedPageCache, StoreFile,
-    UpdateBackend, UPDATE_MAX_HEIGHT,
+    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, PageSource,
+    SharedCacheFileAccess, SharedPageCache, StoreFile, UpdateBackend, UPDATE_MAX_HEIGHT,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -52,16 +50,15 @@ use crate::node::DataId;
 use crate::persist::{encode_meta, to_disk};
 use crate::tree::RTree;
 
-/// The default store tag updates are charged under (a private backend —
-/// [`FileNodeAccess`], [`ShardedFileAccess`] — serves exactly one file,
-/// at store 0). Trees opened over a multi-store [`SharedPageCache`] carry
-/// their own store tag instead ([`OpenTree::from_parts_at`]).
+/// The default store tag updates are charged under (a private backend,
+/// [`FileNodeAccess`], serves exactly one file, at store 0). Trees opened
+/// over a multi-store [`SharedPageCache`] carry their own store tag
+/// instead ([`OpenTree::from_parts_at`]).
 const STORE: u8 = 0;
 
 /// An R\*-tree open for incremental updates on its backing page file
-/// (module docs). Generic over the [`UpdateBackend`]:
-/// [`OpenFileTree`] for single page files, [`OpenShardedTree`] for
-/// manifest-sharded ones.
+/// (module docs). Generic over the [`UpdateBackend`]: [`OpenFileTree`]
+/// over a private stack, [`OpenCachedTree`] over a shared cache.
 #[derive(Debug)]
 pub struct OpenTree<B: UpdateBackend> {
     tree: RTree,
@@ -88,45 +85,25 @@ pub struct OpenTree<B: UpdateBackend> {
 /// [`OpenTree`] over a single [`PageFile`].
 pub type OpenFileTree = OpenTree<FileNodeAccess>;
 
-/// [`OpenTree`] over a [`ShardedPageFile`] (birth-shard migration policy;
-/// see `rsj_storage::sharded`).
-pub type OpenShardedTree = OpenTree<ShardedFileAccess>;
-
 /// [`OpenTree`] over one store of a live [`SharedPageCache`]: updates run
 /// through the latched shared frames while parallel joins serve reads
 /// from the same pool. Opened via [`OpenCachedTree::open_cached`].
 pub type OpenCachedTree = OpenTree<SharedCacheFileAccess<StoreFile>>;
 
-impl<S: PageSource> OpenTree<FileAccess<S, Blocking>> {
-    /// The one body of [`OpenFileTree::open`] and
-    /// [`OpenShardedTree::open_sharded`]: loads the tree from `file` and
-    /// wraps the file in a private blocking stack of `cap_pages`.
-    fn over_file(mut file: S, cap_pages: usize) -> Result<Self, StorageError> {
+impl OpenFileTree {
+    /// Opens the page file at `path` read-write for incremental updates,
+    /// buffering through an LRU of `cap_pages`.
+    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
+        let mut file = PageFile::open_rw(path)?;
         let tree = RTree::load(&mut file)?;
         file.reset_io(); // loading is not update I/O
-        let access = FileAccess::<S, Blocking>::with_capacity_pages(
+        let access = FileNodeAccess::with_capacity_pages(
             vec![file],
             cap_pages,
             &[UPDATE_MAX_HEIGHT],
             EvictionPolicy::Lru,
         )?;
         Self::from_parts(tree, access)
-    }
-}
-
-impl OpenFileTree {
-    /// Opens the page file at `path` read-write for incremental updates,
-    /// buffering through an LRU of `cap_pages`.
-    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        Self::over_file(PageFile::open_rw(path)?, cap_pages)
-    }
-}
-
-impl OpenShardedTree {
-    /// Opens the sharded file at `base` read-write for incremental
-    /// updates, buffering through an LRU of `cap_pages`.
-    pub fn open_sharded(base: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        Self::over_file(ShardedPageFile::open_rw(base)?, cap_pages)
     }
 }
 
@@ -325,9 +302,9 @@ impl<B: UpdateBackend> OpenTree<B> {
     }
 
     /// Writes back every dirty page, stores root/len/params in the header
-    /// metadata, and persists headers durably. After a flush,
-    /// `open_from`/`open_sharded_from` on the same path yields a tree
-    /// page-for-page identical to [`OpenTree::tree`].
+    /// metadata, and writes the header ([`PageSource::flush`] — through
+    /// the OS, not synced). After a flush, `open_from` on the same path
+    /// yields a tree page-for-page identical to [`OpenTree::tree`].
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         // No read may still be in flight when the write-back starts: a
@@ -484,31 +461,6 @@ mod tests {
         back.validate().unwrap();
         assert_eq!(back.free_page_count(), freed, "free list round-trips");
         assert_eq!(back.len(), 300);
-    }
-
-    #[test]
-    fn sharded_updates_keep_birth_shards_and_round_trip() {
-        let dir = TempDir::new("open-tree").unwrap();
-        let base = dir.file("t.sharded.rsj");
-        let seed = build(250);
-        seed.save_sharded_to(&base, 4).unwrap();
-        let mut oracle = seed.clone();
-        let mut open = OpenShardedTree::open_sharded(&base, 16).unwrap();
-        script(|r, id, ins| {
-            if ins {
-                oracle.insert(r, id);
-                open.insert(r, id).unwrap();
-            } else {
-                oracle.delete(&r, id);
-                open.delete(&r, id).unwrap();
-            }
-        });
-        open.flush().unwrap();
-        assert_page_identical(open.tree(), &oracle);
-        drop(open);
-        let back = RTree::open_sharded_from(&base).unwrap();
-        back.validate().unwrap();
-        assert_page_identical(&back, &oracle);
     }
 
     #[test]

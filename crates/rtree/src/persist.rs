@@ -1,16 +1,10 @@
-//! Tree persistence: `save_to` / `open_from` over [`rsj_storage::PageFile`],
-//! and the sharded twins `save_sharded_to` / `open_sharded_from` over
-//! [`rsj_storage::ShardedPageFile`].
+//! Tree persistence: `save_to` / `open_from` over [`rsj_storage::PageFile`].
 //!
 //! A saved tree is one page file in the [`rsj_storage::codec`] format.
 //! Every allocated page of the in-memory store is written to the slot of
 //! the same index — including pages unreachable after merges — so
 //! [`PageId`]s survive the round trip unchanged and a reopened tree
 //! traverses (and therefore charges buffers) exactly like the original.
-//! The sharded variant keeps the same global page-id space but distributes
-//! the pages over N physical files by **root-entry subtree** (see
-//! [`RTree::shard_assignment`]), so shared-nothing parallel workers
-//! joining disjoint subtree pairs read genuinely disjoint files.
 //!
 //! The header's 40-byte metadata blob carries the tree-level state the
 //! page payloads cannot: root page, entry count, and the structural
@@ -27,8 +21,8 @@
 //!
 //! ## Opening
 //!
-//! Every open path — [`RTree::open_from`], [`RTree::open_sharded_from`],
-//! the `OpenTree` opens and the join service — ends in one function,
+//! Every open path — [`RTree::open_from`], the `OpenTree` opens and the
+//! join service — ends in one function,
 //! [`RTree::load`], and `load` has one read path:
 //! [`PageSource::scan`], which hands it every page of the file in id
 //! order on the calling thread. Page order is what the assembly depends
@@ -56,7 +50,7 @@ use rsj_geom::Rect;
 use rsj_storage::codec::{
     self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
 };
-use rsj_storage::{partition, PageFile, PageId, PageSource, PageStore, ShardedPageFile};
+use rsj_storage::{PageFile, PageId, PageSource, PageStore};
 
 const POLICY_RSTAR: u8 = 0;
 const POLICY_GUTTMAN_QUADRATIC: u8 = 1;
@@ -204,27 +198,6 @@ impl RTree {
             .collect()
     }
 
-    /// The one save loop, over either file shape: one slot per allocated
-    /// page, appended in id order — a free-chain marker for a free page,
-    /// the encoded node otherwise — then free list, tree metadata, flush.
-    fn write_pages<F: PageSource>(&self, mut file: F) -> Result<F, StorageError> {
-        let (slot, format) = (file.slot_bytes(), file.entry_format());
-        let chain = self.free_chain();
-        let mut buf = Vec::with_capacity(slot);
-        for id in 0..self.page_store().len() {
-            let id = PageId(id as u32);
-            match chain.get(&id) {
-                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
-                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
-            }
-            file.append_page(&buf)?;
-        }
-        file.set_free_list(self.page_store().free_pages())?;
-        file.set_meta(encode_meta(self));
-        file.flush()?;
-        Ok(file)
-    }
-
     /// Writes the tree to `path` in the [`rsj_storage::codec`] page-file
     /// format: one slot per allocated page (ids preserved — free slots
     /// become chain markers), tree metadata in the header. Returns the
@@ -246,8 +219,24 @@ impl RTree {
         format: EntryFormat,
     ) -> Result<PageFile, StorageError> {
         let slot = self.slot_bytes(format);
-        let file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
-        self.write_pages(file)
+        let mut file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
+        // One slot per allocated page, appended in id order — a free-chain
+        // marker for a free page, the encoded node otherwise — then free
+        // list, tree metadata, flush.
+        let chain = self.free_chain();
+        let mut buf = Vec::with_capacity(slot);
+        for id in 0..self.page_store().len() {
+            let id = PageId(id as u32);
+            match chain.get(&id) {
+                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
+                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
+            }
+            file.append_page(&buf)?;
+        }
+        file.set_free_list(self.page_store().free_pages())?;
+        file.set_meta(encode_meta(self));
+        file.flush()?;
+        Ok(file)
     }
 
     /// Reopens a tree saved with [`RTree::save_to`]: decodes every page
@@ -261,8 +250,8 @@ impl RTree {
         Self::load(&mut file)
     }
 
-    /// Builds a tree from every page of an already-open page file of
-    /// either shape — the one assembly path behind every open. The pages
+    /// Builds a tree from every page of an already-open page file — the
+    /// one assembly path behind every open. The pages
     /// arrive through [`PageSource::scan`]: in id order, on this thread,
     /// whether or not the reads behind them were overlapped (module docs,
     /// "Opening"). The file's (already chain-validated) free list is
@@ -322,78 +311,6 @@ impl RTree {
         tree.validate()
             .map_err(|e| StorageError::Corrupt(e.to_string()))?;
         Ok(tree)
-    }
-
-    /// Partitions this tree's pages over `shards` physical files by
-    /// **root-entry subtree**: all pages below the root's `i`-th entry go
-    /// to shard [`partition`]`(i, shards)`, so the subtree-pair tasks a
-    /// parallel join deals to its workers resolve to disjoint files. The
-    /// root page and pages outside any subtree (unreachable after merges)
-    /// fall back to [`partition`] over their page id. `shards` is clamped
-    /// to the manifest's `1..=255` range.
-    pub fn shard_assignment(&self, shards: usize) -> Vec<u8> {
-        let shards = shards.clamp(1, rsj_storage::sharded::MAX_SHARDS);
-        let mut assign: Vec<u8> = (0..self.page_store().len())
-            .map(|id| partition(id as u64, shards) as u8)
-            .collect();
-        let root_node = self.node(self.root);
-        if !root_node.is_leaf() {
-            for (i, e) in root_node.entries.iter().enumerate() {
-                let shard = partition(i as u64, shards) as u8;
-                let mut stack = vec![Self::child_page(e)];
-                while let Some(page) = stack.pop() {
-                    assign[page.0 as usize] = shard;
-                    let node = self.node(page);
-                    if !node.is_leaf() {
-                        stack.extend(node.entries.iter().map(Self::child_page));
-                    }
-                }
-            }
-        }
-        assign
-    }
-
-    /// [`RTree::save_to`] over N physical files: writes the manifest at
-    /// `base` and the pages into `base.shard0..shard{N-1}` under the
-    /// subtree partition of [`RTree::shard_assignment`]. Global page ids
-    /// (and therefore traversal order and buffer charging) are identical
-    /// to the single-file format.
-    pub fn save_sharded_to(
-        &self,
-        base: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<ShardedPageFile, StorageError> {
-        self.save_sharded_to_with_format(base, shards, EntryFormat::F64)
-    }
-
-    /// [`RTree::save_sharded_to`] with an explicit on-disk entry format.
-    pub fn save_sharded_to_with_format(
-        &self,
-        base: impl AsRef<Path>,
-        shards: usize,
-        format: EntryFormat,
-    ) -> Result<ShardedPageFile, StorageError> {
-        let slot = self.slot_bytes(format);
-        let assignment = self.shard_assignment(shards);
-        let shard_count = shards.clamp(1, rsj_storage::sharded::MAX_SHARDS);
-        let file = ShardedPageFile::create_with_format(
-            base,
-            self.params().page_bytes,
-            slot,
-            shard_count,
-            &assignment,
-            format,
-        )?;
-        self.write_pages(file)
-    }
-
-    /// Reopens a tree saved with [`RTree::save_sharded_to`]. Page ids,
-    /// root, parameters and entry count are restored exactly — the same
-    /// guarantees as [`RTree::open_from`], with the pages pulled from
-    /// whichever shard owns them.
-    pub fn open_sharded_from(base: impl AsRef<Path>) -> Result<RTree, StorageError> {
-        let mut file = ShardedPageFile::open(base)?;
-        Self::load(&mut file)
     }
 }
 
@@ -533,73 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_save_then_open_round_trips_everything() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(400);
-        for shards in [1usize, 2, 4, 7] {
-            let base = dir.file(&format!("t{shards}.rsj"));
-            let file = tree.save_sharded_to(&base, shards).unwrap();
-            assert_eq!(file.page_count() as usize, tree.allocated_pages());
-            assert_eq!(file.shard_count(), shards);
-
-            let back = RTree::open_sharded_from(&base).unwrap();
-            back.validate().unwrap();
-            assert_eq!(back.len(), tree.len());
-            assert_eq!(back.root(), tree.root());
-            assert_eq!(back.params(), tree.params());
-            assert_eq!(sorted_entries(&back), sorted_entries(&tree));
-            // Page-by-page identity across the shard split: traversals
-            // must charge the same global page ids.
-            for id in 0..tree.page_store().len() {
-                let p = PageId(id as u32);
-                assert_eq!(back.node(p), tree.node(p), "page {p} at {shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_assignment_is_a_subtree_partition() {
-        let tree = build(400);
-        assert!(!tree.node(tree.root()).is_leaf(), "fixture needs depth");
-        let shards = 4;
-        let assign = tree.shard_assignment(shards);
-        assert_eq!(assign.len(), tree.allocated_pages());
-        assert!(assign.iter().all(|&s| usize::from(s) < shards));
-        // Every page of one root subtree shares that subtree's shard.
-        let root_node = tree.node(tree.root());
-        for (i, e) in root_node.entries.iter().enumerate() {
-            let want = rsj_storage::partition(i as u64, shards) as u8;
-            let mut stack = vec![RTree::child_page(e)];
-            while let Some(page) = stack.pop() {
-                assert_eq!(
-                    assign[page.0 as usize], want,
-                    "page {page} of subtree {i} not on its shard"
-                );
-                let node = tree.node(page);
-                if !node.is_leaf() {
-                    stack.extend(node.entries.iter().map(RTree::child_page));
-                }
-            }
-        }
-        // Clamping: any shard request collapses into the manifest range.
-        assert!(
-            tree.shard_assignment(0).iter().all(|&s| s == 0),
-            "zero clamps to one shard"
-        );
-    }
-
-    #[test]
-    fn sharded_empty_tree_round_trips() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(0);
-        let base = dir.file("empty.rsj");
-        tree.save_sharded_to(&base, 3).unwrap();
-        let back = RTree::open_sharded_from(&base).unwrap();
-        assert!(back.is_empty());
-        assert_eq!(back.height(), 1);
-    }
-
-    #[test]
     fn free_list_round_trips_through_save_and_open() {
         let dir = TempDir::new("rtree-persist").unwrap();
         let mut tree = build(400);
@@ -696,19 +546,6 @@ mod tests {
         let got: std::collections::HashSet<u64> =
             back.window_query(&probe).into_iter().map(|d| d.0).collect();
         assert!(got.is_superset(&want), "f32 recall must not regress");
-    }
-
-    #[test]
-    fn sharded_f32_round_trips_validly() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(400);
-        let base = dir.file("t32.sharded.rsj");
-        tree.save_sharded_to_with_format(&base, 3, EntryFormat::F32)
-            .unwrap();
-        let back = RTree::open_sharded_from(&base).unwrap();
-        back.validate().unwrap();
-        assert_eq!(back.len(), tree.len());
-        assert_eq!(back.root(), tree.root());
     }
 
     #[test]

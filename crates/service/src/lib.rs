@@ -34,7 +34,7 @@ pub mod metrics;
 pub mod span;
 
 pub use admission::{Admission, Overloaded, Permit};
-pub use metrics::{export_cache, export_queue, export_sharded_reads, STAGES};
+pub use metrics::{export_cache, export_queue, STAGES};
 pub use span::SpanReport;
 
 use std::path::Path;

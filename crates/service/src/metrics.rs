@@ -7,8 +7,8 @@
 //!   through lock-free handles;
 //! * **pull** — the storage layer keeps its own cheap relaxed atomics
 //!   ([`SharedPageCache::frame_hits`], [`CompletionQueue`] lag, …);
-//!   [`export_cache`]/[`export_queue`]/[`export_sharded_reads`] copy
-//!   them into gauges at snapshot time. The hot path pays nothing it
+//!   [`export_cache`]/[`export_queue`] copy them into gauges at snapshot
+//!   time. The hot path pays nothing it
 //!   was not already paying, which is what keeps the benchmark's
 //!   `telemetry.overhead_frac` small.
 //!
@@ -37,18 +37,17 @@
 //! | `rsj_cache_physical_writes` | gauge | | pages written back |
 //! | `rsj_cq_in_flight` | gauge | | submissions not yet completed |
 //! | `rsj_cq_workers` | gauge | | worker-pool size: reads the queue serves at once |
-//! | `rsj_cq_lane_depth` | gauge | `lane` | queued submissions per lane |
-//! | `rsj_cq_lane_reads` | gauge | `lane` | completed reads per lane |
+//! | `rsj_cq_lane_depth` | gauge | `lane` | queued submissions per lane (lane = store) |
+//! | `rsj_cq_lane_reads` | gauge | `lane` | completed reads per lane (lane = store) |
 //! | `rsj_cq_completion_lag_us` | gauge | `stat` | mean/max submit→complete lag |
 //! | `rsj_cq_queue_wait_us` | gauge | `stat` | mean/max submit→claim share of the lag (waiting for a worker); ≫ `rsj_cq_service_us` ⇒ the pool, not the device, bounds the reads |
 //! | `rsj_cq_service_us` | gauge | `stat` | mean/max claim→complete share of the lag (the read) |
 //! | `rsj_cq_completions` | gauge | | completed submissions the three lag families above average over |
-//! | `rsj_sharded_reads` | gauge | `store`, `shard` | per-shard physical read split |
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use rsj_storage::{CompletionQueue, ShardedFileAccess, SharedPageCache};
+use rsj_storage::{CompletionQueue, SharedPageCache};
 use rsj_telemetry::{Counter, Gauge, Histogram, Registry};
 
 /// The span stages, in report order.
@@ -281,21 +280,4 @@ pub fn export_queue(registry: &Registry, queue: &CompletionQueue) {
             &[],
         )
         .set(lag.samples as i64);
-}
-
-/// Copies a [`ShardedFileAccess`]'s per-shard physical read split into
-/// the registry, one gauge per `(store, shard)`.
-pub fn export_sharded_reads(registry: &Registry, access: &ShardedFileAccess, stores: usize) {
-    for store in 0..stores {
-        let store_label = store.to_string();
-        for (shard, reads) in access.read_split(store as u8).iter().enumerate() {
-            registry
-                .gauge(
-                    "rsj_sharded_reads",
-                    "physical reads by store and shard",
-                    &[("store", &store_label), ("shard", &shard.to_string())],
-                )
-                .set(*reads as i64);
-        }
-    }
 }

@@ -12,9 +12,9 @@
 //!   disk, dirty pages charged at eviction or flush) as pure accounting
 //!   over an in-memory tree: the oracle;
 //! * [`crate::FileAccess`] — a pool over real page files, where every miss
-//!   performs an actual read and every charged write an actual write; page
-//!   source {plain, sharded} × read strategy {blocking, queued} gives its
-//!   four aliases (the 2 × 2 table in [`crate::stack`]);
+//!   performs an actual read and every charged write an actual write; its
+//!   read strategy {blocking, queued} gives its two aliases
+//!   ([`crate::stack`]);
 //! * [`crate::SharedCacheFileAccess`] — a worker's handle onto the
 //!   latched [`crate::SharedPageCache`]: a private pool for the logical
 //!   side, shared physical frames for the bytes.

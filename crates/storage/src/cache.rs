@@ -480,7 +480,7 @@ impl SharedPageCache {
         s.lru.install(key);
         s.lru.pin(key);
         self.harvest(&mut s);
-        let (ticket, _) = self.queue.adopt_or_submit(store as usize, key, page);
+        let (ticket, _) = self.queue.adopt_or_submit(key);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
         self.physical_by_store[store as usize].fetch_add(1, Ordering::Relaxed);

@@ -1,20 +1,21 @@
 //! The submission/completion queue.
 //!
 //! This is the io_uring-shaped core of the overlap story: demand misses
-//! and read-schedule hints become *submissions* — `submit(lane, page)` →
+//! and read-schedule hints become *submissions* — `submit(key)` →
 //! [`Ticket`] — serviced by one pool of worker threads over real
 //! [`PageFile`] handles, and the executor checks tickets
 //! ([`CompletionQueue::is_complete`]) or parks on them
 //! ([`CompletionQueue::await_ticket`]) instead of blocking inside
-//! `access()`. A *lane* is one physical file (one per plain page file, one
-//! per shard file of a sharded one): it names where a job reads and where
-//! the read is counted, not who serves it. The queue is the engine of
-//! the file-access stack's queued read strategy ([`crate::stack::Queued`])
-//! and of [`crate::SharedPageCache`].
+//! `access()`. A *lane* is one store's page file: a job for
+//! [`BufKey`] `key` reads page `key.page` of lane `key.store`, where the
+//! read is also counted — the lane names where a job reads, not who
+//! serves it. The queue is the engine of the file-access stack's queued
+//! read strategy ([`crate::stack::Queued`]) and of
+//! [`crate::SharedPageCache`]; each owns its queue.
 //!
 //! ## Service order
 //!
-//! One rule ([`crate::inflight::InflightTables`]): **demand-class jobs by
+//! One rule (`InflightTables`): **demand-class jobs by
 //! ticket, then hints FIFO; any worker, any lane.** Demand-class is a fresh
 //! demand submission or a hint a demand miss has adopted. The queue is
 //! *age-ordered* — a parked cursor waits on the oldest unsettled ticket
@@ -66,7 +67,6 @@ use crate::codec::StorageError;
 use crate::file::PageFile;
 use crate::inflight::{InflightTables, Phase};
 use crate::lru::BufKey;
-use crate::page::PageId;
 
 /// Test hook: per-page extra latency applied by the worker *before* the
 /// physical read — lets the adversarial-order suites force completions
@@ -199,33 +199,21 @@ impl SpanNanos {
     }
 }
 
-/// Owns the worker threads; dropped exactly once, when the last
-/// [`CompletionQueue`] clone goes away.
-struct QueueCore {
+/// One submission/completion queue: its lanes, tickets and worker pool.
+/// The workers shut down when the queue drops.
+pub struct CompletionQueue {
     shared: Arc<CqShared>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl Drop for QueueCore {
+impl Drop for CompletionQueue {
     fn drop(&mut self) {
-        {
-            let mut st = self.shared.state.lock().unwrap();
-            st.shutdown = true;
-        }
+        self.shared.state.lock().unwrap().shutdown = true;
         self.shared.wakeup.notify_all();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
     }
-}
-
-/// A cloneable handle to one submission/completion queue. Clones share
-/// the lanes, tickets and workers — shard-parallel join workers each hold
-/// one and submit on their own lanes; the workers shut down when the last
-/// clone drops.
-#[derive(Clone)]
-pub struct CompletionQueue {
-    core: Arc<QueueCore>,
 }
 
 impl fmt::Debug for CompletionQueue {
@@ -238,15 +226,15 @@ impl fmt::Debug for CompletionQueue {
 }
 
 impl CompletionQueue {
-    /// Opens one queue over `lane_paths`: lane `i` reads the page file at
-    /// `lane_paths[i]` through one shared read-only [`PageFile`] handle
+    /// Opens one queue over `paths`: lane `i` (store `i`) reads the page
+    /// file at `paths[i]` through one shared read-only [`PageFile`] handle
     /// (inheriting [`crate::file::READ_LATENCY_ENV`]), and a pool of
     /// [`QUEUE_DEPTH`] threads serves all lanes — positional reads, so any
     /// number of workers read one file at once.
-    pub fn open(lane_paths: &[PathBuf], delay: Option<DelayFn>) -> Result<Self, StorageError> {
+    pub fn open(paths: &[PathBuf], delay: Option<DelayFn>) -> Result<Self, StorageError> {
         // Open every handle before spawning anything, so a bad path is a
         // constructor error, not a dead worker.
-        let files = lane_paths
+        let files = paths
             .iter()
             .map(PageFile::open)
             .collect::<Result<Vec<_>, _>>()?;
@@ -287,50 +275,43 @@ impl CompletionQueue {
                 std::thread::spawn(move || worker_loop(shared))
             })
             .collect();
-        CompletionQueue {
-            core: Arc::new(QueueCore { shared, workers }),
-        }
-    }
-
-    #[inline]
-    fn shared(&self) -> &CqShared {
-        &self.core.shared
+        CompletionQueue { shared, workers }
     }
 
     /// Number of submission lanes.
     #[inline]
     pub fn lane_count(&self) -> usize {
-        self.shared().reads.len()
+        self.shared.reads.len()
     }
 
     /// Size of the worker pool: the reads this queue serves at once.
     #[inline]
     pub fn workers(&self) -> usize {
-        self.core.workers.len()
+        self.workers.len()
     }
 
-    /// Submits a read-ahead hint for `key` (slot `local` of `lane`'s
-    /// file), unless the key is already submitted or the pipeline already
-    /// holds `window` unconsumed submissions. Returns whether a
-    /// submission was made.
-    pub fn submit_hint(&self, lane: usize, key: BufKey, local: PageId, window: usize) -> bool {
-        let sh = self.shared();
+    /// Submits a read-ahead hint for `key`, unless the key is already
+    /// submitted or the pipeline already holds `window` unconsumed
+    /// submissions. Returns whether a submission was made.
+    pub fn submit_hint(&self, key: BufKey, window: usize) -> bool {
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         if st.is_submitted(key) || st.pipeline_len() >= window {
             return false;
         }
-        st.submit(lane, key, local);
+        st.submit(key);
         sh.wake_a_worker(st);
         true
     }
 
     /// A demand miss for `key`: adopts the existing submission if one is
     /// unconsumed (a still-queued one becomes demand-class, ordered by its
-    /// own ticket), or submits a fresh read. Returns the ticket the caller's frame parks
-    /// on, and whether the adopted read was already started or staged by
-    /// a hint (`true` = the hint paid; `false` = demand pays).
-    pub fn adopt_or_submit(&self, lane: usize, key: BufKey, local: PageId) -> (Ticket, bool) {
-        let sh = self.shared();
+    /// own ticket), or submits a fresh read. Returns the ticket the
+    /// caller's frame parks on, and whether the adopted read was already
+    /// started or staged by a hint (`true` = the hint paid; `false` =
+    /// demand pays).
+    pub fn adopt_or_submit(&self, key: BufKey) -> (Ticket, bool) {
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         if let Some(entry) = st.consume(key) {
             (Ticket(entry.ticket), entry.phase != Phase::Queued)
@@ -338,7 +319,7 @@ impl CompletionQueue {
             // A demand submission is already charged to its caller, so it
             // must not be adoptable by a later re-miss of the same key
             // (see [`InflightTables::submit_demand`]).
-            let ticket = st.submit_demand(lane, key, local);
+            let ticket = st.submit_demand(key);
             sh.wake_a_worker(st);
             (Ticket(ticket), false)
         }
@@ -351,7 +332,7 @@ impl CompletionQueue {
         if ticket.is_none() {
             return true;
         }
-        let sh = self.shared();
+        let sh = &self.shared;
         sh.polls.fetch_add(1, Ordering::Relaxed);
         if ticket.0 < sh.done_floor.load(Ordering::Acquire) {
             return true;
@@ -365,7 +346,7 @@ impl CompletionQueue {
         if ticket.is_none() {
             return;
         }
-        let sh = self.shared();
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         while !st.is_done(ticket.0) {
             st = sh.park(st);
@@ -385,7 +366,7 @@ impl CompletionQueue {
         if ticket.is_none() {
             return true;
         }
-        let sh = self.shared();
+        let sh = &self.shared;
         sh.polls.fetch_add(1, Ordering::Relaxed);
         if ticket.0 < sh.done_floor.load(Ordering::Acquire) {
             return true;
@@ -399,7 +380,7 @@ impl CompletionQueue {
         if ticket.is_none() {
             return;
         }
-        let sh = self.shared();
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         while ticket.0 >= st.done_floor() {
             st = sh.park(st);
@@ -411,7 +392,7 @@ impl CompletionQueue {
     /// Blocks until every submission has completed — the honesty point at
     /// which lane reads equal the charges that promised them.
     pub fn drain(&self) {
-        let sh = self.shared();
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         while st.outstanding > 0 {
             st = sh.park(st);
@@ -423,28 +404,28 @@ impl CompletionQueue {
     /// Submissions not yet completed (queued + being read).
     #[inline]
     pub fn in_flight(&self) -> usize {
-        self.shared().outstanding.load(Ordering::Relaxed)
+        self.shared.outstanding.load(Ordering::Relaxed)
     }
 
     /// Unconsumed submissions (the window the hint bound applies to).
     pub fn pipeline_len(&self) -> usize {
-        self.shared().state.lock().unwrap().pipeline_len()
+        self.shared.state.lock().unwrap().pipeline_len()
     }
 
     /// Completed-but-unconsumed submissions (staged pages).
     pub fn staged_len(&self) -> usize {
-        self.shared().state.lock().unwrap().staged_len()
+        self.shared.state.lock().unwrap().staged_len()
     }
 
     /// Successful reads performed on `lane` so far.
     #[inline]
     pub fn lane_reads(&self, lane: usize) -> u64 {
-        self.shared().reads[lane].load(Ordering::Relaxed)
+        self.shared.reads[lane].load(Ordering::Relaxed)
     }
 
     /// Successful reads across all lanes.
     pub fn total_reads(&self) -> u64 {
-        self.shared()
+        self.shared
             .reads
             .iter()
             .map(|r| r.load(Ordering::Relaxed))
@@ -454,20 +435,20 @@ impl CompletionQueue {
     /// Total `is_complete` calls so far (busy-spin metering).
     #[inline]
     pub fn poll_count(&self) -> u64 {
-        self.shared().polls.load(Ordering::Relaxed)
+        self.shared.polls.load(Ordering::Relaxed)
     }
 
     /// Submissions currently queued on `lane` — waiting for a worker,
     /// not yet being read (one term of [`CompletionQueue::in_flight`]).
     pub fn lane_depth(&self, lane: usize) -> usize {
-        self.shared().state.lock().unwrap().lane_depth(lane)
+        self.shared.state.lock().unwrap().lane_depth(lane)
     }
 
     /// Submit→complete latency accounting across all completions so
     /// far: queue wait plus read service time, per completed job, and
     /// each of the two spans on its own.
     pub fn completion_lag(&self) -> CompletionLag {
-        let sh = self.shared();
+        let sh = &self.shared;
         let (queue_wait_total_nanos, queue_wait_max_nanos) = sh.queue_wait.load();
         let (service_total_nanos, service_max_nanos) = sh.service.load();
         CompletionLag {
@@ -486,7 +467,7 @@ impl CompletionQueue {
     /// queue for the next measurement. Ticket numbering continues
     /// (completed stays completed).
     pub fn reset(&self) {
-        let sh = self.shared();
+        let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
         st.abandon_queued();
         sh.done_floor.store(st.done_floor(), Ordering::Release);
@@ -509,7 +490,7 @@ impl CompletionQueue {
     }
 
     fn check_failed(&self) {
-        if self.shared().failed.load(Ordering::Relaxed) {
+        if self.shared.failed.load(Ordering::Relaxed) {
             panic!("completion-queue page read failed mid-join");
         }
     }
@@ -594,13 +575,14 @@ fn worker_loop(shared: Arc<CqShared>) {
         // on-disk header, until the updater flushes — still carry the old
         // page count. Retry once against the physical file length before
         // declaring the read failed.
-        let file = &shared.files[job.lane];
+        let (lane, page) = (usize::from(job.key.store), job.key.page);
+        let file = &shared.files[lane];
         let read = file
-            .read_page_at(job.local, &mut buf)
-            .or_else(|_| file.read_slot_fresh(job.local, &mut buf));
+            .read_page_at(page, &mut buf)
+            .or_else(|_| file.read_slot_fresh(page, &mut buf));
         match read {
             Ok(()) => {
-                shared.reads[job.lane].fetch_add(1, Ordering::Relaxed);
+                shared.reads[lane].fetch_add(1, Ordering::Relaxed);
             }
             Err(_) => {
                 shared.failed.store(true, Ordering::Relaxed);
@@ -632,6 +614,7 @@ fn worker_loop(shared: Arc<CqShared>) {
 mod tests {
     use super::*;
     use crate::lru::EvictionPolicy;
+    use crate::page::PageId;
     use crate::pool::IoStats;
     use crate::temp::demo::demo_file;
     use crate::temp::TempDir;
@@ -742,10 +725,8 @@ mod tests {
         CompletionQueue::with_pool(files, workers, Some(delay))
     }
 
-    fn demand(q: &CompletionQueue, lane: usize, page: u32) -> Ticket {
-        let page = PageId(page);
-        q.adopt_or_submit(lane, BufKey::new(lane as u8, page), page)
-            .0
+    fn demand(q: &CompletionQueue, lane: u8, page: u32) -> Ticket {
+        q.adopt_or_submit(BufKey::new(lane, PageId(page))).0
     }
 
     /// A delay hook that holds every job until `parties` of them are in
@@ -875,12 +856,12 @@ mod tests {
                 let q = demo_queue(&dir, 1, workers, Arc::new(|_| None));
                 std::thread::scope(|scope| {
                     for s in 0..SUBMITTERS {
-                        let q = q.clone();
+                        let q = &q;
                         scope.spawn(move || {
                             for _ in 0..ROUNDS {
                                 // Alternate the two waits; each returns only
                                 // once a worker woke up for this read.
-                                let t = demand(&q, 0, s);
+                                let t = demand(q, 0, s);
                                 if s % 2 == 0 {
                                     q.await_ticket(t);
                                 } else {
@@ -912,17 +893,16 @@ mod tests {
             let q = demo_queue(&dir, 1, QUEUE_DEPTH, delay);
             let tickets: Vec<Ticket> = (0..4).map(|p| demand(&q, 0, p)).collect();
             let last = tickets[3];
-            let waiter = {
-                let q = q.clone();
-                std::thread::spawn(move || q.await_settled(last))
-            };
-            while q.shared().state.lock().unwrap().parked_waiters == 0 {
-                std::thread::yield_now();
-            }
-            for _ in 0..4 {
-                release.send(()).unwrap();
-            }
-            waiter.join().unwrap();
+            std::thread::scope(|scope| {
+                let waiter = scope.spawn(|| q.await_settled(last));
+                while q.shared.state.lock().unwrap().parked_waiters == 0 {
+                    std::thread::yield_now();
+                }
+                for _ in 0..4 {
+                    release.send(()).unwrap();
+                }
+                waiter.join().unwrap();
+            });
             assert!(q.is_settled(last));
         });
     }

@@ -6,9 +6,8 @@
 //! counted, so a cold-opened tree pays genuine file I/O for every buffer
 //! miss; the whole-file read an open does is its [`PageSource::scan`],
 //! overlapped when reads wait ([`crate::scan`]). [`PageSource`] — declared
-//! here — is what a page file can do; [`PageFile`] is the plain one of the
-//! file-access stack ([`crate::FileAccess`]), [`crate::ShardedPageFile`]
-//! the other.
+//! here — is what a page file can do; [`PageFile`] is the one the
+//! file-access stack ([`crate::FileAccess`]) and every open read.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -25,9 +24,9 @@ use crate::writeback::FreeChain;
 /// reuse-before-append allocation off a persistent free list, release back
 /// onto it, metadata and flush — what the save, bulk-build and update paths
 /// write through — plus what [`crate::FileAccess`] reads through: the
-/// ordered whole-file scan of an open, counter reset, and the mapping of
-/// pages onto physical files ("lanes"). Implemented by [`PageFile`] (one
-/// lane) and [`crate::ShardedPageFile`] (one lane per shard).
+/// ordered whole-file scan of an open and counter reset. One store is one
+/// file. Implemented by [`PageFile`]; the trait is the seam another source
+/// (a fault-injecting one, say) plugs into.
 pub trait PageSource {
     /// Overwrites an existing page.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
@@ -73,7 +72,9 @@ pub trait PageSource {
     /// The free list, oldest release first (last element = chain head).
     fn free_pages(&self) -> &[PageId];
 
-    /// Persists headers (page counts, free head, metadata) durably.
+    /// Writes the header (page count, free head, metadata) through the OS.
+    /// Nothing is synced: a flushed file survives a process crash, not a
+    /// power loss — durability belongs with the page log of ROADMAP item 4.
     fn flush(&mut self) -> Result<(), StorageError>;
 
     /// Errors if the logical page size differs from `expected` — trees
@@ -98,13 +99,6 @@ pub trait PageSource {
         &mut self,
         sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
     ) -> Result<(), StorageError>;
-
-    /// The physical page files behind this source, in lane order.
-    fn lane_paths(&self) -> Vec<PathBuf>;
-
-    /// The lane owning `page` and the page's slot within that lane's
-    /// file; `None` if no lane holds it.
-    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)>;
 }
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.
@@ -286,8 +280,8 @@ impl PageFile {
         Ok(pf)
     }
 
-    /// Rebuilds the in-memory free list from the on-disk chain via the
-    /// shared walker ([`FreeChain::walk`]), uncounted — chain recovery is
+    /// Rebuilds the in-memory free list from the on-disk chain via
+    /// [`FreeChain::walk`], uncounted — chain recovery is
     /// open-time work, not join or update I/O.
     fn walk_free_chain(&self) -> Result<Vec<PageId>, StorageError> {
         FreeChain::walk(
@@ -334,13 +328,8 @@ impl PageFile {
     }
 
     /// Reads one slot without latency and without touching the read
-    /// counter — open-time chain recovery only (also used by the sharded
-    /// manifest layer).
-    pub(crate) fn read_slot_uncounted(
-        &self,
-        id: PageId,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StorageError> {
+    /// counter — open-time chain recovery only.
+    fn read_slot_uncounted(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         self.pread_slot(id, buf, false, false)
     }
 
@@ -410,12 +399,6 @@ impl PageFile {
         self.pread_slot(id, buf, true, false)
     }
 
-    /// Charges `n` reads made through [`PageFile::read_page_at`] on this
-    /// handle's behalf (a scan charges per page sunk, not per read made).
-    pub(crate) fn charge_reads(&mut self, n: u64) {
-        self.reads += n;
-    }
-
     /// [`PageFile::read_page_at`] bounds-checked against the *physical*
     /// file length instead of the header page count cached at open, and
     /// without the injected latency (it is a retry, not a fresh
@@ -478,7 +461,7 @@ impl PageSource for PageFile {
     /// Reads one slot into `buf` (resized to `slot_bytes`). Charges one
     /// read. When a read latency is injected, the sleep happens *before*
     /// the read, modelling positioning time; open-time chain recovery
-    /// ([`PageFile::read_slot_uncounted`]) stays undelayed, matching its
+    /// (`read_slot_uncounted`) stays undelayed, matching its
     /// uncounted status.
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         self.pread_slot(id, buf, true, false)?;
@@ -587,7 +570,8 @@ impl PageSource for PageFile {
         self.free.as_slice()
     }
 
-    /// Persists the in-memory header (page count, metadata) to disk.
+    /// Writes the in-memory header (page count, metadata) through the OS;
+    /// not synced (trait docs).
     fn flush(&mut self) -> Result<(), StorageError> {
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&self.header.encode())?;
@@ -621,18 +605,8 @@ impl PageSource for PageFile {
                 sink(id, bytes)
             },
         );
-        self.charge_reads(delivered);
+        self.reads += delivered; // per page sunk, not per read made
         res
-    }
-
-    fn lane_paths(&self) -> Vec<PathBuf> {
-        vec![self.path.clone()]
-    }
-
-    /// Lane 0 at `page` itself. Not range-checked: a concurrent updater
-    /// may have appended the page, and the reading handle checks anyway.
-    fn lane_of(&self, page: PageId) -> Option<(usize, PageId)> {
-        Some((0, page))
     }
 }
 

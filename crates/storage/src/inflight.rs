@@ -10,17 +10,13 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::Instant;
 
 use crate::lru::BufKey;
-use crate::page::PageId;
 
-/// One submitted read: the global buffer key it serves, the lane (physical
-/// file) it reads, and the slot to read there (identical to `key.page` for
-/// whole-tree files, a shard-local slot for sharded ones).
+/// One submitted read: the buffer key it serves — page `key.page` of the
+/// file of store `key.store`, which is also its lane.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ReadJob {
     pub ticket: u64,
     pub key: BufKey,
-    pub lane: usize,
-    pub local: PageId,
     /// When the submission was queued — queue wait (submit → claim) and
     /// completion lag (submit → complete) are measured from here.
     pub submitted: Instant,
@@ -72,7 +68,7 @@ pub(crate) struct KeyEntry {
 pub(crate) struct InflightTables {
     /// Every queued job of every lane; the key order is the claim order.
     queued: BTreeMap<(Class, u64), ReadJob>,
-    /// Queued jobs per lane, both classes.
+    /// Queued jobs per lane (store), both classes.
     depth: Vec<usize>,
     /// Every submission not yet consumed by a demand miss.
     by_key: HashMap<BufKey, KeyEntry>,
@@ -136,28 +132,26 @@ impl InflightTables {
     }
 
     /// Issues the next ticket and queues the job that carries it.
-    fn enqueue(&mut self, class: Class, lane: usize, key: BufKey, local: PageId) -> u64 {
+    fn enqueue(&mut self, class: Class, key: BufKey) -> u64 {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.depth[lane] += 1;
+        self.depth[usize::from(key.store)] += 1;
         self.outstanding += 1;
         let job = ReadJob {
             ticket,
             key,
-            lane,
-            local,
             submitted: Instant::now(),
         };
         self.queued.insert((class, ticket), job);
         ticket
     }
 
-    /// Issues a ticket for a *hint* read of `key` on `lane` and queues the
-    /// job behind every earlier hint. The caller must have checked
+    /// Issues a ticket for a *hint* read of `key` and queues the job
+    /// behind every earlier hint. The caller must have checked
     /// [`InflightTables::is_submitted`].
-    pub fn submit(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
+    pub fn submit(&mut self, key: BufKey) -> u64 {
         debug_assert!(!self.by_key.contains_key(&key));
-        let ticket = self.enqueue(Class::Hint, lane, key, local);
+        let ticket = self.enqueue(Class::Hint, key);
         self.by_key.insert(
             key,
             KeyEntry {
@@ -168,17 +162,17 @@ impl InflightTables {
         ticket
     }
 
-    /// Issues a ticket for a *demand* read of `key` on `lane` and queues
-    /// the job without registering it for adoption: the miss is charged
+    /// Issues a ticket for a *demand* read of `key` and queues the job
+    /// without registering it for adoption: the miss is charged
     /// by its caller, so a later re-miss of the same key (after an
     /// eviction) must perform — and pay for — its own read. Adoption is
     /// only honest for hint reads, which are never charged; a stale
     /// demand entry adopted twice would make one physical read serve two
     /// charged accesses.
-    pub fn submit_demand(&mut self, lane: usize, key: BufKey, local: PageId) -> u64 {
+    pub fn submit_demand(&mut self, key: BufKey) -> u64 {
         // The newest ticket: behind every older demand-class job, ahead
         // of every un-adopted hint (claim order, type docs).
-        self.enqueue(Class::Demand, lane, key, local)
+        self.enqueue(Class::Demand, key)
     }
 
     /// Submissions currently queued on `lane` (not yet claimed by a
@@ -192,7 +186,7 @@ impl InflightTables {
     /// oldest demand-class job, else the oldest hint.
     pub fn claim(&mut self) -> Option<ReadJob> {
         let (_, job) = self.queued.pop_first()?;
-        self.depth[job.lane] -= 1;
+        self.depth[usize::from(job.key.store)] -= 1;
         if let Some(e) = self.by_key.get_mut(&job.key) {
             // Entry may be gone (demand consumed the submission early) or
             // may belong to a *newer* submission of the same key; only
@@ -261,7 +255,7 @@ impl InflightTables {
     /// path. Flying jobs are untouched; the caller waits them out.
     pub fn abandon_queued(&mut self) {
         for job in std::mem::take(&mut self.queued).into_values() {
-            self.depth[job.lane] -= 1;
+            self.depth[usize::from(job.key.store)] -= 1;
             self.outstanding -= 1;
             self.mark_done(job.ticket);
             if let Some(e) = self.by_key.get(&job.key) {
@@ -284,17 +278,18 @@ impl InflightTables {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PageId;
 
-    fn key(p: u32) -> BufKey {
-        BufKey::new(0, PageId(p))
+    fn key(store: u8, p: u32) -> BufKey {
+        BufKey::new(store, PageId(p))
     }
 
     #[test]
     fn tickets_complete_out_of_order_and_fold_into_the_frontier() {
         let mut t = InflightTables::new(1);
-        let a = t.submit(0, key(1), PageId(1));
-        let b = t.submit(0, key(2), PageId(2));
-        let c = t.submit(0, key(3), PageId(3));
+        let a = t.submit(key(0, 1));
+        let b = t.submit(key(0, 2));
+        let c = t.submit(key(0, 3));
         let (ja, jb, jc) = (t.claim().unwrap(), t.claim().unwrap(), t.claim().unwrap());
         t.complete(&jc);
         assert!(t.is_done(c) && !t.is_done(a) && !t.is_done(b));
@@ -315,35 +310,33 @@ mod tests {
     #[test]
     fn demands_are_claimed_in_ticket_order() {
         let mut t = InflightTables::new(1);
-        let order: Vec<u64> = (1..=3)
-            .map(|p| t.submit_demand(0, key(p), PageId(p)))
-            .collect();
+        let order: Vec<u64> = (1..=3).map(|p| t.submit_demand(key(0, p))).collect();
         assert_eq!(claim_order(&mut t), order, "oldest demand first");
     }
 
     #[test]
     fn a_demand_outranks_queued_hints_but_not_an_older_demand() {
         let mut t = InflightTables::new(1);
-        let d1 = t.submit_demand(0, key(1), PageId(1));
-        let h1 = t.submit(0, key(2), PageId(2));
-        let h2 = t.submit(0, key(3), PageId(3));
-        let d2 = t.submit_demand(0, key(4), PageId(4));
+        let d1 = t.submit_demand(key(0, 1));
+        let h1 = t.submit(key(0, 2));
+        let h2 = t.submit(key(0, 3));
+        let d2 = t.submit_demand(key(0, 4));
         assert_eq!(claim_order(&mut t), [d1, d2, h1, h2]);
     }
 
     #[test]
     fn an_adopted_hint_is_ordered_among_demands_by_its_ticket() {
         let mut t = InflightTables::new(2);
-        let d1 = t.submit_demand(0, key(1), PageId(1));
-        let h1 = t.submit(1, key(2), PageId(2));
-        let h2 = t.submit(0, key(3), PageId(3));
-        let d2 = t.submit_demand(1, key(4), PageId(4));
-        let d3 = t.submit_demand(0, key(5), PageId(5));
+        let d1 = t.submit_demand(key(0, 1));
+        let h1 = t.submit(key(1, 2));
+        let h2 = t.submit(key(0, 3));
+        let d2 = t.submit_demand(key(1, 4));
+        let d3 = t.submit_demand(key(0, 5));
         // Adopting h2 slots it between d1 and d2 — by ticket, not at the
         // front and not at the back; h1 stays a hint. Lanes do not matter.
-        let e = t.consume(key(3)).expect("submitted");
+        let e = t.consume(key(0, 3)).expect("submitted");
         assert_eq!((e.ticket, e.phase), (h2, Phase::Queued));
-        assert!(t.consume(key(3)).is_none(), "consumed exactly once");
+        assert!(t.consume(key(0, 3)).is_none(), "consumed exactly once");
         assert_eq!((t.lane_depth(0), t.lane_depth(1)), (3, 2));
         assert_eq!(claim_order(&mut t), [d1, h2, d2, d3, h1]);
         assert_eq!((t.lane_depth(0), t.lane_depth(1)), (0, 0));
@@ -352,8 +345,8 @@ mod tests {
     #[test]
     fn abandon_queued_completes_dropped_tickets() {
         let mut t = InflightTables::new(2);
-        let a = t.submit(0, key(1), PageId(1));
-        let b = t.submit(1, key(2), PageId(2));
+        let a = t.submit(key(0, 1));
+        let b = t.submit(key(1, 2));
         t.abandon_queued();
         assert!(t.is_done(a) && t.is_done(b));
         assert_eq!(t.outstanding, 0);

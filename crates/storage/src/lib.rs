@@ -45,20 +45,13 @@
 //!   at once through a bounded read-ahead ring;
 //! * [`FileAccess<S, R>`](FileAccess) — the file-backed [`NodeAccess`]
 //!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
-//!   capacity) over page files, where every miss performs
+//!   capacity) over one page file per store, where every miss performs
 //!   an actual page read. It is assembled from a page source `S` and a
-//!   read strategy `R`, and the familiar names are its four aliases:
-//!
-//!   | source ╲ strategy   | [`stack::Blocking`]   | [`stack::Queued`]                |
-//!   |---------------------|-----------------------|----------------------------------|
-//!   | [`PageFile`]        | [`FileNodeAccess`]    | [`CompletionFileAccess`]         |
-//!   | [`ShardedPageFile`] | [`ShardedFileAccess`] | [`ShardedCompletionFileAccess`]  |
-//!
-//!   [`ShardedPageFile`] splits one tree across N physical files by
-//!   root-entry subtree, so shared-nothing workers read disjoint files;
-//!   the queued strategy submits misses — and the executor's
-//!   read-schedule hints ([`NodeAccess::hint`]) — to a [`CompletionQueue`]
-//!   lane per physical file, moving no `IoStats` number ([`stack`]);
+//!   read strategy `R`; its two aliases are [`FileNodeAccess`] (blocking
+//!   reads) and [`CompletionFileAccess`], whose misses — and the
+//!   executor's read-schedule hints ([`NodeAccess::hint`]) — go to a
+//!   private [`CompletionQueue`] with one lane per store, moving no
+//!   `IoStats` number ([`stack`]); parallel workers each own a stack;
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
 //!   frame cache over the completion queue: sharded, pin-counted frames
 //!   walking an Empty → Reading → Resident → Dirty state machine,
@@ -66,8 +59,8 @@
 //!   frames that outlive a single join — while every worker's handle owns
 //!   a private [`BufferPool`], so its [`IoStats`] are those of a
 //!   private-buffer worker;
-//! * [`partition`] — the one Fibonacci-hash partitioner shared by the
-//!   cache's frame shards and the subtree partitioner;
+//! * [`partition`] — the Fibonacci-hash partitioner of the cache's frame
+//!   shards;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -79,9 +72,9 @@
 //!   [`BufferPool`]: alone it only counts, the blocking file stack hands
 //!   it a writer over its [`writeback`] payload table and files, the
 //!   shared-cache handle lets it count while the bytes ride the frames;
-//! * persistent **free-page lists** in [`PageFile`] and
-//!   [`ShardedPageFile`] — header-chained marker slots,
-//!   `allocate`/`release` with reuse-before-append, validated on open;
+//! * a persistent **free-page list** in [`PageFile`] — header-chained
+//!   marker slots, `allocate`/`release` with reuse-before-append,
+//!   validated on open;
 //! * [`PageSource`] / [`UpdateBackend`] — the traits the R\*-tree crate's
 //!   `OpenTree` drives incremental `insert`/`delete` through: what a page
 //!   file can do (declared once, beside [`PageFile`]), and a write-capable
@@ -91,9 +84,9 @@
 //!   default, or the paper's literal 20-byte f32 entries (outward-rounded)
 //!   behind a header flag;
 //! * [`BulkPageWriter`] — the streaming bulk-build write path: append-
-//!   order page emission over either file shape with one reused codec
-//!   scratch buffer; header and manifest are written only by `finish`, so
-//!   a build that crashes mid-emission reads back as a typed error;
+//!   order page emission with one reused codec scratch buffer; the header
+//!   is written only by `finish`, so a build that crashes mid-emission
+//!   reads back as a typed error;
 //! * [`PageStore`] grows the same reuse-before-append free list plus
 //!   opt-in [`PageEvent`] tracking, keeping the in-memory allocator in
 //!   lockstep with the files.
@@ -113,7 +106,6 @@ pub mod partition;
 pub mod path;
 pub mod pool;
 pub mod scan;
-pub mod sharded;
 pub mod stack;
 pub mod temp;
 pub mod writeback;
@@ -128,13 +120,8 @@ pub use file::{PageFile, PageSource, READ_LATENCY_ENV};
 pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
-pub use partition::{partition, partition_key};
 pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};
 pub use pool::{BufKey, BufferPool, IoStats};
-pub use sharded::ShardedPageFile;
-pub use stack::{
-    CompletionFileAccess, FileAccess, FileNodeAccess, ReadStrategy, ShardedCompletionFileAccess,
-    ShardedFileAccess,
-};
+pub use stack::{CompletionFileAccess, FileAccess, FileNodeAccess, ReadStrategy};
 pub use temp::TempDir;
 pub use writeback::UpdateBackend;

@@ -47,7 +47,7 @@ pub enum PageEvent {
 /// Pages released with [`PageStore::free`] go onto a LIFO free list that
 /// [`PageStore::alloc`] reuses *before* growing the store — the same
 /// reuse-before-append discipline the persistent
-/// [`crate::PageFile::allocate`] follows, so an in-memory tree and its
+/// [`crate::PageSource::allocate`] follows, so an in-memory tree and its
 /// on-disk twin applying the same update sequence assign identical page
 /// ids.
 #[derive(Debug, Clone)]

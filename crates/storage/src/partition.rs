@@ -1,10 +1,5 @@
-//! The one hash partitioner of the storage layer.
-//!
-//! Several components split keyed work across a small number of buckets:
-//! [`crate::SharedPageCache`] maps buffer keys onto frame shards, and the
-//! R\*-tree's sharded persistence maps subtree indices (and stray pages)
-//! onto physical page files. Both need the same Fibonacci-hashing trick,
-//! and two copies could drift apart; this module is the single definition.
+//! The hash partitioner behind [`crate::SharedPageCache`]'s frame shards:
+//! it maps buffer keys onto a small number of buckets.
 //!
 //! The scheme multiplies by the 64-bit golden-ratio constant and takes the
 //! high bits — cheap, deterministic across platforms (everything is

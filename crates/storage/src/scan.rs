@@ -8,9 +8,8 @@
 //! grants every join [`QUEUE_DEPTH`] reads at once
 //! ([`crate::completion`], "Depth") grants them to a scan too.
 //!
-//! [`scan_pages`] is that scan, written once for the two implementations
-//! of [`crate::PageSource::scan`] ([`crate::PageFile`]'s and
-//! [`crate::ShardedPageFile`]'s): a positional reader
+//! [`scan_pages`] is that scan, behind [`crate::PageFile`]'s
+//! [`crate::PageSource::scan`]: a positional reader
 //! `read_at(id, buf)` that any thread may call, and a `sink(id, bytes)`
 //! that is only ever called on the calling thread, once per page, in id
 //! order. It has one observable behaviour and two schedules:

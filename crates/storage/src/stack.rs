@@ -4,22 +4,20 @@
 //! one LRU buffer, then disk (§4.1). [`FileAccess`] is that hierarchy over
 //! real page files, written once and assembled from two type parameters:
 //!
-//! | page source `S` ╲ read strategy `R` | [`Blocking`]          | [`Queued`]                       |
-//! |-------------------------------------|-----------------------|----------------------------------|
-//! | [`PageFile`]                        | [`FileNodeAccess`]    | [`CompletionFileAccess`]         |
-//! | [`ShardedPageFile`]                 | [`ShardedFileAccess`] | [`ShardedCompletionFileAccess`]  |
+//! | page source `S` ╲ read strategy `R` | [`Blocking`]       | [`Queued`]               |
+//! |-------------------------------------|--------------------|--------------------------|
+//! | [`PageFile`]                        | [`FileNodeAccess`] | [`CompletionFileAccess`] |
 //!
 //! * The **page source** ([`PageSource`]) is where a store's pages live:
-//!   one physical file, or N shard files behind a manifest. It tells the
-//!   stack which *lane* (physical file) and local slot a page resolves to —
-//!   a plain file is simply the one-lane case.
+//!   one page file per store.
 //! * The **read strategy** ([`ReadStrategy`]) is what a charged miss does:
 //!   [`Blocking`] `pread`s the page before `access()` returns; [`Queued`]
-//!   submits the read to a [`CompletionQueue`] lane and returns a
-//!   [`Ticket`] for the executor to park on, and turns read-schedule hints
-//!   into early submissions that a later demand miss adopts.
+//!   submits the read to the stack's own [`CompletionQueue`] (one lane per
+//!   store) and returns a [`Ticket`] for the executor to park on, and
+//!   turns read-schedule hints into early submissions that a later demand
+//!   miss adopts. Parallel workers each own a stack, queue included.
 //!
-//! Everything else is shared, and not only among the four: the stack
+//! Everything else is shared, and not only between the two: the stack
 //! *owns a* [`BufferPool`] — the path buffers, the LRU buffer, the
 //! write-back protocol and every charge are that one value
 //! ([`crate::pool`]) — so its decisions and `IoStats` are the oracle's by
@@ -52,12 +50,11 @@ use std::path::PathBuf;
 
 use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
-use crate::completion::{CompletionConfig, CompletionQueue, DelayFn};
+use crate::completion::{CompletionConfig, CompletionQueue};
 use crate::file::{PageFile, PageSource};
 use crate::lru::{BufKey, EvictionPolicy};
 use crate::page::PageId;
 use crate::pool::{BufferPool, IoStats};
-use crate::sharded::ShardedPageFile;
 use crate::writeback::{DirtyPages, UpdateBackend};
 
 /// What a charged miss does (module docs). Implemented by [`Blocking`]
@@ -75,7 +72,7 @@ pub trait ReadStrategy {
 
     /// Starts reading a page the buffers do not hold ahead of its demand
     /// miss. Default: hints are ignored.
-    fn read_ahead<S: PageSource>(&mut self, _files: &[S], _store: u8, _page: PageId) {}
+    fn read_ahead(&mut self, _store: u8, _page: PageId) {}
 }
 
 /// Read strategy: a miss reads its page synchronously into one reusable
@@ -100,14 +97,12 @@ impl ReadStrategy for Blocking {
     }
 }
 
-/// Read strategy: misses and hints become submissions on a
-/// [`CompletionQueue`] with one lane per physical file, each lane served
-/// by dedicated workers holding their own read-only handles.
+/// Read strategy: misses and hints become submissions on a private
+/// [`CompletionQueue`] with one lane per store, served by a worker pool
+/// holding its own read-only handles.
 #[derive(Debug)]
 pub struct Queued {
     queue: CompletionQueue,
-    /// Lane of `(store, lane within store)` = `lane_base[store] + lane`.
-    lane_base: Vec<usize>,
     window: usize,
 }
 
@@ -117,42 +112,18 @@ impl ReadStrategy for Queued {
         Some(&self.queue)
     }
 
-    fn read<S: PageSource>(&mut self, files: &mut [S], store: u8, page: PageId) -> (Ticket, bool) {
-        let (lane, local) = files[store as usize]
-            .lane_of(page)
-            .expect("page read failed mid-join: page outside every lane");
+    fn read<S: PageSource>(&mut self, _files: &mut [S], store: u8, page: PageId) -> (Ticket, bool) {
         // Adopts the hint's submission if one is unconsumed (making it
         // demand-class, ordered by its ticket), submits a fresh read if not.
-        self.queue.adopt_or_submit(
-            self.lane_base[store as usize] + lane,
-            BufKey::new(store, page),
-            local,
-        )
+        self.queue.adopt_or_submit(BufKey::new(store, page))
     }
 
-    fn read_ahead<S: PageSource>(&mut self, files: &[S], store: u8, page: PageId) {
-        let Some((lane, local)) = files[store as usize].lane_of(page) else {
-            return; // hints are advisory; bad ones are dropped
-        };
+    fn read_ahead(&mut self, store: u8, page: PageId) {
         // The queue dedupes against in-flight submissions and enforces
         // the window bound.
-        self.queue.submit_hint(
-            self.lane_base[store as usize] + lane,
-            BufKey::new(store, page),
-            local,
-            self.window,
-        );
+        self.queue
+            .submit_hint(BufKey::new(store, page), self.window);
     }
-}
-
-/// Opens one completion queue with a lane per physical file of `files`,
-/// in store-major order — the layout [`Queued`] submits on.
-pub(crate) fn open_lanes<S: PageSource>(
-    files: &[S],
-    delay: Option<DelayFn>,
-) -> Result<CompletionQueue, StorageError> {
-    let paths: Vec<PathBuf> = files.iter().flat_map(PageSource::lane_paths).collect();
-    CompletionQueue::open(&paths, delay)
 }
 
 /// The writer a [`FileAccess`] hands its hierarchy: the hierarchy names
@@ -195,15 +166,10 @@ pub struct FileAccess<S, R> {
     demand_reads: u64,
 }
 
-/// Plain page files, blocking reads.
+/// Page files, blocking reads.
 pub type FileNodeAccess = FileAccess<PageFile, Blocking>;
-/// Plain page files, completion-queue reads (one lane per store).
+/// Page files, completion-queue reads (one lane per store).
 pub type CompletionFileAccess = FileAccess<PageFile, Queued>;
-/// Subtree-sharded page files, blocking reads.
-pub type ShardedFileAccess = FileAccess<ShardedPageFile, Blocking>;
-/// Subtree-sharded page files, completion-queue reads (one lane per
-/// physical shard file — the disk-array model).
-pub type ShardedCompletionFileAccess = FileAccess<ShardedPageFile, Queued>;
 
 impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
     /// Validates one backing store per tree height, all on one logical
@@ -283,78 +249,29 @@ impl<S: PageSource> FileAccess<S, Blocking> {
     }
 }
 
-impl<S: PageSource> FileAccess<S, Queued> {
+impl CompletionFileAccess {
     /// Stack over `files` with an LRU buffer of `cap_pages`, one path
-    /// buffer per entry of `heights`, and a private completion queue with
-    /// one lane per physical file.
+    /// buffer per entry of `heights`, and a private completion queue
+    /// whose lane `i` reads `files[i]`'s path.
     pub fn with_capacity_pages(
-        files: Vec<S>,
+        files: Vec<PageFile>,
         cap_pages: usize,
         heights: &[usize],
         policy: EvictionPolicy,
         cfg: CompletionConfig,
     ) -> Result<Self, StorageError> {
-        let queue = open_lanes(&files, cfg.delay)?;
-        Self::with_shared_queue(files, cap_pages, heights, policy, queue, cfg.window)
-    }
-
-    /// A stack over an externally built queue
-    /// ([`crate::sharded::shard_lane_queue`]) —
-    /// parallel join workers each wrap their own stack (private buffers,
-    /// private `IoStats`) around clones of **one** queue, sharing its
-    /// workers, tickets and per-lane read counters. `window` bounds the
-    /// hints in flight ([`CompletionConfig::window`]). The queue must hold
-    /// exactly one lane per physical file of `files`, in store-major order.
-    pub fn with_shared_queue(
-        files: Vec<S>,
-        cap_pages: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-        queue: CompletionQueue,
-        window: usize,
-    ) -> Result<Self, StorageError> {
-        let mut lane_base = Vec::with_capacity(files.len());
-        let mut lanes = 0;
-        for file in &files {
-            lane_base.push(lanes);
-            lanes += file.lane_paths().len();
-        }
-        if queue.lane_count() != lanes {
-            return Err(StorageError::Corrupt(format!(
-                "completion queue has {} lanes but the stores hold {lanes} physical files",
-                queue.lane_count()
-            )));
-        }
+        let paths: Vec<PathBuf> = files.iter().map(|f| f.path().to_path_buf()).collect();
         let reads = Queued {
-            queue,
-            lane_base,
-            window: window.max(1),
+            queue: CompletionQueue::open(&paths, cfg.delay)?,
+            window: cfg.window.max(1),
         };
         Self::assemble(files, cap_pages, heights, policy, reads)
     }
 
     /// The queue this stack submits to (lane reads, staged pages, poll
-    /// and lag counters). A shared queue counts for *all* its stacks.
+    /// and lag counters).
     pub fn queue(&self) -> &CompletionQueue {
         &self.reads.queue
-    }
-}
-
-impl<R: ReadStrategy> FileAccess<ShardedPageFile, R> {
-    /// The per-shard physical read split of `store` — one total per
-    /// shard file, demand-path and queue-lane reads combined: the
-    /// per-spindle numbers a disk-array deployment would observe, and the
-    /// vector the telemetry layer exports as the `shard="<i>"`-labeled
-    /// read family.
-    pub fn read_split(&self, store: u8) -> Vec<u64> {
-        let (before, from) = self.files.split_at(store as usize);
-        let base: usize = before.iter().map(ShardedPageFile::shard_count).sum();
-        let queue = self.reads.queue();
-        (0..from[0].shard_count())
-            .map(|shard| {
-                from[0].shard_reads(shard) + queue.map_or(0, |q| q.lane_reads(base + shard))
-            })
-            .collect()
     }
 }
 
@@ -400,7 +317,7 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
         if self.pool.holds(store, page) {
             return;
         }
-        self.reads.read_ahead(&self.files, store, page);
+        self.reads.read_ahead(store, page);
     }
 
     fn completion_driven(&self) -> bool {
@@ -508,17 +425,15 @@ mod tests {
     use crate::temp::TempDir;
 
     const PAGES: u32 = 16;
-    const SHARDS: usize = 4;
 
     fn child_of(buf: &[u8]) -> u64 {
         codec::decode_node(buf).unwrap().entries[0].child
     }
 
-    /// The same [`PAGES`] pages as one plain file and as a sharded twin.
+    /// A flushed file of [`PAGES`] pages, page `i` holding `payload(i)`.
     struct Fixture {
         _dir: TempDir,
-        plain: PathBuf,
-        sharded: PathBuf,
+        path: PathBuf,
         slot: usize,
     }
 
@@ -526,74 +441,42 @@ mod tests {
         fn new() -> Self {
             let dir = TempDir::new("stack").unwrap();
             let slot = codec::slot_bytes_for(2);
-            let (plain, sharded) = (dir.file("t.rsj"), dir.file("t.sharded.rsj"));
-            let assign: Vec<u8> = (0..PAGES).map(|i| (i as usize % SHARDS) as u8).collect();
-            let mut p = PageFile::create(&plain, 1024, slot).unwrap();
-            let mut s = ShardedPageFile::create(&sharded, 1024, slot, SHARDS, &assign).unwrap();
+            let path = dir.file("t.rsj");
+            let mut p = PageFile::create(&path, 1024, slot).unwrap();
             for i in 0..PAGES {
                 p.append_page(&payload(i, slot)).unwrap();
-                s.append_page(&payload(i, slot)).unwrap();
             }
             p.flush().unwrap();
-            s.flush().unwrap();
             Fixture {
                 _dir: dir,
-                plain,
-                sharded,
+                path,
                 slot,
             }
         }
-    }
 
-    /// Opens the fixture's twin of a page-source type.
-    trait Twin: PageSource + Sized {
-        fn open_twin(fx: &Fixture) -> Self;
-        fn reads(&self) -> u64;
-    }
-
-    impl Twin for PageFile {
-        fn open_twin(fx: &Fixture) -> Self {
-            PageFile::open_rw(&fx.plain).unwrap()
-        }
-        fn reads(&self) -> u64 {
-            PageFile::reads(self)
+        fn open(&self) -> PageFile {
+            PageFile::open_rw(&self.path).unwrap()
         }
     }
 
-    impl Twin for ShardedPageFile {
-        fn open_twin(fx: &Fixture) -> Self {
-            ShardedPageFile::open_rw(&fx.sharded).unwrap()
-        }
-        fn reads(&self) -> u64 {
-            ShardedPageFile::reads(self)
-        }
-    }
-
-    fn blocking<S: Twin>(fx: &Fixture, cap: usize, height: usize) -> FileAccess<S, Blocking> {
-        let files = vec![S::open_twin(fx)];
-        FileAccess::<S, Blocking>::with_capacity_pages(files, cap, &[height], EvictionPolicy::Lru)
+    fn blocking(fx: &Fixture, cap: usize, height: usize) -> FileNodeAccess {
+        FileNodeAccess::with_capacity_pages(vec![fx.open()], cap, &[height], EvictionPolicy::Lru)
             .unwrap()
     }
 
-    fn queued<S: Twin>(
+    fn queued(
         fx: &Fixture,
         cap: usize,
         height: usize,
         cfg: CompletionConfig,
-    ) -> FileAccess<S, Queued> {
-        let files = vec![S::open_twin(fx)];
-        FileAccess::<S, Queued>::with_capacity_pages(
-            files,
-            cap,
-            &[height],
-            EvictionPolicy::Lru,
-            cfg,
-        )
-        .unwrap()
+    ) -> CompletionFileAccess {
+        let files = vec![fx.open()];
+        CompletionFileAccess::with_capacity_pages(files, cap, &[height], EvictionPolicy::Lru, cfg)
+            .unwrap()
     }
 
     /// Pages physically read so far, on whichever handles read them.
-    fn physical<S: Twin, R: ReadStrategy>(acc: &FileAccess<S, R>) -> u64 {
+    fn physical<R: ReadStrategy>(acc: &FileAccess<PageFile, R>) -> u64 {
         acc.file(0).reads() + acc.reads.queue().map_or(0, CompletionQueue::total_reads)
     }
 
@@ -602,7 +485,7 @@ mod tests {
     /// The oracle property, for one instantiation: the same decisions and
     /// `IoStats` as [`BufferPool`], every miss served exactly once by a
     /// real read, and `reset` restoring a cold stack on every channel.
-    fn check_counts_like_the_pool<S: Twin, R: ReadStrategy>(mut acc: FileAccess<S, R>) {
+    fn check_counts_like_the_pool<R: ReadStrategy>(mut acc: FileAccess<PageFile, R>) {
         let mut pool = BufferPool::with_capacity_pages(2, &[2]);
         for &(p, d) in &SEQ {
             let (a, b) = (acc.access(0, PageId(p), d), pool.access(0, PageId(p), d));
@@ -642,19 +525,16 @@ mod tests {
     #[test]
     fn every_instantiation_counts_like_buffer_pool_and_reads_for_real() {
         let fx = Fixture::new();
-        let cfg = CompletionConfig::default;
-        check_counts_like_the_pool(blocking::<PageFile>(&fx, 2, 2));
-        check_counts_like_the_pool(blocking::<ShardedPageFile>(&fx, 2, 2));
-        check_counts_like_the_pool(queued::<PageFile>(&fx, 2, 2, cfg()));
-        check_counts_like_the_pool(queued::<ShardedPageFile>(&fx, 2, 2, cfg()));
+        check_counts_like_the_pool(blocking(&fx, 2, 2));
+        check_counts_like_the_pool(queued(&fx, 2, 2, CompletionConfig::default()));
     }
 
     /// Hints interleaved with demand must not move any number — checked
     /// against the blocking twin over the same source — and when every
     /// hinted page is demanded, drained physical reads equal the charges.
-    fn check_hints_never_move_a_number<S: Twin>(fx: &Fixture, cfg: CompletionConfig) {
-        let mut plain = blocking::<S>(fx, 2, 2);
-        let mut pre = queued::<S>(fx, 2, 2, cfg);
+    fn check_hints_never_move_a_number(fx: &Fixture, cfg: CompletionConfig) {
+        let mut plain = blocking(fx, 2, 2);
+        let mut pre = queued(fx, 2, 2, cfg);
         assert!(pre.wants_hints() && pre.completion_driven());
         assert!(!plain.wants_hints() && !plain.completion_driven());
         pre.hint(&[PageRef::new(0, PageId(2), 1), PageRef::new(0, PageId(5), 1)]);
@@ -685,18 +565,18 @@ mod tests {
             window: 4,
             delay: None,
         };
-        check_hints_never_move_a_number::<PageFile>(&fx, CompletionConfig::default());
-        check_hints_never_move_a_number::<PageFile>(&fx, narrow());
-        check_hints_never_move_a_number::<ShardedPageFile>(&fx, CompletionConfig::default());
-        check_hints_never_move_a_number::<ShardedPageFile>(&fx, narrow());
+        check_hints_never_move_a_number(&fx, CompletionConfig::default());
+        check_hints_never_move_a_number(&fx, narrow());
     }
 
-    /// The window bounds read-ahead across all lanes of a store, and
-    /// repeated hints are free: over-window hints are dropped at
-    /// submission, never read-then-discarded.
-    fn check_window_bounds_read_ahead<S: Twin>(fx: &Fixture) {
-        let mut acc = queued::<S>(
-            fx,
+    /// The window bounds read-ahead, and repeated hints are free:
+    /// over-window hints are dropped at submission, never
+    /// read-then-discarded.
+    #[test]
+    fn queued_window_bounds_read_ahead_and_dedups_hints() {
+        let fx = Fixture::new();
+        let mut acc = queued(
+            &fx,
             PAGES as usize,
             1,
             CompletionConfig {
@@ -717,18 +597,13 @@ mod tests {
         assert_eq!(acc.stats(), IoStats::default(), "hints charge nothing");
     }
 
+    /// The write half: dirty pages are written back on eviction and on
+    /// flush, to the file that owns them; a discarded page is never
+    /// written.
     #[test]
-    fn queued_window_bounds_read_ahead_and_dedups_hints() {
+    fn blocking_write_back_reaches_the_owning_file() {
         let fx = Fixture::new();
-        check_window_bounds_read_ahead::<PageFile>(&fx);
-        check_window_bounds_read_ahead::<ShardedPageFile>(&fx);
-    }
-
-    /// The write half, for one blocking instantiation: dirty pages are
-    /// written back on eviction and on flush, to the file that owns them;
-    /// a discarded page is never written.
-    fn check_write_back<S: Twin>(fx: &Fixture) {
-        let mut acc = blocking::<S>(fx, 1, 1);
+        let mut acc = blocking(&fx, 1, 1);
         // Mutate page 1; the write is deferred...
         acc.write(0, PageId(1), &payload(111, fx.slot));
         assert_eq!(acc.pool.lru().dirty_len(), 1);
@@ -749,18 +624,12 @@ mod tests {
         assert_eq!(acc.stats().page_writes, 2);
         drop(acc);
 
-        let mut f = S::open_twin(fx);
+        let mut f = fx.open();
         let mut buf = Vec::new();
         for (page, want) in [(1, 111), (2, 222), (3, 3)] {
             f.read_page_into(PageId(page), &mut buf).unwrap();
             assert_eq!(child_of(&buf), want, "page {page}");
         }
-    }
-
-    #[test]
-    fn blocking_write_back_reaches_the_owning_file() {
-        check_write_back::<PageFile>(&Fixture::new());
-        check_write_back::<ShardedPageFile>(&Fixture::new());
     }
 
     #[test]
@@ -773,7 +642,7 @@ mod tests {
             .unwrap();
         let files = || {
             vec![
-                PageFile::open(&fx.plain).unwrap(),
+                PageFile::open(&fx.path).unwrap(),
                 PageFile::open(&other).unwrap(),
             ]
         };
@@ -785,21 +654,6 @@ mod tests {
         // One height per store.
         assert!(matches!(
             FileNodeAccess::with_capacity_pages(files(), 4, &[1], EvictionPolicy::Lru).unwrap_err(),
-            StorageError::Corrupt(_)
-        ));
-        // A shared queue must carry one lane per physical file.
-        let sharded = || vec![ShardedPageFile::open(&fx.sharded).unwrap()];
-        let queue = open_lanes(&[PageFile::open(&fx.plain).unwrap()], None).unwrap();
-        assert!(matches!(
-            ShardedCompletionFileAccess::with_shared_queue(
-                sharded(),
-                4,
-                &[1],
-                EvictionPolicy::Lru,
-                queue,
-                4,
-            )
-            .unwrap_err(),
             StorageError::Corrupt(_)
         ));
     }

@@ -51,10 +51,9 @@ impl TempDir {
     }
 
     /// Creates (and returns) a subdirectory `name` — nesting allowed —
-    /// for grouping the multi-file layouts one logical store can span
-    /// (a sharded tree is a manifest plus N shard files; an updatable
-    /// store may keep original, updated and freshly-saved twins side by
-    /// side). Removed recursively with the rest on drop.
+    /// for grouping related files (an updatable store may keep original,
+    /// updated and freshly-saved twins side by side). Removed recursively
+    /// with the rest on drop.
     pub fn subdir(&self, name: &str) -> std::io::Result<PathBuf> {
         let p = self.path.join(name);
         std::fs::create_dir_all(&p)?;
@@ -133,9 +132,9 @@ mod tests {
         {
             let d = TempDir::new("nested").unwrap();
             kept = d.path().to_path_buf();
-            let sub = d.subdir("sharded/a").unwrap();
+            let sub = d.subdir("plain/a").unwrap();
             assert!(sub.is_dir());
-            std::fs::write(d.file("sharded/a/t.rsj"), b"x").unwrap();
+            std::fs::write(d.file("plain/a/t.rsj"), b"x").unwrap();
             d.subdir("updated").unwrap();
             std::fs::write(d.file("updated/r.rsj"), b"y").unwrap();
             assert!(d.file("updated/r.rsj").is_file());

@@ -7,7 +7,7 @@
 //! at flush, charge each write once it returned `Ok`. On its own the
 //! hierarchy models that as a counter; the [`crate::FileAccess`] stack
 //! must hold the actual bytes of every dirty page until the write
-//! happens. [`DirtyPages`] is that payload table and nothing more:
+//! happens. `DirtyPages` is that payload table and nothing more:
 //! `stash` keeps a mutated page's encoded bytes, `writer` is what the
 //! hierarchy calls with each key whose write is due, `discard` drops the
 //! bytes of a released page.
@@ -24,12 +24,11 @@ use crate::file::PageSource;
 use crate::lru::BufKey;
 use crate::page::PageId;
 
-/// The in-memory mirror of a persistent free-page chain, shared by
-/// [`crate::PageFile`] and [`crate::ShardedPageFile`]: the LIFO list
-/// (last element = chain head) and its set twin, kept coherent in one
-/// place — O(1) double-release detection, duplicate rejection, and the
-/// pop/undo protocol around a fallible slot write. The physical marker
-/// writes stay with the owners (single-file slots vs shard-local slots).
+/// The in-memory mirror of [`crate::PageFile`]'s persistent free-page
+/// chain: the LIFO list (last element = chain head) and its set twin,
+/// kept coherent in one place — O(1) double-release detection, duplicate
+/// rejection, and the pop/undo protocol around a fallible slot write. The
+/// physical marker writes stay with the file.
 #[derive(Debug, Default)]
 pub(crate) struct FreeChain {
     list: Vec<PageId>,
@@ -113,8 +112,7 @@ impl FreeChain {
     /// range, landing on a genuine free marker, terminating (cycle-
     /// guarded by the page count) — and returns it oldest-release-first
     /// (head last), ready for [`FreeChain::restore`]. `read_slot` reads
-    /// the raw slot of a global page id; both file types recover their
-    /// chains through this one walker so the validation cannot drift.
+    /// the raw slot of a page id.
     pub fn walk(
         head: Option<PageId>,
         page_count: u32,

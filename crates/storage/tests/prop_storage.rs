@@ -9,8 +9,7 @@ use proptest::TestCaseError;
 use rsj_storage::codec::slot_bytes_for;
 use rsj_storage::{
     Access, BufKey, BufferPool, CacheConfig, EvictionPolicy, FileNodeAccess, LruBuffer,
-    NodeAccessMut, PageFile, PageId, PageSource, ShardedFileAccess, ShardedPageFile,
-    SharedPageCache, TempDir, UPDATE_MAX_HEIGHT,
+    NodeAccessMut, PageFile, PageId, PageSource, SharedPageCache, TempDir, UPDATE_MAX_HEIGHT,
 };
 
 /// Reference model: a vector ordered MRU-first plus pin counts.
@@ -213,7 +212,7 @@ fn arb_script() -> impl Strategy<Value = Vec<Step>> {
 
 /// Checks that every page of `file` with a live expectation holds it.
 fn check_pages(
-    file: &mut impl PageSource,
+    file: &mut PageFile,
     store: u8,
     expect: &HashMap<(u8, u32), Option<Vec<u8>>>,
     owner: &str,
@@ -238,11 +237,11 @@ fn check_pages(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// One script, four owners of the hierarchy in lock-step — the
-    /// `BufferPool` oracle, the plain and the sharded blocking file stack,
-    /// an update handle of a shared cache: the same decision and the same
-    /// whole `IoStats` after every step; on the file stacks every charged
-    /// write is exactly one physical write; and once flushed, every page
+    /// One script, three owners of the hierarchy in lock-step — the
+    /// `BufferPool` oracle, the blocking file stack, an update handle of a
+    /// shared cache: the same decision and the same whole `IoStats` after
+    /// every step; on the file stack every charged write is exactly one
+    /// physical write; and once flushed, every page
     /// of every file holds the last payload written to it.
     #[test]
     fn every_owner_of_the_hierarchy_charges_and_writes_alike(
@@ -252,22 +251,17 @@ proptest! {
     ) {
         let dir = TempDir::new("prop-hierarchy").unwrap();
         let slot = slot_bytes_for(2);
-        let assign: Vec<u8> = (0..PAGES).map(|p| (p % 2) as u8).collect();
         let path = |kind: &str, store: u8| dir.file(&format!("{kind}{store}.rsj"));
         for store in 0..2u8 {
             let mut plain = PageFile::create(path("plain", store), 1024, slot).unwrap();
             let mut cached = PageFile::create(path("cached", store), 1024, slot).unwrap();
-            let mut sharded =
-                ShardedPageFile::create(path("sharded", store), 1024, slot, 2, &assign).unwrap();
             for page in 0..PAGES {
                 let bytes = page_bytes(store, page, 0);
                 plain.append_page(&bytes).unwrap();
                 cached.append_page(&bytes).unwrap();
-                sharded.append_page(&bytes).unwrap();
             }
             plain.flush().unwrap();
             cached.flush().unwrap();
-            sharded.flush().unwrap();
         }
 
         // An update handle sizes the path buffer of its store for updates;
@@ -277,13 +271,6 @@ proptest! {
         let mut oracle = BufferPool::with_capacity_pages(cap, &heights);
         let mut plain = FileNodeAccess::with_capacity_pages(
             (0..2).map(|s| PageFile::open_rw(path("plain", s)).unwrap()).collect(),
-            cap,
-            &heights,
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        let mut sharded = ShardedFileAccess::with_capacity_pages(
-            (0..2).map(|s| ShardedPageFile::open_rw(path("sharded", s)).unwrap()).collect(),
             cap,
             &heights,
             EvictionPolicy::Lru,
@@ -307,12 +294,11 @@ proptest! {
         let mut pins = HashMap::<(u8, u32), u32>::new();
         // Every script ends flushed.
         for (at, step) in script.into_iter().chain([Step::Flush]).enumerate() {
-            let mut owners: [&mut dyn NodeAccessMut; 4] =
-                [&mut oracle, &mut plain, &mut sharded, &mut cached];
+            let mut owners: [&mut dyn NodeAccessMut; 3] = [&mut oracle, &mut plain, &mut cached];
             match step {
                 Step::Access { store, page, depth } => {
                     let miss = owners.each_mut().map(|o| o.access(store, PageId(page), depth));
-                    prop_assert_eq!(miss, [miss[0]; 4], "step {}: {:?}", at, step);
+                    prop_assert_eq!(miss, [miss[0]; 3], "step {}: {:?}", at, step);
                 }
                 Step::Pin { store, page } => {
                     *pins.entry((store, page)).or_insert(0) += 1;
@@ -343,28 +329,20 @@ proptest! {
             }
             let stats = oracle.stats();
             prop_assert_eq!(plain.stats(), stats, "plain files, step {}: {:?}", at, step);
-            prop_assert_eq!(sharded.stats(), stats, "sharded files, step {}: {:?}", at, step);
             prop_assert_eq!(cached.stats(), stats, "cache handle, step {}: {:?}", at, step);
             prop_assert_eq!(
                 plain.file(0).writes() + plain.file(1).writes(),
                 stats.page_writes,
                 "plain files wrote what they charged, step {}: {:?}", at, step
             );
-            prop_assert_eq!(
-                sharded.file(0).writes() + sharded.file(1).writes(),
-                stats.page_writes,
-                "sharded files wrote what they charged, step {}: {:?}", at, step
-            );
         }
         prop_assert!(cache.physical_writes() <= cached.stats().page_writes);
         prop_assert_eq!(cache.pending_write_back(), 0);
-        drop((plain, sharded, cached));
+        drop((plain, cached));
 
         for store in 0..2u8 {
             let mut file = PageFile::open(path("plain", store)).unwrap();
             check_pages(&mut file, store, &expect, "plain files")?;
-            let mut file = ShardedPageFile::open(path("sharded", store)).unwrap();
-            check_pages(&mut file, store, &expect, "sharded files")?;
             let mut file = PageFile::open(path("cached", store)).unwrap();
             check_pages(&mut file, store, &expect, "cache handle")?;
         }

@@ -1,8 +1,8 @@
-//! Cold starts over persistent trees: plain, warm, prefetched, sharded.
+//! Cold starts over persistent trees: cold, warm, prefetched, updated.
 //!
-//! Builds the preset-(A) relations, saves both R*-trees to disk (single
-//! page files *and* subtree-sharded files), then runs the same SJ4 join
-//! four ways and prints the I/O story of each:
+//! Builds the preset-(A) relations, saves both R*-trees to page files,
+//! then runs the same SJ4 join three ways and prints the I/O story of
+//! each, before updating R in place and joining it once more:
 //!
 //! 1. **cold** — a fresh `FileNodeAccess`: every buffer miss is a real
 //!    page read;
@@ -12,10 +12,7 @@
 //!    stack with the queued read strategy): the executor's read-schedule
 //!    hints let the queue's workers stage pages ahead of demand (identical
 //!    `disk_accesses`, part of the misses served early);
-//! 4. **sharded** — a cold `ShardedFileAccess` over 4 files per tree,
-//!    split by root-entry subtree: the physical layout a shared-nothing
-//!    parallel deployment would put on separate spindles;
-//! 5. **update-then-rejoin** — the write path: `OpenTree` deletes and
+//! 4. **update-then-rejoin** — the write path: `OpenTree` deletes and
 //!    inserts against the *open* R file (reads charged through the same
 //!    buffer hierarchy, dirty pages written back on eviction/flush, split
 //!    pages allocated off the persistent free list), then the same SJ4
@@ -30,7 +27,6 @@ use rsj_storage::IoStats;
 
 const PAGE: usize = 1024;
 const BUFFER: usize = 32 * PAGE;
-const SHARDS: usize = 4;
 
 fn build(objs: &[rsj::datagen::SpatialObject]) -> RTree {
     let mut t = RTree::new(RTreeParams::for_page_size(PAGE));
@@ -68,22 +64,14 @@ fn main() {
         }
     );
 
-    // Multi-file layouts get their own subdirectories (TempDir cleanup is
-    // recursive): plain page files, the sharded manifest + N shards, and
-    // the update-phase working copy.
+    // The saved files and the update-phase working copy get their own
+    // subdirectories (TempDir cleanup is recursive).
     let dir = TempDir::new("cold-start").expect("temp dir");
     dir.subdir("plain").expect("subdir");
-    dir.subdir("sharded").expect("subdir");
     dir.subdir("updated").expect("subdir");
     let (rp, sp) = (dir.file("plain/r.rsj"), dir.file("plain/s.rsj"));
     r.save_to(&rp).expect("save R");
     s.save_to(&sp).expect("save S");
-    let (rb, sb) = (
-        dir.file("sharded/r.sharded.rsj"),
-        dir.file("sharded/s.sharded.rsj"),
-    );
-    r.save_sharded_to(&rb, SHARDS).expect("save sharded R");
-    s.save_sharded_to(&sb, SHARDS).expect("save sharded S");
 
     // Reopen everything cold from disk.
     let (rf, sf) = (
@@ -152,42 +140,13 @@ fn main() {
          \u{20}               workers milliseconds of lead per hint)"
     );
 
-    // 4: sharded cold run — same accounting, reads spread over 4 files.
-    let (rsh, ssh) = (
-        RTree::open_sharded_from(&rb).expect("reopen sharded R"),
-        RTree::open_sharded_from(&sb).expect("reopen sharded S"),
-    );
-    let access = ShardedFileAccess::with_capacity_pages(
-        vec![
-            ShardedPageFile::open(&rb).expect("open sharded R"),
-            ShardedPageFile::open(&sb).expect("open sharded S"),
-        ],
-        BUFFER / PAGE,
-        &heights,
-        EvictionPolicy::Lru,
-    )
-    .expect("sharded backend");
-    let (sharded, access) = rsj_core::spatial_join_with_access(&rsh, &ssh, plan, false, access);
-    assert_eq!(
-        sharded.stats.io, cold.stats.io,
-        "sharding never moves IoStats"
-    );
-    let per_shard: Vec<u64> = (0..SHARDS)
-        .map(|i| access.file(0).shard_reads(i) + access.file(1).shard_reads(i))
-        .collect();
-    report(
-        "sharded",
-        sharded.stats.io,
-        &format!("  (reads per shard: {per_shard:?})"),
-    );
-
     println!(
-        "\nall four runs report identical disk accesses — the paper's metric is\n\
-         a property of the schedule and the buffer, not of where the bytes live\n\
-         or when they were fetched."
+        "\nthe cold and prefetched runs report identical disk accesses — the\n\
+         paper's metric is a property of the schedule and the buffer, not of\n\
+         when the bytes were fetched."
     );
 
-    // 5: the write path — update R *in place* on an open file, then rejoin.
+    // 4: the write path — update R *in place* on an open file, then rejoin.
     let rup = dir.file("updated/r.rsj");
     std::fs::copy(&rp, &rup).expect("copy R file");
     let mut open = rsj::rtree::OpenFileTree::open(&rup, BUFFER / PAGE).expect("open for update");

@@ -14,21 +14,18 @@
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
 //!   pluggable [`storage::NodeAccess`] boundary with its three
 //!   implementors: the in-memory [`storage::BufferPool`] oracle, the one
-//!   file stack [`storage::FileAccess`] over real page files
-//!   (endian-stable binary page format, typed
-//!   [`storage::StorageError`]s) — page source {[`storage::PageFile`],
-//!   [`storage::ShardedPageFile`] split across N physical files by
-//!   subtree partition} × read strategy {blocking, completion-queue
-//!   submissions that also service the executor's read-schedule hints
-//!   ahead of demand}, named [`storage::FileNodeAccess`],
-//!   [`storage::CompletionFileAccess`], [`storage::ShardedFileAccess`]
-//!   and [`storage::ShardedCompletionFileAccess`] — and
+//!   file stack [`storage::FileAccess`] over one [`storage::PageFile`]
+//!   per store (endian-stable binary page format, typed
+//!   [`storage::StorageError`]s) with a blocking or a completion-queue
+//!   read strategy — the latter's submissions also service the
+//!   executor's read-schedule hints ahead of demand — named
+//!   [`storage::FileNodeAccess`] and [`storage::CompletionFileAccess`],
+//!   one private stack per worker — and
 //!   [`storage::SharedCacheFileAccess`] handles onto the latched
 //!   [`storage::SharedPageCache`] for concurrent workers. Trees saved with
-//!   [`rtree::RTree::save_to`] (or [`rtree::RTree::save_sharded_to`])
-//!   reopen cold via [`rtree::RTree::open_from`] /
-//!   [`rtree::RTree::open_sharded_from`] and join with honest cold/warm
-//!   buffer behavior — and stay **updatable in place**:
+//!   [`rtree::RTree::save_to`] reopen cold via [`rtree::RTree::open_from`]
+//!   and join with honest cold/warm buffer behavior — and stay
+//!   **updatable in place**:
 //!   [`rtree::OpenTree`] runs incremental inserts and deletes against the
 //!   open file through the buffer manager (dirty-page write-back,
 //!   persistent free-list reuse), provably equivalent to in-memory
@@ -138,13 +135,11 @@ pub mod prelude {
     pub use rsj_datagen::TestId;
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
     pub use rsj_rtree::{
-        DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenShardedTree, OpenTree,
-        RTree, RTreeParams,
+        DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenTree, RTree, RTreeParams,
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, PageSource, ShardedFileAccess, ShardedPageFile, SharedPageCache,
-        StorageError,
+        PageFile, PageRef, PageSource, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

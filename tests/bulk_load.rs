@@ -1,10 +1,10 @@
 //! Bulk-built-file conformance: trees produced by the *streaming* bulk
-//! loaders (`load_to_file` / `load_to_sharded` — pages emitted bottom-up
+//! loader (`load_to_file` — pages emitted bottom-up
 //! through `BulkPageWriter`, never a whole tree in RAM) must be
 //! indistinguishable from their in-memory `str_load`/`hilbert_load`
 //! counterparts once opened:
 //!
-//! * `RTree::open_from` / `open_sharded_from` loads are validator-clean
+//! * `RTree::open_from` loads are validator-clean
 //!   and hold the identical tree: the same node sequence, level by level
 //!   (one ordering pass, one cut rule, no per-loader directory pass);
 //! * STR leaves are near-square tiles of the world, not strips, whichever
@@ -14,16 +14,15 @@
 //!   to the brute-force pair set;
 //! * SJ1–SJ5 over presets A and B produce pair multisets bit-identical to
 //!   the in-memory join over the same items, through **every** file
-//!   backend: the four [`rsj_storage::FileAccess`] instantiations — page
-//!   source {plain, sharded} × read strategy {blocking, queued} — and the
-//!   latched shared page cache;
+//!   backend: the [`rsj_storage::FileAccess`] instantiations — read
+//!   strategy {blocking, queued} — and the latched shared page cache;
 //! * on the skewed scenario at 4-KByte pages, a cold SJ2 over the streamed
 //!   STR files finds the pairs of, and charges no more disk accesses than,
 //!   the same relations inserted one at a time and saved.
 
 mod common;
 
-use common::{plans, Files, CAP_PAGES, PAGE, SHARDS};
+use common::{plans, Files, CAP_PAGES, PAGE};
 use rsj::prelude::*;
 use rsj::rtree::bulk::{self, BulkConfig, BulkLayout};
 use rsj_storage::{BufferPool, CacheConfig, NodeAccess, SharedPageCache, TempDir};
@@ -37,7 +36,7 @@ struct Fixture {
     /// The in-memory bulk-loaded trees — the join oracle.
     r_mem: RTree,
     s_mem: RTree,
-    /// The streamed files, plain and sharded, reopened cold.
+    /// The streamed files, reopened cold.
     files: Files,
 }
 
@@ -64,13 +63,8 @@ impl Fixture {
         let (r_mem, s_mem) = (mem(&items[0]), mem(&items[1]));
 
         let cfg = BulkConfig::default();
-        let files = Files::create("bulk-conformance", |path, rel, sharded| {
-            let it = &items[rel];
-            if sharded {
-                bulk::load_to_sharded(params, it, layout, cfg, path, SHARDS).unwrap();
-            } else {
-                bulk::load_to_file(params, it, layout, cfg, path).unwrap();
-            }
+        let files = Files::create("bulk-conformance", |path, rel| {
+            bulk::load_to_file(params, &items[rel], layout, cfg, path).unwrap();
         });
         Fixture {
             layout,
@@ -128,16 +122,12 @@ fn streamed_files_load_validator_clean_with_identical_entries() {
     ] {
         let fx = Fixture::new(test, 0.003, layout);
         let tag = format!("{test:?}/{:?}", fx.layout);
-        let [r_file, s_file] = &fx.files.plain_trees;
+        let [r_file, s_file] = &fx.files.trees;
         for (t, name) in [(r_file, "R"), (s_file, "S")] {
             t.validate().unwrap_or_else(|e| panic!("{tag}/{name}: {e}"));
         }
         assert_same_nodes(r_file, &fx.r_mem, &format!("{tag}: R"));
         assert_same_nodes(s_file, &fx.s_mem, &format!("{tag}: S"));
-        // The sharded twin carries the same tree.
-        let r_back = &fx.files.sharded_trees[0];
-        r_back.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-        assert_same_nodes(r_back, &fx.r_mem, &format!("{tag}: sharded R"));
     }
 }
 
@@ -175,9 +165,7 @@ fn duplicate_xl_values_build_identically_and_join_to_brute_force() {
         // The tie rule is stable in both loaders: same pages either way.
         for (rel, mem) in [&fx.r_mem, &fx.s_mem].into_iter().enumerate() {
             mem.validate().unwrap_or_else(|e| panic!("{tag}: {e}"));
-            assert_same_nodes(&fx.files.plain_trees[rel], mem, &format!("{tag}: {rel}"));
-            let sharded = &fx.files.sharded_trees[rel];
-            assert_same_nodes(sharded, mem, &format!("{tag}: sharded {rel}"));
+            assert_same_nodes(&fx.files.trees[rel], mem, &format!("{tag}: {rel}"));
         }
         let heights = fx.files.heights();
         for (plan, name) in plans() {
@@ -199,10 +187,9 @@ fn str_leaves_are_near_square_tiles_in_every_build() {
         .collect();
     let params = RTreeParams::for_page_size(4096);
     let dir = TempDir::new("bulk-shape").unwrap();
-    let (path, base) = (dir.file("u.rsj"), dir.file("u.sharded.rsj"));
+    let path = dir.file("u.rsj");
     let cfg = BulkConfig::default();
     let (_, stats) = bulk::load_to_file(params, &items, BulkLayout::Str, cfg, &path).unwrap();
-    bulk::load_to_sharded(params, &items, BulkLayout::Str, cfg, &base, SHARDS).unwrap();
     assert!(
         stats.slabs.abs_diff(stats.nodes_per_slab) <= 1,
         "{stats:?}: the leaf grid should be near-square"
@@ -213,7 +200,6 @@ fn str_leaves_are_near_square_tiles_in_every_build() {
             "memory",
         ),
         (RTree::open_from(&path).unwrap(), "file"),
-        (RTree::open_sharded_from(&base).unwrap(), "sharded"),
     ] {
         let mut mbrs = Vec::new();
         tree.for_each_node(|_, node| {
@@ -248,7 +234,7 @@ fn bulk_files_join_identically_across_all_backends() {
         let fx = Fixture::new(test, 0.003, layout);
         let heights = fx.files.heights();
         let cache = SharedPageCache::open(
-            &fx.files.plain,
+            &fx.files.paths,
             CAP_PAGES,
             &heights,
             CacheConfig {
@@ -265,15 +251,14 @@ fn bulk_files_join_identically_across_all_backends() {
             let want = run(&fx.r_mem, &fx.s_mem, plan, pool);
             assert!(!want.is_empty(), "{tag}: fixture must join");
 
-            // The four file stacks, each over the streamed layout it reads.
-            fx.files
-                .for_each_stack(CAP_PAGES, None, |label, [r, s], access| {
-                    assert_eq!(run(r, s, plan, access), want, "{tag}: {label}");
-                });
+            // The file stacks over the streamed files.
+            let [r_file, s_file] = &fx.files.trees;
+            fx.files.for_each_stack(CAP_PAGES, None, |label, access| {
+                assert_eq!(run(r_file, s_file, plan, access), want, "{tag}: {label}");
+            });
 
             // Latched shared page cache.
             cache.clear();
-            let [r_file, s_file] = &fx.files.plain_trees;
             assert_eq!(
                 run(r_file, s_file, plan, cache.handle(CAP_PAGES)),
                 want,

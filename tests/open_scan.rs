@@ -2,8 +2,8 @@
 //! reads are overlapped only when they are what the open waits for. The
 //! schedule must not be observable in what the open builds or reports:
 //!
-//! * a churned tree — free markers mid-file — saved plain and 4-way
-//!   sharded loads page for page the same through a slow handle
+//! * a churned tree — free markers mid-file — loads page for page the
+//!   same through a slow handle
 //!   (overlapped reads) and a fast one (serial reads), free list and its
 //!   order included, at one charged read per page, and joins SJ4 to
 //!   identical `JoinStats`;
@@ -18,26 +18,18 @@ use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::time::Duration;
 
-use common::{sorted_ids, SHARDS};
+use common::sorted_ids;
 use rsj::datagen::synthetic::uniform_rects;
 use rsj::prelude::*;
 use rsj_storage::codec::{HEADER_BYTES, SLOT_HEADER_BYTES};
-use rsj_storage::{PageId, PageSource, ShardedPageFile, StorageError, TempDir};
+use rsj_storage::{PageId, PageSource, StorageError, TempDir};
 
 /// Against a decode of a few hundred bytes per page, a read this slow has
 /// every probe page vote for overlap; `None` has none.
 const SLOW: Option<Duration> = Some(Duration::from_micros(300));
 
-fn open_plain(path: &Path, latency: Option<Duration>) -> Result<RTree, StorageError> {
+fn open_with(path: &Path, latency: Option<Duration>) -> Result<RTree, StorageError> {
     let mut file = PageFile::open(path)?;
-    file.set_read_latency(latency);
-    let tree = RTree::load(&mut file)?;
-    assert_eq!(file.reads(), u64::from(file.page_count()));
-    Ok(tree)
-}
-
-fn open_sharded(base: &Path, latency: Option<Duration>) -> Result<RTree, StorageError> {
-    let mut file = ShardedPageFile::open(base)?;
     file.set_read_latency(latency);
     let tree = RTree::load(&mut file)?;
     assert_eq!(file.reads(), u64::from(file.page_count()));
@@ -93,20 +85,14 @@ fn fixture() -> (RTree, RTree) {
 fn churned_tree_opens_page_identical_down_both_sides() {
     let (r, s) = fixture();
     let dir = TempDir::new("open-scan").unwrap();
-    let (plain, sharded) = (dir.file("r.rsj"), dir.file("r.sharded.rsj"));
-    r.save_to(&plain).unwrap();
-    r.save_sharded_to(&sharded, SHARDS).unwrap();
+    let path = dir.file("r.rsj");
+    r.save_to(&path).unwrap();
 
     let cfg = JoinConfig::with_buffer(16 * common::PAGE);
     let want = spatial_join(&r, &s, JoinPlan::sj4(), &cfg);
     assert!(want.stats.result_pairs > 0);
-    let opens = [
-        ("plain, fast", open_plain(&plain, None)),
-        ("plain, slow", open_plain(&plain, SLOW)),
-        ("sharded, fast", open_sharded(&sharded, None)),
-        ("sharded, slow", open_sharded(&sharded, SLOW)),
-    ];
-    for (tag, opened) in opens {
+    for (tag, latency) in [("fast", None), ("slow", SLOW)] {
+        let opened = open_with(&path, latency);
         let opened = opened.unwrap();
         assert_page_identical(&opened, &r, tag);
         let got = spatial_join(&opened, &s, JoinPlan::sj4(), &cfg);
@@ -158,7 +144,7 @@ fn corrupt_files_fail_alike_down_both_sides() {
     file.set_meta(meta);
     file.flush().unwrap();
     drop(file);
-    let err = same_error("root", |l| open_plain(&path, l));
+    let err = same_error("root", |l| open_with(&path, l));
     assert!(
         err.starts_with("Corrupt") && err.contains("root page"),
         "{err}"
@@ -170,7 +156,7 @@ fn corrupt_files_fail_alike_down_both_sides() {
     let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
     f.set_len(len - 1).unwrap();
     drop(f);
-    let err = same_error("truncated", |l| open_plain(&path, l));
+    let err = same_error("truncated", |l| open_with(&path, l));
     assert!(err.starts_with("Truncated"), "{err}");
 
     // Caught after the scan, by validate(): the root's first entry points
@@ -178,11 +164,11 @@ fn corrupt_files_fail_alike_down_both_sides() {
     let (path, slot) = saved("cycle.rsj");
     let child_ref = slot_offset(r.root(), slot) + SLOT_HEADER_BYTES as u64 + 32;
     poke(&path, child_ref, &u64::from(r.root().0).to_le_bytes());
-    let err = same_error("cycle", |l| open_plain(&path, l));
+    let err = same_error("cycle", |l| open_with(&path, l));
     assert!(err.starts_with("Corrupt"), "{err}");
 
     // Caught by the sink mid-scan: a node claiming more entries than a
-    // slot can hold, plain and in whichever shard file owns the page.
+    // slot can hold.
     let victim = mid_file_node(&r);
     let (path, slot) = saved("count.rsj");
     poke(
@@ -190,19 +176,6 @@ fn corrupt_files_fail_alike_down_both_sides() {
         slot_offset(victim, slot) + 4,
         &u32::MAX.to_le_bytes(),
     );
-    let plain_err = same_error("entry count", |l| open_plain(&path, l));
-    assert!(plain_err.starts_with("Corrupt"), "{plain_err}");
-
-    let base = dir.file("count.sharded.rsj");
-    let file = r.save_sharded_to(&base, SHARDS).unwrap();
-    let (lane, local) = file.lane_of(victim).unwrap();
-    let shard_path = file.lane_paths().swap_remove(lane);
-    drop(file);
-    poke(
-        &shard_path,
-        slot_offset(local, slot) + 4,
-        &u32::MAX.to_le_bytes(),
-    );
-    let sharded_err = same_error("sharded entry count", |l| open_sharded(&base, l));
-    assert_eq!(sharded_err, plain_err);
+    let err = same_error("entry count", |l| open_with(&path, l));
+    assert!(err.starts_with("Corrupt"), "{err}");
 }

@@ -3,42 +3,38 @@
 //! must never leak into *what* is charged or produced. Under every
 //! adversarial completion order — random per-page latency, reversed
 //! order, single-page starvation, one slow store — the queued read
-//! strategy over both
-//! page sources ([`rsj_storage::CompletionFileAccess`],
-//! [`rsj_storage::ShardedCompletionFileAccess`]) and the shared-queue
-//! parallel deployment must emit pair multisets and `IoStats`
-//! bit-identical to their blocking twins, and a parked cursor must sleep
-//! on the completion condvar instead of busy-polling.
+//! strategy ([`rsj_storage::CompletionFileAccess`]), alone and with one
+//! private stack per parallel worker, must emit pair multisets and
+//! `IoStats` bit-identical to its blocking twin, and a parked cursor must
+//! sleep on the completion condvar instead of busy-polling.
 
 mod common;
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{plans, run, sorted_ids, Fixture, Stack, CAP_PAGES};
+use common::{plans, run, sorted_ids, Fixture, Stack, CAP_PAGES, PAGE};
 use proptest::prelude::*;
 use rsj::prelude::*;
 use rsj_storage::completion::DelayFn;
-use rsj_storage::sharded::shard_lane_queue;
-use rsj_storage::{
-    BufKey, BufferPool, CacheConfig, CompletionConfig, ShardedCompletionFileAccess, SharedPageCache,
-};
+use rsj_storage::{BufKey, BufferPool, CacheConfig, CompletionConfig, NodeAccess, SharedPageCache};
 
-/// One queued row under `delay` against its blocking twin: pairs and
+/// The queued stack under `delay` against its blocking twin: pairs and
 /// whole `IoStats` bit-identical for SJ1–SJ5, the miss-service split
 /// covering every charged disk access, every charge one physical read.
-fn check_row<B: Stack, Q: Stack>(
-    tag: &str,
-    [r, s]: &[RTree; 2],
-    blocking: impl Fn() -> B,
-    queued: impl Fn() -> Q,
-) {
+fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
+    let f = &fx.files;
+    let [r, s] = &f.trees;
     for (plan, name) in plans() {
-        let tag = format!("{tag}/{name}");
-        let (want_pairs, want_io, _) = run(r, s, plan, blocking());
+        let tag = format!("{label}/{name}");
+        let (want_pairs, want_io, _) = run(r, s, plan, f.blocking(CAP_PAGES));
         assert!(!want_pairs.is_empty(), "{tag}: fixture must join");
 
-        let (pairs, io, access) = run(r, s, plan, queued());
+        let cfg = CompletionConfig {
+            delay: delay.clone(),
+            ..CompletionConfig::default()
+        };
+        let (pairs, io, access) = run(r, s, plan, f.queued(CAP_PAGES, cfg));
         assert_eq!(pairs, want_pairs, "{tag}: queued pairs");
         assert_eq!(io, want_io, "{tag}: queued I/O");
         // Every charged miss was served exactly once: either an adopted
@@ -51,28 +47,6 @@ fn check_row<B: Stack, Q: Stack>(
         access.drain_completions();
         assert_eq!(access.physical_reads(), io.disk_accesses, "{tag}: reads");
     }
-}
-
-/// Both queued rows — plain and sharded — under `delay`, each against the
-/// blocking stack over the same page source.
-fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
-    let f = &fx.files;
-    let cfg = || CompletionConfig {
-        delay: delay.clone(),
-        ..CompletionConfig::default()
-    };
-    check_row(
-        &format!("{label}/plain"),
-        &f.plain_trees,
-        || f.plain_blocking(CAP_PAGES),
-        || f.plain_queued(CAP_PAGES, cfg()),
-    );
-    check_row(
-        &format!("{label}/sharded"),
-        &f.sharded_trees,
-        || f.sharded_blocking(CAP_PAGES),
-        || f.sharded_queued(CAP_PAGES, cfg()),
-    );
 }
 
 /// Drop-in conformance without any injected delay: completion-driven
@@ -105,7 +79,7 @@ fn overlap_survives_reversed_completion_order() {
 #[test]
 fn overlap_survives_one_page_starvation() {
     let fx = Fixture::new("overlap", TestId::B, 0.003);
-    let starved = BufKey::new(0, fx.files.plain_trees[0].root());
+    let starved = BufKey::new(0, fx.files.trees[0].root());
     let delay: DelayFn = Arc::new(move |key: BufKey| {
         if key == starved {
             Some(Duration::from_millis(20))
@@ -136,9 +110,9 @@ fn overlap_survives_one_slow_store_on_every_stack() {
         (pairs, io)
     };
 
-    let stacks = |label: &str, trees: &[RTree; 2], access: &mut dyn Stack| {
-        let [r, s] = trees;
-        let (pairs, io, access) = run(r, s, plan, access);
+    let trees = &fx.files.trees;
+    let stacks = |label: &str, access: &mut dyn Stack| {
+        let (pairs, io, access) = run(&trees[0], &trees[1], plan, access);
         assert_eq!((pairs, io), oracle(trees), "{label}");
         access.drain_completions();
         assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
@@ -151,8 +125,7 @@ fn overlap_survives_one_slow_store_on_every_stack() {
         delay: Some(delay),
         ..CacheConfig::default()
     };
-    let cache = SharedPageCache::open(&fx.files.plain, CAP_PAGES, &heights, cfg).unwrap();
-    let trees = &fx.files.plain_trees;
+    let cache = SharedPageCache::open(&fx.files.paths, CAP_PAGES, &heights, cfg).unwrap();
     let (pairs, io, _) = run(&trees[0], &trees[1], plan, cache.handle(CAP_PAGES));
     assert_eq!((pairs, io), oracle(trees), "shared cache");
     cache.drain();
@@ -197,12 +170,12 @@ proptest! {
 fn overlap_parked_cursor_never_busy_spins() {
     let fx = Fixture::new("overlap", TestId::A, 0.003);
     let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
-    let [r_file, s_file] = &fx.files.plain_trees;
+    let [r_file, s_file] = &fx.files.trees;
     let cfg = CompletionConfig {
         delay: Some(delay),
         ..CompletionConfig::default()
     };
-    let access = fx.files.plain_queued(CAP_PAGES, cfg);
+    let access = fx.files.queued(CAP_PAGES, cfg);
     let (pairs, io, access) = run(r_file, s_file, JoinPlan::sj2(), access);
     assert!(io.disk_accesses > 0, "fixture must miss");
     let polls = access.queue().poll_count();
@@ -238,62 +211,49 @@ fn overlap_cursor_times_its_own_waits() {
         delay: Some(delay),
         ..CompletionConfig::default()
     };
-    let [r_file, s_file] = &fx.files.plain_trees;
-    let access = fx.files.plain_queued(CAP_PAGES, cfg);
+    let [r_file, s_file] = &fx.files.trees;
+    let access = fx.files.queued(CAP_PAGES, cfg);
     let mut cursor = JoinCursor::new(r_file, s_file, plan, access);
     assert_eq!(cursor.by_ref().count(), pairs);
     assert!(cursor.parks() > 0, "2 ms reads must park the cursor");
     assert!(cursor.blocked() > Duration::ZERO, "a park takes time");
 }
 
-/// Shard-parallel workers sharing ONE completion queue (per-shard
-/// submission lanes, private buffers and stats) must produce the same
-/// pair multiset as the sequential in-memory join.
+/// Parallel workers over queued stacks, each worker owning a private
+/// [`rsj_storage::CompletionFileAccess`] (its own queue, buffers and
+/// stats) under the one-slow-store delay: the pairs of the sequential
+/// join, and summed `IoStats` equal to the in-memory shared-nothing
+/// deployment at the same per-worker budget.
 #[test]
-fn overlap_shared_queue_parallel_matches_sequential() {
-    use rsj_core::parallel_spatial_join_with_access;
+fn overlap_private_queues_parallel_match_sequential() {
+    use rsj_core::{parallel_spatial_join, parallel_spatial_join_with_access};
 
     let fx = Fixture::new("overlap", TestId::A, 0.003);
     let plan = JoinPlan::sj4();
     let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
     let (want_pairs, _, _) = run(&fx.r, &fx.s, plan, pool);
-    let [r_file, s_file] = &fx.files.plain_trees;
+    let [r_file, s_file] = &fx.files.trees;
+    let delay: DelayFn =
+        Arc::new(|key: BufKey| (key.store == 0).then(|| Duration::from_micros(300)));
+    let budget = JoinConfig::with_buffer(CAP_PAGES * PAGE);
 
     for workers in [2usize, 4] {
-        // One queue for the whole deployment: every worker clones the
-        // handle and submits on the lanes of whichever shard owns the
-        // page it misses on.
-        let queue = shard_lane_queue(&fx.files.sharded_files()).unwrap();
         let par = parallel_spatial_join_with_access(r_file, s_file, plan, true, workers, |_w| {
-            ShardedCompletionFileAccess::with_shared_queue(
-                fx.files.sharded_files(),
-                (CAP_PAGES / workers).max(1),
-                &fx.files.heights(),
-                EvictionPolicy::Lru,
-                queue.clone(),
-                CompletionConfig::default().window,
-            )
-            .unwrap()
+            let cfg = CompletionConfig {
+                delay: Some(delay.clone()),
+                ..CompletionConfig::default()
+            };
+            fx.files.queued(CAP_PAGES / workers, cfg)
         });
         assert_eq!(
             sorted_ids(&par.pairs),
             want_pairs,
-            "{workers}-worker shared-queue pairs"
+            "{workers} workers: pairs"
         );
-        assert!(
-            par.stats.io.disk_accesses > 0,
-            "workers must hit the shards"
-        );
-        // Cross-worker accounting closes: by the time every worker has
-        // drained, the queue's physical reads cover the charged misses —
-        // minus the two coordinator root charges of `merge_results`,
-        // which never flow through the worker backends.
-        queue.drain();
-        assert!(
-            queue.total_reads() + 2 >= par.stats.io.disk_accesses,
-            "{workers} workers: {} shard reads < {} charged misses",
-            queue.total_reads(),
-            par.stats.io.disk_accesses
+        let inmem = parallel_spatial_join(&fx.r, &fx.s, plan, &budget, workers);
+        assert_eq!(
+            par.stats.io, inmem.stats.io,
+            "{workers} workers: private queues match in-memory shared-nothing I/O"
         );
     }
 }

@@ -10,10 +10,10 @@ mod common;
 use std::sync::Arc;
 use std::time::Duration;
 
-use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE, SHARDS};
+use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE};
 use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
-use rsj_service::{export_sharded_reads, JoinService, ServiceError};
+use rsj_service::{JoinService, ServiceError};
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufferPool, TempDir};
 use rsj_telemetry::SampleValue;
@@ -350,48 +350,4 @@ fn panicking_sink_releases_its_permit() {
     );
     svc.execute(plan, false)
         .expect("slot must be free after the panic");
-}
-
-/// The sharded exporter reports the true per-(store, shard) physical
-/// read split of a [`ShardedFileAccess`] join.
-#[test]
-fn sharded_read_split_exports() {
-    let data = rsj::datagen::preset(TestId::A, 0.003);
-    let r = build_tree(&data.r, PAGE);
-    let s = build_tree(&data.s, PAGE);
-    let dir = TempDir::new("service-sharded").unwrap();
-    let (rp, sp) = (dir.file("r.sharded.rsj"), dir.file("s.sharded.rsj"));
-    r.save_sharded_to(&rp, SHARDS).unwrap();
-    s.save_sharded_to(&sp, SHARDS).unwrap();
-
-    let files = vec![
-        ShardedPageFile::open(&rp).unwrap(),
-        ShardedPageFile::open(&sp).unwrap(),
-    ];
-    let heights = [r.height() as usize, s.height() as usize];
-    let access =
-        ShardedFileAccess::with_capacity_pages(files, CAP_PAGES, &heights, EvictionPolicy::Lru)
-            .unwrap();
-    let (res, access) = spatial_join_with_access(&r, &s, JoinPlan::sj4(), false, access);
-    assert!(res.stats.result_pairs > 0);
-
-    let registry = Registry::new();
-    export_sharded_reads(&registry, &access, 2);
-    let snap = registry.snapshot();
-    for store in 0..2u8 {
-        let split = access.read_split(store);
-        assert_eq!(split.len(), SHARDS);
-        assert!(split.iter().sum::<u64>() > 0, "store {store} must read");
-        for (shard, want) in split.iter().enumerate() {
-            let got = snap.get(
-                "rsj_sharded_reads",
-                &[("shard", &shard.to_string()), ("store", &store.to_string())],
-            );
-            assert_eq!(
-                got.cloned(),
-                Some(SampleValue::Gauge(*want as i64)),
-                "store {store} shard {shard}"
-            );
-        }
-    }
 }

@@ -1,10 +1,9 @@
 //! Storage-backend conformance: the three [`rsj_storage::NodeAccess`]
 //! implementors' accounting must be interchangeable under every join
 //! algorithm. This suite drives the one file stack,
-//! [`rsj_storage::FileAccess`], in all four instantiations — page source
-//! {plain, sharded} × read strategy {blocking, queued} — against the
-//! in-memory [`BufferPool`] oracle (`tests/warm_cache.rs` does the same
-//! for the shared page cache).
+//! [`rsj_storage::FileAccess`], in both instantiations — read strategy
+//! {blocking, queued} — against the in-memory [`BufferPool`] oracle
+//! (`tests/warm_cache.rs` does the same for the shared page cache).
 //!
 //! For SJ1–SJ5 on presets A and B each row of the table must show, at the
 //! same LRU capacity and from a cold start:
@@ -22,14 +21,14 @@
 
 mod common;
 
-use common::{plans, run, sorted_ids, Files, Fixture, Stack, CAP_PAGES, PAGE, SHARDS};
+use common::{plans, run, sorted_ids, Files, Fixture, Stack, CAP_PAGES, PAGE};
 use rsj::prelude::*;
-use rsj_storage::{BufferPool, CompletionConfig, PageId};
+use rsj_storage::{BufferPool, CompletionConfig};
 
 /// One row of the table against the oracle: pairs, whole `IoStats`, the
 /// miss-service split and the drained physical reads, SJ1–SJ5 × presets
-/// A/B. `row` picks the row's trees and builds its cold stack.
-fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Fixture) -> (&[RTree; 2], A)) {
+/// A/B. `row` builds the row's cold stack over the fixture's files.
+fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Files) -> A) {
     for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
         let fx = Fixture::new("conformance", test, scale);
         for (plan, plan_name) in plans() {
@@ -38,8 +37,8 @@ fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Fixture) -> (&
             let (want_pairs, want_io, _) = run(&fx.r, &fx.s, plan, pool);
             assert!(!want_pairs.is_empty(), "{label}: fixture must join");
 
-            let ([r, s], access) = row(&fx);
-            let (pairs, io, access) = run(r, s, plan, access);
+            let [r, s] = &fx.files.trees;
+            let (pairs, io, access) = run(r, s, plan, row(&fx.files));
             assert_eq!(pairs, want_pairs, "{label}: pairs");
             assert_eq!(io, want_io, "{label}: I/O");
             // Honesty: every charged miss was served exactly once, by a
@@ -57,9 +56,7 @@ fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Fixture) -> (&
 
 #[test]
 fn backends_agree_on_pairs_and_disk_accesses() {
-    check_agrees_with_the_pool("plain × blocking", |fx| {
-        (&fx.files.plain_trees, fx.files.plain_blocking(CAP_PAGES))
-    });
+    check_agrees_with_the_pool("blocking", |f| f.blocking(CAP_PAGES));
 
     // The 20-byte f32 entry format is one more file to agree with: the
     // same pages under the same ids, every rectangle rounded outward by
@@ -77,7 +74,7 @@ fn backends_agree_on_pairs_and_disk_accesses() {
     );
     let bytes = |f: &Files| -> u64 {
         let len = |p| std::fs::metadata(p).unwrap().len();
-        f.plain.iter().map(len).sum()
+        f.paths.iter().map(len).sum()
     };
     assert!(
         bytes(&narrow) * 5 <= bytes(&fx.files) * 3,
@@ -92,52 +89,7 @@ fn queued_backend_agrees_on_pairs_and_disk_accesses() {
     // The queued strategy must be a drop-in replacement: it changes when
     // the physical read happens, never what is charged.
     for cfg in [CompletionConfig::default, common::narrow] {
-        check_agrees_with_the_pool("plain × queued", |fx| {
-            (
-                &fx.files.plain_trees,
-                fx.files.plain_queued(CAP_PAGES, cfg()),
-            )
-        });
-    }
-}
-
-#[test]
-fn sharded_backend_agrees_on_pairs_and_disk_accesses() {
-    // Sharding redistributes pages over physical files but preserves the
-    // global page-id space, so traversal — and with it every buffer
-    // decision — is identical to the single-file backend.
-    check_agrees_with_the_pool("sharded × blocking", |fx| {
-        (
-            &fx.files.sharded_trees,
-            fx.files.sharded_blocking(CAP_PAGES),
-        )
-    });
-
-    let fx = Fixture::new("conformance", TestId::A, 0.003);
-    // The sharded files round-trip the trees page-identically.
-    let r_back = &fx.files.sharded_trees[0];
-    assert_eq!(r_back.len(), fx.r.len());
-    assert_eq!(r_back.root(), fx.r.root());
-    for id in 0..fx.r.page_store().len() {
-        let p = PageId(id as u32);
-        assert_eq!(r_back.node(p), fx.r.node(p), "page {p}");
-    }
-    // And the reads actually spread over the shard files.
-    let [r, s] = &fx.files.sharded_trees;
-    let (_, _, access) = run(r, s, JoinPlan::sj4(), fx.files.sharded_blocking(CAP_PAGES));
-    let touched = access.read_split(0).iter().filter(|&&n| n > 0).count();
-    assert!(touched > 1, "all reads landed on one of {SHARDS} shards");
-}
-
-#[test]
-fn sharded_queued_backend_agrees_on_pairs_and_disk_accesses() {
-    for cfg in [CompletionConfig::default, common::narrow] {
-        check_agrees_with_the_pool("sharded × queued", |fx| {
-            (
-                &fx.files.sharded_trees,
-                fx.files.sharded_queued(CAP_PAGES, cfg()),
-            )
-        });
+        check_agrees_with_the_pool("queued", |f| f.queued(CAP_PAGES, cfg()));
     }
 }
 
@@ -181,39 +133,14 @@ const WHOLE_SET: usize = 4096;
 #[test]
 fn file_backend_cold_warm_and_reset() {
     let f = Fixture::new("conformance", TestId::A, 0.003).files;
-    check_cold_warm_and_reset(&f.plain_trees, JoinPlan::sj2(), f.plain_blocking(WHOLE_SET));
+    check_cold_warm_and_reset(&f.trees, JoinPlan::sj2(), f.blocking(WHOLE_SET));
 }
 
 #[test]
 fn queued_backend_cold_warm_and_reset() {
     let f = Fixture::new("conformance", TestId::A, 0.003).files;
     let cfg = CompletionConfig::default();
-    check_cold_warm_and_reset(
-        &f.plain_trees,
-        JoinPlan::sj4(),
-        f.plain_queued(CAP_PAGES, cfg),
-    );
-}
-
-#[test]
-fn sharded_backend_cold_warm_and_reset() {
-    let f = Fixture::new("conformance", TestId::A, 0.003).files;
-    check_cold_warm_and_reset(
-        &f.sharded_trees,
-        JoinPlan::sj2(),
-        f.sharded_blocking(WHOLE_SET),
-    );
-}
-
-#[test]
-fn sharded_queued_backend_cold_warm_and_reset() {
-    let f = Fixture::new("conformance", TestId::A, 0.003).files;
-    let cfg = CompletionConfig::default();
-    check_cold_warm_and_reset(
-        &f.sharded_trees,
-        JoinPlan::sj4(),
-        f.sharded_queued(CAP_PAGES, cfg),
-    );
+    check_cold_warm_and_reset(&f.trees, JoinPlan::sj4(), f.queued(CAP_PAGES, cfg));
 }
 
 #[test]
@@ -223,8 +150,8 @@ fn raw_cursor_runs_over_the_file_backend() {
     let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.files.heights());
     let (want_pairs, want_io, _) = run(&fx.r, &fx.s, JoinPlan::sj4(), pool);
 
-    let [r_file, s_file] = &fx.files.plain_trees;
-    let access = fx.files.plain_blocking(CAP_PAGES);
+    let [r_file, s_file] = &fx.files.trees;
+    let access = fx.files.blocking(CAP_PAGES);
     let mut cursor = RawJoinCursor::raw(r_file, s_file, JoinPlan::sj4(), access);
     let mut pairs: Vec<(u64, u64)> = (&mut cursor).map(|(a, b)| (a.0, b.0)).collect();
     pairs.sort_unstable();
@@ -239,7 +166,7 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     use rsj_core::{multiway_join, multiway_join_with_access, parallel_spatial_join_with_access};
 
     let fx = Fixture::new("conformance", TestId::A, 0.003);
-    let [r_file, s_file] = &fx.files.plain_trees;
+    let [r_file, s_file] = &fx.files.trees;
     let cfg = JoinConfig::with_buffer(CAP_PAGES * PAGE);
 
     // Parallel: file-backed shared-nothing, each worker with its own file
@@ -269,7 +196,7 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     let seq = rsj_core::spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg);
     let par =
         parallel_spatial_join_with_access(r_file, s_file, JoinPlan::sj4(), true, workers, |_w| {
-            fx.files.plain_blocking(CAP_PAGES / workers)
+            fx.files.blocking(CAP_PAGES / workers)
         });
     assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
     let inmem = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
@@ -284,7 +211,7 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     let want = multiway_join(&trees, JoinPlan::sj4(), &cfg);
     let file_trees = [r_file, s_file, s_file];
     let got = multiway_join_with_access(&file_trees, JoinPlan::sj4(), |stage| {
-        let mut files = fx.files.plain_files();
+        let mut files = fx.files.files();
         let mut heights = fx.files.heights().to_vec();
         if stage > 0 {
             // The probe stages touch S alone.
@@ -306,27 +233,4 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     assert_eq!(tuples(&got), tuples(&want));
     assert_eq!(got.io.disk_accesses, want.io.disk_accesses);
     assert_eq!(got.comparisons, want.comparisons);
-}
-
-#[test]
-fn sharded_parallel_workers_read_disjoint_subtree_files() {
-    // The point of the subtree partition: shared-nothing workers joining
-    // disjoint subtree pairs pull from disjoint physical files. Run the
-    // file-backed parallel join with per-worker sharded handles and pin
-    // that the summed I/O matches the in-memory shared-nothing run.
-    use rsj_core::parallel_spatial_join_with_access;
-    let fx = Fixture::new("conformance", TestId::A, 0.003);
-    let workers = 4;
-    let [r_back, s_back] = &fx.files.sharded_trees;
-    let cfg = JoinConfig::with_buffer(CAP_PAGES * PAGE);
-    let seq = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
-    let par =
-        parallel_spatial_join_with_access(r_back, s_back, JoinPlan::sj4(), true, workers, |_w| {
-            fx.files.sharded_blocking(CAP_PAGES / workers)
-        });
-    assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
-    assert_eq!(
-        par.stats.io.disk_accesses, seq.stats.io.disk_accesses,
-        "sharded file-backed shared-nothing matches in-memory shared-nothing I/O"
-    );
 }

@@ -13,18 +13,14 @@
 //!   (`BufferPool`) or comes off the updated file (`FileNodeAccess`);
 //! * free-list reuse really happens (deletions release pages, insertions
 //!   reuse them, the file does not grow monotonically);
-//! * every row of the file-stack table — page source {plain, sharded} ×
-//!   read strategy {blocking, queued} — conformance-matches on the updated
-//!   files too;
-//! * the sharded migration policy holds: pages stay in their birth shard,
-//!   the manifest stays authoritative, fresh pages fall to the partition
-//!   fallback — and none of it moves a single accounting number.
+//! * every row of the file-stack table — read strategy {blocking,
+//!   queued} — conformance-matches on the updated files too.
 
 mod common;
 
-use common::{build_tree, plans, run, Files, Stack, CAP_PAGES, PAGE, SHARDS};
+use common::{build_tree, plans, run, Files, Stack, CAP_PAGES, PAGE};
 use rsj::prelude::*;
-use rsj_storage::{partition, BufferPool, CompletionConfig, PageId, TempDir};
+use rsj_storage::{BufferPool, CompletionConfig, PageId, TempDir};
 
 /// One update operation of the scripted workload.
 #[derive(Clone, Copy)]
@@ -129,7 +125,7 @@ fn check_on_updated_files<A: Stack>(
     [r, s]: &[RTree; 2],
     plan: JoinPlan,
     access: A,
-) -> A {
+) {
     let heights = oracle.map(|t| t.height() as usize);
     let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
     let (want_pairs, want_io, _) = run(oracle[0], oracle[1], plan, pool);
@@ -141,23 +137,18 @@ fn check_on_updated_files<A: Stack>(
     assert_eq!(staged + demand, io.disk_accesses, "{label}: miss split");
     access.drain_completions();
     assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
-    access
 }
 
-/// Saves `(r0, s0)` both ways, runs `script` against R through the open
-/// plain file *and* the open sharded file, and returns the reopened
-/// layouts with the in-memory oracle of the updated R.
+/// Saves `(r0, s0)`, runs `script` against R through the open file, and
+/// returns the reopened files with the in-memory oracle of the updated R.
 fn updated_files(tag: &str, r0: &RTree, s0: &RTree, script: &[Op]) -> (Files, RTree) {
     let f = Files::save(tag, r0, s0);
     let mut oracle = r0.clone();
     apply_to_oracle(&mut oracle, script);
-    let mut open = OpenFileTree::open(&f.plain[0], CAP_PAGES).unwrap();
+    let mut open = OpenFileTree::open(&f.paths[0], CAP_PAGES).unwrap();
     apply_to_open(&mut open, script);
     open.close().unwrap();
-    let mut open = OpenShardedTree::open_sharded(&f.sharded[0], CAP_PAGES).unwrap();
-    apply_to_open(&mut open, script);
-    open.close().unwrap();
-    (Files::reopen(f.dir, f.plain, f.sharded), oracle)
+    (Files::reopen(f.dir, f.paths), oracle)
 }
 
 #[test]
@@ -272,79 +263,10 @@ fn prefetch_backend_conformance_on_updated_files() {
     let (f, r_oracle) = updated_files("update-queued", &r0, &s0, &script);
     for (plan, name) in [(JoinPlan::sj3(), "SJ3"), (JoinPlan::sj4(), "SJ4")] {
         for cfg in [CompletionConfig::default, common::narrow] {
-            let access = f.plain_queued(CAP_PAGES, cfg());
-            let label = format!("plain × queued/{name}");
-            check_on_updated_files(&label, [&r_oracle, &s0], &f.plain_trees, plan, access);
+            let access = f.queued(CAP_PAGES, cfg());
+            let label = format!("queued/{name}");
+            check_on_updated_files(&label, [&r_oracle, &s0], &f.trees, plan, access);
         }
-    }
-}
-
-#[test]
-fn sharded_backend_conformance_and_migration_policy_on_updated_files() {
-    let (r0, s0, script) = scripted(260, 41);
-    let initial_pages = r0.allocated_pages() as u32;
-    let (f, r_oracle) = updated_files("update-sharded", &r0, &s0, &script);
-
-    // Reopened: page-identical to the oracle, across shards.
-    f.sharded_trees[0].validate().unwrap();
-    assert_page_identical(&f.sharded_trees[0], &r_oracle, "sharded/R");
-
-    // Migration policy: the manifest is authoritative. After this much
-    // churn, at least one live page sits on a shard a *fresh* subtree
-    // partition would no longer choose (it stayed in its birth shard)...
-    let manifest = ShardedPageFile::open(&f.sharded[0]).unwrap();
-    let fresh_assignment = r_oracle.shard_assignment(SHARDS);
-    let migrated = (0..r_oracle.allocated_pages())
-        .filter(|&id| {
-            let p = PageId(id as u32);
-            manifest.shard_of(p).unwrap() != usize::from(fresh_assignment[id])
-        })
-        .count();
-    assert!(
-        migrated > 0,
-        "churn this heavy must leave some page outside its fresh subtree shard"
-    );
-    // ...and pages appended during updates carry the partition fallback.
-    assert!(manifest.page_count() >= initial_pages);
-    for id in initial_pages..manifest.page_count() {
-        let got = manifest.shard_of(PageId(id)).unwrap();
-        assert_eq!(
-            got,
-            partition(u64::from(id), SHARDS),
-            "fresh page {id} must use the partition fallback shard"
-        );
-    }
-    drop(manifest);
-
-    // And none of that moves the accounting: sharded joins on the updated
-    // files match the in-memory oracle bit-for-bit.
-    for (plan, name) in [(JoinPlan::sj2(), "SJ2"), (JoinPlan::sj4(), "SJ4")] {
-        let access = f.sharded_blocking(CAP_PAGES);
-        let label = format!("sharded × blocking/{name}");
-        check_on_updated_files(&label, [&r_oracle, &s0], &f.sharded_trees, plan, access);
-    }
-}
-
-#[test]
-fn parallel_shard_readers_conformance_on_updated_files() {
-    // One queue lane per physical shard file is a pure I/O-overlap
-    // optimization: same pairs, same IoStats, every miss served exactly
-    // once — on updated files too.
-    let (r0, s0, script) = scripted(200, 57);
-    let (f, r_oracle) = updated_files("update-parshard", &r0, &s0, &script);
-    // SJ4 hints drain tails after each pin — the schedule the lanes eat.
-    for cfg in [CompletionConfig::default, common::narrow] {
-        let (oracle, trees) = ([&r_oracle, &s0], &f.sharded_trees);
-        let access = f.sharded_queued(CAP_PAGES, cfg());
-        let access =
-            check_on_updated_files("sharded × queued", oracle, trees, JoinPlan::sj4(), access);
-        // The per-spindle split covers the same reads.
-        let physical: u64 = (0..2).flat_map(|st| access.read_split(st)).sum();
-        assert_eq!(
-            physical,
-            access.stats().disk_accesses,
-            "per-spindle reads cover misses"
-        );
     }
 }
 
