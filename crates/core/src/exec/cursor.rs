@@ -45,7 +45,7 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use crate::exec::schedule::{self, DirPair, OrderScratch, ReadSchedule, TicketGate};
+use crate::exec::schedule::{self, DirPair, OrderScratch, TicketGate};
 use crate::exec::{TAG_R, TAG_S};
 use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
 use crate::stats::JoinStats;
@@ -187,8 +187,6 @@ struct ExecScratch {
     /// Scratch of the §4.3 pair-ordering step (z-order keys and
     /// permutation), owned by [`schedule::order_dir_pairs`].
     order: OrderScratch,
-    /// The materialized schedule tail announced to hint-aware backends.
-    sched: ReadSchedule,
     /// First-occurrence rank per directory entry (batched grouping).
     first_seen: Vec<u32>,
     /// Sorted copy of the mixed pairs during batched grouping.
@@ -366,11 +364,6 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// reports the delta, so a borrowed accountant reused across cursors
     /// (e.g. a bench's long-lived `&mut FileNodeAccess`) is not double-counted.
     io_baseline: IoStats,
-    /// Whether the backend consumes read-schedule hints
-    /// ([`NodeAccess::wants_hints`] at construction). When false the
-    /// cursor skips schedule materialization entirely, so accounting-only
-    /// backends run the exact pre-hint hot path.
-    hinting: bool,
     /// Whether the backend services misses through a completion queue
     /// ([`NodeAccess::completion_driven`] at construction). When false
     /// the iterator skips the ticket-gating machinery entirely.
@@ -470,13 +463,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     ) -> Self {
         let mut cursor = Self::empty(r, s, plan, access, true);
         cursor.tasks.extend(tasks);
-        if cursor.hinting {
-            // The whole task list is the outermost read schedule: each
-            // task charges its two pages when it starts.
-            cursor.scratch.sched.clear();
-            schedule::push_tasks(&mut cursor.scratch.sched, r, s, &cursor.tasks);
-            cursor.scratch.sched.announce(&mut cursor.access);
-        }
         cursor
     }
 
@@ -492,7 +478,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             "distance-join epsilon must be finite and >= 0"
         );
         let io_baseline = access.io_stats();
-        let hinting = access.wants_hints();
         let completion = access.completion_driven();
         JoinCursor {
             r,
@@ -508,7 +493,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             tasks: VecDeque::new(),
             charge_tasks,
             io_baseline,
-            hinting,
             completion,
             gate: TicketGate::default(),
             run_ahead: 0,
@@ -706,17 +690,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     &mut self.scratch.order,
                     &mut self.sort_cmp,
                 );
-                if self.hinting {
-                    // Announce the frame's materialized schedule tail: the
-                    // child pages of every pair, in schedule order.
-                    let (rd, sd) = (
-                        self.r.depth_of_level(rn.level - 1),
-                        self.s.depth_of_level(sn.level - 1),
-                    );
-                    self.scratch.sched.clear();
-                    schedule::push_dir_children(&mut self.scratch.sched, rn, sn, rd, sd, &pairs);
-                    self.scratch.sched.announce(&mut self.access);
-                }
                 let mut done = self.scratch.take_done();
                 done.resize(pairs.len(), false);
                 let (mut rem_r, mut rem_s) = (self.scratch.take_rem(), self.scratch.take_rem());
@@ -820,14 +793,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 MixedState::SweepOuter { done, k: 0 }
             }
         };
-        if self.hinting && dir_node.level > 0 {
-            // The frame's schedule: the subtree root under each pair's
-            // directory entry, queried in pair order (§4.4).
-            let depth = self.tree(dir_tag).depth_of_level(dir_node.level - 1);
-            self.scratch.sched.clear();
-            schedule::push_mixed_roots(&mut self.scratch.sched, dir_tag, dir_node, depth, &pairs);
-            self.scratch.sched.announce(&mut self.access);
-        }
         self.stack.push(Frame::Mixed(MixedFrame {
             dir_tag,
             dir_page,
@@ -914,31 +879,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     PinSide::S(_) => TAG_S,
                 };
                 self.access.pin(tag, page);
-                if self.hinting {
-                    // The pin reorders the schedule: the drain's pairs run
-                    // next. Re-announce that tail in its actual order.
-                    let (rn, sn) = (self.r.node(f.rp), self.s.node(f.sp));
-                    let (rd, sd) = (
-                        self.r.depth_of_level(rn.level - 1),
-                        self.s.depth_of_level(sn.level - 1),
-                    );
-                    let drained = f
-                        .pairs
-                        .iter()
-                        .enumerate()
-                        .skip(f.k + 1)
-                        .filter(|&(l, p)| {
-                            !f.done[l]
-                                && match side {
-                                    PinSide::R(ir) => p.ir == ir,
-                                    PinSide::S(js) => p.js == js,
-                                }
-                        })
-                        .map(|(_, p)| p);
-                    self.scratch.sched.clear();
-                    schedule::push_dir_children(&mut self.scratch.sched, rn, sn, rd, sd, drained);
-                    self.scratch.sched.announce(&mut self.access);
-                }
                 f.state = DirState::Drain {
                     side,
                     page,

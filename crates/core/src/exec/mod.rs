@@ -14,13 +14,10 @@
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential
 //!   tests.
-//! * [`schedule`] — the §4.3 read schedule as a first-class artifact:
-//!   pair ordering (sweep/z-order) extracted out of the cursor, plus the
-//!   materialized `(store, page, depth)` tails the cursor announces to
-//!   hint-aware backends ([`rsj_storage::NodeAccess::hint`]) so the
-//!   queued read strategy can overlap reads with computation. Hints are
-//!   advisory and accounting-neutral; backends that don't opt in via
-//!   [`rsj_storage::NodeAccess::wants_hints`] cost nothing.
+//! * [`schedule`] — the §4.3 read schedule's pair ordering (sweep /
+//!   z-order) extracted out of the cursor, and the emission gate that
+//!   lets a completion-driven cursor run ahead of its demand misses. The
+//!   order is not announced to the backend: every read is a demand.
 //!
 //! The two executors are *accounting-equivalent*: for every sequential
 //! plan they report identical `result_pairs`, `disk_accesses`,
@@ -35,7 +32,6 @@ pub mod schedule;
 
 pub use cursor::{JoinCursor, RawJoinCursor};
 pub use recursive::{recursive_spatial_join, recursive_subjoin};
-pub use schedule::ReadSchedule;
 
 /// Buffer-pool store tag of tree R.
 pub const TAG_R: u8 = 0;

@@ -75,11 +75,11 @@ pub fn spatial_join_metered<M: Meter>(
 
 /// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
 /// backend instead of a private [`rsj_storage::BufferPool`] — the entry point for the
-/// file-backed [`rsj_storage::FileAccess`] stack in any of its four
-/// instantiations (the cursor announces its read schedules to those that
-/// opt in via [`rsj_storage::NodeAccess::wants_hints`] — the queued read
-/// strategy), a [`rsj_storage::SharedCacheFileAccess`] handle, or any
-/// other accountant.
+/// file-backed [`rsj_storage::FileAccess`] stack in either of its two
+/// instantiations (over the queued read strategy the cursor overlaps its
+/// demand misses by running ahead), a
+/// [`rsj_storage::SharedCacheFileAccess`] handle, or any other
+/// accountant.
 /// Returns the accountant alongside the result so its backend-specific
 /// state (file read counters, LRU contents for a warm re-run) stays
 /// inspectable. I/O in `stats` is reported relative to the accountant's

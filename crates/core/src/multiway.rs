@@ -65,9 +65,10 @@ pub fn multiway_join(trees: &[&RTree], plan: JoinPlan, cfg: &JoinConfig) -> Mult
 /// gets a fresh [`rsj_storage::FileNodeAccess`] over the page files of
 /// the trees it touches, mirroring the private per-stage [`rsj_storage::BufferPool`]s
 /// of the in-memory pipeline. The leading stage runs off a
-/// [`JoinCursor`], so a hint-aware stage-0 backend (e.g.
-/// [`rsj_storage::CompletionFileAccess`]) receives its read-schedule
-/// hints; the probe stages traverse on demand and emit none.
+/// [`JoinCursor`], so a completion-driven stage-0 backend (e.g.
+/// [`rsj_storage::CompletionFileAccess`]) has its demand misses
+/// overlapped by the cursor's run-ahead; the probe stages charge their
+/// window queries page by page, on demand.
 pub fn multiway_join_with_access<A, F>(
     trees: &[&RTree],
     plan: JoinPlan,

@@ -155,10 +155,9 @@ fn parallel_join_metered<M: Meter>(
 /// over freshly-opened page files — one file per store — and a slice of
 /// the buffer budget; each worker gets its own file handles, like a
 /// worker process would). Tasks are partitioned statically and accounted
-/// as in [`parallel_spatial_join`]. Each worker's cursor announces its
-/// task list — and every frame schedule below it — as read-schedule
-/// hints, so a stack with the queued read strategy reads ahead per
-/// worker.
+/// as in [`parallel_spatial_join`]. Each worker's cursor reads on demand
+/// only; over a stack with the queued read strategy it overlaps those
+/// reads by running ahead of its gated results, per worker.
 ///
 /// A completion-driven worker owns its stack's queue: private buffers,
 /// private `IoStats` — the charge order inside each worker stays

@@ -216,18 +216,6 @@ impl JoinPlan {
     pub(crate) fn zorders(&self) -> bool {
         matches!(self.schedule, Schedule::ZOrder | Schedule::ZOrderPinned)
     }
-
-    /// Whether the §4.3 read schedule computed per node pair is *exactly*
-    /// the order in which child pages descend. True for the non-pinning
-    /// schedules (SJ1–SJ3, `zorder-nopin`): the pair list is the descent
-    /// order, so a prefetching backend sees perfectly accurate hints up
-    /// front. The pinning schedules (SJ4/SJ5) reorder dynamically — after
-    /// each pair the max-degree page's partners are drained first — so
-    /// their frame-creation hints are set-accurate and the executor
-    /// re-announces each drain tail when the pin decision is made.
-    pub fn schedule_is_exact(&self) -> bool {
-        !self.pins()
-    }
 }
 
 /// Runtime configuration of a join: buffer size and the page size comes

@@ -23,20 +23,12 @@
 //! accountant instead of owning it — benches re-run joins against one
 //! long-lived backend this way.
 //!
-//! ## Read-schedule hints
-//!
-//! SJ3–SJ5 compute the order in which child pages will be visited *before*
-//! descending (the §4.3 read schedule). [`NodeAccess::hint`] and
-//! [`NodeAccess::will_access`] let the executor hand that tail of the
-//! schedule to the backend as **advisory** information: a backend may start
-//! fetching hinted pages early (overlap I/O with computation), but hints
-//! carry no accounting weight — `disk_accesses` is charged by the demand
-//! [`NodeAccess::access`] exactly as the paper charges it, whether or not a
-//! prefetch completed first. The executor's contract is that every hinted
-//! page is subsequently demanded (hints are a prefix of the true access
-//! sequence, never phantom reads), assuming the join runs to completion.
-//! Both methods default to no-ops, so accounting-only backends ignore the
-//! schedule entirely.
+//! Reads happen on demand only. The executor tells a backend nothing about
+//! the §4.3 read schedule ahead of time: measured on the repo benchmark's
+//! `join_cold` data, read-ahead hints never beat demand-only reads, which
+//! the cursor's run-ahead already overlaps. [`NodeAccess::wants_hints`],
+//! [`NodeAccess::will_access`] and [`NodeAccess::hint`] remain as inert
+//! defaults that nothing in the workspace calls.
 //!
 //! ## Completion-driven reads
 //!
@@ -74,8 +66,8 @@ impl Ticket {
     }
 }
 
-/// One upcoming page access of a read schedule: which store, which page,
-/// at which depth (0 = root) it will be charged.
+/// One upcoming page access, the argument of the inert
+/// [`NodeAccess::hint`]. Kept only because `benchmark/` imports it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageRef {
     /// Which participating tree/store the page belongs to.
@@ -84,14 +76,6 @@ pub struct PageRef {
     pub page: PageId,
     /// Distance from the root at which the access will be charged.
     pub depth: usize,
-}
-
-impl PageRef {
-    /// Creates a schedule entry.
-    #[inline]
-    pub const fn new(store: u8, page: PageId, depth: usize) -> Self {
-        PageRef { store, page, depth }
-    }
 }
 
 /// Records logical page accesses and pinning against a buffer hierarchy.
@@ -113,28 +97,16 @@ pub trait NodeAccess {
     /// I/O statistics accumulated by this accountant so far.
     fn io_stats(&self) -> IoStats;
 
-    /// Whether this backend does anything with read-schedule hints.
-    /// Executors may skip materializing schedules entirely when this is
-    /// `false` (the default), so accounting-only backends pay nothing
-    /// for the hint machinery.
+    /// Inert and never called; kept only because `benchmark/` overrides it.
     fn wants_hints(&self) -> bool {
         false
     }
 
-    /// Advisory: the executor will access `page` of `store` at `depth`
-    /// soon (module docs, "Read-schedule hints"). Must not change any
-    /// accounting. Default: no-op.
+    /// Inert and never called; kept only because `benchmark/` overrides it.
     fn will_access(&mut self, _store: u8, _page: PageId, _depth: usize) {}
 
-    /// Advisory: the tail of the read schedule — the upcoming accesses in
-    /// the order the executor plans to make them. Must not change any
-    /// accounting. Default: decomposes into [`NodeAccess::will_access`]
-    /// calls, so backends can implement either granularity.
-    fn hint(&mut self, upcoming: &[PageRef]) {
-        for r in upcoming {
-            self.will_access(r.store, r.page, r.depth);
-        }
-    }
+    /// Inert and never called; kept only because `benchmark/` overrides it.
+    fn hint(&mut self, _upcoming: &[PageRef]) {}
 
     /// Whether demand misses are serviced asynchronously through a
     /// submission/completion queue (module docs, "Completion-driven
@@ -239,18 +211,6 @@ impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
         (**self).io_stats()
     }
 
-    fn wants_hints(&self) -> bool {
-        (**self).wants_hints()
-    }
-
-    fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-        (**self).will_access(store, page, depth)
-    }
-
-    fn hint(&mut self, upcoming: &[PageRef]) {
-        (**self).hint(upcoming)
-    }
-
     fn completion_driven(&self) -> bool {
         (**self).completion_driven()
     }
@@ -325,37 +285,5 @@ mod tests {
         let stats = drive(&mut &mut pool);
         assert_eq!(stats, pool.stats());
         assert_eq!(stats.disk_accesses, 1);
-    }
-
-    #[test]
-    fn hints_are_accounting_neutral_on_default_impls() {
-        let mut pool = BufferPool::with_capacity_pages(4, &[2]);
-        let before = pool.stats();
-        pool.hint(&[PageRef::new(0, PageId(3), 1), PageRef::new(0, PageId(4), 1)]);
-        pool.will_access(0, PageId(5), 1);
-        assert_eq!(pool.stats(), before, "hints must not charge anything");
-        assert!(pool.access(0, PageId(3), 1), "hinted page is still cold");
-    }
-
-    #[test]
-    fn default_hint_decomposes_into_will_access() {
-        #[derive(Default)]
-        struct Recorder(Vec<(u8, PageId, usize)>);
-        impl NodeAccess for Recorder {
-            fn access(&mut self, _: u8, _: PageId, _: usize) -> bool {
-                false
-            }
-            fn pin(&mut self, _: u8, _: PageId) {}
-            fn unpin(&mut self, _: u8, _: PageId) {}
-            fn io_stats(&self) -> IoStats {
-                IoStats::default()
-            }
-            fn will_access(&mut self, store: u8, page: PageId, depth: usize) {
-                self.0.push((store, page, depth));
-            }
-        }
-        let mut r = Recorder::default();
-        r.hint(&[PageRef::new(1, PageId(7), 2), PageRef::new(0, PageId(9), 3)]);
-        assert_eq!(r.0, vec![(1, PageId(7), 2), (0, PageId(9), 3)]);
     }
 }

@@ -472,15 +472,14 @@ impl SharedPageCache {
             return (Ticket::NONE, false);
         }
         // Empty → Reading: install the frame, read-pin it so eviction
-        // skips it, submit exactly one pread of the store's file. The
-        // cache never hints, so this is always a fresh demand submission
-        // — queued behind every older demand, served by whichever pool
-        // worker frees up first — and the queue's hint-adoption table
-        // stays empty: the frame table is the single-flight authority.
+        // skips it, submit exactly one pread of the store's file — queued
+        // behind every older submission, served by whichever pool worker
+        // frees up first. The frame table, not the queue, is the
+        // single-flight authority.
         s.lru.install(key);
         s.lru.pin(key);
         self.harvest(&mut s);
-        let (ticket, _) = self.queue.adopt_or_submit(key);
+        let ticket = self.queue.submit(key);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
         self.physical_by_store[store as usize].fetch_add(1, Ordering::Relaxed);
@@ -990,12 +989,6 @@ impl<W> NodeAccess for SharedCacheFileAccess<W> {
     fn io_stats(&self) -> IoStats {
         self.pool.stats()
     }
-
-    // No hint plumbing (wants_hints stays false): a hint prefetched into
-    // the *shared* pool can be displaced by other workers before its
-    // demand arrives, which would decouple physical reads from charged
-    // misses. Demand-only keeps `physical_reads ≤ Σ disk_accesses` an
-    // invariant instead of a tendency.
 
     fn completion_driven(&self) -> bool {
         true

@@ -1,8 +1,8 @@
 //! The submission/completion queue.
 //!
 //! This is the io_uring-shaped core of the overlap story: demand misses
-//! and read-schedule hints become *submissions* — `submit(key)` →
-//! [`Ticket`] — serviced by one pool of worker threads over real
+//! become *submissions* — [`CompletionQueue::submit`] → [`Ticket`] —
+//! serviced by one pool of worker threads over real
 //! [`PageFile`] handles, and the executor checks tickets
 //! ([`CompletionQueue::is_complete`]) or parks on them
 //! ([`CompletionQueue::await_ticket`]) instead of blocking inside
@@ -15,13 +15,12 @@
 //!
 //! ## Service order
 //!
-//! One rule (`InflightTables`): **demand-class jobs by
-//! ticket, then hints FIFO; any worker, any lane.** Demand-class is a fresh
-//! demand submission or a hint a demand miss has adopted. The queue is
-//! *age-ordered* — a parked cursor waits on the oldest unsettled ticket
-//! ([`CompletionQueue::await_settled`] is a prefix predicate), so that is
-//! the read served next, ahead of younger demands and of all read-ahead —
-//! and *work-conserving*: no worker sleeps while any lane has a queued job.
+//! One rule (`InflightTables`): **FIFO by ticket; any worker, any lane.**
+//! A job's lifecycle is `Queued → Flying → done`, and every job is one
+//! charged demand miss. The queue is *age-ordered* — a parked cursor
+//! waits on the oldest unsettled ticket ([`CompletionQueue::await_settled`]
+//! is a prefix predicate), so that is the read served next — and
+//! *work-conserving*: no worker sleeps while any lane has a queued job.
 //!
 //! ## Depth
 //!
@@ -46,10 +45,9 @@
 //! in `access()`, through the [`crate::BufferPool`] each of them owns —
 //! identical, in order and in value, to the oracle because it is the
 //! oracle's code. Only the *physical read* is asynchronous. Every
-//! submission is consumed by exactly one charged miss (hints beyond the
-//! pipeline window are dropped at submission time, never
-//! read-then-discarded), so once [`CompletionQueue::drain`] returns, the
-//! lane read counters sum to exactly the reads the charges promised.
+//! submission is exactly one charged miss, so once
+//! [`CompletionQueue::drain`] returns, the lane read counters sum to
+//! exactly the reads the charges promised.
 //!
 //! A failed worker read completes its ticket (so no waiter hangs) and
 //! poisons the queue; the next wait/drain panics, preserving the blocking
@@ -65,7 +63,7 @@ use std::time::{Duration, Instant};
 use crate::access::Ticket;
 use crate::codec::StorageError;
 use crate::file::PageFile;
-use crate::inflight::{InflightTables, Phase};
+use crate::inflight::InflightTables;
 use crate::lru::BufKey;
 
 /// Test hook: per-page extra latency applied by the worker *before* the
@@ -83,28 +81,15 @@ pub const QUEUE_DEPTH: usize = 16;
 
 /// Configuration of the queued read strategy ([`crate::stack::Queued`]).
 /// The pool size is not here: every queue serves [`QUEUE_DEPTH`] reads.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CompletionConfig {
-    /// Maximum unconsumed submissions across the queue; *hints* beyond
-    /// this are dropped at submission (demand always submits).
-    pub window: usize,
     /// Optional per-page completion delay (tests only).
     pub delay: Option<DelayFn>,
-}
-
-impl Default for CompletionConfig {
-    fn default() -> Self {
-        CompletionConfig {
-            window: 32,
-            delay: None,
-        }
-    }
 }
 
 impl fmt::Debug for CompletionConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompletionConfig")
-            .field("window", &self.window)
             .field("delay", &self.delay.as_ref().map(|_| "fn"))
             .finish()
     }
@@ -290,39 +275,16 @@ impl CompletionQueue {
         self.workers.len()
     }
 
-    /// Submits a read-ahead hint for `key`, unless the key is already
-    /// submitted or the pipeline already holds `window` unconsumed
-    /// submissions. Returns whether a submission was made.
-    pub fn submit_hint(&self, key: BufKey, window: usize) -> bool {
+    /// A charged miss for `key`: submits one read, queued behind every
+    /// older submission, and returns the ticket the caller's frame parks
+    /// on. A re-miss of the same key (after an eviction) submits — and
+    /// pays for — a read of its own.
+    pub fn submit(&self, key: BufKey) -> Ticket {
         let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
-        if st.is_submitted(key) || st.pipeline_len() >= window {
-            return false;
-        }
-        st.submit(key);
+        let ticket = st.submit(key);
         sh.wake_a_worker(st);
-        true
-    }
-
-    /// A demand miss for `key`: adopts the existing submission if one is
-    /// unconsumed (a still-queued one becomes demand-class, ordered by its
-    /// own ticket), or submits a fresh read. Returns the ticket the
-    /// caller's frame parks on, and whether the adopted read was already
-    /// started or staged by a hint (`true` = the hint paid; `false` =
-    /// demand pays).
-    pub fn adopt_or_submit(&self, key: BufKey) -> (Ticket, bool) {
-        let sh = &self.shared;
-        let mut st = sh.state.lock().unwrap();
-        if let Some(entry) = st.consume(key) {
-            (Ticket(entry.ticket), entry.phase != Phase::Queued)
-        } else {
-            // A demand submission is already charged to its caller, so it
-            // must not be adoptable by a later re-miss of the same key
-            // (see [`InflightTables::submit_demand`]).
-            let ticket = st.submit_demand(key);
-            sh.wake_a_worker(st);
-            (Ticket(ticket), false)
-        }
+        Ticket(ticket)
     }
 
     /// Polls a ticket. Lock-free when the completion frontier has already
@@ -407,16 +369,6 @@ impl CompletionQueue {
         self.shared.outstanding.load(Ordering::Relaxed)
     }
 
-    /// Unconsumed submissions (the window the hint bound applies to).
-    pub fn pipeline_len(&self) -> usize {
-        self.shared.state.lock().unwrap().pipeline_len()
-    }
-
-    /// Completed-but-unconsumed submissions (staged pages).
-    pub fn staged_len(&self) -> usize {
-        self.shared.state.lock().unwrap().staged_len()
-    }
-
     /// Successful reads performed on `lane` so far.
     #[inline]
     pub fn lane_reads(&self, lane: usize) -> u64 {
@@ -462,10 +414,10 @@ impl CompletionQueue {
         }
     }
 
-    /// Abandons queued submissions, waits out in-progress reads, forgets
-    /// staged completions and zeroes the read/poll counters — a cold
-    /// queue for the next measurement. Ticket numbering continues
-    /// (completed stays completed).
+    /// Abandons queued submissions, waits out in-progress reads and
+    /// zeroes the read/poll counters — a cold queue for the next
+    /// measurement. Ticket numbering continues (completed stays
+    /// completed).
     pub fn reset(&self) {
         let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
@@ -474,7 +426,6 @@ impl CompletionQueue {
         while st.outstanding > 0 {
             st = sh.park(st);
         }
-        st.clear_consumed();
         sh.done_floor.store(st.done_floor(), Ordering::Release);
         sh.outstanding.store(0, Ordering::Relaxed);
         drop(st);
@@ -540,8 +491,8 @@ impl CompletionLag {
     }
 }
 
-/// One pool worker: claim the best queued job of any lane (demand-class
-/// by ticket, then hints FIFO), read it positionally through its lane's
+/// One pool worker: claim the oldest queued job of any lane, read it
+/// positionally through its lane's
 /// shared handle (injected latency and the test delay hook apply here),
 /// complete the ticket, repeat until shutdown.
 fn worker_loop(shared: Arc<CqShared>) {
@@ -627,33 +578,10 @@ mod tests {
     }
 
     #[test]
-    fn hints_stage_reads_that_demand_adopts() {
-        let dir = TempDir::new("cq").unwrap();
-        let mut acc = completion_access(&dir, 4, CompletionConfig::default());
-        acc.will_access(0, PageId(3), 1);
-        // Wait for the hint's read to stage.
-        for _ in 0..500 {
-            if acc.queue().staged_len() == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert_eq!(acc.queue().staged_len(), 1);
-        assert!(acc.access(0, PageId(3), 1), "still a charged miss");
-        assert_eq!(acc.staged_hits(), 1);
-        assert_eq!(acc.demand_reads(), 0);
-        assert!(
-            acc.is_complete(acc.last_miss_ticket()),
-            "adopted ticket was already complete"
-        );
-    }
-
-    #[test]
     fn await_ticket_blocks_until_a_delayed_completion() {
         let dir = TempDir::new("cq").unwrap();
         let cfg = CompletionConfig {
             delay: Some(Arc::new(|_| Some(Duration::from_millis(20)))),
-            ..CompletionConfig::default()
         };
         let mut acc = completion_access(&dir, 4, cfg);
         assert!(acc.access(0, PageId(2), 1));
@@ -664,39 +592,24 @@ mod tests {
     }
 
     #[test]
-    fn hint_window_bounds_the_pipeline() {
-        let dir = TempDir::new("cq").unwrap();
-        let cfg = CompletionConfig {
-            window: 2,
-            // Hold completions so the pipeline cannot drain under us.
-            delay: Some(Arc::new(|_| Some(Duration::from_millis(50)))),
-        };
-        let mut acc = completion_access(&dir, 8, cfg);
-        for p in 0..8 {
-            acc.will_access(0, PageId(p), 1);
-        }
-        assert!(acc.queue().pipeline_len() <= 2);
-        acc.drain_completions();
-        assert!(
-            acc.queue().total_reads() <= 2,
-            "over-window hints were never read"
-        );
-    }
-
-    #[test]
     fn reset_restores_a_cold_backend() {
         let dir = TempDir::new("cq").unwrap();
-        let mut acc = completion_access(&dir, 4, CompletionConfig::default());
-        acc.will_access(0, PageId(3), 1);
-        acc.access(0, PageId(1), 1);
+        let cfg = CompletionConfig {
+            // Hold completions so the reset meets queued and flying reads.
+            delay: Some(Arc::new(|_| Some(Duration::from_millis(5)))),
+        };
+        let mut acc = completion_access(&dir, 4, cfg);
+        for p in 0..4 {
+            assert!(acc.access(0, PageId(p), 1));
+        }
         acc.reset();
         assert_eq!(acc.stats(), IoStats::default());
+        assert_eq!(acc.queue().in_flight(), 0);
         assert_eq!(acc.queue().total_reads(), 0);
-        assert_eq!(acc.queue().staged_len(), 0);
-        assert_eq!((acc.staged_hits(), acc.demand_reads()), (0, 0));
         assert_eq!(acc.queue().poll_count(), 0);
         assert!(acc.access(0, PageId(1), 1), "cold again after reset");
-        assert_eq!(acc.demand_reads(), 1);
+        acc.drain_completions();
+        assert_eq!(acc.queue().total_reads(), 1);
     }
 
     #[test]
@@ -704,11 +617,10 @@ mod tests {
         let dir = TempDir::new("cq").unwrap();
         let cfg = CompletionConfig {
             delay: Some(Arc::new(|_| Some(Duration::from_millis(5)))),
-            ..CompletionConfig::default()
         };
         let mut acc = completion_access(&dir, 8, cfg);
         for p in 0..8 {
-            acc.will_access(0, PageId(p), 1);
+            assert!(acc.access(0, PageId(p), 1));
         }
         drop(acc); // joins workers without draining the queue
     }
@@ -726,7 +638,7 @@ mod tests {
     }
 
     fn demand(q: &CompletionQueue, lane: u8, page: u32) -> Ticket {
-        q.adopt_or_submit(BufKey::new(lane, PageId(page))).0
+        q.submit(BufKey::new(lane, PageId(page)))
     }
 
     /// A delay hook that holds every job until `parties` of them are in
@@ -935,7 +847,6 @@ mod tests {
             delay: Some(Arc::new(|key: BufKey| {
                 (key.page == PageId(0)).then(|| Duration::from_millis(30))
             })),
-            ..CompletionConfig::default()
         };
         let mut acc = completion_access(&dir, 4, cfg);
         assert!(acc.access(0, PageId(0), 1));

@@ -48,10 +48,10 @@
 //!   capacity) over one page file per store, where every miss performs
 //!   an actual page read. It is assembled from a page source `S` and a
 //!   read strategy `R`; its two aliases are [`FileNodeAccess`] (blocking
-//!   reads) and [`CompletionFileAccess`], whose misses — and the
-//!   executor's read-schedule hints ([`NodeAccess::hint`]) — go to a
-//!   private [`CompletionQueue`] with one lane per store, moving no
-//!   `IoStats` number ([`stack`]); parallel workers each own a stack;
+//!   reads) and [`CompletionFileAccess`], whose misses go to a private
+//!   [`CompletionQueue`] with one lane per store, served FIFO by ticket
+//!   and moving no `IoStats` number ([`stack`]); parallel workers each own
+//!   a stack;
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
 //!   frame cache over the completion queue: sharded, pin-counted frames
 //!   walking an Empty → Reading → Resident → Dirty state machine,

@@ -315,12 +315,6 @@ impl BufferPool {
         res
     }
 
-    /// Whether a buffer holds `store`'s `page`, i.e. a demand access would
-    /// not go to disk.
-    pub(crate) fn holds(&self, store: u8, page: PageId) -> bool {
-        self.lru.contains(BufKey::new(store, page)) || self.paths[store as usize].contains(page)
-    }
-
     /// Statistics so far.
     #[inline]
     pub fn stats(&self) -> IoStats {

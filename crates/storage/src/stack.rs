@@ -13,9 +13,8 @@
 //! * The **read strategy** ([`ReadStrategy`]) is what a charged miss does:
 //!   [`Blocking`] `pread`s the page before `access()` returns; [`Queued`]
 //!   submits the read to the stack's own [`CompletionQueue`] (one lane per
-//!   store) and returns a [`Ticket`] for the executor to park on, and
-//!   turns read-schedule hints into early submissions that a later demand
-//!   miss adopts. Parallel workers each own a stack, queue included.
+//!   store) and returns a [`Ticket`] for the executor to park on. Parallel
+//!   workers each own a stack, queue included.
 //!
 //! Everything else is shared, and not only between the two: the stack
 //! *owns a* [`BufferPool`] — the path buffers, the LRU buffer, the
@@ -28,16 +27,11 @@
 //!
 //! ## Properties of the queued strategy
 //!
-//! * Hints are advisory and never move a number: a hinted page still
-//!   charges its miss on demand, exactly where the paper charges it.
-//!   What changes is *when* the physical read happens, visible in the
-//!   [`FileAccess::staged_hits`] / [`FileAccess::demand_reads`] split —
-//!   the two always sum to `disk_accesses`.
-//! * Hints are deduplicated against buffered and in-flight pages and
-//!   bounded by [`CompletionConfig::window`]; a hint past the window is
-//!   dropped at submission, never read-then-discarded. So once
+//! * It reads only on demand: a charged miss submits exactly one read,
+//!   where the blocking strategy would have performed it. What changes is
+//!   *when* the read completes, never a number — so once
 //!   [`NodeAccess::drain_completions`] returns, physical reads equal
-//!   `disk_accesses` whenever every hinted page was demanded.
+//!   `disk_accesses`.
 //! * The strategy is a type, not a flag: the write half of the boundary
 //!   ([`NodeAccessMut`], [`UpdateBackend`]) exists for [`Blocking`] only —
 //!   queue workers hold independent read handles a write could race, so a
@@ -66,13 +60,8 @@ pub trait ReadStrategy {
     fn queue(&self) -> Option<&CompletionQueue>;
 
     /// Performs or submits the physical read of a charged miss on
-    /// `files[store]`. Returns the ticket to park on and whether a hint
-    /// had already started the read.
-    fn read<S: PageSource>(&mut self, files: &mut [S], store: u8, page: PageId) -> (Ticket, bool);
-
-    /// Starts reading a page the buffers do not hold ahead of its demand
-    /// miss. Default: hints are ignored.
-    fn read_ahead(&mut self, _store: u8, _page: PageId) {}
+    /// `files[store]`. Returns the ticket to park on.
+    fn read<S: PageSource>(&mut self, files: &mut [S], store: u8, page: PageId) -> Ticket;
 }
 
 /// Read strategy: a miss reads its page synchronously into one reusable
@@ -89,21 +78,20 @@ impl ReadStrategy for Blocking {
     }
 
     #[inline]
-    fn read<S: PageSource>(&mut self, files: &mut [S], store: u8, page: PageId) -> (Ticket, bool) {
+    fn read<S: PageSource>(&mut self, files: &mut [S], store: u8, page: PageId) -> Ticket {
         files[store as usize]
             .read_page_into(page, &mut self.scratch)
             .expect("page file read failed mid-join");
-        (Ticket::NONE, false)
+        Ticket::NONE
     }
 }
 
-/// Read strategy: misses and hints become submissions on a private
+/// Read strategy: misses become submissions on a private
 /// [`CompletionQueue`] with one lane per store, served by a worker pool
 /// holding its own read-only handles.
 #[derive(Debug)]
 pub struct Queued {
     queue: CompletionQueue,
-    window: usize,
 }
 
 impl ReadStrategy for Queued {
@@ -112,17 +100,8 @@ impl ReadStrategy for Queued {
         Some(&self.queue)
     }
 
-    fn read<S: PageSource>(&mut self, _files: &mut [S], store: u8, page: PageId) -> (Ticket, bool) {
-        // Adopts the hint's submission if one is unconsumed (making it
-        // demand-class, ordered by its ticket), submits a fresh read if not.
-        self.queue.adopt_or_submit(BufKey::new(store, page))
-    }
-
-    fn read_ahead(&mut self, store: u8, page: PageId) {
-        // The queue dedupes against in-flight submissions and enforces
-        // the window bound.
-        self.queue
-            .submit_hint(BufKey::new(store, page), self.window);
+    fn read<S: PageSource>(&mut self, _files: &mut [S], store: u8, page: PageId) -> Ticket {
+        self.queue.submit(BufKey::new(store, page))
     }
 }
 
@@ -159,11 +138,6 @@ pub struct FileAccess<S, R> {
     reads: R,
     /// Ticket of the most recent demand-miss submission.
     last_miss: Ticket,
-    /// Misses whose physical read a hint had already started.
-    staged_hits: u64,
-    /// Misses that read (or submitted, or adopted a still-queued read)
-    /// themselves.
-    demand_reads: u64,
 }
 
 /// Page files, blocking reads.
@@ -188,8 +162,6 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
             dirty: DirtyPages::default(),
             reads,
             last_miss: Ticket::NONE,
-            staged_hits: 0,
-            demand_reads: 0,
         })
     }
 
@@ -203,24 +175,24 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
         &self.files[store as usize]
     }
 
-    /// Misses whose physical read a hint had already started or finished
-    /// when demand arrived (always zero with [`Blocking`]).
+    /// Always 0: nothing reads ahead of demand. Kept only because the
+    /// repo benchmark's ladder (`benchmark/`) reads it.
     pub fn staged_hits(&self) -> u64 {
-        self.staged_hits
+        0
     }
 
-    /// Misses that read, submitted, or adopted a still-queued read
-    /// themselves. `staged_hits + demand_reads == disk_accesses`.
+    /// Every miss reads for itself, so this is `disk_accesses`. Kept only
+    /// because the repo benchmark's ladder (`benchmark/`) reads it.
     pub fn demand_reads(&self) -> u64 {
-        self.demand_reads
+        self.pool.stats().disk_accesses
     }
 
     /// Empties all buffers and zeroes *every* I/O counter — [`IoStats`],
-    /// LRU channels, page-source counters, the staged/demand split, the
-    /// queue's lane reads — so consecutive bench runs start genuinely
-    /// cold. Blocks until in-flight reads finish. Un-flushed dirty pages
-    /// are **discarded**: a reset is a measurement boundary, not a
-    /// durability point (update paths flush first).
+    /// LRU channels, page-source counters, the queue's lane reads — so
+    /// consecutive bench runs start genuinely cold. Blocks until in-flight
+    /// reads finish. Un-flushed dirty pages are **discarded**: a reset is
+    /// a measurement boundary, not a durability point (update paths flush
+    /// first).
     pub fn reset(&mut self) {
         if let Some(queue) = self.reads.queue() {
             queue.reset();
@@ -231,8 +203,6 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
             f.reset_io();
         }
         self.last_miss = Ticket::NONE;
-        self.staged_hits = 0;
-        self.demand_reads = 0;
     }
 }
 
@@ -263,13 +233,12 @@ impl CompletionFileAccess {
         let paths: Vec<PathBuf> = files.iter().map(|f| f.path().to_path_buf()).collect();
         let reads = Queued {
             queue: CompletionQueue::open(&paths, cfg.delay)?,
-            window: cfg.window.max(1),
         };
         Self::assemble(files, cap_pages, heights, policy, reads)
     }
 
-    /// The queue this stack submits to (lane reads, staged pages, poll
-    /// and lag counters).
+    /// The queue this stack submits to (lane reads, poll and lag
+    /// counters).
     pub fn queue(&self) -> &CompletionQueue {
         &self.reads.queue
     }
@@ -283,13 +252,7 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
         let miss = write_back_evicted(self.pool.access_with(store, page, depth, write));
         if miss {
             // The honest part: a miss is a real read from the file.
-            let (ticket, staged) = self.reads.read(&mut self.files, store, page);
-            if staged {
-                self.staged_hits += 1;
-            } else {
-                self.demand_reads += 1;
-            }
-            self.last_miss = ticket;
+            self.last_miss = self.reads.read(&mut self.files, store, page);
         }
         miss
     }
@@ -306,18 +269,6 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
 
     fn io_stats(&self) -> IoStats {
         self.pool.stats()
-    }
-
-    fn wants_hints(&self) -> bool {
-        self.reads.queue().is_some()
-    }
-
-    fn will_access(&mut self, store: u8, page: PageId, _depth: usize) {
-        // Skip pages a demand access would not read anyway.
-        if self.pool.holds(store, page) {
-            return;
-        }
-        self.reads.read_ahead(store, page);
     }
 
     fn completion_driven(&self) -> bool {
@@ -419,7 +370,6 @@ pub(crate) fn validate_stores<S: PageSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::access::PageRef;
     use crate::codec;
     use crate::temp::demo::payload;
     use crate::temp::TempDir;
@@ -492,11 +442,6 @@ mod tests {
             assert_eq!(a, b, "page {p} depth {d}");
         }
         assert_eq!(acc.stats(), pool.stats());
-        assert_eq!(
-            acc.staged_hits() + acc.demand_reads(),
-            acc.stats().disk_accesses,
-            "every miss was served exactly once"
-        );
         acc.drain_completions();
         assert!(acc.is_complete(acc.last_miss_ticket()));
         assert_eq!(
@@ -509,7 +454,6 @@ mod tests {
         acc.reset();
         assert_eq!(acc.stats(), IoStats::default());
         assert_eq!(physical(&acc), 0);
-        assert_eq!((acc.staged_hits(), acc.demand_reads()), (0, 0));
         assert_eq!(
             (
                 acc.pool.lru().hits(),
@@ -519,7 +463,6 @@ mod tests {
             (0, 0, 0)
         );
         assert!(acc.access(0, PageId(0), 0), "cold again after reset");
-        assert_eq!(acc.demand_reads(), 1);
     }
 
     #[test]
@@ -527,74 +470,6 @@ mod tests {
         let fx = Fixture::new();
         check_counts_like_the_pool(blocking(&fx, 2, 2));
         check_counts_like_the_pool(queued(&fx, 2, 2, CompletionConfig::default()));
-    }
-
-    /// Hints interleaved with demand must not move any number — checked
-    /// against the blocking twin over the same source — and when every
-    /// hinted page is demanded, drained physical reads equal the charges.
-    fn check_hints_never_move_a_number(fx: &Fixture, cfg: CompletionConfig) {
-        let mut plain = blocking(fx, 2, 2);
-        let mut pre = queued(fx, 2, 2, cfg);
-        assert!(pre.wants_hints() && pre.completion_driven());
-        assert!(!plain.wants_hints() && !plain.completion_driven());
-        pre.hint(&[PageRef::new(0, PageId(2), 1), PageRef::new(0, PageId(5), 1)]);
-        for &(p, d) in &SEQ {
-            pre.will_access(0, PageId(p), d);
-            let (a, b) = (pre.access(0, PageId(p), d), plain.access(0, PageId(p), d));
-            assert_eq!(a, b, "page {p} depth {d}");
-        }
-        assert_eq!(pre.stats(), plain.stats(), "hints never move IoStats");
-        assert_eq!(
-            pre.staged_hits() + pre.demand_reads(),
-            pre.stats().disk_accesses,
-            "every miss is either a demand read or a consumed hint"
-        );
-        pre.drain_completions();
-        assert_eq!(
-            pre.queue().total_reads(),
-            pre.stats().disk_accesses,
-            "every hinted page was demanded, so reads equal charges"
-        );
-        assert_eq!(pre.queue().staged_len(), 0);
-    }
-
-    #[test]
-    fn queued_hints_never_move_a_number() {
-        let fx = Fixture::new();
-        let narrow = || CompletionConfig {
-            window: 4,
-            delay: None,
-        };
-        check_hints_never_move_a_number(&fx, CompletionConfig::default());
-        check_hints_never_move_a_number(&fx, narrow());
-    }
-
-    /// The window bounds read-ahead, and repeated hints are free:
-    /// over-window hints are dropped at submission, never
-    /// read-then-discarded.
-    #[test]
-    fn queued_window_bounds_read_ahead_and_dedups_hints() {
-        let fx = Fixture::new();
-        let mut acc = queued(
-            &fx,
-            PAGES as usize,
-            1,
-            CompletionConfig {
-                window: 4,
-                delay: None,
-            },
-        );
-        let refs: Vec<PageRef> = (0..PAGES).map(|i| PageRef::new(0, PageId(i), 0)).collect();
-        acc.hint(&refs);
-        acc.hint(&refs);
-        acc.drain_completions();
-        assert!(
-            acc.queue().total_reads() <= 4,
-            "read {} pages",
-            acc.queue().total_reads()
-        );
-        assert_eq!(acc.queue().staged_len() as u64, acc.queue().total_reads());
-        assert_eq!(acc.stats(), IoStats::default(), "hints charge nothing");
     }
 
     /// The write half: dirty pages are written back on eviction and on

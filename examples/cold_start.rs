@@ -1,4 +1,4 @@
-//! Cold starts over persistent trees: cold, warm, prefetched, updated.
+//! Cold starts over persistent trees: cold, warm, queued, updated.
 //!
 //! Builds the preset-(A) relations, saves both R*-trees to page files,
 //! then runs the same SJ4 join three ways and prints the I/O story of
@@ -8,10 +8,10 @@
 //!    page read;
 //! 2. **warm** — the same accountant again: the LRU still holds the
 //!    working set;
-//! 3. **prefetched** — a cold `CompletionFileAccess` (the same file
-//!    stack with the queued read strategy): the executor's read-schedule
-//!    hints let the queue's workers stage pages ahead of demand (identical
-//!    `disk_accesses`, part of the misses served early);
+//! 3. **queued** — a cold `CompletionFileAccess` (the same file stack
+//!    with the queued read strategy): each miss is submitted to the
+//!    queue's workers while the cursor runs ahead (identical
+//!    `disk_accesses`, and once drained one physical read per access);
 //! 4. **update-then-rejoin** — the write path: `OpenTree` deletes and
 //!    inserts against the *open* R file (reads charged through the same
 //!    buffer hierarchy, dirty pages written back on eviction/flush, split
@@ -55,15 +55,6 @@ fn main() {
         s.height(),
         BUFFER / 1024
     );
-    println!(
-        "SJ4 pins, so its read schedule is {} — drain tails are re-hinted after each pin",
-        if plan.schedule_is_exact() {
-            "exact up front"
-        } else {
-            "set-accurate up front"
-        }
-    );
-
     // The saved files and the update-phase working copy get their own
     // subdirectories (TempDir cleanup is recursive).
     let dir = TempDir::new("cold-start").expect("temp dir");
@@ -114,7 +105,7 @@ fn main() {
         ),
     );
 
-    // 3: prefetched cold run — same accounting, misses served early.
+    // 3: queued cold run — same accounting, reads overlapped by the queue.
     let access = CompletionFileAccess::with_capacity_pages(
         open_files(),
         BUFFER / PAGE,
@@ -123,25 +114,22 @@ fn main() {
         CompletionConfig::default(),
     )
     .expect("queued backend");
-    let (pre, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
-    assert_eq!(pre.stats.io, cold.stats.io, "prefetch never moves IoStats");
-    report(
-        "prefetched",
-        pre.stats.io,
-        &format!(
-            "  ({} of {} misses staged ahead of demand)",
-            access.staged_hits(),
-            access.staged_hits() + access.demand_reads()
-        ),
+    let (queued, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
+    assert_eq!(
+        queued.stats.io, cold.stats.io,
+        "the queue never moves IoStats"
     );
-    println!(
-        "               (the staged share is timing-dependent: this demo joins in\n\
-         \u{20}               microseconds out of the page cache — a real disk gives the\n\
-         \u{20}               workers milliseconds of lead per hint)"
+    // The cursor drained the queue when the join ended.
+    let reads = access.queue().total_reads();
+    assert_eq!(reads, queued.stats.io.disk_accesses);
+    report(
+        "queued",
+        queued.stats.io,
+        &format!("  ({reads} physical reads once drained, one per disk access)"),
     );
 
     println!(
-        "\nthe cold and prefetched runs report identical disk accesses — the\n\
+        "\nthe cold and queued runs report identical disk accesses — the\n\
          paper's metric is a property of the schedule and the buffer, not of\n\
          when the bytes were fetched."
     );

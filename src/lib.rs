@@ -17,8 +17,7 @@
 //!   file stack [`storage::FileAccess`] over one [`storage::PageFile`]
 //!   per store (endian-stable binary page format, typed
 //!   [`storage::StorageError`]s) with a blocking or a completion-queue
-//!   read strategy — the latter's submissions also service the
-//!   executor's read-schedule hints ahead of demand — named
+//!   read strategy — both read on demand only — named
 //!   [`storage::FileNodeAccess`] and [`storage::CompletionFileAccess`],
 //!   one private stack per worker — and
 //!   [`storage::SharedCacheFileAccess`] handles onto the latched
@@ -139,7 +138,7 @@ pub mod prelude {
     };
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageRef, PageSource, SharedPageCache, StorageError,
+        PageFile, PageSource, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

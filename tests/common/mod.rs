@@ -53,15 +53,6 @@ pub fn run<A: NodeAccess>(
     (sorted_ids(&res.pairs), res.stats.io, access)
 }
 
-/// The non-default queue configuration every queued row is also run
-/// under: four hints in flight.
-pub fn narrow() -> CompletionConfig {
-    CompletionConfig {
-        window: 4,
-        delay: None,
-    }
-}
-
 /// The R and S relations on disk, plus the trees reopened cold from them.
 pub struct Files {
     /// Keeps the files alive for the fixture's lifetime.
@@ -131,8 +122,8 @@ impl Files {
     }
 
     /// Calls `check(row name, a cold stack of `cap_pages`)` once per row
-    /// of the instantiation table — blocking, and queued (default and
-    /// [`narrow`] configs, both under the per-page completion `delay`).
+    /// of the instantiation table — blocking, and queued under the
+    /// per-page completion `delay`.
     pub fn for_each_stack(
         &self,
         cap_pages: usize,
@@ -140,17 +131,10 @@ impl Files {
         mut check: impl FnMut(&str, &mut dyn Stack),
     ) {
         check("blocking", &mut self.blocking(cap_pages));
-        let default: fn() -> CompletionConfig = CompletionConfig::default;
-        for (name, cfg) in [("default", default), ("1 worker, window 4", narrow)] {
-            let cfg = CompletionConfig {
-                delay: delay.clone(),
-                ..cfg()
-            };
-            check(
-                &format!("queued ({name})"),
-                &mut self.queued(cap_pages, cfg),
-            );
-        }
+        check(
+            "queued",
+            &mut self.queued(cap_pages, CompletionConfig { delay }),
+        );
     }
 }
 
@@ -177,17 +161,12 @@ pub trait Stack: NodeAccess {
     /// Pages physically read so far, on whichever handles read them
     /// (call after [`NodeAccess::drain_completions`]).
     fn physical_reads(&self) -> u64;
-    /// `(staged_hits, demand_reads)`.
-    fn served(&self) -> (u64, u64);
     fn reset(&mut self);
 }
 
 impl Stack for FileNodeAccess {
     fn physical_reads(&self) -> u64 {
         self.file(0).reads() + self.file(1).reads()
-    }
-    fn served(&self) -> (u64, u64) {
-        (self.staged_hits(), self.demand_reads())
     }
     fn reset(&mut self) {
         FileAccess::reset(self)
@@ -197,9 +176,6 @@ impl Stack for FileNodeAccess {
 impl Stack for CompletionFileAccess {
     fn physical_reads(&self) -> u64 {
         self.queue().total_reads()
-    }
-    fn served(&self) -> (u64, u64) {
-        (self.staged_hits(), self.demand_reads())
     }
     fn reset(&mut self) {
         FileAccess::reset(self)

@@ -20,8 +20,8 @@ use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufKey, BufferPool, CacheConfig, CompletionConfig, NodeAccess, SharedPageCache};
 
 /// The queued stack under `delay` against its blocking twin: pairs and
-/// whole `IoStats` bit-identical for SJ1–SJ5, the miss-service split
-/// covering every charged disk access, every charge one physical read.
+/// whole `IoStats` bit-identical for SJ1–SJ5, every charge one physical
+/// read.
 fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
     let f = &fx.files;
     let [r, s] = &f.trees;
@@ -32,18 +32,12 @@ fn check_against_blocking(fx: &Fixture, delay: Option<DelayFn>, label: &str) {
 
         let cfg = CompletionConfig {
             delay: delay.clone(),
-            ..CompletionConfig::default()
         };
         let (pairs, io, access) = run(r, s, plan, f.queued(CAP_PAGES, cfg));
         assert_eq!(pairs, want_pairs, "{tag}: queued pairs");
         assert_eq!(io, want_io, "{tag}: queued I/O");
-        // Every charged miss was served exactly once: either an adopted
-        // hint read paid for it, or the demand submitted its own.
-        let (staged, demand) = access.served();
-        assert_eq!(staged + demand, io.disk_accesses, "{tag}: miss split");
-        // After the queue settles, physical reads equal the misses
-        // (dropped-window hints are never read, and the executor demands
-        // every page it hints).
+        // After the queue settles, physical reads equal the misses: every
+        // charged miss submitted exactly one read.
         access.drain_completions();
         assert_eq!(access.physical_reads(), io.disk_accesses, "{tag}: reads");
     }
@@ -171,10 +165,7 @@ fn overlap_parked_cursor_never_busy_spins() {
     let fx = Fixture::new("overlap", TestId::A, 0.003);
     let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
     let [r_file, s_file] = &fx.files.trees;
-    let cfg = CompletionConfig {
-        delay: Some(delay),
-        ..CompletionConfig::default()
-    };
+    let cfg = CompletionConfig { delay: Some(delay) };
     let access = fx.files.queued(CAP_PAGES, cfg);
     let (pairs, io, access) = run(r_file, s_file, JoinPlan::sj2(), access);
     assert!(io.disk_accesses > 0, "fixture must miss");
@@ -207,10 +198,7 @@ fn overlap_cursor_times_its_own_waits() {
     assert_eq!((cursor.parks(), cursor.blocked()), (0, Duration::ZERO));
 
     let delay: DelayFn = Arc::new(|_| Some(Duration::from_millis(2)));
-    let cfg = CompletionConfig {
-        delay: Some(delay),
-        ..CompletionConfig::default()
-    };
+    let cfg = CompletionConfig { delay: Some(delay) };
     let [r_file, s_file] = &fx.files.trees;
     let access = fx.files.queued(CAP_PAGES, cfg);
     let mut cursor = JoinCursor::new(r_file, s_file, plan, access);
@@ -241,7 +229,6 @@ fn overlap_private_queues_parallel_match_sequential() {
         let par = parallel_spatial_join_with_access(r_file, s_file, plan, true, workers, |_w| {
             let cfg = CompletionConfig {
                 delay: Some(delay.clone()),
-                ..CompletionConfig::default()
             };
             fx.files.queued(CAP_PAGES / workers, cfg)
         });
