@@ -127,7 +127,6 @@ fn main() {
     if want("extensions") {
         extensions::tree_quality(wa.as_mut().unwrap(), out).unwrap();
         extensions::baselines(wa.as_mut().unwrap(), out).unwrap();
-        extensions::buffer_policies(wa.as_mut().unwrap(), out).unwrap();
         extensions::refinement(scale, out).unwrap();
     }
 }

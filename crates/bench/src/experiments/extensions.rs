@@ -142,52 +142,6 @@ pub fn baselines(w: &mut Workbench, out: &mut dyn Write) -> std::io::Result<()> 
     Ok(())
 }
 
-/// Buffer replacement-policy ablation: the paper's LRU vs FIFO vs Clock
-/// under SJ1 (no schedule help) and SJ4 (spatially local schedule).
-pub fn buffer_policies(w: &mut Workbench, out: &mut dyn Write) -> std::io::Result<()> {
-    use rsj_storage::EvictionPolicy;
-    writeln!(
-        out,
-        "### Extension: buffer replacement policy (4 KByte pages, disk accesses)\n"
-    )?;
-    writeln!(out, "| algorithm | buffer | LRU | FIFO | Clock |")?;
-    writeln!(out, "|---|---|---|---|---|")?;
-    let r = w.tree_r(PAGE);
-    let s = w.tree_s(PAGE);
-    for (name, plan) in [("SJ1", JoinPlan::sj1()), ("SJ4", JoinPlan::sj4())] {
-        for buf in [32 * 1024usize, 128 * 1024] {
-            let mut row = Vec::new();
-            for policy in [
-                EvictionPolicy::Lru,
-                EvictionPolicy::Fifo,
-                EvictionPolicy::Clock,
-            ] {
-                let cfg = rsj_core::JoinConfig {
-                    buffer_bytes: buf,
-                    collect_pairs: false,
-                    eviction: policy,
-                };
-                row.push(
-                    rsj_core::spatial_join(&r, &s, plan, &cfg)
-                        .stats
-                        .io
-                        .disk_accesses,
-                );
-            }
-            writeln!(
-                out,
-                "| {name} | {} | {} | {} | {} |",
-                crate::fmt_buffer(buf),
-                fmt_count(row[0]),
-                fmt_count(row[1]),
-                fmt_count(row[2])
-            )?;
-        }
-    }
-    writeln!(out)?;
-    Ok(())
-}
-
 /// The two-step ID-spatial-join: filter + refinement.
 pub fn refinement(scale: f64, out: &mut dyn Write) -> std::io::Result<()> {
     writeln!(
@@ -237,13 +191,11 @@ mod tests {
         let mut buf = Vec::new();
         tree_quality(&mut w, &mut buf).unwrap();
         baselines(&mut w, &mut buf).unwrap();
-        buffer_policies(&mut w, &mut buf).unwrap();
         refinement(0.002, &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("tree quality"));
         assert!(text.contains("| Hilbert bulk load |") && text.contains(" @ "));
         assert!(text.contains("index nested loop"));
-        assert!(text.contains("Clock"));
         assert!(text.contains("selectivity") || text.contains("ID-spatial-join"));
     }
 }

@@ -23,7 +23,6 @@ pub fn run_join(r: &RTree, s: &RTree, plan: JoinPlan, buffer_bytes: usize) -> Jo
     let cfg = JoinConfig {
         buffer_bytes,
         collect_pairs: false,
-        ..Default::default()
     };
     spatial_join(r, s, plan, &cfg).stats
 }

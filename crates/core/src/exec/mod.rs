@@ -216,21 +216,8 @@ mod tests {
             }
         }
         assert!(!tasks.is_empty());
-        let want = recursive_subjoin(
-            &tr,
-            &ts,
-            plan,
-            16 * 200,
-            rsj_storage::EvictionPolicy::Lru,
-            true,
-            &tasks,
-        );
-        let pool = BufferPool::with_policy(
-            16 * 200,
-            200,
-            &[tr.height() as usize, ts.height() as usize],
-            rsj_storage::EvictionPolicy::Lru,
-        );
+        let want = recursive_subjoin(&tr, &ts, plan, 16 * 200, true, &tasks);
+        let pool = BufferPool::new(16 * 200, 200, &[tr.height() as usize, ts.height() as usize]);
         let cursor = JoinCursor::with_tasks(&tr, &ts, plan, pool, tasks.iter().copied());
         let got = crate::join::drain(cursor, true).0;
         assert_eq!(got.pairs, want.pairs);

@@ -33,11 +33,10 @@ pub fn recursive_spatial_join(
         "joined trees must share a page size"
     );
     let page_bytes = r.params().page_bytes;
-    let pool = BufferPool::with_policy(
+    let pool = BufferPool::new(
         cfg.buffer_bytes,
         page_bytes,
         &[r.height() as usize, s.height() as usize],
-        cfg.eviction,
     );
     let zframe = r.mbr().union(&s.mbr());
     let eps = plan.predicate.epsilon();
@@ -88,16 +87,14 @@ pub fn recursive_subjoin(
     s: &RTree,
     plan: JoinPlan,
     buffer_bytes: usize,
-    eviction: rsj_storage::EvictionPolicy,
     collect: bool,
     tasks: &[(PageId, PageId, Rect)],
 ) -> JoinResult {
     let page_bytes = r.params().page_bytes;
-    let pool = BufferPool::with_policy(
+    let pool = BufferPool::new(
         buffer_bytes,
         page_bytes,
         &[r.height() as usize, s.height() as usize],
-        eviction,
     );
     let mut runner = Runner {
         r,

@@ -208,7 +208,7 @@ where
 /// concurrently with this call. The per-frame write latch arbitrates —
 /// writers wait on the pins this join holds, this join's demands wait
 /// out in-progress writes — and dirty frames evicted by join pressure
-/// carry their payloads into the cache's drain, so neither side loses
+/// keep their bytes in the cache's dirty table, so neither side loses
 /// bytes or moves the other's logical charges (see the `latch`
 /// conformance suite).
 pub fn parallel_spatial_join_warm(

@@ -218,8 +218,10 @@ impl JoinPlan {
     }
 }
 
-/// Runtime configuration of a join: buffer size and the page size comes
-/// from the trees themselves.
+/// Runtime configuration of a join: the size of its LRU page buffer
+/// (§4.1; the paper's only replacement policy, so there is no other to
+/// pick), and whether pairs are kept. The page size comes from the trees
+/// themselves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JoinConfig {
     /// Page-buffer size in bytes (the paper sweeps 0 .. 512 KByte).
@@ -227,9 +229,6 @@ pub struct JoinConfig {
     /// Whether result pairs are materialized in [`crate::JoinResult`].
     /// Counting-only mode avoids the output allocation in benchmarks.
     pub collect_pairs: bool,
-    /// Replacement policy of the shared page buffer; the paper uses LRU,
-    /// FIFO and Clock are ablation points.
-    pub eviction: rsj_storage::EvictionPolicy,
 }
 
 impl Default for JoinConfig {
@@ -237,7 +236,6 @@ impl Default for JoinConfig {
         JoinConfig {
             buffer_bytes: 128 * 1024,
             collect_pairs: true,
-            eviction: rsj_storage::EvictionPolicy::Lru,
         }
     }
 }
@@ -253,7 +251,7 @@ impl JoinConfig {
 
     /// The private buffer hierarchy this config describes for a join (or
     /// probe) over `trees`: one path buffer per tree, in store order, over
-    /// one buffer of `buffer_bytes / page size` pages under `eviction`.
+    /// one LRU buffer of `buffer_bytes / page size` pages.
     pub fn buffer_pool(&self, trees: &[&rsj_rtree::RTree]) -> rsj_storage::BufferPool {
         let heights: Vec<usize> = trees.iter().map(|t| t.height() as usize).collect();
         let page_bytes = trees
@@ -261,7 +259,7 @@ impl JoinConfig {
             .expect("at least one tree")
             .params()
             .page_bytes;
-        rsj_storage::BufferPool::with_policy(self.buffer_bytes, page_bytes, &heights, self.eviction)
+        rsj_storage::BufferPool::new(self.buffer_bytes, page_bytes, &heights)
     }
 }
 

@@ -66,7 +66,8 @@ pub struct ServiceConfig {
     /// Per-query *logical* LRU capacity (the paper's buffer budget a
     /// query is charged against). 0 = same as the frame pool.
     pub handle_pages: usize,
-    /// Frame-pool layout knobs, forwarded to [`SharedPageCache`].
+    /// Forwarded to [`SharedPageCache::open`]; all it carries is the
+    /// test-only per-page completion delay.
     pub cache: CacheConfig,
 }
 
@@ -77,13 +78,7 @@ impl Default for ServiceConfig {
             max_queue: 16,
             cache_pages: 0,
             handle_pages: 0,
-            // One frame shard: with the pool sized to the working set
-            // this makes warm serving provably eviction-free (a hashed
-            // split could overload one slice and re-read pages).
-            cache: CacheConfig {
-                shards: 1,
-                ..CacheConfig::default()
-            },
+            cache: CacheConfig::default(),
         }
     }
 }

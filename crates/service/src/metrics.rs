@@ -31,7 +31,7 @@
 //! | `rsj_cache_hits` | gauge | `kind` | resident / adopted / drain-served hits |
 //! | `rsj_cache_hit_ratio` | gauge | | warm fraction of materialize calls |
 //! | `rsj_cache_evictions` | gauge | | frames evicted |
-//! | `rsj_cache_drain_depth` | gauge | | dirty payloads parked in the eviction drain |
+//! | `rsj_cache_drain_depth` | gauge | | dirty pages evicted but not yet written back |
 //! | `rsj_cache_pending_write_back` | gauge | | dirty payloads (resident + drained) |
 //! | `rsj_cache_resident_pages` | gauge | | frames resident or in flight |
 //! | `rsj_cache_physical_writes` | gauge | | pages written back |
@@ -186,13 +186,13 @@ pub fn export_cache(registry: &Registry, cache: &SharedPageCache, logical_reads:
         .set(cache.hit_ratio());
     g(
         "rsj_cache_evictions",
-        "frames evicted across all shards",
+        "frames evicted",
         &[],
         cache.evictions() as i64,
     );
     g(
         "rsj_cache_drain_depth",
-        "dirty payloads parked in the eviction drain",
+        "dirty pages evicted but not yet written back",
         &[],
         cache.drain_depth() as i64,
     );

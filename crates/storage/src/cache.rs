@@ -9,11 +9,13 @@
 //! LRU over its own file handles, so the upper-level pages every subtree
 //! task touches are physically read N times, and nothing stays warm
 //! between requests. [`SharedPageCache`]
-//! closes that gap: one sharded frame table holds the page budget for
-//! the whole deployment, frames carry a state machine, a pin counter and
-//! a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint), and
-//! all physical reads flow through one [`CompletionQueue`] with a lane
-//! per store.
+//! closes that gap: one frame table under one mutex holds the page budget
+//! for the whole deployment — an [`LruBuffer`] (the paper's §4.1
+//! replacement with §4.3 pinning), the in-flight reads, one table of
+//! dirty bytes and the write latches. Frames carry a state machine, a pin
+//! counter and a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT`
+//! blueprint), and all physical reads flow through one
+//! [`CompletionQueue`] with a lane per store.
 //!
 //! ## Frame states
 //!
@@ -26,9 +28,10 @@
 //!     │ evict (unpinned only)                            Writing   │ flush_dirty
 //!     │                               complete_write        │      │
 //!     ├────────────────────────────────────────────────── Dirty ───┘
-//!     │ evict while Dirty: the payload moves to the DRAIN —
-//!     ▼ bytes are never dropped
-//!   drain (BufKey → bytes) ── flush_dirty / take_dirty_evicted ──▶ file
+//!     │                                                   │    ▲
+//!     │                      evict: the bytes stay in     │    │ materialize:
+//!     │                      the dirty table              ▼    │ reinstall, no read
+//!     └──── flush_dirty / take_dirty_evicted ─────── Drained ──┘
 //! ```
 //!
 //! * **Empty → Reading**: a miss installs the frame, pins it for the
@@ -37,23 +40,26 @@
 //!   the same key — from any worker — find the frame in `Reading` and
 //!   adopt the *same* in-flight ticket instead of issuing a duplicate
 //!   pread: single-flight.
-//! * **Reading → Resident**: settled lazily, the next time the shard is
-//!   touched (or explicitly by [`SharedPageCache::drain`]); the read pin
-//!   is released. Every public entry point settles first, so state
-//!   observations within one shard-lock hold can never disagree.
+//! * **Reading → Resident**: settled lazily, the next time the frame
+//!   table is touched (or explicitly by [`SharedPageCache::drain`]); the
+//!   read pin is released. Every public entry point settles first, so
+//!   state observations within one lock hold can never disagree.
 //! * **Resident/Dirty/Empty → Writing → Dirty**: the write latch.
 //!   [`SharedPageCache::write`] waits until the frame holds no pin and no
 //!   read is in flight (**writers wait on pins**), marks the frame
-//!   `Writing`, and installs the new bytes as the frame's dirty payload.
-//!   While a frame is `Writing`, `materialize` and `pin` park on the
-//!   shard's latch condvar (**readers wait on the write latch**).
-//! * **Dirty eviction carries the payload.** Evicting a dirty frame
-//!   moves its bytes into the shard's *drain*; they leave the cache only
-//!   through [`SharedPageCache::flush_dirty`] (which writes them through
-//!   a caller-supplied writer) or [`SharedPageCache::take_dirty_evicted`]
-//!   (which hands `(key, bytes)` pairs to an owner who writes them back
-//!   itself). A re-demand of a drained page is served *from the drain* —
-//!   reading the file would resurrect stale bytes.
+//!   `Writing`, and stores the new bytes in the dirty table. While a
+//!   frame is `Writing`, `materialize` and `pin` park on the cache's
+//!   latch condvar (**readers wait on the write latch**).
+//! * **Dirty bytes have one home.** The dirty table maps every page whose
+//!   cached bytes are newer than its file to those bytes, resident or
+//!   not, so eviction moves nothing. A dirty page the LRU has evicted is
+//!   *drained* (it still reports [`FrameState::Dirty`]); its bytes leave
+//!   the cache only through [`SharedPageCache::flush_dirty`] (which
+//!   writes them through a caller-supplied writer) or
+//!   [`SharedPageCache::take_dirty_evicted`] (which hands `(key, bytes)`
+//!   pairs to an owner who writes them back itself). A re-demand of a
+//!   drained page reinstalls it from the table — reading the file would
+//!   resurrect stale bytes.
 //! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
 //!   overflow beyond capacity is legal, trimmed as pins release).
 //!
@@ -97,7 +103,7 @@ use crate::access::{NodeAccess, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionQueue, DelayFn};
 use crate::file::{PageFile, PageSource};
-use crate::lru::{EvictionPolicy, LruBuffer};
+use crate::lru::LruBuffer;
 use crate::page::PageId;
 use crate::path::UPDATE_MAX_HEIGHT;
 use crate::pool::{BufKey, BufferPool, IoStats};
@@ -114,100 +120,58 @@ pub enum FrameState {
     /// Bytes are resident and clean.
     Resident,
     /// The cache holds bytes newer than the file (write-back pending) —
-    /// either as a dirty resident frame or as an evicted payload waiting
-    /// in the drain.
+    /// either as a dirty resident frame or as a drained page the LRU has
+    /// evicted.
     Dirty,
     /// A writer holds the frame's write latch; readers wait.
     Writing,
 }
 
 /// Configuration of a [`SharedPageCache`].
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct CacheConfig {
-    /// Expected worker fleet size — sizes the shard count (rounded up
-    /// to a power of two, capped at 32 and at the page capacity) unless
-    /// `shards` overrides it.
-    pub workers: usize,
-    /// Explicit shard count (0 = auto from `workers` and the capacity).
+    /// Ignored: the cache is one frame table. Kept only because the repo
+    /// benchmark (`benchmark/`) sets it.
     pub shards: usize,
     /// Optional per-page completion delay (tests only).
     pub delay: Option<DelayFn>,
 }
 
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            workers: 4,
-            shards: 0,
-            delay: None,
-        }
-    }
-}
-
 impl fmt::Debug for CacheConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheConfig")
-            .field("workers", &self.workers)
-            .field("shards", &self.shards)
             .field("delay", &self.delay.as_ref().map(|_| "fn"))
             .finish()
     }
 }
 
-/// Upper bound for [`auto_shard_count`]: past this, extra shards only
-/// fragment the page budget without reducing contention further.
-const MAX_AUTO_SHARDS: usize = 32;
-
-/// Shard count sized to the deployment: the worker count rounded up to a
-/// power of two (so [`crate::partition`]'s multiplicative hash spreads
-/// evenly), capped at [`MAX_AUTO_SHARDS`] — and never more shards than
-/// the cache has pages, so small caches do not split into degenerate
-/// zero-capacity slices.
-fn auto_shard_count(workers: usize, cap_pages: usize) -> usize {
-    workers
-        .max(1)
-        .next_power_of_two()
-        .min(MAX_AUTO_SHARDS)
-        .min(cap_pages.max(1))
-}
-
-/// One shard of the frame table: residency, recency, pins and dirty bits
-/// live in the intrusive [`LruBuffer`]; `reading` carries the in-flight
-/// ticket of every frame currently in [`FrameState::Reading`] (each such
-/// frame also holds one read pin in the LRU, so it cannot be evicted
-/// under it); `payloads` holds the bytes of every dirty *resident*
-/// frame, `drained` the bytes of dirty frames the LRU has evicted —
-/// together they are the no-lost-payloads contract.
-struct FrameShard {
+/// The frame table: residency, recency and pins live in the
+/// [`LruBuffer`]; `reading` carries the in-flight ticket of every frame
+/// currently in [`FrameState::Reading`] (each such frame also holds one
+/// read pin in the LRU, so it cannot be evicted under it); `dirty` is the
+/// no-lost-payloads contract.
+struct Frames {
     lru: LruBuffer,
     reading: HashMap<BufKey, Ticket>,
-    /// Encoded bytes of every dirty resident frame.
-    payloads: HashMap<BufKey, Vec<u8>>,
-    /// Bytes of dirty frames evicted since the last flush/drain — the
-    /// write-back worklist, payloads included.
-    drained: HashMap<BufKey, Vec<u8>>,
+    /// Bytes of every page newer than its file, resident or not. A key
+    /// here the LRU does not hold is *drained*: evicted, not yet written.
+    dirty: HashMap<BufKey, Vec<u8>>,
     /// Frames a writer currently holds the write latch of.
     writing: HashSet<BufKey>,
-    /// Writers parked on the shard latch waiting for a pin release —
-    /// tells `unpin` when a notify is worth it.
+    /// Writers parked on the latch waiting for a pin release — tells
+    /// `unpin` when a notify is worth it.
     write_waiters: usize,
-    /// Scratch for draining the LRU's dirty-eviction queue.
-    evicted: Vec<BufKey>,
 }
 
-/// One frame shard plus its latch condvar: writers park here while the
-/// frame is pinned, readers while it is `Writing`.
-struct Shard {
-    frames: Mutex<FrameShard>,
-    latch: Condvar,
-}
-
-/// The sharded, pin-counted concurrent frame cache. Cheap to share via
-/// [`Arc`]; it outlives any single join, which is the whole point —
-/// successive requests hit warm frames. Workers access it through
+/// The pin-counted concurrent frame cache. Cheap to share via [`Arc`];
+/// it outlives any single join, which is the whole point — successive
+/// requests hit warm frames. Workers access it through
 /// [`SharedCacheFileAccess`] handles.
 pub struct SharedPageCache {
-    shards: Vec<Shard>,
+    frames: Mutex<Frames>,
+    /// Writers park here while a frame is pinned, readers while it is
+    /// `Writing`.
+    latch: Condvar,
     queue: CompletionQueue,
     /// Preads submitted by cache-level misses (every one becomes exactly
     /// one physical read on a queue lane).
@@ -221,7 +185,7 @@ pub struct SharedPageCache {
     /// Materialize calls that adopted another worker's in-flight read
     /// (the single-flight saving, made visible).
     adoptions: AtomicU64,
-    /// Materialize calls served from the dirty-eviction drain.
+    /// Materialize calls served from a drained page's dirty bytes.
     drain_hits: AtomicU64,
     heights: Vec<usize>,
     page_bytes: usize,
@@ -233,7 +197,6 @@ pub struct SharedPageCache {
 impl fmt::Debug for SharedPageCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SharedPageCache")
-            .field("shards", &self.shards.len())
             .field("capacity", &self.capacity())
             .field("physical_reads", &self.physical_reads())
             .field("physical_writes", &self.physical_writes())
@@ -241,33 +204,12 @@ impl fmt::Debug for SharedPageCache {
     }
 }
 
-/// Locks a frame shard, recovering from a poisoned mutex: every mutation
-/// under the lock leaves the frame table structurally consistent between
-/// statements, so a worker that panicked mid-critical-section can at
-/// worst leak a stale recency order or an extra read pin — no reason to
-/// cascade-abort the rest of the fleet.
-fn lock_frames(shard: &Shard) -> MutexGuard<'_, FrameShard> {
-    shard.frames.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Parks on the shard latch (poison-recovering, same rationale as
-/// [`lock_frames`]).
-fn wait_latch<'a>(
-    shard: &'a Shard,
-    guard: MutexGuard<'a, FrameShard>,
-) -> MutexGuard<'a, FrameShard> {
-    shard
-        .latch
-        .wait(guard)
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 impl SharedPageCache {
     /// Opens one cache over the page files at `paths` (store `i` = lane
-    /// `i`), holding `cap_pages` frames split over the shards, for trees
-    /// of the given `heights`. The files are opened once, validated
-    /// (consistent page size) and handed to the queue, whose worker pool
-    /// is their only reader from then on.
+    /// `i`), holding `cap_pages` frames, for trees of the given
+    /// `heights`. The files are opened once, validated (consistent page
+    /// size) and handed to the queue, whose worker pool is their only
+    /// reader from then on.
     pub fn open(
         paths: &[PathBuf],
         cap_pages: usize,
@@ -284,30 +226,15 @@ impl SharedPageCache {
             .map(PageFile::page_bytes)
             .ok_or_else(|| StorageError::Corrupt("no page files".into()))?;
         let queue = CompletionQueue::over(files, cfg.delay);
-        let n = if cfg.shards > 0 {
-            cfg.shards
-        } else {
-            auto_shard_count(cfg.workers, cap_pages)
-        };
-        let shards = (0..n)
-            .map(|i| {
-                let cap = cap_pages / n + usize::from(i < cap_pages % n);
-                Shard {
-                    frames: Mutex::new(FrameShard {
-                        lru: LruBuffer::with_policy(cap, EvictionPolicy::Lru),
-                        reading: HashMap::new(),
-                        payloads: HashMap::new(),
-                        drained: HashMap::new(),
-                        writing: HashSet::new(),
-                        write_waiters: 0,
-                        evicted: Vec::new(),
-                    }),
-                    latch: Condvar::new(),
-                }
-            })
-            .collect();
         Ok(Arc::new(SharedPageCache {
-            shards,
+            frames: Mutex::new(Frames {
+                lru: LruBuffer::new(cap_pages),
+                reading: HashMap::new(),
+                dirty: HashMap::new(),
+                writing: HashSet::new(),
+                write_waiters: 0,
+            }),
+            latch: Condvar::new(),
             queue,
             physical: AtomicU64::new(0),
             physical_writes: AtomicU64::new(0),
@@ -385,22 +312,34 @@ impl SharedPageCache {
         Ok(self.handle_over(pool, StoreFile { store, file }))
     }
 
-    #[inline]
-    fn shard(&self, key: BufKey) -> &Shard {
-        &self.shards[crate::partition::partition_key(key, self.shards.len())]
+    /// Locks the frame table, recovering from a poisoned mutex: every
+    /// mutation under the lock leaves the table structurally consistent
+    /// between statements, so a worker that panicked mid-critical-section
+    /// can at worst leak a stale recency order or an extra read pin — no
+    /// reason to cascade-abort the rest of the fleet.
+    fn lock_frames(&self) -> MutexGuard<'_, Frames> {
+        self.frames.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Flips every completed `Reading` frame in `s` to `Resident` and
-    /// releases its read pin. Cheap: the in-flight set is bounded by the
-    /// queue depth and the completed check is lock-free once the
-    /// completion frontier has passed a ticket. Every public entry point
-    /// settles on entry — the uniform discipline that keeps frame-state
-    /// observations coherent within one lock hold.
-    fn settle(&self, s: &mut FrameShard) {
+    /// Parks on the latch (poison-recovering, same rationale as
+    /// [`SharedPageCache::lock_frames`]).
+    fn wait_latch<'a>(&'a self, guard: MutexGuard<'a, Frames>) -> MutexGuard<'a, Frames> {
+        self.latch
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Flips every completed `Reading` frame to `Resident` and releases
+    /// its read pin. Cheap: the in-flight set is bounded by the queue
+    /// depth and the completed check is lock-free once the completion
+    /// frontier has passed a ticket. Every public entry point settles on
+    /// entry — the uniform discipline that keeps frame-state observations
+    /// coherent within one lock hold.
+    fn settle(&self, s: &mut Frames) {
         if s.reading.is_empty() {
             return;
         }
-        let FrameShard { reading, lru, .. } = s;
+        let Frames { reading, lru, .. } = s;
         reading.retain(|&key, &mut ticket| {
             let done = self.queue.is_complete(ticket);
             if done {
@@ -410,38 +349,17 @@ impl SharedPageCache {
         });
     }
 
-    /// Moves the payloads of freshly evicted dirty frames into the
-    /// shard's drain — called after every LRU operation that can evict.
-    /// This is the fix for the lost-payload bug: the bytes leave the
-    /// frame table only *together with* their key, never behind it.
-    fn harvest(&self, s: &mut FrameShard) {
-        if !s.lru.has_dirty_evicted() {
-            return;
-        }
-        let mut keys = std::mem::take(&mut s.evicted);
-        s.lru.take_dirty_evicted(&mut keys);
-        for key in keys.drain(..) {
-            // Dirty frames always carry a payload: the only dirty-marking
-            // entry point is `complete_write`, which stores the bytes.
-            if let Some(p) = s.payloads.remove(&key) {
-                s.drained.insert(key, p);
-            }
-        }
-        s.evicted = keys;
-    }
-
     /// Serves one charged logical miss for `(store, page)`: returns the
     /// ticket the caller's cursor may park on and whether a *fresh*
     /// physical read was submitted (`false` = the frame was already
-    /// resident, in flight, or waiting in the drain — a warm hit, the
-    /// cross-worker saving). Waits out a concurrent writer first
-    /// (readers wait on the write latch).
+    /// resident, in flight, or drained — a warm hit, the cross-worker
+    /// saving). Waits out a concurrent writer first (readers wait on the
+    /// write latch).
     pub fn materialize(&self, store: u8, page: PageId) -> (Ticket, bool) {
         let key = BufKey::new(store, page);
-        let shard = self.shard(key);
-        let mut s = lock_frames(shard);
+        let mut s = self.lock_frames();
         while s.writing.contains(&key) {
-            s = wait_latch(shard, s);
+            s = self.wait_latch(s);
         }
         self.settle(&mut s);
         if let Some(&ticket) = s.reading.get(&key) {
@@ -455,19 +373,13 @@ impl SharedPageCache {
             self.frame_hits.fetch_add(1, Ordering::Relaxed);
             return (Ticket::NONE, false);
         }
-        if s.drained.contains_key(&key) {
-            // Evicted-dirty re-demand: the newest bytes sit in the drain,
+        if s.dirty.contains_key(&key) {
+            // Drained re-demand: the newest bytes sit in the dirty table,
             // not the file — a pread would resurrect stale data.
-            // Reinstall as a dirty resident, no physical read.
+            // Reinstall, no physical read. (If every other slot is
+            // pinned the install is evicted on the spot and the page
+            // simply stays drained, still flushable.)
             s.lru.install(key);
-            if s.lru.mark_dirty(key) {
-                let p = s.drained.remove(&key).expect("checked above");
-                s.payloads.insert(key, p);
-            }
-            // else: the install was evicted on the spot (every other
-            // slot pinned) — the payload simply stays in the drain,
-            // still Dirty, still flushable.
-            self.harvest(&mut s);
             self.drain_hits.fetch_add(1, Ordering::Relaxed);
             return (Ticket::NONE, false);
         }
@@ -478,7 +390,6 @@ impl SharedPageCache {
         // single-flight authority.
         s.lru.install(key);
         s.lru.pin(key);
-        self.harvest(&mut s);
         let ticket = self.queue.submit(key);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
@@ -494,10 +405,9 @@ impl SharedPageCache {
     /// its stale read pin); waits out a concurrent writer.
     pub fn pin(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
-        let shard = self.shard(key);
-        let mut s = lock_frames(shard);
+        let mut s = self.lock_frames();
         while s.writing.contains(&key) {
-            s = wait_latch(shard, s);
+            s = self.wait_latch(s);
         }
         self.settle(&mut s);
         if s.lru.contains(key) {
@@ -509,25 +419,23 @@ impl SharedPageCache {
     /// writer parked on the pin.
     pub fn unpin(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
-        let shard = self.shard(key);
-        let mut s = lock_frames(shard);
+        let mut s = self.lock_frames();
         self.settle(&mut s);
         s.lru.unpin(key);
-        self.harvest(&mut s);
         let notify = s.write_waiters > 0;
         drop(s);
         if notify {
-            shard.latch.notify_all();
+            self.latch.notify_all();
         }
     }
 
     /// Latched write of `(store, page)`: waits until the frame holds no
-    /// pin and no read is in flight, takes the write latch, installs
-    /// `payload` as the frame's dirty bytes, releases the latch. The
-    /// bytes reach the file at [`SharedPageCache::flush_dirty`] (or via
+    /// pin and no read is in flight, takes the write latch, stores
+    /// `payload` as the page's dirty bytes, releases the latch. The bytes
+    /// reach the file at [`SharedPageCache::flush_dirty`] (or via
     /// [`SharedPageCache::take_dirty_evicted`] after an eviction) — never
-    /// silently dropped. If the frame cannot be held at all (every slot
-    /// pinned by other frames), the payload goes straight to the drain.
+    /// silently dropped, even if the frame cannot be held at all (every
+    /// slot pinned by other frames): the page is then drained at once.
     pub fn write(&self, store: u8, page: PageId, payload: &[u8]) {
         let key = BufKey::new(store, page);
         self.begin_write(key);
@@ -538,12 +446,11 @@ impl SharedPageCache {
     /// (and on each other); an in-flight read is awaited off-lock via
     /// its ticket.
     fn begin_write(&self, key: BufKey) {
-        let shard = self.shard(key);
-        let mut s = lock_frames(shard);
+        let mut s = self.lock_frames();
         loop {
             self.settle(&mut s);
             if s.writing.contains(&key) {
-                s = wait_latch(shard, s);
+                s = self.wait_latch(s);
                 continue;
             }
             if let Some(&ticket) = s.reading.get(&key) {
@@ -551,12 +458,12 @@ impl SharedPageCache {
                 // park on the queue (off-lock), then re-evaluate.
                 drop(s);
                 self.queue.await_ticket(ticket);
-                s = lock_frames(shard);
+                s = self.lock_frames();
                 continue;
             }
             if s.lru.pin_count(key) > 0 {
                 s.write_waiters += 1;
-                s = wait_latch(shard, s);
+                s = self.wait_latch(s);
                 s.write_waiters -= 1;
                 continue;
             }
@@ -565,120 +472,84 @@ impl SharedPageCache {
         }
     }
 
-    /// Installs the new bytes, releases the write latch, wakes waiters.
+    /// Installs the frame, overwrites its dirty bytes, releases the write
+    /// latch, wakes waiters.
     fn complete_write(&self, key: BufKey, payload: &[u8]) {
-        let shard = self.shard(key);
-        let mut s = lock_frames(shard);
+        let mut s = self.lock_frames();
         self.settle(&mut s);
         s.lru.install(key);
-        if s.lru.mark_dirty(key) {
-            let dst = s.payloads.entry(key).or_default();
-            dst.clear();
-            dst.extend_from_slice(payload);
-            // A stale drained copy (evicted before this write) is
-            // superseded by the fresh resident payload.
-            s.drained.remove(&key);
-        } else {
-            // The install itself was evicted on the spot (every other
-            // slot pinned): the payload still must not be lost — it goes
-            // straight to the drain.
-            s.payloads.remove(&key);
-            s.drained.insert(key, payload.to_vec());
-        }
-        self.harvest(&mut s);
+        let dst = s.dirty.entry(key).or_default();
+        dst.clear();
+        dst.extend_from_slice(payload);
         s.writing.remove(&key);
         drop(s);
-        shard.latch.notify_all();
+        self.latch.notify_all();
     }
 
-    /// Clears the dirty state of a frame *without* writing — the owner
-    /// already wrote the bytes back (or abandoned them). Drops the
-    /// payload, resident or drained.
+    /// Clears the dirty state of a page *without* writing — the owner
+    /// already wrote the bytes back (or abandoned them). Drops the bytes,
+    /// resident or drained.
     pub fn clear_dirty(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
-        let mut s = lock_frames(self.shard(key));
+        let mut s = self.lock_frames();
         self.settle(&mut s);
-        s.lru.clear_dirty(key);
-        s.payloads.remove(&key);
-        s.drained.remove(&key);
+        s.dirty.remove(&key);
     }
 
-    /// Dirty frames evicted since the last call, across all shards,
-    /// **payloads included** — the write-back worklist. The caller MUST
-    /// write these back (their bytes are gone from the cache once
-    /// taken); [`SharedPageCache::flush_dirty`] does it in one step for
-    /// owners holding the file. Deterministic order (sorted by key).
+    /// Every drained page — dirty, no longer resident — **bytes
+    /// included**, removed from the cache: the write-back worklist. The
+    /// caller MUST write these back (their bytes are gone from the cache
+    /// once taken); [`SharedPageCache::flush_dirty`] does it in one step
+    /// for owners holding the file. Deterministic order (sorted by key).
     pub fn take_dirty_evicted(&self) -> Vec<(BufKey, Vec<u8>)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let mut s = lock_frames(shard);
-            self.settle(&mut s);
-            self.harvest(&mut s);
-            out.extend(s.drained.drain());
-        }
+        let mut s = self.lock_frames();
+        self.settle(&mut s);
+        let Frames { lru, dirty, .. } = &mut *s;
+        let mut out: Vec<_> = dirty.extract_if(|&k, _| !lru.contains(k)).collect();
         out.sort_by_key(|&(k, _)| k);
         out
     }
 
-    /// Writes every pending dirty payload of `store` through `write` —
-    /// drained (evicted) pages first, then dirty residents in the LRU's
-    /// deterministic recency order — charging
+    /// Writes every pending dirty page of `store` through `write`, once
+    /// each and in key order, charging
     /// [`SharedPageCache::physical_writes`] once per page and cleaning
-    /// each frame as it lands. Error-safe: pages written before a
-    /// failure are clean, the failing page and the rest keep their
-    /// payloads — a retry resumes where this stopped.
+    /// each page as it lands. Error-safe: pages written before a failure
+    /// are clean, the failing page and the rest keep their bytes — a
+    /// retry resumes where this stopped.
     pub fn flush_dirty(
         &self,
         store: u8,
         mut write: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
-        for shard in &self.shards {
-            let mut s = lock_frames(shard);
-            self.settle(&mut s);
-            self.harvest(&mut s);
-            let mut drained: Vec<BufKey> = s
-                .drained
-                .keys()
-                .copied()
-                .filter(|k| k.store == store)
-                .collect();
-            drained.sort_unstable();
-            for key in drained {
-                let buf = &s.drained[&key];
-                write(key.page, buf)?;
-                self.physical_writes.fetch_add(1, Ordering::Relaxed);
-                s.drained.remove(&key);
-            }
-            for key in s.lru.dirty_keys() {
-                if key.store != store {
-                    continue;
-                }
-                let buf = s
-                    .payloads
-                    .get(&key)
-                    .expect("dirty resident frame must carry a payload");
-                write(key.page, buf)?;
-                self.physical_writes.fetch_add(1, Ordering::Relaxed);
-                s.payloads.remove(&key);
-                s.lru.clear_dirty(key);
-            }
+        let mut s = self.lock_frames();
+        self.settle(&mut s);
+        let mut keys: Vec<BufKey> = s
+            .dirty
+            .keys()
+            .copied()
+            .filter(|k| k.store == store)
+            .collect();
+        keys.sort_unstable();
+        for key in keys {
+            write(key.page, &s.dirty[&key])?;
+            self.physical_writes.fetch_add(1, Ordering::Relaxed);
+            s.dirty.remove(&key);
         }
         Ok(())
     }
 
-    /// The observable state of the frame of `(store, page)`. Settles the
-    /// shard first, so a completed read reports `Resident`. An evicted
-    /// dirty page whose payload waits in the drain reports `Dirty`: the
-    /// cache still holds bytes newer than the file.
+    /// The observable state of the frame of `(store, page)`. Settles
+    /// first, so a completed read reports `Resident`. A drained page
+    /// reports `Dirty`: the cache still holds bytes newer than the file.
     pub fn frame_state(&self, store: u8, page: PageId) -> FrameState {
         let key = BufKey::new(store, page);
-        let mut s = lock_frames(self.shard(key));
+        let mut s = self.lock_frames();
         self.settle(&mut s);
         if s.writing.contains(&key) {
             FrameState::Writing
         } else if s.reading.contains_key(&key) {
             FrameState::Reading
-        } else if s.lru.is_dirty(key) || s.drained.contains_key(&key) {
+        } else if s.dirty.contains_key(&key) {
             FrameState::Dirty
         } else if s.lru.contains(key) {
             FrameState::Resident
@@ -692,7 +563,7 @@ impl SharedPageCache {
     /// discipline), so a completed read's pin is not miscounted.
     pub fn pin_count(&self, store: u8, page: PageId) -> u32 {
         let key = BufKey::new(store, page);
-        let mut s = lock_frames(self.shard(key));
+        let mut s = self.lock_frames();
         self.settle(&mut s);
         s.lru.pin_count(key)
     }
@@ -736,38 +607,29 @@ impl SharedPageCache {
         self.adoptions.load(Ordering::Relaxed)
     }
 
-    /// Materialize calls served from the dirty-eviction drain (newest
+    /// Materialize calls served from a drained page's dirty bytes (newest
     /// bytes recovered without touching the file).
     #[inline]
     pub fn drain_hits(&self) -> u64 {
         self.drain_hits.load(Ordering::Relaxed)
     }
 
-    /// Frames evicted across all shards since open (or the last
+    /// Frames evicted since open (or the last
     /// [`SharedPageCache::clear`]'s LRU reset).
     pub fn evictions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| lock_frames(s).lru.evictions())
-            .sum()
+        self.lock_frames().lru.evictions()
     }
 
-    /// Dirty payloads parked in the eviction drain right now — the
+    /// Drained pages right now — dirty, no longer resident: the
     /// write-back backlog eviction has produced.
     pub fn drain_depth(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut s = lock_frames(shard);
-                self.harvest(&mut s);
-                s.drained.len()
-            })
-            .sum()
+        let s = self.lock_frames();
+        s.dirty.keys().filter(|&&k| !s.lru.contains(k)).count()
     }
 
     /// Fraction of materialize calls served without a physical read
-    /// (resident frame, adopted in-flight read, or drain). 1.0 when
-    /// every request was warm; 0.0 with no traffic.
+    /// (resident frame, adopted in-flight read, or drained page). 1.0
+    /// when every request was warm; 0.0 with no traffic.
     pub fn hit_ratio(&self) -> f64 {
         let warm = self.frame_hits() + self.adoptions() + self.drain_hits();
         let total = warm + self.physical_reads();
@@ -778,18 +640,12 @@ impl SharedPageCache {
         }
     }
 
-    /// Dirty payloads the cache currently holds (resident + drained) —
-    /// what a full [`SharedPageCache::flush_dirty`] sweep would write.
+    /// Dirty pages the cache currently holds (resident + drained) — what
+    /// a full [`SharedPageCache::flush_dirty`] sweep would write.
     pub fn pending_write_back(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                let mut s = lock_frames(shard);
-                self.settle(&mut s);
-                self.harvest(&mut s);
-                s.payloads.len() + s.drained.len()
-            })
-            .sum()
+        let mut s = self.lock_frames();
+        self.settle(&mut s);
+        s.dirty.len()
     }
 
     /// The completion queue all physical reads flow through.
@@ -798,23 +654,14 @@ impl SharedPageCache {
         &self.queue
     }
 
-    /// Total frame capacity across shards.
+    /// Frame capacity in pages.
     pub fn capacity(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| lock_frames(s).lru.capacity())
-            .sum()
-    }
-
-    /// Number of frame shards.
-    #[inline]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        self.lock_frames().lru.capacity()
     }
 
     /// Frames currently resident or in flight.
     pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| lock_frames(s).lru.len()).sum()
+        self.lock_frames().lru.len()
     }
 
     /// Tree heights the cache was opened for (path-buffer sizing).
@@ -829,15 +676,13 @@ impl SharedPageCache {
         self.page_bytes
     }
 
-    /// Waits out every in-flight read and settles all shards: afterwards
-    /// no frame is `Reading` and `physical_reads` equals the queue's
-    /// completed reads (the honesty point).
+    /// Waits out every in-flight read and settles the frame table:
+    /// afterwards no frame is `Reading` and `physical_reads` equals the
+    /// queue's completed reads (the honesty point).
     pub fn drain(&self) {
         self.queue.drain();
-        for shard in &self.shards {
-            let mut s = lock_frames(shard);
-            self.settle(&mut s);
-        }
+        let mut s = self.lock_frames();
+        self.settle(&mut s);
     }
 
     /// Zeroes the physical-read/-write and queue counters while keeping
@@ -865,18 +710,15 @@ impl SharedPageCache {
     /// as [`LruBuffer::clear`]): owners flush first.
     pub fn clear(&self) {
         self.drain();
-        for shard in &self.shards {
-            let mut s = lock_frames(shard);
-            s.lru.clear();
-            s.lru.reset_io();
-            s.reading.clear();
-            s.payloads.clear();
-            s.drained.clear();
-            s.writing.clear();
-            drop(s);
-            // Writers parked on vanished pins must re-evaluate.
-            shard.latch.notify_all();
-        }
+        let mut s = self.lock_frames();
+        s.lru.clear();
+        s.lru.reset_io();
+        s.reading.clear();
+        s.dirty.clear();
+        s.writing.clear();
+        drop(s);
+        // Writers parked on vanished pins must re-evaluate.
+        self.latch.notify_all();
         self.queue.reset();
         self.physical.store(0, Ordering::Relaxed);
         self.physical_writes.store(0, Ordering::Relaxed);
@@ -1105,8 +947,6 @@ mod tests {
             cap,
             &[2],
             CacheConfig {
-                // One shard: deterministic eviction order for the tests.
-                shards: 1,
                 delay,
                 ..CacheConfig::default()
             },
@@ -1162,7 +1002,7 @@ mod tests {
         let c = cache(&dir, 4, 4, Some(slow));
         let (ticket, fresh) = c.materialize(0, PageId(2));
         assert!(fresh);
-        // Wait for the completion *without* touching the shard, so the
+        // Wait for the completion *without* touching the frame table, so the
         // frame is complete-but-unsettled when pin arrives.
         c.queue().await_ticket(ticket);
         c.pin(0, PageId(2));
@@ -1433,6 +1273,68 @@ mod tests {
     }
 
     #[test]
+    fn one_dirty_table_holds_resident_and_drained_pages() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 8, 3, None);
+        let resident_dirty = |c: &SharedPageCache| {
+            let s = c.lock_frames();
+            s.dirty.keys().filter(|&&k| s.lru.contains(k)).count()
+        };
+        for p in 0..3u32 {
+            c.materialize(0, PageId(p));
+        }
+        c.drain();
+        for (p, bytes) in [(0u32, "zero"), (1, "one"), (2, "two")] {
+            c.write(0, PageId(p), bytes.as_bytes());
+        }
+        // Recency [2, 1, 0]: two more pages drain 0, then 1.
+        c.materialize(0, PageId(3));
+        c.materialize(0, PageId(4));
+        c.drain();
+        c.write(0, PageId(3), b"three");
+        assert_eq!(c.drain_depth(), 2);
+        assert_eq!(resident_dirty(&c), 2);
+        assert_eq!(
+            c.drain_depth() + resident_dirty(&c),
+            c.pending_write_back(),
+            "every pending page is resident-dirty or drained, never both"
+        );
+        assert_eq!(
+            c.take_dirty_evicted(),
+            vec![
+                (BufKey::new(0, PageId(0)), b"zero".to_vec()),
+                (BufKey::new(0, PageId(1)), b"one".to_vec()),
+            ],
+            "only the drained pages are taken"
+        );
+        assert_eq!(c.pending_write_back(), 2);
+        assert_eq!(c.drain_depth(), 0);
+        // Recency [3, 4, 2]: a write of page 6 drains dirty page 2, so the
+        // flush below meets drained and resident pages interleaved in key
+        // order.
+        c.write(0, PageId(6), b"six");
+        assert_eq!(c.drain_depth(), 1);
+        let mut written = Vec::new();
+        c.flush_dirty(0, |page, buf| {
+            written.push((page, buf.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            written,
+            vec![
+                (PageId(2), b"two".to_vec()),
+                (PageId(3), b"three".to_vec()),
+                (PageId(6), b"six".to_vec()),
+            ],
+            "each remaining page written once, in key order"
+        );
+        assert_eq!(c.physical_writes(), 3);
+        assert_eq!(c.pending_write_back(), 0);
+        assert_eq!(c.drain_depth(), 0);
+    }
+
+    #[test]
     fn handles_charge_like_the_buffer_pool_oracle() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 8, None);
@@ -1570,7 +1472,7 @@ mod tests {
         let poisoner = std::thread::spawn({
             let c = Arc::clone(&c);
             move || {
-                let _guard = c.shards[0].frames.lock().unwrap();
+                let _guard = c.frames.lock().unwrap();
                 panic!("worker dies holding the frame lock");
             }
         });
@@ -1579,18 +1481,5 @@ mod tests {
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
         let (_, fresh) = c.materialize(0, PageId(2));
         assert!(fresh, "the pool keeps serving after a worker panic");
-    }
-
-    #[test]
-    fn shard_count_tracks_workers_without_degenerate_slices() {
-        // Worker count rounds up to a power of two…
-        assert_eq!(auto_shard_count(1, 1024), 1);
-        assert_eq!(auto_shard_count(3, 1024), 4);
-        assert_eq!(auto_shard_count(6, 1024), 8);
-        // …capped so huge fleets don't fragment the budget…
-        assert_eq!(auto_shard_count(100, 1024), MAX_AUTO_SHARDS);
-        // …and a small cache never splits below one page per shard.
-        assert_eq!(auto_shard_count(8, 3), 3);
-        assert_eq!(auto_shard_count(8, 0), 1);
     }
 }

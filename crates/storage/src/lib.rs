@@ -53,14 +53,13 @@
 //!   and moving no `IoStats` number ([`stack`]); parallel workers each own
 //!   a stack;
 //! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
-//!   frame cache over the completion queue: sharded, pin-counted frames
-//!   walking an Empty → Reading → Resident → Dirty state machine,
-//!   single-flight physical reads across concurrent demanders, and warm
-//!   frames that outlive a single join — while every worker's handle owns
-//!   a private [`BufferPool`], so its [`IoStats`] are those of a
-//!   private-buffer worker;
-//! * [`partition`] — the Fibonacci-hash partitioner of the cache's frame
-//!   shards;
+//!   frame cache over the completion queue: one LRU frame table of
+//!   pin-counted frames walking an Empty → Reading → Resident → Dirty
+//!   state machine, one table of dirty bytes, single-flight physical
+//!   reads across concurrent demanders, and warm frames that outlive a
+//!   single join — while every worker's handle owns a private
+//!   [`BufferPool`], so its [`IoStats`] are those of a private-buffer
+//!   worker;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -102,7 +101,6 @@ pub mod heapfile;
 mod inflight;
 pub mod lru;
 pub mod page;
-pub mod partition;
 pub mod path;
 pub mod pool;
 pub mod scan;

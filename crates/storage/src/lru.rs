@@ -12,6 +12,10 @@
 //! above its nominal capacity (in particular with a zero-size buffer, where
 //! the pinned page is the only resident page); unpinned overflow is trimmed
 //! immediately.
+//!
+//! LRU is the only replacement policy, as in the paper: this one type is
+//! the logical buffer of every [`crate::BufferPool`] and the frame table
+//! of the [`crate::SharedPageCache`].
 
 use crate::page::PageId;
 
@@ -47,21 +51,13 @@ pub enum Access {
 
 const NIL: usize = usize::MAX;
 
-/// Which page is chosen as the eviction victim.
-///
-/// The paper's experiments use LRU ("the LRU-buffer follows the last
-/// recently used policy", §4.1); FIFO and Clock (second chance) are
-/// provided for the buffer-policy ablation bench — read schedules built on
-/// spatial locality interact differently with each policy.
+/// The one eviction policy, LRU (§4.1). Kept only because the repo
+/// benchmark passes `EvictionPolicy::Lru` to the file stacks' constructors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvictionPolicy {
     /// Evict the least recently used page.
     #[default]
     Lru,
-    /// Evict the page resident for the longest time, ignoring re-use.
-    Fifo,
-    /// Second-chance approximation of LRU with one reference bit per page.
-    Clock,
 }
 
 #[derive(Debug, Clone)]
@@ -70,7 +66,6 @@ struct Slot {
     prev: usize,
     next: usize,
     pins: u32,
-    referenced: bool,
     /// The resident page differs from its on-disk copy; eviction must
     /// write it back (the owner drains [`LruBuffer::take_dirty_evicted`]).
     dirty: bool,
@@ -80,7 +75,6 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct LruBuffer {
     cap: usize,
-    policy: EvictionPolicy,
     map: std::collections::HashMap<BufKey, usize>,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -102,14 +96,8 @@ impl LruBuffer {
     /// A capacity of zero models the paper's "buffer size = 0" experiments:
     /// every unpinned access is a miss, but pinning still retains pages.
     pub fn new(cap_pages: usize) -> Self {
-        Self::with_policy(cap_pages, EvictionPolicy::Lru)
-    }
-
-    /// Creates a buffer with an explicit eviction policy.
-    pub fn with_policy(cap_pages: usize, policy: EvictionPolicy) -> Self {
         LruBuffer {
             cap: cap_pages,
-            policy,
             map: std::collections::HashMap::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -126,12 +114,6 @@ impl LruBuffer {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.cap
-    }
-
-    /// The eviction policy.
-    #[inline]
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Number of resident pages (may exceed capacity only due to pins).
@@ -157,14 +139,7 @@ impl LruBuffer {
     pub fn access(&mut self, key: BufKey) -> Access {
         if let Some(&slot) = self.map.get(&key) {
             self.hits += 1;
-            match self.policy {
-                EvictionPolicy::Lru => {
-                    self.detach(slot);
-                    self.push_front(slot);
-                }
-                EvictionPolicy::Fifo => {}
-                EvictionPolicy::Clock => self.slots[slot].referenced = true,
-            }
+            self.touch(slot);
             return Access::Hit;
         }
         self.misses += 1;
@@ -210,14 +185,7 @@ impl LruBuffer {
     /// victims.
     pub fn install(&mut self, key: BufKey) {
         if let Some(&slot) = self.map.get(&key) {
-            match self.policy {
-                EvictionPolicy::Lru => {
-                    self.detach(slot);
-                    self.push_front(slot);
-                }
-                EvictionPolicy::Fifo => {}
-                EvictionPolicy::Clock => self.slots[slot].referenced = true,
-            }
+            self.touch(slot);
         } else {
             self.insert(key, 0);
         }
@@ -228,23 +196,15 @@ impl LruBuffer {
     /// Returns `false` (and records nothing) if `key` is not resident.
     ///
     /// Dirty-marking is a *touch*: the writer just materialized the page's
-    /// newest bytes, so the frame is promoted exactly like a hit (LRU:
-    /// to MRU; Clock: reference bit; FIFO: arrival order is immutable by
-    /// definition). Without the bump a freshly-dirtied hot page could be
-    /// the very next eviction victim under pressure, forcing a pointless
-    /// immediate write-back of the hottest page in the working set.
+    /// newest bytes, so the frame is promoted to MRU exactly like a hit.
+    /// Without the bump a freshly-dirtied hot page could be the very next
+    /// eviction victim under pressure, forcing a pointless immediate
+    /// write-back of the hottest page in the working set.
     pub fn mark_dirty(&mut self, key: BufKey) -> bool {
         match self.map.get(&key) {
             Some(&slot) => {
                 self.slots[slot].dirty = true;
-                match self.policy {
-                    EvictionPolicy::Lru => {
-                        self.detach(slot);
-                        self.push_front(slot);
-                    }
-                    EvictionPolicy::Fifo => {}
-                    EvictionPolicy::Clock => self.slots[slot].referenced = true,
-                }
+                self.touch(slot);
                 true
             }
             None => false,
@@ -355,25 +315,18 @@ impl LruBuffer {
     }
 
     fn insert(&mut self, key: BufKey, pins: u32) {
+        let fresh = Slot {
+            key,
+            prev: NIL,
+            next: NIL,
+            pins,
+            dirty: false,
+        };
         let slot = if let Some(s) = self.free.pop() {
-            self.slots[s] = Slot {
-                key,
-                prev: NIL,
-                next: NIL,
-                pins,
-                referenced: false,
-                dirty: false,
-            };
+            self.slots[s] = fresh;
             s
         } else {
-            self.slots.push(Slot {
-                key,
-                prev: NIL,
-                next: NIL,
-                pins,
-                referenced: false,
-                dirty: false,
-            });
+            self.slots.push(fresh);
             self.slots.len() - 1
         };
         self.map.insert(key, slot);
@@ -385,7 +338,7 @@ impl LruBuffer {
     /// fits the capacity budget left over by pinned residents.
     fn trim(&mut self) {
         while self.map.len() > self.cap {
-            let Some(victim) = self.pick_victim() else {
+            let Some(victim) = self.oldest_unpinned() else {
                 // Everything resident is pinned; allow the overflow.
                 break;
             };
@@ -400,30 +353,8 @@ impl LruBuffer {
         }
     }
 
-    /// Victim selection per policy; `None` if everything is pinned.
-    fn pick_victim(&mut self) -> Option<usize> {
-        match self.policy {
-            // LRU and FIFO both take the oldest unpinned entry of the
-            // recency list (FIFO never reorders on hit, so "oldest" means
-            // insertion order there).
-            EvictionPolicy::Lru | EvictionPolicy::Fifo => self.oldest_unpinned(),
-            EvictionPolicy::Clock => {
-                // Scan from the tail; referenced pages get a second chance
-                // (bit cleared, moved to the front).
-                loop {
-                    let victim = self.oldest_unpinned()?;
-                    if self.slots[victim].referenced {
-                        self.slots[victim].referenced = false;
-                        self.detach(victim);
-                        self.push_front(victim);
-                    } else {
-                        return Some(victim);
-                    }
-                }
-            }
-        }
-    }
-
+    /// The eviction victim: the least recently used unpinned slot, `None`
+    /// if everything is pinned.
     fn oldest_unpinned(&self) -> Option<usize> {
         let mut cur = self.tail;
         while cur != NIL {
@@ -433,6 +364,12 @@ impl LruBuffer {
             cur = self.slots[cur].prev;
         }
         None
+    }
+
+    /// Promotes `slot` to most recently used.
+    fn touch(&mut self, slot: usize) {
+        self.detach(slot);
+        self.push_front(slot);
     }
 
     fn detach(&mut self, slot: usize) {
@@ -727,14 +664,6 @@ mod tests {
         assert!(!b.contains(k(2)));
         assert!(!b.has_dirty_evicted(), "the evicted page was clean");
         assert_eq!(b.recency_order(), vec![k(3), k(1)]);
-
-        // Clock: the touch sets the reference bit, buying a second chance.
-        let mut c = LruBuffer::with_policy(1, EvictionPolicy::Clock);
-        c.access(k(1));
-        c.mark_dirty(k(1));
-        c.access(k(2)); // 1 is referenced -> spared; 2 bounces
-        assert!(c.contains(k(1)));
-        assert!(c.is_dirty(k(1)));
     }
 
     #[test]
@@ -767,92 +696,5 @@ mod tests {
         assert_eq!(b.evictions(), evictions + 1);
         b.unpin(k(1));
         assert!(b.is_empty());
-    }
-}
-
-#[cfg(test)]
-mod policy_tests {
-    use super::*;
-
-    fn k(n: u32) -> BufKey {
-        BufKey::new(0, PageId(n))
-    }
-
-    #[test]
-    fn fifo_does_not_promote_on_hit() {
-        let mut b = LruBuffer::with_policy(2, EvictionPolicy::Fifo);
-        b.access(k(1));
-        b.access(k(2));
-        assert_eq!(b.access(k(1)), Access::Hit); // no reorder under FIFO
-        b.access(k(3)); // evicts 1, the oldest arrival, despite its hit
-        assert!(!b.contains(k(1)));
-        assert!(b.contains(k(2)));
-        assert!(b.contains(k(3)));
-    }
-
-    #[test]
-    fn lru_promotes_on_hit_where_fifo_does_not() {
-        let mut b = LruBuffer::with_policy(2, EvictionPolicy::Lru);
-        b.access(k(1));
-        b.access(k(2));
-        b.access(k(1));
-        b.access(k(3)); // evicts 2 under LRU
-        assert!(b.contains(k(1)));
-        assert!(!b.contains(k(2)));
-    }
-
-    #[test]
-    fn clock_gives_second_chance() {
-        let mut b = LruBuffer::with_policy(2, EvictionPolicy::Clock);
-        b.access(k(1));
-        b.access(k(2));
-        assert_eq!(b.access(k(1)), Access::Hit); // sets 1's reference bit
-        b.access(k(3)); // victim scan: 1 referenced -> spared; 2 evicted
-        assert!(b.contains(k(1)));
-        assert!(!b.contains(k(2)));
-        assert!(b.contains(k(3)));
-    }
-
-    #[test]
-    fn clock_evicts_after_bits_are_spent() {
-        let mut b = LruBuffer::with_policy(1, EvictionPolicy::Clock);
-        b.access(k(1));
-        b.access(k(1)); // sets 1's reference bit
-                        // 1 is spared on the first pressure (bit spent), so the incoming
-                        // page is the victim — classic Clock corner.
-        b.access(k(2));
-        assert!(b.contains(k(1)));
-        assert!(!b.contains(k(2)));
-        assert_eq!(b.len(), 1);
-        // The bit is now spent: the next insertion displaces 1.
-        b.access(k(3));
-        assert!(!b.contains(k(1)));
-        assert!(b.contains(k(3)));
-    }
-
-    #[test]
-    fn policies_share_pinning_semantics() {
-        for policy in [
-            EvictionPolicy::Lru,
-            EvictionPolicy::Fifo,
-            EvictionPolicy::Clock,
-        ] {
-            let mut b = LruBuffer::with_policy(1, policy);
-            b.access(k(1));
-            b.pin(k(1));
-            b.access(k(2));
-            b.access(k(3));
-            assert!(b.contains(k(1)), "{policy:?}");
-            b.unpin(k(1));
-        }
-    }
-
-    #[test]
-    fn policy_accessor() {
-        assert_eq!(LruBuffer::new(4).policy(), EvictionPolicy::Lru);
-        assert_eq!(
-            LruBuffer::with_policy(4, EvictionPolicy::Clock).policy(),
-            EvictionPolicy::Clock
-        );
     }
 }

@@ -37,7 +37,7 @@ use std::convert::Infallible;
 
 use crate::access::NodeAccess;
 pub use crate::lru::BufKey;
-use crate::lru::{Access, EvictionPolicy, LruBuffer};
+use crate::lru::{Access, LruBuffer};
 use crate::page::PageId;
 use crate::path::PathBuffer;
 
@@ -114,30 +114,14 @@ impl BufferPool {
     /// pages (the paper quotes buffer sizes in KBytes) and one path buffer
     /// per entry of `heights`, sized to the respective tree height.
     pub fn new(buffer_bytes: usize, page_bytes: usize, heights: &[usize]) -> Self {
-        Self::with_policy(buffer_bytes, page_bytes, heights, EvictionPolicy::Lru)
-    }
-
-    /// [`BufferPool::new`] with an explicit eviction policy for the shared
-    /// page buffer.
-    pub fn with_policy(
-        buffer_bytes: usize,
-        page_bytes: usize,
-        heights: &[usize],
-        policy: EvictionPolicy,
-    ) -> Self {
         assert!(page_bytes > 0, "page size must be positive");
-        Self::with_pages(buffer_bytes / page_bytes, heights, policy)
+        Self::with_capacity_pages(buffer_bytes / page_bytes, heights)
     }
 
-    /// Pool with explicit LRU page capacity (mostly for tests).
+    /// Pool with explicit LRU page capacity.
     pub fn with_capacity_pages(cap_pages: usize, heights: &[usize]) -> Self {
-        Self::with_pages(cap_pages, heights, EvictionPolicy::Lru)
-    }
-
-    /// Pool with explicit LRU page capacity and eviction policy.
-    pub(crate) fn with_pages(cap_pages: usize, heights: &[usize], policy: EvictionPolicy) -> Self {
         BufferPool {
-            lru: LruBuffer::with_policy(cap_pages, policy),
+            lru: LruBuffer::new(cap_pages),
             paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
             stats: IoStats::default(),
             evicted: Vec::new(),

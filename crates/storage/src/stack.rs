@@ -152,13 +152,12 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
         files: Vec<S>,
         cap_pages: usize,
         heights: &[usize],
-        policy: EvictionPolicy,
         reads: R,
     ) -> Result<Self, StorageError> {
         validate_stores(&files, heights)?;
         Ok(FileAccess {
             files,
-            pool: BufferPool::with_pages(cap_pages, heights, policy),
+            pool: BufferPool::with_capacity_pages(cap_pages, heights),
             dirty: DirtyPages::default(),
             reads,
             last_miss: Ticket::NONE,
@@ -209,32 +208,35 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
 impl<S: PageSource> FileAccess<S, Blocking> {
     /// Stack over `files` (store `i` resolves to `files[i]`) with an LRU
     /// buffer of `cap_pages` and one path buffer per entry of `heights`.
+    /// `_policy` has one value; it is kept only because the repo
+    /// benchmark (`benchmark/`) passes it.
     pub fn with_capacity_pages(
         files: Vec<S>,
         cap_pages: usize,
         heights: &[usize],
-        policy: EvictionPolicy,
+        _policy: EvictionPolicy,
     ) -> Result<Self, StorageError> {
-        Self::assemble(files, cap_pages, heights, policy, Blocking::default())
+        Self::assemble(files, cap_pages, heights, Blocking::default())
     }
 }
 
 impl CompletionFileAccess {
     /// Stack over `files` with an LRU buffer of `cap_pages`, one path
     /// buffer per entry of `heights`, and a private completion queue
-    /// whose lane `i` reads `files[i]`'s path.
+    /// whose lane `i` reads `files[i]`'s path. `_policy` is kept only for
+    /// the repo benchmark, as on the blocking stack.
     pub fn with_capacity_pages(
         files: Vec<PageFile>,
         cap_pages: usize,
         heights: &[usize],
-        policy: EvictionPolicy,
+        _policy: EvictionPolicy,
         cfg: CompletionConfig,
     ) -> Result<Self, StorageError> {
         let paths: Vec<PathBuf> = files.iter().map(|f| f.path().to_path_buf()).collect();
         let reads = Queued {
             queue: CompletionQueue::open(&paths, cfg.delay)?,
         };
-        Self::assemble(files, cap_pages, heights, policy, reads)
+        Self::assemble(files, cap_pages, heights, reads)
     }
 
     /// The queue this stack submits to (lane reads, poll and lag

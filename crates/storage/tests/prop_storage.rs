@@ -281,7 +281,7 @@ proptest! {
             &[path("cached", 0), path("cached", 1)],
             3,
             &[3, 3],
-            CacheConfig { shards: 1, ..CacheConfig::default() },
+            CacheConfig::default(),
         )
         .unwrap();
         let mut cached = cache.update_handle(upd, cap).unwrap();

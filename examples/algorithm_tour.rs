@@ -21,7 +21,6 @@ fn main() {
     let cfg = JoinConfig {
         buffer_bytes: 32 * 1024,
         collect_pairs: false,
-        ..Default::default()
     };
     let model = CostModel::default();
 

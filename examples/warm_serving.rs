@@ -89,10 +89,7 @@ fn main() {
         &[rp.clone(), sp.clone()],
         BUDGET_PAGES,
         &heights,
-        CacheConfig {
-            workers: WORKERS,
-            ..CacheConfig::default()
-        },
+        CacheConfig::default(),
     )
     .expect("shared cache");
     let shared = parallel_spatial_join_warm(&rf, &sf, plan, false, WORKERS, &cache, cap_per_worker);
@@ -112,19 +109,14 @@ fn main() {
         shared.stats.io.disk_accesses - 2,
     );
 
-    // 3: the serving loop — a working-set-sized single-shard pool (one
-    // shard so pool == working set provably never evicts), one cold
-    // fill, then four concurrent clients running the serial join
-    // through their own handles at the full logical budget.
+    // 3: the serving loop — a working-set-sized pool (it never evicts),
+    // one cold fill, then four concurrent clients running the serial
+    // join through their own handles at the full logical budget.
     let pool = SharedPageCache::open(
         &[rp.clone(), sp.clone()],
         working_set,
         &heights,
-        CacheConfig {
-            workers: WORKERS,
-            shards: 1,
-            ..CacheConfig::default()
-        },
+        CacheConfig::default(),
     )
     .expect("serving pool");
     let serve = |pool: &std::sync::Arc<SharedPageCache>| {
@@ -157,6 +149,7 @@ fn main() {
         }
     });
     pool.drain();
+    assert_eq!(pool.evictions(), 0, "a working-set-sized pool never evicts");
     println!(
         "  serving: {} physical reads across all warm clients — the pool is warm,\n\
          \u{20} every charge is served from shared frames, the disk stays silent.",

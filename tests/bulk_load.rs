@@ -233,16 +233,9 @@ fn bulk_files_join_identically_across_all_backends() {
     ] {
         let fx = Fixture::new(test, 0.003, layout);
         let heights = fx.files.heights();
-        let cache = SharedPageCache::open(
-            &fx.files.paths,
-            CAP_PAGES,
-            &heights,
-            CacheConfig {
-                workers: 1,
-                ..CacheConfig::default()
-            },
-        )
-        .unwrap();
+        let cache =
+            SharedPageCache::open(&fx.files.paths, CAP_PAGES, &heights, CacheConfig::default())
+                .unwrap();
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{:?}/{name}", fx.layout);
 

@@ -171,22 +171,14 @@ impl Fixture {
         count(&self.r_path) + count(&self.s_path)
     }
 
-    fn cache(
-        &self,
-        cap_pages: usize,
-        workers: usize,
-        delay: Option<DelayFn>,
-    ) -> Arc<SharedPageCache> {
+    fn cache(&self, cap_pages: usize, delay: Option<DelayFn>) -> Arc<SharedPageCache> {
         SharedPageCache::open(
             &[self.r_path.clone(), self.s_path.clone()],
             cap_pages,
             &self.heights(),
             CacheConfig {
-                workers,
-                // One shard: deterministic eviction order, and a
-                // working-set-sized pool provably never evicts.
-                shards: 1,
                 delay,
+                ..CacheConfig::default()
             },
         )
         .unwrap()
@@ -228,7 +220,7 @@ fn seeded_delay(seed: u64, span_us: u64) -> DelayFn {
 #[test]
 fn cached_updates_match_the_file_backend_oracle() {
     let fx = Fixture::new(TestId::A, 240, 7);
-    let cache = fx.cache(fx.working_set() * 2, 1, None);
+    let cache = fx.cache(fx.working_set() * 2, None);
     let mut open = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
     apply_to_open(&mut open, &fx.script);
     let io = open.io_stats();
@@ -265,7 +257,7 @@ fn cached_updates_match_the_file_backend_oracle() {
 #[test]
 fn dirty_evictions_under_a_tiny_pool_lose_no_updates() {
     let fx = Fixture::new(TestId::B, 240, 11);
-    let cache = fx.cache(2, 1, None);
+    let cache = fx.cache(2, None);
     let mut open = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
     apply_to_open(&mut open, &fx.script);
     assert_eq!(
@@ -290,7 +282,7 @@ fn interleaved_update_and_join_rounds_stay_oracle_exact() {
     let fx = Fixture::new(TestId::A, 240, 13);
     let workers = 2;
     let cap = (CAP_PAGES / workers).max(1);
-    let cache = fx.cache(fx.working_set() * 2, workers, None);
+    let cache = fx.cache(fx.working_set() * 2, None);
     let mut open = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
     let heights = fx.heights();
     for (round, chunk) in fx.script.chunks(60).enumerate() {
@@ -348,11 +340,7 @@ fn concurrent_updater_and_joins_agree_with_the_sequential_oracle() {
         let cap = (CAP_PAGES / workers).max(1);
         let pool = if tiny { 4 } else { fx.working_set() * 2 };
         let label = if tiny { "tiny pool" } else { "ample pool" };
-        let cache = fx.cache(
-            pool,
-            workers,
-            Some(seeded_delay(0xC0FFEE ^ pool as u64, 120)),
-        );
+        let cache = fx.cache(pool, Some(seeded_delay(0xC0FFEE ^ pool as u64, 120)));
         // Joins run over the pre-update snapshot (its pages stay
         // physically readable: frees only mark the free list, appends
         // only grow the file), so the sequential join oracle is fixed.
@@ -435,7 +423,7 @@ proptest! {
         let fx = Fixture::new(TestId::B, ops, seed | 1);
         let workers = if four_workers { 4 } else { 2 };
         let cap = (CAP_PAGES / workers).max(1);
-        let cache = fx.cache(pool_frames, workers, Some(seeded_delay(seed, span_us)));
+        let cache = fx.cache(pool_frames, Some(seeded_delay(seed, span_us)));
         let join_oracle = parallel_spatial_join_with_access(
             &fx.r_file, &fx.s_file, JoinPlan::sj2(), true, workers,
             |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),

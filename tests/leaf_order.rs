@@ -131,11 +131,7 @@ fn leaf_order_survives_cached_updates_and_reopen() {
         &[r_path.clone(), s_path],
         64,
         &heights,
-        CacheConfig {
-            workers: 1,
-            shards: 1,
-            delay: None,
-        },
+        CacheConfig::default(),
     )
     .unwrap();
     let mut open = OpenCachedTree::open_cached(&cache, 0, 16).unwrap();

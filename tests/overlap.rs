@@ -115,7 +115,6 @@ fn overlap_survives_one_slow_store_on_every_stack() {
         .for_each_stack(CAP_PAGES, Some(delay.clone()), stacks);
 
     let cfg = CacheConfig {
-        workers: 1,
         delay: Some(delay),
         ..CacheConfig::default()
     };

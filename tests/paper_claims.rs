@@ -36,7 +36,6 @@ fn stats(f: &Fixture, plan: JoinPlan, buffer: usize) -> JoinStats {
         &JoinConfig {
             buffer_bytes: buffer,
             collect_pairs: false,
-            ..Default::default()
         },
     )
     .stats
@@ -206,7 +205,6 @@ fn claim_batched_windows_beat_per_pair() {
             &JoinConfig {
                 buffer_bytes: 0,
                 collect_pairs: false,
-                ..Default::default()
             },
         )
         .stats

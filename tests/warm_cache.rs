@@ -66,34 +66,14 @@ impl Fixture {
         count(&self.r_path) + count(&self.s_path)
     }
 
-    fn cache(
-        &self,
-        cap_pages: usize,
-        workers: usize,
-        delay: Option<DelayFn>,
-    ) -> Arc<SharedPageCache> {
-        self.cache_sharded(cap_pages, workers, 0, delay)
-    }
-
-    /// Like [`Self::cache`] with an explicit shard count. Zero-eviction
-    /// arguments need `shards: 1`: a hash-sharded pool splits its
-    /// capacity into per-shard slices, so even a working-set-sized pool
-    /// can evict when the key distribution overloads one shard.
-    fn cache_sharded(
-        &self,
-        cap_pages: usize,
-        workers: usize,
-        shards: usize,
-        delay: Option<DelayFn>,
-    ) -> Arc<SharedPageCache> {
+    fn cache(&self, cap_pages: usize, delay: Option<DelayFn>) -> Arc<SharedPageCache> {
         SharedPageCache::open(
             &self.paths(),
             cap_pages,
             &self.heights(),
             CacheConfig {
-                workers,
-                shards,
                 delay,
+                ..CacheConfig::default()
             },
         )
         .unwrap()
@@ -108,7 +88,7 @@ impl Fixture {
 fn cache_sequential_agrees_with_buffer_pool_oracle() {
     for (test, scale) in [(TestId::A, 0.003), (TestId::B, 0.003)] {
         let fx = Fixture::new(test, scale);
-        let cache = fx.cache(CAP_PAGES, 1, None);
+        let cache = fx.cache(CAP_PAGES, None);
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{name}");
             let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
@@ -160,9 +140,9 @@ fn cache_parallel_matches_private_oracle_and_dedups_physical_reads() {
             parallel_spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, workers, |_w| {
                 BufferPool::with_capacity_pages(cap, &fx.heights())
             });
-        // Working-set-sized single-shard pool: no shared eviction, so
-        // the physical count is deterministic (= distinct pages faulted).
-        let cache = fx.cache_sharded(fx.working_set(), workers, 1, None);
+        // Working-set-sized pool: no shared eviction, so the physical
+        // count is deterministic (= distinct pages faulted).
+        let cache = fx.cache(fx.working_set(), None);
         let par =
             parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
         assert_eq!(
@@ -202,8 +182,8 @@ fn warm_rejoin_performs_no_physical_reads() {
     let plan = JoinPlan::sj2();
     let workers = 4;
     let cap = (CAP_PAGES / workers).max(1);
-    // Single shard so the working-set-sized pool provably never evicts.
-    let cache = fx.cache_sharded(fx.working_set(), workers, 1, None);
+    // A working-set-sized pool never evicts.
+    let cache = fx.cache(fx.working_set(), None);
 
     let cold = parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
     cache.drain();
@@ -225,6 +205,37 @@ fn warm_rejoin_performs_no_physical_reads() {
     );
 }
 
+/// The capacity asked for is the capacity served: a cache opened with
+/// the default config at exactly the working set holds every page, so
+/// SJ1–SJ5 through one handle evict nothing, and repeating them reads
+/// nothing from disk.
+#[test]
+fn working_set_sized_default_cache_never_evicts() {
+    let fx = Fixture::new(TestId::A, 0.003);
+    let cache = SharedPageCache::open(
+        &fx.paths(),
+        fx.working_set(),
+        &fx.heights(),
+        CacheConfig::default(),
+    )
+    .unwrap();
+    let mut handle = cache.handle(CAP_PAGES);
+    let mut reads = Vec::new();
+    for _round in 0..2 {
+        for (plan, _) in plans() {
+            handle = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, false, handle).1;
+        }
+        cache.drain();
+        reads.push(cache.physical_reads());
+    }
+    assert_eq!(
+        cache.evictions(),
+        0,
+        "a working-set-sized cache evicts nothing"
+    );
+    assert_eq!(reads[1], reads[0], "the repeat adds no physical reads");
+}
+
 /// Pins must survive cross-worker eviction pressure: SJ4/SJ5 pin the
 /// pages of their sweep frontier, and a tiny shared pool hammered by
 /// four workers must still never evict a pinned frame mid-use. The
@@ -241,7 +252,7 @@ fn pinning_plans_survive_a_tiny_shared_pool() {
                 BufferPool::with_capacity_pages(cap, &fx.heights())
             });
         // 2 frames total: nearly everything is evicted between touches.
-        let cache = fx.cache(2, workers, None);
+        let cache = fx.cache(2, None);
         let par =
             parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
         assert_eq!(
@@ -292,7 +303,7 @@ proptest! {
             &fx.r_file, &fx.s_file, plan, true, workers,
             |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),
         );
-        let cache = fx.cache(CAP_PAGES, workers, Some(delay));
+        let cache = fx.cache(CAP_PAGES, Some(delay));
         let par = parallel_spatial_join_warm(
             &fx.r_file, &fx.s_file, plan, true, workers, &cache, cap,
         );
@@ -313,7 +324,7 @@ proptest! {
 #[test]
 fn per_worker_stats_stay_private_and_bit_identical() {
     let fx = Fixture::new(TestId::A, 0.003);
-    let cache = fx.cache(CAP_PAGES, 2, None);
+    let cache = fx.cache(CAP_PAGES, None);
     let mut h0 = cache.handle(4);
     let mut h1 = cache.handle(4);
     let mut o0 = BufferPool::with_capacity_pages(4, &fx.heights());
