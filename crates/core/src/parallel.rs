@@ -203,11 +203,12 @@ where
 /// `cache.physical_reads()` before/after to see the dedup; the §4.1
 /// logical accounting never moves.
 ///
-/// Safe under live updates: a background `OpenTree` opened on a store of
-/// the same cache (`SharedPageCache::update_handle`) may insert/delete
-/// concurrently with this call. The per-frame write latch arbitrates —
-/// writers wait on the pins this join holds, this join's demands wait
-/// out in-progress writes — and dirty frames evicted by join pressure
+/// Safe under live updates: a background `OpenCachedTree` opened on a
+/// store of the same cache (`SharedPageCache::update_handle`) may
+/// insert/delete concurrently with this call. The per-frame write latch
+/// arbitrates — writers wait on the pins this join holds, and a write
+/// lands in one lock hold, so this join's demands see a page before or
+/// after it, never during — and dirty frames evicted by join pressure
 /// keep their bytes in the cache's dirty table, so neither side loses
 /// bytes or moves the other's logical charges (see the `latch`
 /// conformance suite).

@@ -57,7 +57,7 @@ pub mod validate;
 
 pub use knn::Neighbor;
 pub use node::{ChildRef, DataId, Entry, Node};
-pub use open_tree::{OpenCachedTree, OpenFileTree, OpenTree};
+pub use open_tree::OpenCachedTree;
 pub use params::{InsertPolicy, RTreeParams};
 pub use stats::TreeStats;
 pub use tree::RTree;

@@ -1,19 +1,22 @@
-//! Incremental updates on open page files: [`OpenTree`].
+//! Incremental updates on open page files: [`OpenCachedTree`].
 //!
-//! [`OpenTree`] is what the paper's §3.1 premise demands of a persisted
-//! tree (an R-tree is *completely dynamic*; insertions and deletions
-//! intermix with queries with no global reorganization, so an update must
-//! not cost a whole-tree `save_to` rewrite):
-//! `insert` and `delete` run against a tree sitting on an **open**
+//! [`OpenCachedTree`] is what the paper's §3.1 premise demands of a
+//! persisted tree (an R-tree is *completely dynamic*; insertions and
+//! deletions intermix with queries with no global reorganization, so an
+//! update must not cost a whole-tree `save_to` rewrite): `insert` and
+//! `delete` run against a tree sitting on an **open**
 //! [`rsj_storage::PageFile`], with every page effect flowing through the
-//! buffer manager —
+//! buffer manager of a [`SharedPageCache`] — the one write path of the
+//! storage layer:
 //!
 //! * pages the update descends through are charged as reads
 //!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read);
 //! * mutated pages are registered dirty with their encoded payload
-//!   ([`rsj_storage::NodeAccessMut::write`]) and written back when evicted
-//!   (pin-aware) or at [`OpenTree::flush`] — a node split and re-split
-//!   between evictions costs one physical write;
+//!   ([`rsj_storage::NodeAccessMut::write`]): the handle's private pool
+//!   charges the write-back at its eviction or flush, while the bytes
+//!   wait in the cache's dirty table and reach the file once each, at
+//!   [`OpenCachedTree::flush`] — a node split and re-split between
+//!   flushes costs one physical write;
 //! * R\*-splits allocate their sibling pages from the file's persistent
 //!   **free list** (reuse-before-append), and CondenseTree releases
 //!   dissolved pages onto it, so delete-heavy churn does not grow the file;
@@ -31,7 +34,7 @@
 //!
 //! The mechanism: the page store records [`PageEvent`]s (touched /
 //! allocated / freed, in order) while the tree code runs; after each
-//! update the events replay against the backend — `Alloc` goes to
+//! update the events replay against the update handle — `Alloc` goes to
 //! [`PageSource::allocate`] (which must hand back the very same page
 //! id the in-memory allocator chose; divergence is a hard error), `Freed`
 //! to [`PageSource::release`] plus a dirty-state discard, `Touched`
@@ -40,8 +43,8 @@
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
 use rsj_storage::{
-    EvictionPolicy, FileNodeAccess, IoStats, PageEvent, PageFile, PageSource,
-    SharedCacheFileAccess, SharedPageCache, StoreFile, UpdateBackend, UPDATE_MAX_HEIGHT,
+    CacheConfig, IoStats, NodeAccess, NodeAccessMut, PageEvent, PageSource, SharedCacheFileAccess,
+    SharedPageCache, StoreFile, UPDATE_MAX_HEIGHT,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -50,23 +53,15 @@ use crate::node::DataId;
 use crate::persist::{encode_meta, to_disk};
 use crate::tree::RTree;
 
-/// The default store tag updates are charged under (a private backend,
-/// [`FileNodeAccess`], serves exactly one file, at store 0). Trees opened
-/// over a multi-store [`SharedPageCache`] carry their own store tag
-/// instead ([`OpenTree::from_parts_at`]).
-const STORE: u8 = 0;
-
-/// An R\*-tree open for incremental updates on its backing page file
-/// (module docs). Generic over the [`UpdateBackend`]: [`OpenFileTree`]
-/// over a private stack, [`OpenCachedTree`] over a shared cache.
+/// An R\*-tree open for incremental updates on one store of a
+/// [`SharedPageCache`] (module docs): updates run through the latched
+/// shared frames while parallel joins may serve reads from the same
+/// cache.
 #[derive(Debug)]
-pub struct OpenTree<B: UpdateBackend> {
+pub struct OpenCachedTree {
     tree: RTree,
-    access: B,
-    /// The backend store this tree's pages live under ([`STORE`] for
-    /// private single-file backends; the caller's choice for a shared
-    /// multi-store cache).
-    store: u8,
+    /// The update handle of the tree's store.
+    access: SharedCacheFileAccess<StoreFile>,
     /// Event-replay scratch.
     events: Vec<PageEvent>,
     /// Node-encoding scratch.
@@ -82,37 +77,26 @@ pub struct OpenTree<B: UpdateBackend> {
     poisoned: bool,
 }
 
-/// [`OpenTree`] over a single [`PageFile`].
-pub type OpenFileTree = OpenTree<FileNodeAccess>;
-
-/// [`OpenTree`] over one store of a live [`SharedPageCache`]: updates run
-/// through the latched shared frames while parallel joins serve reads
-/// from the same pool. Opened via [`OpenCachedTree::open_cached`].
-pub type OpenCachedTree = OpenTree<SharedCacheFileAccess<StoreFile>>;
-
-impl OpenFileTree {
-    /// Opens the page file at `path` read-write for incremental updates,
-    /// buffering through an LRU of `cap_pages`.
-    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
-        let mut file = PageFile::open_rw(path)?;
-        let tree = RTree::load(&mut file)?;
-        file.reset_io(); // loading is not update I/O
-        let access = FileNodeAccess::with_capacity_pages(
-            vec![file],
-            cap_pages,
-            &[UPDATE_MAX_HEIGHT],
-            EvictionPolicy::Lru,
-        )?;
-        Self::from_parts(tree, access)
-    }
-}
-
 impl OpenCachedTree {
+    /// Opens the page file at `path` read-write for incremental updates,
+    /// over a private one-store [`SharedPageCache`] of `cap_pages` frames
+    /// whose update handle buffers through a logical LRU of `cap_pages`.
+    /// Opening the cache starts its completion queue's
+    /// [`QUEUE_DEPTH`](rsj_storage::QUEUE_DEPTH) reader threads. Dirty
+    /// pages reach the file at [`OpenCachedTree::flush`] (and pages the
+    /// update allocates or releases, at once), never at eviction.
+    pub fn open(path: impl AsRef<Path>, cap_pages: usize) -> Result<Self, StorageError> {
+        let paths = [path.as_ref().to_path_buf()];
+        let cfg = CacheConfig::default();
+        let cache = SharedPageCache::open(&paths, cap_pages, &[UPDATE_MAX_HEIGHT], cfg)?;
+        Self::open_cached(&cache, 0, cap_pages)
+    }
+
     /// Opens store `store` of a live [`SharedPageCache`] for incremental
     /// updates: the returned tree shares the cache's frames with every
     /// concurrent join worker — its writes take the per-frame write
     /// latch, its dirty payloads ride the frames until
-    /// [`OpenTree::flush`], and its logical [`IoStats`] replay the
+    /// [`OpenCachedTree::flush`], and its logical [`IoStats`] replay the
     /// private-buffer oracle of capacity `cap_pages` bit-for-bit.
     pub fn open_cached(
         cache: &Arc<SharedPageCache>,
@@ -120,27 +104,19 @@ impl OpenCachedTree {
         cap_pages: usize,
     ) -> Result<Self, StorageError> {
         let mut access = cache.update_handle(store, cap_pages)?;
-        let tree = RTree::load(access.store_file_mut(store))?;
-        access.store_file_mut(store).reset_io(); // loading is not update I/O
-        Self::from_parts_at(tree, access, store)
-    }
-}
-
-impl<B: UpdateBackend> OpenTree<B> {
-    /// Builds an open tree from a loaded [`RTree`] and a write-capable
-    /// backend whose store 0 serves the file the tree was loaded from
-    /// (see [`OpenTree::from_parts_at`] for other stores).
-    pub fn from_parts(tree: RTree, access: B) -> Result<Self, StorageError> {
-        Self::from_parts_at(tree, access, STORE)
+        let tree = RTree::load(access.store_file_mut())?;
+        access.store_file_mut().reset_io(); // loading is not update I/O
+        Self::from_parts(tree, access)
     }
 
-    /// [`OpenTree::from_parts`] with an explicit store tag — the slot the
-    /// backend serves this tree's file under (a shared cache multiplexes
-    /// several stores over one frame pool). Validates that tree and file
-    /// agree on page count, page size and free list — the lockstep the
-    /// event replay depends on.
-    pub fn from_parts_at(mut tree: RTree, access: B, store: u8) -> Result<Self, StorageError> {
-        let file = access.store_file(store);
+    /// Pairs a loaded [`RTree`] with the update handle of the file it was
+    /// loaded from. Validates that tree and file agree on page count, page
+    /// size and free list — the lockstep the event replay depends on.
+    fn from_parts(
+        mut tree: RTree,
+        access: SharedCacheFileAccess<StoreFile>,
+    ) -> Result<Self, StorageError> {
+        let file = access.store_file();
         if file.page_count() as usize != tree.allocated_pages() {
             return Err(StorageError::Corrupt(format!(
                 "file holds {} pages but the tree allocated {}",
@@ -170,10 +146,9 @@ impl<B: UpdateBackend> OpenTree<B> {
             ));
         }
         tree.store.enable_event_tracking();
-        Ok(OpenTree {
+        Ok(OpenCachedTree {
             tree,
             access,
-            store,
             events: Vec::new(),
             buf: Vec::new(),
             slot,
@@ -203,23 +178,22 @@ impl<B: UpdateBackend> OpenTree<B> {
 
     /// The tree, for queries and joins. Mutating it directly would
     /// desynchronize the file — all mutation goes through
-    /// [`OpenTree::insert`] / [`OpenTree::delete`].
+    /// [`OpenCachedTree::insert`] / [`OpenCachedTree::delete`].
     #[inline]
     pub fn tree(&self) -> &RTree {
         &self.tree
     }
 
-    /// The backend (counter inspection).
+    /// The update handle (counter inspection, the file, the cache).
     #[inline]
-    pub fn access(&self) -> &B {
+    pub fn access(&self) -> &SharedCacheFileAccess<StoreFile> {
         &self.access
     }
 
     /// I/O charged by the updates so far (reads through the buffer
     /// hierarchy plus [`IoStats::page_writes`] write-backs). Settles any
-    /// outstanding asynchronous reads first, so a completion-driven
-    /// backend's physical read counters are comparable to the charges at
-    /// the moment this returns.
+    /// outstanding asynchronous reads first, so the cache's physical read
+    /// counters are comparable to the charges at the moment this returns.
     #[inline]
     pub fn io_stats(&self) -> IoStats {
         self.access.drain_completions();
@@ -243,8 +217,8 @@ impl<B: UpdateBackend> OpenTree<B> {
     }
 
     /// Replays the recorded page events of one update against the
-    /// backend, in mutation order (module docs). A failure poisons the
-    /// handle: the in-memory update already happened, the file holds
+    /// update handle, in mutation order (module docs). A failure poisons
+    /// the handle: the in-memory update already happened, the file holds
     /// only a prefix of it, and nothing may widen that gap.
     fn apply_events(&mut self) -> Result<(), StorageError> {
         let res = self.apply_events_inner();
@@ -257,6 +231,7 @@ impl<B: UpdateBackend> OpenTree<B> {
     fn apply_events_inner(&mut self) -> Result<(), StorageError> {
         self.events.clear();
         self.tree.store.take_events(&mut self.events);
+        let store = self.access.store();
         for i in 0..self.events.len() {
             match self.events[i] {
                 PageEvent::Touched(p) => {
@@ -269,14 +244,14 @@ impl<B: UpdateBackend> OpenTree<B> {
                         .tree
                         .depth_of_level(self.tree.node(p).level)
                         .min(UPDATE_MAX_HEIGHT - 1);
-                    self.access.access(self.store, p, depth);
+                    self.access.access(store, p, depth);
                     codec::encode_node_fmt(
                         &to_disk(self.tree.node(p)),
                         self.slot,
                         self.format,
                         &mut self.buf,
                     )?;
-                    self.access.write(self.store, p, &self.buf);
+                    self.access.write(store, p, &self.buf);
                 }
                 PageEvent::Alloc(p) => {
                     codec::encode_node_fmt(
@@ -285,7 +260,7 @@ impl<B: UpdateBackend> OpenTree<B> {
                         self.format,
                         &mut self.buf,
                     )?;
-                    let got = self.access.store_file_mut(self.store).allocate(&self.buf)?;
+                    let got = self.access.store_file_mut().allocate(&self.buf)?;
                     if got != p {
                         return Err(StorageError::Corrupt(format!(
                             "allocator divergence: file allocated {got}, tree expected {p}"
@@ -293,44 +268,45 @@ impl<B: UpdateBackend> OpenTree<B> {
                     }
                 }
                 PageEvent::Freed(p) => {
-                    self.access.discard(self.store, p);
-                    self.access.store_file_mut(self.store).release(p)?;
+                    self.access.discard(store, p);
+                    self.access.store_file_mut().release(p)?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes back every dirty page, stores root/len/params in the header
-    /// metadata, and writes the header ([`PageSource::flush`] — through
-    /// the OS, not synced). After a flush, `open_from` on the same path
-    /// yields a tree page-for-page identical to [`OpenTree::tree`].
+    /// Writes every dirty page to the file once
+    /// ([`SharedPageCache::flush_dirty`]), stores root/len/params in the
+    /// header metadata, and writes the header ([`PageSource::flush`] —
+    /// through the OS, not synced). After a flush, `open_from` on the same
+    /// path yields a tree page-for-page identical to
+    /// [`OpenCachedTree::tree`].
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
-        // No read may still be in flight when the write-back starts: a
-        // completion-driven backend's queue holds its own handles onto
-        // the same physical file.
+        // No read may still be in flight when the write-back starts: the
+        // cache's queue holds its own handles onto the same physical file.
         self.access.drain_completions();
         self.access.flush_writes()?;
         let meta = encode_meta(&self.tree);
-        let file = self.access.store_file_mut(self.store);
+        let file = self.access.store_file_mut();
         file.set_meta(meta);
         file.flush()?;
         debug_assert_eq!(
-            self.access.store_file(self.store).free_pages(),
+            self.access.store_file().free_pages(),
             self.tree.page_store().free_pages(),
             "file and tree free lists must stay in lockstep"
         );
         Ok(())
     }
 
-    /// Flushes and returns the backend (and with it the file handles).
-    /// On a flush failure the handle comes back alongside the error —
+    /// Flushes and returns the update handle (and with it the file).
+    /// On a flush failure the tree comes back alongside the error —
     /// dirty payloads intact — so the caller can recover (free space,
-    /// retry [`OpenTree::flush`]) instead of silently losing acknowledged
-    /// updates with the dropped handle.
+    /// retry [`OpenCachedTree::flush`]) instead of silently losing
+    /// acknowledged updates with the dropped handle.
     #[allow(clippy::result_large_err)] // the handle IS the recovery path
-    pub fn close(mut self) -> Result<B, (Self, StorageError)> {
+    pub fn close(mut self) -> Result<SharedCacheFileAccess<StoreFile>, (Self, StorageError)> {
         match self.flush() {
             Ok(()) => Ok(self.access),
             Err(e) => Err((self, e)),
@@ -342,7 +318,8 @@ impl<B: UpdateBackend> OpenTree<B> {
 mod tests {
     use super::*;
     use crate::params::{InsertPolicy, RTreeParams};
-    use rsj_storage::{PageId, TempDir};
+    use rsj_storage::{PageFile, PageId, TempDir};
+    use std::collections::HashSet;
 
     fn rect_for(i: u64) -> Rect {
         let x = (i % 25) as f64 * 10.0;
@@ -399,7 +376,7 @@ mod tests {
         });
 
         // Device under test: the same updates through the open file.
-        let mut open = OpenFileTree::open(&path, 16).unwrap();
+        let mut open = OpenCachedTree::open(&path, 16).unwrap();
         script(|r, id, ins| {
             if ins {
                 open.insert(r, id).unwrap();
@@ -421,13 +398,92 @@ mod tests {
         assert_page_identical(&back, &oracle);
     }
 
+    /// Dirty pages reach the file at flush, once each — not at eviction.
+    /// A one-frame cache under an update script evicts dirty pages all
+    /// the time and re-dirties them after; until the flush, no page the
+    /// script neither allocates nor releases may change on file.
+    #[test]
+    fn pages_reach_the_file_only_at_flush_once_each() {
+        let dir = TempDir::new("open-tree").unwrap();
+        let path = dir.file("t.rsj");
+        let seed = build(200);
+        seed.save_to(&path).unwrap();
+        let slots = |path: &Path| {
+            let mut f = PageFile::open(path).unwrap();
+            let n = f.page_count();
+            (0..n)
+                .map(|i| f.read_page(PageId(i)).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = slots(&path);
+
+        // The oracle runs the same script with event tracking on, to know
+        // which pages were allocated, released, and written but not
+        // discarded since the last flush.
+        let mut oracle = seed.clone();
+        oracle.store.enable_event_tracking();
+        let (mut allocated, mut released) = (HashSet::new(), HashSet::new());
+        let mut pending = HashSet::new();
+        let mut events = Vec::new();
+        let mut open = OpenCachedTree::open(&path, 1).unwrap();
+        script(|r, id, ins| {
+            if ins {
+                oracle.insert(r, id);
+                open.insert(r, id).unwrap();
+            } else {
+                oracle.delete(&r, id);
+                open.delete(&r, id).unwrap();
+            }
+            oracle.store.take_events(&mut events);
+            for e in events.drain(..) {
+                match e {
+                    PageEvent::Touched(p) => {
+                        pending.insert(p);
+                    }
+                    PageEvent::Alloc(p) => {
+                        allocated.insert(p);
+                    }
+                    PageEvent::Freed(p) => {
+                        pending.remove(&p);
+                        released.insert(p);
+                    }
+                }
+            }
+        });
+        let cache = Arc::clone(open.access().cache());
+        assert!(cache.evictions() > 0, "the script must evict dirty frames");
+        assert_eq!(cache.physical_writes(), 0, "nothing written before flush");
+        let during = slots(&path);
+        let mut untouched = 0;
+        for (i, bytes) in before.iter().enumerate() {
+            let p = PageId(i as u32);
+            if !allocated.contains(&p) && !released.contains(&p) {
+                assert_eq!(&during[i], bytes, "page {p} changed before the flush");
+                untouched += 1;
+            }
+        }
+        assert!(untouched > 0, "the check must cover pages");
+
+        open.flush().unwrap();
+        assert_eq!(
+            cache.physical_writes(),
+            pending.len() as u64,
+            "one write per distinct page written and not discarded"
+        );
+        assert_eq!(cache.pending_write_back(), 0);
+        drop(open);
+        let back = RTree::open_from(&path).unwrap();
+        back.validate().unwrap();
+        assert_page_identical(&back, &oracle);
+    }
+
     #[test]
     fn delete_heavy_churn_reuses_pages_instead_of_growing_the_file() {
         let dir = TempDir::new("open-tree").unwrap();
         let path = dir.file("t.rsj");
         build(300).save_to(&path).unwrap();
-        let mut open = OpenFileTree::open(&path, 16).unwrap();
-        let before = open.access().store_file(STORE).page_count();
+        let mut open = OpenCachedTree::open(&path, 16).unwrap();
+        let before = open.access().store_file().page_count();
         // Churn: delete a block, insert a block, repeatedly. Deletions
         // must populate the free list and insertions must drain it —
         // that is the reuse the file-growth bound depends on.
@@ -447,7 +503,7 @@ mod tests {
             reused += freed.saturating_sub(open.tree().free_page_count());
         }
         open.flush().unwrap();
-        let after = open.access().store_file(STORE).page_count();
+        let after = open.access().store_file().page_count();
         assert!(saw_free > 0, "deletions must release pages");
         assert!(reused > 0, "insertions must reuse released pages");
         assert!(
@@ -464,16 +520,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_buffer_writes_through() {
+    fn zero_capacity_buffer_charges_write_through() {
         // The paper's "buffer size = 0" configuration: nothing can stay
-        // resident, so every dirty page writes through immediately — and
-        // the updated file must still be byte-equivalent to the oracle.
+        // resident, so every dirty page is charged as a write-through at
+        // once, while its bytes wait in the cache for the flush — and the
+        // updated file must still be byte-equivalent to the oracle.
         let dir = TempDir::new("open-tree").unwrap();
         let path = dir.file("t.rsj");
         let seed = build(200);
         seed.save_to(&path).unwrap();
         let mut oracle = seed.clone();
-        let mut open = OpenFileTree::open(&path, 0).unwrap();
+        let mut open = OpenCachedTree::open(&path, 0).unwrap();
         script(|r, id, ins| {
             if ins {
                 oracle.insert(r, id);
@@ -503,7 +560,7 @@ mod tests {
         build(150)
             .save_to_with_format(&path, EntryFormat::F32)
             .unwrap();
-        let err = OpenFileTree::open(&path, 8).unwrap_err();
+        let err = OpenCachedTree::open(&path, 8).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 
@@ -513,15 +570,10 @@ mod tests {
         let path = dir.file("t.rsj");
         build(100).save_to(&path).unwrap();
         let other = build(200); // a different tree: page counts disagree
-        let file = PageFile::open_rw(&path).unwrap();
-        let access = FileNodeAccess::with_capacity_pages(
-            vec![file],
-            8,
-            &[UPDATE_MAX_HEIGHT],
-            EvictionPolicy::Lru,
-        )
-        .unwrap();
-        let err = OpenTree::from_parts(other, access).unwrap_err();
+        let cache = SharedPageCache::open(&[path], 8, &[UPDATE_MAX_HEIGHT], CacheConfig::default())
+            .unwrap();
+        let access = cache.update_handle(0, 8).unwrap();
+        let err = OpenCachedTree::from_parts(other, access).unwrap_err();
         assert!(matches!(err, StorageError::Corrupt(_)), "{err}");
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! ## Opening
 //!
-//! Every open path — [`RTree::open_from`], the `OpenTree` opens and the
+//! Every open path — [`RTree::open_from`], the `OpenCachedTree` opens and the
 //! join service — ends in one function,
 //! [`RTree::load`], and `load` has one read path:
 //! [`PageSource::scan`], which hands it every page of the file in id

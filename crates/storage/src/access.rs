@@ -11,13 +11,13 @@
 //! * [`crate::BufferPool`] — the §4.1 hierarchy (path buffer → LRU →
 //!   disk, dirty pages charged at eviction or flush) as pure accounting
 //!   over an in-memory tree: the oracle;
-//! * [`crate::FileAccess`] — a pool over real page files, where every miss
-//!   performs an actual read and every charged write an actual write; its
-//!   read strategy {blocking, queued} gives its two aliases
-//!   ([`crate::stack`]);
+//! * [`crate::FileAccess`] — a pool over read-only page files, where every
+//!   miss performs an actual read; its read strategy {blocking, queued}
+//!   gives its two aliases ([`crate::stack`]);
 //! * [`crate::SharedCacheFileAccess`] — a worker's handle onto the
 //!   latched [`crate::SharedPageCache`]: a private pool for the logical
-//!   side, shared physical frames for the bytes.
+//!   side, shared physical frames for the bytes. Its update handle is the
+//!   one backend that writes ([`NodeAccessMut`]).
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
 //! accountant instead of owning it — benches re-run joins against one
@@ -166,17 +166,17 @@ pub trait NodeAccess {
 /// the way down (charged like any other access) and then
 /// [`NodeAccessMut::write`] for every page it changed, handing over the
 /// page's encoded payload. The backend keeps the page buffered **dirty**;
-/// the physical write happens when the dirty page is *evicted* (pin-aware:
-/// a pinned dirty page is never a victim) or at
-/// [`NodeAccessMut::flush_writes`] — classic write-back, so a page mutated
-/// many times between evictions costs one physical write. Every physical
-/// write-back charges one [`IoStats::page_writes`].
+/// its write-back is charged one [`IoStats::page_writes`] when the dirty
+/// page is *evicted* (pin-aware: a pinned dirty page is never a victim) or
+/// at [`NodeAccessMut::flush_writes`] — classic write-back, so a page
+/// mutated many times between evictions costs one write.
 ///
-/// The protocol itself — which page is written when, and what it costs —
-/// has one implementation, [`crate::BufferPool`]. On its own the pool
-/// materializes no bytes and charges `page_writes` where a real backend
-/// would write; the real backends own a pool and hand it the writer, so it
-/// is the write-path oracle exactly as it is the read-path one.
+/// The charges have one implementation, [`crate::BufferPool`], the
+/// write-path oracle exactly as it is the read-path one. The one backend
+/// that holds bytes, a shared-cache update handle
+/// ([`crate::SharedPageCache::update_handle`]), owns a pool for the
+/// charges and writes each dirty page to its file once, at
+/// [`NodeAccessMut::flush_writes`].
 pub trait NodeAccessMut: NodeAccess {
     /// Registers `page` of `store` as mutated, with its current encoded
     /// payload. The page becomes buffer-resident (without hit/miss

@@ -11,11 +11,11 @@
 //! between requests. [`SharedPageCache`]
 //! closes that gap: one frame table under one mutex holds the page budget
 //! for the whole deployment — an [`LruBuffer`] (the paper's §4.1
-//! replacement with §4.3 pinning), the in-flight reads, one table of
-//! dirty bytes and the write latches. Frames carry a state machine, a pin
-//! counter and a write latch (the kv-store `PAGE_BUSY`/`PAGE_WAIT`
-//! blueprint), and all physical reads flow through one
-//! [`CompletionQueue`] with a lane per store.
+//! replacement with §4.3 pinning), the in-flight reads and one table of
+//! dirty bytes. Frames carry a state machine and a pin counter that a
+//! writer waits out (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint),
+//! and all physical reads flow through one [`CompletionQueue`] with a
+//! lane per store.
 //!
 //! ## Frame states
 //!
@@ -23,15 +23,14 @@
 //!              materialize (miss)           read completes
 //!   Empty ───────────────────────▶ Reading ───────────────▶ Resident
 //!     ▲        submit + pin                  (settle)       │      ▲
-//!     │                               begin_write           │      │
+//!     │                                    write            │      │
 //!     │                        (waits: no pin, no read)     ▼      │ clear_dirty /
-//!     │ evict (unpinned only)                            Writing   │ flush_dirty
-//!     │                               complete_write        │      │
+//!     │ evict (unpinned only)                                      │ flush_dirty
 //!     ├────────────────────────────────────────────────── Dirty ───┘
 //!     │                                                   │    ▲
 //!     │                      evict: the bytes stay in     │    │ materialize:
 //!     │                      the dirty table              ▼    │ reinstall, no read
-//!     └──── flush_dirty / take_dirty_evicted ─────── Drained ──┘
+//!     └─────────────── flush_dirty ───────────────── Drained ──┘
 //! ```
 //!
 //! * **Empty → Reading**: a miss installs the frame, pins it for the
@@ -44,22 +43,20 @@
 //!   table is touched (or explicitly by [`SharedPageCache::drain`]); the
 //!   read pin is released. Every public entry point settles first, so
 //!   state observations within one lock hold can never disagree.
-//! * **Resident/Dirty/Empty → Writing → Dirty**: the write latch.
+//! * **Resident/Dirty/Empty → Dirty**: the write latch.
 //!   [`SharedPageCache::write`] waits until the frame holds no pin and no
-//!   read is in flight (**writers wait on pins**), marks the frame
-//!   `Writing`, and stores the new bytes in the dirty table. While a
-//!   frame is `Writing`, `materialize` and `pin` park on the cache's
-//!   latch condvar (**readers wait on the write latch**).
+//!   read is in flight (**writers wait on pins**), then installs the
+//!   frame and stores the new bytes in the dirty table in the same lock
+//!   hold. A reader therefore sees the page either before or after a
+//!   write, never during one, and never waits on a writer.
 //! * **Dirty bytes have one home.** The dirty table maps every page whose
 //!   cached bytes are newer than its file to those bytes, resident or
 //!   not, so eviction moves nothing. A dirty page the LRU has evicted is
 //!   *drained* (it still reports [`FrameState::Dirty`]); its bytes leave
-//!   the cache only through [`SharedPageCache::flush_dirty`] (which
-//!   writes them through a caller-supplied writer) or
-//!   [`SharedPageCache::take_dirty_evicted`] (which hands `(key, bytes)`
-//!   pairs to an owner who writes them back itself). A re-demand of a
-//!   drained page reinstalls it from the table — reading the file would
-//!   resurrect stale bytes.
+//!   the cache only through [`SharedPageCache::flush_dirty`], which
+//!   writes them through a caller-supplied writer — the one place pages
+//!   leave the buffer. A re-demand of a drained page reinstalls it from
+//!   the table — reading the file would resurrect stale bytes.
 //! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
 //!   overflow beyond capacity is legal, trimmed as pins release).
 //!
@@ -83,9 +80,9 @@
 //!
 //! The write path mirrors the split. A handle opened through
 //! [`SharedPageCache::update_handle`] owns the read-write [`PageFile`] of
-//! its store and implements [`crate::NodeAccessMut`]/[`UpdateBackend`]:
-//! its *logical* `page_writes` are charged by its pool (install + dirty,
-//! charged at private eviction or flush — with nothing to write, the
+//! its store and implements [`crate::NodeAccessMut`] — the storage
+//! layer's one write path: its *logical* `page_writes` are charged by its
+//! pool (install + dirty, charged at private eviction or flush — the
 //! handle holds no bytes), while the *bytes* ride the shared frames and
 //! reach the disk once, at
 //! [`SharedPageCache::flush_dirty`] — counted in
@@ -93,7 +90,7 @@
 //! `physical_writes ≤ Σ per-worker page_writes` for the same reason the
 //! read inequality holds.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -108,7 +105,6 @@ use crate::page::PageId;
 use crate::path::UPDATE_MAX_HEIGHT;
 use crate::pool::{BufKey, BufferPool, IoStats};
 use crate::stack::validate_stores;
-use crate::writeback::UpdateBackend;
 
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +119,6 @@ pub enum FrameState {
     /// either as a dirty resident frame or as a drained page the LRU has
     /// evicted.
     Dirty,
-    /// A writer holds the frame's write latch; readers wait.
-    Writing,
 }
 
 /// Configuration of a [`SharedPageCache`].
@@ -156,8 +150,6 @@ struct Frames {
     /// Bytes of every page newer than its file, resident or not. A key
     /// here the LRU does not hold is *drained*: evicted, not yet written.
     dirty: HashMap<BufKey, Vec<u8>>,
-    /// Frames a writer currently holds the write latch of.
-    writing: HashSet<BufKey>,
     /// Writers parked on the latch waiting for a pin release — tells
     /// `unpin` when a notify is worth it.
     write_waiters: usize,
@@ -169,8 +161,7 @@ struct Frames {
 /// [`SharedCacheFileAccess`] handles.
 pub struct SharedPageCache {
     frames: Mutex<Frames>,
-    /// Writers park here while a frame is pinned, readers while it is
-    /// `Writing`.
+    /// Writers park here while a frame is pinned.
     latch: Condvar,
     queue: CompletionQueue,
     /// Preads submitted by cache-level misses (every one becomes exactly
@@ -231,7 +222,6 @@ impl SharedPageCache {
                 lru: LruBuffer::new(cap_pages),
                 reading: HashMap::new(),
                 dirty: HashMap::new(),
-                writing: HashSet::new(),
                 write_waiters: 0,
             }),
             latch: Condvar::new(),
@@ -251,23 +241,23 @@ impl SharedPageCache {
     /// A worker's view: private path buffers (sized from the cache's
     /// heights), a private logical LRU of `cap_pages` and zeroed
     /// [`IoStats`] over the shared frame layer. It reads and nothing else:
-    /// a join handle is a [`NodeAccess`], never an [`UpdateBackend`] — the
+    /// a join handle is a [`NodeAccess`], never a [`NodeAccessMut`] — the
     /// write path is a different type, [`SharedPageCache::update_handle`].
     ///
     /// An updater takes the one and refuses the other at compile time:
     ///
     /// ```no_run
-    /// # use rsj_storage::{CacheConfig, SharedPageCache, UpdateBackend};
-    /// fn updater(_: impl UpdateBackend) {}
+    /// # use rsj_storage::{CacheConfig, NodeAccessMut, SharedPageCache};
+    /// fn updater(_: impl NodeAccessMut) {}
     /// let cache = SharedPageCache::open(&[], 8, &[], CacheConfig::default()).unwrap();
     /// updater(cache.update_handle(0, 8).unwrap());
     /// ```
     ///
     /// ```compile_fail,E0277
-    /// # use rsj_storage::{CacheConfig, SharedPageCache, UpdateBackend};
-    /// fn updater(_: impl UpdateBackend) {}
+    /// # use rsj_storage::{CacheConfig, NodeAccessMut, SharedPageCache};
+    /// fn updater(_: impl NodeAccessMut) {}
     /// let cache = SharedPageCache::open(&[], 8, &[], CacheConfig::default()).unwrap();
-    /// updater(cache.handle(8)); // a join handle is not an `UpdateBackend`
+    /// updater(cache.handle(8)); // a join handle is not a `NodeAccessMut`
     /// ```
     pub fn handle(self: &Arc<Self>, cap_pages: usize) -> SharedCacheFileAccess {
         let pool = BufferPool::with_capacity_pages(cap_pages, &self.heights);
@@ -286,13 +276,11 @@ impl SharedPageCache {
     }
 
     /// A worker's view *with the write path open* for `store`: the
-    /// returned handle owns a read-write [`PageFile`] on that store (the
-    /// file its [`UpdateBackend`] impl serves) and a path buffer sized
-    /// for any height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`],
-    /// which keeps the handle's logical charges aligned with the
-    /// [`crate::FileNodeAccess`] oracle). Logical write charges are its
-    /// pool's; payload bytes ride the shared frames until
-    /// [`crate::NodeAccessMut::flush_writes`] pushes them through
+    /// returned handle owns a read-write [`PageFile`] on that store
+    /// ([`SharedCacheFileAccess::store_file`]) and a path buffer sized
+    /// for any height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`]).
+    /// Logical write charges are its pool's; payload bytes ride the shared
+    /// frames until [`NodeAccessMut::flush_writes`] pushes them through
     /// [`SharedPageCache::flush_dirty`].
     pub fn update_handle(
         self: &Arc<Self>,
@@ -353,14 +341,10 @@ impl SharedPageCache {
     /// ticket the caller's cursor may park on and whether a *fresh*
     /// physical read was submitted (`false` = the frame was already
     /// resident, in flight, or drained — a warm hit, the cross-worker
-    /// saving). Waits out a concurrent writer first (readers wait on the
-    /// write latch).
+    /// saving).
     pub fn materialize(&self, store: u8, page: PageId) -> (Ticket, bool) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
-        while s.writing.contains(&key) {
-            s = self.wait_latch(s);
-        }
         self.settle(&mut s);
         if let Some(&ticket) = s.reading.get(&key) {
             // Single-flight: adopt the in-flight read, touch recency.
@@ -402,13 +386,10 @@ impl SharedPageCache {
     /// frame — a frame with no read behind it would be a phantom warm
     /// hit and break read honesty. Settles first, so a frame whose read
     /// just completed is pinned as a resident (not double-pinned under
-    /// its stale read pin); waits out a concurrent writer.
+    /// its stale read pin).
     pub fn pin(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
-        while s.writing.contains(&key) {
-            s = self.wait_latch(s);
-        }
         self.settle(&mut s);
         if s.lru.contains(key) {
             s.lru.pin(key);
@@ -430,29 +411,18 @@ impl SharedPageCache {
     }
 
     /// Latched write of `(store, page)`: waits until the frame holds no
-    /// pin and no read is in flight, takes the write latch, stores
-    /// `payload` as the page's dirty bytes, releases the latch. The bytes
-    /// reach the file at [`SharedPageCache::flush_dirty`] (or via
-    /// [`SharedPageCache::take_dirty_evicted`] after an eviction) — never
-    /// silently dropped, even if the frame cannot be held at all (every
-    /// slot pinned by other frames): the page is then drained at once.
+    /// pin and no read is in flight (**writers wait on pins**; an
+    /// in-flight read is awaited off-lock via its ticket), then — in the
+    /// same lock hold as that last check — installs the frame and stores
+    /// `payload` as the page's dirty bytes. The bytes reach the file at
+    /// [`SharedPageCache::flush_dirty`] — never silently dropped, even if
+    /// the frame cannot be held at all (every slot pinned by other
+    /// frames): the page is then drained at once.
     pub fn write(&self, store: u8, page: PageId, payload: &[u8]) {
         let key = BufKey::new(store, page);
-        self.begin_write(key);
-        self.complete_write(key, payload);
-    }
-
-    /// Acquires the write latch of `key`'s frame: writers wait on pins
-    /// (and on each other); an in-flight read is awaited off-lock via
-    /// its ticket.
-    fn begin_write(&self, key: BufKey) {
         let mut s = self.lock_frames();
         loop {
             self.settle(&mut s);
-            if s.writing.contains(&key) {
-                s = self.wait_latch(s);
-                continue;
-            }
             if let Some(&ticket) = s.reading.get(&key) {
                 // The frame holds a read pin until the ticket settles —
                 // park on the queue (off-lock), then re-evaluate.
@@ -461,29 +431,17 @@ impl SharedPageCache {
                 s = self.lock_frames();
                 continue;
             }
-            if s.lru.pin_count(key) > 0 {
-                s.write_waiters += 1;
-                s = self.wait_latch(s);
-                s.write_waiters -= 1;
-                continue;
+            if s.lru.pin_count(key) == 0 {
+                break;
             }
-            s.writing.insert(key);
-            return;
+            s.write_waiters += 1;
+            s = self.wait_latch(s);
+            s.write_waiters -= 1;
         }
-    }
-
-    /// Installs the frame, overwrites its dirty bytes, releases the write
-    /// latch, wakes waiters.
-    fn complete_write(&self, key: BufKey, payload: &[u8]) {
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
         s.lru.install(key);
         let dst = s.dirty.entry(key).or_default();
         dst.clear();
         dst.extend_from_slice(payload);
-        s.writing.remove(&key);
-        drop(s);
-        self.latch.notify_all();
     }
 
     /// Clears the dirty state of a page *without* writing — the owner
@@ -496,26 +454,13 @@ impl SharedPageCache {
         s.dirty.remove(&key);
     }
 
-    /// Every drained page — dirty, no longer resident — **bytes
-    /// included**, removed from the cache: the write-back worklist. The
-    /// caller MUST write these back (their bytes are gone from the cache
-    /// once taken); [`SharedPageCache::flush_dirty`] does it in one step
-    /// for owners holding the file. Deterministic order (sorted by key).
-    pub fn take_dirty_evicted(&self) -> Vec<(BufKey, Vec<u8>)> {
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
-        let Frames { lru, dirty, .. } = &mut *s;
-        let mut out: Vec<_> = dirty.extract_if(|&k, _| !lru.contains(k)).collect();
-        out.sort_by_key(|&(k, _)| k);
-        out
-    }
-
-    /// Writes every pending dirty page of `store` through `write`, once
-    /// each and in key order, charging
+    /// Writes every pending dirty page of `store` — resident or drained —
+    /// through `write`, once each and in key order, charging
     /// [`SharedPageCache::physical_writes`] once per page and cleaning
-    /// each page as it lands. Error-safe: pages written before a failure
-    /// are clean, the failing page and the rest keep their bytes — a
-    /// retry resumes where this stopped.
+    /// each page as it lands: the only way dirty bytes leave the cache.
+    /// Error-safe: pages written before a failure are clean, the failing
+    /// page and the rest keep their bytes — a retry resumes where this
+    /// stopped.
     pub fn flush_dirty(
         &self,
         store: u8,
@@ -545,9 +490,7 @@ impl SharedPageCache {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
         self.settle(&mut s);
-        if s.writing.contains(&key) {
-            FrameState::Writing
-        } else if s.reading.contains_key(&key) {
+        if s.reading.contains_key(&key) {
             FrameState::Reading
         } else if s.dirty.contains_key(&key) {
             FrameState::Dirty
@@ -715,7 +658,6 @@ impl SharedPageCache {
         s.lru.reset_io();
         s.reading.clear();
         s.dirty.clear();
-        s.writing.clear();
         drop(s);
         // Writers parked on vanished pins must re-evaluate.
         self.latch.notify_all();
@@ -740,8 +682,7 @@ impl SharedPageCache {
 /// this is: `()` — the default, what [`SharedPageCache::handle`] returns —
 /// reads only; [`StoreFile`], what [`SharedPageCache::update_handle`]
 /// returns, additionally owns the read-write [`PageFile`] of its store and
-/// drives updates through the [`crate::NodeAccessMut`]/[`UpdateBackend`]
-/// impls below.
+/// drives updates through the [`NodeAccessMut`] impl below.
 pub struct SharedCacheFileAccess<W = ()> {
     cache: Arc<SharedPageCache>,
     /// The private *logical* hierarchy — accounting only, driven like the
@@ -891,18 +832,23 @@ impl NodeAccessMut for SharedCacheFileAccess<StoreFile> {
     }
 }
 
-/// The one check the type leaves: `store` must be the store the handle
-/// was opened for.
-impl UpdateBackend for SharedCacheFileAccess<StoreFile> {
-    type File = PageFile;
+impl SharedCacheFileAccess<StoreFile> {
+    /// The store this handle was opened for.
+    #[inline]
+    pub fn store(&self) -> u8 {
+        self.writes.store
+    }
 
-    fn store_file(&self, store: u8) -> &PageFile {
-        assert_eq!(store, self.writes.store, "handle opened for another store");
+    /// The read-write file of [`SharedCacheFileAccess::store`].
+    #[inline]
+    pub fn store_file(&self) -> &PageFile {
         &self.writes.file
     }
 
-    fn store_file_mut(&mut self, store: u8) -> &mut PageFile {
-        assert_eq!(store, self.writes.store, "handle opened for another store");
+    /// The read-write file of [`SharedCacheFileAccess::store`], mutably
+    /// (allocate, release, metadata).
+    #[inline]
+    pub fn store_file_mut(&mut self) -> &mut PageFile {
         &mut self.writes.file
     }
 }
@@ -1084,11 +1030,21 @@ mod tests {
         assert!(fresh, "no phantom warm hit");
     }
 
+    /// What one `flush_dirty` of store 0 wrote, in order.
+    fn flushed(c: &SharedPageCache) -> Vec<(PageId, Vec<u8>)> {
+        let mut written = Vec::new();
+        c.flush_dirty(0, |page, buf| {
+            written.push((page, buf.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        written
+    }
+
     #[test]
     fn dirty_eviction_carries_the_payload() {
-        // THE bug this PR fixes: evicting a dirty frame used to surface
-        // only the key — the bytes were already recycled. Now the drain
-        // holds (key, payload) pairs until the owner writes them back.
+        // Evicting a dirty frame drops only its residency: the dirty
+        // table keeps the bytes until the flush writes them back.
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 2, None);
         c.materialize(0, PageId(0));
@@ -1105,13 +1061,14 @@ mod tests {
             FrameState::Dirty,
             "a drained payload still reports Dirty: the cache holds newer bytes"
         );
-        let taken = c.take_dirty_evicted();
+        assert_eq!(c.drain_depth(), 1);
         assert_eq!(
-            taken,
-            vec![(BufKey::new(0, PageId(0)), b"payload-zero".to_vec())],
-            "eviction must surface the payload with the key"
+            flushed(&c),
+            vec![(PageId(0), b"payload-zero".to_vec())],
+            "the flush writes the evicted page's payload"
         );
-        assert!(c.take_dirty_evicted().is_empty(), "taken means taken");
+        assert!(flushed(&c).is_empty(), "written means written");
+        assert_eq!(c.drain_depth(), 0);
         assert_eq!(c.frame_state(0, PageId(0)), FrameState::Empty);
     }
 
@@ -1133,13 +1090,7 @@ mod tests {
         assert_eq!(c.physical_reads(), before, "no pread of stale file bytes");
         assert_eq!(c.frame_state(0, PageId(0)), FrameState::Dirty);
         // The preserved payload flushes intact.
-        let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(written, vec![(PageId(0), b"drain me".to_vec())]);
+        assert_eq!(flushed(&c), vec![(PageId(0), b"drain me".to_vec())]);
         assert_eq!(c.physical_writes(), 1);
         assert_eq!(
             c.frame_state(0, PageId(0)),
@@ -1157,11 +1108,12 @@ mod tests {
         c.drain();
         c.pin(0, PageId(1)); // the only frame slot is now pinned
         c.write(0, PageId(2), b"homeless");
-        let taken = c.take_dirty_evicted();
+        assert_eq!(c.drain_depth(), 1);
+        assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
         assert_eq!(
-            taken,
-            vec![(BufKey::new(0, PageId(2)), b"homeless".to_vec())],
-            "an unbufferable write must still surface its payload"
+            flushed(&c),
+            vec![(PageId(2), b"homeless".to_vec())],
+            "an unbufferable write must still reach the flush"
         );
         c.unpin(0, PageId(1));
     }
@@ -1183,13 +1135,7 @@ mod tests {
         assert!(!fresh, "drained payload serves the re-demand");
         assert_eq!(ticket, Ticket::NONE);
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
-        let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(written, vec![(PageId(2), b"parked".to_vec())]);
+        assert_eq!(flushed(&c), vec![(PageId(2), b"parked".to_vec())]);
         assert_eq!(c.pending_write_back(), 0, "nothing may leak");
         c.unpin(0, PageId(1));
     }
@@ -1215,8 +1161,7 @@ mod tests {
         c.unpin(0, PageId(1));
         writer.join().unwrap();
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Dirty);
-        let taken = c.take_dirty_evicted();
-        assert!(taken.is_empty(), "still resident, nothing drained");
+        assert_eq!(c.drain_depth(), 0, "still resident, nothing drained");
         c.clear_dirty(0, PageId(1));
     }
 
@@ -1232,18 +1177,12 @@ mod tests {
         c.materialize(0, PageId(3)); // dirty page 0 -> drain
         c.drain();
         c.write(0, PageId(0), b"current");
-        let taken = c.take_dirty_evicted();
-        assert!(
-            taken.is_empty(),
-            "the stale drained copy must be superseded, not resurface: {taken:?}"
+        assert_eq!(
+            c.drain_depth(),
+            0,
+            "the stale drained copy must be superseded, not stay drained"
         );
-        let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(written, vec![(PageId(0), b"current".to_vec())]);
+        assert_eq!(flushed(&c), vec![(PageId(0), b"current".to_vec())]);
     }
 
     #[test]
@@ -1258,15 +1197,8 @@ mod tests {
         let err = c.flush_dirty(0, |_, _| Err(StorageError::Corrupt("disk full".into())));
         assert!(err.is_err());
         assert_eq!(c.pending_write_back(), 2, "payloads survive the failure");
-        let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        written.sort();
         assert_eq!(
-            written,
+            flushed(&c),
             vec![(PageId(0), b"a".to_vec()), (PageId(1), b"b".to_vec())]
         );
         assert_eq!(c.pending_write_back(), 0);
@@ -1299,37 +1231,24 @@ mod tests {
             c.pending_write_back(),
             "every pending page is resident-dirty or drained, never both"
         );
-        assert_eq!(
-            c.take_dirty_evicted(),
-            vec![
-                (BufKey::new(0, PageId(0)), b"zero".to_vec()),
-                (BufKey::new(0, PageId(1)), b"one".to_vec()),
-            ],
-            "only the drained pages are taken"
-        );
-        assert_eq!(c.pending_write_back(), 2);
-        assert_eq!(c.drain_depth(), 0);
         // Recency [3, 4, 2]: a write of page 6 drains dirty page 2, so the
         // flush below meets drained and resident pages interleaved in key
         // order.
         c.write(0, PageId(6), b"six");
-        assert_eq!(c.drain_depth(), 1);
-        let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
-            Ok(())
-        })
-        .unwrap();
+        assert_eq!(c.drain_depth(), 3);
+        assert_eq!(resident_dirty(&c), 2);
         assert_eq!(
-            written,
+            flushed(&c),
             vec![
+                (PageId(0), b"zero".to_vec()),
+                (PageId(1), b"one".to_vec()),
                 (PageId(2), b"two".to_vec()),
                 (PageId(3), b"three".to_vec()),
                 (PageId(6), b"six".to_vec()),
             ],
-            "each remaining page written once, in key order"
+            "each pending page written once, in key order"
         );
-        assert_eq!(c.physical_writes(), 3);
+        assert_eq!(c.physical_writes(), 5);
         assert_eq!(c.pending_write_back(), 0);
         assert_eq!(c.drain_depth(), 0);
     }

@@ -9,6 +9,7 @@
 //! here — is what a page file can do; [`PageFile`] is the one the
 //! file-access stack ([`crate::FileAccess`]) and every open read.
 
+use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -18,7 +19,6 @@ use crate::codec::{
     self, EntryFormat, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES,
 };
 use crate::page::PageId;
-use crate::writeback::FreeChain;
 
 /// A store's pages as a physical page file: in-place page overwrite,
 /// reuse-before-append allocation off a persistent free list, release back
@@ -99,6 +99,131 @@ pub trait PageSource {
         &mut self,
         sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
     ) -> Result<(), StorageError>;
+}
+
+/// The in-memory mirror of [`PageFile`]'s persistent free-page chain: the
+/// LIFO list (last element = chain head) and its set twin, kept coherent
+/// in one place — O(1) double-release detection, duplicate rejection, and
+/// the pop/undo protocol around a fallible slot write. The physical marker
+/// writes stay with the file.
+#[derive(Debug, Default)]
+struct FreeChain {
+    list: Vec<PageId>,
+    set: HashSet<PageId>,
+}
+
+impl FreeChain {
+    /// The chain head — the next page a reuse pops.
+    fn head(&self) -> Option<PageId> {
+        self.list.last().copied()
+    }
+
+    /// The chain, oldest release first (head last).
+    fn as_slice(&self) -> &[PageId] {
+        &self.list
+    }
+
+    /// Number of free pages.
+    fn len(&self) -> usize {
+        self.list.len()
+    }
+
+    /// True if `id` is on the chain.
+    fn contains(&self, id: PageId) -> bool {
+        self.set.contains(&id)
+    }
+
+    /// Pops the head for reuse. The caller overwrites the slot and then
+    /// either [`FreeChain::commit_pop`]s (write succeeded) or
+    /// [`FreeChain::undo_pop`]s (slot is still free).
+    fn pop(&mut self) -> Option<PageId> {
+        self.list.pop()
+    }
+
+    /// Finalizes a [`FreeChain::pop`] after the slot write succeeded.
+    fn commit_pop(&mut self, id: PageId) {
+        self.set.remove(&id);
+    }
+
+    /// Reverts a [`FreeChain::pop`] after the slot write failed.
+    fn undo_pop(&mut self, id: PageId) {
+        self.list.push(id);
+    }
+
+    /// Links `id` as the new head, rejecting double releases. The caller
+    /// has already written `id`'s marker (with the *previous* head as its
+    /// `next`).
+    fn push_released(&mut self, id: PageId) -> Result<(), StorageError> {
+        if !self.set.insert(id) {
+            return Err(StorageError::Corrupt(format!("double release of {id}")));
+        }
+        self.list.push(id);
+        Ok(())
+    }
+
+    /// Replaces the chain wholesale (save paths that wrote the markers
+    /// themselves); duplicates are a typed error and leave the chain
+    /// empty.
+    fn set_list(&mut self, ids: &[PageId]) -> Result<(), StorageError> {
+        self.list = ids.to_vec();
+        self.set = self.list.iter().copied().collect();
+        if self.set.len() != self.list.len() {
+            self.list.clear();
+            self.set.clear();
+            return Err(StorageError::Corrupt(
+                "free list contains a page twice".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// Installs a chain recovered from disk (already walk-validated:
+    /// a chain cannot physically contain duplicates — it would cycle).
+    fn restore(&mut self, list: Vec<PageId>) {
+        self.set = list.iter().copied().collect();
+        debug_assert_eq!(self.set.len(), list.len());
+        self.list = list;
+    }
+
+    /// Walks and validates a persisted chain from `head` — every link in
+    /// range, landing on a genuine free marker, terminating (cycle-
+    /// guarded by the page count) — and returns it oldest-release-first
+    /// (head last), ready for [`FreeChain::restore`]. `read_slot` reads
+    /// the raw slot of a page id.
+    fn walk(
+        head: Option<PageId>,
+        page_count: u32,
+        format: EntryFormat,
+        mut read_slot: impl FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError>,
+    ) -> Result<Vec<PageId>, StorageError> {
+        let mut rev = Vec::new();
+        let mut cur = head;
+        let mut buf = Vec::new();
+        while let Some(id) = cur {
+            if rev.len() as u64 > u64::from(page_count) {
+                return Err(StorageError::Corrupt("free chain contains a cycle".into()));
+            }
+            if id.0 >= page_count {
+                return Err(StorageError::Corrupt(format!(
+                    "free chain links page {id} out of range of a {page_count}-page file"
+                )));
+            }
+            read_slot(id, &mut buf)?;
+            match codec::decode_page_fmt(&buf, format)? {
+                codec::DiskPage::Free { next } => {
+                    rev.push(id);
+                    cur = next;
+                }
+                codec::DiskPage::Node(_) => {
+                    return Err(StorageError::Corrupt(format!(
+                        "free chain links live page {id}"
+                    )));
+                }
+            }
+        }
+        rev.reverse();
+        Ok(rev)
+    }
 }
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.

@@ -13,7 +13,7 @@
 //!   buffer accommodating all nodes of the path which was accessed last").
 //! * [`BufferPool`] — the buffer hierarchy as one value: the two lookup
 //!   layers (path buffer first, then LRU, then "disk"), the write-back
-//!   protocol of dirty pages, and every [`IoStats`] charge ([`pool`]).
+//!   accounting of dirty pages, and every [`IoStats`] charge ([`pool`]).
 //! * [`NodeAccess`] — the pluggable page-access interface the join
 //!   executors charge against. Exactly three types implement it:
 //!   [`BufferPool`] (on its own: the in-memory accounting oracle),
@@ -43,11 +43,11 @@
 //!   reach the consumer in id order on its own thread, read one at a time
 //!   or — when the reads are what it waits for — up to [`QUEUE_DEPTH`]
 //!   at once through a bounded read-ahead ring;
-//! * [`FileAccess<S, R>`](FileAccess) — the file-backed [`NodeAccess`]
-//!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
-//!   capacity) over one page file per store, where every miss performs
-//!   an actual page read. It is assembled from a page source `S` and a
-//!   read strategy `R`; its two aliases are [`FileNodeAccess`] (blocking
+//! * [`FileAccess<S, R>`](FileAccess) — the file-backed, read-only
+//!   [`NodeAccess`] stack: a [`BufferPool`] (hence bit-identical `IoStats`
+//!   at equal capacity) over one page file per store, where every miss
+//!   performs an actual page read. It is assembled from a page source `S`
+//!   and a read strategy `R`; its two aliases are [`FileNodeAccess`] (blocking
 //!   reads) and [`CompletionFileAccess`], whose misses go to a private
 //!   [`CompletionQueue`] with one lane per store, served FIFO by ticket
 //!   and moving no `IoStats` number ([`stack`]); parallel workers each own
@@ -63,22 +63,23 @@
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
-//! The **write path** makes the persistent structures updatable in place:
+//! The **write path** makes the persistent structures updatable in place,
+//! and there is one of it:
 //!
 //! * [`NodeAccessMut`] — the write half of the access boundary: dirty-page
-//!   registration with pin-aware write-back on eviction and explicit
-//!   flush, charged in [`IoStats::page_writes`] — one protocol, in
-//!   [`BufferPool`]: alone it only counts, the blocking file stack hands
-//!   it a writer over its [`writeback`] payload table and files, the
-//!   shared-cache handle lets it count while the bytes ride the frames;
+//!   registration, charged in [`IoStats::page_writes`] at pin-aware
+//!   eviction and explicit flush by [`BufferPool`]. Two types implement
+//!   it: the pool alone (the accounting oracle) and a shared-cache update
+//!   handle ([`SharedPageCache::update_handle`]), whose pool counts while
+//!   the bytes ride the frames and reach its file once each, at
+//!   [`SharedPageCache::flush_dirty`] — a capability of the type, so a
+//!   join handle or a file stack cannot reach an updater;
 //! * a persistent **free-page list** in [`PageFile`] — header-chained
 //!   marker slots, `allocate`/`release` with reuse-before-append,
 //!   validated on open;
-//! * [`PageSource`] / [`UpdateBackend`] — the traits the R\*-tree crate's
-//!   `OpenTree` drives incremental `insert`/`delete` through: what a page
-//!   file can do (declared once, beside [`PageFile`]), and a write-capable
-//!   backend over such files — a capability of the type, so a shared-cache
-//!   join handle or a queued stack cannot reach an updater;
+//! * [`PageSource`] — what a page file can do, declared once beside
+//!   [`PageFile`]; the R\*-tree crate's `OpenCachedTree` allocates,
+//!   releases and writes metadata through the update handle's file;
 //! * [`EntryFormat`] — the on-disk entry layout: 40-byte f64 entries by
 //!   default, or the paper's literal 20-byte f32 entries (outward-rounded)
 //!   behind a header flag;
@@ -106,7 +107,6 @@ pub mod pool;
 pub mod scan;
 pub mod stack;
 pub mod temp;
-pub mod writeback;
 
 pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
@@ -122,4 +122,3 @@ pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};
 pub use pool::{BufKey, BufferPool, IoStats};
 pub use stack::{CompletionFileAccess, FileAccess, FileNodeAccess, ReadStrategy};
 pub use temp::TempDir;
-pub use writeback::UpdateBackend;

@@ -66,8 +66,8 @@ struct Slot {
     prev: usize,
     next: usize,
     pins: u32,
-    /// The resident page differs from its on-disk copy; eviction must
-    /// write it back (the owner drains [`LruBuffer::take_dirty_evicted`]).
+    /// The resident page differs from its on-disk copy; its eviction is
+    /// a write-back (counted for [`LruBuffer::take_dirty_evictions`]).
     dirty: bool,
 }
 
@@ -85,9 +85,9 @@ pub struct LruBuffer {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Dirty pages evicted since the owner last drained them — the
-    /// write-back queue of the buffer manager.
-    dirty_evicted: Vec<BufKey>,
+    /// Dirty pages evicted since the owner last took the count — the
+    /// write-backs the buffer manager has yet to charge.
+    dirty_evictions: u64,
 }
 
 impl LruBuffer {
@@ -106,7 +106,7 @@ impl LruBuffer {
             hits: 0,
             misses: 0,
             evictions: 0,
-            dirty_evicted: Vec::new(),
+            dirty_evictions: 0,
         }
     }
 
@@ -181,8 +181,7 @@ impl LruBuffer {
     /// Makes `key` resident (most recently used) *without* touching the
     /// hit/miss counters — the install of a page the caller materialized
     /// itself (a freshly written page) rather than fetched on a miss.
-    /// Evictions this forces are still counted and still surface dirty
-    /// victims.
+    /// Evictions this forces are still counted, dirty victims included.
     pub fn install(&mut self, key: BufKey) {
         if let Some(&slot) = self.map.get(&key) {
             self.touch(slot);
@@ -191,9 +190,10 @@ impl LruBuffer {
         }
     }
 
-    /// Marks a resident `key` dirty: its eviction will be reported through
-    /// [`LruBuffer::take_dirty_evicted`] so the owner can write it back.
-    /// Returns `false` (and records nothing) if `key` is not resident.
+    /// Marks a resident `key` dirty: its eviction will be counted by
+    /// [`LruBuffer::take_dirty_evictions`] so the owner can charge the
+    /// write-back. Returns `false` (and records nothing) if `key` is not
+    /// resident.
     ///
     /// Dirty-marking is a *touch*: the writer just materialized the page's
     /// newest bytes, so the frame is promoted to MRU exactly like a hit.
@@ -250,17 +250,11 @@ impl LruBuffer {
         n
     }
 
-    /// Drains the dirty pages evicted since the last drain into `out`
-    /// (append, eviction order). The owner MUST write these back — their
-    /// buffered content is gone.
-    pub fn take_dirty_evicted(&mut self, out: &mut Vec<BufKey>) {
-        out.append(&mut self.dirty_evicted);
-    }
-
-    /// True if evicted dirty pages await write-back.
+    /// Number of dirty pages evicted since the last call, which resets
+    /// it: the write-backs the owner has yet to charge.
     #[inline]
-    pub fn has_dirty_evicted(&self) -> bool {
-        !self.dirty_evicted.is_empty()
+    pub fn take_dirty_evictions(&mut self) -> u64 {
+        std::mem::take(&mut self.dirty_evictions)
     }
 
     /// Zeroes the hit/miss/eviction counters, keeping residents — the
@@ -273,7 +267,7 @@ impl LruBuffer {
     }
 
     /// Drops everything, keeping the capacity. Counters are preserved.
-    /// Dirty residents (and undrained dirty evictions) are discarded
+    /// Dirty residents (and dirty evictions not yet taken) are discarded
     /// *without* write-back — owners flush first.
     pub fn clear(&mut self) {
         self.map.clear();
@@ -281,7 +275,7 @@ impl LruBuffer {
         self.free.clear();
         self.head = NIL;
         self.tail = NIL;
-        self.dirty_evicted.clear();
+        self.dirty_evictions = 0;
     }
 
     /// Hits recorded so far.
@@ -343,9 +337,7 @@ impl LruBuffer {
                 break;
             };
             let key = self.slots[victim].key;
-            if self.slots[victim].dirty {
-                self.dirty_evicted.push(key);
-            }
+            self.dirty_evictions += u64::from(self.slots[victim].dirty);
             self.detach(victim);
             self.map.remove(&key);
             self.free.push(victim);
@@ -587,7 +579,7 @@ mod tests {
     }
 
     // --- Dirty-page tracking: the write-back contract of the
-    // buffer manager — dirty evictions are surfaced exactly once, pinned
+    // buffer manager — dirty evictions are counted exactly once, pinned
     // dirty pages survive pressure, and install never moves a counter.
 
     #[test]
@@ -597,14 +589,15 @@ mod tests {
         assert!(b.mark_dirty(k(1)));
         assert!(b.is_dirty(k(1)));
         b.access(k(2)); // evicts dirty 1
-        let mut out = Vec::new();
-        b.take_dirty_evicted(&mut out);
-        assert_eq!(out, vec![k(1)]);
-        b.take_dirty_evicted(&mut out);
-        assert_eq!(out.len(), 1, "a drained eviction never reappears");
-        // A clean eviction reports nothing.
+        assert_eq!(b.take_dirty_evictions(), 1);
+        assert_eq!(
+            b.take_dirty_evictions(),
+            0,
+            "a taken eviction never reappears"
+        );
+        // A clean eviction counts nothing.
         b.access(k(3)); // evicts clean 2
-        assert!(!b.has_dirty_evicted());
+        assert_eq!(b.take_dirty_evictions(), 0);
     }
 
     #[test]
@@ -616,7 +609,7 @@ mod tests {
         b.clear_dirty(k(1));
         b.access(k(2));
         b.access(k(3)); // evicts 1, now clean
-        assert!(!b.has_dirty_evicted());
+        assert_eq!(b.take_dirty_evictions(), 0);
     }
 
     #[test]
@@ -629,11 +622,10 @@ mod tests {
             b.access(k(n));
         }
         assert!(b.is_dirty(k(1)), "pinned dirty page must stay resident");
-        assert!(!b.has_dirty_evicted());
+        assert_eq!(b.take_dirty_evictions(), 0);
         b.unpin(k(1)); // now unpinned and over capacity: evicted dirty
-        let mut out = Vec::new();
-        b.take_dirty_evicted(&mut out);
-        assert_eq!(out, vec![k(1)]);
+        assert_eq!(b.take_dirty_evictions(), 1);
+        assert!(!b.contains(k(1)));
     }
 
     #[test]
@@ -662,7 +654,7 @@ mod tests {
         b.access(k(3)); // evicts 2
         assert!(b.contains(k(1)), "freshly-dirtied page must not be victim");
         assert!(!b.contains(k(2)));
-        assert!(!b.has_dirty_evicted(), "the evicted page was clean");
+        assert_eq!(b.take_dirty_evictions(), 0, "the evicted page was clean");
         assert_eq!(b.recency_order(), vec![k(3), k(1)]);
     }
 
@@ -678,7 +670,7 @@ mod tests {
         assert_eq!(b.dirty_keys(), vec![k(4), k(2)], "MRU first");
         b.clear();
         assert_eq!(b.dirty_len(), 0);
-        assert!(!b.has_dirty_evicted());
+        assert_eq!(b.take_dirty_evictions(), 0);
     }
 
     #[test]

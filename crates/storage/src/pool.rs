@@ -12,28 +12,27 @@
 //! the LRU evicts it, when a flush reaches it, or on the spot when nothing
 //! can stay resident (zero capacity, every slot pinned).
 //!
-//! [`BufferPool`] owns all of that — path buffers, LRU buffer, the queue of
-//! dirty pages evicted but not yet written, [`IoStats`], every charge — but
-//! deliberately *not* the page payloads: the join algorithms borrow node
-//! data from their `PageStore`s and only report accesses here, mirroring
-//! the paper's accounting, where the buffer question is purely "would this
-//! access have gone to disk?". Whoever does hold the bytes passes a
-//! **writer** to the `_with` form of an operation: the pool calls it with
-//! each key whose physical write is due and charges the write once the
-//! writer returned `Ok`. Three owners:
+//! [`BufferPool`] owns all of that — path buffers, LRU buffer,
+//! [`IoStats`], every charge — but deliberately *not* the page payloads:
+//! the join algorithms borrow node data from their `PageStore`s and only
+//! report accesses here, mirroring the paper's accounting, where the
+//! buffer question is purely "would this access have gone to disk?". A
+//! write is the same kind of question, so a dirty eviction, a
+//! write-through or a flush is one `page_writes += n` and nothing can
+//! fail. Two owners hold a pool; with the oracle itself that makes three
+//! [`crate::NodeAccess`] implementors:
 //!
-//! * on its own the pool is the accounting oracle — the public operations
-//!   run with a writer that has nothing to write and cannot fail;
-//! * [`crate::FileAccess`] holds one and supplies a writer over its payload
-//!   table and page files ([`crate::writeback`]);
+//! * on its own the pool is the accounting oracle, reads and writes;
+//! * [`crate::FileAccess`] holds one over read-only page files: every
+//!   charged miss is a real read;
 //! * [`crate::SharedCacheFileAccess`] holds one as its private logical side
-//!   and drives it like the oracle — its bytes ride the shared frames.
+//!   and drives it like the oracle — its bytes ride the shared frames,
+//!   and an update handle's dirty bytes reach its file once each, at
+//!   [`crate::SharedPageCache::flush_dirty`].
 //!
-//! So the decisions and `IoStats` of all three [`crate::NodeAccess`]
-//! implementors are the same code, reads and writes alike; only what a miss
-//! *does* and where the bytes live differ.
-
-use std::convert::Infallible;
+//! So the decisions and `IoStats` of all three are the same code, reads
+//! and writes alike; only what a miss *does* and where the bytes live
+//! differ.
 
 use crate::access::NodeAccess;
 pub use crate::lru::BufKey;
@@ -90,12 +89,6 @@ impl std::ops::Sub for IoStats {
     }
 }
 
-/// The writer of an owner that holds no bytes: every write-back "succeeds"
-/// and is only counted.
-fn no_bytes(_: BufKey) -> Result<(), Infallible> {
-    Ok(())
-}
-
 /// The buffer hierarchy shared by the trees participating in a join
 /// (module docs).
 #[derive(Debug, Clone)]
@@ -103,10 +96,6 @@ pub struct BufferPool {
     lru: LruBuffer,
     paths: Vec<PathBuffer>,
     stats: IoStats,
-    /// Dirty pages the LRU evicted whose write has not returned `Ok` yet.
-    /// Empty between operations unless a writer failed: the failing key
-    /// and everything queued behind it wait here for the next drain.
-    evicted: Vec<BufKey>,
 }
 
 impl BufferPool {
@@ -124,38 +113,25 @@ impl BufferPool {
             lru: LruBuffer::new(cap_pages),
             paths: heights.iter().map(|&h| PathBuffer::new(h)).collect(),
             stats: IoStats::default(),
-            evicted: Vec::new(),
         }
     }
 
     /// Records an access by tree `store` to `page` at depth `level`
-    /// (0 = root). Returns `true` if the access had to go to disk.
+    /// (0 = root): the §4.1 access decision — probe the owning tree's path
+    /// buffer, fall through to the LRU buffer, charge a disk access on a
+    /// miss — plus the write-back of any dirty page the LRU evicted to
+    /// make room. Returns `true` iff the caller must actually fetch the
+    /// page.
     pub fn access(&mut self, store: u8, page: PageId, level: usize) -> bool {
-        let Ok(miss) = self.access_with(store, page, level, no_bytes);
-        miss
-    }
-
-    /// The §4.1 access decision — probe the owning tree's path buffer, fall
-    /// through to the LRU buffer, charge a disk access on a miss — followed
-    /// by the write-back of whatever the LRU evicted to make room. Returns
-    /// `true` iff the caller must actually fetch the page.
-    #[inline]
-    pub(crate) fn access_with<E>(
-        &mut self,
-        store: u8,
-        page: PageId,
-        depth: usize,
-        write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<bool, E> {
         let path = &mut self.paths[store as usize];
         let on_path = path.probe(page);
-        path.install(depth, page);
+        path.install(level, page);
         if on_path {
             // A path-buffered page is still "used", but the path buffer is
             // separate memory owned by the tree — do not force LRU
             // residency (so nothing was evicted either).
             self.stats.path_hits += 1;
-            return Ok(false);
+            return false;
         }
         let miss = match self.lru.access(BufKey::new(store, page)) {
             Access::Hit => {
@@ -167,41 +143,21 @@ impl BufferPool {
                 true
             }
         };
-        self.write_back_evicted(write)?;
-        Ok(miss)
+        self.charge_dirty_evictions();
+        miss
     }
 
     /// Pins `store`'s `page` in the LRU buffer (see
     /// [`LruBuffer::pin`]).
     pub fn pin(&mut self, store: u8, page: PageId) {
-        let Ok(()) = self.pin_with(store, page, no_bytes);
-    }
-
-    /// [`BufferPool::pin`] for an owner that holds the bytes.
-    pub(crate) fn pin_with<E>(
-        &mut self,
-        store: u8,
-        page: PageId,
-        write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
         self.lru.pin(BufKey::new(store, page));
-        self.write_back_evicted(write)
+        self.charge_dirty_evictions();
     }
 
     /// Releases one pin.
     pub fn unpin(&mut self, store: u8, page: PageId) {
-        let Ok(()) = self.unpin_with(store, page, no_bytes);
-    }
-
-    /// [`BufferPool::unpin`] for an owner that holds the bytes.
-    pub(crate) fn unpin_with<E>(
-        &mut self,
-        store: u8,
-        page: PageId,
-        write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
         self.lru.unpin(BufKey::new(store, page));
-        self.write_back_evicted(write)
+        self.charge_dirty_evictions();
     }
 
     /// Registers `store`'s `page` as mutated: buffer-resident (installed
@@ -209,94 +165,38 @@ impl BufferPool {
     /// to [`IoStats::page_writes`] when the page is evicted or flushed —
     /// this pool is the *accounting* model of the write path, exactly as
     /// it is of the read path. A page the buffer cannot hold at all
-    /// (zero capacity / all slots pinned) is charged immediately: a real
-    /// backend writes it through on the spot.
+    /// (zero capacity / all slots pinned) is charged immediately, as a
+    /// write-through.
     pub fn mark_dirty(&mut self, store: u8, page: PageId) {
-        let Ok(()) = self.mark_dirty_with(store, page, no_bytes);
-    }
-
-    /// [`BufferPool::mark_dirty`] for an owner that holds the bytes (it has
-    /// them ready for `write` before it calls).
-    pub(crate) fn mark_dirty_with<E>(
-        &mut self,
-        store: u8,
-        page: PageId,
-        write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
         let key = BufKey::new(store, page);
         self.lru.install(key);
-        if !self.lru.mark_dirty(key) {
-            // The install itself was evicted, clean, so the LRU did not
-            // queue it: there is no residency to defer the write under.
-            // It is the eviction it looks like — written through now,
-            // ahead of anything the install pushed out.
-            self.evicted.push(key);
-        }
-        self.drain_evicted(write)
+        // An install the LRU evicted at once (clean, so uncounted) has no
+        // residency to defer the write under: it is written through now.
+        let written_through = !self.lru.mark_dirty(key);
+        self.stats.page_writes += u64::from(written_through);
+        self.charge_dirty_evictions();
     }
 
     /// Drops the dirty state of `store`'s `page` without charging a write.
     pub fn discard_dirty(&mut self, store: u8, page: PageId) {
-        let key = BufKey::new(store, page);
-        self.lru.clear_dirty(key);
-        self.evicted.retain(|&k| k != key);
+        self.lru.clear_dirty(BufKey::new(store, page));
     }
 
     /// Charges one write per remaining dirty resident and cleans them —
     /// the accounting image of a backend flush.
     pub fn flush_writes(&mut self) {
-        let Ok(()) = self.flush_writes_with(no_bytes);
-    }
-
-    /// Writes back every page still dirty — evicted ones a failed write
-    /// left queued first, then the residents in the LRU's deterministic
-    /// recency order — and cleans them. Error-safe: pages written before a
-    /// failure are clean and charged, the failing page and the rest stay
-    /// dirty, so a retry resumes where this stopped.
-    pub(crate) fn flush_writes_with<E>(
-        &mut self,
-        mut write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.drain_evicted(&mut write)?;
-        for key in self.lru.dirty_keys() {
-            write(key)?;
+        let dirty = self.lru.dirty_keys();
+        for &key in &dirty {
             self.lru.clear_dirty(key);
-            self.stats.page_writes += 1;
         }
-        Ok(())
+        self.stats.page_writes += dirty.len() as u64;
     }
 
-    /// Write-back after an operation that may have evicted: a no-op unless
-    /// the LRU pushed a dirty page out — which a join, never writing,
-    /// cannot cause.
+    /// Charges the write-back of every dirty page the LRU evicted since
+    /// the last charge — none in a join, which never writes.
     #[inline]
-    fn write_back_evicted<E>(
-        &mut self,
-        write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
-        if !self.lru.has_dirty_evicted() {
-            return Ok(());
-        }
-        self.drain_evicted(write)
-    }
-
-    /// Hands every evicted dirty page to `write`, in eviction order, and
-    /// charges each write that returned `Ok`. Error-safe: the failing key
-    /// and everything behind it stay queued for the next drain.
-    fn drain_evicted<E>(
-        &mut self,
-        mut write: impl FnMut(BufKey) -> Result<(), E>,
-    ) -> Result<(), E> {
-        self.lru.take_dirty_evicted(&mut self.evicted);
-        let mut done = 0;
-        let res = self.evicted.iter().try_for_each(|&key| {
-            write(key)?;
-            done += 1;
-            Ok(())
-        });
-        self.stats.page_writes += done as u64;
-        self.evicted.drain(..done);
-        res
+    fn charge_dirty_evictions(&mut self) {
+        self.stats.page_writes += self.lru.take_dirty_evictions();
     }
 
     /// Statistics so far.
@@ -323,7 +223,6 @@ impl BufferPool {
         for p in &mut self.paths {
             p.clear();
         }
-        self.evicted.clear();
         self.stats = IoStats::default();
     }
 }

@@ -17,39 +17,33 @@
 //!   workers each own a stack, queue included.
 //!
 //! Everything else is shared, and not only between the two: the stack
-//! *owns a* [`BufferPool`] — the path buffers, the LRU buffer, the
-//! write-back protocol and every charge are that one value
-//! ([`crate::pool`]) — so its decisions and `IoStats` are the oracle's by
-//! construction, reads and writes alike. What the stack adds is the bytes:
-//! a miss is a real read, and the writer it hands the hierarchy
-//! (`page_writer`) puts a dirty page's stashed payload
-//! ([`crate::writeback`]) into the file that owns it.
+//! *owns a* [`BufferPool`] — the path buffers, the LRU buffer and every
+//! charge are that one value ([`crate::pool`]) — so its decisions and
+//! `IoStats` are the oracle's by construction. What the stack adds is the
+//! bytes: a miss is a real read.
 //!
-//! ## Properties of the queued strategy
+//! The stack is read-only. Updates have one write path, an update handle
+//! of the shared cache ([`crate::SharedPageCache::update_handle`]), whose
+//! dirty bytes reach the file at flush.
 //!
-//! * It reads only on demand: a charged miss submits exactly one read,
-//!   where the blocking strategy would have performed it. What changes is
-//!   *when* the read completes, never a number — so once
-//!   [`NodeAccess::drain_completions`] returns, physical reads equal
-//!   `disk_accesses`.
-//! * The strategy is a type, not a flag: the write half of the boundary
-//!   ([`NodeAccessMut`], [`UpdateBackend`]) exists for [`Blocking`] only —
-//!   queue workers hold independent read handles a write could race, so a
-//!   queued stack cannot be handed to an updater at all.
+//! The queued strategy reads only on demand: a charged miss submits
+//! exactly one read, where the blocking strategy would have performed it.
+//! What changes is *when* the read completes, never a number — so once
+//! [`NodeAccess::drain_completions`] returns, physical reads equal
+//! `disk_accesses`.
 //!
-//! A failed read or write-back panics: files are validated on open, so a
-//! failure within bounds means the storage itself broke mid-join.
+//! A failed read panics: files are validated on open, so a failure within
+//! bounds means the storage itself broke mid-join.
 
 use std::path::PathBuf;
 
-use crate::access::{NodeAccess, NodeAccessMut, Ticket};
+use crate::access::{NodeAccess, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionConfig, CompletionQueue};
 use crate::file::{PageFile, PageSource};
 use crate::lru::{BufKey, EvictionPolicy};
 use crate::page::PageId;
 use crate::pool::{BufferPool, IoStats};
-use crate::writeback::{DirtyPages, UpdateBackend};
 
 /// What a charged miss does (module docs). Implemented by [`Blocking`]
 /// and [`Queued`].
@@ -105,24 +99,6 @@ impl ReadStrategy for Queued {
     }
 }
 
-/// The writer a [`FileAccess`] hands its hierarchy: the hierarchy names
-/// the page whose write is due, this puts the page's stashed payload into
-/// the file of its store.
-fn page_writer<'a, S: PageSource>(
-    files: &'a mut [S],
-    dirty: &'a mut DirtyPages,
-) -> impl FnMut(BufKey) -> Result<(), StorageError> + 'a {
-    dirty.writer(|key, buf| files[key.store as usize].write_page(key.page, buf))
-}
-
-/// Unwraps a hierarchy operation that wrote the dirty pages it evicted
-/// back through [`page_writer`]. A write-back failure panics, like a
-/// failed demand read: the storage broke mid-operation and the buffered
-/// payload has nowhere else to go.
-fn write_back_evicted<T>(done: Result<T, StorageError>) -> T {
-    done.expect("dirty-page write-back failed")
-}
-
 /// The file-backed [`NodeAccess`] implementation (module docs): the
 /// buffer hierarchy over one page source per participating tree/store,
 /// with every miss performing a real page read.
@@ -131,10 +107,8 @@ pub struct FileAccess<S, R> {
     /// With [`Queued`] these are metadata handles (page sizes, counters);
     /// the reads happen on the queue's own lane handles.
     files: Vec<S>,
-    /// Path buffers, LRU buffer, write-back protocol, [`IoStats`].
+    /// Path buffers, LRU buffer, [`IoStats`].
     pool: BufferPool,
-    /// The bytes of the pages `pool` holds dirty ([`NodeAccessMut`]).
-    dirty: DirtyPages,
     reads: R,
     /// Ticket of the most recent demand-miss submission.
     last_miss: Ticket,
@@ -158,7 +132,6 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
         Ok(FileAccess {
             files,
             pool: BufferPool::with_capacity_pages(cap_pages, heights),
-            dirty: DirtyPages::default(),
             reads,
             last_miss: Ticket::NONE,
         })
@@ -189,15 +162,12 @@ impl<S: PageSource, R: ReadStrategy> FileAccess<S, R> {
     /// Empties all buffers and zeroes *every* I/O counter — [`IoStats`],
     /// LRU channels, page-source counters, the queue's lane reads — so
     /// consecutive bench runs start genuinely cold. Blocks until in-flight
-    /// reads finish. Un-flushed dirty pages are **discarded**: a reset is
-    /// a measurement boundary, not a durability point (update paths flush
-    /// first).
+    /// reads finish.
     pub fn reset(&mut self) {
         if let Some(queue) = self.reads.queue() {
             queue.reset();
         }
         self.pool.reset();
-        self.dirty.clear();
         for f in &mut self.files {
             f.reset_io();
         }
@@ -248,10 +218,7 @@ impl CompletionFileAccess {
 
 impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
     fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        // The decision may evict a dirty page: the hierarchy writes it
-        // back before anything else touches the file.
-        let write = page_writer(&mut self.files, &mut self.dirty);
-        let miss = write_back_evicted(self.pool.access_with(store, page, depth, write));
+        let miss = self.pool.access(store, page, depth);
         if miss {
             // The honest part: a miss is a real read from the file.
             self.last_miss = self.reads.read(&mut self.files, store, page);
@@ -260,13 +227,11 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
     }
 
     fn pin(&mut self, store: u8, page: PageId) {
-        let write = page_writer(&mut self.files, &mut self.dirty);
-        write_back_evicted(self.pool.pin_with(store, page, write));
+        self.pool.pin(store, page);
     }
 
     fn unpin(&mut self, store: u8, page: PageId) {
-        let write = page_writer(&mut self.files, &mut self.dirty);
-        write_back_evicted(self.pool.unpin_with(store, page, write));
+        self.pool.unpin(store, page);
     }
 
     fn io_stats(&self) -> IoStats {
@@ -312,40 +277,6 @@ impl<S: PageSource, R: ReadStrategy> NodeAccess for FileAccess<S, R> {
     }
 }
 
-impl<S: PageSource> NodeAccessMut for FileAccess<S, Blocking> {
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        self.dirty.stash(BufKey::new(store, page), payload);
-        let write = page_writer(&mut self.files, &mut self.dirty);
-        self.pool
-            .mark_dirty_with(store, page, write)
-            .expect("dirty-page write-through failed");
-    }
-
-    fn discard(&mut self, store: u8, page: PageId) {
-        self.pool.discard_dirty(store, page);
-        self.dirty.discard(BufKey::new(store, page));
-    }
-
-    fn flush_writes(&mut self) -> Result<(), StorageError> {
-        let write = page_writer(&mut self.files, &mut self.dirty);
-        self.pool.flush_writes_with(write)?;
-        debug_assert!(self.dirty.is_empty(), "payloads without dirty bits");
-        Ok(())
-    }
-}
-
-impl<S: PageSource> UpdateBackend for FileAccess<S, Blocking> {
-    type File = S;
-
-    fn store_file(&self, store: u8) -> &S {
-        self.file(store)
-    }
-
-    fn store_file_mut(&mut self, store: u8) -> &mut S {
-        &mut self.files[store as usize]
-    }
-}
-
 /// Constructor validation shared with [`crate::SharedPageCache`]: one
 /// backing store per tree height, and every store on one logical page
 /// size.
@@ -378,10 +309,6 @@ mod tests {
 
     const PAGES: u32 = 16;
 
-    fn child_of(buf: &[u8]) -> u64 {
-        codec::decode_node(buf).unwrap().entries[0].child
-    }
-
     /// A flushed file of [`PAGES`] pages, page `i` holding `payload(i)`.
     struct Fixture {
         _dir: TempDir,
@@ -407,7 +334,7 @@ mod tests {
         }
 
         fn open(&self) -> PageFile {
-            PageFile::open_rw(&self.path).unwrap()
+            PageFile::open(&self.path).unwrap()
         }
     }
 
@@ -472,41 +399,6 @@ mod tests {
         let fx = Fixture::new();
         check_counts_like_the_pool(blocking(&fx, 2, 2));
         check_counts_like_the_pool(queued(&fx, 2, 2, CompletionConfig::default()));
-    }
-
-    /// The write half: dirty pages are written back on eviction and on
-    /// flush, to the file that owns them; a discarded page is never
-    /// written.
-    #[test]
-    fn blocking_write_back_reaches_the_owning_file() {
-        let fx = Fixture::new();
-        let mut acc = blocking(&fx, 1, 1);
-        // Mutate page 1; the write is deferred...
-        acc.write(0, PageId(1), &payload(111, fx.slot));
-        assert_eq!(acc.pool.lru().dirty_len(), 1);
-        assert_eq!(acc.stats().page_writes, 0);
-        // ...until eviction pressure pushes it out.
-        acc.access(0, PageId(0), 0);
-        assert_eq!(acc.pool.lru().dirty_len(), 0);
-        assert_eq!(acc.stats().page_writes, 1);
-        // Mutate page 2 and flush explicitly.
-        acc.access(0, PageId(2), 0);
-        acc.write(0, PageId(2), &payload(222, fx.slot));
-        acc.flush_writes().unwrap();
-        assert_eq!(acc.stats().page_writes, 2);
-        // A discarded page's payload dies with it.
-        acc.write(0, PageId(3), &payload(333, fx.slot));
-        acc.discard(0, PageId(3));
-        acc.flush_writes().unwrap();
-        assert_eq!(acc.stats().page_writes, 2);
-        drop(acc);
-
-        let mut f = fx.open();
-        let mut buf = Vec::new();
-        for (page, want) in [(1, 111), (2, 222), (3, 3)] {
-            f.read_page_into(PageId(page), &mut buf).unwrap();
-            assert_eq!(child_of(&buf), want, "page {page}");
-        }
     }
 
     #[test]

@@ -12,12 +12,14 @@
 //!    with the queued read strategy): each miss is submitted to the
 //!    queue's workers while the cursor runs ahead (identical
 //!    `disk_accesses`, and once drained one physical read per access);
-//! 4. **update-then-rejoin** — the write path: `OpenTree` deletes and
-//!    inserts against the *open* R file (reads charged through the same
-//!    buffer hierarchy, dirty pages written back on eviction/flush, split
-//!    pages allocated off the persistent free list), then the same SJ4
-//!    joins the updated file cold — with exactly as many disk accesses as
-//!    a freshly saved tree of the same content would cost.
+//! 4. **update-then-rejoin** — the write path: `OpenCachedTree` deletes
+//!    and inserts against the *open* R file (reads charged through the
+//!    same buffer hierarchy, write-backs charged at eviction/flush while
+//!    each dirty page reaches the file once, at flush — so physical page
+//!    writes never exceed the logical ones; split pages allocated off the
+//!    persistent free list), then the same SJ4 joins the updated file
+//!    cold — with exactly as many disk accesses as a freshly saved tree of
+//!    the same content would cost.
 //!
 //! Run with: `cargo run --release --example cold_start`
 
@@ -137,8 +139,8 @@ fn main() {
     // 4: the write path — update R *in place* on an open file, then rejoin.
     let rup = dir.file("updated/r.rsj");
     std::fs::copy(&rp, &rup).expect("copy R file");
-    let mut open = rsj::rtree::OpenFileTree::open(&rup, BUFFER / PAGE).expect("open for update");
-    let before_pages = open.access().file(0).page_count();
+    let mut open = OpenCachedTree::open(&rup, BUFFER / PAGE).expect("open for update");
+    let before_pages = open.access().store_file().page_count();
     // Delete a band of R, insert shifted copies — splits allocate from the
     // free list that CondenseTree fills.
     let band: Vec<_> = data.r.iter().take(data.r.len() / 2).collect();
@@ -154,16 +156,23 @@ fn main() {
     }
     open.flush().expect("flush");
     let upd_io = open.io_stats();
-    let after_pages = open.access().file(0).page_count();
+    let physical_writes = open.access().cache().physical_writes();
+    assert!(
+        physical_writes <= upd_io.page_writes,
+        "each dirty page reaches the file once: {physical_writes} physical > {} logical",
+        upd_io.page_writes
+    );
+    let after_pages = open.access().store_file().page_count();
     println!(
         "\nupdate phase: {} deletes + {} inserts through the open file\n\
-         \u{20} update I/O: {} disk reads, {} page write-backs\n\
+         \u{20} update I/O: {} disk reads, {} page write-backs charged, {} physical page writes\n\
          \u{20} free list: {} pages released at the trough, {} free after reinserts\n\
          \u{20} file size: {} -> {} pages (reuse-before-append)",
         band.len(),
         band.len(),
         upd_io.disk_accesses,
         upd_io.page_writes,
+        physical_writes,
         freed,
         open.tree().free_page_count(),
         before_pages,

@@ -14,10 +14,10 @@
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
 //!   pluggable [`storage::NodeAccess`] boundary with its three
 //!   implementors: the in-memory [`storage::BufferPool`] oracle, the one
-//!   file stack [`storage::FileAccess`] over one [`storage::PageFile`]
-//!   per store (endian-stable binary page format, typed
-//!   [`storage::StorageError`]s) with a blocking or a completion-queue
-//!   read strategy — both read on demand only — named
+//!   read-only file stack [`storage::FileAccess`] over one
+//!   [`storage::PageFile`] per store (endian-stable binary page format,
+//!   typed [`storage::StorageError`]s) with a blocking or a
+//!   completion-queue read strategy — both read on demand only — named
 //!   [`storage::FileNodeAccess`] and [`storage::CompletionFileAccess`],
 //!   one private stack per worker — and
 //!   [`storage::SharedCacheFileAccess`] handles onto the latched
@@ -25,10 +25,11 @@
 //!   [`rtree::RTree::save_to`] reopen cold via [`rtree::RTree::open_from`]
 //!   and join with honest cold/warm buffer behavior — and stay
 //!   **updatable in place**:
-//!   [`rtree::OpenTree`] runs incremental inserts and deletes against the
-//!   open file through the buffer manager (dirty-page write-back,
-//!   persistent free-list reuse), provably equivalent to in-memory
-//!   updates page for page;
+//!   [`rtree::OpenCachedTree`] runs incremental inserts and deletes
+//!   against the open file through the one write path, a shared-cache
+//!   update handle (dirty pages written once each at flush, persistent
+//!   free-list reuse), provably equivalent to in-memory updates page for
+//!   page;
 //! * [`rtree`] — the R\*-tree (plus Guttman baselines and bulk loading);
 //! * [`join`] — the spatial-join algorithms SJ1–SJ5, different-height
 //!   policies, baselines, the parallel (shared-nothing, optionally over
@@ -133,9 +134,7 @@ pub mod prelude {
     };
     pub use rsj_datagen::TestId;
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
-    pub use rsj_rtree::{
-        DataId, InsertPolicy, Neighbor, OpenCachedTree, OpenFileTree, OpenTree, RTree, RTreeParams,
-    };
+    pub use rsj_rtree::{DataId, InsertPolicy, Neighbor, OpenCachedTree, RTree, RTreeParams};
     pub use rsj_storage::{
         CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
         PageFile, PageSource, SharedPageCache, StorageError,

@@ -1,12 +1,12 @@
-//! Latched-update conformance: a background `OpenTree` insert/delete
+//! Latched-update conformance: a background `OpenCachedTree` insert/delete
 //! stream driven through a live [`SharedPageCache`] — concurrently with
 //! `parallel_spatial_join_warm` traffic over the same frames — must be
 //! indistinguishable from the sequential world:
 //!
 //! * the updater's logical [`IoStats`] are bit-identical to the same
-//!   script through a private [`OpenFileTree`] (the `FileNodeAccess` /
-//!   `BufferPool` oracle), no matter what the joins do to the shared
-//!   frames;
+//!   script through [`OpenCachedTree::open`] on a private copy of the file
+//!   (a quiet cache of its own), no matter what the joins do to the
+//!   shared frames;
 //! * every concurrent join's pair multiset and merged `IoStats` are
 //!   bit-identical to the private-buffer parallel oracle, no matter what
 //!   the updater does;
@@ -94,7 +94,7 @@ fn apply_to_oracle(tree: &mut RTree, script: &[Op]) {
     }
 }
 
-fn apply_to_open<B: rsj_storage::UpdateBackend>(open: &mut OpenTree<B>, script: &[Op]) {
+fn apply_to_open(open: &mut OpenCachedTree, script: &[Op]) {
     for op in script {
         match *op {
             Op::Insert(r, id) => open.insert(r, id).unwrap(),
@@ -122,7 +122,7 @@ fn assert_page_identical(a: &RTree, b: &RTree, label: &str) {
 
 /// The updated-relation fixture: relation R saved twice — one copy for
 /// the shared-cache updater under test, one for the private
-/// `OpenFileTree` oracle — plus the join partner S.
+/// `OpenCachedTree::open` oracle — plus the join partner S.
 struct Fixture {
     dir: TempDir,
     r_path: std::path::PathBuf,
@@ -191,10 +191,11 @@ impl Fixture {
         t
     }
 
-    /// The same script through a private `OpenFileTree` of the same
-    /// buffer capacity — the logical-IoStats oracle for the updater.
+    /// The same script through `OpenCachedTree::open` on the oracle copy
+    /// — a private cache no join touches — with the same buffer capacity:
+    /// the logical-IoStats oracle for the updater.
     fn file_oracle_stats(&self) -> IoStats {
-        let mut open = OpenFileTree::open(&self.r_oracle_path, CAP_PAGES).unwrap();
+        let mut open = OpenCachedTree::open(&self.r_oracle_path, CAP_PAGES).unwrap();
         apply_to_open(&mut open, &self.script);
         let io = open.io_stats();
         open.flush().unwrap();
@@ -214,9 +215,9 @@ fn seeded_delay(seed: u64, span_us: u64) -> DelayFn {
     })
 }
 
-/// Sequential conformance: updates through one `SharedPageCache` store
-/// charge the exact `IoStats` of the private file backend, and flush +
-/// reopen is page-for-page the in-memory oracle.
+/// Sequential conformance: updates through one store of a shared
+/// `SharedPageCache` charge the exact `IoStats` of a private one, and
+/// flush + reopen is page-for-page the in-memory oracle.
 #[test]
 fn cached_updates_match_the_file_backend_oracle() {
     let fx = Fixture::new(TestId::A, 240, 7);
@@ -252,8 +253,7 @@ fn cached_updates_match_the_file_backend_oracle() {
 }
 
 /// A tiny pool forces the updater's dirty frames through eviction (and
-/// re-demand from the drain) over and over — the exact path the old
-/// key-only `take_dirty_evicted` lost payloads on. Nothing may be lost.
+/// re-demand from the drain) over and over. Nothing may be lost.
 #[test]
 fn dirty_evictions_under_a_tiny_pool_lose_no_updates() {
     let fx = Fixture::new(TestId::B, 240, 11);

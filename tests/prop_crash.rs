@@ -1,5 +1,5 @@
 //! Crash-shaped corruption on the write path: a file that went through
-//! incremental updates (`OpenTree` + `flush`) and is then truncated or
+//! incremental updates (`OpenCachedTree` + `flush`) and is then truncated or
 //! bit-flipped — a torn write, a lost tail, a rotted sector — must surface
 //! as a typed [`StorageError`] (or a validator failure folded into one),
 //! **never** as a panic and never as a structurally broken tree.
@@ -22,7 +22,7 @@ use rsj::prelude::*;
 use rsj_storage::TempDir;
 use std::path::Path;
 
-/// Builds a small tree, saves it, churns it through an `OpenFileTree`
+/// Builds a small tree, saves it, churns it through an `OpenCachedTree`
 /// (inserts, deletes — free-list markers and reused slots included) and
 /// returns the flushed file's bytes. Cached: the fixture is
 /// deterministic and the property loop below calls this per case.
@@ -44,7 +44,7 @@ fn build_updated_file() -> Vec<u8> {
         t.insert(rect(i), DataId(i));
     }
     t.save_to(&path).unwrap();
-    let mut open = OpenFileTree::open(&path, 8).unwrap();
+    let mut open = OpenCachedTree::open(&path, 8).unwrap();
     for i in 0..60u64 {
         open.delete(&rect(i * 2 % 120), DataId(i * 2 % 120))
             .unwrap();

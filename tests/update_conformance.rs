@@ -6,7 +6,7 @@
 //! For pseudo-random interleaved update sequences on presets A and B the
 //! suite asserts:
 //!
-//! * `OpenTree` + `flush` + `open_from` yields a tree **page-for-page
+//! * `OpenCachedTree` + `flush` + `open_from` yields a tree **page-for-page
 //!   identical** to the in-memory oracle (same page ids, same free list);
 //! * SJ1–SJ5 over the updated trees produce identical pair multisets AND
 //!   identical `IoStats` whether the updated relation lives in memory
@@ -90,7 +90,7 @@ fn apply_to_oracle(tree: &mut RTree, script: &[Op]) {
     }
 }
 
-fn apply_to_open<B: rsj_storage::UpdateBackend>(open: &mut OpenTree<B>, script: &[Op]) {
+fn apply_to_open(open: &mut OpenCachedTree, script: &[Op]) {
     for op in script {
         match *op {
             Op::Insert(r, id) => open.insert(r, id).unwrap(),
@@ -143,7 +143,7 @@ fn updated_files(tag: &str, r0: &RTree, s0: &RTree, script: &[Op]) -> (Files, RT
     let f = Files::save(tag, r0, s0);
     let mut oracle = r0.clone();
     apply_to_oracle(&mut oracle, script);
-    let mut open = OpenFileTree::open(&f.paths[0], CAP_PAGES).unwrap();
+    let mut open = OpenCachedTree::open(&f.paths[0], CAP_PAGES).unwrap();
     apply_to_open(&mut open, script);
     open.close().unwrap();
     (Files::reopen(f.dir, f.paths), oracle)
@@ -167,8 +167,8 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
         apply_to_oracle(&mut s_oracle, &s_script);
 
         // Device under test: the same updates through the open files.
-        let mut r_open = OpenFileTree::open(&rp, CAP_PAGES).unwrap();
-        let mut s_open = OpenFileTree::open(&sp, CAP_PAGES).unwrap();
+        let mut r_open = OpenCachedTree::open(&rp, CAP_PAGES).unwrap();
+        let mut s_open = OpenCachedTree::open(&sp, CAP_PAGES).unwrap();
         apply_to_open(&mut r_open, &r_script);
         apply_to_open(&mut s_open, &s_script);
         let upd_io = r_open.io_stats();
@@ -180,7 +180,8 @@ fn updated_open_trees_join_identically_to_in_memory_oracles() {
             "{test:?}: updates write pages"
         );
         // Free-list reuse was exercised by the script.
-        let real_writes = r_open.access().file(0).writes() + s_open.access().file(0).writes();
+        let real_writes =
+            r_open.access().store_file().writes() + s_open.access().store_file().writes();
         assert!(real_writes > 0, "{test:?}: physical writes happened");
         drop(r_open);
         drop(s_open);
@@ -218,8 +219,8 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
     let dir = TempDir::new("update-churn").unwrap();
     let path = dir.file("r.rsj");
     tree.save_to(&path).unwrap();
-    let mut open = OpenFileTree::open(&path, CAP_PAGES).unwrap();
-    let before = open.access().file(0).page_count();
+    let mut open = OpenCachedTree::open(&path, CAP_PAGES).unwrap();
+    let before = open.access().store_file().page_count();
     let n = data.r.len().min(200);
     let mut reused = 0usize;
     for round in 0..4 {
@@ -234,7 +235,7 @@ fn delete_heavy_churn_is_bounded_by_free_list_reuse() {
         reused += freed.saturating_sub(open.tree().free_page_count());
     }
     open.flush().unwrap();
-    let after = open.access().file(0).page_count();
+    let after = open.access().store_file().page_count();
     assert!(reused > 0, "insertions must reuse released pages");
     assert!(
         u64::from(after) <= u64::from(before) + 16,
@@ -280,7 +281,7 @@ fn post_update_cold_join_equals_a_freshly_saved_tree() {
     let script = update_script(&data.r, 220, 99);
     let mut oracle = r0.clone();
     apply_to_oracle(&mut oracle, &script);
-    let mut open = OpenFileTree::open(&rp, CAP_PAGES).unwrap();
+    let mut open = OpenCachedTree::open(&rp, CAP_PAGES).unwrap();
     apply_to_open(&mut open, &script);
     open.close().unwrap();
 
