@@ -11,9 +11,9 @@
 //!
 //! * [`NodeAccess`] — the page-access boundary: in-memory joins plug in
 //!   a private [`rsj_storage::BufferPool`], file-backed ones an
-//!   [`rsj_storage::FileAccess`] stack or a
-//!   [`rsj_storage::SharedCacheFileAccess`] handle, and `&mut A` works
-//!   for reusing one accountant across many cursors.
+//!   [`rsj_storage::FileAccess`] stack — private, or a
+//!   [`rsj_storage::SharedCacheFileAccess`] handle onto shared frames —
+//!   and `&mut A` works for reusing one accountant across many cursors.
 //! * [`Meter`] — the comparison-accounting boundary: [`CmpCounter`]
 //!   (constructors [`JoinCursor::new`]/[`JoinCursor::with_tasks`]) keeps
 //!   the paper's CPU accounting bit-identical to the recursive oracle;

@@ -6,10 +6,10 @@
 //! * [`JoinCursor`] — the production executor. An explicit-work-stack
 //!   state machine that yields result pairs incrementally and charges all
 //!   I/O through [`rsj_storage::NodeAccess`], so the same engine serves
-//!   all three implementors: the in-memory [`rsj_storage::BufferPool`]
-//!   oracle, the [`rsj_storage::FileAccess`] stack over real page files
-//!   (read strategy {blocking, queued}),
-//!   and [`rsj_storage::SharedCacheFileAccess`] handles onto the shared
+//!   both implementors: the in-memory [`rsj_storage::BufferPool`]
+//!   oracle and the [`rsj_storage::FileAccess`] stack over real page
+//!   files, whose read strategy is blocking, queued or cached — the last
+//!   being [`rsj_storage::SharedCacheFileAccess`] handles onto the shared
 //!   frame cache.
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential

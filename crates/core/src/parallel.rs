@@ -150,8 +150,9 @@ fn parallel_join_metered<M: Meter>(
 
 /// [`parallel_spatial_join`] over caller-supplied [`NodeAccess`] backends:
 /// `make_access(w)` builds worker `w`'s private accountant (for a
-/// file-backed shared-nothing deployment: a
-/// [`rsj_storage::FileNodeAccess`] or [`rsj_storage::CompletionFileAccess`]
+/// file-backed shared-nothing deployment: a [`rsj_storage::FileAccess`]
+/// stack with a private read strategy, [`rsj_storage::FileNodeAccess`] or
+/// [`rsj_storage::CompletionFileAccess`],
 /// over freshly-opened page files — one file per store — and a slice of
 /// the buffer budget; each worker gets its own file handles, like a
 /// worker process would). Tasks are partitioned statically and accounted
@@ -190,7 +191,8 @@ where
 }
 
 /// The warm-pool deployment of [`parallel_spatial_join_with_access`]: all
-/// workers run [`rsj_storage::SharedCacheFileAccess`] handles over one
+/// workers run [`rsj_storage::FileAccess`] stacks with the cached read
+/// strategy ([`rsj_storage::SharedCacheFileAccess`] handles) over one
 /// [`SharedPageCache`] — the latched frame cache that outlives this call.
 ///
 /// Each worker keeps a private logical LRU of `cap_pages_per_worker`

@@ -4,17 +4,17 @@
 //! trees hand out charge-free borrows ([`crate::PageStore::peek`]) and the
 //! executor *reports* every logical page access so the buffer hierarchy can
 //! answer the paper's question: "would this access have gone to disk?"
-//! [`NodeAccess`] is that reporting interface. Three types implement it,
+//! [`NodeAccess`] is that reporting interface. Two types implement it,
 //! and there is one hierarchy between them — a value, [`crate::BufferPool`]
-//! ([`crate::pool`]), which the other two each own:
+//! ([`crate::pool`]), which the other owns:
 //!
 //! * [`crate::BufferPool`] — the §4.1 hierarchy (path buffer → LRU →
 //!   disk, dirty pages charged at eviction or flush) as pure accounting
 //!   over an in-memory tree: the oracle;
-//! * [`crate::FileAccess`] — a pool over read-only page files, where every
-//!   miss performs an actual read; its read strategy {blocking, queued}
-//!   gives its two aliases ([`crate::stack`]);
-//! * [`crate::SharedCacheFileAccess`] — a worker's handle onto the
+//! * [`crate::FileAccess`] — a pool over page files, where every miss is
+//!   served by a real read; its read strategy {blocking, queued, cached}
+//!   gives its three aliases ([`crate::stack`]). The cached one,
+//!   [`crate::SharedCacheFileAccess`], is a worker's handle onto the
 //!   latched [`crate::SharedPageCache`]: a private pool for the logical
 //!   side, shared physical frames for the bytes. Its update handle is the
 //!   one backend that writes ([`NodeAccessMut`]).
@@ -32,9 +32,9 @@
 //!
 //! ## Completion-driven reads
 //!
-//! A *completion-driven* backend (the queued strategy of
-//! [`crate::FileAccess`], and [`crate::SharedCacheFileAccess`] — both on
-//! [`crate::CompletionQueue`]) services a demand miss by **submitting** the
+//! A *completion-driven* backend (the queued and cached strategies of
+//! [`crate::FileAccess`] — both on a [`crate::CompletionQueue`]) services
+//! a demand miss by **submitting** the
 //! physical read to a submission/completion queue and returning
 //! immediately: the miss is charged exactly where a blocking backend
 //! charges it (so `IoStats` is bit-identical by construction), but the

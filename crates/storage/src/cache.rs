@@ -5,10 +5,10 @@
 //!
 //! This is the one shared-frame owner of the storage layer — the §6
 //! shared-buffer win: a page faulted by one worker is free for the next.
-//! With only private [`crate::FileAccess`] stacks every worker owns an
-//! LRU over its own file handles, so the upper-level pages every subtree
-//! task touches are physically read N times, and nothing stays warm
-//! between requests. [`SharedPageCache`]
+//! With only private (blocking or queued) [`FileAccess`] stacks every
+//! worker owns an LRU over its own files, so the upper-level pages every
+//! subtree task touches are physically read N times, and nothing stays
+//! warm between requests. [`SharedPageCache`]
 //! closes that gap: one frame table under one mutex holds the page budget
 //! for the whole deployment — an [`LruBuffer`] (the paper's §4.1
 //! replacement with §4.3 pinning), the in-flight reads and one table of
@@ -62,21 +62,25 @@
 //!
 //! ## Logical vs physical accounting
 //!
-//! Each worker drives the cache through a [`SharedCacheFileAccess`]
-//! handle that owns a private [`BufferPool`] — the full §4.1 hierarchy
-//! ([`crate::pool`]): path buffers, a logical LRU, the write-back
-//! protocol, every charge — and drives it exactly as the oracle is
-//! driven. A handle's [`IoStats`] is therefore that of a private-buffer
-//! worker of the same capacity *by construction*, independent of what
-//! other workers do. Only on a charged logical miss does the handle
-//! consult the shared frame layer, where the *physical* story is
-//! decided: a resident or in-flight frame costs nothing
-//! ([`SharedCacheFileAccess::warm_hits`]); an empty frame submits one
-//! pread ([`SharedCacheFileAccess::cold_faults`], counted in
+//! Each worker drives the cache through a handle,
+//! [`SharedCacheFileAccess`]: the one file stack, [`FileAccess`], with
+//! [`Cached`] as its read strategy. Like every stack it owns a private
+//! [`crate::BufferPool`] — the full §4.1 hierarchy ([`crate::pool`]):
+//! path buffers, a logical LRU, the write-back protocol, every charge —
+//! and drives it exactly as the oracle is driven. A handle's
+//! [`crate::IoStats`] is therefore that of a private-buffer worker of the
+//! same capacity *by construction*, independent of what other workers
+//! do. Only on a charged logical miss does the strategy consult the
+//! shared frame layer, where the *physical* story is decided: a resident
+//! or in-flight frame costs nothing ([`FileAccess::warm_hits`]); an
+//! empty frame submits one pread ([`FileAccess::cold_faults`], counted in
 //! [`SharedPageCache::physical_reads`]). Hence the measurable dedup:
 //! `physical_reads ≤ Σ per-worker disk_accesses`, strictly `<` whenever
 //! workers overlap — and a warm pool serves repeat joins at near-zero
 //! physical reads while their logical charges stay exactly the paper's.
+//! Resetting a handle ([`FileAccess::reset`]) zeroes its pool and tallies
+//! and leaves the shared frames warm; only [`SharedPageCache::clear`]
+//! makes the cache cold.
 //!
 //! The write path mirrors the split. A handle opened through
 //! [`SharedPageCache::update_handle`] owns the read-write [`PageFile`] of
@@ -96,15 +100,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::access::{NodeAccess, NodeAccessMut, Ticket};
+use crate::access::{NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionQueue, DelayFn};
 use crate::file::{PageFile, PageSource};
 use crate::lru::LruBuffer;
 use crate::page::PageId;
 use crate::path::UPDATE_MAX_HEIGHT;
-use crate::pool::{BufKey, BufferPool, IoStats};
-use crate::stack::validate_stores;
+use crate::pool::BufKey;
+use crate::stack::{validate_stores, FileAccess, ReadStrategy};
 
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,9 +244,10 @@ impl SharedPageCache {
 
     /// A worker's view: private path buffers (sized from the cache's
     /// heights), a private logical LRU of `cap_pages` and zeroed
-    /// [`IoStats`] over the shared frame layer. It reads and nothing else:
-    /// a join handle is a [`NodeAccess`], never a [`NodeAccessMut`] — the
-    /// write path is a different type, [`SharedPageCache::update_handle`].
+    /// [`crate::IoStats`] over the shared frame layer. It reads and nothing
+    /// else: a join handle is a [`crate::NodeAccess`], never a
+    /// [`NodeAccessMut`] — the write path is a different type,
+    /// [`SharedPageCache::update_handle`].
     ///
     /// An updater takes the one and refuses the other at compile time:
     ///
@@ -260,25 +265,13 @@ impl SharedPageCache {
     /// updater(cache.handle(8)); // a join handle is not a `NodeAccessMut`
     /// ```
     pub fn handle(self: &Arc<Self>, cap_pages: usize) -> SharedCacheFileAccess {
-        let pool = BufferPool::with_capacity_pages(cap_pages, &self.heights);
-        self.handle_over(pool, ())
-    }
-
-    fn handle_over<W>(self: &Arc<Self>, pool: BufferPool, writes: W) -> SharedCacheFileAccess<W> {
-        SharedCacheFileAccess {
-            cache: Arc::clone(self),
-            pool,
-            writes,
-            last_miss: Ticket::NONE,
-            warm_hits: 0,
-            cold_faults: 0,
-        }
+        FileAccess::assemble(cap_pages, &self.heights, Cached::new(Arc::clone(self), ()))
     }
 
     /// A worker's view *with the write path open* for `store`: the
     /// returned handle owns a read-write [`PageFile`] on that store
-    /// ([`SharedCacheFileAccess::store_file`]) and a path buffer sized
-    /// for any height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`]).
+    /// ([`FileAccess::store_file`]) and a path buffer sized for any
+    /// height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`]).
     /// Logical write charges are its pool's; payload bytes ride the shared
     /// frames until [`NodeAccessMut::flush_writes`] pushes them through
     /// [`SharedPageCache::flush_dirty`].
@@ -295,9 +288,9 @@ impl SharedPageCache {
         })?;
         let mut heights = self.heights.clone();
         heights[store as usize] = UPDATE_MAX_HEIGHT;
-        let pool = BufferPool::with_capacity_pages(cap_pages, &heights);
         let file = PageFile::open_rw(path)?;
-        Ok(self.handle_over(pool, StoreFile { store, file }))
+        let reads = Cached::new(Arc::clone(self), StoreFile { store, file });
+        Ok(FileAccess::assemble(cap_pages, &heights, reads))
     }
 
     /// Locks the frame table, recovering from a poisoned mutex: every
@@ -668,32 +661,75 @@ impl SharedPageCache {
     }
 }
 
-/// One worker's backend over a [`SharedPageCache`] — beside
-/// [`crate::BufferPool`] and [`crate::FileAccess`] the third and last
-/// [`NodeAccess`] implementor, the one whose frames are shared. It owns
-/// a private [`BufferPool`] — path buffers, logical LRU, [`IoStats`] — so
-/// the logical accounting is that of a private-buffer worker of the same
-/// capacity, while every charged miss is *served* by the shared frame layer
-/// (single-flight physical reads, warm frames across workers and across
-/// requests). Completion-driven: a miss returns a ticket for the cursor
-/// to park on instead of blocking in `access()`.
-///
-/// `W` is the handle's write capability, and the type says which handle
-/// this is: `()` — the default, what [`SharedPageCache::handle`] returns —
-/// reads only; [`StoreFile`], what [`SharedPageCache::update_handle`]
-/// returns, additionally owns the read-write [`PageFile`] of its store and
-/// drives updates through the [`NodeAccessMut`] impl below.
-pub struct SharedCacheFileAccess<W = ()> {
+/// A worker's stack over a [`SharedPageCache`]: the [`FileAccess`] whose
+/// read strategy is [`Cached`] (module docs, "Logical vs physical
+/// accounting"). `W` is the handle's write capability: `()` — what
+/// [`SharedPageCache::handle`] returns — reads only; [`StoreFile`], what
+/// [`SharedPageCache::update_handle`] returns, owns the read-write
+/// [`PageFile`] of its store and drives updates through [`NodeAccessMut`].
+pub type SharedCacheFileAccess<W = ()> = FileAccess<Cached<W>>;
+
+/// Read strategy: a charged miss is [`SharedPageCache::materialize`], and
+/// the stack's pins are mirrored onto the shared frames. It owns its
+/// handle on the cache, the write capability `W` and two tallies of how
+/// its misses were served; the frames, the queue and the physical reads
+/// belong to the cache.
+#[derive(Debug)]
+pub struct Cached<W = ()> {
     cache: Arc<SharedPageCache>,
-    /// The private *logical* hierarchy — accounting only, driven like the
-    /// oracle; bytes live in the shared frames.
-    pool: BufferPool,
     writes: W,
-    last_miss: Ticket,
     /// Charged misses served by a frame already resident or in flight.
     warm_hits: u64,
     /// Charged misses that submitted the physical read themselves.
     cold_faults: u64,
+}
+
+impl<W> Cached<W> {
+    fn new(cache: Arc<SharedPageCache>, writes: W) -> Self {
+        Cached {
+            cache,
+            writes,
+            warm_hits: 0,
+            cold_faults: 0,
+        }
+    }
+}
+
+impl<W> ReadStrategy for Cached<W> {
+    #[inline]
+    fn queue(&self) -> Option<&CompletionQueue> {
+        Some(&self.cache.queue)
+    }
+
+    fn read(&mut self, store: u8, page: PageId) -> Ticket {
+        let (ticket, fresh) = self.cache.materialize(store, page);
+        if fresh {
+            self.cold_faults += 1;
+        } else {
+            self.warm_hits += 1;
+        }
+        ticket
+    }
+
+    fn pin(&self, store: u8, page: PageId) {
+        self.cache.pin(store, page);
+    }
+
+    fn unpin(&self, store: u8, page: PageId) {
+        self.cache.unpin(store, page);
+    }
+
+    /// [`SharedPageCache::drain`]: also settles the `Reading` frames.
+    fn drain(&self) {
+        self.cache.drain();
+    }
+
+    /// Zeroes the handle's own tallies. The cache is every worker's;
+    /// going cold is its owner's call ([`SharedPageCache::clear`]).
+    fn reset(&mut self) {
+        self.warm_hits = 0;
+        self.cold_faults = 0;
+    }
 }
 
 /// The write capability of an update handle: the read-write file of the
@@ -704,159 +740,80 @@ pub struct StoreFile {
     file: PageFile,
 }
 
-impl<W> fmt::Debug for SharedCacheFileAccess<W> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SharedCacheFileAccess")
-            .field("stats", &self.pool.stats())
-            .field("warm_hits", &self.warm_hits)
-            .field("cold_faults", &self.cold_faults)
-            .finish()
-    }
-}
-
-impl<W> SharedCacheFileAccess<W> {
-    /// Statistics recorded through this handle.
-    #[inline]
-    pub fn stats(&self) -> IoStats {
-        self.pool.stats()
-    }
-
+impl<W> FileAccess<Cached<W>> {
     /// The cache this handle charges against.
     #[inline]
     pub fn cache(&self) -> &Arc<SharedPageCache> {
-        &self.cache
+        &self.reads.cache
     }
 
     /// Charged misses a warm or in-flight frame served
     /// (`warm_hits + cold_faults == disk_accesses`).
     #[inline]
     pub fn warm_hits(&self) -> u64 {
-        self.warm_hits
+        self.reads.warm_hits
     }
 
     /// Charged misses that paid for their own pread.
     #[inline]
     pub fn cold_faults(&self) -> u64 {
-        self.cold_faults
+        self.reads.cold_faults
     }
 }
 
-impl<W> NodeAccess for SharedCacheFileAccess<W> {
-    fn access(&mut self, store: u8, page: PageId, depth: usize) -> bool {
-        let miss = self.pool.access(store, page, depth);
-        if miss {
-            let (ticket, fresh) = self.cache.materialize(store, page);
-            if fresh {
-                self.cold_faults += 1;
-            } else {
-                self.warm_hits += 1;
-            }
-            self.last_miss = ticket;
-        }
-        miss
-    }
-
-    fn pin(&mut self, store: u8, page: PageId) {
-        // The logical pin shapes eviction decisions, hence the charge
-        // sequence; the shared-layer pin keeps the frame eviction-proof
-        // for every worker.
-        self.pool.pin(store, page);
-        self.cache.pin(store, page);
-    }
-
-    fn unpin(&mut self, store: u8, page: PageId) {
-        self.pool.unpin(store, page);
-        self.cache.unpin(store, page);
-    }
-
-    fn io_stats(&self) -> IoStats {
-        self.pool.stats()
-    }
-
-    fn completion_driven(&self) -> bool {
-        true
-    }
-
-    fn last_miss_ticket(&self) -> Ticket {
-        self.last_miss
-    }
-
-    fn is_complete(&self, ticket: Ticket) -> bool {
-        self.cache.queue.is_complete(ticket)
-    }
-
-    fn await_ticket(&self, ticket: Ticket) {
-        self.cache.queue.await_ticket(ticket)
-    }
-
-    fn is_settled(&self, ticket: Ticket) -> bool {
-        self.cache.queue.is_settled(ticket)
-    }
-
-    fn await_settled(&self, ticket: Ticket) {
-        self.cache.queue.await_settled(ticket)
-    }
-
-    fn in_flight(&self) -> usize {
-        self.cache.queue.in_flight()
-    }
-
-    fn drain_completions(&self) {
-        self.cache.drain()
-    }
-}
-
-impl NodeAccessMut for SharedCacheFileAccess<StoreFile> {
+impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     /// Registers a mutated page: the *logical* charge is the private
-    /// pool's ([`BufferPool::mark_dirty`]), while the *bytes* take the
-    /// latched shared-frame path ([`SharedPageCache::write`]).
+    /// pool's ([`crate::BufferPool::mark_dirty`]), while the *bytes* take
+    /// the latched shared-frame path ([`SharedPageCache::write`]).
     fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
         self.pool.mark_dirty(store, page);
-        self.cache.write(store, page, payload);
+        self.reads.cache.write(store, page, payload);
     }
 
     fn discard(&mut self, store: u8, page: PageId) {
         self.pool.discard_dirty(store, page);
-        self.cache.clear_dirty(store, page);
+        self.reads.cache.clear_dirty(store, page);
     }
 
     /// Charges one logical write per remaining private dirty page
-    /// ([`BufferPool::flush_writes`]), then pushes every pending payload
-    /// of the store this handle owns through
+    /// ([`crate::BufferPool::flush_writes`]), then pushes every pending
+    /// payload of the store this handle owns through
     /// [`SharedPageCache::flush_dirty`] into the real file.
     fn flush_writes(&mut self) -> Result<(), StorageError> {
         self.pool.flush_writes();
-        let StoreFile { store, file } = &mut self.writes;
-        self.cache
-            .flush_dirty(*store, |page, buf| file.write_page(page, buf))
+        let Cached { cache, writes, .. } = &mut self.reads;
+        let StoreFile { store, file } = writes;
+        cache.flush_dirty(*store, |page, buf| file.write_page(page, buf))
     }
 }
 
-impl SharedCacheFileAccess<StoreFile> {
+impl FileAccess<Cached<StoreFile>> {
     /// The store this handle was opened for.
     #[inline]
     pub fn store(&self) -> u8 {
-        self.writes.store
+        self.reads.writes.store
     }
 
-    /// The read-write file of [`SharedCacheFileAccess::store`].
+    /// The read-write file of [`FileAccess::store`].
     #[inline]
     pub fn store_file(&self) -> &PageFile {
-        &self.writes.file
+        &self.reads.writes.file
     }
 
-    /// The read-write file of [`SharedCacheFileAccess::store`], mutably
-    /// (allocate, release, metadata).
+    /// The read-write file of [`FileAccess::store`], mutably (allocate,
+    /// release, metadata).
     #[inline]
     pub fn store_file_mut(&mut self) -> &mut PageFile {
-        &mut self.writes.file
+        &mut self.reads.writes.file
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access::NodeAccess;
     use crate::codec::{self, META_BYTES};
+    use crate::pool::{BufferPool, IoStats};
     use crate::temp::TempDir;
     use std::time::Duration;
 
@@ -1297,6 +1254,36 @@ mod tests {
         assert_eq!(h2.stats(), h.stats(), "same logical charges for worker 2");
         assert_eq!(h2.cold_faults(), 0, "warm frames serve every miss");
         assert_eq!(c.physical_reads(), before, "no new physical reads");
+    }
+
+    #[test]
+    fn resetting_a_handle_leaves_the_shared_cache_warm() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 8, 8, None);
+        let (mut h0, mut h1) = (c.handle(2), c.handle(2));
+        let walk = |h: &mut SharedCacheFileAccess| {
+            for p in 0..6u32 {
+                h.access(0, PageId(p), 1);
+            }
+            h.drain_completions();
+        };
+        walk(&mut h0);
+        assert!(h0.cold_faults() > 0, "h0 warmed the cache");
+        let shared = |c: &SharedPageCache| {
+            (
+                c.resident_pages(),
+                c.physical_reads(),
+                c.queue().total_reads(),
+            )
+        };
+        let warm = shared(&c);
+
+        h0.reset();
+        assert_eq!(h0.stats(), IoStats::default());
+        assert_eq!((h0.warm_hits(), h0.cold_faults()), (0, 0));
+        assert_eq!(shared(&c), warm, "a handle's reset touches nothing shared");
+        walk(&mut h1);
+        assert_eq!(h1.cold_faults(), 0, "the frames h0 read are still warm");
     }
 
     #[test]

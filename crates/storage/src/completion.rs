@@ -9,9 +9,10 @@
 //! `access()`. A *lane* is one store's page file: a job for
 //! [`BufKey`] `key` reads page `key.page` of lane `key.store`, where the
 //! read is also counted — the lane names where a job reads, not who
-//! serves it. The queue is the engine of the file-access stack's queued
-//! read strategy ([`crate::stack::Queued`]) and of
-//! [`crate::SharedPageCache`]; each owns its queue.
+//! serves it. The queue is the engine of two of the file-access stack's
+//! three read strategies: [`crate::stack::Queued`] owns a private one,
+//! and [`crate::cache::Cached`] submits through the one its
+//! [`crate::SharedPageCache`] owns.
 //!
 //! ## Service order
 //!
@@ -54,14 +55,12 @@
 //! strategy's "storage broke mid-join" contract.
 
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::access::Ticket;
-use crate::codec::StorageError;
 use crate::file::PageFile;
 use crate::inflight::InflightTables;
 use crate::lru::BufKey;
@@ -79,8 +78,10 @@ pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 /// at twice the threads.
 pub const QUEUE_DEPTH: usize = 16;
 
-/// Configuration of the queued read strategy ([`crate::stack::Queued`]).
-/// The pool size is not here: every queue serves [`QUEUE_DEPTH`] reads.
+/// Configuration of the queued read strategy's private queue
+/// ([`crate::stack::Queued`]; a shared cache's queue takes
+/// [`crate::CacheConfig`]). The pool size is not here: every queue
+/// serves [`QUEUE_DEPTH`] reads.
 #[derive(Clone, Default)]
 pub struct CompletionConfig {
     /// Optional per-page completion delay (tests only).
@@ -211,25 +212,10 @@ impl fmt::Debug for CompletionQueue {
 }
 
 impl CompletionQueue {
-    /// Opens one queue over `paths`: lane `i` (store `i`) reads the page
-    /// file at `paths[i]` through one shared read-only [`PageFile`] handle
-    /// (inheriting [`crate::file::READ_LATENCY_ENV`]), and a pool of
-    /// [`QUEUE_DEPTH`] threads serves all lanes — positional reads, so any
-    /// number of workers read one file at once.
-    pub fn open(paths: &[PathBuf], delay: Option<DelayFn>) -> Result<Self, StorageError> {
-        // Open every handle before spawning anything, so a bad path is a
-        // constructor error, not a dead worker.
-        let files = paths
-            .iter()
-            .map(PageFile::open)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::over(files, delay))
-    }
-
-    /// [`CompletionQueue::open`] over handles the caller already holds:
-    /// lane `i` reads `files[i]`. A caller that opened its files to
-    /// validate them hands them on instead of having every free chain
-    /// walked a second time.
+    /// One queue over files its owner opened and validated: lane `i`
+    /// (store `i`) reads `files[i]`, one handle shared by the workers, and a
+    /// pool of [`QUEUE_DEPTH`] threads serves all lanes — positional
+    /// reads, so any number of workers read one file at once.
     pub(crate) fn over(files: Vec<PageFile>, delay: Option<DelayFn>) -> Self {
         Self::with_pool(files, QUEUE_DEPTH, delay)
     }
@@ -741,7 +727,7 @@ mod tests {
         // of the queue, not of how many files it reads.
         let (delay, met) = rendezvous(QUEUE_DEPTH);
         let f = demo_file(&dir, "t.rsj", QUEUE_DEPTH as u32);
-        let q = CompletionQueue::open(&[f.path().to_path_buf()], Some(delay)).unwrap();
+        let q = CompletionQueue::over(vec![PageFile::open(f.path()).unwrap()], Some(delay));
         assert_eq!(q.workers(), QUEUE_DEPTH);
         for p in 0..QUEUE_DEPTH as u32 {
             demand(&q, 0, p);

@@ -7,7 +7,8 @@
 //! miss; the whole-file read an open does is its [`PageSource::scan`],
 //! overlapped when reads wait ([`crate::scan`]). [`PageSource`] — declared
 //! here — is what a page file can do; [`PageFile`] is the one the
-//! file-access stack ([`crate::FileAccess`]) and every open read.
+//! file-access stack's read strategies ([`crate::FileAccess`]) and every
+//! open read.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};

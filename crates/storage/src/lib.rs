@@ -15,12 +15,10 @@
 //!   layers (path buffer first, then LRU, then "disk"), the write-back
 //!   accounting of dirty pages, and every [`IoStats`] charge ([`pool`]).
 //! * [`NodeAccess`] — the pluggable page-access interface the join
-//!   executors charge against. Exactly three types implement it:
-//!   [`BufferPool`] (on its own: the in-memory accounting oracle),
-//!   [`FileAccess`] (the one file stack, below) and
-//!   [`SharedCacheFileAccess`] (a worker's handle onto the shared frame
-//!   cache) — the latter two each *own* a pool, so all three decide and
-//!   charge with the same code.
+//!   executors charge against. Besides `&mut A`, exactly two types
+//!   implement it: [`BufferPool`] (on its own: the in-memory accounting
+//!   oracle) and [`FileAccess`] (the one file stack, below), which *owns*
+//!   a pool, so both decide and charge with the same code.
 //! * [`CostModel`] — the paper's linear execution-time estimate: 15 ms
 //!   positioning per access, 5 ms per KByte transferred, 3.9 µs per
 //!   floating-point comparison (§4.1, Figure 2).
@@ -43,23 +41,22 @@
 //!   reach the consumer in id order on its own thread, read one at a time
 //!   or — when the reads are what it waits for — up to [`QUEUE_DEPTH`]
 //!   at once through a bounded read-ahead ring;
-//! * [`FileAccess<S, R>`](FileAccess) — the file-backed, read-only
-//!   [`NodeAccess`] stack: a [`BufferPool`] (hence bit-identical `IoStats`
-//!   at equal capacity) over one page file per store, where every miss
-//!   performs an actual page read. It is assembled from a page source `S`
-//!   and a read strategy `R`; its two aliases are [`FileNodeAccess`] (blocking
-//!   reads) and [`CompletionFileAccess`], whose misses go to a private
-//!   [`CompletionQueue`] with one lane per store, served FIFO by ticket
-//!   and moving no `IoStats` number ([`stack`]); parallel workers each own
-//!   a stack;
-//! * [`SharedPageCache`] / [`SharedCacheFileAccess`] — the latched shared
-//!   frame cache over the completion queue: one LRU frame table of
-//!   pin-counted frames walking an Empty → Reading → Resident → Dirty
-//!   state machine, one table of dirty bytes, single-flight physical
-//!   reads across concurrent demanders, and warm frames that outlive a
-//!   single join — while every worker's handle owns a private
-//!   [`BufferPool`], so its [`IoStats`] are those of a private-buffer
-//!   worker;
+//! * [`FileAccess<R>`](FileAccess) — the file-backed [`NodeAccess`]
+//!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
+//!   capacity) over one page file per store, where every miss is served by
+//!   the read strategy `R` ([`stack`]). Its three aliases:
+//!   [`FileNodeAccess`] reads the files itself, blocking;
+//!   [`CompletionFileAccess`] submits to a private [`CompletionQueue`]
+//!   with one lane per store, served FIFO by ticket and moving no
+//!   `IoStats` number; [`SharedCacheFileAccess`] is a worker's handle
+//!   onto a shared cache (below). Parallel workers each own a stack;
+//! * [`SharedPageCache`] — the latched shared frame cache over the
+//!   completion queue: one LRU frame table of pin-counted frames walking
+//!   an Empty → Reading → Resident → Dirty state machine, one table of
+//!   dirty bytes, single-flight physical reads across concurrent
+//!   demanders, and warm frames that outlive a single join — while every
+//!   worker's handle owns a private [`BufferPool`], so its [`IoStats`]
+//!   are those of a private-buffer worker;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!
@@ -68,12 +65,14 @@
 //!
 //! * [`NodeAccessMut`] — the write half of the access boundary: dirty-page
 //!   registration, charged in [`IoStats::page_writes`] at pin-aware
-//!   eviction and explicit flush by [`BufferPool`]. Two types implement
-//!   it: the pool alone (the accounting oracle) and a shared-cache update
-//!   handle ([`SharedPageCache::update_handle`]), whose pool counts while
-//!   the bytes ride the frames and reach its file once each, at
-//!   [`SharedPageCache::flush_dirty`] — a capability of the type, so a
-//!   join handle or a file stack cannot reach an updater;
+//!   eviction and explicit flush by [`BufferPool`]. Besides `&mut A`, two
+//!   types implement it: the pool alone (the accounting oracle) and a
+//!   shared-cache update handle ([`SharedPageCache::update_handle`], the
+//!   file stack whose cached read strategy holds a store's read-write
+//!   file), whose pool counts while the bytes ride the frames and reach
+//!   its file once each, at [`SharedPageCache::flush_dirty`] — a
+//!   capability of the type, so a join handle or a private stack cannot
+//!   reach an updater;
 //! * a persistent **free-page list** in [`PageFile`] — header-chained
 //!   marker slots, `allocate`/`release` with reuse-before-append,
 //!   validated on open;

@@ -19,19 +19,18 @@
 //! buffer question is purely "would this access have gone to disk?". A
 //! write is the same kind of question, so a dirty eviction, a
 //! write-through or a flush is one `page_writes += n` and nothing can
-//! fail. Two owners hold a pool; with the oracle itself that makes three
-//! [`crate::NodeAccess`] implementors:
+//! fail. One owner holds a pool; with the oracle itself that makes two
+//! [`crate::NodeAccess`] implementors (besides `&mut A`):
 //!
 //! * on its own the pool is the accounting oracle, reads and writes;
-//! * [`crate::FileAccess`] holds one over read-only page files: every
-//!   charged miss is a real read;
-//! * [`crate::SharedCacheFileAccess`] holds one as its private logical side
-//!   and drives it like the oracle — its bytes ride the shared frames,
-//!   and an update handle's dirty bytes reach its file once each, at
+//! * [`crate::FileAccess`] holds one over page files and drives it like
+//!   the oracle: every charged miss is served by a real read — its own,
+//!   its private queue's, or (cached) a shared frame's — and a cache
+//!   update handle's dirty bytes reach its file once each, at
 //!   [`crate::SharedPageCache::flush_dirty`].
 //!
-//! So the decisions and `IoStats` of all three are the same code, reads
-//! and writes alike; only what a miss *does* and where the bytes live
+//! So the decisions and `IoStats` of both are the same code, reads and
+//! writes alike; only what a miss *does* and where the bytes live
 //! differ.
 
 use crate::access::NodeAccess;
@@ -214,8 +213,8 @@ impl BufferPool {
     /// Empties all buffers and zeroes the statistics — including the LRU
     /// buffer's own hit/miss/eviction counters, so a reset pool reports a
     /// genuinely cold start on every channel (benches rely on this; the
-    /// file-backed twin [`crate::FileAccess::reset`] additionally
-    /// zeroes its page-file counters in the same way). Dirty state is
+    /// file-backed twin [`crate::FileAccess::reset`] additionally zeroes
+    /// its read strategy's own counters in the same way). Dirty state is
     /// dropped uncharged.
     pub fn reset(&mut self) {
         self.lru.clear();

@@ -12,16 +12,16 @@
 //!   exact polyline/polygon geometry;
 //! * [`storage`] — simulated paged disk, LRU buffer with pinning, path
 //!   buffers, the paper's cost model, a slotted-page heap file, and the
-//!   pluggable [`storage::NodeAccess`] boundary with its three
-//!   implementors: the in-memory [`storage::BufferPool`] oracle, the one
-//!   read-only file stack [`storage::FileAccess`] over one
-//!   [`storage::PageFile`] per store (endian-stable binary page format,
-//!   typed [`storage::StorageError`]s) with a blocking or a
-//!   completion-queue read strategy — both read on demand only — named
-//!   [`storage::FileNodeAccess`] and [`storage::CompletionFileAccess`],
-//!   one private stack per worker — and
-//!   [`storage::SharedCacheFileAccess`] handles onto the latched
-//!   [`storage::SharedPageCache`] for concurrent workers. Trees saved with
+//!   pluggable [`storage::NodeAccess`] boundary with its two
+//!   implementors (beside `&mut A`): the in-memory
+//!   [`storage::BufferPool`] oracle and the one file stack
+//!   [`storage::FileAccess`] over one [`storage::PageFile`] per store
+//!   (endian-stable binary page format, typed
+//!   [`storage::StorageError`]s). Its read strategy — all three read on
+//!   demand only — names it: blocking [`storage::FileNodeAccess`] and
+//!   completion-queue [`storage::CompletionFileAccess`], one private stack
+//!   per worker, and [`storage::SharedCacheFileAccess`], a worker's
+//!   handle onto the latched [`storage::SharedPageCache`]. Trees saved with
 //!   [`rtree::RTree::save_to`] reopen cold via [`rtree::RTree::open_from`]
 //!   and join with honest cold/warm buffer behavior — and stay
 //!   **updatable in place**:

@@ -1,6 +1,6 @@
 //! The one fixture list of the conformance suites: two trees saved as
 //! page files, and the [`FileAccess`] instantiations — read strategy
-//! {blocking, queued} — every property is driven over.
+//! {blocking, queued, cached} — every property is driven over.
 // Each suite uses its own subset.
 #![allow(dead_code)]
 
@@ -10,7 +10,8 @@ use rsj::prelude::*;
 use rsj_core::spatial_join_with_access;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{
-    CompletionConfig, CompletionFileAccess, FileAccess, IoStats, NodeAccess, TempDir,
+    CompletionConfig, CompletionFileAccess, FileAccess, IoStats, NodeAccess, SharedCacheFileAccess,
+    TempDir,
 };
 
 pub const PAGE: usize = 1024;
@@ -121,9 +122,21 @@ impl Files {
             .unwrap()
     }
 
+    /// A handle of `cap_pages` on a private [`SharedPageCache`] of
+    /// `cap_pages` frames, its reads under the per-page completion
+    /// `delay`.
+    pub fn cached(&self, cap_pages: usize, delay: Option<DelayFn>) -> SharedCacheFileAccess {
+        let cfg = CacheConfig {
+            delay,
+            ..CacheConfig::default()
+        };
+        let cache = SharedPageCache::open(&self.paths, cap_pages, &self.heights(), cfg).unwrap();
+        cache.handle(cap_pages)
+    }
+
     /// Calls `check(row name, a cold stack of `cap_pages`)` once per row
-    /// of the instantiation table — blocking, and queued under the
-    /// per-page completion `delay`.
+    /// of the instantiation table — blocking, then queued and cached
+    /// under the per-page completion `delay`.
     pub fn for_each_stack(
         &self,
         cap_pages: usize,
@@ -131,10 +144,11 @@ impl Files {
         mut check: impl FnMut(&str, &mut dyn Stack),
     ) {
         check("blocking", &mut self.blocking(cap_pages));
-        check(
-            "queued",
-            &mut self.queued(cap_pages, CompletionConfig { delay }),
-        );
+        let cfg = CompletionConfig {
+            delay: delay.clone(),
+        };
+        check("queued", &mut self.queued(cap_pages, cfg));
+        check("cached", &mut self.cached(cap_pages, delay));
     }
 }
 
@@ -161,7 +175,35 @@ pub trait Stack: NodeAccess {
     /// Pages physically read so far, on whichever handles read them
     /// (call after [`NodeAccess::drain_completions`]).
     fn physical_reads(&self) -> u64;
+    /// A cold stack: every buffer empty, every read counter zero.
     fn reset(&mut self);
+    /// The cache whose frames the stack shares, if any.
+    fn shared(&self) -> Option<&SharedPageCache> {
+        None
+    }
+}
+
+/// Read honesty of a stack that charged `disk_accesses`, once its
+/// completions drain: on a private stack every charge was exactly one
+/// physical read; on a shared cache's it was at most one (a frame another
+/// charge read serves it), and every read the cache counts happened.
+pub fn assert_reads_honest<A: Stack + ?Sized>(access: &A, disk_accesses: u64, label: &str) {
+    access.drain_completions();
+    let physical = access.physical_reads();
+    match access.shared() {
+        None => assert_eq!(physical, disk_accesses, "{label}: reads"),
+        Some(cache) => {
+            assert!(
+                physical <= disk_accesses,
+                "{label}: {physical} reads for {disk_accesses} charges"
+            );
+            assert_eq!(
+                physical,
+                cache.queue().total_reads(),
+                "{label}: queue reads"
+            );
+        }
+    }
 }
 
 impl Stack for FileNodeAccess {
@@ -179,5 +221,20 @@ impl Stack for CompletionFileAccess {
     }
     fn reset(&mut self) {
         FileAccess::reset(self)
+    }
+}
+
+impl Stack for SharedCacheFileAccess {
+    fn physical_reads(&self) -> u64 {
+        self.cache().physical_reads()
+    }
+    /// The handle's reset leaves the cache warm; the cache is private to
+    /// the row, so the row clears it too.
+    fn reset(&mut self) {
+        FileAccess::reset(self);
+        self.cache().clear();
+    }
+    fn shared(&self) -> Option<&SharedPageCache> {
+        Some(self.cache())
     }
 }

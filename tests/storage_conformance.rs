@@ -1,9 +1,10 @@
-//! Storage-backend conformance: the three [`rsj_storage::NodeAccess`]
+//! Storage-backend conformance: the [`rsj_storage::NodeAccess`]
 //! implementors' accounting must be interchangeable under every join
 //! algorithm. This suite drives the one file stack,
-//! [`rsj_storage::FileAccess`], in both instantiations — read strategy
-//! {blocking, queued} — against the in-memory [`BufferPool`] oracle
-//! (`tests/warm_cache.rs` does the same for the shared page cache).
+//! [`rsj_storage::FileAccess`], in all three instantiations — read
+//! strategy {blocking, queued, cached} — against the in-memory
+//! [`BufferPool`] oracle (`tests/warm_cache.rs` adds the shared page
+//! cache's concurrent workers).
 //!
 //! For SJ1–SJ5 on presets A and B each row of the table must show, at the
 //! same LRU capacity and from a cold start:
@@ -14,13 +15,14 @@
 //! * the oracle's whole **`IoStats`** — the buffer hierarchy is the same
 //!   §4.1 stack everywhere, only what a miss *does* differs;
 //! * honesty: once the completions drain, every charged miss was exactly
-//!   one real page read;
+//!   one real page read (at most one on a shared cache, whose frames may
+//!   already hold the page);
 //! * cold → warm → `reset` → cold: a second run without a reset does fewer
 //!   disk accesses; a reset replays the cold counts exactly.
 
 mod common;
 
-use common::{plans, run, sorted_ids, Files, Fixture, Stack, CAP_PAGES, PAGE};
+use common::{assert_reads_honest, plans, run, sorted_ids, Files, Fixture, Stack, CAP_PAGES, PAGE};
 use rsj::prelude::*;
 use rsj_storage::{BufferPool, CompletionConfig};
 
@@ -40,9 +42,8 @@ fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Files) -> A) {
             let (pairs, io, access) = run(r, s, plan, row(&fx.files));
             assert_eq!(pairs, want_pairs, "{label}: pairs");
             assert_eq!(io, want_io, "{label}: I/O");
-            // Honesty: every charged miss was exactly one real page read.
-            access.drain_completions();
-            assert_eq!(access.physical_reads(), io.disk_accesses, "{label}: reads");
+            // Honesty: every charged miss was one real page read.
+            assert_reads_honest(&access, io.disk_accesses, &label);
         }
     }
 }
@@ -86,6 +87,13 @@ fn queued_backend_agrees_on_pairs_and_disk_accesses() {
     });
 }
 
+#[test]
+fn cached_backend_agrees_on_pairs_and_disk_accesses() {
+    // A handle on a private shared cache charges like the pool too: the
+    // frames decide only whether a charged miss reads.
+    check_agrees_with_the_pool("cached", |f| f.cached(CAP_PAGES, None));
+}
+
 /// Cold → warm → `reset` → cold, for one row of the table.
 fn check_cold_warm_and_reset<A: Stack>([r, s]: &[RTree; 2], plan: JoinPlan, mut access: A) {
     let (cold_pairs, cold_io, a) = run(r, s, plan, access);
@@ -112,8 +120,7 @@ fn check_cold_warm_and_reset<A: Stack>([r, s]: &[RTree; 2], plan: JoinPlan, mut 
         reset_io, cold_io,
         "a reset backend must replay the cold run"
     );
-    access.drain_completions();
-    assert_eq!(access.physical_reads(), reset_io.disk_accesses);
+    assert_reads_honest(&access, reset_io.disk_accesses, "after reset");
 }
 
 // A buffer big enough for the whole working set: the warm run must then
@@ -131,6 +138,12 @@ fn queued_backend_cold_warm_and_reset() {
     let f = Fixture::new("conformance", TestId::A, 0.003).files;
     let cfg = CompletionConfig::default();
     check_cold_warm_and_reset(&f.trees, JoinPlan::sj4(), f.queued(CAP_PAGES, cfg));
+}
+
+#[test]
+fn cached_backend_cold_warm_and_reset() {
+    let f = Fixture::new("conformance", TestId::A, 0.003).files;
+    check_cold_warm_and_reset(&f.trees, JoinPlan::sj4(), f.cached(CAP_PAGES, None));
 }
 
 #[test]
