@@ -2,14 +2,14 @@
 //! generated presets, compiling the comparison accounting out must never
 //! change *what* a join computes — only what it reports. The raw join's
 //! result-pair multiset must equal the counted join's for every named
-//! plan and for the parallel deployment.
+//! plan, for the parallel deployment and for the multi-way join.
 
 mod common;
 
 use common::build_tree;
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::parallel_spatial_join_fast;
+use rsj_core::{multiway_join_metered_with_access, parallel_spatial_join_fast};
 
 /// Result pairs as a sorted multiset of id pairs.
 fn multiset(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
@@ -64,5 +64,46 @@ proptest! {
         prop_assert_eq!(multiset(&counted_par.pairs), want.clone(), "{:?} counted parallel", test);
         prop_assert_eq!(multiset(&raw_par.pairs), want, "{:?} raw parallel", test);
         prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
+    }
+
+    /// Raw mode computes the counted three-way join's tuples (streets of
+    /// preset A × its rivers × the second street map of preset B) with the
+    /// same page accesses, and tallies no comparison.
+    #[test]
+    fn raw_multiway_matches_counted_multiset(
+        scale in 0.002..0.005f64,
+        buf_pages in 0usize..32,
+    ) {
+        let a = rsj::datagen::preset(TestId::A, scale);
+        let b = rsj::datagen::preset(TestId::B, scale);
+        let trees = [
+            build_tree(&a.r, 1024),
+            build_tree(&a.s, 1024),
+            build_tree(&b.s, 1024),
+        ];
+        let trees: Vec<&RTree> = trees.iter().collect();
+        let cfg = JoinConfig::with_buffer(buf_pages * 1024);
+        // The stage → trees mapping of `multiway_join`.
+        let stage_trees = |stage: usize| {
+            if stage == 0 { &trees[..2] } else { &trees[stage + 1..=stage + 1] }
+        };
+        let tuples = |res: &MultiwayResult| {
+            let mut v: Vec<Vec<u64>> =
+                res.tuples.iter().map(|t| t.iter().map(|d| d.0).collect()).collect();
+            v.sort_unstable();
+            v
+        };
+
+        let counted = multiway_join(&trees, JoinPlan::sj4(), &cfg);
+        let raw = multiway_join_metered_with_access::<NoOp, _, _>(
+            &trees,
+            JoinPlan::sj4(),
+            |stage| cfg.buffer_pool(stage_trees(stage)),
+        );
+        prop_assert!(!counted.tuples.is_empty());
+        prop_assert_eq!(tuples(&raw), tuples(&counted), "raw multiway != counted");
+        prop_assert_eq!(raw.io, counted.io);
+        prop_assert_eq!(raw.comparisons, 0u64);
+        prop_assert!(counted.comparisons > 0);
     }
 }
