@@ -101,6 +101,16 @@ impl Rect {
         self.xl > self.xu || self.yl > self.yu
     }
 
+    /// True iff every coordinate is finite and the corners are ordered
+    /// (`xl <= xu`, `yl <= yu`): what a stored data rectangle must be.
+    /// A NaN fails every comparison. The `&`s keep it branch-free: the
+    /// validator runs it on every leaf entry of every tree it opens.
+    #[inline]
+    pub fn is_well_formed(&self) -> bool {
+        let axis = |l: f64, u: f64| (f64::NEG_INFINITY < l) & (l <= u) & (u < f64::INFINITY);
+        axis(self.xl, self.xu) & axis(self.yl, self.yu)
+    }
+
     /// Width of the rectangle (x extent).
     #[inline]
     pub fn width(&self) -> f64 {
@@ -352,6 +362,24 @@ mod tests {
         assert_eq!(seg.margin(), 4.0);
         assert!(seg.intersects(&r(2.0, 0.0, 3.0, 2.0)));
         assert!(seg.intersects(&r(5.0, 1.0, 6.0, 2.0))); // corner touch
+    }
+
+    #[test]
+    fn well_formed_means_finite_and_ordered() {
+        assert!(r(1.0, 1.0, 5.0, 1.0).is_well_formed(), "degenerate is fine");
+        for [xl, yl, xu, yu] in [
+            [f64::NAN, 0.0, 1.0, 1.0],
+            [0.0, 0.0, 1.0, f64::INFINITY],
+            [f64::NEG_INFINITY, 0.0, 1.0, 1.0],
+            [2.0, 0.0, 1.0, 1.0],
+            [0.0, 2.0, 1.0, 1.0],
+        ] {
+            assert!(
+                !Rect { xl, yl, xu, yu }.is_well_formed(),
+                "{xl} {yl} {xu} {yu}"
+            );
+        }
+        assert!(!Rect::empty().is_well_formed());
     }
 
     #[test]

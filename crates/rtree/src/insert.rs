@@ -6,7 +6,10 @@
 //! 1. **ChooseSubtree** — when the children are leaves, pick the entry with
 //!    the minimum *overlap enlargement* with its siblings (ties: area
 //!    enlargement, then area); on higher directory levels, minimum area
-//!    enlargement suffices.
+//!    enlargement suffices. When some child already contains the new
+//!    rectangle, the answer is settled among the children it does not
+//!    enlarge, without the sibling-overlap loop, bit for bit the same
+//!    choice.
 //! 2. **Forced reinsertion** — on overflow, instead of splitting
 //!    immediately, remove the `p` entries whose centres lie furthest from
 //!    the node centre and re-insert them at the same level ("re-insertion
@@ -27,7 +30,8 @@ use rsj_geom::Rect;
 use rsj_storage::PageId;
 
 /// Cap on the number of candidate entries examined by the quadratic
-/// overlap-enlargement computation in ChooseSubtree. The R\*-paper proposes
+/// overlap-enlargement computation in ChooseSubtree. The R\*-tree paper
+/// (Beckmann, Kriegel, Schneider, Seeger, SIGMOD 1990) proposes
 /// this very optimization (determine the 32 entries with minimum area
 /// enlargement, then resolve overlap among those); without it, inserting
 /// into 8-KByte nodes (M = 409) costs O(M²) per level-1 visit.
@@ -78,48 +82,10 @@ impl RTree {
         debug_assert!(!node.is_leaf(), "choose_subtree on a leaf");
         let use_overlap = self.params.policy == InsertPolicy::RStar && node.level == 1;
         if use_overlap {
-            self.choose_subtree_overlap(node, rect)
+            choose_subtree_overlap(node, rect)
         } else {
             choose_subtree_area(node, rect)
         }
-    }
-
-    /// R\*: the child whose rectangle needs the least *overlap enlargement*,
-    /// restricted to the [`CHOOSE_SUBTREE_OVERLAP_CANDIDATES`] entries with
-    /// the least area enlargement when the node is large.
-    fn choose_subtree_overlap(&self, node: &Node, rect: &Rect) -> usize {
-        let n = node.len();
-        let mut candidates: Vec<usize> = (0..n).collect();
-        if n > CHOOSE_SUBTREE_OVERLAP_CANDIDATES {
-            // One enlargement per entry, not two per comparison: a
-            // bulk-loaded directory node is laid out by `xl`, an order in
-            // which enlargement has no runs for the stable sort to find.
-            candidates.sort_by_cached_key(|&i| f64_key(node.entries[i].rect.enlargement(rect)));
-            candidates.truncate(CHOOSE_SUBTREE_OVERLAP_CANDIDATES);
-        }
-        let mut best = candidates[0];
-        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for &i in &candidates {
-            let enlarged = node.entries[i].rect.union(rect);
-            let mut overlap_delta = 0.0;
-            for (j, other) in node.entries.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                overlap_delta += enlarged.overlap_area(&other.rect)
-                    - node.entries[i].rect.overlap_area(&other.rect);
-            }
-            let key = (
-                overlap_delta,
-                node.entries[i].rect.enlargement(rect),
-                node.entries[i].rect.area(),
-            );
-            if key < best_key {
-                best_key = key;
-                best = i;
-            }
-        }
-        best
     }
 
     /// Walks overflow treatment up from `page` along `path`.
@@ -216,6 +182,118 @@ impl RTree {
     }
 }
 
+/// R\*: the child whose rectangle needs the least *overlap enlargement*
+/// — the first minimum of the key `(overlap_delta, enlargement, area)`
+/// — among the [`CHOOSE_SUBTREE_OVERLAP_CANDIDATES`] entries with the
+/// least area enlargement, ties by index, when the node is large.
+///
+/// Most rectangles fall inside some child already, and then the key's
+/// sibling loop is wasted. One pass computes every enlargement and
+/// keeps, in index order, the first 32 entries whose enlargement is
+/// exactly 0. If one of them contains `rect`, the first minimum of the
+/// key over those entries alone is the full computation's answer, bit
+/// for bit:
+///
+/// * Rounding is monotone in `min`, `max`, `-` and `*`, so no
+///   enlargement and no overlap delta is negative. An enlargement
+///   that is NaN (an infinite coordinate, or an area that overflows)
+///   sends the call to the full computation.
+/// * The candidates are the 32 least enlargements, ties by index, so
+///   the zero-enlargement entries head them in index order: exactly
+///   the entries kept here.
+/// * A containing entry's union with `rect` is the entry itself, so
+///   every overlap term is `x - x == 0` and its key is `(0, 0, area)`.
+/// * Every positive-enlargement entry's key is strictly larger, so it
+///   is never the first minimum, wherever it sits among the candidates.
+/// * A kept entry that does not contain `rect` — a zero-width or
+///   zero-height MBR extended along itself, or a growth that rounds
+///   away — can key `(0, 0, 0)` and win, so its overlap delta is
+///   computed in full.
+///
+/// This holds for rectangles without NaN coordinates, which violate
+/// [`Rect`]'s corner-order invariant anyway.
+fn choose_subtree_overlap(node: &Node, rect: &Rect) -> usize {
+    let mut kept = [0usize; CHOOSE_SUBTREE_OVERLAP_CANDIDATES];
+    let (mut zeros, mut contained) = (0, false);
+    for (i, e) in node.entries.iter().enumerate() {
+        let enlargement = e.rect.enlargement(rect);
+        if enlargement.is_nan() {
+            return choose_subtree_overlap_sorted(node, rect);
+        }
+        if enlargement == 0.0 && zeros < kept.len() {
+            kept[zeros] = i;
+            zeros += 1;
+            contained |= e.rect.contains(rect);
+        }
+    }
+    if !contained {
+        return choose_subtree_overlap_sorted(node, rect);
+    }
+    // Every kept entry's enlargement is 0: the key drops that component.
+    let mut best = kept[0];
+    let mut best_key = (f64::INFINITY, f64::INFINITY);
+    for &i in &kept[..zeros] {
+        let r = &node.entries[i].rect;
+        let overlap_delta = if r.contains(rect) {
+            0.0
+        } else {
+            overlap_delta(node, i, &r.union(rect))
+        };
+        let key = (overlap_delta, r.area());
+        if key < best_key {
+            best_key = key;
+            best = i;
+        }
+    }
+    best
+}
+
+/// The full R\* ChooseSubtree computation behind
+/// [`choose_subtree_overlap`]'s fast path: sort by enlargement, cap
+/// at [`CHOOSE_SUBTREE_OVERLAP_CANDIDATES`], and key every candidate.
+fn choose_subtree_overlap_sorted(node: &Node, rect: &Rect) -> usize {
+    let n = node.len();
+    let mut candidates: Vec<usize> = (0..n).collect();
+    if n > CHOOSE_SUBTREE_OVERLAP_CANDIDATES {
+        // One enlargement per entry, not two per comparison: a
+        // bulk-loaded directory node is laid out by `xl`, an order in
+        // which enlargement has no runs for the stable sort to find.
+        candidates.sort_by_cached_key(|&i| f64_key(node.entries[i].rect.enlargement(rect)));
+        candidates.truncate(CHOOSE_SUBTREE_OVERLAP_CANDIDATES);
+    }
+    let mut best = candidates[0];
+    let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    for &i in &candidates {
+        let r = &node.entries[i].rect;
+        let key = (
+            overlap_delta(node, i, &r.union(rect)),
+            r.enlargement(rect),
+            r.area(),
+        );
+        if key < best_key {
+            best_key = key;
+            best = i;
+        }
+    }
+    best
+}
+
+/// How much the overlap of entry `i` with its siblings grows when its
+/// rectangle becomes `enlarged`. A sibling disjoint from `enlarged` is
+/// disjoint from the entry too: both its overlap terms are exactly 0 and
+/// `x + 0.0 == x`, so it is skipped.
+fn overlap_delta(node: &Node, i: usize, enlarged: &Rect) -> f64 {
+    let r = &node.entries[i].rect;
+    let mut delta = 0.0;
+    for (j, other) in node.entries.iter().enumerate() {
+        if j == i || !enlarged.intersects(&other.rect) {
+            continue;
+        }
+        delta += enlarged.overlap_area(&other.rect) - r.overlap_area(&other.rect);
+    }
+    delta
+}
+
 /// Guttman ChooseSubtree: least area enlargement, ties by least area.
 fn choose_subtree_area(node: &Node, rect: &Rect) -> usize {
     let mut best = 0;
@@ -243,6 +321,132 @@ mod tests {
         let x = (i % 32) as f64 * 10.0;
         let y = (i / 32) as f64 * 10.0;
         Rect::from_corners(x, y, x + 6.0, y + 6.0)
+    }
+
+    /// The R\* ChooseSubtree overlap computation as it stood before the
+    /// fast path, literally: the definition [`choose_subtree_overlap`] is
+    /// tested against.
+    fn choose_subtree_overlap_reference(node: &Node, rect: &Rect) -> usize {
+        let n = node.len();
+        let mut candidates: Vec<usize> = (0..n).collect();
+        if n > CHOOSE_SUBTREE_OVERLAP_CANDIDATES {
+            candidates.sort_by_cached_key(|&i| f64_key(node.entries[i].rect.enlargement(rect)));
+            candidates.truncate(CHOOSE_SUBTREE_OVERLAP_CANDIDATES);
+        }
+        let mut best = candidates[0];
+        let mut best_key = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        for &i in &candidates {
+            let enlarged = node.entries[i].rect.union(rect);
+            let mut overlap_delta = 0.0;
+            for (j, other) in node.entries.iter().enumerate() {
+                if j == i {
+                    continue;
+                }
+                overlap_delta += enlarged.overlap_area(&other.rect)
+                    - node.entries[i].rect.overlap_area(&other.rect);
+            }
+            let key = (
+                overlap_delta,
+                node.entries[i].rect.enlargement(rect),
+                node.entries[i].rect.area(),
+            );
+            if key < best_key {
+                best_key = key;
+                best = i;
+            }
+        }
+        best
+    }
+
+    fn level1(rects: &[Rect]) -> Node {
+        let entries = (0..rects.len())
+            .map(|i| Entry::dir(rects[i], PageId(i as u32)))
+            .collect();
+        Node { level: 1, entries }
+    }
+
+    fn r(xl: f64, yl: f64, xu: f64, yu: f64) -> Rect {
+        Rect::from_corners(xl, yl, xu, yu)
+    }
+
+    fn assert_matches_reference(node: &Node, rect: &Rect) -> usize {
+        let want = choose_subtree_overlap_reference(node, rect);
+        assert_eq!(
+            choose_subtree_overlap(node, rect),
+            want,
+            "rect {rect:?} over {:?}",
+            node.entries.iter().map(|e| e.rect).collect::<Vec<_>>()
+        );
+        want
+    }
+
+    #[test]
+    fn a_degenerate_entry_extended_along_itself_beats_a_containing_one() {
+        // The zero-width entry does not contain `rect`, but covering it
+        // keeps its area 0: key (0, 0, 0) against the big entry's
+        // (0, 0, 36).
+        let node = level1(&[r(0., 0., 6., 6.), r(2., 1., 2., 3.)]);
+        assert_eq!(assert_matches_reference(&node, &r(2., 2., 2., 4.)), 1);
+        let node = level1(&[r(0., 0., 6., 6.), r(1., 2., 3., 2.)]);
+        assert_eq!(assert_matches_reference(&node, &r(2., 2., 5., 2.)), 1);
+    }
+
+    #[test]
+    fn the_candidate_cap_decides_among_containing_entries() {
+        // 40 entries contain `rect`, shrinking with the index: the
+        // smallest lies beyond the 32 candidates, so the 32nd wins.
+        let rects: Vec<Rect> = (0..40)
+            .map(|i| {
+                let m = 1.0 - f64::from(i) / 100.0;
+                r(2.0 - m, 2.0 - m, 3.0 + m, 3.0 + m)
+            })
+            .collect();
+        let node = level1(&rects);
+        assert_eq!(
+            assert_matches_reference(&node, &r(2., 2., 3., 3.)),
+            CHOOSE_SUBTREE_OVERLAP_CANDIDATES - 1
+        );
+    }
+
+    /// A level-1 entry on a 7 × 7 integer grid, so duplicates, ties and
+    /// containment are common: `big` entries contain the square
+    /// [2, 4]², `kind` 0 and 1 make zero-width and zero-height entries.
+    fn grid_entry(big: bool, (kind, x, y, w, h): (u32, u32, u32, u32, u32)) -> Rect {
+        let (x, y, w, h) = (f64::from(x), f64::from(y), f64::from(w), f64::from(h));
+        if big {
+            return r(x % 3.0, y % 3.0, 4.0 + w % 3.0, 4.0 + h % 3.0);
+        }
+        match kind % 3 {
+            0 => r(x, y, x, y + h),
+            1 => r(x, y, x + w, y),
+            _ => r(x, y, x + w, y + h),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn fast_choose_subtree_matches_its_definition(
+            cells in proptest::prop::collection::vec((0..9u32, 0..7u32, 0..7u32, 0..4u32, 0..4u32), 1..90),
+            big_share in 0..10u32,
+            target in (0..3u32, 0..7u32, 0..7u32, 0..3u32, 0..3u32),
+            pick in proptest::prelude::any::<proptest::prop::sample::Index>(),
+        ) {
+            let rects: Vec<Rect> = cells
+                .iter()
+                .map(|&c| grid_entry(c.0 < big_share, c))
+                .collect();
+            let node = level1(&rects);
+            // `rect` is a small grid rectangle, a degenerate one, or a
+            // copy of an entry.
+            let rect = match target.0 {
+                0 => grid_entry(false, (2, target.1, target.2, target.3, target.4)),
+                1 => grid_entry(false, (target.1, target.1, target.2, target.3, target.4)),
+                _ => rects[pick.index(rects.len())],
+            };
+            assert_matches_reference(&node, &rect);
+        }
     }
 
     #[test]

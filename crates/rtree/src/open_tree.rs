@@ -9,8 +9,10 @@
 //! buffer manager of a [`SharedPageCache`] — the one write path of the
 //! storage layer:
 //!
-//! * pages the update descends through are charged as reads
-//!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read);
+//! * pages the update mutates are charged as reads
+//!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read,
+//!   which the update handle makes on its own thread); the descent and
+//!   ChooseSubtree read the in-memory tree and are not charged;
 //! * mutated pages are registered dirty with their encoded payload
 //!   ([`rsj_storage::NodeAccessMut::write`]): the handle's private pool
 //!   charges the write-back at its eviction or flush, while the bytes
@@ -200,9 +202,16 @@ impl OpenCachedTree {
         self.access.io_stats()
     }
 
-    /// Inserts a data rectangle, through the buffer manager.
+    /// Inserts a data rectangle, through the buffer manager. A rectangle
+    /// with a non-finite coordinate or inverted corners is refused with
+    /// [`StorageError::MalformedRect`] before anything changes.
     pub fn insert(&mut self, rect: Rect, id: DataId) -> Result<(), StorageError> {
         self.check_poisoned()?;
+        if !rect.is_well_formed() {
+            return Err(StorageError::MalformedRect([
+                rect.xl, rect.yl, rect.xu, rect.yu,
+            ]));
+        }
         self.tree.insert(rect, id);
         self.apply_events()
     }
@@ -547,6 +556,71 @@ mod tests {
         let back = RTree::open_from(&path).unwrap();
         back.validate().unwrap();
         assert_page_identical(&back, &oracle);
+    }
+
+    /// A NaN, an infinite and an inverted rectangle: none may be stored.
+    fn malformed_rects() -> [Rect; 3] {
+        [
+            Rect {
+                xl: f64::NAN,
+                yl: 0.0,
+                xu: 1.0,
+                yu: 1.0,
+            },
+            Rect {
+                xl: 0.0,
+                yl: 0.0,
+                xu: f64::INFINITY,
+                yu: 1.0,
+            },
+            Rect {
+                xl: 2.0,
+                yl: 0.0,
+                xu: 1.0,
+                yu: 1.0,
+            },
+        ]
+    }
+
+    #[test]
+    fn malformed_rects_are_refused_before_anything_changes() {
+        let dir = TempDir::new("open-tree").unwrap();
+        let path = dir.file("t.rsj");
+        let seed = build(200);
+        seed.save_to(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let mut open = OpenCachedTree::open(&path, 16).unwrap();
+        for bad in malformed_rects() {
+            let err = open.insert(bad, DataId(999)).unwrap_err();
+            assert!(matches!(err, StorageError::MalformedRect(_)), "{err}");
+            assert!(!open.is_poisoned(), "a refusal is not a failed replay");
+        }
+        assert_page_identical(open.tree(), &seed);
+        assert_eq!(open.io_stats(), IoStats::default());
+        assert_eq!(open.access().cache().pending_write_back(), 0);
+        drop(open);
+        assert!(std::fs::read(&path).unwrap() == bytes, "the file changed");
+
+        let mut open = OpenCachedTree::open(&path, 16).unwrap();
+        open.insert(rect_for(7), DataId(999)).unwrap();
+        assert_eq!(open.tree().len(), 201, "a well-formed insert still lands");
+    }
+
+    #[test]
+    fn a_file_carrying_a_malformed_rect_opens_as_corrupt() {
+        let dir = TempDir::new("open-tree").unwrap();
+        let path = dir.file("t.rsj");
+        for bad in malformed_rects() {
+            // The in-memory tree does not check; its file must not open.
+            let mut t = build(5);
+            t.insert(bad, DataId(999));
+            t.save_to(&path).unwrap();
+            let err = RTree::open_from(&path).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corrupt(msg) if msg.contains("inverted corners")),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! * every rectangle of a non-leaf entry covers all rectangles of its child
 //!   (and in this implementation is the *exact* MBR of the child).
 //!
-//! One invariant is this implementation's own, not the paper's: every
-//! leaf's entries are ordered by `rect.xl` ([`crate::node`], "Entry
-//! order") — the plane sweep's sort order, kept by every writer.
+//! Two invariants are this implementation's own, not the paper's: every
+//! data rectangle is finite with ordered corners
+//! ([`rsj_geom::Rect::is_well_formed`]), and every leaf's entries are
+//! ordered by `rect.xl` ([`crate::node`], "Entry order") — the plane
+//! sweep's sort order, kept by every writer.
 //!
 //! The validator is used pervasively in tests after random workloads.
 
@@ -87,6 +89,13 @@ impl RTree {
         for (i, e) in node.entries.iter().enumerate() {
             match (node.is_leaf(), e.child) {
                 (true, ChildRef::Data(_)) => {
+                    if !e.rect.is_well_formed() {
+                        return Err(ValidationError(format!(
+                            "leaf page {page} entry {i} has rect {:?}: a non-finite \
+                             coordinate or inverted corners",
+                            e.rect
+                        )));
+                    }
                     if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl {
                         return Err(ValidationError(format!(
                             "leaf page {page} is not ordered by xl: entry {} has xl {} but \
@@ -217,6 +226,22 @@ mod tests {
         t.node_mut(leaf).entries.reverse();
         let err = t.validate().unwrap_err();
         assert!(err.0.contains("not ordered by xl"), "{err}");
+    }
+
+    #[test]
+    fn detects_malformed_data_rect() {
+        for bad in [
+            [f64::NAN, 0.0, 1.0, 1.0],
+            [0.0, 0.0, 1.0, f64::INFINITY],
+            [0.0, 2.0, 1.0, 1.0],
+        ] {
+            let mut t = RTree::new(params());
+            t.insert(Rect::from_corners(0., 0., 1., 1.), DataId(0));
+            let [xl, yl, xu, yu] = bad;
+            t.insert(Rect { xl, yl, xu, yu }, DataId(1));
+            let err = t.validate().unwrap_err();
+            assert!(err.0.contains("non-finite"), "{err}");
+        }
     }
 
     #[test]

@@ -35,10 +35,12 @@
 //!
 //! * **Empty → Reading**: a miss installs the frame, pins it for the
 //!   duration of the read (a reading frame is never an eviction victim)
-//!   and submits a single pread to the queue. Concurrent demanders of
-//!   the same key — from any worker — find the frame in `Reading` and
-//!   adopt the *same* in-flight ticket instead of issuing a duplicate
-//!   pread: single-flight.
+//!   and starts a single pread under one queue ticket: a join handle
+//!   submits it to the queue's workers, an update handle — which writes
+//!   the page next — reads it on its own thread through the queue's lane
+//!   file. Concurrent demanders of the same key — from any worker — find
+//!   the frame in `Reading` and adopt the *same* in-flight ticket instead
+//!   of issuing a duplicate pread: single-flight.
 //! * **Reading → Resident**: settled lazily, the next time the frame
 //!   table is touched (or explicitly by [`SharedPageCache::drain`]); the
 //!   read pin is released. Every public entry point settles first, so
@@ -73,8 +75,9 @@
 //! do. Only on a charged logical miss does the strategy consult the
 //! shared frame layer, where the *physical* story is decided: a resident
 //! or in-flight frame costs nothing ([`FileAccess::warm_hits`]); an
-//! empty frame submits one pread ([`FileAccess::cold_faults`], counted in
-//! [`SharedPageCache::physical_reads`]). Hence the measurable dedup:
+//! empty frame costs one pread ([`FileAccess::cold_faults`], counted in
+//! [`SharedPageCache::physical_reads`]), submitted to the queue by a
+//! join handle and read inline by an update handle. Hence the measurable dedup:
 //! `physical_reads ≤ Σ per-worker disk_accesses`, strictly `<` whenever
 //! workers overlap — and a warm pool serves repeat joins at near-zero
 //! physical reads while their logical charges stay exactly the paper's.
@@ -289,7 +292,12 @@ impl SharedPageCache {
         let mut heights = self.heights.clone();
         heights[store as usize] = UPDATE_MAX_HEIGHT;
         let file = PageFile::open_rw(path)?;
-        let reads = Cached::new(Arc::clone(self), StoreFile { store, file });
+        let writes = StoreFile {
+            store,
+            file,
+            scratch: Vec::new(),
+        };
+        let reads = Cached::new(Arc::clone(self), writes);
         Ok(FileAccess::assemble(cap_pages, &heights, reads))
     }
 
@@ -336,6 +344,39 @@ impl SharedPageCache {
     /// resident, in flight, or drained — a warm hit, the cross-worker
     /// saving).
     pub fn materialize(&self, store: u8, page: PageId) -> (Ticket, bool) {
+        self.materialize_with(store, page, CompletionQueue::submit)
+    }
+
+    /// [`SharedPageCache::materialize`] for a caller that reads its own
+    /// miss, into `buf`, before this returns: an update handle, which
+    /// writes the page next and would otherwise park on its own read
+    /// while a queue worker wakes to fetch bytes nobody consumes. The
+    /// ticket is issued already claimed ([`CompletionQueue::claim`]) and
+    /// recorded in `reading` like a submitted one, so a join demanding
+    /// the page meanwhile adopts it; the read itself is the worker's
+    /// ([`CompletionQueue::serve_claimed`]) on the calling thread.
+    fn materialize_inline(&self, store: u8, page: PageId, buf: &mut Vec<u8>) -> (Ticket, bool) {
+        let mut claimed = None;
+        let served = self.materialize_with(store, page, |queue, key| {
+            let job = queue.claim(key);
+            let ticket = Ticket(job.ticket);
+            claimed = Some(job);
+            ticket
+        });
+        if let Some(job) = claimed {
+            self.queue.serve_claimed(&job, buf);
+        }
+        served
+    }
+
+    /// The frame-table half of a charged miss; `start` issues the ticket
+    /// of a fresh physical read.
+    fn materialize_with(
+        &self,
+        store: u8,
+        page: PageId,
+        start: impl FnOnce(&CompletionQueue, BufKey) -> Ticket,
+    ) -> (Ticket, bool) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
         self.settle(&mut s);
@@ -361,13 +402,11 @@ impl SharedPageCache {
             return (Ticket::NONE, false);
         }
         // Empty → Reading: install the frame, read-pin it so eviction
-        // skips it, submit exactly one pread of the store's file — queued
-        // behind every older submission, served by whichever pool worker
-        // frees up first. The frame table, not the queue, is the
-        // single-flight authority.
+        // skips it, start exactly one pread of the store's file. The frame
+        // table, not the queue, is the single-flight authority.
         s.lru.install(key);
         s.lru.pin(key);
-        let ticket = self.queue.submit(key);
+        let ticket = start(&self.queue, key);
         s.reading.insert(key, ticket);
         self.physical.fetch_add(1, Ordering::Relaxed);
         self.physical_by_store[store as usize].fetch_add(1, Ordering::Relaxed);
@@ -695,14 +734,37 @@ impl<W> Cached<W> {
     }
 }
 
-impl<W> ReadStrategy for Cached<W> {
+/// How a cached handle's charged miss reaches the frames, chosen by its
+/// write capability: a join handle (`()`) submits the read to the queue's
+/// workers ([`SharedPageCache::materialize`]); an update handle
+/// ([`StoreFile`]) reads it on its own thread
+/// ([`SharedPageCache::materialize_inline`]).
+pub(crate) trait MissPath {
+    /// Serves one charged miss of `(store, page)` on `cache`: the ticket
+    /// to park on, and whether this call started the physical read.
+    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool);
+}
+
+impl MissPath for () {
+    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool) {
+        cache.materialize(store, page)
+    }
+}
+
+impl MissPath for StoreFile {
+    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool) {
+        cache.materialize_inline(store, page, &mut self.scratch)
+    }
+}
+
+impl<W: MissPath> ReadStrategy for Cached<W> {
     #[inline]
     fn queue(&self) -> Option<&CompletionQueue> {
         Some(&self.cache.queue)
     }
 
     fn read(&mut self, store: u8, page: PageId) -> Ticket {
-        let (ticket, fresh) = self.cache.materialize(store, page);
+        let (ticket, fresh) = self.writes.materialize(&self.cache, store, page);
         if fresh {
             self.cold_faults += 1;
         } else {
@@ -733,11 +795,13 @@ impl<W> ReadStrategy for Cached<W> {
 }
 
 /// The write capability of an update handle: the read-write file of the
-/// one store it was opened for.
+/// one store it was opened for, and the buffer the handle reads its own
+/// misses into.
 #[derive(Debug)]
 pub struct StoreFile {
     store: u8,
     file: PageFile,
+    scratch: Vec<u8>,
 }
 
 impl<W> FileAccess<Cached<W>> {
@@ -782,7 +846,7 @@ impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     fn flush_writes(&mut self) -> Result<(), StorageError> {
         self.pool.flush_writes();
         let Cached { cache, writes, .. } = &mut self.reads;
-        let StoreFile { store, file } = writes;
+        let StoreFile { store, file, .. } = writes;
         cache.flush_dirty(*store, |page, buf| file.write_page(page, buf))
     }
 }
@@ -815,6 +879,8 @@ mod tests {
     use crate::codec::{self, META_BYTES};
     use crate::pool::{BufferPool, IoStats};
     use crate::temp::TempDir;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::mpsc;
     use std::time::Duration;
 
     fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PathBuf {
@@ -1326,6 +1392,127 @@ mod tests {
             h.stats().page_writes
         );
         assert_eq!(c.pending_write_back(), 0, "flush drained every payload");
+    }
+
+    #[test]
+    fn update_handles_read_their_own_misses_join_handles_use_the_workers() {
+        let dir = TempDir::new("cache").unwrap();
+        // The hook records which thread served each read.
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&served);
+        let hook: DelayFn = Arc::new(move |key: BufKey| {
+            log.lock()
+                .unwrap()
+                .push((key.page, std::thread::current().id()));
+            None
+        });
+        let c = cache(&dir, 8, 8, Some(hook));
+        let me = std::thread::current().id();
+        let mut h = c.update_handle(0, 4).unwrap();
+        for p in 0..3u32 {
+            assert!(h.access(0, PageId(p), 1));
+            assert!(
+                c.queue().is_complete(h.last_miss_ticket()),
+                "an inline read is done when the access returns"
+            );
+            assert_eq!(c.queue().in_flight(), 0);
+        }
+        assert_eq!(h.cold_faults(), 3);
+        let lag = c.queue().completion_lag();
+        assert_eq!(lag.samples, 3, "inline reads are lag samples");
+        assert_eq!(lag.queue_wait_total_nanos, 0, "and never wait in the queue");
+        let mut j = c.handle(4);
+        for p in 3..6u32 {
+            assert!(j.access(0, PageId(p), 1));
+        }
+        c.drain();
+        let served = served.lock().unwrap().clone();
+        assert_eq!(served.len(), 6);
+        for (page, thread) in served {
+            assert_eq!(
+                thread == me,
+                page.0 < 3,
+                "page {page} read on the wrong thread"
+            );
+        }
+        assert_eq!(c.physical_reads(), 6);
+        assert_eq!(c.physical_reads(), c.queue().total_reads());
+        assert_eq!(c.queue().lane_reads(0), 6);
+    }
+
+    #[test]
+    fn a_join_adopts_an_inline_read_in_flight() {
+        let dir = TempDir::new("cache").unwrap();
+        // The hook holds the updater inside its read of page 1 until the
+        // join has demanded the page. (A second read of page 1 would find
+        // the release channel closed and pass straight through.)
+        let (entered, in_read) = mpsc::channel::<()>();
+        let (release, released) = mpsc::channel::<()>();
+        let (entered, released) = (Mutex::new(entered), Mutex::new(released));
+        let hook: DelayFn = Arc::new(move |key: BufKey| {
+            if key.page == PageId(1) {
+                entered.lock().unwrap().send(()).unwrap();
+                let _ = released.lock().unwrap().recv();
+            }
+            None
+        });
+        let c = cache(&dir, 8, 8, Some(hook));
+        let mut h = c.update_handle(0, 4).unwrap();
+        let mut j = c.handle(4);
+        let (state, charged, updater) = std::thread::scope(|scope| {
+            let updater = scope.spawn(|| {
+                assert!(h.access(0, PageId(1), 1));
+                h.last_miss_ticket()
+            });
+            in_read.recv().unwrap();
+            let state = c.frame_state(0, PageId(1));
+            let charged = j.access(0, PageId(1), 1);
+            drop(release);
+            (state, charged, updater.join().unwrap())
+        });
+        assert_eq!(state, FrameState::Reading, "the join came mid-read");
+        assert!(charged, "the join's own charge");
+        assert_eq!(j.last_miss_ticket(), updater, "one ticket for both");
+        assert_eq!((j.warm_hits(), j.cold_faults()), (1, 0));
+        assert_eq!(c.adoptions(), 1);
+        j.await_ticket(updater);
+        c.drain();
+        assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
+        assert_eq!(c.physical_reads(), 1, "single flight");
+        assert_eq!(c.queue().total_reads(), 1);
+    }
+
+    #[test]
+    fn a_failed_inline_read_poisons_the_queue_like_a_worker_read() {
+        // Page 99 lies beyond the 4-page file: the read fails either way.
+        let beyond = PageId(99);
+        let observed = |c: &SharedPageCache| {
+            let drain = std::panic::catch_unwind(AssertUnwindSafe(|| c.drain()));
+            (
+                drain.is_err(),
+                c.frame_state(0, beyond),
+                c.queue().in_flight(),
+                c.queue().total_reads(),
+                c.physical_reads(),
+                c.queue().completion_lag().samples,
+            )
+        };
+        let dir = TempDir::new("cache").unwrap();
+        let worker = cache(&dir, 4, 4, None);
+        let mut j = worker.handle(4);
+        assert!(j.access(0, beyond, 1), "submitting never fails");
+        let by_worker = observed(&worker);
+        assert!(by_worker.0, "the next wait panics");
+
+        let dir = TempDir::new("cache").unwrap();
+        let inline = cache(&dir, 4, 4, None);
+        let mut h = inline.update_handle(0, 4).unwrap();
+        let access = std::panic::catch_unwind(AssertUnwindSafe(|| h.access(0, beyond, 1)));
+        assert!(
+            access.is_err(),
+            "the reader is the first waiter, and panics"
+        );
+        assert_eq!(observed(&inline), by_worker);
     }
 
     #[test]

@@ -180,6 +180,9 @@ pub enum StorageError {
     /// Structurally invalid content (impossible entry count, out-of-range
     /// page reference, malformed metadata).
     Corrupt(String),
+    /// An update was refused because its rectangle, `[xl, yl, xu, yu]`,
+    /// has a non-finite coordinate or inverted corners. Nothing changed.
+    MalformedRect([f64; 4]),
 }
 
 impl std::fmt::Display for StorageError {
@@ -209,6 +212,10 @@ impl std::fmt::Display for StorageError {
                 write!(f, "node needs {need} B but the slot size is {slot} B")
             }
             StorageError::Corrupt(msg) => write!(f, "corrupt page file: {msg}"),
+            StorageError::MalformedRect(r) => write!(
+                f,
+                "rectangle {r:?} has a non-finite coordinate or inverted corners"
+            ),
         }
     }
 }

@@ -23,6 +23,13 @@
 //! is a prefix predicate), so that is the read served next — and
 //! *work-conserving*: no worker sleeps while any lane has a queued job.
 //!
+//! Inline reads bypass the FIFO. A shared cache's update handle takes its
+//! ticket already claimed and reads the page on its own thread, through
+//! the lane's file and the workers' own post-claim code: the same latency,
+//! lane read count, completion and wake-ups, with zero queue wait. The
+//! ticket is outstanding until then, so waiters and
+//! [`CompletionQueue::drain`] see it like any other.
+//!
 //! ## Depth
 //!
 //! A worker is a thread blocked in one positional read, so a worker *is*
@@ -62,7 +69,7 @@ use std::time::{Duration, Instant};
 
 use crate::access::Ticket;
 use crate::file::PageFile;
-use crate::inflight::InflightTables;
+use crate::inflight::{InflightTables, ReadJob};
 use crate::lru::BufKey;
 
 /// Test hook: per-page extra latency applied by the worker *before* the
@@ -273,6 +280,29 @@ impl CompletionQueue {
         Ticket(ticket)
     }
 
+    /// A charged miss for `key` that the caller reads itself, at once, in
+    /// [`CompletionQueue::serve_claimed`]: the ticket is issued already
+    /// claimed — outstanding, so waiters and [`CompletionQueue::drain`]
+    /// see it, but never queued and no worker woken.
+    pub(crate) fn claim(&self, key: BufKey) -> ReadJob {
+        let sh = &self.shared;
+        let mut st = sh.state.lock().unwrap();
+        let job = st.issue(key);
+        sh.outstanding.store(st.outstanding, Ordering::Relaxed);
+        job
+    }
+
+    /// Reads a [`CompletionQueue::claim`]ed job on the calling thread
+    /// through its lane's file, into `buf`, exactly as a worker would
+    /// (the delay hook, the injected latency, the lane read count, the
+    /// lag spans with zero queue wait, completion), then — as
+    /// [`CompletionQueue::await_ticket`] would on that ticket — panics if
+    /// any read failed.
+    pub(crate) fn serve_claimed(&self, job: &ReadJob, buf: &mut Vec<u8>) {
+        serve(&self.shared, job, job.submitted, buf);
+        self.check_failed();
+    }
+
     /// Polls a ticket. Lock-free when the completion frontier has already
     /// passed it; every call is counted (see
     /// [`CompletionQueue::poll_count`]).
@@ -436,7 +466,8 @@ impl CompletionQueue {
 /// Submit→complete latency totals of a [`CompletionQueue`] (queue wait
 /// plus read service time, accumulated per completed job), and the two
 /// spans apart: a large lag over a fast device is queue wait — a service
-/// *order* or worker-count problem, not a device one.
+/// *order* or worker-count problem, not a device one. An inline read
+/// (module docs, "Service order") is a sample with zero queue wait.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CompletionLag {
     /// Summed lag over all completions, nanoseconds.
@@ -477,10 +508,8 @@ impl CompletionLag {
     }
 }
 
-/// One pool worker: claim the oldest queued job of any lane, read it
-/// positionally through its lane's
-/// shared handle (injected latency and the test delay hook apply here),
-/// complete the ticket, repeat until shutdown.
+/// One pool worker: claim the oldest queued job of any lane,
+/// [`serve`] it, repeat until shutdown.
 fn worker_loop(shared: Arc<CqShared>) {
     let mut buf = Vec::new();
     loop {
@@ -498,52 +527,60 @@ fn worker_loop(shared: Arc<CqShared>) {
                 st.idle_workers -= 1;
             }
         };
-        let claimed = Instant::now();
-        if let Some(delay) = &shared.delay {
-            if let Some(d) = delay(job.key) {
-                if !d.is_zero() {
-                    std::thread::sleep(d);
-                }
+        serve(&shared, &job, Instant::now(), &mut buf);
+    }
+}
+
+/// Everything after a job's claim, for a pool worker and for an inline
+/// read ([`CompletionQueue::serve_claimed`]) alike: read the page
+/// positionally through its lane's shared handle (the test delay hook and
+/// the injected latency apply here), count the read, record the lag
+/// spans, complete the ticket and wake whoever is parked on it.
+fn serve(shared: &CqShared, job: &ReadJob, claimed: Instant, buf: &mut Vec<u8>) {
+    if let Some(delay) = &shared.delay {
+        if let Some(d) = delay(job.key) {
+            if !d.is_zero() {
+                std::thread::sleep(d);
             }
         }
-        // A demand read can land on a page a concurrent updater appended
-        // through its own rw handle: the slot bytes hit the disk on
-        // append, but the lane handle's header (cached at open) — and the
-        // on-disk header, until the updater flushes — still carry the old
-        // page count. Retry once against the physical file length before
-        // declaring the read failed.
-        let (lane, page) = (usize::from(job.key.store), job.key.page);
-        let file = &shared.files[lane];
-        let read = file
-            .read_page_at(page, &mut buf)
-            .or_else(|_| file.read_slot_fresh(page, &mut buf));
-        match read {
-            Ok(()) => {
-                shared.reads[lane].fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                shared.failed.store(true, Ordering::Relaxed);
-            }
+    }
+    // A demand read can land on a page a concurrent updater appended
+    // through its own rw handle: the slot bytes hit the disk on
+    // append, but the lane handle's header (cached at open) — and the
+    // on-disk header, until the updater flushes — still carry the old
+    // page count. Retry once against the physical file length before
+    // declaring the read failed.
+    let (lane, page) = (usize::from(job.key.store), job.key.page);
+    let file = &shared.files[lane];
+    let read = file
+        .read_page_at(page, buf)
+        .or_else(|_| file.read_slot_fresh(page, buf));
+    match read {
+        Ok(()) => {
+            shared.reads[lane].fetch_add(1, Ordering::Relaxed);
         }
-        let done = Instant::now();
-        shared
-            .queue_wait
-            .record(claimed.duration_since(job.submitted));
-        shared.service.record(done.duration_since(claimed));
-        shared.lag_samples.fetch_add(1, Ordering::Relaxed);
-        shared.lag_max_nanos.fetch_max(
-            saturating_nanos(done.duration_since(job.submitted)),
-            Ordering::Relaxed,
-        );
-        let mut st = shared.state.lock().unwrap();
-        st.complete(&job);
-        shared.done_floor.store(st.done_floor(), Ordering::Release);
-        shared.outstanding.store(st.outstanding, Ordering::Relaxed);
-        let awaited = st.parked_waiters > 0;
-        drop(st);
-        if awaited {
-            shared.complete.notify_all();
+        Err(_) => {
+            shared.failed.store(true, Ordering::Relaxed);
         }
+    }
+    let done = Instant::now();
+    shared
+        .queue_wait
+        .record(claimed.duration_since(job.submitted));
+    shared.service.record(done.duration_since(claimed));
+    shared.lag_samples.fetch_add(1, Ordering::Relaxed);
+    shared.lag_max_nanos.fetch_max(
+        saturating_nanos(done.duration_since(job.submitted)),
+        Ordering::Relaxed,
+    );
+    let mut st = shared.state.lock().unwrap();
+    st.complete(job);
+    shared.done_floor.store(st.done_floor(), Ordering::Release);
+    shared.outstanding.store(st.outstanding, Ordering::Relaxed);
+    let awaited = st.parked_waiters > 0;
+    drop(st);
+    if awaited {
+        shared.complete.notify_all();
     }
 }
 

@@ -75,16 +75,24 @@ impl InflightTables {
     /// Issues the next ticket for a read of `key` and queues the job that
     /// carries it, behind every older one.
     pub fn submit(&mut self, key: BufKey) -> u64 {
+        let job = self.issue(key);
+        self.depth[usize::from(key.store)] += 1;
+        self.queued.push_back(job);
+        job.ticket
+    }
+
+    /// Issues the next ticket for a read of `key` that its submitter
+    /// serves itself: outstanding until [`InflightTables::complete`], but
+    /// never queued, so no worker claims it.
+    pub fn issue(&mut self, key: BufKey) -> ReadJob {
         let ticket = self.next_ticket;
         self.next_ticket += 1;
-        self.depth[usize::from(key.store)] += 1;
         self.outstanding += 1;
-        self.queued.push_back(ReadJob {
+        ReadJob {
             ticket,
             key,
             submitted: Instant::now(),
-        });
-        ticket
+        }
     }
 
     /// Submissions currently queued on `lane` (not yet claimed by a

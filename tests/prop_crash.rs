@@ -76,6 +76,7 @@ fn open_is_total(path: &Path) -> Result<(), String> {
             | StorageError::NodeTooLarge { .. }
             | StorageError::Corrupt(_),
         ) => Ok(()),
+        Err(e @ StorageError::MalformedRect(_)) => Err(format!("open refused an update: {e}")),
     }
 }
 
