@@ -211,9 +211,9 @@ where
 /// arbitrates — writers wait on the pins this join holds, and a write
 /// lands in one lock hold, so this join's demands see a page before or
 /// after it, never during — and dirty frames evicted by join pressure
-/// keep their bytes in the cache's dirty table, so neither side loses
-/// bytes or moves the other's logical charges (see the `latch`
-/// conformance suite).
+/// stay in the cache's dirty set until the updater's flush writes them,
+/// so neither side loses updates or moves the other's logical charges
+/// (see the `latch` conformance suite).
 pub fn parallel_spatial_join_warm(
     r: &RTree,
     s: &RTree,

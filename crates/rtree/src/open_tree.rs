@@ -13,12 +13,13 @@
 //!   ([`rsj_storage::NodeAccess::access`]: path buffer → LRU → real read,
 //!   which the update handle makes on its own thread); the descent and
 //!   ChooseSubtree read the in-memory tree and are not charged;
-//! * mutated pages are registered dirty with their encoded payload
+//! * mutated pages are registered dirty
 //!   ([`rsj_storage::NodeAccessMut::write`]): the handle's private pool
-//!   charges the write-back at its eviction or flush, while the bytes
-//!   wait in the cache's dirty table and reach the file once each, at
-//!   [`OpenCachedTree::flush`] — a node split and re-split between
-//!   flushes costs one physical write;
+//!   charges the write-back at its eviction or flush, while the cache's
+//!   dirty set marks the page and the in-memory tree holds its bytes; each
+//!   is encoded and reaches the file once, at [`OpenCachedTree::flush`] —
+//!   a node split and re-split between flushes costs one encode and one
+//!   physical write;
 //! * R\*-splits allocate their sibling pages from the file's persistent
 //!   **free list** (reuse-before-append), and CondenseTree releases
 //!   dissolved pages onto it, so delete-heavy churn does not grow the file;
@@ -37,10 +38,11 @@
 //! The mechanism: the page store records [`PageEvent`]s (touched /
 //! allocated / freed, in order) while the tree code runs; after each
 //! update the events replay against the update handle — `Alloc` goes to
-//! [`PageSource::allocate`] (which must hand back the very same page
-//! id the in-memory allocator chose; divergence is a hard error), `Freed`
-//! to [`PageSource::release`] plus a dirty-state discard, `Touched`
-//! to an access charge plus a dirty registration.
+//! [`PageSource::allocate`] with the page's encoding (which must hand back
+//! the very same page id the in-memory allocator chose; divergence is a
+//! hard error), `Freed` to [`PageSource::release`] plus a dirty-state
+//! discard, `Touched` to an access charge plus a dirty mark — no encode,
+//! that waits for the flush.
 
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, StorageError};
@@ -66,7 +68,7 @@ pub struct OpenCachedTree {
     access: SharedCacheFileAccess<StoreFile>,
     /// Event-replay scratch.
     events: Vec<PageEvent>,
-    /// Node-encoding scratch.
+    /// Node-encoding scratch for allocations.
     buf: Vec<u8>,
     /// Physical slot size of the file (fixed at creation).
     slot: usize,
@@ -97,7 +99,7 @@ impl OpenCachedTree {
     /// Opens store `store` of a live [`SharedPageCache`] for incremental
     /// updates: the returned tree shares the cache's frames with every
     /// concurrent join worker — its writes take the per-frame write
-    /// latch, its dirty payloads ride the frames until
+    /// latch, its dirty marks ride the frames until
     /// [`OpenCachedTree::flush`], and its logical [`IoStats`] replay the
     /// private-buffer oracle of capacity `cap_pages` bit-for-bit.
     pub fn open_cached(
@@ -254,13 +256,7 @@ impl OpenCachedTree {
                         .depth_of_level(self.tree.node(p).level)
                         .min(UPDATE_MAX_HEIGHT - 1);
                     self.access.access(store, p, depth);
-                    codec::encode_node_fmt(
-                        &to_disk(self.tree.node(p)),
-                        self.slot,
-                        self.format,
-                        &mut self.buf,
-                    )?;
-                    self.access.write(store, p, &self.buf);
+                    self.access.write(store, p);
                 }
                 PageEvent::Alloc(p) => {
                     codec::encode_node_fmt(
@@ -285,18 +281,39 @@ impl OpenCachedTree {
         Ok(())
     }
 
-    /// Writes every dirty page to the file once
-    /// ([`SharedPageCache::flush_dirty`]), stores root/len/params in the
-    /// header metadata, and writes the header ([`PageSource::flush`] —
-    /// through the OS, not synced). After a flush, `open_from` on the same
-    /// path yields a tree page-for-page identical to
-    /// [`OpenCachedTree::tree`].
+    /// Encodes every dirty page from the in-memory tree and writes it to
+    /// the file, once each ([`SharedPageCache::flush_dirty`]), stores
+    /// root/len/params in the header metadata, and writes the header
+    /// ([`PageSource::flush`] — through the OS, not synced). After a
+    /// flush, `open_from` on the same path yields a tree page-for-page
+    /// identical to [`OpenCachedTree::tree`].
+    ///
+    /// **Why encoding at flush writes the right bytes.** What a dirty
+    /// page `p` must reach the file as is its content after the last
+    /// update that changed it. Every mutable borrow of a node records a
+    /// `Touched` event (the page store's event tracking), every `Touched`
+    /// page is marked dirty, and the tree is private to this type — so
+    /// nothing changes a node without marking it, and `self.tree.node(p)`
+    /// at flush *is* that last content. A page released since it was
+    /// marked had its mark discarded with the `Freed` event; one
+    /// re-allocated since then was written whole by its `Alloc` and is
+    /// marked again by any later change. So each dirty page is encoded
+    /// once here, however many updates touched it.
     pub fn flush(&mut self) -> Result<(), StorageError> {
         self.check_poisoned()?;
         // No read may still be in flight when the write-back starts: the
         // cache's queue holds its own handles onto the same physical file.
         self.access.drain_completions();
-        self.access.flush_writes()?;
+        let OpenCachedTree {
+            tree,
+            access,
+            slot,
+            format,
+            ..
+        } = self;
+        access.flush_writes(&mut |p, buf| {
+            codec::encode_node_fmt(&to_disk(tree.node(p)), *slot, *format, buf)
+        })?;
         let meta = encode_meta(&self.tree);
         let file = self.access.store_file_mut();
         file.set_meta(meta);
@@ -311,9 +328,9 @@ impl OpenCachedTree {
 
     /// Flushes and returns the update handle (and with it the file).
     /// On a flush failure the tree comes back alongside the error —
-    /// dirty payloads intact — so the caller can recover (free space,
-    /// retry [`OpenCachedTree::flush`]) instead of silently losing
-    /// acknowledged updates with the dropped handle.
+    /// dirty set intact; the tree holds the bytes — so the caller can
+    /// recover (free space, retry [`OpenCachedTree::flush`]) instead of
+    /// silently losing acknowledged updates with the dropped handle.
     #[allow(clippy::result_large_err)] // the handle IS the recovery path
     pub fn close(mut self) -> Result<SharedCacheFileAccess<StoreFile>, (Self, StorageError)> {
         match self.flush() {
@@ -480,6 +497,42 @@ mod tests {
             "one write per distinct page written and not discarded"
         );
         assert_eq!(cache.pending_write_back(), 0);
+        drop(open);
+        let back = RTree::open_from(&path).unwrap();
+        back.validate().unwrap();
+        assert_page_identical(&back, &oracle);
+    }
+
+    /// A cold reset of the cache between updates and their flush loses
+    /// nothing: the dirty pages stay dirty, drained, and the flush still
+    /// writes them before the header that names the new root and length.
+    #[test]
+    fn a_cold_reset_before_the_flush_keeps_acknowledged_updates() {
+        let dir = TempDir::new("open-tree").unwrap();
+        let path = dir.file("t.rsj");
+        let seed = build(200);
+        seed.save_to(&path).unwrap();
+        let cache = SharedPageCache::open(
+            std::slice::from_ref(&path),
+            16,
+            &[UPDATE_MAX_HEIGHT],
+            CacheConfig::default(),
+        )
+        .unwrap();
+        let mut oracle = seed.clone();
+        let mut open = OpenCachedTree::open_cached(&cache, 0, 16).unwrap();
+        for i in 0..200u64 {
+            let (r, id) = (rect_for(1_000 + i), DataId(1_000 + i));
+            oracle.insert(r, id);
+            open.insert(r, id).unwrap();
+        }
+        let pending = cache.pending_write_back();
+        assert!(pending > 0);
+        cache.clear();
+        assert_eq!(cache.resident_pages(), 0, "the cache went cold");
+        assert_eq!(cache.pending_write_back(), pending, "and kept every mark");
+        open.flush().unwrap();
+        assert_eq!(cache.physical_writes(), pending as u64);
         drop(open);
         let back = RTree::open_from(&path).unwrap();
         back.validate().unwrap();

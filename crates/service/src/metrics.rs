@@ -32,7 +32,7 @@
 //! | `rsj_cache_hit_ratio` | gauge | | warm fraction of materialize calls |
 //! | `rsj_cache_evictions` | gauge | | frames evicted |
 //! | `rsj_cache_drain_depth` | gauge | | dirty pages evicted but not yet written back |
-//! | `rsj_cache_pending_write_back` | gauge | | dirty payloads (resident + drained) |
+//! | `rsj_cache_pending_write_back` | gauge | | dirty pages (resident + drained) |
 //! | `rsj_cache_resident_pages` | gauge | | frames resident or in flight |
 //! | `rsj_cache_physical_writes` | gauge | | pages written back |
 //! | `rsj_cq_in_flight` | gauge | | submissions not yet completed |
@@ -198,7 +198,7 @@ pub fn export_cache(registry: &Registry, cache: &SharedPageCache, logical_reads:
     );
     g(
         "rsj_cache_pending_write_back",
-        "dirty payloads held (resident + drained)",
+        "dirty pages pending write-back (resident + drained)",
         &[],
         cache.pending_write_back() as i64,
     );

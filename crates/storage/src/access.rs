@@ -159,29 +159,37 @@ pub trait NodeAccess {
     fn drain_completions(&self) {}
 }
 
+/// Where [`NodeAccessMut::flush_writes`] gets a dirty page's bytes:
+/// `encode(page, buf)` fills `buf` with the page's current encoding.
+pub type EncodePage<'a> = dyn FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError> + 'a;
+
 /// The write half of the page-access boundary: dirty-page registration
 /// with deferred write-back.
 ///
-/// A mutation path calls [`NodeAccess::access`] for every page it reads on
-/// the way down (charged like any other access) and then
-/// [`NodeAccessMut::write`] for every page it changed, handing over the
-/// page's encoded payload. The backend keeps the page buffered **dirty**;
-/// its write-back is charged one [`IoStats::page_writes`] when the dirty
-/// page is *evicted* (pin-aware: a pinned dirty page is never a victim) or
-/// at [`NodeAccessMut::flush_writes`] — classic write-back, so a page
-/// mutated many times between evictions costs one write.
+/// A mutation path calls [`NodeAccess::access`] for every page it charges
+/// (like any other access) and then [`NodeAccessMut::write`] for every
+/// page it changed. The backend keeps the page buffered **dirty** — a
+/// mark, not a copy: the mutator's own in-memory image is the page's
+/// newest content. Its write-back is charged one [`IoStats::page_writes`]
+/// when the dirty page is *evicted* (pin-aware: a pinned dirty page is
+/// never a victim) or at [`NodeAccessMut::flush_writes`] — classic
+/// write-back, so a page mutated many times between evictions costs one
+/// write.
 ///
 /// The charges have one implementation, [`crate::BufferPool`], the
 /// write-path oracle exactly as it is the read-path one. The one backend
-/// that holds bytes, a shared-cache update handle
+/// that writes files, a shared-cache update handle
 /// ([`crate::SharedPageCache::update_handle`]), owns a pool for the
 /// charges and writes each dirty page to its file once, at
-/// [`NodeAccessMut::flush_writes`].
+/// [`NodeAccessMut::flush_writes`], asking the mutator for the page's
+/// bytes then — so a page is encoded once per flush, however often it
+/// changed.
 pub trait NodeAccessMut: NodeAccess {
-    /// Registers `page` of `store` as mutated, with its current encoded
-    /// payload. The page becomes buffer-resident (without hit/miss
-    /// accounting — the caller materialized it) and dirty.
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]);
+    /// Registers `page` of `store` as mutated. The page becomes
+    /// buffer-resident (without hit/miss accounting — the caller
+    /// materialized it) and dirty; its bytes are asked for at
+    /// [`NodeAccessMut::flush_writes`].
+    fn write(&mut self, store: u8, page: PageId);
 
     /// Drops any dirty state of `page` without writing it back — the page
     /// was released and its content is dead (the free-list marker is
@@ -189,9 +197,12 @@ pub trait NodeAccessMut: NodeAccess {
     fn discard(&mut self, store: u8, page: PageId);
 
     /// Writes back every dirty page (charging `page_writes` per page) and
-    /// clears the dirty set. Does *not* persist file headers — that is the
-    /// owner's close/flush protocol, which knows the metadata.
-    fn flush_writes(&mut self) -> Result<(), StorageError>;
+    /// clears the dirty set. `encode(page, buf)` fills `buf` with the
+    /// current bytes of one dirty page; it is called once per page the
+    /// backend writes, and an error from it stops the flush with that
+    /// page and the rest still dirty. Does *not* persist file headers —
+    /// that is the owner's close/flush protocol, which knows the metadata.
+    fn flush_writes(&mut self, encode: &mut EncodePage<'_>) -> Result<(), StorageError>;
 }
 
 impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
@@ -245,16 +256,16 @@ impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
 }
 
 impl<A: NodeAccessMut + ?Sized> NodeAccessMut for &mut A {
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
-        (**self).write(store, page, payload)
+    fn write(&mut self, store: u8, page: PageId) {
+        (**self).write(store, page)
     }
 
     fn discard(&mut self, store: u8, page: PageId) {
         (**self).discard(store, page)
     }
 
-    fn flush_writes(&mut self) -> Result<(), StorageError> {
-        (**self).flush_writes()
+    fn flush_writes(&mut self, encode: &mut EncodePage<'_>) -> Result<(), StorageError> {
+        (**self).flush_writes(encode)
     }
 }
 

@@ -11,8 +11,8 @@
 //! warm between requests. [`SharedPageCache`]
 //! closes that gap: one frame table under one mutex holds the page budget
 //! for the whole deployment — an [`LruBuffer`] (the paper's §4.1
-//! replacement with §4.3 pinning), the in-flight reads and one table of
-//! dirty bytes. Frames carry a state machine and a pin counter that a
+//! replacement with §4.3 pinning), the in-flight reads and one set of
+//! dirty page keys. Frames carry a state machine and a pin counter that a
 //! writer waits out (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint),
 //! and all physical reads flow through one [`CompletionQueue`] with a
 //! lane per store.
@@ -28,8 +28,8 @@
 //!     │ evict (unpinned only)                                      │ flush_dirty
 //!     ├────────────────────────────────────────────────── Dirty ───┘
 //!     │                                                   │    ▲
-//!     │                      evict: the bytes stay in     │    │ materialize:
-//!     │                      the dirty table              ▼    │ reinstall, no read
+//!     │                  evict or clear: the key stays    │    │ materialize:
+//!     │                  in the dirty set                 ▼    │ reinstall, no read
 //!     └─────────────── flush_dirty ───────────────── Drained ──┘
 //! ```
 //!
@@ -48,17 +48,22 @@
 //! * **Resident/Dirty/Empty → Dirty**: the write latch.
 //!   [`SharedPageCache::write`] waits until the frame holds no pin and no
 //!   read is in flight (**writers wait on pins**), then installs the
-//!   frame and stores the new bytes in the dirty table in the same lock
-//!   hold. A reader therefore sees the page either before or after a
-//!   write, never during one, and never waits on a writer.
-//! * **Dirty bytes have one home.** The dirty table maps every page whose
-//!   cached bytes are newer than its file to those bytes, resident or
-//!   not, so eviction moves nothing. A dirty page the LRU has evicted is
-//!   *drained* (it still reports [`FrameState::Dirty`]); its bytes leave
-//!   the cache only through [`SharedPageCache::flush_dirty`], which
-//!   writes them through a caller-supplied writer — the one place pages
-//!   leave the buffer. A re-demand of a drained page reinstalls it from
-//!   the table — reading the file would resurrect stale bytes.
+//!   frame and marks it dirty in the same lock hold. A reader therefore
+//!   sees the page either before or after a write, never during one, and
+//!   never waits on a writer.
+//! * **Dirty is a mark; the writer holds the bytes.** The dirty set holds
+//!   the key of every page whose newest content is not yet in its file,
+//!   resident or not, and no bytes: the updater's in-memory image of the
+//!   page is that content (the buffer manager's frame-state `DIRTY` bit
+//!   over an in-place image), so a write copies nothing and eviction
+//!   moves nothing. A dirty page the LRU has evicted — or
+//!   [`SharedPageCache::clear`] dropped — is *drained* (it still reports
+//!   [`FrameState::Dirty`]). A page leaves the dirty set only through
+//!   [`SharedPageCache::flush_dirty`], which hands each page to a
+//!   caller-supplied writer that encodes and writes it — the one place
+//!   pages leave the buffer, and the one place they are encoded. A
+//!   re-demand of a drained page reinstalls it without a read — reading
+//!   the file would resurrect stale bytes.
 //! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
 //!   overflow beyond capacity is legal, trimmed as pins release).
 //!
@@ -90,20 +95,20 @@
 //! its store and implements [`crate::NodeAccessMut`] — the storage
 //! layer's one write path: its *logical* `page_writes` are charged by its
 //! pool (install + dirty, charged at private eviction or flush — the
-//! handle holds no bytes), while the *bytes* ride the shared frames and
-//! reach the disk once, at
+//! handle holds no bytes), while the *dirty mark* rides the shared frames
+//! and the page is encoded and reaches the disk once, at
 //! [`SharedPageCache::flush_dirty`] — counted in
 //! [`SharedPageCache::physical_writes`], so
 //! `physical_writes ≤ Σ per-worker page_writes` for the same reason the
 //! read inequality holds.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::access::{NodeAccessMut, Ticket};
+use crate::access::{EncodePage, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
 use crate::completion::{CompletionQueue, DelayFn};
 use crate::file::{PageFile, PageSource};
@@ -116,14 +121,14 @@ use crate::stack::{validate_stores, FileAccess, ReadStrategy};
 /// Observable state of one cache frame (see the module diagram).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameState {
-    /// Not resident, no read in flight, no payload pending.
+    /// Not resident, no read in flight, no write-back pending.
     Empty,
     /// A single-flight pread is in flight; the frame is read-pinned.
     Reading,
     /// Bytes are resident and clean.
     Resident,
-    /// The cache holds bytes newer than the file (write-back pending) —
-    /// either as a dirty resident frame or as a drained page the LRU has
+    /// The page's newest content is not in the file (write-back pending)
+    /// — either a dirty resident frame or a drained page the LRU has
     /// evicted.
     Dirty,
 }
@@ -150,13 +155,14 @@ impl fmt::Debug for CacheConfig {
 /// [`LruBuffer`]; `reading` carries the in-flight ticket of every frame
 /// currently in [`FrameState::Reading`] (each such frame also holds one
 /// read pin in the LRU, so it cannot be evicted under it); `dirty` is the
-/// no-lost-payloads contract.
+/// no-lost-updates contract.
 struct Frames {
     lru: LruBuffer,
     reading: HashMap<BufKey, Ticket>,
-    /// Bytes of every page newer than its file, resident or not. A key
-    /// here the LRU does not hold is *drained*: evicted, not yet written.
-    dirty: HashMap<BufKey, Vec<u8>>,
+    /// Every page whose newest content is not in its file, resident or
+    /// not. A key here the LRU does not hold is *drained*: evicted, not
+    /// yet written.
+    dirty: HashSet<BufKey>,
     /// Writers parked on the latch waiting for a pin release — tells
     /// `unpin` when a notify is worth it.
     write_waiters: usize,
@@ -183,7 +189,7 @@ pub struct SharedPageCache {
     /// Materialize calls that adopted another worker's in-flight read
     /// (the single-flight saving, made visible).
     adoptions: AtomicU64,
-    /// Materialize calls served from a drained page's dirty bytes.
+    /// Materialize calls that reinstalled a drained page without a read.
     drain_hits: AtomicU64,
     heights: Vec<usize>,
     page_bytes: usize,
@@ -228,7 +234,7 @@ impl SharedPageCache {
             frames: Mutex::new(Frames {
                 lru: LruBuffer::new(cap_pages),
                 reading: HashMap::new(),
-                dirty: HashMap::new(),
+                dirty: HashSet::new(),
                 write_waiters: 0,
             }),
             latch: Condvar::new(),
@@ -275,9 +281,9 @@ impl SharedPageCache {
     /// returned handle owns a read-write [`PageFile`] on that store
     /// ([`FileAccess::store_file`]) and a path buffer sized for any
     /// height an updated tree can grow to ([`UPDATE_MAX_HEIGHT`]).
-    /// Logical write charges are its pool's; payload bytes ride the shared
-    /// frames until [`NodeAccessMut::flush_writes`] pushes them through
-    /// [`SharedPageCache::flush_dirty`].
+    /// Logical write charges are its pool's; dirty marks ride the shared
+    /// frames until [`NodeAccessMut::flush_writes`] encodes and writes
+    /// each page once through [`SharedPageCache::flush_dirty`].
     pub fn update_handle(
         self: &Arc<Self>,
         store: u8,
@@ -391,9 +397,9 @@ impl SharedPageCache {
             self.frame_hits.fetch_add(1, Ordering::Relaxed);
             return (Ticket::NONE, false);
         }
-        if s.dirty.contains_key(&key) {
-            // Drained re-demand: the newest bytes sit in the dirty table,
-            // not the file — a pread would resurrect stale data.
+        if s.dirty.contains(&key) {
+            // Drained re-demand: the newest content is the writer's, not
+            // the file's — a pread would resurrect stale data.
             // Reinstall, no physical read. (If every other slot is
             // pinned the install is evicted on the spot and the page
             // simply stays drained, still flushable.)
@@ -445,12 +451,13 @@ impl SharedPageCache {
     /// Latched write of `(store, page)`: waits until the frame holds no
     /// pin and no read is in flight (**writers wait on pins**; an
     /// in-flight read is awaited off-lock via its ticket), then — in the
-    /// same lock hold as that last check — installs the frame and stores
-    /// `payload` as the page's dirty bytes. The bytes reach the file at
-    /// [`SharedPageCache::flush_dirty`] — never silently dropped, even if
-    /// the frame cannot be held at all (every slot pinned by other
-    /// frames): the page is then drained at once.
-    pub fn write(&self, store: u8, page: PageId, payload: &[u8]) {
+    /// same lock hold as that last check — installs the frame and marks
+    /// it dirty. It copies nothing: the page is written, from its
+    /// writer's current bytes, at [`SharedPageCache::flush_dirty`] —
+    /// never silently dropped, even if the frame cannot be held at all
+    /// (every slot pinned by other frames): the page is then drained at
+    /// once.
+    pub fn write(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
         loop {
@@ -471,14 +478,12 @@ impl SharedPageCache {
             s.write_waiters -= 1;
         }
         s.lru.install(key);
-        let dst = s.dirty.entry(key).or_default();
-        dst.clear();
-        dst.extend_from_slice(payload);
+        s.dirty.insert(key);
     }
 
     /// Clears the dirty state of a page *without* writing — the owner
-    /// already wrote the bytes back (or abandoned them). Drops the bytes,
-    /// resident or drained.
+    /// already wrote the bytes back (or abandoned them), resident or
+    /// drained.
     pub fn clear_dirty(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
@@ -486,29 +491,30 @@ impl SharedPageCache {
         s.dirty.remove(&key);
     }
 
-    /// Writes every pending dirty page of `store` — resident or drained —
-    /// through `write`, once each and in key order, charging
+    /// Hands every pending dirty page of `store` — resident or drained —
+    /// to `write`, which encodes the page's current bytes and writes
+    /// them: once each and in key order, charging
     /// [`SharedPageCache::physical_writes`] once per page and cleaning
-    /// each page as it lands: the only way dirty bytes leave the cache.
-    /// Error-safe: pages written before a failure are clean, the failing
-    /// page and the rest keep their bytes — a retry resumes where this
-    /// stopped.
+    /// each page after its write succeeds — the only way a page leaves
+    /// the dirty set with its content on file. Error-safe: pages written
+    /// before a failure are clean, the failing page and the rest stay
+    /// dirty — a retry resumes where this stopped.
     pub fn flush_dirty(
         &self,
         store: u8,
-        mut write: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
+        mut write: impl FnMut(PageId) -> Result<(), StorageError>,
     ) -> Result<(), StorageError> {
         let mut s = self.lock_frames();
         self.settle(&mut s);
         let mut keys: Vec<BufKey> = s
             .dirty
-            .keys()
+            .iter()
             .copied()
             .filter(|k| k.store == store)
             .collect();
         keys.sort_unstable();
         for key in keys {
-            write(key.page, &s.dirty[&key])?;
+            write(key.page)?;
             self.physical_writes.fetch_add(1, Ordering::Relaxed);
             s.dirty.remove(&key);
         }
@@ -517,14 +523,14 @@ impl SharedPageCache {
 
     /// The observable state of the frame of `(store, page)`. Settles
     /// first, so a completed read reports `Resident`. A drained page
-    /// reports `Dirty`: the cache still holds bytes newer than the file.
+    /// reports `Dirty`: its newest content is still not in the file.
     pub fn frame_state(&self, store: u8, page: PageId) -> FrameState {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
         self.settle(&mut s);
         if s.reading.contains_key(&key) {
             FrameState::Reading
-        } else if s.dirty.contains_key(&key) {
+        } else if s.dirty.contains(&key) {
             FrameState::Dirty
         } else if s.lru.contains(key) {
             FrameState::Resident
@@ -582,8 +588,8 @@ impl SharedPageCache {
         self.adoptions.load(Ordering::Relaxed)
     }
 
-    /// Materialize calls served from a drained page's dirty bytes (newest
-    /// bytes recovered without touching the file).
+    /// Materialize calls that reinstalled a drained page (its newest
+    /// content is its writer's, so the file is not touched).
     #[inline]
     pub fn drain_hits(&self) -> u64 {
         self.drain_hits.load(Ordering::Relaxed)
@@ -599,7 +605,7 @@ impl SharedPageCache {
     /// write-back backlog eviction has produced.
     pub fn drain_depth(&self) -> usize {
         let s = self.lock_frames();
-        s.dirty.keys().filter(|&&k| !s.lru.contains(k)).count()
+        s.dirty.iter().filter(|&&k| !s.lru.contains(k)).count()
     }
 
     /// Fraction of materialize calls served without a physical read
@@ -661,7 +667,7 @@ impl SharedPageCache {
     }
 
     /// Zeroes the physical-read/-write and queue counters while keeping
-    /// every frame resident (dirty payloads included) — the *warm* reset
+    /// every frame resident and every dirty page dirty — the *warm* reset
     /// between measured runs.
     pub fn reset_stats(&self) {
         self.drain();
@@ -680,16 +686,16 @@ impl SharedPageCache {
         self.drain_hits.store(0, Ordering::Relaxed);
     }
 
-    /// Drops every frame and zeroes the counters — a cold cache. Pending
-    /// dirty payloads are discarded *without* write-back (same contract
-    /// as [`LruBuffer::clear`]): owners flush first.
+    /// Drops every frame and zeroes the counters — a cold cache. Dirty
+    /// pages stay dirty: they become drained and the next
+    /// [`SharedPageCache::flush_dirty`] still writes them, so a cold
+    /// reset never loses an acknowledged update.
     pub fn clear(&self) {
         self.drain();
         let mut s = self.lock_frames();
         s.lru.clear();
         s.lru.reset_io();
         s.reading.clear();
-        s.dirty.clear();
         drop(s);
         // Writers parked on vanished pins must re-evaluate.
         self.latch.notify_all();
@@ -796,7 +802,7 @@ impl<W: MissPath> ReadStrategy for Cached<W> {
 
 /// The write capability of an update handle: the read-write file of the
 /// one store it was opened for, and the buffer the handle reads its own
-/// misses into.
+/// misses into and encodes its flushed pages into.
 #[derive(Debug)]
 pub struct StoreFile {
     store: u8,
@@ -827,11 +833,11 @@ impl<W> FileAccess<Cached<W>> {
 
 impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     /// Registers a mutated page: the *logical* charge is the private
-    /// pool's ([`crate::BufferPool::mark_dirty`]), while the *bytes* take
-    /// the latched shared-frame path ([`SharedPageCache::write`]).
-    fn write(&mut self, store: u8, page: PageId, payload: &[u8]) {
+    /// pool's ([`crate::BufferPool::mark_dirty`]), while the dirty mark
+    /// takes the latched shared-frame path ([`SharedPageCache::write`]).
+    fn write(&mut self, store: u8, page: PageId) {
         self.pool.mark_dirty(store, page);
-        self.reads.cache.write(store, page, payload);
+        self.reads.cache.write(store, page);
     }
 
     fn discard(&mut self, store: u8, page: PageId) {
@@ -840,14 +846,23 @@ impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     }
 
     /// Charges one logical write per remaining private dirty page
-    /// ([`crate::BufferPool::flush_writes`]), then pushes every pending
-    /// payload of the store this handle owns through
-    /// [`SharedPageCache::flush_dirty`] into the real file.
-    fn flush_writes(&mut self) -> Result<(), StorageError> {
+    /// ([`crate::BufferPool::flush_writes`]), then takes every dirty page
+    /// of the store this handle owns through
+    /// [`SharedPageCache::flush_dirty`]: `encode` fills the handle's
+    /// scratch with the page's bytes, and the handle writes them to the
+    /// real file.
+    fn flush_writes(&mut self, encode: &mut EncodePage<'_>) -> Result<(), StorageError> {
         self.pool.flush_writes();
         let Cached { cache, writes, .. } = &mut self.reads;
-        let StoreFile { store, file, .. } = writes;
-        cache.flush_dirty(*store, |page, buf| file.write_page(page, buf))
+        let StoreFile {
+            store,
+            file,
+            scratch,
+        } = writes;
+        cache.flush_dirty(*store, |page| {
+            encode(page, scratch)?;
+            file.write_page(page, scratch)
+        })
     }
 }
 
@@ -954,7 +969,7 @@ mod tests {
         c.queue().await_ticket(ticket);
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
         assert_eq!(c.pin_count(0, PageId(1)), 0, "read pin released at settle");
-        c.write(0, PageId(1), b"fresh bytes");
+        c.write(0, PageId(1));
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Dirty);
         c.clear_dirty(0, PageId(1));
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
@@ -1053,11 +1068,24 @@ mod tests {
         assert!(fresh, "no phantom warm hit");
     }
 
+    /// The writer's side of store 0's dirty pages: the current bytes of
+    /// every page it wrote, which a flush asks for.
+    #[derive(Default)]
+    struct Image(HashMap<PageId, Vec<u8>>);
+
+    impl Image {
+        /// Changes `page` to `bytes` and marks it dirty in the cache.
+        fn write(&mut self, c: &SharedPageCache, page: PageId, bytes: &[u8]) {
+            self.0.insert(page, bytes.to_vec());
+            c.write(0, page);
+        }
+    }
+
     /// What one `flush_dirty` of store 0 wrote, in order.
-    fn flushed(c: &SharedPageCache) -> Vec<(PageId, Vec<u8>)> {
+    fn flushed(c: &SharedPageCache, img: &Image) -> Vec<(PageId, Vec<u8>)> {
         let mut written = Vec::new();
-        c.flush_dirty(0, |page, buf| {
-            written.push((page, buf.to_vec()));
+        c.flush_dirty(0, |page| {
+            written.push((page, img.0[&page].clone()));
             Ok(())
         })
         .unwrap();
@@ -1067,13 +1095,14 @@ mod tests {
     #[test]
     fn dirty_eviction_carries_the_payload() {
         // Evicting a dirty frame drops only its residency: the dirty
-        // table keeps the bytes until the flush writes them back.
+        // set keeps the page until the flush writes its current bytes.
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 2, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(0));
         c.materialize(0, PageId(1));
         c.drain();
-        c.write(0, PageId(0), b"payload-zero");
+        img.write(&c, PageId(0), b"payload-zero");
         // Pressure: two more pages push out the clean frame, then the
         // dirty one.
         c.materialize(0, PageId(2));
@@ -1082,15 +1111,15 @@ mod tests {
         assert_eq!(
             c.frame_state(0, PageId(0)),
             FrameState::Dirty,
-            "a drained payload still reports Dirty: the cache holds newer bytes"
+            "a drained page still reports Dirty: the file is behind"
         );
         assert_eq!(c.drain_depth(), 1);
         assert_eq!(
-            flushed(&c),
+            flushed(&c, &img),
             vec![(PageId(0), b"payload-zero".to_vec())],
             "the flush writes the evicted page's payload"
         );
-        assert!(flushed(&c).is_empty(), "written means written");
+        assert!(flushed(&c, &img).is_empty(), "written means written");
         assert_eq!(c.drain_depth(), 0);
         assert_eq!(c.frame_state(0, PageId(0)), FrameState::Empty);
     }
@@ -1099,10 +1128,11 @@ mod tests {
     fn evicted_dirty_page_redemands_from_the_drain() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 2, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(0));
         c.materialize(0, PageId(1));
         c.drain();
-        c.write(0, PageId(0), b"drain me");
+        img.write(&c, PageId(0), b"drain me");
         c.materialize(0, PageId(2));
         c.materialize(0, PageId(3)); // evicts dirty page 0 into the drain
         c.drain();
@@ -1112,8 +1142,8 @@ mod tests {
         assert_eq!(ticket, Ticket::NONE);
         assert_eq!(c.physical_reads(), before, "no pread of stale file bytes");
         assert_eq!(c.frame_state(0, PageId(0)), FrameState::Dirty);
-        // The preserved payload flushes intact.
-        assert_eq!(flushed(&c), vec![(PageId(0), b"drain me".to_vec())]);
+        // The drained page still flushes, with its writer's bytes.
+        assert_eq!(flushed(&c, &img), vec![(PageId(0), b"drain me".to_vec())]);
         assert_eq!(c.physical_writes(), 1);
         assert_eq!(
             c.frame_state(0, PageId(0)),
@@ -1127,14 +1157,15 @@ mod tests {
     fn write_to_an_unholdable_frame_goes_straight_to_the_drain() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 4, 1, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(1));
         c.drain();
         c.pin(0, PageId(1)); // the only frame slot is now pinned
-        c.write(0, PageId(2), b"homeless");
+        img.write(&c, PageId(2), b"homeless");
         assert_eq!(c.drain_depth(), 1);
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
         assert_eq!(
-            flushed(&c),
+            flushed(&c, &img),
             vec![(PageId(2), b"homeless".to_vec())],
             "an unbufferable write must still reach the flush"
         );
@@ -1149,16 +1180,17 @@ mod tests {
         // stay in the drain instead.
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 4, 1, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(1));
         c.drain();
         c.pin(0, PageId(1)); // the only slot is pinned for the duration
-        c.write(0, PageId(2), b"parked");
+        img.write(&c, PageId(2), b"parked");
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
         let (ticket, fresh) = c.materialize(0, PageId(2));
         assert!(!fresh, "drained payload serves the re-demand");
         assert_eq!(ticket, Ticket::NONE);
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
-        assert_eq!(flushed(&c), vec![(PageId(2), b"parked".to_vec())]);
+        assert_eq!(flushed(&c, &img), vec![(PageId(2), b"parked".to_vec())]);
         assert_eq!(c.pending_write_back(), 0, "nothing may leak");
         c.unpin(0, PageId(1));
     }
@@ -1172,7 +1204,7 @@ mod tests {
         c.pin(0, PageId(1));
         let writer = std::thread::spawn({
             let c = Arc::clone(&c);
-            move || c.write(0, PageId(1), b"after the pin")
+            move || c.write(0, PageId(1))
         });
         // The writer must park: the frame stays clean while pinned.
         std::thread::sleep(Duration::from_millis(40));
@@ -1192,36 +1224,38 @@ mod tests {
     fn fresh_write_supersedes_a_drained_copy() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 2, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(0));
         c.materialize(0, PageId(1));
         c.drain();
-        c.write(0, PageId(0), b"stale");
+        img.write(&c, PageId(0), b"stale");
         c.materialize(0, PageId(2));
         c.materialize(0, PageId(3)); // dirty page 0 -> drain
         c.drain();
-        c.write(0, PageId(0), b"current");
+        img.write(&c, PageId(0), b"current");
         assert_eq!(
             c.drain_depth(),
             0,
             "the stale drained copy must be superseded, not stay drained"
         );
-        assert_eq!(flushed(&c), vec![(PageId(0), b"current".to_vec())]);
+        assert_eq!(flushed(&c, &img), vec![(PageId(0), b"current".to_vec())]);
     }
 
     #[test]
     fn flush_dirty_failure_is_retryable_without_losing_payloads() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 4, None);
+        let mut img = Image::default();
         c.materialize(0, PageId(0));
         c.materialize(0, PageId(1));
         c.drain();
-        c.write(0, PageId(0), b"a");
-        c.write(0, PageId(1), b"b");
-        let err = c.flush_dirty(0, |_, _| Err(StorageError::Corrupt("disk full".into())));
+        img.write(&c, PageId(0), b"a");
+        img.write(&c, PageId(1), b"b");
+        let err = c.flush_dirty(0, |_| Err(StorageError::Corrupt("disk full".into())));
         assert!(err.is_err());
-        assert_eq!(c.pending_write_back(), 2, "payloads survive the failure");
+        assert_eq!(c.pending_write_back(), 2, "the pages stay dirty");
         assert_eq!(
-            flushed(&c),
+            flushed(&c, &img),
             vec![(PageId(0), b"a".to_vec()), (PageId(1), b"b".to_vec())]
         );
         assert_eq!(c.pending_write_back(), 0);
@@ -1231,22 +1265,23 @@ mod tests {
     fn one_dirty_table_holds_resident_and_drained_pages() {
         let dir = TempDir::new("cache").unwrap();
         let c = cache(&dir, 8, 3, None);
+        let mut img = Image::default();
         let resident_dirty = |c: &SharedPageCache| {
             let s = c.lock_frames();
-            s.dirty.keys().filter(|&&k| s.lru.contains(k)).count()
+            s.dirty.iter().filter(|&&k| s.lru.contains(k)).count()
         };
         for p in 0..3u32 {
             c.materialize(0, PageId(p));
         }
         c.drain();
         for (p, bytes) in [(0u32, "zero"), (1, "one"), (2, "two")] {
-            c.write(0, PageId(p), bytes.as_bytes());
+            img.write(&c, PageId(p), bytes.as_bytes());
         }
         // Recency [2, 1, 0]: two more pages drain 0, then 1.
         c.materialize(0, PageId(3));
         c.materialize(0, PageId(4));
         c.drain();
-        c.write(0, PageId(3), b"three");
+        img.write(&c, PageId(3), b"three");
         assert_eq!(c.drain_depth(), 2);
         assert_eq!(resident_dirty(&c), 2);
         assert_eq!(
@@ -1257,11 +1292,11 @@ mod tests {
         // Recency [3, 4, 2]: a write of page 6 drains dirty page 2, so the
         // flush below meets drained and resident pages interleaved in key
         // order.
-        c.write(0, PageId(6), b"six");
+        img.write(&c, PageId(6), b"six");
         assert_eq!(c.drain_depth(), 3);
         assert_eq!(resident_dirty(&c), 2);
         assert_eq!(
-            flushed(&c),
+            flushed(&c, &img),
             vec![
                 (PageId(0), b"zero".to_vec()),
                 (PageId(1), b"one".to_vec()),
@@ -1372,9 +1407,8 @@ mod tests {
         for &(p, d, w) in &script {
             assert_eq!(h.access(0, p, d), oracle.access(0, p, d), "page {p}");
             if w {
-                let bytes = node_bytes(p.0);
-                NodeAccessMut::write(&mut h, 0, p, &bytes);
-                NodeAccessMut::write(&mut oracle, 0, p, &bytes);
+                NodeAccessMut::write(&mut h, 0, p);
+                NodeAccessMut::write(&mut oracle, 0, p);
             }
         }
         assert_eq!(
@@ -1382,8 +1416,12 @@ mod tests {
             oracle.stats(),
             "write charges are bit-identical to the BufferPool oracle"
         );
-        NodeAccessMut::flush_writes(&mut h).unwrap();
-        NodeAccessMut::flush_writes(&mut oracle).unwrap();
+        let mut encode = |p: PageId, buf: &mut Vec<u8>| {
+            *buf = node_bytes(p.0);
+            Ok(())
+        };
+        NodeAccessMut::flush_writes(&mut h, &mut encode).unwrap();
+        NodeAccessMut::flush_writes(&mut oracle, &mut encode).unwrap();
         assert_eq!(h.stats(), oracle.stats(), "flush charges match too");
         assert!(
             c.physical_writes() <= h.stats().page_writes,
@@ -1391,7 +1429,96 @@ mod tests {
             c.physical_writes(),
             h.stats().page_writes
         );
-        assert_eq!(c.pending_write_back(), 0, "flush drained every payload");
+        assert_eq!(c.pending_write_back(), 0, "flush wrote every dirty page");
+    }
+
+    /// The slot of `page` in the file at `path`, as it is on disk now.
+    fn slot_on_file(path: &std::path::Path, page: PageId) -> Vec<u8> {
+        PageFile::open(path).unwrap().read_page(page).unwrap()
+    }
+
+    /// `bytes` zero-padded to the demo file's slot, as a write lays them.
+    fn padded(bytes: &[u8]) -> Vec<u8> {
+        let mut slot = bytes.to_vec();
+        slot.resize(codec::slot_bytes_for(2), 0);
+        slot
+    }
+
+    #[test]
+    fn a_flush_encodes_each_written_page_once() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 8, 8, None);
+        let path = dir.file("t.rsj");
+        let mut h = c.update_handle(0, 4).unwrap();
+        let write = |h: &mut SharedCacheFileAccess<StoreFile>, page: u32| {
+            h.access(0, PageId(page), 1);
+            NodeAccessMut::write(h, 0, PageId(page));
+        };
+        for _ in 0..5 {
+            write(&mut h, 1);
+        }
+        write(&mut h, 2);
+        write(&mut h, 3);
+        NodeAccessMut::discard(&mut h, 0, PageId(3));
+        assert_eq!(c.pending_write_back(), 2);
+        let mut asked = Vec::new();
+        NodeAccessMut::flush_writes(&mut h, &mut |p, buf| {
+            asked.push(p);
+            *buf = node_bytes(p.0 + 10);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(
+            asked,
+            [PageId(1), PageId(2)],
+            "each written page encoded once, the discarded one never"
+        );
+        assert_eq!(c.physical_writes(), 2);
+        for p in [1, 2] {
+            assert_eq!(slot_on_file(&path, PageId(p)), padded(&node_bytes(p + 10)));
+        }
+
+        // A source that fails on the second page it is asked for.
+        for p in [1, 2, 4] {
+            write(&mut h, p);
+        }
+        let mut asked = Vec::new();
+        let err = NodeAccessMut::flush_writes(&mut h, &mut |p, buf| {
+            asked.push(p);
+            if asked.len() == 2 {
+                return Err(StorageError::Corrupt("encoder failed".into()));
+            }
+            *buf = node_bytes(p.0 + 20);
+            Ok(())
+        });
+        assert!(err.is_err());
+        assert_eq!(asked, [PageId(1), PageId(2)]);
+        assert_eq!(
+            c.frame_state(0, PageId(1)),
+            FrameState::Resident,
+            "written, clean"
+        );
+        assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
+        assert_eq!(c.frame_state(0, PageId(4)), FrameState::Dirty);
+        assert_eq!(c.pending_write_back(), 2, "the rest stay dirty");
+        assert_eq!(slot_on_file(&path, PageId(1)), padded(&node_bytes(21)));
+        assert_eq!(slot_on_file(&path, PageId(2)), padded(&node_bytes(12)));
+
+        // The retry asks for the rest again and writes their bytes as they
+        // are now.
+        let mut asked = Vec::new();
+        NodeAccessMut::flush_writes(&mut h, &mut |p, buf| {
+            asked.push(p);
+            *buf = node_bytes(p.0 + 30);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(asked, [PageId(2), PageId(4)]);
+        assert_eq!(c.pending_write_back(), 0);
+        assert_eq!(c.physical_writes(), 5);
+        for p in [2, 4] {
+            assert_eq!(slot_on_file(&path, PageId(p)), padded(&node_bytes(p + 30)));
+        }
     }
 
     #[test]
@@ -1542,6 +1669,31 @@ mod tests {
         assert_eq!(c.resident_pages(), 0);
         let (_, fresh) = c.materialize(0, PageId(0));
         assert!(fresh, "cold after clear");
+    }
+
+    #[test]
+    fn clear_keeps_dirty_pages_drained() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        let mut img = Image::default();
+        c.materialize(0, PageId(1));
+        c.drain();
+        img.write(&c, PageId(1), b"acknowledged");
+        img.write(&c, PageId(3), b"never resident");
+        c.clear();
+        assert_eq!(c.resident_pages(), 0, "cold");
+        assert_eq!(c.drain_depth(), 2, "both dirty pages are drained");
+        assert_eq!(c.frame_state(0, PageId(1)), FrameState::Dirty);
+        let (_, fresh) = c.materialize(0, PageId(1));
+        assert!(!fresh, "a drained page is not read back from the file");
+        assert_eq!(
+            flushed(&c, &img),
+            vec![
+                (PageId(1), b"acknowledged".to_vec()),
+                (PageId(3), b"never resident".to_vec()),
+            ],
+            "a cold reset loses no write"
+        );
     }
 
     #[test]

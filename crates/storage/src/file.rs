@@ -2,17 +2,16 @@
 //!
 //! [`PageFile`] owns a real `std::fs::File` in the format of
 //! [`crate::codec`]: header, then fixed-size page slots. Every page read is
-//! one positional read, every write a `seek` + `write_all`, and both are
-//! counted, so a cold-opened tree pays genuine file I/O for every buffer
-//! miss; the whole-file read an open does is its [`PageSource::scan`],
-//! overlapped when reads wait ([`crate::scan`]). [`PageSource`] — declared
-//! here — is what a page file can do; [`PageFile`] is the one the
-//! file-access stack's read strategies ([`crate::FileAccess`]) and every
-//! open read.
+//! one positional read, every page write one positional write of the
+//! whole slot, and both are counted, so a cold-opened tree pays genuine
+//! file I/O for every buffer miss; the whole-file read an open does is
+//! its [`PageSource::scan`], overlapped when reads wait
+//! ([`crate::scan`]). [`PageSource`] — declared here — is what a page
+//! file can do; [`PageFile`] is the one the file-access stack's read
+//! strategies ([`crate::FileAccess`]) and every open read.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -252,10 +251,11 @@ pub struct PageFile {
     free: FreeChain,
     reads: u64,
     writes: u64,
-    /// Slot-sized zero block reused for write padding, so the steady-state
-    /// append/overwrite path allocates nothing (lazily sized on first use
-    /// — read-only files never pay for it).
-    pad: Vec<u8>,
+    /// Slot-sized block a write lays its payload and zero padding into,
+    /// so the steady-state append/overwrite path allocates nothing and
+    /// makes one write call (lazily sized on first use — read-only files
+    /// never pay for it).
+    slot_buf: Vec<u8>,
     /// Scratch for free-chain marker encoding.
     marker: Vec<u8>,
     /// Injected latency per counted page read (see
@@ -280,6 +280,31 @@ fn env_read_latency() -> Option<Duration> {
 #[cfg(unix)]
 fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> std::io::Result<()> {
     std::os::unix::fs::FileExt::read_exact_at(file, buf, off)
+}
+
+/// Writes all of `buf` at `off` without moving the seek cursor: one
+/// positional write per call in the common case.
+#[cfg(unix)]
+fn write_all_at(file: &File, buf: &[u8], off: u64) -> std::io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, off)
+}
+
+#[cfg(windows)]
+fn write_all_at(file: &File, mut buf: &[u8], mut off: u64) -> std::io::Result<()> {
+    use std::io::ErrorKind;
+    use std::os::windows::fs::FileExt;
+    while !buf.is_empty() {
+        match file.seek_write(buf, off) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => {
+                buf = &buf[n..];
+                off += n as u64;
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(windows)]
@@ -338,13 +363,13 @@ impl PageFile {
             free_head: None,
             meta: [0; META_BYTES],
         };
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(path.as_ref())?;
-        file.write_all(&header.encode())?;
+        write_all_at(&file, &header.encode(), 0)?;
         Ok(PageFile {
             file,
             path: path.as_ref().to_path_buf(),
@@ -352,7 +377,7 @@ impl PageFile {
             free: FreeChain::default(),
             reads: 0,
             writes: 0,
-            pad: Vec::new(),
+            slot_buf: Vec::new(),
             marker: Vec::new(),
             read_latency: env_read_latency(),
         })
@@ -397,7 +422,7 @@ impl PageFile {
             free: FreeChain::default(),
             reads: 0,
             writes: 0,
-            pad: Vec::new(),
+            slot_buf: Vec::new(),
             marker: Vec::new(),
             read_latency: env_read_latency(),
         };
@@ -493,8 +518,9 @@ impl PageFile {
         Ok(self.slot_start(id))
     }
 
-    /// Writes `payload` at `off`, zero-padded to the slot size, reusing
-    /// the file's pad block instead of allocating per write.
+    /// Writes `payload` at `off`, zero-padded to the slot size, as one
+    /// positional write of the whole slot: the payload is laid into the
+    /// file's reused slot block first.
     fn write_slot_at(&mut self, off: u64, payload: &[u8]) -> Result<(), StorageError> {
         let slot = self.slot_bytes();
         if payload.len() > slot {
@@ -503,14 +529,11 @@ impl PageFile {
                 slot,
             });
         }
-        self.file.seek(SeekFrom::Start(off))?;
-        self.file.write_all(payload)?;
-        if payload.len() < slot {
-            if self.pad.len() < slot {
-                self.pad.resize(slot, 0);
-            }
-            self.file.write_all(&self.pad[..slot - payload.len()])?;
-        }
+        self.slot_buf.resize(slot, 0);
+        let (head, pad) = self.slot_buf.split_at_mut(payload.len());
+        head.copy_from_slice(payload);
+        pad.fill(0);
+        write_all_at(&self.file, &self.slot_buf, off)?;
         self.writes += 1;
         Ok(())
     }
@@ -699,9 +722,7 @@ impl PageSource for PageFile {
     /// Writes the in-memory header (page count, metadata) through the OS;
     /// not synced (trait docs).
     fn flush(&mut self) -> Result<(), StorageError> {
-        self.file.seek(SeekFrom::Start(0))?;
-        self.file.write_all(&self.header.encode())?;
-        self.file.flush()?;
+        write_all_at(&self.file, &self.header.encode(), 0)?;
         Ok(())
     }
 

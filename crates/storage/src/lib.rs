@@ -52,8 +52,8 @@
 //!   onto a shared cache (below). Parallel workers each own a stack;
 //! * [`SharedPageCache`] — the latched shared frame cache over the
 //!   completion queue: one LRU frame table of pin-counted frames walking
-//!   an Empty → Reading → Resident → Dirty state machine, one table of
-//!   dirty bytes, single-flight physical reads across concurrent
+//!   an Empty → Reading → Resident → Dirty state machine, one set of
+//!   dirty page keys, single-flight physical reads across concurrent
 //!   demanders, and warm frames that outlive a single join — while every
 //!   worker's handle owns a private [`BufferPool`], so its [`IoStats`]
 //!   are those of a private-buffer worker;
@@ -69,10 +69,10 @@
 //!   types implement it: the pool alone (the accounting oracle) and a
 //!   shared-cache update handle ([`SharedPageCache::update_handle`], the
 //!   file stack whose cached read strategy holds a store's read-write
-//!   file), whose pool counts while the bytes ride the frames and reach
-//!   its file once each, at [`SharedPageCache::flush_dirty`] — a
-//!   capability of the type, so a join handle or a private stack cannot
-//!   reach an updater;
+//!   file), whose pool counts while dirty marks ride the frames and each
+//!   page is encoded ([`EncodePage`]) and reaches its file once, at
+//!   [`SharedPageCache::flush_dirty`] — a capability of the type, so a
+//!   join handle or a private stack cannot reach an updater;
 //! * a persistent **free-page list** in [`PageFile`] — header-chained
 //!   marker slots, `allocate`/`release` with reuse-before-append,
 //!   validated on open;
@@ -107,7 +107,7 @@ pub mod scan;
 pub mod stack;
 pub mod temp;
 
-pub use access::{NodeAccess, NodeAccessMut, PageRef, Ticket};
+pub use access::{EncodePage, NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache, StoreFile};
 pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};

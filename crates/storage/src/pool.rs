@@ -26,7 +26,7 @@
 //! * [`crate::FileAccess`] holds one over page files and drives it like
 //!   the oracle: every charged miss is served by a real read — its own,
 //!   its private queue's, or (cached) a shared frame's — and a cache
-//!   update handle's dirty bytes reach its file once each, at
+//!   update handle's dirty pages reach its file once each, encoded at
 //!   [`crate::SharedPageCache::flush_dirty`].
 //!
 //! So the decisions and `IoStats` of both are the same code, reads and
@@ -244,9 +244,9 @@ impl NodeAccess for BufferPool {
 }
 
 impl crate::access::NodeAccessMut for BufferPool {
-    /// Accounting-only: the payload is ignored, the write-back is charged
-    /// where a real backend would perform it.
-    fn write(&mut self, store: u8, page: PageId, _payload: &[u8]) {
+    /// Accounting-only: the write-back is charged where a real backend
+    /// would perform it.
+    fn write(&mut self, store: u8, page: PageId) {
         self.mark_dirty(store, page);
     }
 
@@ -254,7 +254,11 @@ impl crate::access::NodeAccessMut for BufferPool {
         self.discard_dirty(store, page);
     }
 
-    fn flush_writes(&mut self) -> Result<(), crate::codec::StorageError> {
+    /// Counts only, so it never asks `encode` for a page.
+    fn flush_writes(
+        &mut self,
+        _encode: &mut crate::access::EncodePage<'_>,
+    ) -> Result<(), crate::codec::StorageError> {
         BufferPool::flush_writes(self);
         Ok(())
     }
@@ -375,10 +379,11 @@ mod tests {
     fn node_access_mut_is_wired_through_the_trait() {
         use crate::access::NodeAccessMut;
         let mut pool = BufferPool::with_capacity_pages(1, &[1]);
-        NodeAccessMut::write(&mut pool, 0, PageId(1), &[1, 2, 3]);
-        NodeAccessMut::write(&mut pool, 0, PageId(2), &[]); // evicts dirty 1
+        NodeAccessMut::write(&mut pool, 0, PageId(1));
+        NodeAccessMut::write(&mut pool, 0, PageId(2)); // evicts dirty 1
         assert_eq!(pool.stats().page_writes, 1);
-        NodeAccessMut::flush_writes(&mut pool).unwrap();
+        NodeAccessMut::flush_writes(&mut pool, &mut |_, _| unreachable!("the pool only counts"))
+            .unwrap();
         assert_eq!(pool.stats().page_writes, 2);
         // Read-only stats never moved.
         assert_eq!(pool.stats().disk_accesses, 0);

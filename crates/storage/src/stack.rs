@@ -20,8 +20,8 @@
 //! workers each own a stack; a cached stack's frames, queue and physical
 //! reads are its cache's, shared by every handle. The stack reads; the
 //! one write path is a cached stack with a write capability
-//! ([`SharedPageCache::update_handle`]), whose dirty bytes reach the file
-//! at flush.
+//! ([`SharedPageCache::update_handle`]), whose dirty pages are encoded
+//! and reach the file at flush.
 //!
 //! A failed read panics: files are validated on open, so a failure within
 //! bounds means the storage itself broke mid-join.

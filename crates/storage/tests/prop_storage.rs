@@ -308,7 +308,7 @@ proptest! {
                 Step::Write { page } => {
                     if pins.get(&(upd, page)).is_none_or(|&held| held == 0) {
                         let bytes = page_bytes(upd, page, at as u32 + 1);
-                        owners.iter_mut().for_each(|o| o.write(upd, PageId(page), &bytes));
+                        owners.iter_mut().for_each(|o| o.write(upd, PageId(page)));
                         expect.insert((upd, page), Some(bytes));
                         pending.insert(page);
                     }
@@ -320,7 +320,15 @@ proptest! {
                 }
                 Step::Flush => {
                     let before = cache.physical_writes();
-                    owners.iter_mut().for_each(|o| o.flush_writes().unwrap());
+                    // The writer's image: a flush asks for each page's
+                    // current bytes, once.
+                    let mut asked = HashSet::new();
+                    let mut encode = |page: PageId, buf: &mut Vec<u8>| {
+                        assert!(asked.insert(page), "page {page} encoded twice");
+                        *buf = expect[&(upd, page.0)].clone().expect("a discarded page");
+                        Ok(())
+                    };
+                    owners.iter_mut().for_each(|o| o.flush_writes(&mut encode).unwrap());
                     prop_assert_eq!(
                         cache.physical_writes() - before,
                         pending.len() as u64,

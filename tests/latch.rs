@@ -12,8 +12,8 @@
 //!   the updater does;
 //! * flush + reopen yields a tree page-for-page identical to an
 //!   in-memory tree that applied the same updates — **including when
-//!   dirty frames were evicted mid-run** (the payload-carrying drain:
-//!   no lost updates, ever);
+//!   dirty frames were evicted mid-run** (a drained page stays dirty
+//!   until the flush: no lost updates, ever);
 //! * physical writes never exceed the logical write charges (shared
 //!   frames absorb rewrites the way they absorb re-reads).
 
@@ -239,7 +239,7 @@ fn cached_updates_match_the_file_backend_oracle() {
         cache.physical_writes(),
         open.io_stats().page_writes
     );
-    assert_eq!(cache.pending_write_back(), 0, "flush drains every payload");
+    assert_eq!(cache.pending_write_back(), 0, "flush wrote every page");
     let oracle = fx.memory_oracle();
     assert_page_identical(open.tree(), &oracle, "in-memory view");
     drop(open);
