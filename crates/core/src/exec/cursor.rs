@@ -15,11 +15,12 @@
 //!   [`rsj_storage::SharedCacheFileAccess`] handle onto shared frames —
 //!   and `&mut A` works for reusing one accountant across many cursors.
 //! * [`Meter`] — the comparison-accounting boundary: [`CmpCounter`]
-//!   (constructors [`JoinCursor::new`]/[`JoinCursor::with_tasks`]) keeps
-//!   the paper's CPU accounting bit-identical to the recursive oracle;
-//!   the zero-sized [`NoOp`] meter ([`JoinCursor::raw`]) compiles the
-//!   accounting out entirely — the production "raw" mode, same
-//!   result-pair multiset with no metering overhead.
+//!   (the default; [`JoinCursor::new`]) keeps the paper's CPU accounting
+//!   bit-identical to the recursive oracle; the zero-sized [`NoOp`] meter
+//!   ([`JoinCursor::raw`]) compiles the accounting out entirely — the
+//!   production "raw" mode, same result-pair multiset with no metering
+//!   overhead. [`JoinCursor::metered`] and [`JoinCursor::with_tasks`]
+//!   take the meter as a type argument.
 //!
 //! **Zero allocation in steady state.** All per-node-pair buffers —
 //! effective rectangles, restriction index lists, sweep output, z-order
@@ -47,6 +48,7 @@ use std::time::{Duration, Instant};
 
 use crate::exec::schedule::{self, DirPair, OrderScratch, TicketGate};
 use crate::exec::{TAG_R, TAG_S};
+use crate::join::JoinResult;
 use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
 use crate::stats::JoinStats;
 use crate::sweep::{
@@ -338,9 +340,11 @@ fn enumerate_pairs<M: Meter>(
 /// time while charging all I/O to a caller-supplied [`NodeAccess`].
 ///
 /// Construct with [`JoinCursor::new`] for a whole-tree counted join,
+/// [`JoinCursor::raw`] for the meter-free raw mode,
+/// [`JoinCursor::metered`] for any other meter, or
 /// [`JoinCursor::with_tasks`] for an explicit task list (the parallel
-/// worker unit), or [`JoinCursor::raw`] for the meter-free raw mode;
-/// iterate, then read [`JoinCursor::stats`].
+/// worker unit); iterate, then read [`JoinCursor::stats`] — or run it
+/// out with [`JoinCursor::into_result`].
 #[derive(Debug)]
 pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     r: &'t RTree,
@@ -410,20 +414,6 @@ impl<'t, A: NodeAccess> JoinCursor<'t, A> {
     pub fn new(r: &'t RTree, s: &'t RTree, plan: JoinPlan, access: A) -> Self {
         Self::metered(r, s, plan, access)
     }
-
-    /// Counted cursor over an explicit list of `(R page, S page, search
-    /// space)` tasks — the worker unit of the parallel join. Each task's
-    /// two pages are charged when the task starts; root accesses are the
-    /// caller's business.
-    pub fn with_tasks(
-        r: &'t RTree,
-        s: &'t RTree,
-        plan: JoinPlan,
-        access: A,
-        tasks: impl IntoIterator<Item = (PageId, PageId, Rect)>,
-    ) -> Self {
-        Self::metered_with_tasks(r, s, plan, access, tasks)
-    }
 }
 
 impl<'t, A: NodeAccess> RawJoinCursor<'t, A> {
@@ -452,9 +442,12 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         cursor
     }
 
-    /// Task-list cursor with an explicit meter type (see
-    /// [`JoinCursor::with_tasks`]; pass [`NoOp`] for raw mode).
-    pub fn metered_with_tasks(
+    /// Cursor over an explicit list of `(R page, S page, search space)`
+    /// tasks — the worker unit of the parallel join. Each task's two pages
+    /// are charged when the task starts; root accesses are the caller's
+    /// business. `JoinCursor::<_>::with_tasks` counts comparisons;
+    /// `JoinCursor::<_, NoOp>::with_tasks` is the raw mode.
+    pub fn with_tasks(
         r: &'t RTree,
         s: &'t RTree,
         plan: JoinPlan,
@@ -547,6 +540,23 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// Consumes the cursor, returning the page-access accountant.
     pub fn into_access(self) -> A {
         self.access
+    }
+
+    /// Runs the cursor to exhaustion and materializes the join: the
+    /// result pairs (only when `collect_pairs`; `stats.result_pairs`
+    /// counts them either way) and the final [`JoinCursor::stats`],
+    /// handed back with the page-access accountant so its
+    /// backend-specific state (file read counters, a warm LRU for a
+    /// re-run) stays inspectable.
+    pub fn into_result(mut self, collect_pairs: bool) -> (JoinResult, A) {
+        let mut pairs = Vec::new();
+        if collect_pairs {
+            pairs.extend(&mut self);
+        } else {
+            for _ in &mut self {}
+        }
+        let stats = self.stats();
+        (JoinResult { stats, pairs }, self.access)
     }
 
     #[inline]

@@ -218,8 +218,8 @@ mod tests {
         assert!(!tasks.is_empty());
         let want = recursive_subjoin(&tr, &ts, plan, 16 * 200, true, &tasks);
         let pool = BufferPool::new(16 * 200, 200, &[tr.height() as usize, ts.height() as usize]);
-        let cursor = JoinCursor::with_tasks(&tr, &ts, plan, pool, tasks.iter().copied());
-        let got = crate::join::drain(cursor, true).0;
+        let cursor = JoinCursor::<_>::with_tasks(&tr, &ts, plan, pool, tasks.iter().copied());
+        let got = cursor.into_result(true).0;
         assert_eq!(got.pairs, want.pairs);
         assert_eq!(got.stats, want.stats);
     }

@@ -81,7 +81,7 @@ pub fn recursive_spatial_join(
 /// Runs the reference recursion over an explicit list of node-pair tasks
 /// with a private buffer pool. Root accesses are *not* charged here; the
 /// caller accounts for them once. The oracle twin of the cursor's
-/// task-list mode ([`crate::JoinCursor::metered_with_tasks`]).
+/// task-list mode ([`crate::JoinCursor::with_tasks`]).
 pub fn recursive_subjoin(
     r: &RTree,
     s: &RTree,

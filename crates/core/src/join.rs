@@ -8,9 +8,11 @@
 //! max-degree drain, z-order). Trees of different height fall back to
 //! window queries per §4.4 once the shorter tree reaches its leaves.
 //!
-//! [`spatial_join`] drains a cursor into the classic materialized
-//! [`JoinResult`]; callers that want pairs incrementally build a
-//! [`crate::exec::JoinCursor`] directly.
+//! [`spatial_join`] drains a counted cursor over the config's buffer pool
+//! into the classic materialized [`JoinResult`]; callers that want pairs
+//! incrementally, another meter or another backend build a
+//! [`crate::exec::JoinCursor`] directly (and may still materialize with
+//! [`crate::exec::JoinCursor::into_result`]).
 //!
 //! Accounting mirrors the paper:
 //! * every `ReadPage` goes through a [`rsj_storage::NodeAccess`]
@@ -23,7 +25,6 @@
 
 use crate::exec::JoinCursor;
 use crate::plan::{JoinConfig, JoinPlan};
-use rsj_geom::{Meter, NoOp};
 use rsj_rtree::{DataId, RTree};
 
 pub use crate::exec::{TAG_R, TAG_S};
@@ -40,90 +41,37 @@ pub struct JoinResult {
 
 use crate::stats::JoinStats;
 
-/// Computes the MBR-spatial-join of `r` and `s` under `plan`.
+/// Computes the MBR-spatial-join of `r` and `s` under `plan`, counting
+/// comparisons.
 ///
 /// Both trees must use the same page size (they share one LRU buffer whose
 /// capacity is `cfg.buffer_bytes / page_bytes` pages). This drains a
-/// [`JoinCursor`] over a private [`rsj_storage::BufferPool`]; use the cursor directly to
-/// consume pairs incrementally.
+/// [`JoinCursor`] over a private [`rsj_storage::BufferPool`]
+/// ([`JoinConfig::buffer_pool`]); any other meter or backend is the same
+/// cursor run out with [`JoinCursor::into_result`]:
+///
+/// ```
+/// # use rsj_core::{spatial_join, JoinConfig, JoinPlan, RawJoinCursor};
+/// # use rsj_rtree::{DataId, RTree, RTreeParams};
+/// # use rsj_geom::Rect;
+/// # let mut r = RTree::new(RTreeParams::for_page_size(1024));
+/// # for i in 0..100u64 {
+/// #     let x = i as f64;
+/// #     r.insert(Rect::from_corners(x, x, x + 1.5, x + 1.5), DataId(i));
+/// # }
+/// # let s = r.clone();
+/// let cfg = JoinConfig::default();
+/// let counted = spatial_join(&r, &s, JoinPlan::sj4(), &cfg);
+/// let (raw, _pool) = RawJoinCursor::raw(&r, &s, JoinPlan::sj4(), cfg.buffer_pool(&[&r, &s]))
+///     .into_result(cfg.collect_pairs);
+/// assert_eq!(raw.pairs, counted.pairs);
+/// assert_eq!(raw.stats.io, counted.stats.io);
+/// assert_eq!(raw.stats.join_comparisons, 0);
+/// ```
 pub fn spatial_join(r: &RTree, s: &RTree, plan: JoinPlan, cfg: &JoinConfig) -> JoinResult {
-    spatial_join_metered::<rsj_geom::CmpCounter>(r, s, plan, cfg)
-}
-
-/// [`spatial_join`] in raw mode: the [`NoOp`] meter compiles all
-/// comparison accounting out of the hot path. Produces the same
-/// result-pair *multiset* as the counted join, in the same order except
-/// under a z-order schedule (SJ5), whose raw key sort is unstable
-/// (`exec/schedule.rs`); `stats` report zero comparisons but full I/O.
-/// This is the production entry point when Table-4-style CPU accounting
-/// is not needed.
-pub fn spatial_join_fast(r: &RTree, s: &RTree, plan: JoinPlan, cfg: &JoinConfig) -> JoinResult {
-    spatial_join_metered::<NoOp>(r, s, plan, cfg)
-}
-
-/// The generic engine behind [`spatial_join`] (counting meter) and
-/// [`spatial_join_fast`] ([`NoOp`] meter).
-pub fn spatial_join_metered<M: Meter>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    cfg: &JoinConfig,
-) -> JoinResult {
-    let cursor = JoinCursor::<_, M>::metered(r, s, plan, cfg.buffer_pool(&[r, s]));
-    drain(cursor, cfg.collect_pairs).0
-}
-
-/// [`spatial_join`] over a caller-supplied [`rsj_storage::NodeAccess`]
-/// backend instead of a private [`rsj_storage::BufferPool`] — the entry point for the
-/// file-backed [`rsj_storage::FileAccess`] stack in any of its three
-/// instantiations (over the queued and cached read strategies the cursor
-/// overlaps its demand misses by running ahead; the cached one is a
-/// [`rsj_storage::SharedCacheFileAccess`] handle), or any other
-/// accountant.
-/// Returns the accountant alongside the result so its backend-specific
-/// state (file read counters, LRU contents for a warm re-run) stays
-/// inspectable. I/O in `stats` is reported relative to the accountant's
-/// tallies at entry, like [`JoinCursor::stats`].
-pub fn spatial_join_with_access<A: rsj_storage::NodeAccess>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    collect_pairs: bool,
-    access: A,
-) -> (JoinResult, A) {
-    spatial_join_metered_with_access::<A, rsj_geom::CmpCounter>(r, s, plan, collect_pairs, access)
-}
-
-/// The generic engine behind [`spatial_join_with_access`]; pass [`NoOp`]
-/// for raw mode.
-pub fn spatial_join_metered_with_access<A: rsj_storage::NodeAccess, M: Meter>(
-    r: &RTree,
-    s: &RTree,
-    plan: JoinPlan,
-    collect_pairs: bool,
-    access: A,
-) -> (JoinResult, A) {
-    drain(
-        JoinCursor::<A, M>::metered(r, s, plan, access),
-        collect_pairs,
-    )
-}
-
-/// Exhausts a cursor into a [`JoinResult`], materializing pairs only when
-/// asked to, and hands the page-access accountant back. Crate-visible: the
-/// parallel workers drain their task cursors through the same path.
-pub(crate) fn drain<A: rsj_storage::NodeAccess, M: Meter>(
-    mut cursor: JoinCursor<'_, A, M>,
-    collect: bool,
-) -> (JoinResult, A) {
-    let mut pairs = Vec::new();
-    if collect {
-        pairs.extend(&mut cursor);
-    } else {
-        for _ in &mut cursor {}
-    }
-    let stats = cursor.stats();
-    (JoinResult { stats, pairs }, cursor.into_access())
+    JoinCursor::new(r, s, plan, cfg.buffer_pool(&[r, s]))
+        .into_result(cfg.collect_pairs)
+        .0
 }
 
 #[cfg(test)]

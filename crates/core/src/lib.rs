@@ -18,13 +18,27 @@
 //! an explicit-work-stack executor that yields result pairs through
 //! `Iterator` — parameterized by a [`JoinPlan`], so each technique can be
 //! toggled independently — exactly what the paper's ablation tables
-//! (3, 4, 5) measure. [`spatial_join`] is the materializing wrapper over
-//! the cursor. Costs are accounted the paper's way: floating-point
-//! comparisons through [`rsj_geom::CmpCounter`] and disk accesses through
-//! the pluggable [`rsj_storage::NodeAccess`] boundary (path buffers +
-//! LRU buffer, §4.1): the in-memory [`rsj_storage::BufferPool`], the
-//! [`rsj_storage::FileAccess`] stack over real page files, or handles
+//! (3, 4, 5) measure. Costs are accounted the paper's way: floating-point
+//! comparisons through a [`rsj_geom::Meter`] ([`rsj_geom::CmpCounter`]
+//! counts, [`rsj_geom::NoOp`] compiles the count out) and disk accesses
+//! through the pluggable [`rsj_storage::NodeAccess`] boundary (path
+//! buffers + LRU buffer, §4.1): the in-memory [`rsj_storage::BufferPool`],
+//! the [`rsj_storage::FileAccess`] stack over real page files, or handles
 //! onto the [`rsj_storage::SharedPageCache`] for concurrent workers.
+//!
+//! There is one driver per join shape, generic over the meter and the
+//! access; nothing else starts a join:
+//!
+//! | shape | driver |
+//! |-------|--------|
+//! | two-way, counted, over [`JoinConfig::buffer_pool`] | [`spatial_join`] |
+//! | two-way cursor, counted / raw / any meter | [`JoinCursor::new`] / [`RawJoinCursor::raw`] / [`JoinCursor::metered`] |
+//! | cursor over explicit root tasks (the parallel worker unit) | [`JoinCursor::with_tasks`] |
+//! | parallel, one access per worker from a factory | [`parallel_spatial_join`] |
+//! | k-way, one access per stage from a factory | [`multiway_join`] |
+//!
+//! [`JoinCursor::into_result`] runs any cursor out into the materialized
+//! [`JoinResult`] and hands its accountant back.
 //!
 //! Trees of different height are handled per §4.4 with the three policies
 //! (a) window query per pair, (b) batched multi-window queries, (c) sweep
@@ -59,6 +73,8 @@
 //! assert!(sj4.stats.io.disk_accesses <= sj1.stats.io.disk_accesses);
 //! ```
 
+#![warn(missing_docs)]
+
 pub mod baseline;
 pub mod exec;
 pub mod join;
@@ -70,17 +86,9 @@ pub mod stats;
 pub mod sweep;
 
 pub use exec::{JoinCursor, RawJoinCursor};
-pub use join::{
-    spatial_join, spatial_join_fast, spatial_join_metered, spatial_join_metered_with_access,
-    spatial_join_with_access, JoinResult,
-};
-pub use multiway::{
-    multiway_join, multiway_join_metered_with_access, multiway_join_with_access, MultiwayResult,
-};
-pub use parallel::{
-    parallel_metered_with_access, parallel_spatial_join, parallel_spatial_join_fast,
-    parallel_spatial_join_warm, parallel_spatial_join_with_access,
-};
+pub use join::{spatial_join, JoinResult};
+pub use multiway::{multiway_join, MultiwayResult};
+pub use parallel::parallel_spatial_join;
 pub use plan::{DiffHeightPolicy, Enumerate, JoinConfig, JoinPlan, JoinPredicate, Schedule};
 pub use refine::{id_join, object_join, ObjectRelation, RefineResult};
 pub use stats::{JoinStats, TimeSplit};

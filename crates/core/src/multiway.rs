@@ -20,8 +20,8 @@
 //! most once per window batch.
 
 use crate::exec::JoinCursor;
-use crate::plan::{JoinConfig, JoinPlan};
-use rsj_geom::{CmpCounter, Meter, Rect};
+use crate::plan::JoinPlan;
+use rsj_geom::{Meter, Rect};
 use rsj_rtree::{DataId, RTree};
 use rsj_storage::{IoStats, NodeAccess};
 
@@ -40,58 +40,51 @@ pub struct MultiwayResult {
     pub io: IoStats,
 }
 
-/// Computes the clique k-way MBR join of `trees` (k ≥ 2).
+/// Computes the clique k-way MBR join of `trees` (k ≥ 2), metering
+/// comparisons with `M` ([`rsj_geom::CmpCounter`] counts,
+/// [`rsj_geom::NoOp`] is the raw mode).
 ///
 /// All trees must share a page size. `plan` drives the leading binary
 /// join; probes use batched window queries. The predicate is common
 /// intersection of all k MBRs; `plan.predicate` must be `Intersects`.
-pub fn multiway_join(trees: &[&RTree], plan: JoinPlan, cfg: &JoinConfig) -> MultiwayResult {
-    multiway_join_with_access(trees, plan, |stage| {
-        // Stage 0 joins trees[0] and trees[1] through one buffer; stage
-        // k >= 1 probes trees[k + 1] alone.
-        cfg.buffer_pool(if stage == 0 {
-            &trees[..2]
-        } else {
-            &trees[stage + 1..=stage + 1]
-        })
-    })
-}
-
-/// [`multiway_join`] over caller-supplied [`NodeAccess`] backends:
-/// `make_access(0)` accounts the leading binary join of `trees[0]` and
-/// `trees[1]` (stores [`crate::exec::TAG_R`]/[`crate::exec::TAG_S`]);
-/// `make_access(k)` for `k >= 1` accounts the probe pass over
-/// `trees[k + 1]` (store 0). For the file-backed deployment each stage
-/// gets a fresh [`rsj_storage::FileNodeAccess`] over the page files of
-/// the trees it touches, mirroring the private per-stage [`rsj_storage::BufferPool`]s
-/// of the in-memory pipeline. The leading stage runs off a
-/// [`JoinCursor`], so a completion-driven stage-0 backend (e.g.
+///
+/// Each stage charges a private accountant that `make_access(stage,
+/// stage_trees)` builds over the trees it touches: stage 0 the leading
+/// binary join of `trees[0]` and `trees[1]` (stores
+/// [`crate::exec::TAG_R`]/[`crate::exec::TAG_S`]), stage `k >= 1` the
+/// probe pass over `trees[k + 1]` (store 0). `|_, t| cfg.buffer_pool(t)`
+/// gives every stage a [`rsj_storage::BufferPool`] of the config's
+/// budget; a file-backed stage is a [`rsj_storage::FileNodeAccess`] over
+/// those trees' page files. The leading stage runs off a [`JoinCursor`],
+/// so a completion-driven stage-0 backend (e.g.
 /// [`rsj_storage::CompletionFileAccess`]) has its demand misses
 /// overlapped by the cursor's run-ahead; the probe stages charge their
 /// window queries page by page, on demand.
-pub fn multiway_join_with_access<A, F>(
+///
+/// ```
+/// # use rsj_core::{multiway_join, JoinConfig, JoinPlan};
+/// # use rsj_geom::CmpCounter;
+/// # use rsj_rtree::{DataId, RTree, RTreeParams};
+/// # use rsj_geom::Rect;
+/// # let mut r = RTree::new(RTreeParams::for_page_size(1024));
+/// # for i in 0..300u64 {
+/// #     let (x, y) = ((i % 20) as f64, (i / 20) as f64);
+/// #     r.insert(Rect::from_corners(x, y, x + 1.5, y + 1.5), DataId(i));
+/// # }
+/// let cfg = JoinConfig::default();
+/// let res = multiway_join::<CmpCounter, _>(&[&r, &r, &r], JoinPlan::sj4(), |_, t| {
+///     cfg.buffer_pool(t)
+/// });
+/// assert!(res.tuples.len() >= 300, "every rectangle meets itself");
+/// ```
+pub fn multiway_join<M, A>(
     trees: &[&RTree],
     plan: JoinPlan,
-    make_access: F,
-) -> MultiwayResult
-where
-    A: NodeAccess,
-    F: FnMut(usize) -> A,
-{
-    multiway_join_metered_with_access::<CmpCounter, A, F>(trees, plan, make_access)
-}
-
-/// The generic engine behind every multi-way entry point; pass [`rsj_geom::NoOp`]
-/// for raw mode.
-pub fn multiway_join_metered_with_access<M, A, F>(
-    trees: &[&RTree],
-    plan: JoinPlan,
-    mut make_access: F,
+    mut make_access: impl FnMut(usize, &[&RTree]) -> A,
 ) -> MultiwayResult
 where
     M: Meter,
     A: NodeAccess,
-    F: FnMut(usize) -> A,
 {
     assert!(
         trees.len() >= 2,
@@ -115,7 +108,8 @@ where
     // arrives, so the plain pair list is never materialized separately.
     let rects0 = rect_map(trees[0]);
     let rects1 = rect_map(trees[1]);
-    let mut cursor = JoinCursor::<_, M>::metered(trees[0], trees[1], plan, make_access(0));
+    let mut cursor =
+        JoinCursor::<_, M>::metered(trees[0], trees[1], plan, make_access(0, &trees[..2]));
     let mut tuples: Vec<(Vec<DataId>, Rect)> = Vec::new();
     for (a, b) in &mut cursor {
         let rect = rects0[&a]
@@ -129,7 +123,7 @@ where
 
     // Stages 2..k: probe each further tree with the running rectangles.
     for (k, tree) in trees[2..].iter().enumerate() {
-        let mut pool = make_access(k + 1);
+        let mut pool = make_access(k + 1, std::slice::from_ref(tree));
         let mut cmp = M::default();
         let mut next: Vec<(Vec<DataId>, Rect)> = Vec::new();
         for chunk in tuples.chunks(PROBE_BATCH) {
@@ -183,7 +177,9 @@ fn rect_map(tree: &RTree) -> std::collections::HashMap<DataId, Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::JoinConfig;
     use crate::spatial_join;
+    use rsj_geom::CmpCounter;
     use rsj_rtree::{InsertPolicy, RTreeParams};
 
     fn build(items: &[(Rect, u64)]) -> RTree {
@@ -231,6 +227,11 @@ mod tests {
         out
     }
 
+    /// Every stage a pool of `cfg`'s budget.
+    fn pooled(trees: &[&RTree], plan: JoinPlan, cfg: &JoinConfig) -> MultiwayResult {
+        multiway_join::<CmpCounter, _>(trees, plan, |_, t| cfg.buffer_pool(t))
+    }
+
     fn sorted_tuples(res: &MultiwayResult) -> Vec<Vec<u64>> {
         let mut v: Vec<Vec<u64>> = res
             .tuples
@@ -247,7 +248,7 @@ mod tests {
         let b = grid(100, 2.0, 4.0);
         let (ta, tb) = (build(&a), build(&b));
         let cfg = JoinConfig::default();
-        let multi = multiway_join(&[&ta, &tb], JoinPlan::sj4(), &cfg);
+        let multi = pooled(&[&ta, &tb], JoinPlan::sj4(), &cfg);
         let binary = spatial_join(&ta, &tb, JoinPlan::sj4(), &cfg);
         let mut want: Vec<Vec<u64>> = binary.pairs.iter().map(|&(x, y)| vec![x.0, y.0]).collect();
         want.sort_unstable();
@@ -260,7 +261,7 @@ mod tests {
         let b = grid(80, 2.0, 5.0);
         let c = grid(80, 4.0, 5.0);
         let (ta, tb, tc) = (build(&a), build(&b), build(&c));
-        let res = multiway_join(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
+        let res = pooled(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
         let want = brute_clique(&[&a, &b, &c]);
         assert!(!want.is_empty(), "fixture should produce matches");
         assert_eq!(sorted_tuples(&res), want);
@@ -276,7 +277,7 @@ mod tests {
         let d = grid(40, 4.5, 6.0);
         let trees: Vec<RTree> = [&a, &b, &c, &d].iter().map(|r| build(r)).collect();
         let refs: Vec<&RTree> = trees.iter().collect();
-        let res = multiway_join(&refs, JoinPlan::sj3(), &JoinConfig::default());
+        let res = pooled(&refs, JoinPlan::sj3(), &JoinConfig::default());
         assert_eq!(sorted_tuples(&res), brute_clique(&[&a, &b, &c, &d]));
     }
 
@@ -286,7 +287,7 @@ mod tests {
         let b = grid(50, 1.0, 4.0);
         let c = grid(50, 10_000.0, 4.0);
         let (ta, tb, tc) = (build(&a), build(&b), build(&c));
-        let res = multiway_join(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
+        let res = pooled(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
         assert!(res.tuples.is_empty());
     }
 
@@ -295,7 +296,7 @@ mod tests {
     fn single_relation_rejected() {
         let a = grid(5, 0.0, 4.0);
         let ta = build(&a);
-        let _ = multiway_join(&[&ta], JoinPlan::sj4(), &JoinConfig::default());
+        let _ = pooled(&[&ta], JoinPlan::sj4(), &JoinConfig::default());
     }
 
     #[test]
@@ -308,7 +309,7 @@ mod tests {
         let b = grid(30, 2.0, 8.0);
         let c = grid(30, 4.0, 8.0);
         let (ta, tb, tc) = (build(&a), build(&b), build(&c));
-        let res = multiway_join(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
+        let res = pooled(&[&ta, &tb, &tc], JoinPlan::sj4(), &JoinConfig::default());
         // Pairwise brute force.
         let mut want = Vec::new();
         for &(ra, ia) in &a {

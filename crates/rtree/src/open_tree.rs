@@ -61,11 +61,20 @@ use crate::tree::RTree;
 /// [`SharedPageCache`] (module docs): updates run through the latched
 /// shared frames while parallel joins may serve reads from the same
 /// cache.
+///
+/// **Dropped unflushed, it abandons its updates since the last flush.**
+/// Their dirty marks are discarded from the cache with it: the in-memory
+/// tree was the only source of those pages' bytes, so a later handle on
+/// the same store flushes only its own pages. The file keeps its last
+/// flush plus the slots this tree allocated or released since, which
+/// were written at once — what a crash leaves.
 #[derive(Debug)]
 pub struct OpenCachedTree {
     tree: RTree,
     /// The update handle of the tree's store.
     access: SharedCacheFileAccess<StoreFile>,
+    /// Clears the store's dirty marks when the tree goes away.
+    _marks: DirtyMarks,
     /// Event-replay scratch.
     events: Vec<PageEvent>,
     /// Node-encoding scratch for allocations.
@@ -79,6 +88,21 @@ pub struct OpenCachedTree {
     /// update or flush is refused — persisting the divergence would
     /// corrupt the file silently.
     poisoned: bool,
+}
+
+/// The dirty marks an [`OpenCachedTree`] owns on its store: dropped with
+/// the tree, they are cleared, since nothing else can encode their pages.
+/// After a successful [`OpenCachedTree::close`] there are none left.
+#[derive(Debug)]
+struct DirtyMarks {
+    cache: Arc<SharedPageCache>,
+    store: u8,
+}
+
+impl Drop for DirtyMarks {
+    fn drop(&mut self) {
+        self.cache.clear_store_dirty(self.store);
+    }
 }
 
 impl OpenCachedTree {
@@ -150,9 +174,14 @@ impl OpenCachedTree {
             ));
         }
         tree.store.enable_event_tracking();
+        let _marks = DirtyMarks {
+            cache: Arc::clone(access.cache()),
+            store: access.store(),
+        };
         Ok(OpenCachedTree {
             tree,
             access,
+            _marks,
             events: Vec::new(),
             buf: Vec::new(),
             slot,

@@ -58,10 +58,14 @@
 //!   over an in-place image), so a write copies nothing and eviction
 //!   moves nothing. A dirty page the LRU has evicted — or
 //!   [`SharedPageCache::clear`] dropped — is *drained* (it still reports
-//!   [`FrameState::Dirty`]). A page leaves the dirty set only through
-//!   [`SharedPageCache::flush_dirty`], which hands each page to a
-//!   caller-supplied writer that encodes and writes it — the one place
-//!   pages leave the buffer, and the one place they are encoded. A
+//!   [`FrameState::Dirty`]). A page leaves the dirty set with its
+//!   content on file only through [`SharedPageCache::flush_dirty`], which
+//!   hands each page to a caller-supplied writer that encodes and writes
+//!   it — the one place pages leave the buffer, and the one place they
+//!   are encoded. Otherwise its writer abandons it:
+//!   [`SharedPageCache::clear_dirty`] for a released page,
+//!   [`SharedPageCache::clear_store_dirty`] for a whole store whose writer
+//!   is gone. A
 //!   re-demand of a drained page reinstalls it without a read — reading
 //!   the file would resurrect stale bytes.
 //! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
@@ -489,6 +493,15 @@ impl SharedPageCache {
         let mut s = self.lock_frames();
         self.settle(&mut s);
         s.dirty.remove(&key);
+    }
+
+    /// Clears the dirty state of every page of `store` without writing —
+    /// the writer that held their bytes is gone, so nothing can flush
+    /// them any more.
+    pub fn clear_store_dirty(&self, store: u8) {
+        let mut s = self.lock_frames();
+        self.settle(&mut s);
+        s.dirty.retain(|k| k.store != store);
     }
 
     /// Hands every pending dirty page of `store` — resident or drained —
@@ -974,6 +987,28 @@ mod tests {
         c.clear_dirty(0, PageId(1));
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
         assert_eq!(c.physical_reads(), 1);
+    }
+
+    #[test]
+    fn clearing_a_stores_dirty_marks_leaves_the_other_stores() {
+        let dir = TempDir::new("cache").unwrap();
+        let paths = [demo_file(&dir, "a.rsj", 4), demo_file(&dir, "b.rsj", 4)];
+        let c = SharedPageCache::open(&paths, 8, &[2, 2], CacheConfig::default()).unwrap();
+        for page in [PageId(0), PageId(2)] {
+            c.write(0, page);
+            c.write(1, page);
+        }
+        c.clear_store_dirty(0);
+        assert_eq!(c.pending_write_back(), 2);
+        assert_eq!(c.frame_state(0, PageId(2)), FrameState::Resident);
+        assert_eq!(c.frame_state(1, PageId(2)), FrameState::Dirty);
+        let mut flushed = Vec::new();
+        c.flush_dirty(0, |page| {
+            flushed.push(page);
+            Ok(())
+        })
+        .unwrap();
+        assert!(flushed.is_empty(), "nothing of store 0 is left to write");
     }
 
     #[test]

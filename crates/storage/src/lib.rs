@@ -90,6 +90,8 @@
 //!   opt-in [`PageEvent`] tracking, keeping the in-memory allocator in
 //!   lockstep with the files.
 
+#![warn(missing_docs)]
+
 pub mod access;
 pub mod bulk;
 pub mod cache;

@@ -7,7 +7,6 @@
 //! cargo run --release --example beyond_the_paper
 //! ```
 
-use rsj::join::parallel_spatial_join;
 use rsj::prelude::*;
 
 fn main() {
@@ -64,7 +63,15 @@ fn main() {
     let seq = spatial_join(&r, &s, JoinPlan::sj4(), &cfg);
     let seq_elapsed = seq_t.elapsed();
     let par_t = std::time::Instant::now();
-    let par = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
+    // Each worker charges a private pool of its share of the budget.
+    let par = parallel_spatial_join::<CmpCounter, _>(
+        &r,
+        &s,
+        JoinPlan::sj4(),
+        cfg.collect_pairs,
+        4,
+        |_, n| JoinConfig::with_buffer(cfg.buffer_bytes / n).buffer_pool(&[&r, &s]),
+    );
     let par_elapsed = par_t.elapsed();
     assert_eq!(seq.stats.result_pairs, par.stats.result_pairs);
     println!(

@@ -91,7 +91,7 @@ fn main() {
         EvictionPolicy::Lru,
     )
     .expect("file backend");
-    let (cold, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
+    let (cold, access) = JoinCursor::new(&rf, &sf, plan, access).into_result(false);
     println!("\n{} result pairs\n", cold.stats.result_pairs);
     report(
         "cold",
@@ -101,7 +101,7 @@ fn main() {
             access.file(0).reads() + access.file(1).reads()
         ),
     );
-    let (warm, _) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
+    let (warm, _) = JoinCursor::new(&rf, &sf, plan, access).into_result(false);
     report(
         "warm",
         warm.stats.io,
@@ -120,7 +120,7 @@ fn main() {
         CompletionConfig::default(),
     )
     .expect("queued backend");
-    let (queued, access) = rsj_core::spatial_join_with_access(&rf, &sf, plan, false, access);
+    let (queued, access) = JoinCursor::new(&rf, &sf, plan, access).into_result(false);
     assert_eq!(
         queued.stats.io, cold.stats.io,
         "the queue never moves IoStats"
@@ -143,7 +143,7 @@ fn main() {
     )
     .expect("shared cache");
     let (cached, _) =
-        rsj_core::spatial_join_with_access(&rf, &sf, plan, false, cache.handle(BUFFER / PAGE));
+        JoinCursor::new(&rf, &sf, plan, cache.handle(BUFFER / PAGE)).into_result(false);
     assert_eq!(
         cached.stats.io, cold.stats.io,
         "the shared frames never move IoStats"
@@ -223,7 +223,7 @@ fn main() {
         EvictionPolicy::Lru,
     )
     .expect("file backend");
-    let (upd, _) = rsj_core::spatial_join_with_access(&rf2, &sf, plan, false, access);
+    let (upd, _) = JoinCursor::new(&rf2, &sf, plan, access).into_result(false);
     let rfresh = dir.file("updated/r.fresh.rsj");
     rf2.save_to(&rfresh).expect("fresh save of updated tree");
     let access = FileNodeAccess::with_capacity_pages(
@@ -236,7 +236,7 @@ fn main() {
         EvictionPolicy::Lru,
     )
     .expect("file backend");
-    let (fresh, _) = rsj_core::spatial_join_with_access(&rf2, &sf, plan, false, access);
+    let (fresh, _) = JoinCursor::new(&rf2, &sf, plan, access).into_result(false);
     report(
         "updated",
         upd.stats.io,

@@ -64,7 +64,7 @@ fn main() {
 
     // 1: shared-nothing — private file backends, budget/4 pages each.
     // Every logical miss is that worker's own physical read.
-    let private = parallel_spatial_join_with_access(&rf, &sf, plan, false, WORKERS, |_w| {
+    let private = parallel_spatial_join::<CmpCounter, _>(&rf, &sf, plan, false, WORKERS, |_, _| {
         FileNodeAccess::with_capacity_pages(
             vec![
                 PageFile::open(&rp).expect("open R file"),
@@ -92,7 +92,9 @@ fn main() {
         CacheConfig::default(),
     )
     .expect("shared cache");
-    let shared = parallel_spatial_join_warm(&rf, &sf, plan, false, WORKERS, &cache, cap_per_worker);
+    let shared = parallel_spatial_join::<CmpCounter, _>(&rf, &sf, plan, false, WORKERS, |_, _| {
+        cache.handle(cap_per_worker)
+    });
     cache.drain();
     assert_eq!(
         shared.stats.io, private.stats.io,
@@ -122,7 +124,7 @@ fn main() {
     let serve = |pool: &std::sync::Arc<SharedPageCache>| {
         let start = Instant::now();
         let (res, access) =
-            rsj::join::spatial_join_with_access(&rf, &sf, plan, false, pool.handle(BUDGET_PAGES));
+            JoinCursor::new(&rf, &sf, plan, pool.handle(BUDGET_PAGES)).into_result(false);
         (res, access.stats(), start.elapsed())
     };
     let (cold, cold_io, cold_t) = serve(&pool);

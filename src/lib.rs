@@ -37,10 +37,14 @@
 //!   refinement step. The engine underneath is the **streaming executor**
 //!   [`join::exec::JoinCursor`], which yields result pairs incrementally
 //!   through `Iterator` and allocates nothing per node pair (its scratch
-//!   arena recycles every frame buffer); [`join::spatial_join`] is the
-//!   materializing wrapper over it, and [`join::spatial_join_fast`] the
-//!   raw-mode twin whose [`geom::NoOp`] meter compiles the paper's
-//!   comparison accounting out of the hot path;
+//!   arena recycles every frame buffer). It is generic over the meter —
+//!   [`geom::CmpCounter`] counts the paper's comparisons, [`geom::NoOp`]
+//!   ([`join::RawJoinCursor::raw`]) compiles them out of the hot path —
+//!   and over the page accountant; [`join::JoinCursor::into_result`]
+//!   materializes any cursor, [`join::spatial_join`] is the counted
+//!   wrapper over a [`join::JoinConfig`] buffer pool, and
+//!   [`join::parallel_spatial_join`] / [`join::multiway_join`] build one
+//!   accountant per worker / stage from a factory;
 //! * [`datagen`] — deterministic synthetic stand-ins for the paper's
 //!   TIGER/Line and region datasets;
 //! * [`telemetry`] — a dependency-free metrics kit: atomic counters and
@@ -84,7 +88,6 @@
 //!
 //! // Or stream the same join: pairs arrive incrementally, nothing is
 //! // materialized, and any NodeAccess backend can do the accounting.
-//! use rsj::join::exec::JoinCursor;
 //! use rsj::storage::BufferPool;
 //! let pool = BufferPool::new(128 * 1024, 1024, &[r.height() as usize, s.height() as usize]);
 //! let mut cursor = JoinCursor::new(&r, &s, JoinPlan::sj4(), pool);
@@ -107,7 +110,7 @@
 //!     &[r2.height() as usize, s2.height() as usize],
 //!     EvictionPolicy::Lru,
 //! ).unwrap();
-//! let (from_disk, access) = spatial_join_with_access(&r2, &s2, JoinPlan::sj4(), true, access);
+//! let (from_disk, access) = JoinCursor::new(&r2, &s2, JoinPlan::sj4(), access).into_result(true);
 //! assert_eq!(from_disk.stats.result_pairs, result.stats.result_pairs);
 //! assert_eq!(from_disk.stats.io.disk_accesses, result.stats.io.disk_accesses);
 //! assert_eq!(
@@ -127,10 +130,9 @@ pub use rsj_telemetry as telemetry;
 /// The names most programs need.
 pub mod prelude {
     pub use rsj_core::{
-        id_join, multiway_join, multiway_join_with_access, object_join, parallel_spatial_join,
-        parallel_spatial_join_warm, parallel_spatial_join_with_access, spatial_join,
-        spatial_join_fast, spatial_join_with_access, DiffHeightPolicy, JoinConfig, JoinPlan,
-        JoinPredicate, JoinResult, JoinStats, MultiwayResult, ObjectRelation,
+        id_join, multiway_join, object_join, parallel_spatial_join, spatial_join, DiffHeightPolicy,
+        JoinConfig, JoinCursor, JoinPlan, JoinPredicate, JoinResult, JoinStats, MultiwayResult,
+        ObjectRelation, RawJoinCursor,
     };
     pub use rsj_datagen::TestId;
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};

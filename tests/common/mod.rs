@@ -7,7 +7,6 @@
 use std::path::PathBuf;
 
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{
     CompletionConfig, CompletionFileAccess, FileAccess, IoStats, NodeAccess, SharedCacheFileAccess,
@@ -50,7 +49,7 @@ pub fn run<A: NodeAccess>(
     plan: JoinPlan,
     access: A,
 ) -> (Vec<(u64, u64)>, IoStats, A) {
-    let (res, access) = spatial_join_with_access(r, s, plan, true, access);
+    let (res, access) = JoinCursor::new(r, s, plan, access).into_result(true);
     (sorted_ids(&res.pairs), res.stats.io, access)
 }
 

@@ -54,7 +54,14 @@ fn all_strategies_agree_on_presets() {
         assert_eq!(ids(&inl_pairs), want, "{test:?}: index nested loop");
 
         // The parallel (shared-nothing) join.
-        let res = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        let res = parallel_spatial_join::<CmpCounter, _>(
+            &r,
+            &s,
+            JoinPlan::sj4(),
+            cfg.collect_pairs,
+            4,
+            |_, n| JoinConfig::with_buffer(cfg.buffer_bytes / n).buffer_pool(&[&r, &s]),
+        );
         assert_eq!(ids(&res.pairs), want, "{test:?}: parallel");
 
         // The batched different-height policy (the default §4.4 policy):

@@ -11,7 +11,7 @@ mod common;
 use common::{build_tree, plans, sorted_ids};
 use rsj::prelude::*;
 use rsj_core::exec::JoinCursor;
-use rsj_core::{multiway_join, multiway_join_with_access, parallel_spatial_join_with_access};
+use rsj_core::{multiway_join, parallel_spatial_join};
 use rsj_storage::{BufferPool, IoStats, NodeAccess, PageId, PageRef};
 
 const CAP_PAGES: usize = 16;
@@ -106,10 +106,10 @@ fn parallel_and_multiway_drivers_never_call_the_hint_methods() {
     let (r, s) = trees();
     for (plan, name) in plans() {
         let workers = 2;
-        let want = parallel_spatial_join_with_access(&r, &s, plan, true, workers, |_w| {
+        let want = parallel_spatial_join::<CmpCounter, _>(&r, &s, plan, true, workers, |_, _| {
             pool(&r, &s, CAP_PAGES / workers)
         });
-        let got = parallel_spatial_join_with_access(&r, &s, plan, true, workers, |_w| {
+        let got = parallel_spatial_join::<CmpCounter, _>(&r, &s, plan, true, workers, |_, _| {
             NoHints(pool(&r, &s, CAP_PAGES / workers))
         });
         assert_eq!(sorted_ids(&got.pairs), sorted_ids(&want.pairs), "{name}");
@@ -117,8 +117,8 @@ fn parallel_and_multiway_drivers_never_call_the_hint_methods() {
 
         // Stage 0 is the cursor over R and S; stage 1 probes S again.
         let cfg = JoinConfig::with_buffer(CAP_PAGES * 1024);
-        let want = multiway_join(&[&r, &s, &s], plan, &cfg);
-        let got = multiway_join_with_access(&[&r, &s, &s], plan, |stage| {
+        let want = multiway_join::<CmpCounter, _>(&[&r, &s, &s], plan, |_, t| cfg.buffer_pool(t));
+        let got = multiway_join::<CmpCounter, _>(&[&r, &s, &s], plan, |stage, _| {
             let heights: &[usize] = if stage == 0 {
                 &[r.height() as usize, s.height() as usize]
             } else {

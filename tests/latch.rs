@@ -1,7 +1,7 @@
 //! Latched-update conformance: a background `OpenCachedTree` insert/delete
 //! stream driven through a live [`SharedPageCache`] — concurrently with
-//! `parallel_spatial_join_warm` traffic over the same frames — must be
-//! indistinguishable from the sequential world:
+//! `parallel_spatial_join` workers on handles onto the same frames — must
+//! be indistinguishable from the sequential world:
 //!
 //! * the updater's logical [`IoStats`] are bit-identical to the same
 //!   script through [`OpenCachedTree::open`] on a private copy of the file
@@ -25,7 +25,6 @@ use std::time::Duration;
 use common::{build_tree, sorted_ids, CAP_PAGES, PAGE};
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::parallel_spatial_join_with_access;
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufKey, BufferPool, IoStats, PageId, TempDir};
 
@@ -287,22 +286,21 @@ fn interleaved_update_and_join_rounds_stay_oracle_exact() {
     let heights = fx.heights();
     for (round, chunk) in fx.script.chunks(60).enumerate() {
         apply_to_open(&mut open, chunk);
-        let oracle = parallel_spatial_join_with_access(
+        let oracle = parallel_spatial_join::<CmpCounter, _>(
             open.tree(),
             &fx.s_file,
             JoinPlan::sj2(),
             true,
             workers,
-            |_w| BufferPool::with_capacity_pages(cap, &heights),
+            |_, _| BufferPool::with_capacity_pages(cap, &heights),
         );
-        let par = rsj_core::parallel_spatial_join_warm(
+        let par = parallel_spatial_join::<CmpCounter, _>(
             open.tree(),
             &fx.s_file,
             JoinPlan::sj2(),
             true,
             workers,
-            &cache,
-            cap,
+            |_, _| cache.handle(cap),
         );
         assert_eq!(
             sorted_ids(&par.pairs),
@@ -327,7 +325,7 @@ fn interleaved_update_and_join_rounds_stay_oracle_exact() {
 }
 
 /// The acceptance criterion: a background updater thread races live
-/// `parallel_spatial_join_warm` traffic through one `SharedPageCache`.
+/// `parallel_spatial_join` workers on handles onto one `SharedPageCache`.
 /// Runs once with a pool that never evicts and once with a 4-frame pool
 /// that evicts dirty frames constantly mid-run. Joins, updater charges
 /// and the flushed file must all be bit-identical to their sequential
@@ -344,13 +342,13 @@ fn concurrent_updater_and_joins_agree_with_the_sequential_oracle() {
         // Joins run over the pre-update snapshot (its pages stay
         // physically readable: frees only mark the free list, appends
         // only grow the file), so the sequential join oracle is fixed.
-        let join_oracle = parallel_spatial_join_with_access(
+        let join_oracle = parallel_spatial_join::<CmpCounter, _>(
             &fx.r_file,
             &fx.s_file,
             JoinPlan::sj2(),
             true,
             workers,
-            |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),
+            |_, _| BufferPool::with_capacity_pages(cap, &fx.heights()),
         );
         let open = std::thread::scope(|scope| {
             let updater = scope.spawn(|| {
@@ -359,14 +357,13 @@ fn concurrent_updater_and_joins_agree_with_the_sequential_oracle() {
                 open
             });
             for round in 0..3 {
-                let par = rsj_core::parallel_spatial_join_warm(
+                let par = parallel_spatial_join::<CmpCounter, _>(
                     &fx.r_file,
                     &fx.s_file,
                     JoinPlan::sj2(),
                     true,
                     workers,
-                    &cache,
-                    cap,
+                    |_, _| cache.handle(cap),
                 );
                 assert_eq!(
                     sorted_ids(&par.pairs),
@@ -424,9 +421,9 @@ proptest! {
         let workers = if four_workers { 4 } else { 2 };
         let cap = (CAP_PAGES / workers).max(1);
         let cache = fx.cache(pool_frames, Some(seeded_delay(seed, span_us)));
-        let join_oracle = parallel_spatial_join_with_access(
+        let join_oracle = parallel_spatial_join::<CmpCounter, _>(
             &fx.r_file, &fx.s_file, JoinPlan::sj2(), true, workers,
-            |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),
+            |_, _| BufferPool::with_capacity_pages(cap, &fx.heights()),
         );
         let open = std::thread::scope(|scope| {
             let updater = scope.spawn(|| {
@@ -435,8 +432,9 @@ proptest! {
                 open
             });
             for _ in 0..2 {
-                let par = rsj_core::parallel_spatial_join_warm(
-                    &fx.r_file, &fx.s_file, JoinPlan::sj2(), true, workers, &cache, cap,
+                let par = parallel_spatial_join::<CmpCounter, _>(
+                    &fx.r_file, &fx.s_file, JoinPlan::sj2(), true, workers,
+                    |_, _| cache.handle(cap),
                 );
                 prop_assert_eq!(sorted_ids(&par.pairs), sorted_ids(&join_oracle.pairs));
                 prop_assert_eq!(par.stats.io, join_oracle.stats.io);

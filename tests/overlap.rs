@@ -194,7 +194,7 @@ fn overlap_cursor_times_its_own_waits() {
 /// deployment at the same per-worker budget.
 #[test]
 fn overlap_private_queues_parallel_match_sequential() {
-    use rsj_core::{parallel_spatial_join, parallel_spatial_join_with_access};
+    use rsj_core::parallel_spatial_join;
 
     let fx = Fixture::new("overlap", TestId::A, 0.003);
     let plan = JoinPlan::sj4();
@@ -206,18 +206,26 @@ fn overlap_private_queues_parallel_match_sequential() {
     let budget = JoinConfig::with_buffer(CAP_PAGES * PAGE);
 
     for workers in [2usize, 4] {
-        let par = parallel_spatial_join_with_access(r_file, s_file, plan, true, workers, |_w| {
-            let cfg = CompletionConfig {
-                delay: Some(delay.clone()),
-            };
-            fx.files.queued(CAP_PAGES / workers, cfg)
-        });
+        let par =
+            parallel_spatial_join::<CmpCounter, _>(r_file, s_file, plan, true, workers, |_, _| {
+                let cfg = CompletionConfig {
+                    delay: Some(delay.clone()),
+                };
+                fx.files.queued(CAP_PAGES / workers, cfg)
+            });
         assert_eq!(
             sorted_ids(&par.pairs),
             want_pairs,
             "{workers} workers: pairs"
         );
-        let inmem = parallel_spatial_join(&fx.r, &fx.s, plan, &budget, workers);
+        let inmem = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r,
+            &fx.s,
+            plan,
+            budget.collect_pairs,
+            workers,
+            |_, n| JoinConfig::with_buffer(budget.buffer_bytes / n).buffer_pool(&[&fx.r, &fx.s]),
+        );
         assert_eq!(
             par.stats.io, inmem.stats.io,
             "{workers} workers: private queues match in-memory shared-nothing I/O"

@@ -258,7 +258,7 @@ fn claim_bulk_loaded_trees_join_as_cheaply_as_inserted_ones() {
     let join = |r: &RTree, s: &RTree| {
         let heights = [r.height() as usize, s.height() as usize];
         let pool = rsj::storage::BufferPool::with_capacity_pages(128, &heights);
-        let (res, _) = rsj_core::spatial_join_with_access(r, s, JoinPlan::sj4(), true, pool);
+        let (res, _) = JoinCursor::new(r, s, JoinPlan::sj4(), pool).into_result(true);
         let mut pairs = res.pairs;
         pairs.sort_unstable();
         (res.stats.total_comparisons(), pairs)

@@ -9,7 +9,6 @@ mod common;
 use common::build_tree;
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::{multiway_join_metered_with_access, parallel_spatial_join_fast};
 
 /// Result pairs as a sorted multiset of id pairs.
 fn multiset(pairs: &[(DataId, DataId)]) -> Vec<(u64, u64)> {
@@ -43,7 +42,8 @@ proptest! {
             JoinPlan::sj5(),
         ] {
             let counted = spatial_join(&r, &s, plan, &cfg);
-            let raw = spatial_join_fast(&r, &s, plan, &cfg);
+            let (raw, _) = RawJoinCursor::raw(&r, &s, plan, cfg.buffer_pool(&[&r, &s]))
+                .into_result(cfg.collect_pairs);
             prop_assert_eq!(
                 multiset(&raw.pairs),
                 multiset(&counted.pairs),
@@ -59,8 +59,11 @@ proptest! {
         // The parallel join, counted and raw, agrees with the sequential
         // counted join.
         let want = multiset(&spatial_join(&r, &s, JoinPlan::sj4(), &cfg).pairs);
-        let counted_par = parallel_spatial_join(&r, &s, JoinPlan::sj4(), &cfg, 4);
-        let raw_par = parallel_spatial_join_fast(&r, &s, JoinPlan::sj4(), &cfg, 4);
+        let pool = |_, n| JoinConfig::with_buffer(cfg.buffer_bytes / n).buffer_pool(&[&r, &s]);
+        let collect = cfg.collect_pairs;
+        let counted_par =
+            parallel_spatial_join::<CmpCounter, _>(&r, &s, JoinPlan::sj4(), collect, 4, pool);
+        let raw_par = parallel_spatial_join::<NoOp, _>(&r, &s, JoinPlan::sj4(), collect, 4, pool);
         prop_assert_eq!(multiset(&counted_par.pairs), want.clone(), "{:?} counted parallel", test);
         prop_assert_eq!(multiset(&raw_par.pairs), want, "{:?} raw parallel", test);
         prop_assert_eq!(raw_par.stats.join_comparisons, 0u64);
@@ -83,10 +86,6 @@ proptest! {
         ];
         let trees: Vec<&RTree> = trees.iter().collect();
         let cfg = JoinConfig::with_buffer(buf_pages * 1024);
-        // The stage → trees mapping of `multiway_join`.
-        let stage_trees = |stage: usize| {
-            if stage == 0 { &trees[..2] } else { &trees[stage + 1..=stage + 1] }
-        };
         let tuples = |res: &MultiwayResult| {
             let mut v: Vec<Vec<u64>> =
                 res.tuples.iter().map(|t| t.iter().map(|d| d.0).collect()).collect();
@@ -94,12 +93,9 @@ proptest! {
             v
         };
 
-        let counted = multiway_join(&trees, JoinPlan::sj4(), &cfg);
-        let raw = multiway_join_metered_with_access::<NoOp, _, _>(
-            &trees,
-            JoinPlan::sj4(),
-            |stage| cfg.buffer_pool(stage_trees(stage)),
-        );
+        let pool = |_, t: &[&RTree]| cfg.buffer_pool(t);
+        let counted = multiway_join::<CmpCounter, _>(&trees, JoinPlan::sj4(), pool);
+        let raw = multiway_join::<NoOp, _>(&trees, JoinPlan::sj4(), pool);
         prop_assert!(!counted.tuples.is_empty());
         prop_assert_eq!(tuples(&raw), tuples(&counted), "raw multiway != counted");
         prop_assert_eq!(raw.io, counted.io);

@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE};
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
 use rsj_service::{JoinService, ServiceError};
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{BufferPool, TempDir};
@@ -71,7 +70,7 @@ fn service_stats_match_buffer_pool_oracle() {
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{name}");
             let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, pool);
+            let (want, _) = JoinCursor::new(&fx.r_file, &fx.s_file, plan, pool).into_result(true);
             assert!(!want.pairs.is_empty(), "{tag}: fixture must join");
 
             let got = svc.execute(plan, true).expect("service query");
@@ -140,7 +139,7 @@ fn io_stage_is_the_time_the_cursor_waited() {
     });
     let plan = JoinPlan::sj4();
     let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-    let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, false, pool);
+    let (want, _) = JoinCursor::new(&fx.r_file, &fx.s_file, plan, pool).into_result(false);
 
     let cold = svc.execute(plan, false).expect("cold query");
     assert_eq!(cold.stats, want.stats, "recorded: JoinStats bit-identical");

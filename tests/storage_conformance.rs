@@ -166,7 +166,7 @@ fn raw_cursor_runs_over_the_file_backend() {
 
 #[test]
 fn parallel_and_multiway_run_over_the_file_backend() {
-    use rsj_core::{multiway_join, multiway_join_with_access, parallel_spatial_join_with_access};
+    use rsj_core::{multiway_join, parallel_spatial_join};
 
     let fx = Fixture::new("conformance", TestId::A, 0.003);
     let [r_file, s_file] = &fx.files.trees;
@@ -197,12 +197,23 @@ fn parallel_and_multiway_run_over_the_file_backend() {
         "fixture must give every worker a task (got {root_tasks})"
     );
     let seq = rsj_core::spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg);
-    let par =
-        parallel_spatial_join_with_access(r_file, s_file, JoinPlan::sj4(), true, workers, |_w| {
-            fx.files.blocking(CAP_PAGES / workers)
-        });
+    let par = parallel_spatial_join::<CmpCounter, _>(
+        r_file,
+        s_file,
+        JoinPlan::sj4(),
+        true,
+        workers,
+        |_, _| fx.files.blocking(CAP_PAGES / workers),
+    );
     assert_eq!(sorted_ids(&par.pairs), sorted_ids(&seq.pairs));
-    let inmem = rsj_core::parallel_spatial_join(&fx.r, &fx.s, JoinPlan::sj4(), &cfg, workers);
+    let inmem = parallel_spatial_join::<CmpCounter, _>(
+        &fx.r,
+        &fx.s,
+        JoinPlan::sj4(),
+        cfg.collect_pairs,
+        workers,
+        |_, n| JoinConfig::with_buffer(cfg.buffer_bytes / n).buffer_pool(&[&fx.r, &fx.s]),
+    );
     assert_eq!(
         par.stats.io.disk_accesses, inmem.stats.io.disk_accesses,
         "file-backed shared-nothing matches in-memory shared-nothing I/O"
@@ -211,9 +222,9 @@ fn parallel_and_multiway_run_over_the_file_backend() {
     // Multiway: three relations (S probed twice), each stage over a fresh
     // file-backed accountant.
     let trees = [&fx.r, &fx.s, &fx.s];
-    let want = multiway_join(&trees, JoinPlan::sj4(), &cfg);
+    let want = multiway_join::<CmpCounter, _>(&trees, JoinPlan::sj4(), |_, t| cfg.buffer_pool(t));
     let file_trees = [r_file, s_file, s_file];
-    let got = multiway_join_with_access(&file_trees, JoinPlan::sj4(), |stage| {
+    let got = multiway_join::<CmpCounter, _>(&file_trees, JoinPlan::sj4(), |stage, _| {
         let mut files = fx.files.files();
         let mut heights = fx.files.heights().to_vec();
         if stage > 0 {

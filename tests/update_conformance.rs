@@ -311,3 +311,50 @@ fn post_update_cold_join_equals_a_freshly_saved_tree() {
     );
     assert_eq!(io_updated, io_fresh, "full IoStats agree");
 }
+
+#[test]
+fn a_dropped_unflushed_handle_leaves_no_dirty_marks_behind() {
+    // Handle A's dirty marks name pages only its own in-memory tree holds
+    // (some past the file's flushed page count). Dropped unflushed, A
+    // takes their bytes with it; handle B, opened afterwards on the same
+    // cache and store, must flush only its own pages and leave a file
+    // that reopens to exactly B's tree.
+    let rect = |i: u64, off: f64| {
+        let (x, y) = ((i % 50) as f64 * 4.0 + off, (i / 50) as f64 * 4.0 + off);
+        Rect::from_corners(x, y, x + 3.0, y + 3.0)
+    };
+    let mut r0 = RTree::new(RTreeParams::for_page_size(PAGE));
+    for i in 0..2_000 {
+        r0.insert(rect(i, 0.0), DataId(i));
+    }
+    let dir = TempDir::new("update-dropped-handle").unwrap();
+    let path = dir.file("r.rsj");
+    r0.save_to(&path).unwrap();
+    let cache = SharedPageCache::open(
+        std::slice::from_ref(&path),
+        64,
+        &[r0.height() as usize],
+        CacheConfig::default(),
+    )
+    .unwrap();
+
+    let mut a = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
+    for i in 0..3_000 {
+        a.insert(rect(i, 1.5), DataId(10_000 + i)).unwrap();
+    }
+    assert!(cache.pending_write_back() > 0);
+    drop(a);
+    assert_eq!(cache.pending_write_back(), 0, "A's marks die with A");
+
+    let mut b = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
+    let extra = Rect::from_corners(7.0, 7.0, 9.0, 9.0);
+    b.insert(extra, DataId(99_999)).unwrap();
+    b.flush().unwrap();
+    let mut oracle = r0.clone();
+    oracle.insert(extra, DataId(99_999));
+    assert_page_identical(b.tree(), &oracle, "B after flush");
+
+    let reopened = RTree::open_from(&path).unwrap();
+    reopened.validate().unwrap();
+    assert_page_identical(&reopened, &oracle, "reopened after B's flush");
+}

@@ -14,8 +14,6 @@ use std::time::Duration;
 use common::{build_tree, plans, sorted_ids, CAP_PAGES, PAGE};
 use proptest::prelude::*;
 use rsj::prelude::*;
-use rsj_core::spatial_join_with_access;
-use rsj_core::{parallel_spatial_join_warm, parallel_spatial_join_with_access};
 use rsj_storage::completion::DelayFn;
 use rsj_storage::{
     BufKey, BufferPool, CacheConfig, IoStats, NodeAccess, PageFile, PageId, SharedPageCache,
@@ -92,13 +90,13 @@ fn cache_sequential_agrees_with_buffer_pool_oracle() {
         for (plan, name) in plans() {
             let tag = format!("{test:?}/{name}");
             let pool = BufferPool::with_capacity_pages(CAP_PAGES, &fx.heights());
-            let (want, _) = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, pool);
+            let (want, _) = JoinCursor::new(&fx.r_file, &fx.s_file, plan, pool).into_result(true);
             assert!(!want.pairs.is_empty(), "{tag}: fixture must join");
 
             cache.clear();
             let handle = cache.handle(CAP_PAGES);
             let (got, handle) =
-                spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, handle);
+                JoinCursor::new(&fx.r_file, &fx.s_file, plan, handle).into_result(true);
             assert_eq!(
                 sorted_ids(&got.pairs),
                 sorted_ids(&want.pairs),
@@ -136,15 +134,25 @@ fn cache_parallel_matches_private_oracle_and_dedups_physical_reads() {
     let plan = JoinPlan::sj2();
     for workers in [2usize, 4] {
         let cap = (CAP_PAGES / workers).max(1);
-        let oracle =
-            parallel_spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, workers, |_w| {
-                BufferPool::with_capacity_pages(cap, &fx.heights())
-            });
+        let oracle = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r_file,
+            &fx.s_file,
+            plan,
+            true,
+            workers,
+            |_, _| BufferPool::with_capacity_pages(cap, &fx.heights()),
+        );
         // Working-set-sized pool: no shared eviction, so the physical
         // count is deterministic (= distinct pages faulted).
         let cache = fx.cache(fx.working_set(), None);
-        let par =
-            parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
+        let par = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r_file,
+            &fx.s_file,
+            plan,
+            true,
+            workers,
+            |_, _| cache.handle(cap),
+        );
         assert_eq!(
             sorted_ids(&par.pairs),
             sorted_ids(&oracle.pairs),
@@ -185,12 +193,26 @@ fn warm_rejoin_performs_no_physical_reads() {
     // A working-set-sized pool never evicts.
     let cache = fx.cache(fx.working_set(), None);
 
-    let cold = parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
+    let cold = parallel_spatial_join::<CmpCounter, _>(
+        &fx.r_file,
+        &fx.s_file,
+        plan,
+        true,
+        workers,
+        |_, _| cache.handle(cap),
+    );
     cache.drain();
     let cold_physical = cache.physical_reads();
     assert!(cold_physical > 0, "cold run must fault");
 
-    let warm = parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
+    let warm = parallel_spatial_join::<CmpCounter, _>(
+        &fx.r_file,
+        &fx.s_file,
+        plan,
+        true,
+        workers,
+        |_, _| cache.handle(cap),
+    );
     cache.drain();
     assert_eq!(
         sorted_ids(&warm.pairs),
@@ -223,7 +245,9 @@ fn working_set_sized_default_cache_never_evicts() {
     let mut reads = Vec::new();
     for _round in 0..2 {
         for (plan, _) in plans() {
-            handle = spatial_join_with_access(&fx.r_file, &fx.s_file, plan, false, handle).1;
+            handle = JoinCursor::new(&fx.r_file, &fx.s_file, plan, handle)
+                .into_result(false)
+                .1;
         }
         cache.drain();
         reads.push(cache.physical_reads());
@@ -247,14 +271,24 @@ fn pinning_plans_survive_a_tiny_shared_pool() {
     for (plan, name) in [(JoinPlan::sj4(), "SJ4"), (JoinPlan::sj5(), "SJ5")] {
         let workers = 4;
         let cap = (CAP_PAGES / workers).max(1);
-        let oracle =
-            parallel_spatial_join_with_access(&fx.r_file, &fx.s_file, plan, true, workers, |_w| {
-                BufferPool::with_capacity_pages(cap, &fx.heights())
-            });
+        let oracle = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r_file,
+            &fx.s_file,
+            plan,
+            true,
+            workers,
+            |_, _| BufferPool::with_capacity_pages(cap, &fx.heights()),
+        );
         // 2 frames total: nearly everything is evicted between touches.
         let cache = fx.cache(2, None);
-        let par =
-            parallel_spatial_join_warm(&fx.r_file, &fx.s_file, plan, true, workers, &cache, cap);
+        let par = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r_file,
+            &fx.s_file,
+            plan,
+            true,
+            workers,
+            |_, _| cache.handle(cap),
+        );
         assert_eq!(
             sorted_ids(&par.pairs),
             sorted_ids(&oracle.pairs),
@@ -299,13 +333,13 @@ proptest! {
             Some(Duration::from_micros(h % span_us))
         });
         let cap = (CAP_PAGES / workers).max(1);
-        let oracle = parallel_spatial_join_with_access(
+        let oracle = parallel_spatial_join::<CmpCounter, _>(
             &fx.r_file, &fx.s_file, plan, true, workers,
-            |_w| BufferPool::with_capacity_pages(cap, &fx.heights()),
+            |_, _| BufferPool::with_capacity_pages(cap, &fx.heights()),
         );
         let cache = fx.cache(CAP_PAGES, Some(delay));
-        let par = parallel_spatial_join_warm(
-            &fx.r_file, &fx.s_file, plan, true, workers, &cache, cap,
+        let par = parallel_spatial_join::<CmpCounter, _>(
+            &fx.r_file, &fx.s_file, plan, true, workers, |_, _| cache.handle(cap),
         );
         prop_assert_eq!(sorted_ids(&par.pairs), sorted_ids(&oracle.pairs));
         prop_assert_eq!(par.stats.io, oracle.stats.io);
