@@ -59,7 +59,7 @@ use crate::params::RTreeParams;
 use crate::persist;
 use crate::tree::RTree;
 use rsj_geom::{hilbert, Rect};
-use rsj_storage::codec::{self, DiskNode, EntryFormat};
+use rsj_storage::codec::{self, DiskNode};
 use rsj_storage::{BulkPageWriter, PageFile, PageId, PageStore, StorageError};
 
 /// Default fraction of M that packed nodes are filled to. Partial fill
@@ -128,8 +128,6 @@ pub struct BulkConfig {
     pub fill: f64,
     /// Sort workers; `0` picks the available parallelism.
     pub workers: usize,
-    /// On-disk entry format of the produced file.
-    pub format: EntryFormat,
 }
 
 impl Default for BulkConfig {
@@ -137,7 +135,6 @@ impl Default for BulkConfig {
         BulkConfig {
             fill: DEFAULT_FILL,
             workers: 0,
-            format: EntryFormat::F64,
         }
     }
 }
@@ -228,8 +225,8 @@ pub fn load_to_file(
     path: impl AsRef<Path>,
 ) -> Result<(PageFile, BulkStats), BulkError> {
     validate_items(items)?;
-    let slot = codec::slot_bytes_for_fmt(params.max_entries, cfg.format);
-    let mut writer = BulkPageWriter::create_file(path, params.page_bytes, slot, cfg.format)?;
+    let slot = codec::slot_bytes_for(params.max_entries);
+    let mut writer = BulkPageWriter::create_file(path, params.page_bytes, slot)?;
     let (root, stats) = build_into(params, items, layout, cfg, file_sink(&mut writer))?;
     let file = writer.finish(persist::encode_meta_parts(root, items.len(), &params))?;
     Ok((file, stats))
@@ -997,21 +994,6 @@ mod tests {
             v
         };
         assert_eq!(sizes(&streamed), sizes(&mem));
-    }
-
-    #[test]
-    fn streamed_f32_file_round_trips_validly() {
-        let dir = TempDir::new("rtree-bulk").unwrap();
-        let data = items(1200);
-        let path = dir.file("f32.rsj");
-        let cfg = BulkConfig {
-            format: EntryFormat::F32,
-            ..Default::default()
-        };
-        load_to_file(params(), &data, BulkLayout::Str, cfg, &path).unwrap();
-        let t = RTree::open_from(&path).unwrap();
-        t.validate().unwrap();
-        assert_eq!(t.len(), 1200);
     }
 
     #[test]

@@ -47,9 +47,7 @@ use crate::node::{sort_by_xl, ChildRef, DataId, Entry, Node};
 use crate::params::{InsertPolicy, RTreeParams};
 use crate::tree::RTree;
 use rsj_geom::Rect;
-use rsj_storage::codec::{
-    self, DiskEntry, DiskNode, DiskPage, EntryFormat, StorageError, META_BYTES,
-};
+use rsj_storage::codec::{self, DiskEntry, DiskNode, DiskPage, StorageError, META_BYTES};
 use rsj_storage::{PageFile, PageId, PageSource, PageStore};
 
 const POLICY_RSTAR: u8 = 0;
@@ -179,23 +177,33 @@ impl RTree {
     /// below the fattest node actually present (defensive: a saved tree
     /// should satisfy len <= M everywhere, but the format does not depend
     /// on it).
-    fn slot_bytes(&self, format: EntryFormat) -> usize {
+    fn slot_bytes(&self) -> usize {
         let mut capacity = self.params().max_entries;
         for id in 0..self.page_store().len() {
             capacity = capacity.max(self.node(PageId(id as u32)).len());
         }
-        codec::slot_bytes_for_fmt(capacity, format)
+        codec::slot_bytes_for(capacity)
     }
 
-    /// Marker chain `page → next` for this tree's free list: the last
-    /// freed page is the head, each marker links to the one freed before
-    /// it.
-    fn free_chain(&self) -> HashMap<PageId, Option<PageId>> {
+    /// The one slot encoder of every tree writer ([`RTree::save_to`] and
+    /// `OpenCachedTree::flush`): `encode(page, buf)` fills `buf` with
+    /// page's `slot`-byte image — its free-chain marker if the page is on
+    /// the free list (linking to the page freed before it; the last freed
+    /// is the chain head), its encoded node otherwise.
+    pub(crate) fn slot_encoder(
+        &self,
+        slot: usize,
+    ) -> impl Fn(PageId, &mut Vec<u8>) -> Result<(), StorageError> + '_ {
         let free = self.page_store().free_pages();
-        free.iter()
+        let chain: HashMap<PageId, Option<PageId>> = free
+            .iter()
             .enumerate()
-            .map(|(i, &id)| (id, if i == 0 { None } else { Some(free[i - 1]) }))
-            .collect()
+            .map(|(i, &id)| (id, i.checked_sub(1).map(|j| free[j])))
+            .collect();
+        move |id, buf| match chain.get(&id) {
+            Some(&next) => codec::encode_free_page(next, slot, buf),
+            None => codec::encode_node(&to_disk(self.node(id)), slot, buf),
+        }
     }
 
     /// Writes the tree to `path` in the [`rsj_storage::codec`] page-file
@@ -204,33 +212,15 @@ impl RTree {
     /// closed-over [`PageFile`] so callers can immediately hand it to a
     /// [`rsj_storage::FileNodeAccess`] or reopen it for updates.
     pub fn save_to(&self, path: impl AsRef<Path>) -> Result<PageFile, StorageError> {
-        self.save_to_with_format(path, EntryFormat::F64)
-    }
-
-    /// [`RTree::save_to`] with an explicit on-disk entry format.
-    /// [`EntryFormat::F32`] stores the paper's literal 20-byte entries —
-    /// half the bytes, Table 1's page capacities on disk — at the cost of
-    /// outward-rounded coordinates: a tree reopened from an F32 file may
-    /// report spurious *candidate* intersections near rectangle borders
-    /// but never misses one (MBRs only grow).
-    pub fn save_to_with_format(
-        &self,
-        path: impl AsRef<Path>,
-        format: EntryFormat,
-    ) -> Result<PageFile, StorageError> {
-        let slot = self.slot_bytes(format);
-        let mut file = PageFile::create_with_format(path, self.params().page_bytes, slot, format)?;
+        let slot = self.slot_bytes();
+        let mut file = PageFile::create(path, self.params().page_bytes, slot)?;
         // One slot per allocated page, appended in id order — a free-chain
         // marker for a free page, the encoded node otherwise — then free
         // list, tree metadata, flush.
-        let chain = self.free_chain();
+        let encode = self.slot_encoder(slot);
         let mut buf = Vec::with_capacity(slot);
         for id in 0..self.page_store().len() {
-            let id = PageId(id as u32);
-            match chain.get(&id) {
-                Some(&next) => codec::encode_free_page(next, slot, &mut buf)?,
-                None => codec::encode_node_fmt(&to_disk(self.node(id)), slot, format, &mut buf)?,
-            }
+            encode(PageId(id as u32), &mut buf)?;
             file.append_page(&buf)?;
         }
         file.set_free_list(self.page_store().free_pages())?;
@@ -258,7 +248,7 @@ impl RTree {
     /// reconstructed into the store, so later updates allocate exactly
     /// like the tree that was saved.
     pub fn load(file: &mut impl PageSource) -> Result<RTree, StorageError> {
-        let (page_count, format) = (file.page_count(), file.entry_format());
+        let page_count = file.page_count();
         if page_count == 0 {
             return Err(StorageError::Corrupt("page file holds no pages".into()));
         }
@@ -267,7 +257,7 @@ impl RTree {
         let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
         let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
         file.scan(|id, bytes| {
-            match codec::decode_page_fmt(bytes, format)? {
+            match codec::decode_page(bytes)? {
                 DiskPage::Node(disk) => {
                     if free_set.contains(&id) {
                         return Err(StorageError::Corrupt(format!(
@@ -486,66 +476,6 @@ mod tests {
             let p = PageId(id as u32);
             assert_eq!(a.node(p), b.node(p), "page {p}");
         }
-    }
-
-    #[test]
-    fn f32_format_round_trips_validly_with_bounded_outward_drift() {
-        let dir = TempDir::new("rtree-persist").unwrap();
-        let tree = build(400);
-        let p64 = dir.file("t64.rsj");
-        let p32 = dir.file("t32.rsj");
-        tree.save_to(&p64).unwrap();
-        tree.save_to_with_format(&p32, EntryFormat::F32).unwrap();
-        // The compressed file is substantially smaller (20- vs 40-byte
-        // entries; headers amortize).
-        let (b64, b32) = (
-            std::fs::metadata(&p64).unwrap().len(),
-            std::fs::metadata(&p32).unwrap().len(),
-        );
-        assert!(
-            b32 * 3 < b64 * 2,
-            "f32 file must be well below 2/3 of the f64 file: {b32} vs {b64}"
-        );
-
-        let back = RTree::open_from(&p32).unwrap();
-        // Structural invariants (exact parent MBRs included) survive the
-        // directed rounding — monotone rounding commutes with min/max.
-        back.validate().unwrap();
-        assert_eq!(back.len(), tree.len());
-        assert_eq!(back.root(), tree.root());
-        // Every data rectangle drifted outward only, and only within one
-        // f32 ULP of its coordinate magnitude.
-        let originals: std::collections::HashMap<u64, Rect> = tree
-            .data_entries()
-            .into_iter()
-            .map(|(r, id)| (id.0, r))
-            .collect();
-        for (r32, id) in back.data_entries() {
-            let r64 = originals[&id.0];
-            assert!(r32.xl <= r64.xl && r32.yl <= r64.yl, "{id}: outward");
-            assert!(r32.xu >= r64.xu && r32.yu >= r64.yu, "{id}: outward");
-            for (a, b) in [
-                (r32.xl, r64.xl),
-                (r32.yl, r64.yl),
-                (r32.xu, r64.xu),
-                (r32.yu, r64.yu),
-            ] {
-                let ulp = (b as f32).abs().max(1e-30) as f64 * f64::from(f32::EPSILON);
-                assert!(
-                    (a - b).abs() <= 2.0 * ulp,
-                    "{id}: drift {} beyond 2 ULP ({ulp})",
-                    (a - b).abs()
-                );
-            }
-        }
-        // The drifted tree still finds everything the original does: MBRs
-        // only grew, so containment-style recall cannot regress.
-        let probe = Rect::from_corners(10.0, 10.0, 40.0, 40.0);
-        let want: std::collections::HashSet<u64> =
-            tree.window_query(&probe).into_iter().map(|d| d.0).collect();
-        let got: std::collections::HashSet<u64> =
-            back.window_query(&probe).into_iter().map(|d| d.0).collect();
-        assert!(got.is_superset(&want), "f32 recall must not regress");
     }
 
     #[test]

@@ -21,7 +21,7 @@
 
 use std::path::Path;
 
-use crate::codec::{self, DiskNode, EntryFormat, StorageError, META_BYTES};
+use crate::codec::{self, DiskNode, StorageError, META_BYTES};
 use crate::file::{PageFile, PageSource};
 use crate::PageId;
 
@@ -30,52 +30,29 @@ use crate::PageId;
 pub struct BulkPageWriter {
     file: PageFile,
     scratch: Vec<u8>,
-    emitted: u32,
 }
 
 impl BulkPageWriter {
     /// Creates (truncating) the target file. `slot_bytes` must hold the
-    /// fattest node the build can emit ([`codec::slot_bytes_for_fmt`] over
+    /// fattest node the build can emit ([`codec::slot_bytes_for`] over
     /// the node capacity).
     pub fn create_file(
         path: impl AsRef<Path>,
         page_bytes: usize,
         slot_bytes: usize,
-        format: EntryFormat,
     ) -> Result<Self, StorageError> {
         Ok(BulkPageWriter {
-            file: PageFile::create_with_format(path, page_bytes, slot_bytes, format)?,
+            file: PageFile::create(path, page_bytes, slot_bytes)?,
             scratch: Vec::new(),
-            emitted: 0,
         })
     }
 
     /// Encodes `node` into the reused scratch buffer and appends it,
-    /// returning its [`PageId`] — always `emitted()` at call time: ids are
-    /// consecutive in emission order.
+    /// returning its [`PageId`] — the number of pages emitted before it:
+    /// ids are consecutive in emission order.
     pub fn emit(&mut self, node: &DiskNode) -> Result<PageId, StorageError> {
-        let slot = self.file.slot_bytes();
-        let format = self.file.entry_format();
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let res = codec::encode_node_fmt(node, slot, format, &mut scratch)
-            .and_then(|()| self.file.allocate(&scratch));
-        self.scratch = scratch;
-        let id = res?;
-        debug_assert_eq!(id.0, self.emitted, "bulk writer must append in order");
-        self.emitted += 1;
-        Ok(id)
-    }
-
-    /// Number of pages emitted so far (also the next page's id).
-    #[inline]
-    pub fn emitted(&self) -> u32 {
-        self.emitted
-    }
-
-    /// The on-disk entry format of the target file.
-    #[inline]
-    pub fn format(&self) -> EntryFormat {
-        self.file.entry_format()
+        codec::encode_node(node, self.file.slot_bytes(), &mut self.scratch)?;
+        self.file.append_page(&self.scratch)
     }
 
     /// Installs the owner metadata and persists the header — the *only*
@@ -130,14 +107,13 @@ mod tests {
     fn emits_consecutive_ids_and_finishes_openable() {
         let tmp = TempDir::new("bulk-writer").unwrap();
         let path = tmp.file("b.rsj");
-        let slot = codec::slot_bytes_for_fmt(4, EntryFormat::F64);
-        let mut w = BulkPageWriter::create_file(&path, 256, slot, EntryFormat::F64).unwrap();
+        let slot = codec::slot_bytes_for(4);
+        let mut w = BulkPageWriter::create_file(&path, 256, slot).unwrap();
         let a = w.emit(&leaf(0..3)).unwrap();
         let b = w.emit(&leaf(3..6)).unwrap();
         assert_eq!((a, b), (PageId(0), PageId(1)));
         let root = w.emit(&dir(1, &[a, b])).unwrap();
         assert_eq!(root, PageId(2));
-        assert_eq!(w.emitted(), 3);
         let file = w.finish([7u8; META_BYTES]).unwrap();
         assert_eq!(file.page_count(), 3);
         drop(file);
@@ -147,7 +123,7 @@ mod tests {
         assert_eq!(back.meta(), &[7u8; META_BYTES]);
         let mut buf = Vec::new();
         back.read_page_into(PageId(2), &mut buf).unwrap();
-        match codec::decode_page_fmt(&buf, EntryFormat::F64).unwrap() {
+        match codec::decode_page(&buf).unwrap() {
             codec::DiskPage::Node(n) => {
                 assert_eq!(n.level, 1);
                 assert_eq!(n.entries.len(), 2);
@@ -163,8 +139,8 @@ mod tests {
         // longer matches it — a typed error on open, never a tree.
         let tmp = TempDir::new("bulk-writer").unwrap();
         let path = tmp.file("crash.rsj");
-        let slot = codec::slot_bytes_for_fmt(4, EntryFormat::F64);
-        let mut w = BulkPageWriter::create_file(&path, 256, slot, EntryFormat::F64).unwrap();
+        let slot = codec::slot_bytes_for(4);
+        let mut w = BulkPageWriter::create_file(&path, 256, slot).unwrap();
         w.emit(&leaf(0..3)).unwrap();
         w.emit(&leaf(3..6)).unwrap();
         drop(w.abandon()); // no finish, no flush

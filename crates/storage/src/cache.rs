@@ -95,21 +95,23 @@
 //! makes the cache cold.
 //!
 //! The write path mirrors the split. A handle opened through
-//! [`SharedPageCache::update_handle`] owns the read-write [`PageFile`] of
-//! its store and implements [`crate::NodeAccessMut`] — the storage
-//! layer's one write path: its *logical* `page_writes` are charged by its
-//! pool (install + dirty, charged at private eviction or flush — the
-//! handle holds no bytes), while the *dirty mark* rides the shared frames
-//! and the page is encoded and reaches the disk once, at
-//! [`SharedPageCache::flush_dirty`] — counted in
-//! [`SharedPageCache::physical_writes`], so
-//! `physical_writes ≤ Σ per-worker page_writes` for the same reason the
-//! read inequality holds.
+//! [`SharedPageCache::update_handle`] — at most one live per store — owns
+//! the read-write [`PageFile`] of its store and implements
+//! [`crate::NodeAccessMut`], the storage layer's one write path: its
+//! *logical* `page_writes` are charged by its pool (install + dirty,
+//! charged at private eviction or flush — the handle holds no bytes),
+//! while the *dirty mark* rides the shared frames and the page is encoded
+//! and reaches the disk once, at [`SharedPageCache::flush_dirty`] —
+//! counted in [`SharedPageCache::physical_writes`]. That is the only
+//! place the file's slots are written, so every write the store file
+//! counts is a flushed page. The owner may mark pages dirty without a
+//! logical charge (an updater's allocations and releases), so the
+//! physical count is not bounded by the logical one.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::access::{EncodePage, NodeAccessMut, Ticket};
@@ -200,6 +202,11 @@ pub struct SharedPageCache {
     /// The backing files, by store — [`SharedPageCache::update_handle`]
     /// opens its read-write handle from here.
     paths: Vec<PathBuf>,
+    /// Per store: whether an update handle is open on it. A handle's
+    /// drop clears its store's dirty marks and then releases its flag
+    /// (`Release`); the next claim's `Acquire` pairs with it, so the next
+    /// writer never sees its predecessor's marks.
+    updating: Vec<AtomicBool>,
 }
 
 impl fmt::Debug for SharedPageCache {
@@ -252,6 +259,7 @@ impl SharedPageCache {
             heights: heights.to_vec(),
             page_bytes,
             paths: paths.to_vec(),
+            updating: paths.iter().map(|_| AtomicBool::new(false)).collect(),
         }))
     }
 
@@ -288,6 +296,12 @@ impl SharedPageCache {
     /// Logical write charges are its pool's; dirty marks ride the shared
     /// frames until [`NodeAccessMut::flush_writes`] encodes and writes
     /// each page once through [`SharedPageCache::flush_dirty`].
+    ///
+    /// A store has one writer: while another update handle on `store` is
+    /// alive this is a typed [`StorageError::Io`] of kind
+    /// [`std::io::ErrorKind::ResourceBusy`]. Dropping a handle discards
+    /// its store's dirty marks — their bytes lived with the writer — and
+    /// frees the store for the next one.
     pub fn update_handle(
         self: &Arc<Self>,
         store: u8,
@@ -302,7 +316,14 @@ impl SharedPageCache {
         let mut heights = self.heights.clone();
         heights[store as usize] = UPDATE_MAX_HEIGHT;
         let file = PageFile::open_rw(path)?;
+        if self.updating[store as usize].swap(true, Ordering::AcqRel) {
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::ResourceBusy,
+                format!("store {store} already has a live update handle"),
+            )));
+        }
         let writes = StoreFile {
+            cache: Arc::clone(self),
             store,
             file,
             scratch: Vec::new(),
@@ -571,9 +592,8 @@ impl SharedPageCache {
     }
 
     /// Pages physically written through [`SharedPageCache::flush_dirty`]
-    /// so far. Always `≤ Σ` per-handle logical `page_writes`: the shared
-    /// frames absorb repeated logical writes of the same page the way
-    /// they absorb repeated logical reads.
+    /// so far — one per distinct page marked dirty since its last flush,
+    /// however many logical writes it was charged.
     #[inline]
     pub fn physical_writes(&self) -> u64 {
         self.physical_writes.load(Ordering::Relaxed)
@@ -815,12 +835,22 @@ impl<W: MissPath> ReadStrategy for Cached<W> {
 
 /// The write capability of an update handle: the read-write file of the
 /// one store it was opened for, and the buffer the handle reads its own
-/// misses into and encodes its flushed pages into.
+/// misses into and encodes its flushed pages into. Dropped, it discards
+/// the store's dirty marks and frees the store for the next writer
+/// ([`SharedPageCache::update_handle`]).
 #[derive(Debug)]
 pub struct StoreFile {
+    cache: Arc<SharedPageCache>,
     store: u8,
     file: PageFile,
     scratch: Vec<u8>,
+}
+
+impl Drop for StoreFile {
+    fn drop(&mut self) {
+        self.cache.clear_store_dirty(self.store);
+        self.cache.updating[self.store as usize].store(false, Ordering::Release);
+    }
 }
 
 impl<W> FileAccess<Cached<W>> {
@@ -863,7 +893,10 @@ impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     /// of the store this handle owns through
     /// [`SharedPageCache::flush_dirty`]: `encode` fills the handle's
     /// scratch with the page's bytes, and the handle writes them to the
-    /// real file.
+    /// real file — in place, or as its next append when the page is the
+    /// first past its end. The pages come in ascending order, so an owner
+    /// that marks every page it allocates grows the file one append at a
+    /// time; any other page past the end is a typed error.
     fn flush_writes(&mut self, encode: &mut EncodePage<'_>) -> Result<(), StorageError> {
         self.pool.flush_writes();
         let Cached { cache, writes, .. } = &mut self.reads;
@@ -871,10 +904,15 @@ impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
             store,
             file,
             scratch,
+            ..
         } = writes;
         cache.flush_dirty(*store, |page| {
             encode(page, scratch)?;
-            file.write_page(page, scratch)
+            if page.0 == file.page_count() {
+                file.append_page(scratch).map(drop)
+            } else {
+                file.write_page(page, scratch)
+            }
         })
     }
 }
@@ -892,8 +930,8 @@ impl FileAccess<Cached<StoreFile>> {
         &self.reads.writes.file
     }
 
-    /// The read-write file of [`FileAccess::store`], mutably (allocate,
-    /// release, metadata).
+    /// The read-write file of [`FileAccess::store`], mutably (free list,
+    /// metadata, header).
     #[inline]
     pub fn store_file_mut(&mut self) -> &mut PageFile {
         &mut self.reads.writes.file
@@ -1685,6 +1723,37 @@ mod tests {
             c.update_handle(7, 4).unwrap_err(),
             StorageError::Corrupt(_)
         ));
+    }
+
+    #[test]
+    fn a_store_has_one_live_update_handle() {
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        let mut a = c.update_handle(0, 4).unwrap();
+        a.write(0, PageId(1));
+        let busy = c.update_handle(0, 4).unwrap_err();
+        assert!(
+            matches!(&busy, StorageError::Io(e) if e.kind() == std::io::ErrorKind::ResourceBusy),
+            "{busy}"
+        );
+        assert_eq!(c.pending_write_back(), 1, "the refusal touched nothing");
+        drop(a);
+        assert_eq!(c.pending_write_back(), 0, "A's marks went with A");
+        let mut b = c.update_handle(0, 4).unwrap();
+        b.write(0, PageId(2));
+        b.flush_writes(&mut |page, buf| {
+            assert_eq!(page, PageId(2), "B encodes only its own pages");
+            codec::encode_node(
+                &codec::DiskNode {
+                    level: 0,
+                    entries: vec![],
+                },
+                64,
+                buf,
+            )
+        })
+        .unwrap();
+        assert_eq!(b.store_file().writes(), 1);
     }
 
     #[test]

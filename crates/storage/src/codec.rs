@@ -19,24 +19,20 @@
 //! Two page sizes coexist deliberately: `page_bytes` is the *logical* page
 //! size — the paper's accounting unit, from which node capacity M =
 //! ⌊page/20⌋ derives (20-byte entries: four 4-byte coordinates plus a
-//! 4-byte reference). The default codec stores full-precision `f64`
-//! coordinates and 8-byte references (40 bytes per entry), so an encoded
+//! 4-byte reference). The codec stores every entry as full-precision
+//! `f64` coordinates and an 8-byte reference (40 bytes), so an encoded
 //! node needs more than one logical page; `slot_bytes` is that *physical*
 //! slot size. Keeping both in the header preserves the paper's metric
 //! (`disk_accesses` count logical pages) while the bytes on disk are
-//! exact. The [`EntryFormat::F32`] variant (header flag bit 0) stores the
-//! paper's literal 20-byte entries — four `f32` coordinates, rounded
-//! *outward* so every on-disk MBR still covers its subtree, plus a 4-byte
-//! reference — matching Table 1's page capacities on disk at the cost of
-//! coordinate precision.
+//! exact.
 //!
-//! The **write path** adds two persistent structures: a `free_head`
-//! field in the header chaining *free page slots* through the file (each
-//! free slot stores the next free page in place of a node — see
-//! [`encode_free_page`]), and the `flags` word carrying the entry format.
-//! Both fields occupy previously reserved, always-zero header bytes, so
-//! every file written by earlier versions reads back as "no free pages,
-//! f64 entries" — exactly what those files contain.
+//! The **write path** adds one persistent structure: a `free_head` field
+//! in the header chaining *free page slots* through the file (each free
+//! slot stores the next free page in place of a node — see
+//! [`encode_free_page`]). It occupies previously reserved, always-zero
+//! header bytes, so every file written by earlier versions reads back as
+//! "no free pages" — exactly what those files contain. The `flags` word
+//! must be zero: a set bit is a file this reader does not understand.
 //!
 //! Every decode path returns a typed [`StorageError`]; no input, however
 //! corrupted, may panic — the property suite in
@@ -48,20 +44,12 @@ use crate::page::PageId;
 /// File signature, first four bytes of every page file.
 pub const MAGIC: [u8; 4] = *b"RSJP";
 
-/// Base format version: 40-byte f64 entries. Free-page chains ride in
+/// The one format version: 40-byte f64 entries. Free-page chains ride in
 /// previously reserved header bytes and unreachable slots, so version-1
 /// files (with or without chains) decode correctly under version-1
-/// readers — the version stays put.
+/// readers — the version stays put. Any other version is
+/// [`StorageError::BadVersion`].
 pub const VERSION: u16 = 1;
-
-/// Version written for [`EntryFormat::F32`] files. The 20-byte entry
-/// layout changes the slot stride, which a version-1 reader would
-/// silently misdecode — so these files *must* announce a version that
-/// old readers reject with [`StorageError::BadVersion`].
-pub const VERSION_F32: u16 = 2;
-
-/// Highest version this reader understands.
-pub const MAX_VERSION: u16 = VERSION_F32;
 
 /// Fixed header length in bytes.
 pub const HEADER_BYTES: usize = 64;
@@ -75,68 +63,12 @@ pub const META_BYTES: usize = 40;
 /// child/data reference.
 pub const DISK_ENTRY_BYTES: usize = 40;
 
-/// Encoded bytes per node entry in the compressed [`EntryFormat::F32`]
-/// format: four `f32` coordinates plus a `u32` reference — the paper's
-/// literal 20-byte entry.
-pub const DISK_ENTRY_BYTES_F32: usize = 20;
-
 /// Per-slot header: `level: u32` plus `entry_count: u32`.
 pub const SLOT_HEADER_BYTES: usize = 8;
-
-/// Header flag bit: entries are stored in the 20-byte [`EntryFormat::F32`]
-/// layout instead of the default 40-byte f64 layout.
-pub const FLAG_F32_ENTRIES: u16 = 1;
-
-/// All flag bits this version understands; any other set bit is a file
-/// from the future and decodes as [`StorageError::Corrupt`].
-pub const KNOWN_FLAGS: u16 = FLAG_F32_ENTRIES;
 
 /// The `level` sentinel marking a slot as a free page rather than a node.
 /// Real node levels are tree heights (far below `u32::MAX`).
 pub const FREE_PAGE_LEVEL: u32 = u32::MAX;
-
-/// How node-entry coordinates and references are laid out on disk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EntryFormat {
-    /// 40-byte entries: bit-exact `f64` coordinates, `u64` references.
-    #[default]
-    F64,
-    /// 20-byte entries (paper Table 1): `f32` coordinates rounded outward
-    /// (MBRs may grow, never shrink — containment survives), `u32`
-    /// references. NaN payloads and references above `u32::MAX` do not fit
-    /// this format.
-    F32,
-}
-
-impl EntryFormat {
-    /// Encoded bytes per entry in this format.
-    #[inline]
-    pub fn entry_bytes(self) -> usize {
-        match self {
-            EntryFormat::F64 => DISK_ENTRY_BYTES,
-            EntryFormat::F32 => DISK_ENTRY_BYTES_F32,
-        }
-    }
-
-    /// The header flag bits encoding this format.
-    #[inline]
-    pub fn flags(self) -> u16 {
-        match self {
-            EntryFormat::F64 => 0,
-            EntryFormat::F32 => FLAG_F32_ENTRIES,
-        }
-    }
-
-    /// The format a header's flag word selects.
-    #[inline]
-    pub fn from_flags(flags: u16) -> Self {
-        if flags & FLAG_F32_ENTRIES != 0 {
-            EntryFormat::F32
-        } else {
-            EntryFormat::F64
-        }
-    }
-}
 
 /// Errors of the persistence subsystem. Corrupted input surfaces here as a
 /// typed value — decoding never panics.
@@ -238,8 +170,6 @@ impl From<std::io::Error> for StorageError {
 /// The parsed fixed header of a page file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileHeader {
-    /// Format flag bits (see [`KNOWN_FLAGS`]).
-    pub flags: u16,
     /// Logical page size in bytes (the accounting unit).
     pub page_bytes: u32,
     /// Physical bytes per page slot.
@@ -255,26 +185,12 @@ pub struct FileHeader {
 }
 
 impl FileHeader {
-    /// The entry format the flag word selects.
-    #[inline]
-    pub fn entry_format(&self) -> EntryFormat {
-        EntryFormat::from_flags(self.flags)
-    }
-
-    /// Serializes the header into its fixed 64-byte layout. The version
-    /// written follows the entry format: plain f64 files stay at
-    /// [`VERSION`] (old readers decode them correctly), f32 files write
-    /// [`VERSION_F32`] so readers that would misdecode the 20-byte
-    /// stride reject them instead.
+    /// Serializes the header into its fixed 64-byte layout: [`VERSION`],
+    /// no flag bits.
     pub fn encode(&self) -> [u8; HEADER_BYTES] {
-        let version = match self.entry_format() {
-            EntryFormat::F64 => VERSION,
-            EntryFormat::F32 => VERSION_F32,
-        };
         let mut out = [0u8; HEADER_BYTES];
         out[0..4].copy_from_slice(&MAGIC);
-        out[4..6].copy_from_slice(&version.to_le_bytes());
-        out[6..8].copy_from_slice(&self.flags.to_le_bytes());
+        out[4..6].copy_from_slice(&VERSION.to_le_bytes());
         out[8..12].copy_from_slice(&self.page_bytes.to_le_bytes());
         out[12..16].copy_from_slice(&self.slot_bytes.to_le_bytes());
         out[16..20].copy_from_slice(&self.page_count.to_le_bytes());
@@ -293,26 +209,13 @@ impl FileHeader {
             return Err(StorageError::BadMagic { found: magic });
         }
         let version = u16::from_le_bytes([buf[4], buf[5]]);
-        if version == 0 || version > MAX_VERSION {
+        if version != VERSION {
             return Err(StorageError::BadVersion { found: version });
         }
         let flags = u16::from_le_bytes([buf[6], buf[7]]);
-        if flags & !KNOWN_FLAGS != 0 {
+        if flags != 0 {
             return Err(StorageError::Corrupt(format!(
-                "unknown format flags {:#06x}",
-                flags & !KNOWN_FLAGS
-            )));
-        }
-        // The version must match the stride the flags imply: a version-1
-        // file claiming f32 entries (or a version-2 file without them)
-        // was written by no known writer.
-        let implied = match EntryFormat::from_flags(flags) {
-            EntryFormat::F64 => VERSION,
-            EntryFormat::F32 => VERSION_F32,
-        };
-        if version != implied {
-            return Err(StorageError::Corrupt(format!(
-                "version {version} does not match entry-format flags {flags:#06x}"
+                "unknown format flags {flags:#06x}"
             )));
         }
         let page_bytes = u32::from_le_bytes(buf[8..12].try_into().expect("slice of 4"));
@@ -347,7 +250,6 @@ impl FileHeader {
         let mut meta = [0u8; META_BYTES];
         meta.copy_from_slice(&buf[24..64]);
         Ok(FileHeader {
-            flags,
             page_bytes,
             slot_bytes,
             page_count,
@@ -407,86 +309,17 @@ pub enum DiskPage {
 
 /// Physical slot size needed for nodes of up to `entry_capacity` entries.
 pub fn slot_bytes_for(entry_capacity: usize) -> usize {
-    slot_bytes_for_fmt(entry_capacity, EntryFormat::F64)
-}
-
-/// [`slot_bytes_for`] under an explicit entry format.
-pub fn slot_bytes_for_fmt(entry_capacity: usize, format: EntryFormat) -> usize {
-    SLOT_HEADER_BYTES + entry_capacity * format.entry_bytes()
-}
-
-/// Largest `f32` at or below `x` (round toward −∞; NaN stays NaN).
-fn f32_down(x: f64) -> f32 {
-    let v = x as f32; // nearest, saturating to ±inf
-    if f64::from(v) > x {
-        next_toward_neg_inf(v)
-    } else {
-        v
-    }
-}
-
-/// Smallest `f32` at or above `x` (round toward +∞; NaN stays NaN).
-fn f32_up(x: f64) -> f32 {
-    let v = x as f32;
-    if f64::from(v) < x {
-        next_toward_pos_inf(v)
-    } else {
-        v
-    }
-}
-
-fn next_toward_neg_inf(v: f32) -> f32 {
-    if v.is_nan() || v == f32::NEG_INFINITY {
-        return v;
-    }
-    let bits = v.to_bits();
-    f32::from_bits(if v == 0.0 {
-        0x8000_0001 // smallest negative subnormal
-    } else if bits >> 31 == 0 {
-        bits - 1
-    } else {
-        bits + 1
-    })
-}
-
-fn next_toward_pos_inf(v: f32) -> f32 {
-    if v.is_nan() || v == f32::INFINITY {
-        return v;
-    }
-    let bits = v.to_bits();
-    f32::from_bits(if v == 0.0 {
-        0x0000_0001 // smallest positive subnormal
-    } else if bits >> 31 == 0 {
-        bits + 1
-    } else {
-        bits - 1
-    })
+    SLOT_HEADER_BYTES + entry_capacity * DISK_ENTRY_BYTES
 }
 
 /// Encodes `node` into `out` (cleared first), padded with zeros to exactly
-/// `slot_bytes`, in the default f64 format.
+/// `slot_bytes`.
 pub fn encode_node(
     node: &DiskNode,
     slot_bytes: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), StorageError> {
-    encode_node_fmt(node, slot_bytes, EntryFormat::F64, out)
-}
-
-/// [`encode_node`] under an explicit entry format. The F32 format rounds
-/// the lower MBR corner toward −∞ and the upper corner toward +∞, so an
-/// on-disk rectangle always *contains* its f64 original — directed
-/// rounding is monotone, so parent/child containment and exact-MBR
-/// equality survive the compression. References above `u32::MAX` and NaN
-/// coordinates do not fit the 20-byte entry and error as
-/// [`StorageError::Corrupt`].
-pub fn encode_node_fmt(
-    node: &DiskNode,
-    slot_bytes: usize,
-    format: EntryFormat,
-    out: &mut Vec<u8>,
-) -> Result<(), StorageError> {
-    let need = slot_bytes_for_fmt(node.entries.len(), format);
+    let need = slot_bytes_for(node.entries.len());
     if need > slot_bytes {
         return Err(StorageError::NodeTooLarge {
             need,
@@ -503,33 +336,10 @@ pub fn encode_node_fmt(
     out.extend_from_slice(&node.level.to_le_bytes());
     out.extend_from_slice(&(node.entries.len() as u32).to_le_bytes());
     for e in &node.entries {
-        match format {
-            EntryFormat::F64 => {
-                for c in e.rect {
-                    out.extend_from_slice(&c.to_bits().to_le_bytes());
-                }
-                out.extend_from_slice(&e.child.to_le_bytes());
-            }
-            EntryFormat::F32 => {
-                let low = [f32_down(e.rect[0]), f32_down(e.rect[1])];
-                let high = [f32_up(e.rect[2]), f32_up(e.rect[3])];
-                for c in [low[0], low[1], high[0], high[1]] {
-                    if c.is_nan() {
-                        return Err(StorageError::Corrupt(
-                            "NaN coordinate does not fit the f32 entry format".into(),
-                        ));
-                    }
-                    out.extend_from_slice(&c.to_bits().to_le_bytes());
-                }
-                let child = u32::try_from(e.child).map_err(|_| {
-                    StorageError::Corrupt(format!(
-                        "reference {} exceeds the 4-byte field of the f32 entry format",
-                        e.child
-                    ))
-                })?;
-                out.extend_from_slice(&child.to_le_bytes());
-            }
+        for c in e.rect {
+            out.extend_from_slice(&c.to_bits().to_le_bytes());
         }
+        out.extend_from_slice(&e.child.to_le_bytes());
     }
     out.resize(slot_bytes, 0);
     Ok(())
@@ -555,14 +365,8 @@ pub fn encode_free_page(
     Ok(())
 }
 
-/// Decodes one slot as node *or* free-chain link, in the default f64
-/// format.
+/// Decodes one slot as node *or* free-chain link.
 pub fn decode_page(buf: &[u8]) -> Result<DiskPage, StorageError> {
-    decode_page_fmt(buf, EntryFormat::F64)
-}
-
-/// [`decode_page`] under an explicit entry format.
-pub fn decode_page_fmt(buf: &[u8], format: EntryFormat) -> Result<DiskPage, StorageError> {
     if buf.len() < SLOT_HEADER_BYTES {
         return Err(StorageError::Truncated {
             expected_bytes: SLOT_HEADER_BYTES as u64,
@@ -578,22 +382,15 @@ pub fn decode_page_fmt(buf: &[u8], format: EntryFormat) -> Result<DiskPage, Stor
         };
         return Ok(DiskPage::Free { next });
     }
-    decode_node_fmt(buf, format).map(DiskPage::Node)
+    decode_node(buf).map(DiskPage::Node)
 }
 
-/// Decodes one slot as a node in the default f64 format. `buf` must be the
-/// full slot; the entry count is validated against the slot length, so
-/// corrupted counts surface as [`StorageError::Corrupt`] instead of a
-/// slice panic. A free-page marker is an error here — readers that expect
-/// either use [`decode_page`].
+/// Decodes one slot as a node. `buf` must be the full slot; the entry
+/// count is validated against the slot length, so corrupted counts
+/// surface as [`StorageError::Corrupt`] instead of a slice panic. A
+/// free-page marker is an error here — readers that expect either use
+/// [`decode_page`].
 pub fn decode_node(buf: &[u8]) -> Result<DiskNode, StorageError> {
-    decode_node_fmt(buf, EntryFormat::F64)
-}
-
-/// [`decode_node`] under an explicit entry format. F32 coordinates widen
-/// back to `f64` exactly (every `f32` is representable), so decode∘encode
-/// is idempotent — the rounding happened once, at encode time.
-pub fn decode_node_fmt(buf: &[u8], format: EntryFormat) -> Result<DiskNode, StorageError> {
     if buf.len() < SLOT_HEADER_BYTES {
         return Err(StorageError::Truncated {
             expected_bytes: SLOT_HEADER_BYTES as u64,
@@ -609,7 +406,7 @@ pub fn decode_node_fmt(buf: &[u8], format: EntryFormat) -> Result<DiskNode, Stor
     let count = u32::from_le_bytes(buf[4..8].try_into().expect("slice of 4"));
     // Widen before multiplying: the count is attacker-controlled, and
     // `count * entry_bytes` must not wrap on 32-bit targets.
-    let need = SLOT_HEADER_BYTES as u64 + u64::from(count) * format.entry_bytes() as u64;
+    let need = SLOT_HEADER_BYTES as u64 + u64::from(count) * DISK_ENTRY_BYTES as u64;
     if need > buf.len() as u64 {
         return Err(StorageError::Corrupt(format!(
             "entry count {count} needs {need} B in a {}-byte slot",
@@ -621,32 +418,15 @@ pub fn decode_node_fmt(buf: &[u8], format: EntryFormat) -> Result<DiskNode, Stor
     let mut at = SLOT_HEADER_BYTES;
     for _ in 0..count {
         let mut rect = [0f64; 4];
-        match format {
-            EntryFormat::F64 => {
-                for c in &mut rect {
-                    *c = f64::from_bits(u64::from_le_bytes(
-                        buf[at..at + 8].try_into().expect("slice of 8"),
-                    ));
-                    at += 8;
-                }
-                let child = u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice of 8"));
-                at += 8;
-                entries.push(DiskEntry { rect, child });
-            }
-            EntryFormat::F32 => {
-                for c in &mut rect {
-                    *c = f64::from(f32::from_bits(u32::from_le_bytes(
-                        buf[at..at + 4].try_into().expect("slice of 4"),
-                    )));
-                    at += 4;
-                }
-                let child = u64::from(u32::from_le_bytes(
-                    buf[at..at + 4].try_into().expect("slice of 4"),
-                ));
-                at += 4;
-                entries.push(DiskEntry { rect, child });
-            }
+        for c in &mut rect {
+            *c = f64::from_bits(u64::from_le_bytes(
+                buf[at..at + 8].try_into().expect("slice of 8"),
+            ));
+            at += 8;
         }
+        let child = u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice of 8"));
+        at += 8;
+        entries.push(DiskEntry { rect, child });
     }
     Ok(DiskNode { level, entries })
 }
@@ -711,7 +491,6 @@ mod tests {
     #[test]
     fn header_round_trips_and_validates() {
         let h = FileHeader {
-            flags: 0,
             page_bytes: 1024,
             slot_bytes: 2064,
             page_count: 3,
@@ -759,44 +538,44 @@ mod tests {
     }
 
     #[test]
-    fn f32_files_announce_a_version_old_readers_reject() {
+    fn a_retired_version_or_a_set_flag_bit_is_refused() {
         let h = FileHeader {
-            flags: FLAG_F32_ENTRIES,
             page_bytes: 1024,
-            slot_bytes: slot_bytes_for_fmt(51, EntryFormat::F32) as u32,
+            slot_bytes: slot_bytes_for(25) as u32,
             page_count: 0,
             free_head: None,
             meta: [0; META_BYTES],
         };
         let enc = h.encode();
-        assert_eq!(u16::from_le_bytes([enc[4], enc[5]]), VERSION_F32);
-        let back = FileHeader::decode(&enc, HEADER_BYTES as u64).unwrap();
-        assert_eq!(back.entry_format(), EntryFormat::F32);
-        // Version/flags mismatches (written by no known writer) are
-        // typed errors, not silent misreads.
-        let mut bad = enc;
-        bad[4..6].copy_from_slice(&VERSION.to_le_bytes()); // v1 + f32 flag
+        assert_eq!(u16::from_le_bytes([enc[4], enc[5]]), VERSION);
+        assert_eq!(&enc[6..8], &[0, 0], "no flag bit is ever written");
+        // Version 2 announced the retired 20-byte f32 entries (flag bit 0).
+        let mut v2 = enc;
+        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
+        v2[6..8].copy_from_slice(&1u16.to_le_bytes());
         assert!(matches!(
-            FileHeader::decode(&bad, HEADER_BYTES as u64).unwrap_err(),
-            StorageError::Corrupt(_)
+            FileHeader::decode(&v2, HEADER_BYTES as u64).unwrap_err(),
+            StorageError::BadVersion { found: 2 }
         ));
-        let mut bad = h;
-        bad.flags = 0;
-        let mut enc = bad.encode(); // v1, no flags — then claim v2
-        enc[4..6].copy_from_slice(&VERSION_F32.to_le_bytes());
-        assert!(matches!(
-            FileHeader::decode(&enc, HEADER_BYTES as u64).unwrap_err(),
-            StorageError::Corrupt(_)
-        ));
+        for bit in 0..16 {
+            let mut flagged = enc;
+            flagged[6..8].copy_from_slice(&(1u16 << bit).to_le_bytes());
+            assert!(
+                matches!(
+                    FileHeader::decode(&flagged, HEADER_BYTES as u64).unwrap_err(),
+                    StorageError::Corrupt(_)
+                ),
+                "flag bit {bit}"
+            );
+        }
     }
 
     #[test]
-    fn header_reserved_zeros_read_as_no_free_list_f64() {
+    fn header_reserved_zeros_read_as_no_free_list() {
         // Files written before the write path existed carry zeros in the
-        // flags and free-head fields; they must read back as plain f64
-        // files without free pages.
+        // flags and free-head fields; they must read back as files
+        // without free pages.
         let h = FileHeader {
-            flags: 0,
             page_bytes: 1024,
             slot_bytes: 2064,
             page_count: 2,
@@ -808,7 +587,6 @@ mod tests {
         assert_eq!(&enc[20..24], &[0, 0, 0, 0]);
         let back = FileHeader::decode(&enc, HEADER_BYTES as u64 + 2 * 2064).unwrap();
         assert_eq!(back.free_head, None);
-        assert_eq!(back.entry_format(), EntryFormat::F64);
     }
 
     #[test]
@@ -848,104 +626,6 @@ mod tests {
         let mut buf = Vec::new();
         encode_node(&n, slot, &mut buf).unwrap();
         assert_eq!(decode_page(&buf).unwrap(), DiskPage::Node(n));
-    }
-
-    #[test]
-    fn f32_format_matches_paper_entry_size() {
-        assert_eq!(EntryFormat::F32.entry_bytes(), 20);
-        // A 1-KByte logical page of M = 51 entries fits in a physical slot
-        // of one logical page plus the 8-byte slot header — Table 1's
-        // capacity, on disk.
-        assert_eq!(slot_bytes_for_fmt(51, EntryFormat::F32), 8 + 51 * 20);
-        assert!(slot_bytes_for_fmt(51, EntryFormat::F32) <= 1024 + SLOT_HEADER_BYTES);
-    }
-
-    #[test]
-    fn f32_round_trip_is_exact_for_f32_values_and_outward_otherwise() {
-        let slot = slot_bytes_for_fmt(4, EntryFormat::F32);
-        let mut buf = Vec::new();
-
-        // Values already representable as f32 survive bit-exactly.
-        let exact = DiskNode {
-            level: 2,
-            entries: vec![DiskEntry {
-                rect: [1.5, -2.25, 3.0, 4.75],
-                child: u64::from(u32::MAX),
-            }],
-        };
-        encode_node_fmt(&exact, slot, EntryFormat::F32, &mut buf).unwrap();
-        assert_eq!(buf.len(), slot);
-        assert_eq!(decode_node_fmt(&buf, EntryFormat::F32).unwrap(), exact);
-
-        // Values that don't fit round *outward*: the decoded rectangle
-        // contains the original.
-        let x = 0.1f64; // not representable in f32
-        let n = DiskNode {
-            level: 0,
-            entries: vec![DiskEntry {
-                rect: [x, x, x, x],
-                child: 9,
-            }],
-        };
-        encode_node_fmt(&n, slot, EntryFormat::F32, &mut buf).unwrap();
-        let back = decode_node_fmt(&buf, EntryFormat::F32).unwrap();
-        let r = back.entries[0].rect;
-        assert!(r[0] <= x && r[1] <= x, "lower corner rounds down");
-        assert!(r[2] >= x && r[3] >= x, "upper corner rounds up");
-        assert!(r[0] < r[2], "the rounded rect is non-degenerate");
-        // Re-encoding the widened values is idempotent.
-        let mut buf2 = Vec::new();
-        encode_node_fmt(&back, slot, EntryFormat::F32, &mut buf2).unwrap();
-        assert_eq!(decode_node_fmt(&buf2, EntryFormat::F32).unwrap(), back);
-    }
-
-    #[test]
-    fn f32_directed_rounding_handles_extremes() {
-        // Saturating magnitudes round to the largest finite f32 on the
-        // inward-safe side, infinities stay put, zero gets a subnormal
-        // neighbour.
-        assert_eq!(f32_down(f64::INFINITY), f32::INFINITY);
-        assert_eq!(f32_up(f64::NEG_INFINITY), f32::NEG_INFINITY);
-        assert_eq!(f32_down(1e300), f32::MAX);
-        assert_eq!(f32_up(-1e300), f32::MIN);
-        assert!(f64::from(f32_down(1e-300)) <= 1e-300);
-        assert!(f64::from(f32_up(1e-300)) >= 1e-300);
-        assert!(
-            f32_up(1e-300) > 0.0,
-            "tiny positives round up to a subnormal"
-        );
-        for x in [0.1f64, -0.1, 1.0 / 3.0, 1e20, -1e-20, 123456.789] {
-            assert!(f64::from(f32_down(x)) <= x, "{x}");
-            assert!(f64::from(f32_up(x)) >= x, "{x}");
-        }
-    }
-
-    #[test]
-    fn f32_format_rejects_what_it_cannot_hold() {
-        let slot = slot_bytes_for_fmt(4, EntryFormat::F32);
-        let mut buf = Vec::new();
-        let wide_ref = DiskNode {
-            level: 0,
-            entries: vec![DiskEntry {
-                rect: [0.0; 4],
-                child: u64::from(u32::MAX) + 1,
-            }],
-        };
-        assert!(matches!(
-            encode_node_fmt(&wide_ref, slot, EntryFormat::F32, &mut buf).unwrap_err(),
-            StorageError::Corrupt(_)
-        ));
-        let nan = DiskNode {
-            level: 0,
-            entries: vec![DiskEntry {
-                rect: [f64::NAN, 0.0, 1.0, 1.0],
-                child: 0,
-            }],
-        };
-        assert!(matches!(
-            encode_node_fmt(&nan, slot, EntryFormat::F32, &mut buf).unwrap_err(),
-            StorageError::Corrupt(_)
-        ));
     }
 
     #[test]

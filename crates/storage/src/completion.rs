@@ -544,11 +544,11 @@ fn serve(shared: &CqShared, job: &ReadJob, claimed: Instant, buf: &mut Vec<u8>) 
             }
         }
     }
-    // A demand read can land on a page a concurrent updater appended
-    // through its own rw handle: the slot bytes hit the disk on
-    // append, but the lane handle's header (cached at open) — and the
-    // on-disk header, until the updater flushes — still carry the old
-    // page count. Retry once against the physical file length before
+    // A demand read can land on a page an updater's flush appended
+    // through its own rw handle after this lane opened: the lane
+    // handle's header, cached at open, still carries the old page count
+    // (a page allocated since is dirty and never read until that flush
+    // writes it). Retry once against the physical file length before
     // declaring the read failed.
     let (lane, page) = (usize::from(job.key.store), job.key.page);
     let file = &shared.files[lane];

@@ -9,26 +9,30 @@
 //! ([`crate::scan`]). [`PageSource`] — declared here — is what a page
 //! file can do; [`PageFile`] is the one the file-access stack's read
 //! strategies ([`crate::FileAccess`]) and every open read.
+//!
+//! A page file chooses no page ids: its writers (a save, a bulk build, an
+//! update handle's flush) write slots the tree's [`crate::PageStore`]
+//! already numbered, in place or as the next append, and then set the
+//! free list and the metadata before [`PageSource::flush`] writes the
+//! header.
 
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use crate::codec::{
-    self, EntryFormat, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES,
-};
+use crate::codec::{self, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
 use crate::page::PageId;
 
 /// A store's pages as a physical page file: in-place page overwrite,
-/// reuse-before-append allocation off a persistent free list, release back
-/// onto it, metadata and flush — what the save, bulk-build and update paths
-/// write through — plus what [`crate::FileAccess`] reads through: the
-/// ordered whole-file scan of an open and counter reset. One store is one
-/// file. Implemented by [`PageFile`]; the trait is the seam another source
-/// (a fault-injecting one, say) plugs into.
+/// append, the persistent free list, metadata and flush — what the save,
+/// bulk-build and update paths write through — plus what
+/// [`crate::FileAccess`] reads through: the ordered whole-file scan of an
+/// open and counter reset. One store is one file. Implemented by
+/// [`PageFile`]; the trait is the seam another source (a fault-injecting
+/// one, say) plugs into.
 pub trait PageSource {
-    /// Overwrites an existing page.
+    /// Overwrites an existing page; a page past the end is a typed error.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
 
     /// Reads one page slot into `buf`.
@@ -38,17 +42,10 @@ pub trait PageSource {
     /// once, then free list, metadata, flush) and returns its id.
     fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
 
-    /// Allocates a page for `payload`: the head of the free chain if one
-    /// exists (reuse-before-append), a fresh appended slot otherwise.
-    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError>;
-
-    /// Releases a page onto the free chain (writes its chain marker).
-    fn release(&mut self, id: PageId) -> Result<(), StorageError>;
-
     /// Registers `free` as the free list (oldest release first) without
-    /// writing anything — for save paths that already encoded the chain
-    /// markers into the corresponding slots. The head is persisted with
-    /// the next [`PageSource::flush`].
+    /// writing anything: the writer has already encoded the chain markers
+    /// into the corresponding slots. The head is persisted with the next
+    /// [`PageSource::flush`].
     fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError>;
 
     /// Number of page slots.
@@ -59,9 +56,6 @@ pub trait PageSource {
 
     /// Physical bytes per page slot.
     fn slot_bytes(&self) -> usize;
-
-    /// The on-disk entry format.
-    fn entry_format(&self) -> EntryFormat;
 
     /// The owner metadata blob.
     fn meta(&self) -> &[u8; META_BYTES];
@@ -101,129 +95,42 @@ pub trait PageSource {
     ) -> Result<(), StorageError>;
 }
 
-/// The in-memory mirror of [`PageFile`]'s persistent free-page chain: the
-/// LIFO list (last element = chain head) and its set twin, kept coherent
-/// in one place — O(1) double-release detection, duplicate rejection, and
-/// the pop/undo protocol around a fallible slot write. The physical marker
-/// writes stay with the file.
-#[derive(Debug, Default)]
-struct FreeChain {
-    list: Vec<PageId>,
-    set: HashSet<PageId>,
-}
-
-impl FreeChain {
-    /// The chain head — the next page a reuse pops.
-    fn head(&self) -> Option<PageId> {
-        self.list.last().copied()
-    }
-
-    /// The chain, oldest release first (head last).
-    fn as_slice(&self) -> &[PageId] {
-        &self.list
-    }
-
-    /// Number of free pages.
-    fn len(&self) -> usize {
-        self.list.len()
-    }
-
-    /// True if `id` is on the chain.
-    fn contains(&self, id: PageId) -> bool {
-        self.set.contains(&id)
-    }
-
-    /// Pops the head for reuse. The caller overwrites the slot and then
-    /// either [`FreeChain::commit_pop`]s (write succeeded) or
-    /// [`FreeChain::undo_pop`]s (slot is still free).
-    fn pop(&mut self) -> Option<PageId> {
-        self.list.pop()
-    }
-
-    /// Finalizes a [`FreeChain::pop`] after the slot write succeeded.
-    fn commit_pop(&mut self, id: PageId) {
-        self.set.remove(&id);
-    }
-
-    /// Reverts a [`FreeChain::pop`] after the slot write failed.
-    fn undo_pop(&mut self, id: PageId) {
-        self.list.push(id);
-    }
-
-    /// Links `id` as the new head, rejecting double releases. The caller
-    /// has already written `id`'s marker (with the *previous* head as its
-    /// `next`).
-    fn push_released(&mut self, id: PageId) -> Result<(), StorageError> {
-        if !self.set.insert(id) {
-            return Err(StorageError::Corrupt(format!("double release of {id}")));
+/// Walks and validates the persisted free chain from `head` — every link
+/// in range, landing on a genuine free marker, terminating (cycle-guarded
+/// by the page count) — and returns it oldest release first (head last).
+/// `read_slot` reads the raw slot of a page id.
+fn walk_free_chain(
+    head: Option<PageId>,
+    page_count: u32,
+    mut read_slot: impl FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError>,
+) -> Result<Vec<PageId>, StorageError> {
+    let mut rev = Vec::new();
+    let mut cur = head;
+    let mut buf = Vec::new();
+    while let Some(id) = cur {
+        if rev.len() as u64 > u64::from(page_count) {
+            return Err(StorageError::Corrupt("free chain contains a cycle".into()));
         }
-        self.list.push(id);
-        Ok(())
-    }
-
-    /// Replaces the chain wholesale (save paths that wrote the markers
-    /// themselves); duplicates are a typed error and leave the chain
-    /// empty.
-    fn set_list(&mut self, ids: &[PageId]) -> Result<(), StorageError> {
-        self.list = ids.to_vec();
-        self.set = self.list.iter().copied().collect();
-        if self.set.len() != self.list.len() {
-            self.list.clear();
-            self.set.clear();
-            return Err(StorageError::Corrupt(
-                "free list contains a page twice".into(),
-            ));
+        if id.0 >= page_count {
+            return Err(StorageError::Corrupt(format!(
+                "free chain links page {id} out of range of a {page_count}-page file"
+            )));
         }
-        Ok(())
-    }
-
-    /// Installs a chain recovered from disk (already walk-validated:
-    /// a chain cannot physically contain duplicates — it would cycle).
-    fn restore(&mut self, list: Vec<PageId>) {
-        self.set = list.iter().copied().collect();
-        debug_assert_eq!(self.set.len(), list.len());
-        self.list = list;
-    }
-
-    /// Walks and validates a persisted chain from `head` — every link in
-    /// range, landing on a genuine free marker, terminating (cycle-
-    /// guarded by the page count) — and returns it oldest-release-first
-    /// (head last), ready for [`FreeChain::restore`]. `read_slot` reads
-    /// the raw slot of a page id.
-    fn walk(
-        head: Option<PageId>,
-        page_count: u32,
-        format: EntryFormat,
-        mut read_slot: impl FnMut(PageId, &mut Vec<u8>) -> Result<(), StorageError>,
-    ) -> Result<Vec<PageId>, StorageError> {
-        let mut rev = Vec::new();
-        let mut cur = head;
-        let mut buf = Vec::new();
-        while let Some(id) = cur {
-            if rev.len() as u64 > u64::from(page_count) {
-                return Err(StorageError::Corrupt("free chain contains a cycle".into()));
+        read_slot(id, &mut buf)?;
+        match codec::decode_page(&buf)? {
+            codec::DiskPage::Free { next } => {
+                rev.push(id);
+                cur = next;
             }
-            if id.0 >= page_count {
+            codec::DiskPage::Node(_) => {
                 return Err(StorageError::Corrupt(format!(
-                    "free chain links page {id} out of range of a {page_count}-page file"
+                    "free chain links live page {id}"
                 )));
             }
-            read_slot(id, &mut buf)?;
-            match codec::decode_page_fmt(&buf, format)? {
-                codec::DiskPage::Free { next } => {
-                    rev.push(id);
-                    cur = next;
-                }
-                codec::DiskPage::Node(_) => {
-                    return Err(StorageError::Corrupt(format!(
-                        "free chain links live page {id}"
-                    )));
-                }
-            }
         }
-        rev.reverse();
-        Ok(rev)
     }
+    rev.reverse();
+    Ok(rev)
 }
 
 /// A page file: fixed header plus `page_count` slots of `slot_bytes` each.
@@ -233,22 +140,20 @@ impl FreeChain {
 /// → set_meta → flush` is the write protocol (the R-tree crate's
 /// `save_to` drives it). Read/write counters mirror [`crate::PageStore`]'s.
 ///
-/// **Free-page list** (write path): released slots are chained through the
-/// file — each free slot stores the next free page, the header stores the
-/// chain head — and [`PageFile::allocate`] reuses them LIFO *before*
-/// appending, so delete-heavy churn does not grow the file monotonically.
-/// The chain is mirrored in memory (`free`), rebuilt and validated on
-/// open, and persisted incrementally: [`PageFile::release`] writes the
-/// slot's marker at release time, the header's `free_head` lands on disk
-/// at the next [`PageFile::flush`].
+/// **Free-page list**: released slots are chained through the file — each
+/// free slot stores the next free page, the header stores the chain head.
+/// The file does not allocate: the tree's [`crate::PageStore`] reuses its
+/// free pages LIFO before appending, its writer encodes the markers into
+/// the freed slots, and [`PageFile::set_free_list`] records the list,
+/// whose head reaches the disk with the next [`PageFile::flush`]. The
+/// chain is rebuilt and validated on open.
 #[derive(Debug)]
 pub struct PageFile {
     file: File,
     path: PathBuf,
     header: FileHeader,
-    /// In-memory mirror of the on-disk free chain (head last,
-    /// reused first) — see [`FreeChain`].
-    free: FreeChain,
+    /// The free list, oldest release first (head last).
+    free: Vec<PageId>,
     reads: u64,
     writes: u64,
     /// Slot-sized block a write lays its payload and zero padding into,
@@ -256,8 +161,6 @@ pub struct PageFile {
     /// makes one write call (lazily sized on first use — read-only files
     /// never pay for it).
     slot_buf: Vec<u8>,
-    /// Scratch for free-chain marker encoding.
-    marker: Vec<u8>,
     /// Injected latency per counted page read (see
     /// [`PageFile::set_read_latency`]); `None` = no injection.
     read_latency: Option<Duration>,
@@ -333,18 +236,6 @@ impl PageFile {
         page_bytes: usize,
         slot_bytes: usize,
     ) -> Result<Self, StorageError> {
-        Self::create_with_format(path, page_bytes, slot_bytes, EntryFormat::F64)
-    }
-
-    /// [`PageFile::create`] with an explicit on-disk entry format (the
-    /// format is recorded in the header's flag word; the page file itself
-    /// never interprets slot contents).
-    pub fn create_with_format(
-        path: impl AsRef<Path>,
-        page_bytes: usize,
-        slot_bytes: usize,
-        format: EntryFormat,
-    ) -> Result<Self, StorageError> {
         if page_bytes == 0 {
             return Err(StorageError::Corrupt("page size of zero".into()));
         }
@@ -354,7 +245,6 @@ impl PageFile {
             )));
         }
         let header = FileHeader {
-            flags: format.flags(),
             page_bytes: u32::try_from(page_bytes)
                 .map_err(|_| StorageError::Corrupt("page size exceeds u32".into()))?,
             slot_bytes: u32::try_from(slot_bytes)
@@ -374,11 +264,10 @@ impl PageFile {
             file,
             path: path.as_ref().to_path_buf(),
             header,
-            free: FreeChain::default(),
+            free: Vec::new(),
             reads: 0,
             writes: 0,
             slot_buf: Vec::new(),
-            marker: Vec::new(),
             read_latency: env_read_latency(),
         })
     }
@@ -393,9 +282,9 @@ impl PageFile {
         Self::open_with(path, false)
     }
 
-    /// Opens an existing page file read-write — the handle incremental
-    /// updates ([`PageFile::allocate`] / [`PageFile::release`] /
-    /// [`PageFile::write_page`]) run against.
+    /// Opens an existing page file read-write — the handle an update
+    /// handle's flush writes through ([`PageFile::write_page`],
+    /// [`PageFile::append_page`]).
     pub fn open_rw(path: impl AsRef<Path>) -> Result<Self, StorageError> {
         Self::open_with(path, true)
     }
@@ -419,28 +308,18 @@ impl PageFile {
             file,
             path: path.as_ref().to_path_buf(),
             header,
-            free: FreeChain::default(),
+            free: Vec::new(),
             reads: 0,
             writes: 0,
             slot_buf: Vec::new(),
-            marker: Vec::new(),
             read_latency: env_read_latency(),
         };
-        let chain = pf.walk_free_chain()?;
-        pf.free.restore(chain);
+        // Chain recovery is open-time work, not join or update I/O:
+        // uncounted and undelayed.
+        pf.free = walk_free_chain(pf.header.free_head, pf.header.page_count, |id, buf| {
+            pf.pread_slot(id, buf, false, false)
+        })?;
         Ok(pf)
-    }
-
-    /// Rebuilds the in-memory free list from the on-disk chain via
-    /// [`FreeChain::walk`], uncounted — chain recovery is
-    /// open-time work, not join or update I/O.
-    fn walk_free_chain(&self) -> Result<Vec<PageId>, StorageError> {
-        FreeChain::walk(
-            self.header.free_head,
-            self.header.page_count,
-            self.header.entry_format(),
-            |id, buf| self.read_slot_uncounted(id, buf),
-        )
     }
 
     /// The one positional slot read behind every read this file serves;
@@ -478,29 +357,10 @@ impl PageFile {
         Ok(())
     }
 
-    /// Reads one slot without latency and without touching the read
-    /// counter — open-time chain recovery only.
-    fn read_slot_uncounted(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
-        self.pread_slot(id, buf, false, false)
-    }
-
     /// The path this file lives at.
     #[inline]
     pub fn path(&self) -> &Path {
         &self.path
-    }
-
-    /// Head of the free chain (the page the next [`PageFile::allocate`]
-    /// reuses), if any.
-    #[inline]
-    pub fn free_head(&self) -> Option<PageId> {
-        self.free.head()
-    }
-
-    /// Number of free (reusable) page slots.
-    #[inline]
-    pub fn free_count(&self) -> usize {
-        self.free.len()
     }
 
     /// Byte offset of slot `id`, in range or not.
@@ -552,11 +412,9 @@ impl PageFile {
     /// file length instead of the header page count cached at open, and
     /// without the injected latency (it is a retry, not a fresh
     /// positioning). The completion-queue workers fall back to this
-    /// when a demand read lands on a page a concurrent updater appended
-    /// through its own handle: the slot bytes are on disk the moment
-    /// `append_page` returns, but neither this handle's cached header nor
-    /// the on-disk header (stale until the updater flushes) knows the new
-    /// count — only the file length does.
+    /// when a demand read lands on a page an updater's flush appended
+    /// through its own handle: this handle's header, cached at open,
+    /// does not know the new count — only the file length does.
     pub(crate) fn read_slot_fresh(
         &self,
         id: PageId,
@@ -601,7 +459,8 @@ impl PageFile {
 }
 
 impl PageSource for PageFile {
-    /// Overwrites an existing page in place. Charges one write.
+    /// Overwrites an existing page in place; a page past the end is
+    /// [`StorageError::Corrupt`]. Charges one write.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
         let off = self.slot_offset(id)?;
         self.write_slot_at(off, payload)
@@ -610,8 +469,7 @@ impl PageSource for PageFile {
     /// Reads one slot into `buf` (resized to `slot_bytes`). Charges one
     /// read. When a read latency is injected, the sleep happens *before*
     /// the read, modelling positioning time; open-time chain recovery
-    /// (`read_slot_uncounted`) stays undelayed, matching its
-    /// uncounted status.
+    /// stays undelayed, matching its uncounted status.
     fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         self.pread_slot(id, buf, true, false)?;
         self.reads += 1;
@@ -627,45 +485,6 @@ impl PageSource for PageFile {
         Ok(id)
     }
 
-    /// Allocates a slot for `payload`: pops the free-chain head and
-    /// overwrites it in place if a released page exists
-    /// (**reuse-before-append**), appends a fresh slot otherwise. Charges
-    /// one write either way.
-    fn allocate(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
-        match self.free.pop() {
-            Some(id) => {
-                if let Err(e) = self.write_page(id, payload) {
-                    self.free.undo_pop(id); // failed: the slot is still free
-                    return Err(e);
-                }
-                self.free.commit_pop(id);
-                self.header.free_head = self.free.head();
-                Ok(id)
-            }
-            None => self.append_page(payload),
-        }
-    }
-
-    /// Releases a page onto the free chain: overwrites its slot with a
-    /// chain marker linking to the previous head and makes it the new
-    /// head. Charges one write. Double releases and out-of-range pages
-    /// are typed errors.
-    fn release(&mut self, id: PageId) -> Result<(), StorageError> {
-        let off = self.slot_offset(id)?;
-        if self.free.contains(id) {
-            return Err(StorageError::Corrupt(format!("double release of {id}")));
-        }
-        let slot = self.slot_bytes();
-        let mut marker = std::mem::take(&mut self.marker);
-        codec::encode_free_page(self.free.head(), slot, &mut marker)?;
-        let res = self.write_slot_at(off, &marker);
-        self.marker = marker;
-        res?;
-        self.free.push_released(id)?;
-        self.header.free_head = Some(id);
-        Ok(())
-    }
-
     fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
         for &id in free {
             if id.0 >= self.header.page_count {
@@ -675,11 +494,16 @@ impl PageSource for PageFile {
                 )));
             }
         }
-        if let Err(e) = self.free.set_list(free) {
+        let distinct: HashSet<PageId> = free.iter().copied().collect();
+        if distinct.len() != free.len() {
+            self.free.clear();
             self.header.free_head = None;
-            return Err(e);
+            return Err(StorageError::Corrupt(
+                "free list contains a page twice".into(),
+            ));
         }
-        self.header.free_head = self.free.head();
+        self.free = free.to_vec();
+        self.header.free_head = free.last().copied();
         Ok(())
     }
 
@@ -699,12 +523,6 @@ impl PageSource for PageFile {
         self.header.slot_bytes as usize
     }
 
-    /// The on-disk entry format recorded in the header.
-    #[inline]
-    fn entry_format(&self) -> EntryFormat {
-        self.header.entry_format()
-    }
-
     #[inline]
     fn meta(&self) -> &[u8; META_BYTES] {
         &self.header.meta
@@ -716,7 +534,7 @@ impl PageSource for PageFile {
 
     #[inline]
     fn free_pages(&self) -> &[PageId] {
-        self.free.as_slice()
+        &self.free
     }
 
     /// Writes the in-memory header (page count, metadata) through the OS;
@@ -826,25 +644,20 @@ mod tests {
         assert_eq!(got, node);
     }
 
-    // --- Write path: the persistent free-page list.
+    // --- The persistent free-page list.
 
-    #[test]
-    fn release_then_allocate_reuses_before_append() {
-        let dir = TempDir::new("freelist").unwrap();
-        let mut f = demo_file(&dir, "t.rsj", 4);
-        let slot = f.slot_bytes();
-        assert_eq!(f.free_count(), 0);
-        f.release(PageId(1)).unwrap();
-        f.release(PageId(3)).unwrap();
-        assert_eq!(f.free_head(), Some(PageId(3)));
-        assert_eq!(f.free_pages(), &[PageId(1), PageId(3)]);
-        // Reuse LIFO: 3 first, then 1, then append.
-        assert_eq!(f.allocate(&payload(30, slot)).unwrap(), PageId(3));
-        assert_eq!(f.allocate(&payload(10, slot)).unwrap(), PageId(1));
-        assert_eq!(f.allocate(&payload(40, slot)).unwrap(), PageId(4));
-        assert_eq!(f.page_count(), 5, "one append after two reuses");
-        let got = codec::decode_node(&f.read_page(PageId(3)).unwrap()).unwrap();
-        assert_eq!(got.entries[0].child, 30);
+    /// Releases `ids` in order the way a writer does: each slot becomes a
+    /// marker linking to the page released before it, then the list is
+    /// recorded and the header flushed.
+    fn release_all(f: &mut PageFile, ids: &[PageId]) {
+        let mut buf = Vec::new();
+        for (i, &id) in ids.iter().enumerate() {
+            let next = i.checked_sub(1).map(|j| ids[j]);
+            codec::encode_free_page(next, f.slot_bytes(), &mut buf).unwrap();
+            f.write_page(id, &buf).unwrap();
+        }
+        f.set_free_list(ids).unwrap();
+        f.flush().unwrap();
     }
 
     #[test]
@@ -852,40 +665,34 @@ mod tests {
         let dir = TempDir::new("freelist").unwrap();
         let path = {
             let mut f = demo_file(&dir, "t.rsj", 5);
-            f.release(PageId(2)).unwrap();
-            f.release(PageId(0)).unwrap();
-            f.release(PageId(4)).unwrap();
-            f.flush().unwrap();
+            release_all(&mut f, &[PageId(2), PageId(0), PageId(4)]);
             f.path().to_path_buf()
         };
-        // Read-only open sees the same chain.
-        let f = PageFile::open(&path).unwrap();
-        assert_eq!(f.free_pages(), &[PageId(2), PageId(0), PageId(4)]);
-        drop(f);
-        // Writable reopen allocates in the same LIFO order.
-        let mut f = PageFile::open_rw(&path).unwrap();
-        let slot = f.slot_bytes();
-        assert_eq!(f.allocate(&payload(1, slot)).unwrap(), PageId(4));
-        assert_eq!(f.allocate(&payload(2, slot)).unwrap(), PageId(0));
-        f.flush().unwrap();
-        drop(f);
-        let f = PageFile::open(&path).unwrap();
-        assert_eq!(f.free_pages(), &[PageId(2)]);
+        // Read-only and writable opens walk the same chain, uncounted.
+        for f in [
+            PageFile::open(&path).unwrap(),
+            PageFile::open_rw(&path).unwrap(),
+        ] {
+            assert_eq!(f.free_pages(), &[PageId(2), PageId(0), PageId(4)]);
+            assert_eq!(f.reads(), 0);
+        }
     }
 
     #[test]
-    fn double_release_and_out_of_range_are_typed_errors() {
+    fn writes_and_free_lists_past_the_end_are_typed_errors() {
         let dir = TempDir::new("freelist").unwrap();
         let mut f = demo_file(&dir, "t.rsj", 2);
-        f.release(PageId(0)).unwrap();
+        let slot = f.slot_bytes();
         assert!(matches!(
-            f.release(PageId(0)).unwrap_err(),
+            f.write_page(PageId(2), &payload(2, slot)).unwrap_err(),
             StorageError::Corrupt(_)
         ));
         assert!(matches!(
-            f.release(PageId(9)).unwrap_err(),
+            f.set_free_list(&[PageId(9)]).unwrap_err(),
             StorageError::Corrupt(_)
         ));
+        assert_eq!(f.append_page(&payload(2, slot)).unwrap(), PageId(2));
+        f.write_page(PageId(2), &payload(7, slot)).unwrap();
     }
 
     #[test]
@@ -897,10 +704,9 @@ mod tests {
             StorageError::Corrupt(_)
         ));
         // The failed install leaves a coherent (empty) chain behind.
-        assert_eq!(f.free_count(), 0);
-        assert_eq!(f.free_head(), None);
+        assert_eq!(f.free_pages(), &[]);
         f.set_free_list(&[PageId(1), PageId(2)]).unwrap();
-        assert_eq!(f.free_head(), Some(PageId(2)));
+        assert_eq!(f.free_pages(), &[PageId(1), PageId(2)]);
     }
 
     #[test]
@@ -909,8 +715,7 @@ mod tests {
         let dir = TempDir::new("freelist").unwrap();
         let path = {
             let mut f = demo_file(&dir, "t.rsj", 3);
-            f.release(PageId(1)).unwrap();
-            f.flush().unwrap();
+            release_all(&mut f, &[PageId(1)]);
             f.path().to_path_buf()
         };
         // Point the marker of page 1 at itself: a cycle.

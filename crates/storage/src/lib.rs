@@ -72,23 +72,22 @@
 //!   file), whose pool counts while dirty marks ride the frames and each
 //!   page is encoded ([`EncodePage`]) and reaches its file once, at
 //!   [`SharedPageCache::flush_dirty`] — a capability of the type, so a
-//!   join handle or a private stack cannot reach an updater;
+//!   join handle or a private stack cannot reach an updater. That flush
+//!   is the only place an open file's slots change: a page allocated
+//!   since the last one is its next append;
 //! * a persistent **free-page list** in [`PageFile`] — header-chained
-//!   marker slots, `allocate`/`release` with reuse-before-append,
-//!   validated on open;
+//!   marker slots, validated on open. The file only records it; the
+//!   tree's [`PageStore`] is the one allocator;
 //! * [`PageSource`] — what a page file can do, declared once beside
-//!   [`PageFile`]; the R\*-tree crate's `OpenCachedTree` allocates,
-//!   releases and writes metadata through the update handle's file;
-//! * [`EntryFormat`] — the on-disk entry layout: 40-byte f64 entries by
-//!   default, or the paper's literal 20-byte f32 entries (outward-rounded)
-//!   behind a header flag;
+//!   [`PageFile`]; the R\*-tree crate's `OpenCachedTree` sets the free
+//!   list and the metadata through the update handle's file at flush;
 //! * [`BulkPageWriter`] — the streaming bulk-build write path: append-
 //!   order page emission with one reused codec scratch buffer; the header
 //!   is written only by `finish`, so a build that crashes mid-emission
 //!   reads back as a typed error;
-//! * [`PageStore`] grows the same reuse-before-append free list plus
-//!   opt-in [`PageEvent`] tracking, keeping the in-memory allocator in
-//!   lockstep with the files.
+//! * [`PageStore`] — the one allocator: a reuse-before-append free list
+//!   plus opt-in [`PageEvent`] tracking, whose events the updater turns
+//!   into dirty marks.
 
 #![warn(missing_docs)]
 
@@ -112,7 +111,7 @@ pub mod temp;
 pub use access::{EncodePage, NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
 pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache, StoreFile};
-pub use codec::{DiskEntry, DiskNode, EntryFormat, FileHeader, StorageError};
+pub use codec::{DiskEntry, DiskNode, FileHeader, StorageError};
 pub use completion::{CompletionConfig, CompletionLag, CompletionQueue, QUEUE_DEPTH};
 pub use cost::CostModel;
 pub use file::{PageFile, PageSource, READ_LATENCY_ENV};

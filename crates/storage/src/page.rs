@@ -26,7 +26,7 @@ impl std::fmt::Display for PageId {
 
 /// One page-level effect of a mutation, recorded (in order) when event
 /// tracking is enabled — the feed an incrementally-updated page file
-/// replays against its buffer manager and free list.
+/// replays against its buffer manager as dirty marks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageEvent {
     /// The page's payload was (potentially) mutated in place.
@@ -45,11 +45,9 @@ pub enum PageEvent {
 /// not constrain the in-memory payload.
 ///
 /// Pages released with [`PageStore::free`] go onto a LIFO free list that
-/// [`PageStore::alloc`] reuses *before* growing the store — the same
-/// reuse-before-append discipline the persistent
-/// [`crate::PageSource::allocate`] follows, so an in-memory tree and its
-/// on-disk twin applying the same update sequence assign identical page
-/// ids.
+/// [`PageStore::alloc`] reuses *before* growing the store. This is the one
+/// allocator of a tree and its page file: the file stores page `i` in
+/// slot `i` and records this free list ([`crate::PageSource::set_free_list`]).
 #[derive(Debug, Clone)]
 pub struct PageStore<T> {
     pages: Vec<T>,

@@ -74,83 +74,18 @@ proptest! {
     }
 
     #[test]
-    fn arbitrary_bytes_never_panic_the_f32_or_page_decoders(
+    fn arbitrary_bytes_never_panic_the_page_decoder(
         bytes in prop::collection::vec(any::<u8>(), 0..256),
     ) {
-        // Same totality contract for the compressed format and for the
-        // node-or-free-marker decoder of both formats.
-        match codec::decode_node_fmt(&bytes, codec::EntryFormat::F32) {
-            Ok(node) => {
-                prop_assert!(
-                    codec::slot_bytes_for_fmt(node.entries.len(), codec::EntryFormat::F32)
-                        <= bytes.len()
-                );
-            }
-            Err(StorageError::Corrupt(_) | StorageError::Truncated { .. }) => {}
+        // Same totality contract for the node-or-free-marker decoder.
+        match codec::decode_page(&bytes) {
+            Ok(_) | Err(StorageError::Corrupt(_) | StorageError::Truncated { .. }) => {}
             Err(other) => {
                 return Err(TestCaseError::fail(format!(
-                    "unexpected f32 error class: {other}"
+                    "unexpected page error class: {other}"
                 )))
             }
         }
-        for fmt in [codec::EntryFormat::F64, codec::EntryFormat::F32] {
-            match codec::decode_page_fmt(&bytes, fmt) {
-                Ok(_) | Err(StorageError::Corrupt(_) | StorageError::Truncated { .. }) => {}
-                Err(other) => {
-                    return Err(TestCaseError::fail(format!(
-                        "unexpected page error class: {other}"
-                    )))
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn f32_nodes_round_trip_outward(
-        level in 0u32..6,
-        raw in prop::collection::vec(
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>()),
-            1..8,
-        ),
-    ) {
-        // Arbitrary bit patterns, with NaNs replaced — NaN legitimately
-        // refuses the format.
-        let definan = |bits: u64| {
-            let v = f64::from_bits(bits);
-            if v.is_nan() {
-                0.0
-            } else {
-                v
-            }
-        };
-        let entries: Vec<DiskEntry> = raw
-            .iter()
-            .map(|&(a, b, c, d, child)| DiskEntry {
-                rect: [definan(a), definan(b), definan(c), definan(d)],
-                child: u64::from(child),
-            })
-            .collect();
-        let node = DiskNode { level, entries };
-        let slot = codec::slot_bytes_for_fmt(8, codec::EntryFormat::F32);
-        let mut buf = Vec::new();
-        prop_assert!(
-            codec::encode_node_fmt(&node, slot, codec::EntryFormat::F32, &mut buf).is_ok()
-        );
-        let back = codec::decode_node_fmt(&buf, codec::EntryFormat::F32).unwrap();
-        prop_assert_eq!(back.entries.len(), node.entries.len());
-        for (orig, got) in node.entries.iter().zip(back.entries.iter()) {
-            prop_assert_eq!(got.child, orig.child);
-            // Outward rounding: lower corners never rise, upper corners
-            // never fall.
-            prop_assert!(got.rect[0] <= orig.rect[0], "xl rounds down");
-            prop_assert!(got.rect[1] <= orig.rect[1], "yl rounds down");
-            prop_assert!(got.rect[2] >= orig.rect[2], "xu rounds up");
-            prop_assert!(got.rect[3] >= orig.rect[3], "yu rounds up");
-        }
-        // Idempotence: re-encoding the widened node changes nothing.
-        let mut buf2 = Vec::new();
-        codec::encode_node_fmt(&back, slot, codec::EntryFormat::F32, &mut buf2).unwrap();
-        prop_assert_eq!(&buf, &buf2);
     }
 
     #[test]
@@ -173,7 +108,6 @@ proptest! {
         page_count in 0u32..50,
     ) {
         let header = FileHeader {
-            flags: 0,
             page_bytes: 1024,
             slot_bytes: codec::slot_bytes_for(8) as u32,
             page_count,

@@ -138,8 +138,8 @@ pub mod prelude {
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
     pub use rsj_rtree::{DataId, InsertPolicy, Neighbor, OpenCachedTree, RTree, RTreeParams};
     pub use rsj_storage::{
-        CacheConfig, CostModel, EntryFormat, EvictionPolicy, FileNodeAccess, NodeAccessMut,
-        PageFile, PageSource, SharedPageCache, StorageError,
+        CacheConfig, CostModel, EvictionPolicy, FileNodeAccess, NodeAccessMut, PageFile,
+        PageSource, SharedPageCache, StorageError,
     };
 
     pub use rsj_service::{JoinService, Overloaded, ServiceConfig, ServiceError, SpanReport};

@@ -75,13 +75,8 @@ impl Files {
 
     /// [`Files::create`] for trees that exist in memory: `save_to`.
     pub fn save(tag: &str, r: &RTree, s: &RTree) -> Files {
-        Files::save_as(tag, r, s, EntryFormat::F64)
-    }
-
-    /// [`Files::save`] in an explicit on-disk entry format.
-    pub fn save_as(tag: &str, r: &RTree, s: &RTree, format: EntryFormat) -> Files {
         Files::create(tag, |path, rel| {
-            [r, s][rel].save_to_with_format(path, format).unwrap();
+            [r, s][rel].save_to(path).unwrap();
         })
     }
 

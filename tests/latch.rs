@@ -14,8 +14,9 @@
 //!   in-memory tree that applied the same updates — **including when
 //!   dirty frames were evicted mid-run** (a drained page stays dirty
 //!   until the flush: no lost updates, ever);
-//! * physical writes never exceed the logical write charges (shared
-//!   frames absorb rewrites the way they absorb re-reads).
+//! * every write the store file counts is a flush write: the cache's
+//!   physical writes equal the file's, because the file's slots change
+//!   only when a flush writes a dirty page.
 
 mod common;
 
@@ -232,11 +233,10 @@ fn cached_updates_match_the_file_backend_oracle() {
     );
     open.flush().unwrap();
     assert!(open.io_stats().page_writes > 0, "flush must charge writes");
-    assert!(
-        cache.physical_writes() <= open.io_stats().page_writes,
-        "physical writes ({}) bounded by logical charges ({})",
+    assert_eq!(
         cache.physical_writes(),
-        open.io_stats().page_writes
+        open.access().store_file().writes(),
+        "every file write is a flush write"
     );
     assert_eq!(cache.pending_write_back(), 0, "flush wrote every page");
     let oracle = fx.memory_oracle();
@@ -384,9 +384,10 @@ fn concurrent_updater_and_joins_agree_with_the_sequential_oracle() {
             "{label}: updater charges are oracle-exact under live join traffic"
         );
         open.flush().unwrap();
-        assert!(
-            cache.physical_writes() <= open.io_stats().page_writes,
-            "{label}: physical writes bounded by logical charges"
+        assert_eq!(
+            cache.physical_writes(),
+            open.access().store_file().writes(),
+            "{label}: every file write is a flush write"
         );
         assert_eq!(cache.pending_write_back(), 0, "{label}: flush drains all");
         drop(open);
@@ -445,7 +446,7 @@ proptest! {
         let mut open = open;
         prop_assert_eq!(open.io_stats(), fx.file_oracle_stats());
         open.flush().unwrap();
-        prop_assert!(cache.physical_writes() <= open.io_stats().page_writes);
+        prop_assert_eq!(cache.physical_writes(), open.access().store_file().writes());
         prop_assert_eq!(cache.pending_write_back(), 0);
         drop(open);
         let back = RTree::open_from(&fx.r_path).unwrap();

@@ -51,31 +51,6 @@ fn check_agrees_with_the_pool<A: Stack>(name: &str, row: impl Fn(&Files) -> A) {
 #[test]
 fn backends_agree_on_pairs_and_disk_accesses() {
     check_agrees_with_the_pool("blocking", |f| f.blocking(CAP_PAGES));
-
-    // The 20-byte f32 entry format is one more file to agree with: the
-    // same pages under the same ids, every rectangle rounded outward by
-    // at most two f32 ULPs — which moves no intersection test on this
-    // fixture — so a cold SJ2 charges the f64 files' whole `IoStats`,
-    // loses no pair, and reads files at most 0.6× the size.
-    let fx = Fixture::new("conformance", TestId::A, 0.003);
-    let narrow = Files::save_as("conformance-f32", &fx.r, &fx.s, EntryFormat::F32);
-    let (want_pairs, want_io) = fx.files.cold_sj2(CAP_PAGES);
-    let (pairs, io) = narrow.cold_sj2(CAP_PAGES);
-    assert_eq!(io, want_io, "f32 files: I/O");
-    assert!(
-        want_pairs.iter().all(|p| pairs.binary_search(p).is_ok()),
-        "f32 files: every f64 pair must survive the outward rounding"
-    );
-    let bytes = |f: &Files| -> u64 {
-        let len = |p| std::fs::metadata(p).unwrap().len();
-        f.paths.iter().map(len).sum()
-    };
-    assert!(
-        bytes(&narrow) * 5 <= bytes(&fx.files) * 3,
-        "f32 files: {} bytes against {}",
-        bytes(&narrow),
-        bytes(&fx.files)
-    );
 }
 
 #[test]

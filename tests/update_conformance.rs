@@ -330,6 +330,7 @@ fn a_dropped_unflushed_handle_leaves_no_dirty_marks_behind() {
     let dir = TempDir::new("update-dropped-handle").unwrap();
     let path = dir.file("r.rsj");
     r0.save_to(&path).unwrap();
+    let flushed = std::fs::read(&path).unwrap();
     let cache = SharedPageCache::open(
         std::slice::from_ref(&path),
         64,
@@ -345,6 +346,10 @@ fn a_dropped_unflushed_handle_leaves_no_dirty_marks_behind() {
     assert!(cache.pending_write_back() > 0);
     drop(a);
     assert_eq!(cache.pending_write_back(), 0, "A's marks die with A");
+    assert!(
+        std::fs::read(&path).unwrap() == flushed,
+        "the file is byte-identical to its last flush"
+    );
 
     let mut b = OpenCachedTree::open_cached(&cache, 0, CAP_PAGES).unwrap();
     let extra = Rect::from_corners(7.0, 7.0, 9.0, 9.0);
