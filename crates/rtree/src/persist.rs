@@ -21,33 +21,36 @@
 //!
 //! ## Opening
 //!
-//! Every open path — [`RTree::open_from`], the `OpenCachedTree` opens and the
-//! join service — ends in one function,
-//! [`RTree::load`], and `load` has one read path:
-//! [`PageSource::scan`], which hands it every page of the file in id
-//! order on the calling thread. Page order is what the assembly depends
-//! on — page `i` is the `i`-th allocation of the store, the free-set
-//! checks and the decode see pages in file order, the first failing page
-//! in file order is the error returned, and [`RTree::validate`] runs once
-//! everything is in — so none of it can tell, and none of it had to
-//! change, when the scan overlaps the *reads* behind that order.
-//! [`rsj_storage::scan`] does so only when the open would otherwise sit
-//! waiting for the device (it measures; there is nothing to configure),
-//! up to [`rsj_storage::QUEUE_DEPTH`] reads at once into a bounded ring;
-//! each page is still read once and still pays the handle's modelled
-//! latency once, and the trees of a service are scanned one after the
-//! other, so an open never has more reads in flight than a join does.
-//! `tests/open_scan.rs` holds a slow and a fast handle against each
-//! other: same pages, same free list, same `JoinStats`, same errors.
+//! Every open path — [`RTree::open_from`], the `OpenCachedTree` opens and
+//! the join service — ends in one function, [`RTree::load`], and `load`
+//! has one read path: [`PageSource::scan`]. The scan hands each page to
+//! `load`'s decode on the reader thread that read it
+//! ([`rsj_storage::scan`]: one reader per core when reads are quick,
+//! [`rsj_storage::QUEUE_DEPTH`] when they wait on the device; it measures,
+//! there is nothing to configure), and returns the results in id order.
+//! The decode does all per-page work while the slot's bytes are in that
+//! core's cache: the free-set cross-checks, one `Vec` of [`Entry`]s built
+//! straight from the bytes ([`codec::NodeView`]), the leaf normalisation,
+//! and the page's summary for the structural walk (its MBR, whether its
+//! leaf entries are sound). What depends on page order stays in page
+//! order: page `i` becomes the `i`-th allocation of the store, the first
+//! failing page in file order is the error returned, and the one
+//! structural walk ([`crate::validate`]) runs over the summaries once
+//! everything is in. Each page is still read once and pays the handle's
+//! modelled latency once, and the trees of a service are scanned one
+//! after the other, so an open never has more reads in flight than a
+//! join does. `tests/open_scan.rs` holds a slow and a fast handle against
+//! each other: same pages, same free list, same `JoinStats`, same errors.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 
 use crate::node::{sort_by_xl, ChildRef, DataId, Entry, Node};
 use crate::params::{InsertPolicy, RTreeParams};
 use crate::tree::RTree;
+use crate::validate::PageSummary;
 use rsj_geom::Rect;
-use rsj_storage::codec::{self, DiskEntry, DiskNode, DiskPage, StorageError, META_BYTES};
+use rsj_storage::codec::{self, DiskEntry, DiskNode, DiskPage, NodeView, StorageError, META_BYTES};
 use rsj_storage::{PageFile, PageId, PageSource, PageStore};
 
 const POLICY_RSTAR: u8 = 0;
@@ -90,9 +93,16 @@ fn decode_meta(
     let max_entries = u32::from_le_bytes(meta[12..16].try_into().expect("slice of 4")) as usize;
     let min_entries = u32::from_le_bytes(meta[16..20].try_into().expect("slice of 4")) as usize;
     let reinsert_count = u32::from_le_bytes(meta[20..24].try_into().expect("slice of 4")) as usize;
-    if max_entries == 0 || min_entries > max_entries {
+    // The ranges `RTreeParams`'s constructors guarantee, and the split
+    // and forced-reinsert code relies on.
+    if min_entries < 2 || min_entries > max_entries / 2 {
         return Err(StorageError::Corrupt(format!(
             "impossible node capacities m={min_entries}, M={max_entries}"
+        )));
+    }
+    if reinsert_count < 1 || reinsert_count > max_entries - min_entries {
+        return Err(StorageError::Corrupt(format!(
+            "impossible reinsert count p={reinsert_count} for m={min_entries}, M={max_entries}"
         )));
     }
     let policy = match meta[24] {
@@ -138,11 +148,14 @@ pub(crate) fn disk_entry(e: &Entry) -> DiskEntry {
     }
 }
 
-fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
-    let is_leaf = disk.level == 0;
-    let mut entries = Vec::with_capacity(disk.entries.len());
+/// Builds a node straight from its slot's bytes: one allocation, the
+/// entries read once.
+fn node_from_view(view: NodeView<'_>, page_count: u32) -> Result<Node, StorageError> {
+    let is_leaf = view.level() == 0;
+    let view_entries = view.entries();
+    let mut entries = Vec::with_capacity(view_entries.len());
     let (mut ordered, mut last_xl) = (true, f64::NEG_INFINITY);
-    for e in disk.entries {
+    for e in view_entries {
         let child = if is_leaf {
             ChildRef::Data(DataId(e.child))
         } else {
@@ -150,13 +163,9 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
         };
         ordered &= last_xl <= e.rect[0];
         last_xl = e.rect[0];
+        let [xl, yl, xu, yu] = e.rect;
         entries.push(Entry {
-            rect: Rect {
-                xl: e.rect[0],
-                yl: e.rect[1],
-                xu: e.rect[2],
-                yu: e.rect[3],
-            },
+            rect: Rect { xl, yl, xu, yu },
             child,
         });
     }
@@ -167,7 +176,7 @@ fn from_disk(disk: DiskNode, page_count: u32) -> Result<Node, StorageError> {
         sort_by_xl(&mut entries);
     }
     Ok(Node {
-        level: disk.level,
+        level: view.level(),
         entries,
     })
 }
@@ -230,7 +239,7 @@ impl RTree {
     }
 
     /// Reopens a tree saved with [`RTree::save_to`]: decodes every page
-    /// (one ordered scan — module docs, "Opening")
+    /// (one scan — module docs, "Opening")
     /// into a fresh in-memory store, so queries and joins run unchanged
     /// — while a [`rsj_storage::FileNodeAccess`] over the same file makes
     /// the buffer misses real. Page ids, root, parameters, entry count
@@ -241,11 +250,12 @@ impl RTree {
     }
 
     /// Builds a tree from every page of an already-open page file — the
-    /// one assembly path behind every open. The pages
-    /// arrive through [`PageSource::scan`]: in id order, on this thread,
-    /// whether or not the reads behind them were overlapped (module docs,
-    /// "Opening"). The file's (already chain-validated) free list is
-    /// reconstructed into the store, so later updates allocate exactly
+    /// one assembly path behind every open. Each page is decoded, and
+    /// summarised for the structural walk, on the reader that read it
+    /// ([`PageSource::scan`]); the nodes land in the store in id order
+    /// and one walk over the summaries checks the structure (module
+    /// docs, "Opening"). The file's (already chain-validated) free list
+    /// is reconstructed into the store, so later updates allocate exactly
     /// like the tree that was saved.
     pub fn load(file: &mut impl PageSource) -> Result<RTree, StorageError> {
         let page_count = file.page_count();
@@ -254,32 +264,35 @@ impl RTree {
         }
         let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
         let free = file.free_pages().to_vec();
-        let free_set: std::collections::HashSet<PageId> = free.iter().copied().collect();
-        let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
-        file.scan(|id, bytes| {
-            match codec::decode_page(bytes)? {
-                DiskPage::Node(disk) => {
-                    if free_set.contains(&id) {
-                        return Err(StorageError::Corrupt(format!(
-                            "free chain claims live page {id}"
-                        )));
-                    }
-                    store.alloc(from_disk(disk, page_count)?);
+        let free_set: HashSet<PageId> = free.iter().copied().collect();
+        let pages = file.scan(|id, bytes| {
+            let free = free_set.contains(&id);
+            let node = match codec::view_page(bytes)? {
+                DiskPage::Node(_) if free => {
+                    return Err(StorageError::Corrupt(format!(
+                        "free chain claims live page {id}"
+                    )))
                 }
-                DiskPage::Free { .. } => {
-                    // The chain itself was validated by the file layer; here
-                    // we only reject markers the chain does not account for
-                    // (a free page no allocation could ever reach again).
-                    if !free_set.contains(&id) {
-                        return Err(StorageError::Corrupt(format!(
-                            "page {id} is a free marker but not on the free chain"
-                        )));
-                    }
-                    store.alloc(Node::leaf()); // placeholder, unreachable
+                DiskPage::Node(view) => node_from_view(view, page_count)?,
+                // The chain itself was validated by the file layer; here
+                // we only reject markers the chain does not account for
+                // (a free page no allocation could ever reach again).
+                DiskPage::Free { .. } if !free => {
+                    return Err(StorageError::Corrupt(format!(
+                        "page {id} is a free marker but not on the free chain"
+                    )))
                 }
-            }
-            Ok(())
+                DiskPage::Free { .. } => Node::leaf(), // placeholder, unreachable
+            };
+            let summary = PageSummary::of(&node, free);
+            Ok((node, summary))
         })?;
+        let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
+        let mut summaries = Vec::with_capacity(pages.len());
+        for (node, summary) in pages {
+            store.alloc(node);
+            summaries.push(summary);
+        }
         store.restore_free_list(free);
         store.reset_io(); // loading is not join I/O
         let tree = RTree {
@@ -288,17 +301,12 @@ impl RTree {
             params,
             len,
         };
-        if free_set.contains(&tree.root) {
-            return Err(StorageError::Corrupt(format!(
-                "root page {} is on the free chain",
-                tree.root
-            )));
-        }
         // A decodable file can still be structurally broken (reference
-        // cycles, unbalanced levels, lying entry counts); the invariant
-        // checker is cycle-safe, so corruption surfaces here as a typed
-        // error instead of hanging the first traversal.
-        tree.validate()
+        // cycles, unbalanced levels, lying entry counts, a free page
+        // still referenced); the walk is cycle-safe, so corruption
+        // surfaces here as a typed error instead of hanging the first
+        // traversal.
+        tree.check_structure(&summaries)
             .map_err(|e| StorageError::Corrupt(e.to_string()))?;
         Ok(tree)
     }
@@ -423,6 +431,101 @@ mod tests {
         ));
     }
 
+    /// 400 rectangles in, 300 deleted: a tree whose file carries a free
+    /// chain.
+    fn churned() -> RTree {
+        let mut tree = build(400);
+        for i in 0..300u64 {
+            let x = (i % 25) as f64 * 3.0;
+            let y = (i / 25) as f64 * 3.0;
+            assert!(tree.delete(&Rect::from_corners(x, y, x + 2.0, y + 2.0), DataId(i)));
+        }
+        assert!(tree.free_page_count() > 0, "fixture needs free pages");
+        tree
+    }
+
+    #[test]
+    fn parameters_no_constructor_produces_are_refused() {
+        let dir = TempDir::new("rtree-persist").unwrap();
+        let path = dir.file("t.rsj");
+        let tree = build(50);
+        tree.save_to(&path).unwrap();
+        let p = *tree.params();
+        let (m, big_m) = (p.min_entries as u32, p.max_entries as u32);
+        // (m, M, reinsert count), each outside `RTreeParams`'s ranges.
+        for (m, big_m, reinsert) in [
+            (0, big_m, 1),
+            (1, big_m, 1),
+            (big_m / 2 + 1, big_m, 1),
+            (m, 0, 1),
+            (m, big_m, 0),
+            (m, big_m, big_m - m + 1),
+        ] {
+            let mut file = PageFile::open_rw(&path).unwrap();
+            let mut meta = encode_meta(&tree);
+            meta[12..16].copy_from_slice(&big_m.to_le_bytes());
+            meta[16..20].copy_from_slice(&m.to_le_bytes());
+            meta[20..24].copy_from_slice(&reinsert.to_le_bytes());
+            file.set_meta(meta);
+            file.flush().unwrap();
+            drop(file);
+            match RTree::open_from(&path) {
+                Err(StorageError::Corrupt(msg)) => assert!(msg.contains("impossible"), "{msg}"),
+                other => panic!("m={m}, M={big_m}, p={reinsert}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_free_page_behind_a_directory_entry_is_refused() {
+        // One more level-1 entry, rect `Rect::empty()`, pointing at a page
+        // on the free chain: the empty placeholder behind it has the MBR
+        // its entry claims and the level a leaf needs. With m = 0 in the
+        // meta it also has a legal fill, so the file would open and the
+        // first split would index out of bounds.
+        let dir = TempDir::new("rtree-persist").unwrap();
+        for min_entries in [0, 3] {
+            let mut tree = churned();
+            let free = *tree.page_store().free_pages().last().unwrap();
+            let max = tree.params().max_entries;
+            let parent = (0..tree.allocated_pages() as u32)
+                .map(PageId)
+                .find(|&p| {
+                    let node = tree.node(p);
+                    node.level == 1
+                        && node.len() < max
+                        && !tree.page_store().free_pages().contains(&p)
+                })
+                .expect("a level-1 node with room");
+            tree.node_mut(parent).entries.push(Entry {
+                rect: Rect::empty(),
+                child: ChildRef::Page(free),
+            });
+            tree.params.min_entries = min_entries;
+            let path = dir.file("t.rsj");
+            tree.save_to(&path).unwrap();
+            let msg = match RTree::open_from(&path) {
+                Err(StorageError::Corrupt(msg)) => msg,
+                Err(e) => panic!("m={min_entries}: {e}"),
+                Ok(mut opened) => {
+                    for i in 0..400u64 {
+                        let x = i as f64;
+                        opened.insert(Rect::from_corners(x, 100.0, x + 1.0, 101.0), DataId(i));
+                    }
+                    panic!(
+                        "m={min_entries}: a tree no constructor produces opened and took inserts"
+                    )
+                }
+            };
+            let want = if min_entries == 0 {
+                "m=0"
+            } else {
+                "on the free chain"
+            };
+            assert!(msg.contains(want), "m={min_entries}: {msg}");
+        }
+    }
+
     #[test]
     fn truncated_file_is_rejected() {
         let dir = TempDir::new("rtree-persist").unwrap();
@@ -442,15 +545,8 @@ mod tests {
     #[test]
     fn free_list_round_trips_through_save_and_open() {
         let dir = TempDir::new("rtree-persist").unwrap();
-        let mut tree = build(400);
-        // Delete enough to dissolve nodes: the free list becomes
-        // non-trivial.
-        for i in 0..300u64 {
-            let x = (i % 25) as f64 * 3.0;
-            let y = (i / 25) as f64 * 3.0;
-            assert!(tree.delete(&Rect::from_corners(x, y, x + 2.0, y + 2.0), DataId(i)));
-        }
-        assert!(tree.free_page_count() > 0, "fixture needs free pages");
+        // Deletions dissolved nodes: the free list is non-trivial.
+        let tree = churned();
         let path = dir.file("t.rsj");
         let file = tree.save_to(&path).unwrap();
         assert_eq!(file.free_pages(), tree.page_store().free_pages());

@@ -7,16 +7,27 @@
 //! * every rectangle of a non-leaf entry covers all rectangles of its child
 //!   (and in this implementation is the *exact* MBR of the child).
 //!
-//! Two invariants are this implementation's own, not the paper's: every
+//! Three invariants are this implementation's own, not the paper's: every
 //! data rectangle is finite with ordered corners
-//! ([`rsj_geom::Rect::is_well_formed`]), and every leaf's entries are
+//! ([`rsj_geom::Rect::is_well_formed`]); every leaf's entries are
 //! ordered by `rect.xl` ([`crate::node`], "Entry order") — the plane
-//! sweep's sort order, kept by every writer.
+//! sweep's sort order, kept by every writer; and no entry reaches a page
+//! on the free list — on disk that slot is a chain marker, and the node
+//! an in-memory store keeps there until the page is reused is stale.
 //!
-//! The validator is used pervasively in tests after random workloads.
+//! There is one validator, in two steps. A `PageSummary` per page holds
+//! what needs a pass over the entries (the MBR, the first unsound leaf
+//! entry) and whether the page is free; `RTree::check_structure` then
+//! walks from the root over the summaries, reading only the node's level,
+//! fill and directory entries. An open computes each summary on the
+//! thread that decoded the page and runs the walk once the scan is in
+//! ([`RTree::load`]); [`RTree::validate`] computes the summaries from the
+//! nodes. The validator is used pervasively in tests after random
+//! workloads.
 
-use crate::node::ChildRef;
+use crate::node::{ChildRef, Entry, Node};
 use crate::tree::RTree;
+use rsj_geom::Rect;
 use rsj_storage::PageId;
 
 /// A violated invariant, with enough context to debug.
@@ -31,20 +42,109 @@ impl std::fmt::Display for ValidationError {
 
 impl std::error::Error for ValidationError {}
 
+/// What the structural walk needs of one page beyond its level, its fill
+/// and its directory entries: everything that would take a pass over a
+/// leaf's entries. An open computes it on the thread that decoded the
+/// page, while the entries are still in that core's cache
+/// ([`crate::persist`]); [`RTree::validate`] computes it from the nodes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PageSummary {
+    /// The MBR of the node's entries, which its parent's entry must equal.
+    mbr: Rect,
+    /// The first entry of a leaf that breaks a leaf invariant, and how.
+    leaf_fault: Option<(u32, LeafFault)>,
+    /// The page is on the free list, so no entry may reach it.
+    free: bool,
+}
+
+/// How a leaf entry breaks the leaf invariants (module docs).
+#[derive(Debug, Clone, Copy)]
+enum LeafFault {
+    PointsToPage,
+    Malformed,
+    Unordered,
+}
+
+impl PageSummary {
+    pub(crate) fn of(node: &Node, free: bool) -> Self {
+        let leaf_fault = if node.is_leaf() {
+            node.entries.iter().enumerate().find_map(|(i, e)| {
+                let fault = match e.child {
+                    ChildRef::Page(_) => LeafFault::PointsToPage,
+                    ChildRef::Data(_) if !e.rect.is_well_formed() => LeafFault::Malformed,
+                    ChildRef::Data(_) if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl => {
+                        LeafFault::Unordered
+                    }
+                    ChildRef::Data(_) => return None,
+                };
+                Some((i as u32, fault))
+            })
+        } else {
+            None
+        };
+        PageSummary {
+            mbr: node.mbr(),
+            leaf_fault,
+            free,
+        }
+    }
+}
+
+impl LeafFault {
+    fn error(self, page: PageId, entries: &[Entry], i: usize) -> ValidationError {
+        ValidationError(match self {
+            LeafFault::PointsToPage => format!("leaf page {page} entry {i} points to a page"),
+            LeafFault::Malformed => format!(
+                "leaf page {page} entry {i} has rect {:?}: a non-finite \
+                 coordinate or inverted corners",
+                entries[i].rect
+            ),
+            LeafFault::Unordered => format!(
+                "leaf page {page} is not ordered by xl: entry {} has xl {} but \
+                 entry {i} has xl {}",
+                i - 1,
+                entries[i - 1].rect.xl,
+                entries[i].rect.xl
+            ),
+        })
+    }
+}
+
 impl RTree {
-    /// Checks all structural invariants, returning the first violation.
+    /// Checks all structural invariants, returning the first violation:
+    /// the summaries of every page, then the structural walk (module docs).
     pub fn validate(&self) -> Result<(), ValidationError> {
+        let free: std::collections::HashSet<PageId> =
+            self.page_store().free_pages().iter().copied().collect();
+        let pages: Vec<PageSummary> = (0..self.allocated_pages() as u32)
+            .map(PageId)
+            .map(|id| PageSummary::of(self.node(id), free.contains(&id)))
+            .collect();
+        self.check_structure(&pages)
+    }
+
+    /// The one structural walk, over the summaries `pages` (one per
+    /// allocated page, by id): from the root, every reachable page is
+    /// reached once, is not free, sits at its expected level with a legal
+    /// fill, and matches its parent's entry rect; leaves are sound; the
+    /// reachable data entries number [`RTree::len`].
+    pub(crate) fn check_structure(&self, pages: &[PageSummary]) -> Result<(), ValidationError> {
         let root = self.node(self.root());
-        let height = self.height();
         if !root.is_leaf() && root.len() < 2 {
             return Err(ValidationError(format!(
                 "non-leaf root has {} entries, needs >= 2",
                 root.len()
             )));
         }
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = vec![false; pages.len()];
         let mut data_count = 0usize;
-        self.validate_node(self.root(), height - 1, true, &mut seen, &mut data_count)?;
+        self.check_subtree(
+            pages,
+            self.root(),
+            self.height() - 1,
+            &mut seen,
+            &mut data_count,
+        )?;
         if data_count != self.len() {
             return Err(ValidationError(format!(
                 "tree claims {} data entries but {} are reachable",
@@ -55,16 +155,25 @@ impl RTree {
         Ok(())
     }
 
-    fn validate_node(
+    fn check_subtree(
         &self,
+        pages: &[PageSummary],
         page: PageId,
         expected_level: u32,
-        is_root: bool,
-        seen: &mut std::collections::HashSet<PageId>,
+        seen: &mut [bool],
         data_count: &mut usize,
     ) -> Result<(), ValidationError> {
-        if !seen.insert(page) {
+        let is_root = page == self.root();
+        if std::mem::replace(&mut seen[page.index()], true) {
             return Err(ValidationError(format!("page {page} reachable twice")));
+        }
+        let summary = &pages[page.index()];
+        if summary.free {
+            return Err(ValidationError(if is_root {
+                format!("root page {page} is on the free chain")
+            } else {
+                format!("page {page} is reachable but on the free chain")
+            }));
         }
         let node = self.node(page);
         if node.level != expected_level {
@@ -86,49 +195,27 @@ impl RTree {
                 node.len()
             )));
         }
-        for (i, e) in node.entries.iter().enumerate() {
-            match (node.is_leaf(), e.child) {
-                (true, ChildRef::Data(_)) => {
-                    if !e.rect.is_well_formed() {
-                        return Err(ValidationError(format!(
-                            "leaf page {page} entry {i} has rect {:?}: a non-finite \
-                             coordinate or inverted corners",
-                            e.rect
-                        )));
-                    }
-                    if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl {
-                        return Err(ValidationError(format!(
-                            "leaf page {page} is not ordered by xl: entry {} has xl {} but \
-                             entry {i} has xl {}",
-                            i - 1,
-                            node.entries[i - 1].rect.xl,
-                            e.rect.xl
-                        )));
-                    }
-                    *data_count += 1;
-                }
-                (false, ChildRef::Page(child)) => {
-                    let child_node = self.node(child);
-                    if child_node.mbr() != e.rect {
-                        return Err(ValidationError(format!(
-                            "entry {i} of page {page} has rect {:?} but child {child} has MBR {:?}",
-                            e.rect,
-                            child_node.mbr()
-                        )));
-                    }
-                    self.validate_node(child, expected_level - 1, false, seen, data_count)?;
-                }
-                (true, ChildRef::Page(_)) => {
-                    return Err(ValidationError(format!(
-                        "leaf page {page} entry {i} points to a page"
-                    )));
-                }
-                (false, ChildRef::Data(_)) => {
-                    return Err(ValidationError(format!(
-                        "directory page {page} entry {i} points to data"
-                    )));
-                }
+        if node.is_leaf() {
+            if let Some((i, fault)) = summary.leaf_fault {
+                return Err(fault.error(page, &node.entries, i as usize));
             }
+            *data_count += node.len();
+            return Ok(());
+        }
+        for (i, e) in node.entries.iter().enumerate() {
+            let ChildRef::Page(child) = e.child else {
+                return Err(ValidationError(format!(
+                    "directory page {page} entry {i} points to data"
+                )));
+            };
+            let child_mbr = pages[child.index()].mbr;
+            if child_mbr != e.rect {
+                return Err(ValidationError(format!(
+                    "entry {i} of page {page} has rect {:?} but child {child} has MBR {:?}",
+                    e.rect, child_mbr
+                )));
+            }
+            self.check_subtree(pages, child, expected_level - 1, seen, data_count)?;
         }
         Ok(())
     }
@@ -251,6 +338,21 @@ mod tests {
         t.len = 5; // lie
         let err = t.validate().unwrap_err();
         assert!(err.0.contains("data entries"), "{err}");
+    }
+
+    #[test]
+    fn detects_reachable_free_page() {
+        let mut t = RTree::new(params());
+        for i in 0..40 {
+            let x = i as f64;
+            t.insert(Rect::from_corners(x, 0.0, x + 0.5, 1.0), DataId(i));
+        }
+        // Release a live page: its node stays in place, so only the free
+        // list says it is gone.
+        let child = RTree::child_page(&t.node(t.root()).entries[0]);
+        t.store.free(child);
+        let err = t.validate().unwrap_err();
+        assert!(err.0.contains("on the free chain"), "{err}");
     }
 
     #[test]

@@ -296,15 +296,60 @@ pub struct DiskNode {
 }
 
 /// What one decoded slot holds: a node, or a link of the free-page chain.
+/// [`decode_page`] yields the owned form; [`view_page`] the borrowed one,
+/// with a [`NodeView`] over the slot's bytes.
 #[derive(Debug, Clone, PartialEq)]
-pub enum DiskPage {
+pub enum DiskPage<N = DiskNode> {
     /// An encoded R\*-tree node.
-    Node(DiskNode),
+    Node(N),
     /// A released page slot; `next` continues the free chain.
     Free {
         /// The next free page, if the chain continues.
         next: Option<PageId>,
     },
+}
+
+/// One node slot read in place: [`view_page`] checks the slot header and
+/// the entry count once, and the entries are read straight from the
+/// slot's bytes — the one decode loop behind [`decode_node`],
+/// [`decode_page`] and every tree open.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeView<'a> {
+    level: u32,
+    /// Exactly `entry_count × DISK_ENTRY_BYTES` bytes.
+    entries: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    /// Level above the leaves (0 = leaf).
+    #[inline]
+    pub fn level(&self) -> u32 {
+        self.level
+    }
+
+    /// The entries, in slot order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = DiskEntry> + 'a {
+        self.entries.chunks_exact(DISK_ENTRY_BYTES).map(|raw| {
+            let word = |at: usize| {
+                u64::from_le_bytes(
+                    raw[at..at + 8]
+                        .try_into()
+                        .expect("8 bytes of a 40-byte entry"),
+                )
+            };
+            DiskEntry {
+                rect: [0, 8, 16, 24].map(|at| f64::from_bits(word(at))),
+                child: word(32),
+            }
+        })
+    }
+
+    fn to_node(self) -> DiskNode {
+        DiskNode {
+            level: self.level,
+            entries: self.entries().collect(),
+        }
+    }
 }
 
 /// Physical slot size needed for nodes of up to `entry_capacity` entries.
@@ -365,45 +410,21 @@ pub fn encode_free_page(
     Ok(())
 }
 
-/// Decodes one slot as node *or* free-chain link.
-pub fn decode_page(buf: &[u8]) -> Result<DiskPage, StorageError> {
+/// Views one slot as node *or* free-chain link, without copying the
+/// entries ([`NodeView`]). Every check of [`decode_page`] is made here.
+pub fn view_page(buf: &[u8]) -> Result<DiskPage<NodeView<'_>>, StorageError> {
     if buf.len() < SLOT_HEADER_BYTES {
         return Err(StorageError::Truncated {
             expected_bytes: SLOT_HEADER_BYTES as u64,
             found_bytes: buf.len() as u64,
         });
     }
-    let level = u32::from_le_bytes(buf[0..4].try_into().expect("slice of 4"));
+    let word = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("slice of 4"));
+    let (level, count) = (word(0), word(4));
     if level == FREE_PAGE_LEVEL {
-        let raw = u32::from_le_bytes(buf[4..8].try_into().expect("slice of 4"));
-        let next = match raw {
-            0 => None,
-            n => Some(PageId(n - 1)),
-        };
+        let next = count.checked_sub(1).map(PageId);
         return Ok(DiskPage::Free { next });
     }
-    decode_node(buf).map(DiskPage::Node)
-}
-
-/// Decodes one slot as a node. `buf` must be the full slot; the entry
-/// count is validated against the slot length, so corrupted counts
-/// surface as [`StorageError::Corrupt`] instead of a slice panic. A
-/// free-page marker is an error here — readers that expect either use
-/// [`decode_page`].
-pub fn decode_node(buf: &[u8]) -> Result<DiskNode, StorageError> {
-    if buf.len() < SLOT_HEADER_BYTES {
-        return Err(StorageError::Truncated {
-            expected_bytes: SLOT_HEADER_BYTES as u64,
-            found_bytes: buf.len() as u64,
-        });
-    }
-    let level = u32::from_le_bytes(buf[0..4].try_into().expect("slice of 4"));
-    if level == FREE_PAGE_LEVEL {
-        return Err(StorageError::Corrupt(
-            "expected a node but found a free-page marker".into(),
-        ));
-    }
-    let count = u32::from_le_bytes(buf[4..8].try_into().expect("slice of 4"));
     // Widen before multiplying: the count is attacker-controlled, and
     // `count * entry_bytes` must not wrap on 32-bit targets.
     let need = SLOT_HEADER_BYTES as u64 + u64::from(count) * DISK_ENTRY_BYTES as u64;
@@ -413,22 +434,32 @@ pub fn decode_node(buf: &[u8]) -> Result<DiskNode, StorageError> {
             buf.len()
         )));
     }
-    let count = count as usize;
-    let mut entries = Vec::with_capacity(count);
-    let mut at = SLOT_HEADER_BYTES;
-    for _ in 0..count {
-        let mut rect = [0f64; 4];
-        for c in &mut rect {
-            *c = f64::from_bits(u64::from_le_bytes(
-                buf[at..at + 8].try_into().expect("slice of 8"),
-            ));
-            at += 8;
-        }
-        let child = u64::from_le_bytes(buf[at..at + 8].try_into().expect("slice of 8"));
-        at += 8;
-        entries.push(DiskEntry { rect, child });
+    Ok(DiskPage::Node(NodeView {
+        level,
+        entries: &buf[SLOT_HEADER_BYTES..need as usize],
+    }))
+}
+
+/// Decodes one slot as node *or* free-chain link.
+pub fn decode_page(buf: &[u8]) -> Result<DiskPage, StorageError> {
+    Ok(match view_page(buf)? {
+        DiskPage::Node(view) => DiskPage::Node(view.to_node()),
+        DiskPage::Free { next } => DiskPage::Free { next },
+    })
+}
+
+/// Decodes one slot as a node. `buf` must be the full slot; the entry
+/// count is validated against the slot length, so corrupted counts
+/// surface as [`StorageError::Corrupt`] instead of a slice panic. A
+/// free-page marker is an error here — readers that expect either use
+/// [`decode_page`].
+pub fn decode_node(buf: &[u8]) -> Result<DiskNode, StorageError> {
+    match view_page(buf)? {
+        DiskPage::Node(view) => Ok(view.to_node()),
+        DiskPage::Free { .. } => Err(StorageError::Corrupt(
+            "expected a node but found a free-page marker".into(),
+        )),
     }
-    Ok(DiskNode { level, entries })
 }
 
 /// Convenience: decode the page id a directory entry references, range-

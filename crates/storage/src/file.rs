@@ -5,8 +5,8 @@
 //! one positional read, every page write one positional write of the
 //! whole slot, and both are counted, so a cold-opened tree pays genuine
 //! file I/O for every buffer miss; the whole-file read an open does is
-//! its [`PageSource::scan`], overlapped when reads wait
-//! ([`crate::scan`]). [`PageSource`] — declared here — is what a page
+//! its [`PageSource::scan`], which reads and decodes pages on several
+//! threads ([`crate::scan`]). [`PageSource`] — declared here — is what a page
 //! file can do; [`PageFile`] is the one the file-access stack's read
 //! strategies ([`crate::FileAccess`]) and every open read.
 //!
@@ -19,6 +19,7 @@
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 use crate::codec::{self, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
@@ -27,7 +28,7 @@ use crate::page::PageId;
 /// A store's pages as a physical page file: in-place page overwrite,
 /// append, the persistent free list, metadata and flush — what the save,
 /// bulk-build and update paths write through — plus what
-/// [`crate::FileAccess`] reads through: the ordered whole-file scan of an
+/// [`crate::FileAccess`] reads through: the whole-file scan of an
 /// open and counter reset. One store is one file. Implemented by
 /// [`PageFile`]; the trait is the seam another source (a fault-injecting
 /// one, say) plugs into.
@@ -87,12 +88,14 @@ pub trait PageSource {
     /// Zeroes the read/write counters.
     fn reset_io(&mut self);
 
-    /// Feeds every page to `sink` in id order, each read (and charged)
-    /// once — what opening a tree does ([`crate::scan`]).
-    fn scan(
+    /// Reads and decodes every page, each read (and charged) once, and
+    /// returns what `decode` made of them in id order — what opening a
+    /// tree does ([`crate::scan`]). `decode` may run on several threads
+    /// at once; the first error in page order is returned.
+    fn scan<T: Send>(
         &mut self,
-        sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError>;
+        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
+    ) -> Result<Vec<T>, StorageError>;
 }
 
 /// Walks and validates the persisted free chain from `head` — every link
@@ -403,7 +406,7 @@ impl PageFile {
     /// perform, any number at once on one handle. The injected latency
     /// is paid exactly as in [`PageFile::read_page_into`]; the handle's
     /// own read counter is not touched (the queue counts per lane, a
-    /// scan charges what it delivered).
+    /// scan counts its reads and charges them when it ends).
     pub(crate) fn read_page_at(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
         self.pread_slot(id, buf, true, false)
     }
@@ -551,26 +554,26 @@ impl PageSource for PageFile {
         self.writes = 0;
     }
 
-    /// Feeds every page to `sink` in id order through
+    /// Reads and decodes every page through
     /// [`scan_pages`](crate::scan::scan_pages) — the read an open does:
-    /// one positional read per page (paying the injected latency exactly
-    /// as [`PageFile::read_page_into`] does), overlapped when the reads
-    /// are what the scan waits for. Charges one read per page handed to
-    /// the sink, as the same pages read one by one would.
-    fn scan(
+    /// one positional read per page, paying the injected latency exactly
+    /// as [`PageFile::read_page_into`] does, by as many readers as the
+    /// scan chooses. Charges every read it made.
+    fn scan<T: Send>(
         &mut self,
-        mut sink: impl FnMut(PageId, &[u8]) -> Result<(), StorageError>,
-    ) -> Result<(), StorageError> {
-        let (file, mut delivered) = (&*self, 0);
+        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
+    ) -> Result<Vec<T>, StorageError> {
+        let (file, reads) = (&*self, AtomicU64::new(0));
         let res = crate::scan::scan_pages(
             file.page_count(),
-            |id, buf| file.read_page_at(id, buf),
-            |id, bytes| {
-                delivered += 1;
-                sink(id, bytes)
+            |id, buf| {
+                file.read_page_at(id, buf)?;
+                reads.fetch_add(1, Relaxed);
+                Ok(())
             },
+            decode,
         );
-        self.reads += delivered; // per page sunk, not per read made
+        self.reads += reads.into_inner();
         res
     }
 }

@@ -37,10 +37,10 @@
 //!   [`StorageError`]s;
 //! * [`PageFile`] — a page file over `std::fs::File` with read/write
 //!   counters;
-//! * [`scan`] — the ordered whole-file read every tree open makes: pages
-//!   reach the consumer in id order on its own thread, read one at a time
-//!   or — when the reads are what it waits for — up to [`QUEUE_DEPTH`]
-//!   at once through a bounded read-ahead ring;
+//! * [`scan`] — the whole-file read every tree open makes: readers claim
+//!   pages in ascending order and decode each on the thread that read it
+//!   — one reader per core, or [`QUEUE_DEPTH`] when the reads are what
+//!   the open waits for — and the decoded pages come back in id order;
 //! * [`FileAccess<R>`](FileAccess) — the file-backed [`NodeAccess`]
 //!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
 //!   capacity) over one page file per store, where every miss is served by

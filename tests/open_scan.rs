@@ -1,16 +1,18 @@
-//! Opening a tree is one ordered page scan (`rsj_storage::scan`) whose
-//! reads are overlapped only when they are what the open waits for. The
+//! Opening a tree is one page scan (`rsj_storage::scan`) whose readers
+//! read and decode pages on several threads: one per core when reads are
+//! quick, the queue depth when they are what the open waits for. The
 //! schedule must not be observable in what the open builds or reports:
 //!
 //! * a churned tree — free markers mid-file — loads page for page the
-//!   same through a slow handle
-//!   (overlapped reads) and a fast one (serial reads), free list and its
-//!   order included, at one charged read per page, and joins SJ4 to
-//!   identical `JoinStats`;
+//!   same through a slow handle (queue-depth readers) and a fast one,
+//!   free list and its order included, at one charged read per page, and
+//!   joins SJ4 to identical `JoinStats`;
 //! * a corrupt file fails with the same error, variant and message, down
 //!   both sides — whether the corruption is caught before the scan (bad
-//!   root, truncation), by the sink at a mid-file page (impossible entry
-//!   count) or by `validate()` after it (reference cycle).
+//!   root, truncation), by the decode at a mid-file page (impossible entry
+//!   count) or by the structural walk after it (reference cycle);
+//! * a read that fails at page k is the error, on both sides, even when
+//!   a later page's decode fails first.
 
 mod common;
 
@@ -21,7 +23,8 @@ use std::time::Duration;
 use common::sorted_ids;
 use rsj::datagen::synthetic::uniform_rects;
 use rsj::prelude::*;
-use rsj_storage::codec::{HEADER_BYTES, SLOT_HEADER_BYTES};
+use rsj_storage::codec::{HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
+use rsj_storage::scan::scan_pages;
 use rsj_storage::{PageId, PageSource, StorageError, TempDir};
 
 /// Against a decode of a few hundred bytes per page, a read this slow has
@@ -178,4 +181,109 @@ fn corrupt_files_fail_alike_down_both_sides() {
     );
     let err = same_error("entry count", |l| open_with(&path, l));
     assert!(err.starts_with("Corrupt"), "{err}");
+}
+
+/// A page file whose scan reads its slots from memory, each read taking
+/// `latency`, except page `fail_at`, whose read fails — later than every
+/// other read ends. Everything else is the file's.
+struct FailingRead {
+    file: PageFile,
+    slots: Vec<Vec<u8>>,
+    latency: Option<Duration>,
+    fail_at: PageId,
+}
+
+impl FailingRead {
+    fn open(path: &Path, latency: Option<Duration>, fail_at: PageId) -> Self {
+        let mut file = PageFile::open(path).unwrap();
+        let slots = (0..file.page_count())
+            .map(|id| file.read_page(PageId(id)).unwrap())
+            .collect();
+        FailingRead {
+            file,
+            slots,
+            latency,
+            fail_at,
+        }
+    }
+}
+
+impl PageSource for FailingRead {
+    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+        self.file.write_page(id, payload)
+    }
+    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.file.read_page_into(id, buf)
+    }
+    fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
+        self.file.append_page(payload)
+    }
+    fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
+        self.file.set_free_list(free)
+    }
+    fn page_count(&self) -> u32 {
+        self.file.page_count()
+    }
+    fn page_bytes(&self) -> usize {
+        self.file.page_bytes()
+    }
+    fn slot_bytes(&self) -> usize {
+        self.file.slot_bytes()
+    }
+    fn meta(&self) -> &[u8; META_BYTES] {
+        self.file.meta()
+    }
+    fn set_meta(&mut self, meta: [u8; META_BYTES]) {
+        self.file.set_meta(meta)
+    }
+    fn free_pages(&self) -> &[PageId] {
+        self.file.free_pages()
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.file.flush()
+    }
+    fn reset_io(&mut self) {
+        self.file.reset_io()
+    }
+    fn scan<T: Send>(
+        &mut self,
+        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
+    ) -> Result<Vec<T>, StorageError> {
+        let read_at = |id: PageId, buf: &mut Vec<u8>| {
+            if id == self.fail_at {
+                std::thread::sleep(Duration::from_millis(5));
+                return Err(StorageError::Io(std::io::Error::other(format!(
+                    "injected read failure at page {id}"
+                ))));
+            }
+            if let Some(latency) = self.latency {
+                std::thread::sleep(latency);
+            }
+            buf.clone_from(&self.slots[id.index()]);
+            Ok(())
+        };
+        scan_pages(self.page_count(), read_at, decode)
+    }
+}
+
+#[test]
+fn a_failed_read_wins_over_a_later_corrupt_page_down_both_sides() {
+    let (r, _) = fixture();
+    let dir = TempDir::new("open-scan-read").unwrap();
+    let path = dir.file("r.rsj");
+    let slot = r.save_to(&path).unwrap().slot_bytes() as u64;
+    let k = mid_file_node(&r);
+    let free = r.page_store().free_pages();
+    let later = (k.0 + 2..).map(PageId).find(|p| !free.contains(p)).unwrap();
+    let slot_offset = HEADER_BYTES as u64 + u64::from(later.0) * slot;
+    poke(&path, slot_offset + 4, &u32::MAX.to_le_bytes());
+    let open = |latency| RTree::load(&mut FailingRead::open(&path, latency, k));
+    // Without the failing read, the corrupt page is the error.
+    let corrupt = format!("{:?}", RTree::open_from(&path).expect_err("corrupt"));
+    assert!(corrupt.starts_with("Corrupt"), "{corrupt}");
+    let err = same_error("failed read", open);
+    assert!(
+        err.starts_with("Io") && err.contains(&format!("injected read failure at page {k}")),
+        "{err}"
+    );
 }
