@@ -46,7 +46,9 @@
 //!
 //! Beyond the MBR join (the *filter step*), [`refine`] implements the
 //! ID-spatial-join and object-spatial-join of §2.1: candidates are checked
-//! against exact geometry fetched from a paged object heap file.
+//! against exact geometry. The object pages are an accounting model — an
+//! in-memory first-fit packing whose page reads are charged through a
+//! [`BufferPool`](rsj_storage::BufferPool), never a page file.
 //! [`baseline`] provides the naive nested-loop join and an index
 //! nested-loop join for comparison. [`multiway`] generalizes to k
 //! relations (streaming the leading binary join off a cursor) and

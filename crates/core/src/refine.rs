@@ -3,13 +3,17 @@
 //! "The MBR-spatial-join can be used for implementing the filter step of
 //! the ID- and object-spatial-join." This module completes the pipeline:
 //! the MBR join produces candidate pairs; the refinement step fetches the
-//! exact geometry of each candidate from a paged object heap file and keeps
-//! the pairs whose geometries really intersect.
+//! exact geometry of each candidate and keeps the pairs whose geometries
+//! really intersect.
 //!
-//! Heap-file reads go through their own [`BufferPool`] (the object pages
-//! compete for buffer like tree pages would in a real system); candidates
-//! are processed in R-record page order to give the buffer locality to
-//! work with.
+//! The step is an accounting model, not a page file. An
+//! [`ObjectRelation`] keeps its geometries in memory and packs them into
+//! pages first-fit in build order; generation order is spatially
+//! correlated, so the pages are clustered the way a loaded GIS database
+//! would be. Each candidate charges its two object pages to their own
+//! [`BufferPool`] (the object pages compete for buffer like tree pages
+//! would in a real system); candidates are processed in R-record page
+//! order to give the buffer locality to work with.
 //!
 //! The *object*-spatial-join of the paper additionally outputs the
 //! geometric intersection `a ∩ b` itself; computing that overlay is the
@@ -23,55 +27,81 @@ use crate::plan::{JoinConfig, JoinPlan};
 use crate::spatial_join;
 use rsj_geom::Geometry;
 use rsj_rtree::{DataId, RTree};
-use rsj_storage::{BufferPool, HeapFile, IoStats, RecordId};
+use rsj_storage::{BufferPool, IoStats, PageId};
+use std::collections::HashMap;
 
-/// A spatial relation's exact geometry in a heap file, addressable by id.
+/// Where a record sits: its page, and its index in build order.
+type Slot = (PageId, usize);
+
+/// A spatial relation's exact geometry, packed into pages and addressable
+/// by id.
 #[derive(Debug, Clone)]
 pub struct ObjectRelation {
-    heap: HeapFile<(u64, Geometry)>,
-    /// id → record location. Ids need not be dense.
-    loc: std::collections::HashMap<u64, RecordId>,
+    /// Geometries in build order, which is page order.
+    objects: Vec<Geometry>,
+    /// id → (page, index into `objects`). Ids need not be dense.
+    loc: HashMap<u64, Slot>,
+    /// Pages the records fill.
+    pages: usize,
 }
 
 impl ObjectRelation {
-    /// Builds the heap file from `(id, geometry)` pairs in the given order
-    /// (generation order is spatially correlated, which is what gives heap
-    /// pages their clustering).
+    /// Packs `(id, geometry)` pairs into pages of `page_bytes` bytes in
+    /// the given order, sizing each record by [`Geometry::approx_bytes`]:
+    /// a record that does not fit the current page opens the next one,
+    /// and an oversized record gets a page of its own (spanning is not
+    /// modelled — the paper's data objects are polyline fragments well
+    /// below page size).
+    ///
+    /// # Panics
+    ///
+    /// If `page_bytes` is zero or an id occurs twice.
     pub fn build(page_bytes: usize, objects: impl IntoIterator<Item = (u64, Geometry)>) -> Self {
-        let mut heap = HeapFile::new(page_bytes);
-        let mut loc = std::collections::HashMap::new();
+        assert!(page_bytes > 0, "page size must be positive");
+        let mut rel = ObjectRelation {
+            objects: Vec::new(),
+            loc: HashMap::new(),
+            pages: 0,
+        };
+        let mut used = 0; // bytes on the current page
         for (id, g) in objects {
             let bytes = g.approx_bytes();
-            let rid = heap.append((id, g), bytes);
-            let prev = loc.insert(id, rid);
+            if rel.pages == 0 || (used > 0 && used + bytes > page_bytes) {
+                rel.pages += 1;
+                used = 0;
+            }
+            used += bytes;
+            let page = PageId(u32::try_from(rel.pages - 1).expect("page overflow"));
+            let prev = rel.loc.insert(id, (page, rel.objects.len()));
             assert!(prev.is_none(), "duplicate object id {id}");
+            rel.objects.push(g);
         }
-        ObjectRelation { heap, loc }
+        rel
     }
 
     /// Number of objects.
     pub fn len(&self) -> usize {
-        self.loc.len()
+        self.objects.len()
     }
 
     /// True if the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.loc.is_empty()
+        self.objects.is_empty()
     }
 
-    /// Number of heap pages.
+    /// Number of object pages.
     pub fn page_count(&self) -> usize {
-        self.heap.page_count()
+        self.pages
     }
 
-    /// Record location of an id.
-    pub fn locate(&self, id: u64) -> Option<RecordId> {
+    /// The slot of an id.
+    fn locate(&self, id: u64) -> Option<Slot> {
         self.loc.get(&id).copied()
     }
 
     /// Borrows a geometry without I/O accounting.
     pub fn peek(&self, id: u64) -> Option<&Geometry> {
-        self.locate(id).map(|rid| &self.heap.peek(rid).1)
+        self.locate(id).map(|(_, at)| &self.objects[at])
     }
 }
 
@@ -84,7 +114,7 @@ pub struct RefineResult {
     pub candidates: u64,
     /// Filter-step (MBR join) statistics.
     pub filter: crate::stats::JoinStats,
-    /// Heap-file page accesses of the refinement step.
+    /// Object-page accesses of the refinement step.
     pub refine_io: IoStats,
 }
 
@@ -103,7 +133,7 @@ impl RefineResult {
 
 /// ID-spatial-join: all `(Id(a), Id(b))` with `a ∩ b ≠ ∅` on exact
 /// geometry. Runs the MBR join under `plan` as the filter step, then
-/// refines against the heap files.
+/// refines against the object relations.
 pub fn id_join(
     r_tree: &RTree,
     s_tree: &RTree,
@@ -125,7 +155,7 @@ pub fn id_join(
 }
 
 /// Object-spatial-join: like [`id_join`] but also returns the geometries of
-/// every matching pair (cloned out of the heap).
+/// every matching pair (cloned out of the relations).
 pub fn object_join(
     r_tree: &RTree,
     s_tree: &RTree,
@@ -154,8 +184,9 @@ fn refine_candidates(
     s_objs: &ObjectRelation,
     cfg: &JoinConfig,
 ) -> RefineResult {
-    // Sort candidates by (R page, S page) so heap reads are clustered.
-    let mut cands: Vec<(RecordId, RecordId, u64, u64)> = filter
+    // Sort candidates by (R page, S page) so object-page reads are
+    // clustered; storage position orders the records within a page.
+    let mut cands: Vec<(Slot, Slot, u64, u64)> = filter
         .pairs
         .iter()
         .map(|&(DataId(a), DataId(b))| {
@@ -167,18 +198,16 @@ fn refine_candidates(
             )
         })
         .collect();
-    cands.sort_unstable_by_key(|&(ra, sb, _, _)| (ra.page, sb.page, ra.slot, sb.slot));
+    cands.sort_unstable_by_key(|&((rp, ra), (sp, sb), _, _)| (rp, sp, ra, sb));
 
-    // Heap pages share one buffer; store 0 = R objects, 1 = S objects. Path
-    // buffers of height 1 model holding the current page open.
+    // Object pages share one buffer; store 0 = R objects, 1 = S objects.
+    // Path buffers of height 1 model holding the current page open.
     let mut pool = BufferPool::new(cfg.buffer_bytes, filter.stats.page_bytes.max(1), &[1, 1]);
     let mut out = Vec::new();
-    for (ra, sb, a, b) in cands {
-        pool.access(0, ra.page, 0);
-        pool.access(1, sb.page, 0);
-        let ga = &r_objs.heap.peek(ra).1;
-        let gb = &s_objs.heap.peek(sb).1;
-        if ga.intersects(gb) {
+    for ((rp, ra), (sp, sb), a, b) in cands {
+        pool.access(0, rp, 0);
+        pool.access(1, sp, 0);
+        if r_objs.objects[ra].intersects(&s_objs.objects[sb]) {
             out.push((a, b));
         }
     }
@@ -308,6 +337,36 @@ mod tests {
         assert!(rel.locate(5).is_some());
         assert!(rel.locate(99).is_none());
         assert_eq!(rel.peek(3), Some(&objs[3].1));
+    }
+
+    #[test]
+    fn build_packs_first_fit_and_gives_oversized_records_a_page() {
+        let line = |n: usize| {
+            let pts = (0..n).map(|i| Point::new(i as f64, 0.0)).collect();
+            Geometry::Line(Polyline::new(pts))
+        };
+        assert_eq!(line(2).approx_bytes(), 40);
+        // 40 + 40 fill 100-byte page 0; the third record opens page 1.
+        // The 648-byte record gets page 2 to itself, and the next record
+        // starts page 3.
+        let rel = ObjectRelation::build(
+            100,
+            vec![
+                (7, line(2)),
+                (3, line(2)),
+                (9, line(2)),
+                (1, line(40)),
+                (2, line(2)),
+            ],
+        );
+        let page_of = |id| rel.locate(id).unwrap().0;
+        assert_eq!(
+            [7, 3, 9, 1, 2].map(page_of),
+            [PageId(0), PageId(0), PageId(1), PageId(2), PageId(3)]
+        );
+        assert_eq!(rel.page_count(), 4);
+        assert_eq!(rel.len(), 5);
+        assert_eq!(rel.peek(1), Some(&line(40)));
     }
 
     #[test]

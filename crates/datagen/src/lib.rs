@@ -20,7 +20,6 @@
 //! [`scenarios`] adds the large-scale skewed/clustered workloads the bulk
 //! build experiments run on.
 
-pub mod io;
 pub mod lines;
 pub mod objects;
 pub mod presets;
@@ -28,7 +27,6 @@ pub mod regions;
 pub mod scenarios;
 pub mod synthetic;
 
-pub use io::{from_wkt, to_wkt};
 pub use objects::{mbr_items, Geometry, SpatialObject, WORLD};
 pub use presets::{preset, PresetData, TestId};
 pub use scenarios::{scenario, Scenario, ScenarioData, SCENARIO_FULL_CARDINALITY};

@@ -2,7 +2,7 @@
 //!
 //! The paper's relations hold either TIGER-style *line objects* (streets,
 //! rivers, railways) or *region data* (§5, Table 8). [`Geometry`] is the
-//! payload stored in the object heap file and tested by the refinement step
+//! payload of an object relation's pages, tested by the refinement step
 //! of the ID-/object-spatial-joins (§2.1).
 
 use crate::poly::{Polygon, Polyline};
@@ -37,7 +37,7 @@ impl Geometry {
         }
     }
 
-    /// Approximate on-disk footprint in bytes (for heap-file packing):
+    /// Approximate on-disk footprint in bytes (for object-page packing):
     /// 16 bytes per vertex plus a small header.
     pub fn approx_bytes(&self) -> usize {
         let vertices = match self {

@@ -296,24 +296,6 @@ impl Rect {
         gx.max(gy)
     }
 
-    /// Squared Euclidean distance between the two closed rectangles (zero
-    /// if they intersect) — the k-nearest-neighbour bound.
-    #[inline]
-    pub fn euclid_distance2(&self, other: &Rect) -> f64 {
-        let gx = (self.xl - other.xu).max(other.xl - self.xu).max(0.0);
-        let gy = (self.yl - other.yu).max(other.yl - self.yu).max(0.0);
-        gx * gx + gy * gy
-    }
-
-    /// Squared Euclidean distance from a point to the rectangle (zero when
-    /// inside).
-    #[inline]
-    pub fn dist2_to_point(&self, p: &Point) -> f64 {
-        let dx = (self.xl - p.x).max(p.x - self.xu).max(0.0);
-        let dy = (self.yl - p.y).max(p.y - self.yu).max(0.0);
-        dx * dx + dy * dy
-    }
-
     /// True iff the point lies inside `self` (boundaries included).
     #[inline]
     pub fn contains_point(&self, p: &Point) -> bool {
@@ -526,20 +508,11 @@ mod tests {
         let a = r(0.0, 0.0, 1.0, 1.0);
         let b = r(4.0, 5.0, 6.0, 7.0); // gaps: x 3, y 4
         assert_eq!(a.linf_distance(&b), 4.0);
-        assert_eq!(a.euclid_distance2(&b), 25.0);
         assert_eq!(a.linf_distance(&a), 0.0);
         let touch = r(1.0, 0.0, 2.0, 1.0);
         assert_eq!(a.linf_distance(&touch), 0.0);
         // Distance <= eps iff expanded intersects (the filter identity).
         assert!(a.expanded(4.0).intersects(&b));
         assert!(!a.expanded(3.9).intersects(&b));
-    }
-
-    #[test]
-    fn point_rect_distance() {
-        let a = r(0.0, 0.0, 2.0, 2.0);
-        assert_eq!(a.dist2_to_point(&Point::new(1.0, 1.0)), 0.0);
-        assert_eq!(a.dist2_to_point(&Point::new(5.0, 2.0)), 9.0);
-        assert_eq!(a.dist2_to_point(&Point::new(3.0, 4.0)), 5.0);
     }
 }

@@ -48,9 +48,11 @@
 //! monotone `u64` image of the coordinate — so worker count never changes
 //! the tree.
 //!
-//! Input rectangles must be finite: a NaN or infinite coordinate is
-//! reported up front as [`BulkError::NonFiniteRect`] with the offending
-//! index instead of panicking mid-sort.
+//! Input rectangles must be well formed ([`Rect::is_well_formed`], the
+//! check an open applies to every stored rectangle): a NaN or infinite
+//! coordinate or inverted corners are reported up front as
+//! [`BulkError::MalformedRect`] with the offending index, instead of
+//! panicking mid-sort or writing a file that no open accepts.
 
 use std::path::Path;
 
@@ -83,10 +85,11 @@ pub enum BulkLayout {
 /// Why a bulk build refused or failed.
 #[derive(Debug)]
 pub enum BulkError {
-    /// `items[index]` has a NaN or infinite coordinate. Detected up front:
-    /// non-finite values have no total order, so they would otherwise
-    /// scramble (pre-validation: panic) the sort passes.
-    NonFiniteRect {
+    /// `items[index]` has a NaN or infinite coordinate or inverted
+    /// corners. Detected up front: non-finite values have no total order,
+    /// so they would otherwise scramble the sort passes, and an open
+    /// refuses a tree that stores any malformed rectangle.
+    MalformedRect {
         /// Index into the caller's item slice.
         index: usize,
     },
@@ -97,8 +100,11 @@ pub enum BulkError {
 impl std::fmt::Display for BulkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            BulkError::NonFiniteRect { index } => {
-                write!(f, "rectangle at index {index} has a non-finite coordinate")
+            BulkError::MalformedRect { index } => {
+                write!(
+                    f,
+                    "rectangle at index {index} has a non-finite coordinate or inverted corners"
+                )
             }
             BulkError::Storage(e) => write!(f, "bulk build I/O failed: {e}"),
         }
@@ -109,7 +115,7 @@ impl std::error::Error for BulkError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             BulkError::Storage(e) => Some(e),
-            BulkError::NonFiniteRect { .. } => None,
+            BulkError::MalformedRect { .. } => None,
         }
     }
 }
@@ -165,8 +171,8 @@ pub struct BulkStats {
 /// every node ends up with between `m` and `M` entries.
 ///
 /// # Errors
-/// [`BulkError::NonFiniteRect`] if any rectangle has a NaN or infinite
-/// coordinate.
+/// [`BulkError::MalformedRect`] if any rectangle has a NaN or infinite
+/// coordinate or inverted corners.
 pub fn str_load(
     params: RTreeParams,
     items: &[(Rect, DataId)],
@@ -178,8 +184,8 @@ pub fn str_load(
 /// Builds an R-tree over `items` by Hilbert-sorting centres and packing.
 ///
 /// # Errors
-/// [`BulkError::NonFiniteRect`] if any rectangle has a NaN or infinite
-/// coordinate.
+/// [`BulkError::MalformedRect`] if any rectangle has a NaN or infinite
+/// coordinate or inverted corners.
 pub fn hilbert_load(
     params: RTreeParams,
     items: &[(Rect, DataId)],
@@ -232,14 +238,12 @@ pub fn load_to_file(
     Ok((file, stats))
 }
 
-/// Rejects non-finite rectangles before any ordering pass runs.
+/// Rejects malformed rectangles before any ordering pass runs.
 fn validate_items(items: &[(Rect, DataId)]) -> Result<(), BulkError> {
-    for (index, (r, _)) in items.iter().enumerate() {
-        if !(r.xl.is_finite() && r.yl.is_finite() && r.xu.is_finite() && r.yu.is_finite()) {
-            return Err(BulkError::NonFiniteRect { index });
-        }
+    match items.iter().position(|(r, _)| !r.is_well_formed()) {
+        Some(index) => Err(BulkError::MalformedRect { index }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Packed-node capacity for a fill factor, clamped to `[max(m,1), M]`.
@@ -676,8 +680,9 @@ mod tests {
     #[test]
     fn non_finite_rect_is_a_typed_error_not_a_panic() {
         // Regression: a single NaN used to blow up inside the sort
-        // comparator ("no NaN"); now it is reported with its index before
-        // any ordering runs.
+        // comparator ("no NaN"), and inverted corners used to build a tree
+        // that the validator refuses; now both are reported with their
+        // index before any ordering runs, by all three loaders.
         for bad in [
             Rect {
                 xl: f64::NAN,
@@ -691,24 +696,30 @@ mod tests {
                 xu: f64::INFINITY,
                 yu: 1.0,
             },
+            Rect {
+                xl: 5.0,
+                yl: 0.0,
+                xu: 4.0,
+                yu: 1.0,
+            },
         ] {
             let mut data = items(100);
             data[37].0 = bad;
+            let dir = TempDir::new("rtree-bulk").unwrap();
             for layout in [BulkLayout::Str, BulkLayout::Hilbert] {
                 let res = match layout {
                     BulkLayout::Str => str_load(params(), &data, DEFAULT_FILL),
                     BulkLayout::Hilbert => hilbert_load(params(), &data, DEFAULT_FILL),
                 };
                 match res {
-                    Err(BulkError::NonFiniteRect { index }) => assert_eq!(index, 37),
-                    other => panic!("expected NonFiniteRect, got {other:?}"),
+                    Err(BulkError::MalformedRect { index }) => assert_eq!(index, 37),
+                    other => panic!("expected MalformedRect, got {other:?}"),
                 }
-            }
-            let dir = TempDir::new("rtree-bulk").unwrap();
-            let (layout, cfg) = (BulkLayout::Str, BulkConfig::default());
-            match load_to_file(params(), &data, layout, cfg, dir.file("bad.rsj")) {
-                Err(BulkError::NonFiniteRect { index }) => assert_eq!(index, 37),
-                other => panic!("expected NonFiniteRect, got {other:?}"),
+                let cfg = BulkConfig::default();
+                match load_to_file(params(), &data, layout, cfg, dir.file("bad.rsj")) {
+                    Err(BulkError::MalformedRect { index }) => assert_eq!(index, 37),
+                    other => panic!("expected MalformedRect, got {other:?}"),
+                }
             }
         }
     }

@@ -39,7 +39,20 @@ const CHOOSE_SUBTREE_OVERLAP_CANDIDATES: usize = 32;
 
 impl RTree {
     /// Inserts a data rectangle.
+    ///
+    /// # Panics
+    ///
+    /// If `rect` is not [well formed](Rect::is_well_formed): a NaN or
+    /// infinite coordinate, or inverted corners. The check runs before
+    /// anything changes, so a caught panic leaves the tree as it was.
+    /// [`crate::OpenCachedTree::insert`] refuses such a rectangle with a
+    /// typed error instead.
     pub fn insert(&mut self, rect: Rect, id: DataId) {
+        assert!(
+            rect.is_well_formed(),
+            "RTree::insert: malformed rectangle {rect:?} \
+             (a non-finite coordinate or inverted corners)"
+        );
         let mut reinserted_levels = 0u64;
         self.insert_entry(Entry::data(rect, id), 0, &mut reinserted_levels);
         self.len += 1;
@@ -321,6 +334,47 @@ mod tests {
         let x = (i % 32) as f64 * 10.0;
         let y = (i / 32) as f64 * 10.0;
         Rect::from_corners(x, y, x + 6.0, y + 6.0)
+    }
+
+    #[test]
+    fn a_malformed_rect_panics_before_anything_changes() {
+        // Every 37th insert is an infinite rect. Accepted, it would panic
+        // inside a later forced reinsertion, after a node was emptied, or
+        // reach a file no open accepts; each must panic up front instead,
+        // leaving exactly the well-formed rects in a valid tree.
+        let mut t = RTree::new(small_params(InsertPolicy::RStar));
+        let mut kept = 0;
+        for i in 0..600u64 {
+            let x = (i % 32) as f64 * 10.0;
+            if i % 37 == 36 {
+                let bad = Rect {
+                    xl: x,
+                    yl: 0.0,
+                    xu: f64::INFINITY,
+                    yu: 1.0,
+                };
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    t.insert(bad, DataId(i))
+                }));
+                assert!(caught.is_err(), "insert {i} accepted {bad:?}");
+            } else {
+                t.insert(grid_rect(i), DataId(i));
+                kept += 1;
+            }
+        }
+        t.validate().unwrap();
+        assert_eq!(t.len(), kept);
+        let inverted = Rect {
+            xl: 5.0,
+            yl: 0.0,
+            xu: 4.0,
+            yu: 1.0,
+        };
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            t.insert(inverted, DataId(999))
+        }));
+        assert!(caught.is_err());
+        t.validate().unwrap();
     }
 
     /// The R\* ChooseSubtree overlap computation as it stood before the

@@ -11,8 +11,8 @@
 //!   as a tree-quality baseline;
 //! * **STR** and **Hilbert** bulk loading (extensions; handy for building
 //!   large experimental trees quickly and for ablating tree quality);
-//! * window / point / containment queries with counted comparisons and
-//!   pluggable page-access hooks so the join crate can charge a shared
+//! * window queries with counted comparisons and pluggable page-access
+//!   hooks so the join crate can charge a shared
 //!   [`rsj_storage::BufferPool`];
 //! * the **batched multi-window query** that policy (b) of §4.4 (joining
 //!   trees of different height) relies on: all qualifying query windows
@@ -20,7 +20,7 @@
 //! * tree statistics (Table 1) and a structural invariant validator used
 //!   heavily by the test suite.
 //!
-//! Nodes live on simulated pages (`PageStore<Node>`), one node per page
+//! Nodes live in a page arena (`PageStore<Node>`), one node per page
 //! (§3.1). Node capacity is derived from the page size exactly like the
 //! paper's Table 1: a 20-byte entry (four 4-byte coordinates plus a 4-byte
 //! reference) gives M = ⌊page/20⌋ = 51, 102, 204, 409 for pages of 1, 2, 4
@@ -44,7 +44,6 @@
 pub mod bulk;
 pub mod delete;
 pub mod insert;
-pub mod knn;
 pub mod node;
 pub mod open_tree;
 pub mod params;
@@ -55,7 +54,6 @@ pub mod stats;
 pub mod tree;
 pub mod validate;
 
-pub use knn::Neighbor;
 pub use node::{ChildRef, DataId, Entry, Node};
 pub use open_tree::OpenCachedTree;
 pub use params::{InsertPolicy, RTreeParams};

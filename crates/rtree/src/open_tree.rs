@@ -572,9 +572,11 @@ mod tests {
         let dir = TempDir::new("open-tree").unwrap();
         let path = dir.file("t.rsj");
         for bad in malformed_rects() {
-            // The in-memory tree does not check; its file must not open.
+            // `save_to` does not check; a file carrying the rect (planted
+            // in the root leaf, since `insert` refuses it) must not open.
             let mut t = build(5);
-            t.insert(bad, DataId(999));
+            let root = t.root();
+            t.node_mut(root).entries[4].rect = bad;
             t.save_to(&path).unwrap();
             let err = RTree::open_from(&path).unwrap_err();
             assert!(

@@ -294,7 +294,6 @@ impl RTree {
             summaries.push(summary);
         }
         store.restore_free_list(free);
-        store.reset_io(); // loading is not join I/O
         let tree = RTree {
             store,
             root,

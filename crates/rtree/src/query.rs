@@ -20,7 +20,7 @@
 
 use crate::node::DataId;
 use crate::tree::RTree;
-use rsj_geom::{CmpCounter, Meter, Point, Rect};
+use rsj_geom::{CmpCounter, Meter, Rect};
 use rsj_storage::{NodeAccess, PageId};
 
 impl RTree {
@@ -148,60 +148,6 @@ impl RTree {
             out,
         );
     }
-
-    /// Point query: all data entries whose MBR contains `p`.
-    pub fn point_query(&self, p: &Point) -> Vec<DataId> {
-        self.window_query(&Rect::from_point(*p))
-    }
-
-    /// Containment query: all data entries whose MBR lies completely inside
-    /// `window` (the containment join operator mentioned in §2.1).
-    pub fn containment_query(&self, window: &Rect) -> Vec<DataId> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root()];
-        while let Some(page) = stack.pop() {
-            let node = self.node(page);
-            if node.is_leaf() {
-                for e in &node.entries {
-                    if window.contains(&e.rect) {
-                        out.push(e.child.data().expect("leaf entry"));
-                    }
-                }
-            } else {
-                for e in &node.entries {
-                    // Any child whose MBR intersects the window may hold
-                    // contained entries.
-                    if e.rect.intersects(window) {
-                        stack.push(Self::child_page(e));
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Number of data entries intersecting `window` (no materialization).
-    pub fn count_in_window(&self, window: &Rect) -> usize {
-        let mut n = 0;
-        let mut stack = vec![self.root()];
-        while let Some(page) = stack.pop() {
-            let node = self.node(page);
-            if node.is_leaf() {
-                n += node
-                    .entries
-                    .iter()
-                    .filter(|e| e.rect.intersects(window))
-                    .count();
-            } else {
-                for e in &node.entries {
-                    if e.rect.intersects(window) {
-                        stack.push(Self::child_page(e));
-                    }
-                }
-            }
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -320,50 +266,10 @@ mod tests {
     }
 
     #[test]
-    fn point_query_finds_containing_squares() {
-        let t = build_grid_tree();
-        let hits = t.point_query(&Point::new(14.0, 14.0));
-        assert_eq!(hits, vec![DataId(101)]); // square (1,1) covers 10..18
-        let gaps = t.point_query(&Point::new(9.0, 9.0)); // between squares
-        assert!(gaps.is_empty());
-    }
-
-    #[test]
-    fn containment_query_strict_subset_of_window() {
-        let t = build_grid_tree();
-        let w = Rect::from_corners(5.0, 5.0, 40.0, 40.0);
-        let mut contained = t.containment_query(&w);
-        contained.sort();
-        // Squares fully inside: grid cells (gx,gy) with gx,gy in {1,2,3}
-        // (cell k spans [10k, 10k+8], and [10,38] fits in [5,40]).
-        let want: Vec<DataId> = (1..=3)
-            .flat_map(|gx| (1..=3).map(move |gy| DataId(gx * 100 + gy)))
-            .collect();
-        assert_eq!(contained, want);
-        let window_hits = t.window_query(&w);
-        for id in &contained {
-            assert!(window_hits.contains(id));
-        }
-        assert!(window_hits.len() > contained.len());
-    }
-
-    #[test]
-    fn count_matches_query_len() {
-        let t = build_grid_tree();
-        for w in [
-            Rect::from_corners(0., 0., 200., 200.),
-            Rect::from_corners(33., 71., 90., 120.),
-        ] {
-            assert_eq!(t.count_in_window(&w), t.window_query(&w).len());
-        }
-    }
-
-    #[test]
     fn empty_tree_queries() {
         let t = RTree::new(RTreeParams::explicit(320, 16, 6, InsertPolicy::RStar));
         assert!(t
             .window_query(&Rect::from_corners(0., 0., 1., 1.))
             .is_empty());
-        assert_eq!(t.count_in_window(&Rect::from_corners(0., 0., 1., 1.)), 0);
     }
 }

@@ -324,8 +324,11 @@ mod tests {
         ] {
             let mut t = RTree::new(params());
             t.insert(Rect::from_corners(0., 0., 1., 1.), DataId(0));
+            t.insert(Rect::from_corners(2., 2., 3., 3.), DataId(1));
+            // `insert` refuses a malformed rect, so plant it in the leaf.
             let [xl, yl, xu, yu] = bad;
-            t.insert(Rect { xl, yl, xu, yu }, DataId(1));
+            let root = t.root();
+            t.node_mut(root).entries[1].rect = Rect { xl, yl, xu, yu };
             let err = t.validate().unwrap_err();
             assert!(err.0.contains("non-finite"), "{err}");
         }

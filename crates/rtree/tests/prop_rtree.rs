@@ -3,11 +3,67 @@
 
 use proptest::prelude::*;
 use rsj_geom::Rect;
+use rsj_rtree::bulk::{self, BulkConfig, BulkError, BulkLayout};
 use rsj_rtree::{DataId, InsertPolicy, RTree, RTreeParams};
+use rsj_storage::TempDir;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn arb_rect() -> impl Strategy<Value = Rect> {
     (0.0..1000.0f64, 0.0..1000.0f64, 0.0..30.0f64, 0.0..30.0f64)
         .prop_map(|(x, y, w, h)| Rect::from_corners(x, y, x + w, y + h))
+}
+
+/// A rect that no writer may store: a NaN or ±∞ in one coordinate, or
+/// inverted corners on one axis.
+fn arb_malformed_rect() -> impl Strategy<Value = Rect> {
+    let non_finite = (
+        arb_rect(),
+        0usize..4,
+        prop_oneof![Just(f64::NAN), Just(f64::INFINITY), Just(f64::NEG_INFINITY)],
+    )
+        .prop_map(|(r, k, v)| {
+            let mut c = [r.xl, r.yl, r.xu, r.yu];
+            c[k] = v;
+            Rect {
+                xl: c[0],
+                yl: c[1],
+                xu: c[2],
+                yu: c[3],
+            }
+        });
+    let inverted = (arb_rect(), 0usize..2).prop_map(|(r, axis)| match axis {
+        0 => Rect {
+            xl: r.xu + 1.0,
+            xu: r.xl,
+            ..r
+        },
+        _ => Rect {
+            yl: r.yu + 1.0,
+            yu: r.yl,
+            ..r
+        },
+    });
+    prop_oneof![non_finite, inverted]
+}
+
+/// Well-formed rects with up to two malformed ones planted at drawn
+/// positions (a third of the vectors stay clean).
+fn arb_rects_maybe_malformed() -> impl Strategy<Value = Vec<Rect>> {
+    (
+        prop::collection::vec(arb_rect(), 1..150),
+        prop::collection::vec((0usize..1000, arb_malformed_rect()), 0..3),
+    )
+        .prop_map(|(mut rects, planted)| {
+            for (at, bad) in planted {
+                rects.insert(at % (rects.len() + 1), bad);
+            }
+            rects
+        })
+}
+
+fn by_id(mut entries: Vec<(Rect, DataId)>) -> Vec<(Rect, DataId)> {
+    entries.sort_by_key(|&(_, id)| id);
+    entries
 }
 
 fn arb_policy() -> impl Strategy<Value = InsertPolicy> {
@@ -154,14 +210,47 @@ proptest! {
     }
 
     #[test]
-    fn count_in_window_matches_query(
-        rects in prop::collection::vec(arb_rect(), 1..200),
-        window in arb_rect(),
-    ) {
-        let mut t = RTree::new(RTreeParams::explicit(200, 10, 4, InsertPolicy::RStar));
-        for (i, r) in rects.iter().enumerate() {
-            t.insert(*r, DataId(i as u64));
+    fn every_writers_output_opens(rects in arb_rects_maybe_malformed()) {
+        let params = RTreeParams::explicit(200, 10, 4, InsertPolicy::RStar);
+        let items: Vec<(Rect, DataId)> =
+            rects.iter().enumerate().map(|(i, &r)| (r, DataId(i as u64))).collect();
+        let first_bad = rects.iter().position(|r| !r.is_well_formed());
+        let dir = TempDir::new("prop-rtree-writers").unwrap();
+
+        // A bulk build refuses the first malformed rect, or writes a file
+        // that opens with the same entries.
+        for layout in [BulkLayout::Str, BulkLayout::Hilbert] {
+            let path = dir.file(&format!("{layout:?}.rsj"));
+            match (bulk::load_to_file(params, &items, layout, BulkConfig::default(), &path), first_bad) {
+                (Err(BulkError::MalformedRect { index }), Some(bad)) => prop_assert_eq!(index, bad),
+                (Ok(_), None) => {
+                    let opened = RTree::open_from(&path)
+                        .unwrap_or_else(|e| panic!("{layout:?} file does not open: {e}"));
+                    prop_assert_eq!(by_id(opened.data_entries()), items.clone());
+                }
+                (other, _) => panic!(
+                    "{layout:?}: first malformed at {first_bad:?}, load_to_file gave {:?}",
+                    other.map(|(_, stats)| stats)
+                ),
+            }
         }
-        prop_assert_eq!(t.count_in_window(&window), t.window_query(&window).len());
+
+        // `insert` panics at the first malformed rect and leaves the tree
+        // holding exactly the rects before it; the tree round-trips.
+        let mut t = RTree::new(params);
+        let inserted = catch_unwind(AssertUnwindSafe(|| {
+            for &(r, id) in &items {
+                t.insert(r, id);
+            }
+        }));
+        prop_assert_eq!(inserted.is_err(), first_bad.is_some());
+        let kept = &items[..first_bad.unwrap_or(items.len())];
+        t.validate().unwrap();
+        prop_assert_eq!(by_id(t.data_entries()), kept.to_vec());
+        let path = dir.file("inserted.rsj");
+        t.save_to(&path).unwrap();
+        let opened = RTree::open_from(&path)
+            .unwrap_or_else(|e| panic!("saved tree does not open: {e}"));
+        prop_assert_eq!(by_id(opened.data_entries()), kept.to_vec());
     }
 }

@@ -45,11 +45,6 @@ impl CostModel {
         comparisons as f64 * self.comparison_s
     }
 
-    /// Total estimated execution time.
-    pub fn total_time(&self, disk_accesses: u64, page_bytes: usize, comparisons: u64) -> f64 {
-        self.io_time(disk_accesses, page_bytes) + self.cpu_time(comparisons)
-    }
-
     /// Fraction of the total spent on I/O, in `[0, 1]`; `None` when both
     /// parts are zero. Figure 2 (lower diagram) plots this split.
     pub fn io_fraction(
@@ -111,12 +106,5 @@ mod tests {
         assert_eq!(m.io_fraction(0, 1024, 0), None);
         assert_eq!(m.io_fraction(1, 1024, 0), Some(1.0));
         assert_eq!(m.io_fraction(0, 1024, 10), Some(0.0));
-    }
-
-    #[test]
-    fn total_is_sum_of_parts() {
-        let m = CostModel::default();
-        let t = m.total_time(10, 2048, 1000);
-        assert!((t - (m.io_time(10, 2048) + m.cpu_time(1000))).abs() < 1e-12);
     }
 }

@@ -548,7 +548,7 @@ impl PageSource for PageFile {
     }
 
     /// Resets the read/write counters (e.g. after building, before
-    /// measuring — same contract as [`crate::PageStore::reset_io`]).
+    /// measuring).
     fn reset_io(&mut self) {
         self.reads = 0;
         self.writes = 0;

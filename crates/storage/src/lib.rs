@@ -4,8 +4,10 @@
 //! fetch R\*-tree pages into a bounded buffer (§4.1, §4.3). This crate
 //! provides exactly that machinery, deterministic and in-memory:
 //!
-//! * [`PageStore`] — a simulated disk of fixed-size pages; every read that
-//!   misses the buffers is charged as one disk access.
+//! * [`PageStore`] — a tree's page arena: its nodes in memory, one per
+//!   page id, and the one allocator of those ids (below). It charges
+//!   nothing; a read that misses the buffers is charged as one disk access
+//!   by the [`BufferPool`] below.
 //! * [`LruBuffer`] — the system buffer of §4.1 ("LRU-buffer, follows the
 //!   last recently used policy") with the *pinning* extension of §4.3 that
 //!   SJ4/SJ5 rely on: a pinned page is never chosen as eviction victim.
@@ -22,13 +24,11 @@
 //! * [`CostModel`] — the paper's linear execution-time estimate: 15 ms
 //!   positioning per access, 5 ms per KByte transferred, 3.9 µs per
 //!   floating-point comparison (§4.1, Figure 2).
-//! * [`HeapFile`] — a slotted-page heap file for exact object geometry,
-//!   used by the refinement step of the ID-/object-spatial-joins.
 //!
 //! Pages carry arbitrary payloads (`PageStore<T>`); the R\*-tree crate
-//! instantiates `T = Node`. Since the metric of interest is page *accesses*,
-//! not bytes moved, payloads are not serialized — the page-size parameter
-//! only determines node capacity and transfer cost.
+//! instantiates `T = Node`. The accounting layers above count page
+//! *accesses*, not bytes moved, so in memory payloads are not serialized —
+//! the page-size parameter determines node capacity and transfer cost.
 //!
 //! The **persistence subsystem** makes the disk real:
 //!
@@ -98,7 +98,6 @@ pub mod codec;
 pub mod completion;
 pub mod cost;
 pub mod file;
-pub mod heapfile;
 mod inflight;
 pub mod lru;
 pub mod page;
@@ -115,7 +114,6 @@ pub use codec::{DiskEntry, DiskNode, FileHeader, StorageError};
 pub use completion::{CompletionConfig, CompletionLag, CompletionQueue, QUEUE_DEPTH};
 pub use cost::CostModel;
 pub use file::{PageFile, PageSource, READ_LATENCY_ENV};
-pub use heapfile::{HeapFile, RecordId};
 pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
 pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};

@@ -1,10 +1,12 @@
-//! Simulated disk pages.
+//! The page arena of a tree.
 //!
 //! One R-tree node corresponds to exactly one page on secondary storage
 //! (§3.1: "Since one node of the data structure exactly corresponds to one
 //! page on secondary storage, we will use both terms synonymously").
-//! The store keeps payloads in memory; "disk" reads and writes are counted,
-//! not performed, because the paper's I/O metric is the access count.
+//! A [`PageStore`] holds a tree's nodes in memory, indexed by page id, and
+//! is the one allocator of page ids: a page file stores page `i` in slot
+//! `i`. It counts nothing; join I/O is charged by [`crate::BufferPool`]
+//! and the page-file backends.
 
 /// Identifier of a page within one [`PageStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,7 +40,7 @@ pub enum PageEvent {
     Freed(PageId),
 }
 
-/// A simulated disk holding fixed-size pages with arbitrary payloads.
+/// An in-memory arena of fixed-size pages with arbitrary payloads.
 ///
 /// `page_bytes` is carried for cost accounting (transfer time is
 /// proportional to the page size) and for deriving node capacities; it does
@@ -58,11 +60,6 @@ pub struct PageStore<T> {
     /// tracking is enabled (it is off by default: the hot insert path of a
     /// purely in-memory tree pays one branch, nothing more).
     events: Option<Vec<PageEvent>>,
-    /// Raw count of reads served by this store (i.e. buffer misses that
-    /// reached "disk"). [`crate::BufferPool`] keeps the authoritative join
-    /// statistics; this counter is useful for store-local tests.
-    reads: u64,
-    writes: u64,
 }
 
 impl<T> PageStore<T> {
@@ -74,8 +71,6 @@ impl<T> PageStore<T> {
             page_bytes,
             free: Vec::new(),
             events: None,
-            reads: 0,
-            writes: 0,
         }
     }
 
@@ -152,12 +147,6 @@ impl<T> PageStore<T> {
         }
     }
 
-    /// True if event tracking is on.
-    #[inline]
-    pub fn is_tracking_events(&self) -> bool {
-        self.events.is_some()
-    }
-
     /// Drains the recorded events (in mutation order) into `out`.
     /// A no-op when tracking is off.
     pub fn take_events(&mut self, out: &mut Vec<PageEvent>) {
@@ -166,22 +155,15 @@ impl<T> PageStore<T> {
         }
     }
 
-    /// Reads a page *from disk*, charging one read. Callers normally go
-    /// through [`crate::BufferPool`], which only reaches this on a miss.
-    pub fn read(&mut self, id: PageId) -> &T {
-        self.reads += 1;
-        &self.pages[id.index()]
-    }
-
-    /// Borrows a page without charging I/O — for tree maintenance code
-    /// (inserts, validation) whose cost the paper does not attribute to the
-    /// join, and for buffered access after the miss accounting has been done.
+    /// Borrows a page. The store charges nothing: tree maintenance
+    /// (inserts, validation) is not join cost, and a join charges its
+    /// reads through a buffer before it borrows.
     #[inline]
     pub fn peek(&self, id: PageId) -> &T {
         &self.pages[id.index()]
     }
 
-    /// Mutably borrows a page without charging I/O. With event tracking on
+    /// Mutably borrows a page. With event tracking on
     /// this records a [`PageEvent::Touched`] — the borrow is assumed to
     /// mutate.
     #[inline]
@@ -195,34 +177,6 @@ impl<T> PageStore<T> {
             }
         }
         &mut self.pages[id.index()]
-    }
-
-    /// Overwrites a page, charging one write.
-    pub fn write(&mut self, id: PageId, payload: T) {
-        self.writes += 1;
-        self.pages[id.index()] = payload;
-        if let Some(ev) = &mut self.events {
-            ev.push(PageEvent::Touched(id));
-        }
-    }
-
-    /// Reads charged so far.
-    #[inline]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Writes charged so far.
-    #[inline]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Resets the read/write counters (e.g. after building a tree, before
-    /// measuring a join).
-    pub fn reset_io(&mut self) {
-        self.reads = 0;
-        self.writes = 0;
     }
 }
 
@@ -239,39 +193,6 @@ mod tests {
         assert_eq!(a, PageId(0));
         assert_eq!(b, PageId(1));
         assert_eq!(s.len(), 2);
-    }
-
-    #[test]
-    fn read_charges_peek_does_not() {
-        let mut s = PageStore::new(1024);
-        let a = s.alloc(7u32);
-        assert_eq!(*s.read(a), 7);
-        assert_eq!(*s.read(a), 7);
-        assert_eq!(s.reads(), 2);
-        assert_eq!(*s.peek(a), 7);
-        assert_eq!(s.reads(), 2);
-    }
-
-    #[test]
-    fn write_charges_and_replaces() {
-        let mut s = PageStore::new(4096);
-        let a = s.alloc(1u32);
-        s.write(a, 2);
-        assert_eq!(*s.peek(a), 2);
-        assert_eq!(s.writes(), 1);
-        *s.peek_mut(a) = 3;
-        assert_eq!(*s.peek(a), 3);
-        assert_eq!(s.writes(), 1);
-    }
-
-    #[test]
-    fn reset_io_clears_counters() {
-        let mut s = PageStore::new(1024);
-        let a = s.alloc(());
-        s.read(a);
-        s.write(a, ());
-        s.reset_io();
-        assert_eq!((s.reads(), s.writes()), (0, 0));
     }
 
     #[test]
@@ -301,7 +222,6 @@ mod tests {
         let mut s = PageStore::new(1024);
         let a = s.alloc(0u32); // before tracking: unrecorded
         s.enable_event_tracking();
-        assert!(s.is_tracking_events());
         let b = s.alloc(1);
         *s.peek_mut(a) = 7;
         *s.peek_mut(a) = 8; // immediate repeat collapses
@@ -309,6 +229,7 @@ mod tests {
         s.free(a);
         let c = s.alloc(2); // reuses a
         assert_eq!(c, a);
+        assert_eq!((*s.peek(a), *s.peek(b)), (2, 9));
         let mut ev = Vec::new();
         s.take_events(&mut ev);
         assert_eq!(

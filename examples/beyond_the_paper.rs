@@ -1,7 +1,6 @@
 //! The extensions beyond the 1993 paper: other join operators (§2.1
-//! mentions them, the paper only evaluates intersection), k-nearest-
-//! neighbour queries, and the parallel join the paper's §6 proposes as
-//! future work.
+//! mentions them, the paper only evaluates intersection) and the parallel
+//! join the paper's §6 proposes as future work.
 //!
 //! ```sh
 //! cargo run --release --example beyond_the_paper
@@ -46,18 +45,7 @@ fn main() {
         );
     }
 
-    // 2. k-nearest neighbours of the map centre.
-    let center = Point::new(
-        rsj::datagen::presets::scaled_world(0.05).center().x,
-        rsj::datagen::presets::scaled_world(0.05).center().y,
-    );
-    let knn = r.nearest_neighbors(&center, 5);
-    println!("\n5 regions nearest the map centre:");
-    for n in &knn {
-        println!("  region {} at MBR distance {:.2}", n.id, n.dist2.sqrt());
-    }
-
-    // 3. Parallel join: same result set, wall-clock speedup on multicore,
+    // 2. Parallel join: same result set, wall-clock speedup on multicore,
     //    shared-nothing I/O accounting.
     let seq_t = std::time::Instant::now();
     let seq = spatial_join(&r, &s, JoinPlan::sj4(), &cfg);

@@ -28,7 +28,7 @@ fn main() {
         forest_tree.insert(o.mbr, DataId(o.id));
     }
 
-    // Exact geometry lives in heap files, keyed by object id.
+    // Exact geometry lives in object relations, keyed by object id.
     let city_objs = ObjectRelation::build(2048, cities.iter().map(|o| (o.id, o.geometry.clone())));
     let forest_objs =
         ObjectRelation::build(2048, forests.iter().map(|o| (o.id, o.geometry.clone())));

@@ -9,7 +9,8 @@
 //!   query per outer record) and the flat nested loop; §2.1's claim that
 //!   classical join methods are not viable.
 //! * **Refinement** — the ID-spatial-join: MBR filter plus exact-geometry
-//!   refinement, with filter selectivity and the heap I/O refinement adds.
+//!   refinement, with filter selectivity and the object-page I/O that
+//!   refinement adds.
 
 use std::fmt::{self, Write};
 

@@ -10,8 +10,8 @@
 //!
 //! * [`geom`] — rectangles with counted comparisons, space-filling curves,
 //!   exact polyline/polygon geometry;
-//! * [`storage`] — simulated paged disk, LRU buffer with pinning, path
-//!   buffers, the paper's cost model, a slotted-page heap file, and the
+//! * [`storage`] — the in-memory page arena, LRU buffer with pinning, path
+//!   buffers, the paper's cost model, and the
 //!   pluggable [`storage::NodeAccess`] boundary with its two
 //!   implementors (beside `&mut A`): the in-memory
 //!   [`storage::BufferPool`] oracle and the one file stack
@@ -136,7 +136,7 @@ pub mod prelude {
     };
     pub use rsj_datagen::TestId;
     pub use rsj_geom::{CmpCounter, Geometry, Meter, NoOp, Point, Rect};
-    pub use rsj_rtree::{DataId, InsertPolicy, Neighbor, OpenCachedTree, RTree, RTreeParams};
+    pub use rsj_rtree::{DataId, InsertPolicy, OpenCachedTree, RTree, RTreeParams};
     pub use rsj_storage::{
         CacheConfig, CostModel, EvictionPolicy, FileNodeAccess, NodeAccessMut, PageFile,
         PageSource, SharedPageCache, StorageError,
