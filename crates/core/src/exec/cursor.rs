@@ -22,13 +22,28 @@
 //!   overhead. [`JoinCursor::metered`] and [`JoinCursor::with_tasks`]
 //!   take the meter as a type argument.
 //!
+//! **Leaf pairs on the idle cores.** Most of a CPU-bound join is its
+//! leaf/leaf work. When the cursor installs a directory frame whose pairs
+//! all point at two leaves, none of its reads is in flight, and fewer
+//! cursors are live in the process than there are cores, it publishes the frame's leaf pairs — the two
+//! leaves' `Arc<Node>`s ([`RTree::node_shared`]) and the search space —
+//! to a process-wide pool of helper threads, in the order it will descend
+//! into them. A helper runs a pair through `leaf_pair`, the same function
+//! the cursor runs inline, into its own scratch and meters. The cursor
+//! takes the result when its machine reaches the pair, and runs the pair
+//! itself if no helper has. Mixed-height frames, the leaf tasks of
+//! [`JoinCursor::with_tasks`] and all directory work stay on the cursor's
+//! thread.
+//!
 //! **Zero allocation in steady state.** All per-node-pair buffers —
 //! effective rectangles, restriction index lists, sweep output, z-order
 //! keys, window-query hit lists and the vectors owned by suspended frames
 //! — live in an `ExecScratch` arena owned by the cursor. Completed
 //! frames return their vectors to the arena's pools, so after warm-up the
 //! hot path performs no heap allocation (the paper's plane sweep needs
-//! "no auxiliary data structure"; the executor now matches it).
+//! "no auxiliary data structure"; the executor now matches it). The leaf
+//! batch is the same: one per cursor, reused for each leaf frame, and a
+//! helper's result vectors go back to it once the cursor has taken them.
 //!
 //! **Accounting parity.** With the counting meter, the state machine
 //! replays the recursive driver's exact sequence of buffer operations —
@@ -41,21 +56,27 @@
 //! (O(1) where the recursion rescans the pair list) and the sort-and-group
 //! batched-window construction (grouping without hashing) only answer the
 //! recursion's questions faster: they never change which pages are
-//! touched in which order.
+//! touched in which order. Helpers cannot move a count either: they never
+//! touch the page-access accountant, and the cursor adds a helper's
+//! tallies to its meters and its pairs to the result queue at the very
+//! step at which it would have computed them, so the pair order,
+//! [`JoinCursor::stats`] after every step and every `access`/`pin` call are
+//! those of a cursor without helpers.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use crate::exec::ahead::Ahead;
 use crate::exec::schedule::{self, DirPair, OrderScratch, TicketGate};
 use crate::exec::{TAG_R, TAG_S};
 use crate::join::JoinResult;
-use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan};
+use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan, JoinPredicate};
 use crate::stats::JoinStats;
 use crate::sweep::{
     eff_rect, restrict_keyed, sort_keyed_by_xl, sorted_intersection_test_keyed, KeyedRect,
 };
 use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
-use rsj_rtree::{DataId, Entry, RTree};
+use rsj_rtree::{DataId, Entry, Node, RTree};
 use rsj_storage::{IoStats, NodeAccess, PageId, QUEUE_DEPTH};
 
 /// Which side of a directory pair is pinned during a drain.
@@ -96,6 +117,9 @@ enum DirState {
 struct DirFrame {
     rp: PageId,
     sp: PageId,
+    /// Whether `pairs` are published as the cursor's leaf batch (slot `i`
+    /// is pair `i`).
+    ahead: bool,
     pairs: Vec<DirPair>,
     done: Vec<bool>,
     rem_r: Vec<u32>,
@@ -113,6 +137,77 @@ impl DirFrame {
             let p = self.pairs[idx];
             self.rem_r[p.ir] -= 1;
             self.rem_s[p.js] -= 1;
+        }
+    }
+}
+
+/// Copies of a directory frame's bookkeeping, replayed by
+/// [`descent_order`].
+#[derive(Debug, Default)]
+struct DescentScratch {
+    deg_r: Vec<u32>,
+    deg_s: Vec<u32>,
+    done: Vec<bool>,
+    /// The predicted descent order, as indices into the frame's pairs.
+    order: Vec<usize>,
+}
+
+/// The order in which a directory frame will descend into its pairs:
+/// [`JoinCursor::step_dir`] replayed over copies of the frame's degree
+/// tables — each unprocessed pair in turn and, under pinning, right after
+/// it the unprocessed pairs of the page it pins (§4.3). A leaf batch is
+/// published in this order, so the helpers run leaf pairs in the order the
+/// cursor reaches them; the slots are the pairs' own indices, so the order
+/// only steers the helpers, never which result lands where.
+fn descent_order(
+    pairs: &[DirPair],
+    (rem_r, rem_s): (&[u32], &[u32]),
+    pins: bool,
+    sim: &mut DescentScratch,
+) {
+    let DescentScratch {
+        deg_r,
+        deg_s,
+        done,
+        order,
+    } = sim;
+    order.clear();
+    if !pins {
+        order.extend(0..pairs.len());
+        return;
+    }
+    deg_r.clear();
+    deg_r.extend_from_slice(rem_r);
+    deg_s.clear();
+    deg_s.extend_from_slice(rem_s);
+    done.clear();
+    done.resize(pairs.len(), false);
+    for k in 0..pairs.len() {
+        if done[k] {
+            continue;
+        }
+        let DirPair { ir, js, .. } = pairs[k];
+        // Pair `k`, then the unprocessed pairs of the side it pins.
+        let mut pin_r = None;
+        for (l, p) in pairs.iter().enumerate().skip(k) {
+            let take = match pin_r {
+                None => true,
+                Some(true) => p.ir == ir && !done[l],
+                Some(false) => p.js == js && !done[l],
+            };
+            if !take {
+                continue;
+            }
+            done[l] = true;
+            deg_r[p.ir] -= 1;
+            deg_s[p.js] -= 1;
+            order.push(l);
+            if pin_r.is_none() {
+                if deg_r[ir] == 0 && deg_s[js] == 0 {
+                    break;
+                }
+                pin_r = Some(deg_r[ir] >= deg_s[js]);
+            }
         }
     }
 }
@@ -163,11 +258,13 @@ struct MixedFrame {
 /// One unit of suspended work on the explicit stack.
 #[derive(Debug)]
 enum Frame {
-    /// A node pair whose pages have been charged but not yet classified.
+    /// A node pair whose pages have been charged but not yet classified;
+    /// `slot` is its place in the published leaf batch, if it has one.
     Visit {
         rp: PageId,
         sp: PageId,
         rect: Rect,
+        slot: Option<usize>,
     },
     Dir(DirFrame),
     Mixed(MixedFrame),
@@ -182,10 +279,10 @@ enum Frame {
 /// no further heap allocation.
 #[derive(Debug, Default)]
 struct ExecScratch {
-    /// Working set of the pair enumeration.
-    keyed: KeyedScratch,
-    /// Enumeration output: qualifying `(i, j)` pairs in schedule order.
-    raw: Vec<(usize, usize)>,
+    /// Working set and output of the pair enumeration.
+    enumeration: PairScratch,
+    /// Working set of a leaf batch's descent order.
+    descent: DescentScratch,
     /// Scratch of the §4.3 pair-ordering step (z-order keys and
     /// permutation), owned by [`schedule::order_dir_pairs`].
     order: OrderScratch,
@@ -239,6 +336,16 @@ impl ExecScratch {
         v.clear();
         v
     }
+}
+
+/// What one pair enumeration works in: the keyed rectangles of both sides
+/// and the qualifying pairs it finds. The cursor owns one, and so does each
+/// leaf-pair helper thread.
+#[derive(Debug, Default)]
+pub(crate) struct PairScratch {
+    keyed: KeyedScratch,
+    /// Enumeration output: qualifying `(i, j)` pairs in schedule order.
+    raw: Vec<(usize, usize)>,
 }
 
 /// The keyed working set of one pair enumeration: both sides' restricted
@@ -336,6 +443,65 @@ fn enumerate_pairs<M: Meter>(
     }
 }
 
+/// Final data-pair test beyond MBR intersection (see the recursion's
+/// twin for the predicate-by-predicate rationale).
+#[inline]
+fn predicate_holds<M: Meter>(
+    predicate: JoinPredicate,
+    r_rect: &Rect,
+    s_rect: &Rect,
+    cmp: &mut M,
+) -> bool {
+    use JoinPredicate::*;
+    match predicate {
+        Intersects | WithinDistance(_) => true,
+        Contains => r_rect.contains_counted(s_rect, cmp),
+        Within => s_rect.contains_counted(r_rect, cmp),
+    }
+}
+
+/// The leaf/leaf body of the join, whichever thread runs it: enumerates
+/// the qualifying entry pairs of the leaves `rn` × `sn` within the search
+/// space `rect`, applies the predicate and appends the `(Id(r), Id(s))`
+/// pairs to `out` in emission order, charging both meters.
+pub(crate) fn leaf_pair<M: Meter>(
+    plan: &JoinPlan,
+    eps: f64,
+    (rn, sn): (&Node, &Node),
+    rect: &Rect,
+    scratch: &mut PairScratch,
+    (cmp, sort_cmp): (&mut M, &mut M),
+    out: &mut impl Extend<(DataId, DataId)>,
+) {
+    #[cfg(test)]
+    crate::exec::ahead::tests::trip_poison(rn);
+    let PairScratch { keyed, raw } = scratch;
+    let meters = (&mut *cmp, sort_cmp);
+    enumerate_pairs(
+        plan,
+        (&rn.entries, eps),
+        (&sn.entries, 0.0),
+        rect,
+        keyed,
+        meters,
+        raw,
+    );
+    let id = |e: &Entry| e.child.data().expect("leaf entry");
+    if plan.predicate.decided_by_mbr_intersection() {
+        out.extend(
+            raw.iter()
+                .map(|&(ir, js)| (id(&rn.entries[ir]), id(&sn.entries[js]))),
+        );
+    } else {
+        for &(ir, js) in raw.iter() {
+            let (r, s) = (&rn.entries[ir], &sn.entries[js]);
+            if predicate_holds(plan.predicate, &r.rect, &s.rect, cmp) {
+                out.extend([(id(r), id(s))]);
+            }
+        }
+    }
+}
+
 /// A streaming MBR-spatial-join: yields `(Id(r), Id(s))` pairs one at a
 /// time while charging all I/O to a caller-supplied [`NodeAccess`].
 ///
@@ -388,6 +554,8 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     stack: Vec<Frame>,
     pending: VecDeque<(DataId, DataId)>,
     scratch: ExecScratch,
+    /// The leaf batch this cursor publishes to the helper threads.
+    ahead: Ahead<M>,
 }
 
 /// Completion-driven run-ahead caps: while the head result pair waits on
@@ -494,6 +662,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             stack: Vec::new(),
             pending: VecDeque::new(),
             scratch: ExecScratch::default(),
+            ahead: Ahead::default(),
         }
     }
 
@@ -559,6 +728,19 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         (JoinResult { stats, pairs }, self.access)
     }
 
+    /// Publishes leaf batches to the helpers always, or never, whatever
+    /// the live-cursor rule says.
+    #[cfg(test)]
+    pub(crate) fn force_ahead(mut self, on: bool) -> Self {
+        self.ahead.force(on);
+        self
+    }
+
+    #[cfg(test)]
+    pub(crate) fn ahead(&self) -> &Ahead<M> {
+        &self.ahead
+    }
+
     #[inline]
     fn tree(&self, tag: u8) -> &'t RTree {
         if tag == TAG_R {
@@ -606,24 +788,12 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         self.pending.push_back((rid, sid));
     }
 
-    /// Final data-pair test beyond MBR intersection (see the recursion's
-    /// twin for the predicate-by-predicate rationale).
-    #[inline]
-    fn leaf_predicate_holds(&mut self, r_rect: &Rect, s_rect: &Rect) -> bool {
-        use crate::plan::JoinPredicate::*;
-        match self.plan.predicate {
-            Intersects | WithinDistance(_) => true,
-            Contains => r_rect.contains_counted(s_rect, &mut self.cmp),
-            Within => s_rect.contains_counted(r_rect, &mut self.cmp),
-        }
-    }
-
-    /// Runs the enumeration for the node pair `(a, b)` into `scratch.raw`.
-    /// Each side is its entries and their ε expansion (the R side carries
-    /// it, whichever side of a mixed pair that is).
+    /// Runs the enumeration for the node pair `(a, b)` into the scratch's
+    /// `raw`. Each side is its entries and their ε expansion (the R side
+    /// carries it, whichever side of a mixed pair that is).
     #[inline]
     fn enumerate_into_scratch(&mut self, a: (&[Entry], f64), b: (&[Entry], f64), rect: &Rect) {
-        let ExecScratch { keyed, raw, .. } = &mut self.scratch;
+        let PairScratch { keyed, raw } = &mut self.scratch.enumeration;
         let meters = (&mut self.cmp, &mut self.sort_cmp);
         enumerate_pairs(&self.plan, a, b, rect, keyed, meters, raw);
     }
@@ -640,11 +810,12 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                 self.charge(TAG_R, rp);
                 self.charge(TAG_S, sp);
             }
-            self.stack.push(Frame::Visit { rp, sp, rect });
+            let slot = None;
+            self.stack.push(Frame::Visit { rp, sp, rect, slot });
             return true;
         };
         match frame {
-            Frame::Visit { rp, sp, rect } => self.visit(rp, sp, rect),
+            Frame::Visit { rp, sp, rect, slot } => self.visit(rp, sp, rect, slot),
             Frame::Dir(f) => self.step_dir(f),
             Frame::Mixed(f) => self.step_mixed(f),
         }
@@ -654,35 +825,36 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     /// Classifies a charged node pair, runs the pair enumeration, and
     /// either drains it on the spot (leaf/leaf) or installs the matching
     /// resumable frame.
-    fn visit(&mut self, rp: PageId, sp: PageId, rect: Rect) {
+    fn visit(&mut self, rp: PageId, sp: PageId, rect: Rect, slot: Option<usize>) {
         let rn = self.r.node(rp);
         let sn = self.s.node(sp);
         match (rn.is_leaf(), sn.is_leaf()) {
             (true, true) => {
-                self.enumerate_into_scratch((&rn.entries, self.eps), (&sn.entries, 0.0), &rect);
-                // Drain the whole leaf frame into `pending` in one step —
-                // no suspended frame, no per-pair pop/re-push cycle.
-                let id = |e: &Entry| e.child.data().expect("leaf entry");
-                if self.plan.predicate.decided_by_mbr_intersection() {
-                    let ids =
-                        |&(ir, js): &(usize, usize)| (id(&rn.entries[ir]), id(&sn.entries[js]));
-                    self.pending.extend(self.scratch.raw.iter().map(ids));
-                } else {
-                    self.pending.reserve(self.scratch.raw.len());
-                    for idx in 0..self.scratch.raw.len() {
-                        let (ir, js) = self.scratch.raw[idx];
-                        let (r, s) = (&rn.entries[ir], &sn.entries[js]);
-                        if self.leaf_predicate_holds(&r.rect, &s.rect) {
-                            self.emit(id(r), id(s));
-                        }
-                    }
+                // Drain the whole leaf pair into `pending` in one step — no
+                // suspended frame, no per-pair pop/re-push cycle. A helper
+                // may have computed it already; what it found lands here,
+                // at this step, exactly as the inline run would.
+                let scratch = &mut self.scratch.enumeration;
+                let meters = (&mut self.cmp, &mut self.sort_cmp);
+                if slot.is_some_and(|at| self.ahead.apply(at, scratch, meters, &mut self.pending)) {
+                    return;
                 }
+                let meters = (&mut self.cmp, &mut self.sort_cmp);
+                leaf_pair(
+                    &self.plan,
+                    self.eps,
+                    (rn, sn),
+                    &rect,
+                    scratch,
+                    meters,
+                    &mut self.pending,
+                );
             }
             (false, false) => {
                 self.enumerate_into_scratch((&rn.entries, self.eps), (&sn.entries, 0.0), &rect);
                 let eps = self.eps;
                 let mut pairs = self.scratch.take_dir();
-                pairs.extend(self.scratch.raw.iter().map(|&(ir, js)| {
+                pairs.extend(self.scratch.enumeration.raw.iter().map(|&(ir, js)| {
                     DirPair {
                         ir,
                         js,
@@ -711,9 +883,31 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                         rem_s[p.js] += 1;
                     }
                 }
+                // A frame whose pairs all point at two leaves hands its
+                // leaf work to the helpers, in the order it will descend —
+                // unless reads of this cursor are in flight: the queue's
+                // workers need the cores to finish them, and the join
+                // waits on those reads, not on its kernels.
+                let ahead = rn.level == 1
+                    && sn.level == 1
+                    && pairs.len() > 1
+                    && self.access.in_flight() == 0
+                    && self.ahead.wanted();
+                if ahead {
+                    let descent = &mut self.scratch.descent;
+                    descent_order(&pairs, (&rem_r, &rem_s), self.plan.pins(), descent);
+                    let (r, s) = (self.r, self.s);
+                    let leaves = pairs.iter().map(|p| {
+                        let cr = RTree::child_page(&rn.entries[p.ir]);
+                        let cs = RTree::child_page(&sn.entries[p.js]);
+                        (r.node_shared(cr), s.node_shared(cs), p.rect)
+                    });
+                    self.ahead.publish(&self.plan, eps, leaves, &descent.order);
+                }
                 self.stack.push(Frame::Dir(DirFrame {
                     rp,
                     sp,
+                    ahead,
                     pairs,
                     done,
                     rem_r,
@@ -748,7 +942,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             &rect,
         );
         let mut pairs = self.scratch.take_pairs();
-        pairs.extend_from_slice(&self.scratch.raw);
+        pairs.extend_from_slice(&self.scratch.enumeration.raw);
         let mut rem = self.scratch.take_rem();
         let state = match self.plan.diff_height {
             DiffHeightPolicy::PerPair => MixedState::PerPair { i: 0 },
@@ -814,11 +1008,11 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         }));
     }
 
-    /// Charges the two child pages of a directory pair and pushes the
-    /// child visit (the recursion's `process_dir_pair`). The parent frame
-    /// must already be back on the stack.
+    /// Charges the two child pages of pair `k` of a directory frame and
+    /// pushes the child visit (the recursion's `process_dir_pair`). The
+    /// parent frame must already be back on the stack.
     #[inline]
-    fn descend(&mut self, rp: PageId, sp: PageId, pair: DirPair) {
+    fn descend(&mut self, rp: PageId, sp: PageId, (k, pair): (usize, DirPair), ahead: bool) {
         let cr = RTree::child_page(&self.r.node(rp).entries[pair.ir]);
         let cs = RTree::child_page(&self.s.node(sp).entries[pair.js]);
         self.charge(TAG_R, cr);
@@ -827,6 +1021,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             rp: cr,
             sp: cs,
             rect: pair.rect,
+            slot: ahead.then_some(k),
         });
     }
 
@@ -848,11 +1043,11 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     self.recycle_dir(f);
                     return; // frame complete — stays popped
                 }
-                let pair = f.pairs[f.k];
-                let (rp, sp) = (f.rp, f.sp);
+                let pair = (f.k, f.pairs[f.k]);
+                let (rp, sp, ahead) = (f.rp, f.sp, f.ahead);
                 f.state = DirState::AfterOuter;
                 self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair);
+                self.descend(rp, sp, pair, ahead);
             }
             DirState::AfterOuter => {
                 f.mark_done(f.k);
@@ -918,15 +1113,15 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     l += 1;
                 }
                 f.mark_done(l);
-                let pair = f.pairs[l];
-                let (rp, sp) = (f.rp, f.sp);
+                let pair = (l, f.pairs[l]);
+                let (rp, sp, ahead) = (f.rp, f.sp, f.ahead);
                 f.state = DirState::Drain {
                     side,
                     page,
                     l: l + 1,
                 };
                 self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair);
+                self.descend(rp, sp, pair, ahead);
             }
         }
     }
@@ -1071,7 +1266,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             } else {
                 (leaf_rect, hit_rect)
             };
-            if !self.leaf_predicate_holds(&r_rect, &s_rect) {
+            if !predicate_holds(self.plan.predicate, &r_rect, &s_rect, &mut self.cmp) {
                 continue;
             }
             if dir_tag == TAG_R {
@@ -1115,7 +1310,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             } else {
                 (leaf_rect, hit_rect)
             };
-            if !self.leaf_predicate_holds(&r_rect, &s_rect) {
+            if !predicate_holds(self.plan.predicate, &r_rect, &s_rect, &mut self.cmp) {
                 continue;
             }
             let leaf_id = leaf_node.entries[il].child.data().expect("leaf entry");

@@ -26,6 +26,7 @@
 //! bottom of this module pin that equivalence across plans, predicates,
 //! buffer sizes and tree shapes.
 
+mod ahead;
 pub mod cursor;
 pub mod recursive;
 pub mod schedule;
@@ -46,7 +47,7 @@ mod tests {
     use rsj_rtree::{DataId, InsertPolicy, RTree, RTreeParams};
     use rsj_storage::BufferPool;
 
-    fn build_tree(items: &[(Rect, u64)], page: usize) -> RTree {
+    pub(super) fn build_tree(items: &[(Rect, u64)], page: usize) -> RTree {
         let mut t = RTree::new(RTreeParams::explicit(page, 10, 4, InsertPolicy::RStar));
         for &(r, id) in items {
             t.insert(r, DataId(id));
@@ -54,7 +55,7 @@ mod tests {
         t
     }
 
-    fn grid_items(n: u64, offset: f64, step: f64, size: f64) -> Vec<(Rect, u64)> {
+    pub(super) fn grid_items(n: u64, offset: f64, step: f64, size: f64) -> Vec<(Rect, u64)> {
         (0..n)
             .map(|i| {
                 let x = offset + (i % 30) as f64 * step;
@@ -64,7 +65,7 @@ mod tests {
             .collect()
     }
 
-    fn all_plans() -> Vec<JoinPlan> {
+    pub(super) fn all_plans() -> Vec<JoinPlan> {
         let mut v = vec![
             JoinPlan::sj1(),
             JoinPlan::sj2(),

@@ -40,6 +40,20 @@
 //! [`JoinCursor::into_result`] runs any cursor out into the materialized
 //! [`JoinResult`] and hands its accountant back.
 //!
+//! A join uses the cores no other join is using. While fewer cursors are
+//! live in the process than there are cores and none of its reads is in
+//! flight, a cursor hands the leaf pairs of each bottom directory frame to a process-wide pool of helper
+//! threads (one per core but one, started on first use), which run the
+//! restriction, sort check, plane sweep and predicate ahead of it. Every
+//! count is still the cursor's: a helper runs the same leaf-pair function
+//! with its own meters and never touches the page-access accountant, and
+//! the cursor adds its tallies and queues its pairs at the step where it
+//! would have computed them itself. So result order, [`JoinStats`] after
+//! every pair and the buffer's `access`/`pin` sequence do not depend on
+//! whether, or which, helpers ran. There is no switch: when as many joins
+//! run at once as there are cores (a service's clients,
+//! [`parallel_spatial_join`]'s workers), none of them publishes.
+//!
 //! Trees of different height are handled per §4.4 with the three policies
 //! (a) window query per pair, (b) batched multi-window queries, (c) sweep
 //! order with pinning ([`DiffHeightPolicy`]).

@@ -39,7 +39,10 @@
 /// production *raw* mode ([`NoOp`], where every charge is a no-op the
 /// optimizer deletes). Implementations must not change the *outcome* of
 /// [`Meter::lt`]/[`Meter::le`] — only whether the comparison is tallied.
-pub trait Meter: Default {
+///
+/// A meter is `Send + 'static` so a kernel can run on another thread with
+/// its own meter and hand the tally back (the join's leaf-pair helpers).
+pub trait Meter: Default + Send + 'static {
     /// `true` iff this meter actually tallies comparisons. Lets generic
     /// code skip work that exists only to be counted.
     const COUNTING: bool;

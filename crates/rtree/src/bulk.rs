@@ -55,6 +55,7 @@
 //! panicking mid-sort or writing a file that no open accepts.
 
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::node::{f64_key, xl_order, DataId, Entry, Node};
 use crate::params::RTreeParams;
@@ -206,10 +207,10 @@ fn load(
         fill,
         ..Default::default()
     };
-    let mut store: PageStore<Node> = PageStore::new(params.page_bytes);
+    let mut store = PageStore::new(params.page_bytes);
     let (root, _) = build_into(params, items, layout, cfg, |level, group, order| {
         let entries = order.iter().map(|&(_, at)| group[at as usize]).collect();
-        Ok(store.alloc(Node { level, entries }))
+        Ok(store.alloc(Arc::new(Node { level, entries })))
     })?;
     Ok(RTree {
         store,

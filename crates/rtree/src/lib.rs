@@ -20,7 +20,7 @@
 //! * tree statistics (Table 1) and a structural invariant validator used
 //!   heavily by the test suite.
 //!
-//! Nodes live in a page arena (`PageStore<Node>`), one node per page
+//! Nodes live in a page arena (`PageStore<Arc<Node>>`), one node per page
 //! (§3.1). Node capacity is derived from the page size exactly like the
 //! paper's Table 1: a 20-byte entry (four 4-byte coordinates plus a 4-byte
 //! reference) gives M = ⌊page/20⌋ = 51, 102, 204, 409 for pages of 1, 2, 4
