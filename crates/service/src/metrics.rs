@@ -27,6 +27,7 @@
 //! | `rsj_service_pairs` | histogram | | result pairs per query |
 //! | `rsj_service_parks_total` | counter | | cursor run-ahead parks |
 //! | `rsj_cache_reads` | gauge | `kind` | physical vs logical read split |
+//! | `rsj_cache_reads{kind="inline"}` | gauge | | the physical reads the demanding thread served itself instead of a queue worker; they are `rsj_cq_*` completions with zero queue wait |
 //! | `rsj_cache_physical_reads` | gauge | `store` | per-store physical read split |
 //! | `rsj_cache_hits` | gauge | `kind` | resident / adopted / drain-served hits |
 //! | `rsj_cache_hit_ratio` | gauge | | warm fraction of materialize calls |
@@ -138,9 +139,10 @@ pub(crate) fn record_open(registry: &Registry, elapsed: Duration, pages: usize) 
 
 /// Copies a [`SharedPageCache`]'s counters into the registry: hit
 /// ratio, single-flight adoptions, evictions, dirty-drain depth, and
-/// the physical-vs-logical read split (`logical_reads` is the summed
-/// per-handle `disk_accesses` the caller tracked — pass what it knows;
-/// the cache itself only sees physical traffic).
+/// the read split — physical, the share of those read inline, and
+/// logical (`logical_reads` is the summed per-handle `disk_accesses` the
+/// caller tracked — pass what it knows; the cache itself only sees
+/// physical traffic).
 pub fn export_cache(registry: &Registry, cache: &SharedPageCache, logical_reads: u64) {
     let g = |name: &str, help: &str, labels: &[(&str, &str)], v: i64| {
         registry.gauge(name, help, labels).set(v);
@@ -156,6 +158,12 @@ pub fn export_cache(registry: &Registry, cache: &SharedPageCache, logical_reads:
         "physical vs logical (charged) read split",
         &[("kind", "logical")],
         logical_reads as i64,
+    );
+    g(
+        "rsj_cache_reads",
+        "physical vs logical (charged) read split",
+        &[("kind", "inline")],
+        cache.inline_reads() as i64,
     );
     for (store, reads) in cache.physical_reads_by_store().iter().enumerate() {
         g(

@@ -17,9 +17,13 @@
 //!   cursor measured around its own two blocking calls, the park and the
 //!   final drain ([`rsj_core::JoinCursor::blocked`]). Submission itself
 //!   is asynchronous and costs nanoseconds; what hurts a query is
-//!   waiting, and that is exactly what this stage counts;
+//!   waiting, and that is exactly what this stage counts. It is time
+//!   parked on the queue only: while the cache's recent reads are fast
+//!   the handle reads its misses on the query's own thread
+//!   ([`rsj_storage::SharedPageCache::inline_reads`]), never parks for
+//!   them, and their few µs each land in **join**;
 //! * **join** — drive-loop time minus io: comparisons, sweeps, scratch
-//!   work, and the per-pair sink;
+//!   work, inline page reads and the per-pair sink;
 //! * **emit** — response assembly and telemetry recording after the
 //!   last pair.
 //!

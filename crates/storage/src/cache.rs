@@ -35,12 +35,22 @@
 //!
 //! * **Empty → Reading**: a miss installs the frame, pins it for the
 //!   duration of the read (a reading frame is never an eviction victim)
-//!   and starts a single pread under one queue ticket: a join handle
-//!   submits it to the queue's workers, an update handle — which writes
-//!   the page next — reads it on its own thread through the queue's lane
-//!   file. Concurrent demanders of the same key — from any worker — find
-//!   the frame in `Reading` and adopt the *same* in-flight ticket instead
-//!   of issuing a duplicate pread: single-flight.
+//!   and starts a single pread under one queue ticket, on one of two
+//!   paths. *Inline*, the demanding thread claims the ticket and reads
+//!   the page itself through the queue's lane file, so the ticket is
+//!   complete before the handle returns it. *Queued*, the read is
+//!   submitted to the queue's workers and the handle's cursor runs ahead
+//!   while it flies. An update handle — which writes the page next —
+//!   always reads inline. A join handle chooses per miss from the
+//!   service times of the queue's last reads
+//!   ([`CompletionQueue`] measures every one, inline or queued): inline
+//!   while most were fast (a page the OS already holds, read in a few
+//!   µs, cheaper than waking a worker), queued while they were slow (a
+//!   device, where overlapping up to [`crate::QUEUE_DEPTH`] reads pays).
+//!   A fresh cache starts queued. Concurrent demanders of the same key —
+//!   from any worker — find the frame in `Reading` and adopt the *same*
+//!   in-flight ticket instead of issuing a duplicate pread:
+//!   single-flight.
 //! * **Reading → Resident**: settled lazily, the next time the frame
 //!   table is touched (or explicitly by [`SharedPageCache::drain`]); the
 //!   read pin is released. Every public entry point settles first, so
@@ -57,8 +67,8 @@
 //!   page is that content (the buffer manager's frame-state `DIRTY` bit
 //!   over an in-place image), so a write copies nothing and eviction
 //!   moves nothing. A dirty page the LRU has evicted — or
-//!   [`SharedPageCache::clear`] dropped — is *drained* (it still reports
-//!   [`FrameState::Dirty`]). A page leaves the dirty set with its
+//!   [`SharedPageCache::clear`] dropped — is *drained* (still `Dirty`).
+//!   A page leaves the dirty set with its
 //!   content on file only through [`SharedPageCache::flush_dirty`], which
 //!   hands each page to a caller-supplied writer that encodes and writes
 //!   it — the one place pages leave the buffer, and the one place they
@@ -85,8 +95,8 @@
 //! shared frame layer, where the *physical* story is decided: a resident
 //! or in-flight frame costs nothing ([`FileAccess::warm_hits`]); an
 //! empty frame costs one pread ([`FileAccess::cold_faults`], counted in
-//! [`SharedPageCache::physical_reads`]), submitted to the queue by a
-//! join handle and read inline by an update handle. Hence the measurable dedup:
+//! [`SharedPageCache::physical_reads`]; the share read inline in
+//! [`SharedPageCache::inline_reads`]). Hence the measurable dedup:
 //! `physical_reads ≤ Σ per-worker disk_accesses`, strictly `<` whenever
 //! workers overlap — and a warm pool serves repeat joins at near-zero
 //! physical reads while their logical charges stay exactly the paper's.
@@ -124,21 +134,6 @@ use crate::path::UPDATE_MAX_HEIGHT;
 use crate::pool::BufKey;
 use crate::stack::{validate_stores, FileAccess, ReadStrategy};
 
-/// Observable state of one cache frame (see the module diagram).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FrameState {
-    /// Not resident, no read in flight, no write-back pending.
-    Empty,
-    /// A single-flight pread is in flight; the frame is read-pinned.
-    Reading,
-    /// Bytes are resident and clean.
-    Resident,
-    /// The page's newest content is not in the file (write-back pending)
-    /// — either a dirty resident frame or a drained page the LRU has
-    /// evicted.
-    Dirty,
-}
-
 /// Configuration of a [`SharedPageCache`].
 #[derive(Clone, Default)]
 pub struct CacheConfig {
@@ -159,8 +154,8 @@ impl fmt::Debug for CacheConfig {
 
 /// The frame table: residency, recency and pins live in the
 /// [`LruBuffer`]; `reading` carries the in-flight ticket of every frame
-/// currently in [`FrameState::Reading`] (each such frame also holds one
-/// read pin in the LRU, so it cannot be evicted under it); `dirty` is the
+/// currently `Reading` (each such frame also holds one read pin in the
+/// LRU, so it cannot be evicted under it); `dirty` is the
 /// no-lost-updates contract.
 struct Frames {
     lru: LruBuffer,
@@ -186,6 +181,8 @@ pub struct SharedPageCache {
     /// Preads submitted by cache-level misses (every one becomes exactly
     /// one physical read on a queue lane).
     physical: AtomicU64,
+    /// The share of `physical` the demanding thread read itself.
+    inline: AtomicU64,
     /// Pages written to disk through [`SharedPageCache::flush_dirty`].
     physical_writes: AtomicU64,
     /// Physical preads split by store (index = store = lane).
@@ -251,6 +248,7 @@ impl SharedPageCache {
             latch: Condvar::new(),
             queue,
             physical: AtomicU64::new(0),
+            inline: AtomicU64::new(0),
             physical_writes: AtomicU64::new(0),
             physical_by_store: paths.iter().map(|_| AtomicU64::new(0)).collect(),
             frame_hits: AtomicU64::new(0),
@@ -326,7 +324,6 @@ impl SharedPageCache {
             cache: Arc::clone(self),
             store,
             file,
-            scratch: Vec::new(),
         };
         let reads = Cached::new(Arc::clone(self), writes);
         Ok(FileAccess::assemble(cap_pages, &heights, reads))
@@ -379,13 +376,15 @@ impl SharedPageCache {
     }
 
     /// [`SharedPageCache::materialize`] for a caller that reads its own
-    /// miss, into `buf`, before this returns: an update handle, which
-    /// writes the page next and would otherwise park on its own read
-    /// while a queue worker wakes to fetch bytes nobody consumes. The
-    /// ticket is issued already claimed ([`CompletionQueue::claim`]) and
-    /// recorded in `reading` like a submitted one, so a join demanding
-    /// the page meanwhile adopts it; the read itself is the worker's
-    /// ([`CompletionQueue::serve_claimed`]) on the calling thread.
+    /// miss, into `buf`, before this returns (see [`MissPath`] for who
+    /// does): a hand-off to a worker would park the caller on a read
+    /// that costs less than the hand-off, or fetch bytes nobody consumes
+    /// while the caller waits for them anyway. The ticket is issued
+    /// already claimed ([`CompletionQueue::claim`]) and recorded in
+    /// `reading` like a submitted one, so another handle demanding the
+    /// page meanwhile adopts it; the read itself is the worker's
+    /// ([`CompletionQueue::serve_claimed`]) on the calling thread, and it
+    /// is complete before this returns the ticket.
     fn materialize_inline(&self, store: u8, page: PageId, buf: &mut Vec<u8>) -> (Ticket, bool) {
         let mut claimed = None;
         let served = self.materialize_with(store, page, |queue, key| {
@@ -395,6 +394,7 @@ impl SharedPageCache {
             ticket
         });
         if let Some(job) = claimed {
+            self.inline.fetch_add(1, Ordering::Relaxed);
             self.queue.serve_claimed(&job, buf);
         }
         served
@@ -555,24 +555,6 @@ impl SharedPageCache {
         Ok(())
     }
 
-    /// The observable state of the frame of `(store, page)`. Settles
-    /// first, so a completed read reports `Resident`. A drained page
-    /// reports `Dirty`: its newest content is still not in the file.
-    pub fn frame_state(&self, store: u8, page: PageId) -> FrameState {
-        let key = BufKey::new(store, page);
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
-        if s.reading.contains_key(&key) {
-            FrameState::Reading
-        } else if s.dirty.contains(&key) {
-            FrameState::Dirty
-        } else if s.lru.contains(key) {
-            FrameState::Resident
-        } else {
-            FrameState::Empty
-        }
-    }
-
     /// Nested pin count of the frame of `(store, page)` — includes the
     /// read pin while the frame is `Reading`. Settles first (uniform
     /// discipline), so a completed read's pin is not miscounted.
@@ -589,6 +571,18 @@ impl SharedPageCache {
     #[inline]
     pub fn physical_reads(&self) -> u64 {
         self.physical.load(Ordering::Relaxed)
+    }
+
+    /// The physical reads of [`SharedPageCache::physical_reads`] that the
+    /// demanding handle served on its own thread rather than through the
+    /// queue's workers: every miss of an update handle, and a join
+    /// handle's while recent reads were fast (module docs, "Empty →
+    /// Reading"). An inline read is still a queue read: it has a ticket,
+    /// a lane count and a [`crate::completion::CompletionLag`] sample,
+    /// whose queue wait is zero.
+    #[inline]
+    pub fn inline_reads(&self) -> u64 {
+        self.inline.load(Ordering::Relaxed)
     }
 
     /// Pages physically written through [`SharedPageCache::flush_dirty`]
@@ -711,6 +705,7 @@ impl SharedPageCache {
     }
 
     fn reset_telemetry(&self) {
+        self.inline.store(0, Ordering::Relaxed);
         for c in &self.physical_by_store {
             c.store(0, Ordering::Relaxed);
         }
@@ -747,15 +742,18 @@ impl SharedPageCache {
 /// [`PageFile`] of its store and drives updates through [`NodeAccessMut`].
 pub type SharedCacheFileAccess<W = ()> = FileAccess<Cached<W>>;
 
-/// Read strategy: a charged miss is [`SharedPageCache::materialize`], and
-/// the stack's pins are mirrored onto the shared frames. It owns its
-/// handle on the cache, the write capability `W` and two tallies of how
-/// its misses were served; the frames, the queue and the physical reads
-/// belong to the cache.
+/// Read strategy: a charged miss is [`SharedPageCache::materialize`],
+/// read by a queue worker or on the calling thread (module docs, "Empty
+/// → Reading"), and the stack's pins are mirrored onto the shared
+/// frames. It owns its handle on the cache, the write capability `W`,
+/// the buffer its inline reads land in (and an update handle's flush
+/// encodes into) and two tallies of how its misses were served; the
+/// frames, the queue and the physical reads belong to the cache.
 #[derive(Debug)]
 pub struct Cached<W = ()> {
     cache: Arc<SharedPageCache>,
     writes: W,
+    scratch: Vec<u8>,
     /// Charged misses served by a frame already resident or in flight.
     warm_hits: u64,
     /// Charged misses that submitted the physical read themselves.
@@ -767,32 +765,46 @@ impl<W> Cached<W> {
         Cached {
             cache,
             writes,
+            scratch: Vec::new(),
             warm_hits: 0,
             cold_faults: 0,
         }
     }
 }
 
-/// How a cached handle's charged miss reaches the frames, chosen by its
-/// write capability: a join handle (`()`) submits the read to the queue's
-/// workers ([`SharedPageCache::materialize`]); an update handle
-/// ([`StoreFile`]) reads it on its own thread
-/// ([`SharedPageCache::materialize_inline`]).
+/// Which of the two read paths a cached handle's charged miss takes, by
+/// its write capability. Either way the frame table decides whether a
+/// physical read happens at all, and the read is one queue ticket.
+///
+/// * An update handle ([`StoreFile`]) reads on its own thread
+///   ([`SharedPageCache::materialize_inline`]): it writes the page next,
+///   so a worker's read would only make it wait.
+/// * A join handle (`()`) asks the queue how fast its recent reads were
+///   ([`CompletionQueue::reads_are_fast`], measured service times only).
+///   While they were fast — pages the OS already holds — it reads inline
+///   too: a hand-off to a worker costs more than the read, and a parked
+///   cursor keeps its core's other work (the leaf-pair helper) waiting.
+///   While they were slow — a real or modelled device — it submits the
+///   read to the queue's workers ([`SharedPageCache::materialize`]) and
+///   runs ahead while up to [`crate::QUEUE_DEPTH`] reads overlap. A fresh
+///   cache starts on the queue, and each miss decides anew, so the path
+///   follows the device both ways.
 pub(crate) trait MissPath {
-    /// Serves one charged miss of `(store, page)` on `cache`: the ticket
-    /// to park on, and whether this call started the physical read.
-    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool);
+    /// Whether a charged miss on `cache` is read on the calling thread.
+    fn reads_inline(&self, cache: &SharedPageCache) -> bool;
 }
 
 impl MissPath for () {
-    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool) {
-        cache.materialize(store, page)
+    #[inline]
+    fn reads_inline(&self, cache: &SharedPageCache) -> bool {
+        cache.queue.reads_are_fast()
     }
 }
 
 impl MissPath for StoreFile {
-    fn materialize(&mut self, cache: &SharedPageCache, store: u8, page: PageId) -> (Ticket, bool) {
-        cache.materialize_inline(store, page, &mut self.scratch)
+    #[inline]
+    fn reads_inline(&self, _: &SharedPageCache) -> bool {
+        true
     }
 }
 
@@ -803,7 +815,12 @@ impl<W: MissPath> ReadStrategy for Cached<W> {
     }
 
     fn read(&mut self, store: u8, page: PageId) -> Ticket {
-        let (ticket, fresh) = self.writes.materialize(&self.cache, store, page);
+        let cache = &self.cache;
+        let (ticket, fresh) = if self.writes.reads_inline(cache) {
+            cache.materialize_inline(store, page, &mut self.scratch)
+        } else {
+            cache.materialize(store, page)
+        };
         if fresh {
             self.cold_faults += 1;
         } else {
@@ -834,16 +851,14 @@ impl<W: MissPath> ReadStrategy for Cached<W> {
 }
 
 /// The write capability of an update handle: the read-write file of the
-/// one store it was opened for, and the buffer the handle reads its own
-/// misses into and encodes its flushed pages into. Dropped, it discards
-/// the store's dirty marks and frees the store for the next writer
+/// one store it was opened for. Dropped, it discards the store's dirty
+/// marks and frees the store for the next writer
 /// ([`SharedPageCache::update_handle`]).
 #[derive(Debug)]
 pub struct StoreFile {
     cache: Arc<SharedPageCache>,
     store: u8,
     file: PageFile,
-    scratch: Vec<u8>,
 }
 
 impl Drop for StoreFile {
@@ -899,13 +914,13 @@ impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     /// time; any other page past the end is a typed error.
     fn flush_writes(&mut self, encode: &mut EncodePage<'_>) -> Result<(), StorageError> {
         self.pool.flush_writes();
-        let Cached { cache, writes, .. } = &mut self.reads;
-        let StoreFile {
-            store,
-            file,
+        let Cached {
+            cache,
+            writes,
             scratch,
             ..
-        } = writes;
+        } = &mut self.reads;
+        let StoreFile { store, file, .. } = writes;
         cache.flush_dirty(*store, |page| {
             encode(page, scratch)?;
             if page.0 == file.page_count() {
@@ -948,6 +963,42 @@ mod tests {
     use std::panic::AssertUnwindSafe;
     use std::sync::mpsc;
     use std::time::Duration;
+
+    /// Observable state of one cache frame (see the module diagram): what
+    /// the state-machine tests assert on.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum FrameState {
+        /// Not resident, no read in flight, no write-back pending.
+        Empty,
+        /// A single-flight pread is in flight; the frame is read-pinned.
+        Reading,
+        /// Bytes are resident and clean.
+        Resident,
+        /// The page's newest content is not in the file (write-back
+        /// pending) — either a dirty resident frame or a drained page the
+        /// LRU has evicted.
+        Dirty,
+    }
+
+    impl SharedPageCache {
+        /// The observable state of the frame of `(store, page)`. Settles
+        /// first, so a completed read reports `Resident`. A drained page
+        /// reports `Dirty`: its newest content is still not in the file.
+        fn frame_state(&self, store: u8, page: PageId) -> FrameState {
+            let key = BufKey::new(store, page);
+            let mut s = self.lock_frames();
+            self.settle(&mut s);
+            if s.reading.contains_key(&key) {
+                FrameState::Reading
+            } else if s.dirty.contains(&key) {
+                FrameState::Dirty
+            } else if s.lru.contains(key) {
+                FrameState::Resident
+            } else {
+                FrameState::Empty
+            }
+        }
+    }
 
     fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PathBuf {
         let slot = codec::slot_bytes_for(2);
@@ -1606,6 +1657,8 @@ mod tests {
                 .push((key.page, std::thread::current().id()));
             None
         });
+        // Three fast reads are too few to take a fresh cache's join
+        // handles off the queue (`CompletionQueue::reads_are_fast`).
         let c = cache(&dir, 8, 8, Some(hook));
         let me = std::thread::current().id();
         let mut h = c.update_handle(0, 4).unwrap();
@@ -1636,6 +1689,7 @@ mod tests {
             );
         }
         assert_eq!(c.physical_reads(), 6);
+        assert_eq!(c.inline_reads(), 3, "the updater's");
         assert_eq!(c.physical_reads(), c.queue().total_reads());
         assert_eq!(c.queue().lane_reads(0), 6);
     }

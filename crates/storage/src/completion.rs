@@ -23,12 +23,20 @@
 //! is a prefix predicate), so that is the read served next — and
 //! *work-conserving*: no worker sleeps while any lane has a queued job.
 //!
-//! Inline reads bypass the FIFO. A shared cache's update handle takes its
-//! ticket already claimed and reads the page on its own thread, through
+//! ## Inline reads
+//!
+//! Inline reads bypass the FIFO. A shared cache's handle may take its
+//! ticket already claimed and read the page on its own thread, through
 //! the lane's file and the workers' own post-claim code: the same latency,
 //! lane read count, completion and wake-ups, with zero queue wait. The
 //! ticket is outstanding until then, so waiters and
-//! [`CompletionQueue::drain`] see it like any other.
+//! [`CompletionQueue::drain`] see it like any other. An update handle
+//! always reads this way. A join handle does while the queue's recent
+//! reads were fast (`CompletionQueue::reads_are_fast`): every read,
+//! inline or by a worker, records its claim→complete time, and while
+//! most of the last eight took under 30 µs (`FAST_READ`) a hand-off would
+//! cost more than the read it hands off — the worker's wake-up, and the
+//! submitter's park, outweigh a page the OS already holds.
 //!
 //! ## Depth
 //!
@@ -40,6 +48,10 @@
 //! read finds a worker instead of waiting in the table behind a smaller
 //! pool. Read `queue_wait` against `service` in [`CompletionLag`] to check
 //! it: wait ≫ service means the pool, not the device, bounds the reads.
+//! Depth is for slow reads: over a fast device the workers mostly sleep,
+//! because the demanding threads read inline (see above); the pool stays
+//! because reading every miss of a 100 µs modelled device inline made a
+//! `join_cold` join about six times slower.
 //!
 //! Both condvars are notified only when someone sleeps on them: the state
 //! mutex guards a sleeper count for each beside the tables, so a submitter
@@ -62,7 +74,7 @@
 //! strategy's "storage broke mid-join" contract.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -84,6 +96,41 @@ pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 /// depth 4 reads 81–89 ms per join, 8 50–53 ms, 16 44–46 ms, 32 45–47 ms
 /// at twice the threads.
 pub const QUEUE_DEPTH: usize = 16;
+
+/// A read whose service took less than this is one the demanding thread
+/// serves more cheaply itself than through a worker (module docs,
+/// "Inline reads"). It splits the two populations measured on the repo
+/// benchmark's 2-core box: a page the OS already holds is served in
+/// about 3 µs (a hand-off to a worker alone waits about 9 µs), and a
+/// modelled 100 µs device read takes about 160 µs. The bound sits ten
+/// times above the first and five below the second, so a fast read
+/// that is preempted once, or a debug build's slower one, still counts
+/// as fast.
+const FAST_READ: Duration = Duration::from_micros(30);
+
+/// The speeds of the last eight reads a queue served, inline or by a
+/// worker: bit `i` is set when the `i`-th most recent one was faster than
+/// [`FAST_READ`]. Starts all slow, so a fresh queue hands reads to its
+/// workers until fast ones have been seen.
+#[derive(Default)]
+struct ReadSpeed(AtomicU8);
+
+impl ReadSpeed {
+    fn record(&self, service: Duration) {
+        let fast = u8::from(service < FAST_READ);
+        // Statistics only: a lost race drops one sample, never a read.
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| {
+                Some(h << 1 | fast)
+            });
+    }
+
+    /// Whether most of the last eight reads were fast.
+    fn fast(&self) -> bool {
+        self.0.load(Ordering::Relaxed).count_ones() > u8::BITS / 2
+    }
+}
 
 /// Configuration of the queued read strategy's private queue
 /// ([`crate::stack::Queued`]; a shared cache's queue takes
@@ -132,6 +179,9 @@ struct CqShared {
     /// the lag's.
     queue_wait: SpanNanos,
     service: SpanNanos,
+    /// The last reads' service times, summarised for
+    /// [`CompletionQueue::reads_are_fast`].
+    speed: ReadSpeed,
     /// Sticky read-failure flag; surfaced as a panic at the next wait.
     failed: AtomicBool,
     delay: Option<DelayFn>,
@@ -244,6 +294,7 @@ impl CompletionQueue {
             lag_max_nanos: AtomicU64::new(0),
             queue_wait: SpanNanos::default(),
             service: SpanNanos::default(),
+            speed: ReadSpeed::default(),
             failed: AtomicBool::new(false),
             delay,
         });
@@ -301,6 +352,18 @@ impl CompletionQueue {
     pub(crate) fn serve_claimed(&self, job: &ReadJob, buf: &mut Vec<u8>) {
         serve(&self.shared, job, job.submitted, buf);
         self.check_failed();
+    }
+
+    /// Whether most of the last eight reads this queue served, inline or
+    /// by a worker, took less than the cost of handing one to a worker:
+    /// the device is fast enough that a demanding thread should read its
+    /// own miss ([`CompletionQueue::claim`]) rather than
+    /// [`CompletionQueue::submit`] it. False on a fresh queue; measured
+    /// service time is the only input, and [`CompletionQueue::reset`]
+    /// keeps it (a reset zeroes counters, it does not change the device).
+    #[inline]
+    pub(crate) fn reads_are_fast(&self) -> bool {
+        self.shared.speed.fast()
     }
 
     /// Polls a ticket. Lock-free when the completion frontier has already
@@ -564,10 +627,12 @@ fn serve(shared: &CqShared, job: &ReadJob, claimed: Instant, buf: &mut Vec<u8>) 
         }
     }
     let done = Instant::now();
+    let service = done.duration_since(claimed);
     shared
         .queue_wait
         .record(claimed.duration_since(job.submitted));
-    shared.service.record(done.duration_since(claimed));
+    shared.service.record(service);
+    shared.speed.record(service);
     shared.lag_samples.fetch_add(1, Ordering::Relaxed);
     shared.lag_max_nanos.fetch_max(
         saturating_nanos(done.duration_since(job.submitted)),
@@ -860,6 +925,45 @@ mod tests {
         // A zero total means both span totals are zero.
         assert_eq!((zero.samples, zero.total_nanos, zero.max_nanos), (0, 0, 0));
         assert_eq!((zero.queue_wait_max_nanos, zero.service_max_nanos), (0, 0));
+    }
+
+    /// The inline-or-queue decision over a scripted run of service times:
+    /// whether the reads were fast after each one.
+    fn decisions(services: &[Duration]) -> Vec<bool> {
+        let speed = ReadSpeed::default();
+        services
+            .iter()
+            .map(|&s| {
+                speed.record(s);
+                speed.fast()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stalled_reads_among_fast_ones_flip_a_bounded_number_of_decisions() {
+        let (fast, stalled) = (Duration::from_micros(3), Duration::from_millis(5));
+        assert!(!ReadSpeed::default().fast(), "a fresh queue starts slow");
+        // Five fast reads of eight switch a fresh queue to fast.
+        let warm = decisions(&[fast; 5]);
+        assert_eq!(warm, [false, false, false, false, true]);
+        for burst in 0..=12usize {
+            let mut run = vec![fast; 8];
+            run.extend(vec![stalled; burst]);
+            run.extend([fast; 16]);
+            let flipped = decisions(&run)[8..].iter().filter(|&&f| !f).count();
+            // Fewer than half a window of stalls flips nothing; a longer
+            // burst holds the queue for itself and half a window more.
+            let bound = if burst < 4 { 0 } else { burst + 4 };
+            assert!(
+                flipped <= bound,
+                "{burst} stalls flipped {flipped} decisions (bound {bound})"
+            );
+        }
+        // A device that turns slow is on the queue within half a window.
+        let mut run = vec![fast; 8];
+        run.extend([Duration::from_micros(160); 4]);
+        assert!(!decisions(&run)[11]);
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub mod temp;
 
 pub use access::{EncodePage, NodeAccess, NodeAccessMut, PageRef, Ticket};
 pub use bulk::BulkPageWriter;
-pub use cache::{CacheConfig, FrameState, SharedCacheFileAccess, SharedPageCache, StoreFile};
+pub use cache::{CacheConfig, SharedCacheFileAccess, SharedPageCache, StoreFile};
 pub use codec::{DiskEntry, DiskNode, FileHeader, StorageError};
 pub use completion::{CompletionConfig, CompletionLag, CompletionQueue, QUEUE_DEPTH};
 pub use cost::CostModel;

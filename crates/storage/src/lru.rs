@@ -220,6 +220,7 @@ impl LruBuffer {
     }
 
     /// True if `key` is resident and dirty.
+    #[cfg(test)]
     pub fn is_dirty(&self, key: BufKey) -> bool {
         self.map.get(&key).is_some_and(|&s| self.slots[s].dirty)
     }
@@ -240,6 +241,7 @@ impl LruBuffer {
     }
 
     /// Number of resident dirty pages.
+    #[cfg(test)]
     pub fn dirty_len(&self) -> usize {
         let mut n = 0;
         let mut cur = self.head;

@@ -12,11 +12,15 @@
 //! |-------------------|--------------------|--------------------------|---------------------------|
 //! | stack             | [`FileNodeAccess`] | [`CompletionFileAccess`] | [`SharedCacheFileAccess`] |
 //! | owns              | its [`PageFile`]s  | a private [`CompletionQueue`] | a [`SharedPageCache`] handle |
-//! | a charged miss    | `pread`s at once   | submits one read         | reads unless a frame holds the page |
+//! | a charged miss    | `pread`s at once   | submits one read         | unless a frame holds the page, `pread`s at once while reads are fast, else submits one |
 //! | physical reads    | `= disk_accesses`  | `=`, once drained        | `≤ disk_accesses`         |
 //!
-//! Queued and cached misses return a [`Ticket`] the executor parks on, so
-//! what changes is *when* a read completes, never a number. Parallel
+//! Queued and cached misses return a [`Ticket`] the executor parks on (a
+//! cached miss read at once returns it already complete), so what changes
+//! is *when* a read completes, never a number. A cached stack chooses
+//! between its two paths per miss from the measured service time of its
+//! queue's recent reads (the [`crate::cache`] module docs, "Empty →
+//! Reading"). Parallel
 //! workers each own a stack; a cached stack's frames, queue and physical
 //! reads are its cache's, shared by every handle. The stack reads; the
 //! one write path is a cached stack with a write capability

@@ -188,6 +188,12 @@ fn telemetry_text_reports_the_catalogue() {
         other => panic!("logical reads gauge missing: {other:?}"),
     }
     assert_eq!(
+        snap.get("rsj_cache_reads", &[("kind", "inline")]).cloned(),
+        Some(SampleValue::Gauge(svc.cache().inline_reads() as i64)),
+        "the inline share of the physical reads is exported",
+    );
+    assert!(svc.cache().inline_reads() <= svc.cache().physical_reads());
+    assert_eq!(
         snap.get("rsj_cq_workers", &[]).cloned(),
         Some(SampleValue::Gauge(rsj_storage::QUEUE_DEPTH as i64)),
         "the pool is as deep as the cursor's in-flight cap",
