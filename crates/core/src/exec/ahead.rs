@@ -52,6 +52,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use rsj_geom::{Meter, Rect};
 use rsj_rtree::{DataId, Node};
+use rsj_storage::cores;
 
 use crate::exec::cursor::{leaf_pair, PairScratch};
 use crate::plan::JoinPlan;
@@ -71,13 +72,6 @@ const VECTOR_PAIRS: usize = 256;
 /// a pinned page's pairs first), few enough that the waiting results stay
 /// small next to the trees.
 const WINDOW: usize = 8;
-
-/// The cores of this process, asked once: the answer reads the scheduler's
-/// affinity mask and the cgroup's quota.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
 
 /// Cursors alive in the process.
 static LIVE: AtomicUsize = AtomicUsize::new(0);

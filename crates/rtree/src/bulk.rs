@@ -63,7 +63,7 @@ use crate::persist;
 use crate::tree::RTree;
 use rsj_geom::{hilbert, Rect};
 use rsj_storage::codec::{self, DiskNode};
-use rsj_storage::{BulkPageWriter, PageFile, PageId, PageStore, StorageError};
+use rsj_storage::{cores, BulkPageWriter, PageFile, PageId, PageStore, StorageError};
 
 /// Default fraction of M that packed nodes are filled to. Partial fill
 /// leaves room for later dynamic inserts; 0.7 is in line with the storage
@@ -258,10 +258,7 @@ fn auto_workers(n: usize) -> usize {
     if n < PAR_SORT_MIN {
         return 1;
     }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(8)
+    cores().min(8)
 }
 
 /// Size of the next group cut from an ordered run of `remaining` entries:

@@ -21,26 +21,31 @@
 //!
 //! ## Opening
 //!
-//! Every open path — [`RTree::open_from`], the `OpenCachedTree` opens and
-//! the join service — ends in one function, [`RTree::load`], and `load`
-//! has one read path: [`PageSource::scan`]. The scan hands each page to
-//! `load`'s decode on the reader thread that read it
-//! ([`rsj_storage::scan`]: one reader per core when reads are quick,
-//! [`rsj_storage::QUEUE_DEPTH`] when they wait on the device; it measures,
-//! there is nothing to configure), and returns the results in id order.
-//! The decode does all per-page work while the slot's bytes are in that
-//! core's cache: the free-set cross-checks, one `Vec` of [`Entry`]s built
-//! straight from the bytes ([`codec::NodeView`]), the leaf normalisation,
-//! and the page's summary for the structural walk (its MBR, whether its
-//! leaf entries are sound). What depends on page order stays in page
-//! order: page `i` becomes the `i`-th allocation of the store, the first
-//! failing page in file order is the error returned, and the one
-//! structural walk ([`crate::validate`]) runs over the summaries once
-//! everything is in. Each page is still read once and pays the handle's
-//! modelled latency once, and the trees of a service are scanned one
-//! after the other, so an open never has more reads in flight than a
-//! join does. `tests/open_scan.rs` holds a slow and a fast handle against
-//! each other: same pages, same free list, same `JoinStats`, same errors.
+//! Every open path — [`RTree::open_from`], [`RTree::open_all`], the
+//! `OpenCachedTree` opens and the join service — ends in one function,
+//! [`RTree::load_all`] ([`RTree::load`] is its one-file case), and it has
+//! one read path: a page scan over all the files it opens
+//! ([`rsj_storage::scan`]). One claim counter runs over the first file's
+//! pages, then the next's; the readers start at one per core and add up
+//! to [`rsj_storage::QUEUE_DEPTH`] when their first reads vote that the
+//! device is what the open waits for — it measures, there is nothing to
+//! configure — and hand each page to the decode on the reader that read
+//! it. The decode does all per-page work while the slot's bytes are in
+//! that core's cache: the free-set cross-checks, one `Vec` of [`Entry`]s
+//! built straight from the bytes ([`codec::NodeView`]), the leaf
+//! normalisation, and the page's summary for the structural walk (its
+//! MBR, whether its leaf entries are sound). What depends on page order
+//! stays in page order and on the opening thread: page `i` becomes the
+//! `i`-th allocation of its store, behind its `Arc`, and the one
+//! structural walk ([`crate::validate`]) runs over each tree's summaries
+//! once everything is in. Each page is still read once and pays the
+//! handle's modelled latency once, and the two trees of a service share
+//! one reader pool, so an open never has more reads in flight than a
+//! join does. The error is the one opening the files one after the other
+//! gives: a file's header, then its pages in order, then its structure,
+//! the first file before the second. `tests/open_scan.rs` holds a slow
+//! and a fast handle against each other, and a pair against two single
+//! opens: same pages, same free list, same `JoinStats`, same errors.
 
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -52,6 +57,7 @@ use crate::tree::RTree;
 use crate::validate::PageSummary;
 use rsj_geom::Rect;
 use rsj_storage::codec::{self, DiskEntry, DiskNode, DiskPage, NodeView, StorageError, META_BYTES};
+use rsj_storage::scan::scan_sources;
 use rsj_storage::{PageFile, PageId, PageSource, PageStore};
 
 const POLICY_RSTAR: u8 = 0;
@@ -250,45 +256,154 @@ impl RTree {
         Self::load(&mut file)
     }
 
+    /// Reopens the trees saved at `paths`, as [`RTree::open_from`] does
+    /// each, through one page scan over all their files (module docs,
+    /// "Opening") — how a join service opens its pair. The trees, and the
+    /// error when a file is unsound, are those of opening the files one
+    /// after the other: the first file's failure wins.
+    pub fn open_all<const N: usize>(paths: [&Path; N]) -> Result<[RTree; N], StorageError> {
+        let mut files = Vec::with_capacity(N);
+        let mut unopened = None;
+        for path in paths {
+            match PageFile::open(path) {
+                Ok(file) => files.push(file),
+                Err(err) => {
+                    unopened = Some(err);
+                    break;
+                }
+            }
+        }
+        let mut sources: Vec<&mut dyn PageSource> = files
+            .iter_mut()
+            .map(|file| file as &mut dyn PageSource)
+            .collect();
+        let trees = load_files(&mut sources)?;
+        match unopened {
+            Some(err) => Err(err),
+            None => Ok(one_per_file(trees)),
+        }
+    }
+
     /// Builds a tree from every page of an already-open page file — the
-    /// one assembly path behind every open. Each page is decoded, and
-    /// summarised for the structural walk, on the reader that read it
-    /// ([`PageSource::scan`]); the nodes land in the store in id order
-    /// and one walk over the summaries checks the structure (module
-    /// docs, "Opening"). The file's (already chain-validated) free list
-    /// is reconstructed into the store, so later updates allocate exactly
-    /// like the tree that was saved.
+    /// one assembly path behind every open, [`RTree::load_all`] of one
+    /// file.
     pub fn load(file: &mut impl PageSource) -> Result<RTree, StorageError> {
+        let [tree] = Self::load_all([file])?;
+        Ok(tree)
+    }
+
+    /// Builds one tree from every page of each already-open page file,
+    /// through one page scan over them all (module docs, "Opening"). Each
+    /// page is decoded, and summarised for the structural walk, on the
+    /// reader that read it; each tree's nodes land in its store in id
+    /// order and one walk over its summaries checks its structure. Each
+    /// file's (already chain-validated) free list is reconstructed into
+    /// its store, so later updates allocate exactly like the tree that
+    /// was saved. The error is the one loading the files one after the
+    /// other would give: the first file's failure wins.
+    pub fn load_all<const N: usize>(
+        mut files: [&mut dyn PageSource; N],
+    ) -> Result<[RTree; N], StorageError> {
+        load_files(&mut files).map(one_per_file)
+    }
+}
+
+/// `trees`, one per file of an open that loaded every file.
+fn one_per_file<const N: usize>(trees: Vec<RTree>) -> [RTree; N] {
+    trees
+        .try_into()
+        .unwrap_or_else(|_| unreachable!("a load that succeeds builds one tree per file"))
+}
+
+/// [`RTree::load_all`] over a slice: one tree per file, or the first
+/// file's error — in a file, header before pages before structure. The
+/// files before one whose header fails are still scanned and assembled,
+/// since their errors come first.
+fn load_files(files: &mut [&mut dyn PageSource]) -> Result<Vec<RTree>, StorageError> {
+    let mut layouts = Vec::with_capacity(files.len());
+    let mut unreadable = None;
+    for file in files.iter() {
+        match Layout::of(&**file) {
+            Ok(layout) => layouts.push(layout),
+            Err(err) => {
+                unreadable = Some(err);
+                break;
+            }
+        }
+    }
+    let scanned = scan_sources(&mut files[..layouts.len()], |f, id, bytes| {
+        layouts[f].decode(id, bytes)
+    });
+    let mut trees = Vec::with_capacity(layouts.len());
+    for (layout, pages) in layouts.into_iter().zip(scanned) {
+        trees.push(layout.assemble(pages?)?);
+    }
+    match unreadable {
+        Some(err) => Err(err),
+        None => Ok(trees),
+    }
+}
+
+/// What a tree file's header and free list say, checked before its pages
+/// are read.
+struct Layout {
+    page_count: u32,
+    root: PageId,
+    len: usize,
+    params: RTreeParams,
+    /// The free list, oldest release first.
+    free: Vec<PageId>,
+    free_set: HashSet<PageId>,
+}
+
+impl Layout {
+    fn of(file: &dyn PageSource) -> Result<Self, StorageError> {
         let page_count = file.page_count();
         if page_count == 0 {
             return Err(StorageError::Corrupt("page file holds no pages".into()));
         }
         let (root, len, params) = decode_meta(file.meta(), file.page_bytes(), page_count)?;
         let free = file.free_pages().to_vec();
-        let free_set: HashSet<PageId> = free.iter().copied().collect();
-        let pages = file.scan(|id, bytes| {
-            let free = free_set.contains(&id);
-            let node = match codec::view_page(bytes)? {
-                DiskPage::Node(_) if free => {
-                    return Err(StorageError::Corrupt(format!(
-                        "free chain claims live page {id}"
-                    )))
-                }
-                DiskPage::Node(view) => node_from_view(view, page_count)?,
-                // The chain itself was validated by the file layer; here
-                // we only reject markers the chain does not account for
-                // (a free page no allocation could ever reach again).
-                DiskPage::Free { .. } if !free => {
-                    return Err(StorageError::Corrupt(format!(
-                        "page {id} is a free marker but not on the free chain"
-                    )))
-                }
-                DiskPage::Free { .. } => Node::leaf(), // placeholder, unreachable
-            };
-            let summary = PageSummary::of(&node, free);
-            Ok((node, summary))
-        })?;
-        let mut store = PageStore::new(params.page_bytes);
+        let free_set = free.iter().copied().collect();
+        Ok(Layout {
+            page_count,
+            root,
+            len,
+            params,
+            free,
+            free_set,
+        })
+    }
+
+    /// A page's node and its summary for the structural walk — all the
+    /// per-page work of an open, on the reader that read the page.
+    fn decode(&self, id: PageId, bytes: &[u8]) -> Result<(Node, PageSummary), StorageError> {
+        let free = self.free_set.contains(&id);
+        let node = match codec::view_page(bytes)? {
+            DiskPage::Node(_) if free => {
+                return Err(StorageError::Corrupt(format!(
+                    "free chain claims live page {id}"
+                )))
+            }
+            DiskPage::Node(view) => node_from_view(view, self.page_count)?,
+            // The chain itself was validated by the file layer; here
+            // we only reject markers the chain does not account for
+            // (a free page no allocation could ever reach again).
+            DiskPage::Free { .. } if !free => {
+                return Err(StorageError::Corrupt(format!(
+                    "page {id} is a free marker but not on the free chain"
+                )))
+            }
+            DiskPage::Free { .. } => Node::leaf(), // placeholder, unreachable
+        };
+        let summary = PageSummary::of(&node, free);
+        Ok((node, summary))
+    }
+
+    /// The tree of the decoded `pages`, in id order, once its structure
+    /// checks out.
+    fn assemble(self, pages: Vec<(Node, PageSummary)>) -> Result<RTree, StorageError> {
+        let mut store = PageStore::new(self.params.page_bytes);
         let mut summaries = Vec::with_capacity(pages.len());
         // Each node goes behind its `Arc` here, not on the readers: with the
         // small `Arc` blocks among the readers' entry buffers, 40 000 R*
@@ -297,12 +412,12 @@ impl RTree {
             store.alloc(Arc::new(node));
             summaries.push(summary);
         }
-        store.restore_free_list(free);
+        store.restore_free_list(self.free);
         let tree = RTree {
             store,
-            root,
-            params,
-            len,
+            root: self.root,
+            params: self.params,
+            len: self.len,
         };
         // A decodable file can still be structurally broken (reference
         // cycles, unbalanced levels, lying entry counts, a free page

@@ -146,12 +146,12 @@ pub struct JoinService {
 }
 
 impl JoinService {
-    /// Opens the trees at `r_path`/`s_path` and provisions the shared
-    /// cache and admission layer.
+    /// Opens the trees at `r_path`/`s_path` — both through one page scan,
+    /// [`RTree::open_all`] — and provisions the shared cache and
+    /// admission layer.
     pub fn open(r_path: &Path, s_path: &Path, cfg: ServiceConfig) -> Result<Self, ServiceError> {
         let started = Instant::now();
-        let r = RTree::open_from(r_path)?;
-        let s = RTree::open_from(s_path)?;
+        let [r, s] = RTree::open_all([r_path, s_path])?;
         let heights = [r.height() as usize, s.height() as usize];
         // A loaded tree allocates exactly its file's pages.
         let file_pages = r.allocated_pages() + s.allocated_pages();

@@ -91,10 +91,11 @@ pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 
 /// Reads one [`CompletionQueue`] serves at a time — its worker-pool size
 /// — and therefore the most reads a submitter gains from keeping in
-/// flight on it (module docs, "Depth"). Sized on the repo benchmark's
-/// `join_cold` (100 µs modelled reads, two cores, three rounds each):
-/// depth 4 reads 81–89 ms per join, 8 50–53 ms, 16 44–46 ms, 32 45–47 ms
-/// at twice the threads.
+/// flight on it (module docs, "Depth"). Sized at commit `5b12823` on the
+/// repo benchmark's `join_cold` (100 µs modelled reads, two cores, three
+/// rounds each): depth 4 read 81–89 ms per join, 8 50–53 ms, 16 44–46 ms,
+/// 32 45–47 ms at twice the threads. The join has grown cheaper since
+/// (26–33 ms at `1464f7b`); the sweep has not been repeated.
 pub const QUEUE_DEPTH: usize = 16;
 
 /// A read whose service took less than this is one the demanding thread

@@ -5,10 +5,11 @@
 //! one positional read, every page write one positional write of the
 //! whole slot, and both are counted, so a cold-opened tree pays genuine
 //! file I/O for every buffer miss; the whole-file read an open does is
-//! its [`PageSource::scan`], which reads and decodes pages on several
-//! threads ([`crate::scan`]). [`PageSource`] — declared here — is what a page
-//! file can do; [`PageFile`] is the one the file-access stack's read
-//! strategies ([`crate::FileAccess`]) and every open read.
+//! a page scan ([`crate::scan`]), which reads and decodes pages on several
+//! threads through [`PageSource::scan_read`]. [`PageSource`] — declared
+//! here — is what a page file can do; [`PageFile`] is the one the
+//! file-access stack's read strategies ([`crate::FileAccess`]) and every
+//! open read.
 //!
 //! A page file chooses no page ids: its writers (a save, a bulk build, an
 //! update handle's flush) write slots the tree's [`crate::PageStore`]
@@ -19,7 +20,6 @@
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 use crate::codec::{self, FileHeader, StorageError, HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
@@ -28,11 +28,11 @@ use crate::page::PageId;
 /// A store's pages as a physical page file: in-place page overwrite,
 /// append, the persistent free list, metadata and flush — what the save,
 /// bulk-build and update paths write through — plus what
-/// [`crate::FileAccess`] reads through: the whole-file scan of an
-/// open and counter reset. One store is one file. Implemented by
-/// [`PageFile`]; the trait is the seam another source (a fault-injecting
-/// one, say) plugs into.
-pub trait PageSource {
+/// [`crate::FileAccess`] reads through: the positional read of an
+/// open's page scan and counter reset. One store is one file.
+/// Implemented by [`PageFile`]; the trait is the seam another source (a
+/// fault-injecting one, say) plugs into.
+pub trait PageSource: Sync {
     /// Overwrites an existing page; a page past the end is a typed error.
     fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError>;
 
@@ -88,14 +88,17 @@ pub trait PageSource {
     /// Zeroes the read/write counters.
     fn reset_io(&mut self);
 
-    /// Reads and decodes every page, each read (and charged) once, and
-    /// returns what `decode` made of them in id order — what opening a
-    /// tree does ([`crate::scan`]). `decode` may run on several threads
-    /// at once; the first error in page order is returned.
-    fn scan<T: Send>(
-        &mut self,
-        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
-    ) -> Result<Vec<T>, StorageError>;
+    /// One read of a page scan ([`crate::scan::scan_sources`], what
+    /// opening trees does): page `id`'s slot into `buf`, through a shared
+    /// reference, so that any number of a scan's readers can call it at
+    /// once. It pays what a counted read pays (the injected latency) but
+    /// charges nothing: the scan counts its reads and hands the count to
+    /// [`PageSource::charge_scan`] when it ends.
+    fn scan_read(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError>;
+
+    /// Charges `reads` page reads a scan made through
+    /// [`PageSource::scan_read`].
+    fn charge_scan(&mut self, reads: u64);
 }
 
 /// Walks and validates the persisted free chain from `head` — every link
@@ -554,27 +557,14 @@ impl PageSource for PageFile {
         self.writes = 0;
     }
 
-    /// Reads and decodes every page through
-    /// [`scan_pages`](crate::scan::scan_pages) — the read an open does:
-    /// one positional read per page, paying the injected latency exactly
-    /// as [`PageFile::read_page_into`] does, by as many readers as the
-    /// scan chooses. Charges every read it made.
-    fn scan<T: Send>(
-        &mut self,
-        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
-    ) -> Result<Vec<T>, StorageError> {
-        let (file, reads) = (&*self, AtomicU64::new(0));
-        let res = crate::scan::scan_pages(
-            file.page_count(),
-            |id, buf| {
-                file.read_page_at(id, buf)?;
-                reads.fetch_add(1, Relaxed);
-                Ok(())
-            },
-            decode,
-        );
-        self.reads += reads.into_inner();
-        res
+    /// A scan's read: the positional read the completion queue's workers
+    /// make too, with the handle's injected latency.
+    fn scan_read(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.read_page_at(id, buf)
+    }
+
+    fn charge_scan(&mut self, reads: u64) {
+        self.reads += reads;
     }
 }
 

@@ -118,5 +118,6 @@ pub use lru::{Access, EvictionPolicy, LruBuffer};
 pub use page::{PageEvent, PageId, PageStore};
 pub use path::{PathBuffer, UPDATE_MAX_HEIGHT};
 pub use pool::{BufKey, BufferPool, IoStats};
+pub use scan::cores;
 pub use stack::{CompletionFileAccess, FileAccess, FileNodeAccess, ReadStrategy};
 pub use temp::TempDir;

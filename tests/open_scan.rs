@@ -13,19 +13,35 @@
 //!   count) or by the structural walk after it (reference cycle);
 //! * a read that fails at page k is the error, on both sides, even when
 //!   a later page's decode fails first.
+//!
+//! A join service opens its two trees in one scan (`RTree::open_all`),
+//! and that must not be observable either:
+//!
+//! * the pair loads page for page as two single opens do, through a slow
+//!   and a fast handle pair and through `JoinService::open`, at one
+//!   charged read per page;
+//! * the scan has at most `QUEUE_DEPTH` reads in flight across both
+//!   files, and one reader per core when the files are quick;
+//! * the error is the one of opening R, then S: R's failing read wins
+//!   over an S failure that happened before it, R's structure over S's
+//!   corrupt page, and a corrupt S fails with S's own error when R is
+//!   sound.
 
 mod common;
 
+use std::collections::HashSet;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::sync::{Condvar, Mutex};
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use common::sorted_ids;
 use rsj::datagen::synthetic::uniform_rects;
 use rsj::prelude::*;
 use rsj_storage::codec::{HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
-use rsj_storage::scan::scan_pages;
-use rsj_storage::{PageId, PageSource, StorageError, TempDir};
+use rsj_storage::{cores, PageId, PageSource, StorageError, TempDir, QUEUE_DEPTH};
 
 /// Against a decode of a few hundred bytes per page, a read this slow has
 /// every probe page vote for overlap; `None` has none.
@@ -245,24 +261,21 @@ impl PageSource for FailingRead {
     fn reset_io(&mut self) {
         self.file.reset_io()
     }
-    fn scan<T: Send>(
-        &mut self,
-        decode: impl Fn(PageId, &[u8]) -> Result<T, StorageError> + Sync,
-    ) -> Result<Vec<T>, StorageError> {
-        let read_at = |id: PageId, buf: &mut Vec<u8>| {
-            if id == self.fail_at {
-                std::thread::sleep(Duration::from_millis(5));
-                return Err(StorageError::Io(std::io::Error::other(format!(
-                    "injected read failure at page {id}"
-                ))));
-            }
-            if let Some(latency) = self.latency {
-                std::thread::sleep(latency);
-            }
-            buf.clone_from(&self.slots[id.index()]);
-            Ok(())
-        };
-        scan_pages(self.page_count(), read_at, decode)
+    fn scan_read(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        if id == self.fail_at {
+            std::thread::sleep(Duration::from_millis(5));
+            return Err(StorageError::Io(std::io::Error::other(format!(
+                "injected read failure at page {id}"
+            ))));
+        }
+        if let Some(latency) = self.latency {
+            std::thread::sleep(latency);
+        }
+        buf.clone_from(&self.slots[id.index()]);
+        Ok(())
+    }
+    fn charge_scan(&mut self, reads: u64) {
+        self.file.charge_scan(reads)
     }
 }
 
@@ -285,5 +298,316 @@ fn a_failed_read_wins_over_a_later_corrupt_page_down_both_sides() {
     assert!(
         err.starts_with("Io") && err.contains(&format!("injected read failure at page {k}")),
         "{err}"
+    );
+}
+
+/// `fixture()`'s R and S saved side by side; returns their paths.
+fn saved_pair(dir: &TempDir) -> (RTree, RTree, std::path::PathBuf, std::path::PathBuf) {
+    let (r, s) = fixture();
+    let (r_path, s_path) = (dir.file("r.rsj"), dir.file("s.rsj"));
+    r.save_to(&r_path).unwrap();
+    s.save_to(&s_path).unwrap();
+    (r, s, r_path, s_path)
+}
+
+#[test]
+fn a_served_pair_opens_page_identical_to_two_single_opens() {
+    let dir = TempDir::new("open-scan-pair").unwrap();
+    let (r, s, r_path, s_path) = saved_pair(&dir);
+    let singles = [
+        RTree::open_from(&r_path).unwrap(),
+        RTree::open_from(&s_path).unwrap(),
+    ];
+    assert_page_identical(&singles[0], &r, "single R");
+    assert_page_identical(&singles[1], &s, "single S");
+    for (tag, latency) in [("fast", None), ("slow", SLOW)] {
+        let mut files = [&r_path, &s_path].map(|p| PageFile::open(p).unwrap());
+        for file in &mut files {
+            file.set_read_latency(latency);
+        }
+        let [r_file, s_file] = &mut files;
+        let [got_r, got_s] = RTree::load_all([r_file, s_file]).unwrap();
+        assert_page_identical(&got_r, &singles[0], &format!("{tag} R"));
+        assert_page_identical(&got_s, &singles[1], &format!("{tag} S"));
+        for file in &files {
+            assert_eq!(file.reads(), u64::from(file.page_count()), "{tag}");
+        }
+    }
+    let [got_r, got_s] = RTree::open_all([r_path.as_path(), s_path.as_path()]).unwrap();
+    assert_page_identical(&got_r, &singles[0], "open_all R");
+    assert_page_identical(&got_s, &singles[1], "open_all S");
+    let service = JoinService::open(&r_path, &s_path, ServiceConfig::default()).unwrap();
+    let (served_r, served_s) = service.trees();
+    assert_page_identical(served_r, &singles[0], "served R");
+    assert_page_identical(served_s, &singles[1], "served S");
+}
+
+/// What the scan of a pair of [`Watched`] files did, seen from inside
+/// their reads.
+#[derive(Default)]
+struct Meter {
+    in_flight: AtomicUsize,
+    deepest: AtomicUsize,
+    readers: Mutex<HashSet<ThreadId>>,
+    /// `(file, page)` of every read.
+    reads: Mutex<Vec<(usize, u32)>>,
+    /// The files whose injected failure has happened, in time order.
+    failed: Mutex<Vec<usize>>,
+    failure: Condvar,
+}
+
+/// File `index` of a pair: a page file whose scan reads its slots from
+/// memory, each read taking `latency`, through a [`Meter`] the pair
+/// shares. A read of `fail.0` fails — once the other file's failure has
+/// happened when `fail.1` is set.
+struct Watched<'m> {
+    file: PageFile,
+    slots: Vec<Vec<u8>>,
+    latency: Option<Duration>,
+    meter: &'m Meter,
+    index: usize,
+    fail: Option<(PageId, bool)>,
+}
+
+impl<'m> Watched<'m> {
+    fn open(path: &Path, latency: Option<Duration>, meter: &'m Meter, index: usize) -> Self {
+        let mut file = PageFile::open(path).unwrap();
+        let slots = (0..file.page_count())
+            .map(|id| file.read_page(PageId(id)).unwrap())
+            .collect();
+        file.reset_io();
+        Watched {
+            file,
+            slots,
+            latency,
+            meter,
+            index,
+            fail: None,
+        }
+    }
+
+    fn failing(mut self, at: PageId, after_the_other: bool) -> Self {
+        self.fail = Some((at, after_the_other));
+        self
+    }
+
+    fn read(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        let m = self.meter;
+        m.reads.lock().unwrap().push((self.index, id.0));
+        m.readers
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
+        if let Some((at, after_the_other)) = self.fail {
+            if at == id {
+                let mut failed = m.failed.lock().unwrap();
+                if after_the_other {
+                    failed = m
+                        .failure
+                        .wait_timeout_while(failed, Duration::from_secs(10), |f| f.is_empty())
+                        .unwrap()
+                        .0;
+                }
+                failed.push(self.index);
+                m.failure.notify_all();
+                return Err(StorageError::Io(std::io::Error::other(format!(
+                    "injected read failure at page {id}"
+                ))));
+            }
+        }
+        if let Some(latency) = self.latency {
+            std::thread::sleep(latency);
+        }
+        buf.clone_from(&self.slots[id.index()]);
+        Ok(())
+    }
+}
+
+impl PageSource for Watched<'_> {
+    fn write_page(&mut self, id: PageId, payload: &[u8]) -> Result<(), StorageError> {
+        self.file.write_page(id, payload)
+    }
+    fn read_page_into(&mut self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        self.file.read_page_into(id, buf)
+    }
+    fn append_page(&mut self, payload: &[u8]) -> Result<PageId, StorageError> {
+        self.file.append_page(payload)
+    }
+    fn set_free_list(&mut self, free: &[PageId]) -> Result<(), StorageError> {
+        self.file.set_free_list(free)
+    }
+    fn page_count(&self) -> u32 {
+        self.file.page_count()
+    }
+    fn page_bytes(&self) -> usize {
+        self.file.page_bytes()
+    }
+    fn slot_bytes(&self) -> usize {
+        self.file.slot_bytes()
+    }
+    fn meta(&self) -> &[u8; META_BYTES] {
+        self.file.meta()
+    }
+    fn set_meta(&mut self, meta: [u8; META_BYTES]) {
+        self.file.set_meta(meta)
+    }
+    fn free_pages(&self) -> &[PageId] {
+        self.file.free_pages()
+    }
+    fn flush(&mut self) -> Result<(), StorageError> {
+        self.file.flush()
+    }
+    fn reset_io(&mut self) {
+        self.file.reset_io()
+    }
+    fn scan_read(&self, id: PageId, buf: &mut Vec<u8>) -> Result<(), StorageError> {
+        let m = self.meter;
+        let now = m.in_flight.fetch_add(1, SeqCst) + 1;
+        m.deepest.fetch_max(now, SeqCst);
+        let read = self.read(id, buf);
+        m.in_flight.fetch_sub(1, SeqCst);
+        read
+    }
+    fn charge_scan(&mut self, reads: u64) {
+        self.file.charge_scan(reads)
+    }
+}
+
+#[test]
+fn a_pair_scan_keeps_the_queue_depth_across_both_files() {
+    let dir = TempDir::new("open-scan-depth").unwrap();
+    let (r, s, r_path, s_path) = saved_pair(&dir);
+    for (tag, latency) in [("fast", None), ("slow", SLOW)] {
+        let meter = Meter::default();
+        let mut r_file = Watched::open(&r_path, latency, &meter, 0);
+        let mut s_file = Watched::open(&s_path, latency, &meter, 1);
+        let [got_r, got_s] = RTree::load_all([&mut r_file, &mut s_file]).unwrap();
+        assert_page_identical(&got_r, &r, &format!("{tag} R"));
+        assert_page_identical(&got_s, &s, &format!("{tag} S"));
+        // One read per page of each file, charged to its own file.
+        let mut reads = meter.reads.lock().unwrap().clone();
+        reads.sort_unstable();
+        let want: Vec<(usize, u32)> = [&r_file, &s_file]
+            .iter()
+            .enumerate()
+            .flat_map(|(f, file)| (0..file.page_count()).map(move |id| (f, id)))
+            .collect();
+        assert_eq!(reads, want, "{tag}");
+        assert_eq!(r_file.file.reads(), u64::from(r_file.page_count()), "{tag}");
+        assert_eq!(s_file.file.reads(), u64::from(s_file.page_count()), "{tag}");
+        let deepest = meter.deepest.load(SeqCst);
+        let readers = meter.readers.lock().unwrap().len();
+        assert!(deepest <= QUEUE_DEPTH, "{tag}: {deepest} reads in flight");
+        assert!(readers <= QUEUE_DEPTH, "{tag}: {readers} readers");
+        if latency.is_some() {
+            assert!(deepest >= 2, "{tag}: the reads never overlapped");
+        } else {
+            let per_core = cores().min(QUEUE_DEPTH);
+            assert!(
+                readers <= per_core,
+                "{tag}: {readers} readers, {per_core} cores"
+            );
+        }
+    }
+}
+
+#[test]
+fn rs_failing_read_wins_over_an_s_failure_that_happened_first() {
+    let dir = TempDir::new("open-scan-pair-read").unwrap();
+    let (r, _, r_path, s_path) = saved_pair(&dir);
+    let k = mid_file_node(&r);
+    // R alone, as a sequential open would meet it first.
+    let alone = Meter::default();
+    let mut r_file = Watched::open(&r_path, SLOW, &alone, 0).failing(k, false);
+    let want = format!("{:?}", RTree::load(&mut r_file).expect_err("R alone"));
+    assert!(
+        want.starts_with("Io") && want.contains(&format!("injected read failure at page {k}")),
+        "{want}"
+    );
+    // The pair: R's read of page k waits until S's first page has failed.
+    // Slow reads start queue-depth readers, so S's page is claimed while
+    // R's read waits.
+    let meter = Meter::default();
+    let mut r_file = Watched::open(&r_path, SLOW, &meter, 0).failing(k, true);
+    let mut s_file = Watched::open(&s_path, SLOW, &meter, 1).failing(PageId(0), false);
+    let got = format!(
+        "{:?}",
+        RTree::load_all([&mut r_file, &mut s_file]).expect_err("pair")
+    );
+    assert_eq!(*meter.failed.lock().unwrap(), [1, 0], "S failed first");
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_pair_fails_with_the_error_of_opening_r_then_s() {
+    let dir = TempDir::new("open-scan-pair-corrupt").unwrap();
+    let (r, s, r_path, s_path) = saved_pair(&dir);
+    let paths = || [r_path.as_path(), s_path.as_path()];
+    let slot = PageFile::open(&s_path).unwrap().slot_bytes() as u64;
+    let victim = mid_file_node(&s);
+    poke(
+        &s_path,
+        HEADER_BYTES as u64 + u64::from(victim.0) * slot + 4,
+        &u32::MAX.to_le_bytes(),
+    );
+    let want = format!("{:?}", RTree::open_from(&s_path).expect_err("S alone"));
+    assert!(want.starts_with("Corrupt"), "{want}");
+    assert_eq!(
+        format!("{:?}", RTree::open_all(paths()).expect_err("pair")),
+        want
+    );
+    for latency in [None, SLOW] {
+        let mut files = paths().map(|p| PageFile::open(p).unwrap());
+        for file in &mut files {
+            file.set_read_latency(latency);
+        }
+        let [r_file, s_file] = &mut files;
+        let got = RTree::load_all([r_file, s_file]).expect_err("pair");
+        assert_eq!(format!("{got:?}"), want, "latency {latency:?}");
+    }
+    match JoinService::open(&r_path, &s_path, ServiceConfig::default()) {
+        Err(ServiceError::Storage(err)) => assert_eq!(format!("{err:?}"), want),
+        Err(other) => panic!("{other}"),
+        Ok(_) => panic!("a corrupt S served"),
+    }
+
+    // R's structure fails only after every page is in, S's page fails
+    // mid-scan: R's error, as when R is opened first.
+    let r_slot = PageFile::open(&r_path).unwrap().slot_bytes() as u64;
+    let root_child =
+        HEADER_BYTES as u64 + u64::from(r.root().0) * r_slot + SLOT_HEADER_BYTES as u64;
+    poke(
+        &r_path,
+        root_child + 32,
+        &u64::from(r.root().0).to_le_bytes(),
+    );
+    let cycle = format!("{:?}", RTree::open_from(&r_path).expect_err("R alone"));
+    assert!(cycle.starts_with("Corrupt") && cycle != want, "{cycle}");
+    assert_eq!(
+        format!("{:?}", RTree::open_all(paths()).expect_err("both")),
+        cycle
+    );
+    r.save_to(&r_path).unwrap();
+
+    // S's header fails before any page is read: with R sound, S's error;
+    // with R corrupt too, R's, as when R is opened first.
+    let len = std::fs::metadata(&s_path).unwrap().len();
+    let f = std::fs::OpenOptions::new()
+        .write(true)
+        .open(&s_path)
+        .unwrap();
+    f.set_len(len - 1).unwrap();
+    drop(f);
+    let short = format!("{:?}", RTree::open_all(paths()).expect_err("short S"));
+    assert!(short.starts_with("Truncated"), "{short}");
+    poke(
+        &r_path,
+        HEADER_BYTES as u64 + u64::from(mid_file_node(&r).0) * r_slot + 4,
+        &u32::MAX.to_le_bytes(),
+    );
+    let r_first = format!("{:?}", RTree::open_from(&r_path).expect_err("R alone"));
+    assert_eq!(
+        format!("{:?}", RTree::open_all(paths()).expect_err("both")),
+        r_first
     );
 }
