@@ -5,11 +5,11 @@
 //! When a [`JoinCursor`](super::JoinCursor) installs a directory frame
 //! whose pairs all point at two leaves, it publishes them as its *leaf
 //! batch*: one slot per pair, holding the two leaves' [`Arc<Node>`]s and
-//! the pair's search space, and the order in which the cursor will reach
-//! them. A process-wide pool of helper threads — one per core but one,
-//! started on first use — claims open slots in that order and runs each
-//! through [`leaf_pair`], the one leaf-pair function, into the helper's
-//! own scratch and meters.
+//! the pair's search space, in the frame's schedule order — slot `i` is
+//! the `i`-th pair the cursor will reach. A process-wide pool of helper
+//! threads — one per core but one, started on first use — claims open
+//! slots front to back and runs each through [`leaf_pair`], the one
+//! leaf-pair function, into the helper's own scratch and meters.
 //!
 //! The cursor still *applies* every slot itself, at the step where its
 //! machine reaches the pair: it adds the slot's tallies to its meters and
@@ -67,10 +67,9 @@ const VECTORS: usize = WINDOW + 2;
 /// The pairs a new result vector has room for.
 const VECTOR_PAIRS: usize = 256;
 
-/// Slots whose results may wait for the cursor at once: enough to cover
-/// the cursor's excursions out of schedule order (the §4.3 pinning drains
-/// a pinned page's pairs first), few enough that the waiting results stay
-/// small next to the trees.
+/// Slots whose results may wait for the cursor at once. Claims follow the
+/// cursor's own order, so the window only bounds how far the helpers run
+/// ahead of it: the waiting results stay small next to the trees.
 const WINDOW: usize = 8;
 
 /// Cursors alive in the process.
@@ -156,15 +155,11 @@ struct Slots<M> {
     generation: u64,
     plan: JoinPlan,
     eps: f64,
-    /// Slot `i` is pair `i` of the leaf frame.
+    /// Slot `i` is the `i`-th pair the cursor reaches; slots are claimed
+    /// in that order.
     list: Vec<Slot<M>>,
-    /// The order the cursor will reach the slots in, which is the order
-    /// they are claimed in.
-    order: Vec<usize>,
-    /// No slot before `order[front]` is open.
+    /// No slot before `front` is open.
     front: usize,
-    /// Slots the cursor has reached (debug builds check the order).
-    reached: usize,
     /// Slots [`State::Done`]: results waiting for the cursor.
     ready: usize,
     /// A helper stopped claiming at a full window; the cursor posts the
@@ -181,17 +176,17 @@ impl<M: Meter> Slots<M> {
     /// full.
     fn claim_front(&mut self) -> Option<Job<M>> {
         while self
-            .order
+            .list
             .get(self.front)
-            .is_some_and(|&at| !matches!(self.list[at].state, State::Open))
+            .is_some_and(|slot| !matches!(slot.state, State::Open))
         {
             self.front += 1;
         }
         if self.ready >= WINDOW {
             return None;
         }
-        let at = *self.order.get(self.front)?;
-        let slot = &mut self.list[at];
+        let at = self.front;
+        let slot = self.list.get_mut(at)?;
         slot.state = State::Running;
         self.front += 1;
         Some(Job {
@@ -407,16 +402,15 @@ impl<M: Meter> Ahead<M> {
         LIVE.load(Relaxed) < cores()
     }
 
-    /// Publishes a leaf frame's pairs — both leaves and the search space,
-    /// in the frame's order — as the batch: slot `i` is pair `i`, and
-    /// `order` is the order the cursor will reach them in. Every slot of
-    /// the previous batch has been applied.
+    /// Publishes a leaf frame's `len` pairs — both leaves and the search
+    /// space, in the order the cursor will reach them — as the batch: slot
+    /// `i` is the `i`-th. Every slot of the previous batch has been applied.
     pub(crate) fn publish(
         &mut self,
         plan: &JoinPlan,
         eps: f64,
+        len: usize,
         pairs: impl Iterator<Item = (Arc<Node>, Arc<Node>, Rect)>,
-        order: &[usize],
     ) {
         let batch = self.batch.get_or_insert_with(|| {
             Arc::new(Batch {
@@ -425,9 +419,7 @@ impl<M: Meter> Ahead<M> {
                     plan: *plan,
                     eps,
                     list: Vec::new(),
-                    order: Vec::new(),
                     front: 0,
-                    reached: 0,
                     ready: 0,
                     stalled: false,
                     spare: Vec::new(),
@@ -445,20 +437,22 @@ impl<M: Meter> Ahead<M> {
             slots.plan = *plan;
             slots.eps = eps;
             slots.front = 0;
-            slots.reached = 0;
             slots.stalled = false;
-            slots.order.clear();
-            slots.order.extend_from_slice(order);
             let missing = VECTORS.saturating_sub(slots.spare.len());
             let fresh = std::iter::repeat_with(|| Vec::with_capacity(VECTOR_PAIRS));
             slots.spare.extend(fresh.take(missing));
             slots.list.clear();
+            // The pairs come filtered out of the frame's schedule, which
+            // cannot tell the list their number: one allocation for a new
+            // cursor's list, not a series of doublings.
+            slots.list.reserve(len);
             slots.list.extend(pairs.map(|(r, s, rect)| Slot {
                 leaves: (r, s),
                 rect,
                 state: State::Open,
             }));
-            slots.list.len()
+            debug_assert_eq!(slots.list.len(), len);
+            len
         };
         pool().post(Self::work(batch), open);
     }
@@ -486,8 +480,6 @@ impl<M: Meter> Ahead<M> {
             .as_ref()
             .expect("a slot belongs to a published batch");
         let mut slots = batch.lock();
-        debug_assert_eq!(slots.order[slots.reached], at, "descent order mispredicted");
-        slots.reached += 1;
         loop {
             match mem::replace(&mut slots.list[at].state, State::Applied) {
                 State::Open | State::Failed => return false,
@@ -637,7 +629,8 @@ pub(crate) mod tests {
         let batch = cursor.ahead().batch.as_ref().expect("a published batch");
         {
             let slots = batch.lock();
-            assert!(slots.reached < slots.list.len(), "mid-batch");
+            let unreached = |slot: &Slot<_>| !matches!(slot.state, State::Applied);
+            assert!(slots.list.iter().any(unreached), "mid-batch");
         }
         let batch = Arc::downgrade(batch);
         drop(cursor);

@@ -25,13 +25,14 @@
 //! **Leaf pairs on the idle cores.** Most of a CPU-bound join is its
 //! leaf/leaf work. When the cursor installs a directory frame whose pairs
 //! all point at two leaves, none of its reads is in flight, and fewer
-//! cursors are live in the process than there are cores, it publishes the frame's leaf pairs — the two
-//! leaves' `Arc<Node>`s ([`RTree::node_shared`]) and the search space —
-//! to a process-wide pool of helper threads, in the order it will descend
-//! into them. A helper runs a pair through `leaf_pair`, the same function
-//! the cursor runs inline, into its own scratch and meters. The cursor
-//! takes the result when its machine reaches the pair, and runs the pair
-//! itself if no helper has. Mixed-height frames, the leaf tasks of
+//! cursors are live in the process than there are cores, it publishes the
+//! frame's leaf pairs — the two leaves' `Arc<Node>`s
+//! ([`RTree::node_shared`]) and the search space — to a process-wide pool
+//! of helper threads, in the frame's schedule order, which is the order it
+//! will descend into them. A helper runs a pair through `leaf_pair`, the
+//! same function the cursor runs inline, into its own scratch and meters.
+//! The cursor takes the result when its machine reaches the pair, and runs
+//! the pair itself if no helper has. Mixed-height frames, the leaf tasks of
 //! [`JoinCursor::with_tasks`] and all directory work stay on the cursor's
 //! thread.
 //!
@@ -52,11 +53,15 @@
 //! would. For every sequential plan the cursor reports bit-identical
 //! `disk_accesses`, `join_comparisons` and `sort_comparisons` to
 //! [`crate::exec::recursive_spatial_join`]; the differential tests in
-//! [`crate::exec`] enforce this. The per-side remaining-degree tables
-//! (O(1) where the recursion rescans the pair list) and the sort-and-group
-//! batched-window construction (grouping without hashing) only answer the
-//! recursion's questions faster: they never change which pages are
-//! touched in which order. Helpers cannot move a count either: they never
+//! [`crate::exec`] enforce this. A directory frame, and a per-pair or
+//! sweep-pinned mixed frame, computes its whole §4.3 schedule when it is
+//! installed (`schedule::drain_schedule`: each pair in descent order,
+//! with the pin and unpin of each drain in place) and the machine takes
+//! one entry per step. The recursion decides the same pins as it goes, but
+//! the decisions depend only on the frame's pairs, so deciding them up
+//! front — like the sort-and-group batched-window construction (grouping
+//! without hashing) — never changes which pages are touched in which
+//! order. Helpers cannot move a count either: they never
 //! touch the page-access accountant, and the cursor adds a helper's
 //! tallies to its meters and its pairs to the result queue at the very
 //! step at which it would have computed them, so the pair order,
@@ -67,7 +72,9 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use crate::exec::ahead::Ahead;
-use crate::exec::schedule::{self, DirPair, OrderScratch, TicketGate};
+use crate::exec::schedule::{
+    self, DirPair, DrainScratch, OrderScratch, Pins, Side, Step, TicketGate,
+};
 use crate::exec::{TAG_R, TAG_S};
 use crate::join::JoinResult;
 use crate::plan::{DiffHeightPolicy, Enumerate, JoinPlan, JoinPredicate};
@@ -79,144 +86,30 @@ use rsj_geom::{CmpCounter, Meter, NoOp, Rect};
 use rsj_rtree::{DataId, Entry, Node, RTree};
 use rsj_storage::{IoStats, NodeAccess, PageId, QUEUE_DEPTH};
 
-/// Which side of a directory pair is pinned during a drain.
-#[derive(Debug, Clone, Copy)]
-enum PinSide {
-    /// Pin the R-side child; drain pairs with the same `ir`.
-    R(usize),
-    /// Pin the S-side child; drain pairs with the same `js`.
-    S(usize),
-}
-
-/// Resume point of a directory/directory frame.
-#[derive(Debug, Clone, Copy)]
-enum DirState {
-    /// Find the next unprocessed pair and descend into it.
-    NextOuter,
-    /// The subtree of pair `k` finished; decide on pinning.
-    AfterOuter,
-    /// Draining the pairs selected by the pinned side, from index `l`.
-    Drain {
-        side: PinSide,
-        page: PageId,
-        l: usize,
-    },
-}
-
-/// Suspended directory/directory node pair (the `schedule_pairs` loop of
-/// the recursion, unrolled into a resumable state).
-///
-/// `rem_r`/`rem_s` are the per-side remaining-degree tables: `rem_r[ir]`
-/// counts the not-yet-processed pairs whose R entry is `ir` (likewise
-/// `rem_s[js]`). Because the outer cursor `k` only ever moves forward past
-/// completed pairs, every unprocessed pair lies at an index `> k`, so
-/// these tables answer the §4.3 degree question ("number of intersections
-/// […] not processed until now") in O(1) instead of two rescans of the
-/// pair list per pair. Empty when the plan does not pin.
+/// Suspended directory/directory node pair: its pairs and the §4.3
+/// schedule ([`schedule::drain_schedule`]) the machine walks, one entry
+/// per step.
 #[derive(Debug)]
 struct DirFrame {
     rp: PageId,
     sp: PageId,
-    /// Whether `pairs` are published as the cursor's leaf batch (slot `i`
-    /// is pair `i`).
-    ahead: bool,
     pairs: Vec<DirPair>,
-    done: Vec<bool>,
-    rem_r: Vec<u32>,
-    rem_s: Vec<u32>,
-    k: usize,
-    state: DirState,
-}
-
-impl DirFrame {
-    /// Marks pair `idx` processed, maintaining the degree tables.
-    #[inline]
-    fn mark_done(&mut self, idx: usize) {
-        self.done[idx] = true;
-        if !self.rem_r.is_empty() {
-            let p = self.pairs[idx];
-            self.rem_r[p.ir] -= 1;
-            self.rem_s[p.js] -= 1;
-        }
-    }
-}
-
-/// Copies of a directory frame's bookkeeping, replayed by
-/// [`descent_order`].
-#[derive(Debug, Default)]
-struct DescentScratch {
-    deg_r: Vec<u32>,
-    deg_s: Vec<u32>,
-    done: Vec<bool>,
-    /// The predicted descent order, as indices into the frame's pairs.
-    order: Vec<usize>,
-}
-
-/// The order in which a directory frame will descend into its pairs:
-/// [`JoinCursor::step_dir`] replayed over copies of the frame's degree
-/// tables — each unprocessed pair in turn and, under pinning, right after
-/// it the unprocessed pairs of the page it pins (§4.3). A leaf batch is
-/// published in this order, so the helpers run leaf pairs in the order the
-/// cursor reaches them; the slots are the pairs' own indices, so the order
-/// only steers the helpers, never which result lands where.
-fn descent_order(
-    pairs: &[DirPair],
-    (rem_r, rem_s): (&[u32], &[u32]),
-    pins: bool,
-    sim: &mut DescentScratch,
-) {
-    let DescentScratch {
-        deg_r,
-        deg_s,
-        done,
-        order,
-    } = sim;
-    order.clear();
-    if !pins {
-        order.extend(0..pairs.len());
-        return;
-    }
-    deg_r.clear();
-    deg_r.extend_from_slice(rem_r);
-    deg_s.clear();
-    deg_s.extend_from_slice(rem_s);
-    done.clear();
-    done.resize(pairs.len(), false);
-    for k in 0..pairs.len() {
-        if done[k] {
-            continue;
-        }
-        let DirPair { ir, js, .. } = pairs[k];
-        // Pair `k`, then the unprocessed pairs of the side it pins.
-        let mut pin_r = None;
-        for (l, p) in pairs.iter().enumerate().skip(k) {
-            let take = match pin_r {
-                None => true,
-                Some(true) => p.ir == ir && !done[l],
-                Some(false) => p.js == js && !done[l],
-            };
-            if !take {
-                continue;
-            }
-            done[l] = true;
-            deg_r[p.ir] -= 1;
-            deg_s[p.js] -= 1;
-            order.push(l);
-            if pin_r.is_none() {
-                if deg_r[ir] == 0 && deg_s[js] == 0 {
-                    break;
-                }
-                pin_r = Some(deg_r[ir] >= deg_s[js]);
-            }
-        }
-    }
+    schedule: Vec<Step>,
+    /// The next entry of `schedule`.
+    at: usize,
+    /// The leaf-batch slot of the next pair descended into, when the pairs
+    /// are published (slot `i` is the `i`-th pair of the schedule).
+    slot: Option<usize>,
 }
 
 /// Resume point of a mixed directory × leaf frame (§4.4 policies).
 #[derive(Debug)]
 enum MixedState {
-    /// Policy (a): one window query per pair, in order.
-    PerPair { i: usize },
+    /// Policies (a) and (c): one window query per pair, in the order of
+    /// the frame's schedule — the pairs' own order under policy (a), with
+    /// the directory child of larger degree pinned and drained under the
+    /// sweep-pinned policy (c).
+    Windows { schedule: Vec<Step>, at: usize },
     /// Policy (b): one batched traversal per directory entry, in
     /// first-occurrence order. `windows` holds the `(leaf index, window)`
     /// batches back to back; `runs[i] = (dir entry, start, end)` delimits
@@ -226,22 +119,9 @@ enum MixedState {
         runs: Vec<(usize, u32, u32)>,
         i: usize,
     },
-    /// Policy (c): sweep order with pinning — the outer loop.
-    SweepOuter { done: Vec<bool>, k: usize },
-    /// Policy (c): draining window queries of the pinned child `id`.
-    SweepDrain {
-        done: Vec<bool>,
-        k: usize,
-        id: usize,
-        page: PageId,
-        l: usize,
-    },
 }
 
 /// Suspended directory × leaf node pair.
-///
-/// `rem[id]` counts the not-yet-processed pairs of directory entry `id`
-/// (the sweep-pinned policy's degree table); empty for the other policies.
 #[derive(Debug)]
 struct MixedFrame {
     dir_tag: u8,
@@ -251,7 +131,6 @@ struct MixedFrame {
     /// `(dir entry index, leaf entry index)`, sweep-ordered under
     /// plane-sweep enumeration.
     pairs: Vec<(usize, usize)>,
-    rem: Vec<u32>,
     state: MixedState,
 }
 
@@ -281,8 +160,8 @@ enum Frame {
 struct ExecScratch {
     /// Working set and output of the pair enumeration.
     enumeration: PairScratch,
-    /// Working set of a leaf batch's descent order.
-    descent: DescentScratch,
+    /// Working set of a frame's drain schedule.
+    drain: DrainScratch,
     /// Scratch of the §4.3 pair-ordering step (z-order keys and
     /// permutation), owned by [`schedule::order_dir_pairs`].
     order: OrderScratch,
@@ -296,10 +175,8 @@ struct ExecScratch {
     multi_hits: Vec<(usize, Rect, DataId)>,
     /// Recycled `DirFrame::pairs` vectors.
     dir_pool: Vec<Vec<DirPair>>,
-    /// Recycled `done` bitmaps (directory and mixed frames).
-    done_pool: Vec<Vec<bool>>,
-    /// Recycled remaining-degree tables.
-    rem_pool: Vec<Vec<u32>>,
+    /// Recycled schedules (directory and mixed frames).
+    schedule_pool: Vec<Vec<Step>>,
     /// Recycled `MixedFrame::pairs` vectors.
     pair_pool: Vec<Vec<(usize, usize)>>,
     /// Recycled batched-window vectors.
@@ -316,18 +193,10 @@ impl ExecScratch {
         v
     }
 
+    /// A recycled schedule; [`schedule::drain_schedule`] clears it.
     #[inline]
-    fn take_done(&mut self) -> Vec<bool> {
-        let mut v = self.done_pool.pop().unwrap_or_default();
-        v.clear();
-        v
-    }
-
-    #[inline]
-    fn take_rem(&mut self) -> Vec<u32> {
-        let mut v = self.rem_pool.pop().unwrap_or_default();
-        v.clear();
-        v
+    fn take_schedule(&mut self) -> Vec<Step> {
+        self.schedule_pool.pop().unwrap_or_default()
     }
 
     #[inline]
@@ -872,48 +741,41 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     &mut self.scratch.order,
                     &mut self.sort_cmp,
                 );
-                let mut done = self.scratch.take_done();
-                done.resize(pairs.len(), false);
-                let (mut rem_r, mut rem_s) = (self.scratch.take_rem(), self.scratch.take_rem());
-                if self.plan.pins() {
-                    rem_r.resize(rn.entries.len(), 0);
-                    rem_s.resize(sn.entries.len(), 0);
-                    for p in &pairs {
-                        rem_r[p.ir] += 1;
-                        rem_s[p.js] += 1;
-                    }
-                }
+                let pins = if self.plan.pins() {
+                    Pins::Both
+                } else {
+                    Pins::Neither
+                };
+                let mut schedule = self.scratch.take_schedule();
+                let drain = &mut self.scratch.drain;
+                schedule::drain_schedule(&pairs, |p| (p.ir, p.js), pins, drain, &mut schedule);
                 // A frame whose pairs all point at two leaves hands its
-                // leaf work to the helpers, in the order it will descend —
-                // unless reads of this cursor are in flight: the queue's
-                // workers need the cores to finish them, and the join
-                // waits on those reads, not on its kernels.
+                // leaf work to the helpers, in schedule order — unless
+                // reads of this cursor are in flight: the queue's workers
+                // need the cores to finish them, and the join waits on
+                // those reads, not on its kernels.
                 let ahead = rn.level == 1
                     && sn.level == 1
                     && pairs.len() > 1
                     && self.access.in_flight() == 0
                     && self.ahead.wanted();
                 if ahead {
-                    let descent = &mut self.scratch.descent;
-                    descent_order(&pairs, (&rem_r, &rem_s), self.plan.pins(), descent);
                     let (r, s) = (self.r, self.s);
-                    let leaves = pairs.iter().map(|p| {
+                    let leaves = schedule.iter().filter_map(|step| step.pair()).map(|i| {
+                        let p = &pairs[i];
                         let cr = RTree::child_page(&rn.entries[p.ir]);
                         let cs = RTree::child_page(&sn.entries[p.js]);
                         (r.node_shared(cr), s.node_shared(cs), p.rect)
                     });
-                    self.ahead.publish(&self.plan, eps, leaves, &descent.order);
+                    self.ahead.publish(&self.plan, eps, pairs.len(), leaves);
                 }
                 self.stack.push(Frame::Dir(DirFrame {
                     rp,
                     sp,
-                    ahead,
                     pairs,
-                    done,
-                    rem_r,
-                    rem_s,
-                    k: 0,
-                    state: DirState::NextOuter,
+                    schedule,
+                    at: 0,
+                    slot: ahead.then_some(0),
                 }));
             }
             // Different heights: the shorter tree bottomed out (§4.4).
@@ -943,58 +805,55 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         );
         let mut pairs = self.scratch.take_pairs();
         pairs.extend_from_slice(&self.scratch.enumeration.raw);
-        let mut rem = self.scratch.take_rem();
-        let state = match self.plan.diff_height {
-            DiffHeightPolicy::PerPair => MixedState::PerPair { i: 0 },
-            DiffHeightPolicy::Batched => {
-                // Group the leaf windows per directory entry, preserving
-                // first-occurrence order: rank each directory entry by
-                // first appearance, stable-sort a scratch copy of the
-                // pairs by that rank, and cut the sorted run into batches —
-                // grouping by key without hashing.
-                let scratch = &mut self.scratch;
-                scratch.first_seen.clear();
-                scratch.first_seen.resize(dir_node.entries.len(), u32::MAX);
-                let mut rank = 0u32;
-                for &(id, _) in &pairs {
-                    if scratch.first_seen[id] == u32::MAX {
-                        scratch.first_seen[id] = rank;
-                        rank += 1;
-                    }
-                }
-                scratch.group.clear();
-                scratch.group.extend_from_slice(&pairs);
-                let first_seen = &scratch.first_seen;
-                scratch.group.sort_by_key(|&(id, _)| first_seen[id]);
-                let mut windows = scratch.win_pool.pop().unwrap_or_default();
-                windows.clear();
-                let mut runs = scratch.run_pool.pop().unwrap_or_default();
-                runs.clear();
-                for &(id, il) in &scratch.group {
-                    let w = leaf_node.entries[il].rect.expanded(self.eps);
-                    match runs.last_mut() {
-                        Some(&mut (last, _, ref mut end)) if last == id => *end += 1,
-                        _ => {
-                            let at = windows.len() as u32;
-                            runs.push((id, at, at + 1));
-                        }
-                    }
-                    windows.push((il, w));
-                }
-                MixedState::Batched {
-                    windows,
-                    runs,
-                    i: 0,
+        let pins = match self.plan.diff_height {
+            DiffHeightPolicy::PerPair => Some(Pins::Neither),
+            DiffHeightPolicy::SweepPinned => Some(Pins::First),
+            DiffHeightPolicy::Batched => None,
+        };
+        let state = if let Some(pins) = pins {
+            let mut schedule = self.scratch.take_schedule();
+            let drain = &mut self.scratch.drain;
+            schedule::drain_schedule(&pairs, |&p| p, pins, drain, &mut schedule);
+            MixedState::Windows { schedule, at: 0 }
+        } else {
+            // Group the leaf windows per directory entry, preserving
+            // first-occurrence order: rank each directory entry by
+            // first appearance, stable-sort a scratch copy of the
+            // pairs by that rank, and cut the sorted run into batches —
+            // grouping by key without hashing.
+            let scratch = &mut self.scratch;
+            scratch.first_seen.clear();
+            scratch.first_seen.resize(dir_node.entries.len(), u32::MAX);
+            let mut rank = 0u32;
+            for &(id, _) in &pairs {
+                if scratch.first_seen[id] == u32::MAX {
+                    scratch.first_seen[id] = rank;
+                    rank += 1;
                 }
             }
-            DiffHeightPolicy::SweepPinned => {
-                rem.resize(dir_node.entries.len(), 0);
-                for &(id, _) in &pairs {
-                    rem[id] += 1;
+            scratch.group.clear();
+            scratch.group.extend_from_slice(&pairs);
+            let first_seen = &scratch.first_seen;
+            scratch.group.sort_by_key(|&(id, _)| first_seen[id]);
+            let mut windows = scratch.win_pool.pop().unwrap_or_default();
+            windows.clear();
+            let mut runs = scratch.run_pool.pop().unwrap_or_default();
+            runs.clear();
+            for &(id, il) in &scratch.group {
+                let w = leaf_node.entries[il].rect.expanded(self.eps);
+                match runs.last_mut() {
+                    Some(&mut (last, _, ref mut end)) if last == id => *end += 1,
+                    _ => {
+                        let at = windows.len() as u32;
+                        runs.push((id, at, at + 1));
+                    }
                 }
-                let mut done = self.scratch.take_done();
-                done.resize(pairs.len(), false);
-                MixedState::SweepOuter { done, k: 0 }
+                windows.push((il, w));
+            }
+            MixedState::Batched {
+                windows,
+                runs,
+                i: 0,
             }
         };
         self.stack.push(Frame::Mixed(MixedFrame {
@@ -1003,16 +862,15 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             leaf_tag,
             leaf_page,
             pairs,
-            rem,
             state,
         }));
     }
 
-    /// Charges the two child pages of pair `k` of a directory frame and
-    /// pushes the child visit (the recursion's `process_dir_pair`). The
-    /// parent frame must already be back on the stack.
+    /// Charges the two child pages of a directory frame's pair and pushes
+    /// the child visit (the recursion's `process_dir_pair`). The parent
+    /// frame must already be back on the stack.
     #[inline]
-    fn descend(&mut self, rp: PageId, sp: PageId, (k, pair): (usize, DirPair), ahead: bool) {
+    fn descend(&mut self, rp: PageId, sp: PageId, pair: DirPair, slot: Option<usize>) {
         let cr = RTree::child_page(&self.r.node(rp).entries[pair.ir]);
         let cs = RTree::child_page(&self.s.node(sp).entries[pair.js]);
         self.charge(TAG_R, cr);
@@ -1021,137 +879,82 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             rp: cr,
             sp: cs,
             rect: pair.rect,
-            slot: ahead.then_some(k),
+            slot,
         });
     }
 
-    /// Returns a completed directory frame's buffers to the arena.
-    fn recycle_dir(&mut self, f: DirFrame) {
-        self.scratch.dir_pool.push(f.pairs);
-        self.scratch.done_pool.push(f.done);
-        self.scratch.rem_pool.push(f.rem_r);
-        self.scratch.rem_pool.push(f.rem_s);
+    /// Runs a schedule's pin or unpin step over the node pair `nodes`
+    /// (store tag and page): [`Side::First`] names an entry of `nodes[0]`,
+    /// [`Side::Second`] one of `nodes[1]`, and the child page of that entry
+    /// is pinned or unpinned.
+    fn pin_step(&mut self, step: Step, nodes: [(u8, PageId); 2]) {
+        let (pin, side) = match step {
+            Step::Pin(side) => (true, side),
+            Step::Unpin(side) => (false, side),
+            Step::Pair(_) => unreachable!("a pair step pins nothing"),
+        };
+        let ((tag, node), e) = match side {
+            Side::First(e) => (nodes[0], e),
+            Side::Second(e) => (nodes[1], e),
+        };
+        let page = RTree::child_page(&self.tree(tag).node(node).entries[e]);
+        if pin {
+            self.access.pin(tag, page);
+        } else {
+            self.access.unpin(tag, page);
+        }
     }
 
     fn step_dir(&mut self, mut f: DirFrame) {
-        match f.state {
-            DirState::NextOuter => {
-                while f.k < f.pairs.len() && f.done[f.k] {
-                    f.k += 1;
-                }
-                if f.k == f.pairs.len() {
-                    self.recycle_dir(f);
-                    return; // frame complete — stays popped
-                }
-                let pair = (f.k, f.pairs[f.k]);
-                let (rp, sp, ahead) = (f.rp, f.sp, f.ahead);
-                f.state = DirState::AfterOuter;
+        let Some(&step) = f.schedule.get(f.at) else {
+            // Frame complete: it stays popped, its buffers go back.
+            self.scratch.dir_pool.push(f.pairs);
+            self.scratch.schedule_pool.push(f.schedule);
+            return;
+        };
+        f.at += 1;
+        let (rp, sp) = (f.rp, f.sp);
+        match step {
+            Step::Pair(i) => {
+                let (pair, slot) = (f.pairs[i], f.slot);
+                f.slot = slot.map(|at| at + 1);
                 self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair, ahead);
+                self.descend(rp, sp, pair, slot);
             }
-            DirState::AfterOuter => {
-                f.mark_done(f.k);
-                if !self.plan.pins() {
-                    f.k += 1;
-                    f.state = DirState::NextOuter;
-                    self.stack.push(Frame::Dir(f));
-                    return;
-                }
-                // Degree of both pages among the unprocessed pairs (§4.3),
-                // read off the incrementally-maintained tables.
-                let DirPair { ir, js, .. } = f.pairs[f.k];
-                let deg_r = f.rem_r[ir];
-                let deg_s = f.rem_s[js];
-                if deg_r == 0 && deg_s == 0 {
-                    f.k += 1;
-                    f.state = DirState::NextOuter;
-                    self.stack.push(Frame::Dir(f));
-                    return;
-                }
-                let (side, page) = if deg_r >= deg_s {
-                    (
-                        PinSide::R(ir),
-                        RTree::child_page(&self.r.node(f.rp).entries[ir]),
-                    )
-                } else {
-                    (
-                        PinSide::S(js),
-                        RTree::child_page(&self.s.node(f.sp).entries[js]),
-                    )
-                };
-                let tag = match side {
-                    PinSide::R(_) => TAG_R,
-                    PinSide::S(_) => TAG_S,
-                };
-                self.access.pin(tag, page);
-                f.state = DirState::Drain {
-                    side,
-                    page,
-                    l: f.k + 1,
-                };
+            Step::Pin(_) | Step::Unpin(_) => {
                 self.stack.push(Frame::Dir(f));
-            }
-            DirState::Drain { side, page, mut l } => {
-                // The degree table tells us when the drain is dry without
-                // scanning the tail of the pair list.
-                let (rem, tag) = match side {
-                    PinSide::R(ir) => (f.rem_r[ir], TAG_R),
-                    PinSide::S(js) => (f.rem_s[js], TAG_S),
-                };
-                if rem == 0 {
-                    self.access.unpin(tag, page);
-                    f.k += 1;
-                    f.state = DirState::NextOuter;
-                    self.stack.push(Frame::Dir(f));
-                    return;
-                }
-                let matches = |p: &DirPair| match side {
-                    PinSide::R(ir) => p.ir == ir,
-                    PinSide::S(js) => p.js == js,
-                };
-                while f.done[l] || !matches(&f.pairs[l]) {
-                    l += 1;
-                }
-                f.mark_done(l);
-                let pair = (l, f.pairs[l]);
-                let (rp, sp, ahead) = (f.rp, f.sp, f.ahead);
-                f.state = DirState::Drain {
-                    side,
-                    page,
-                    l: l + 1,
-                };
-                self.stack.push(Frame::Dir(f));
-                self.descend(rp, sp, pair, ahead);
+                self.pin_step(step, [(TAG_R, rp), (TAG_S, sp)]);
             }
         }
     }
 
-    /// Returns a completed mixed frame's shared buffers to the arena.
-    fn recycle_mixed(&mut self, pairs: Vec<(usize, usize)>, rem: Vec<u32>) {
-        self.scratch.pair_pool.push(pairs);
-        self.scratch.rem_pool.push(rem);
-    }
-
     fn step_mixed(&mut self, mut f: MixedFrame) {
+        let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
         match f.state {
-            MixedState::PerPair { i } => {
-                let Some(&(id, il)) = f.pairs.get(i) else {
-                    self.recycle_mixed(f.pairs, f.rem);
+            MixedState::Windows { schedule, at } => {
+                let Some(&step) = schedule.get(at) else {
+                    self.scratch.schedule_pool.push(schedule);
+                    self.scratch.pair_pool.push(f.pairs);
                     return; // frame complete
                 };
-                f.state = MixedState::PerPair { i: i + 1 };
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
+                let pair = step.pair().map(|i| f.pairs[i]);
+                f.state = MixedState::Windows {
+                    schedule,
+                    at: at + 1,
+                };
                 self.stack.push(Frame::Mixed(f));
-                self.window_query_pair(dt, dp, lt, lp, id, il);
+                match pair {
+                    Some((id, il)) => self.window_query_pair(dt, dp, lt, lp, id, il),
+                    None => self.pin_step(step, [(dt, dp), (lt, lp)]),
+                }
             }
             MixedState::Batched { windows, runs, i } => {
                 let Some(&(id, start, end)) = runs.get(i) else {
                     self.scratch.win_pool.push(windows);
                     self.scratch.run_pool.push(runs);
-                    self.recycle_mixed(f.pairs, f.rem);
+                    self.scratch.pair_pool.push(f.pairs);
                     return; // frame complete
                 };
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
                 self.multi_window_query(dt, dp, lt, lp, id, &windows[start as usize..end as usize]);
                 f.state = MixedState::Batched {
                     windows,
@@ -1159,70 +962,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
                     i: i + 1,
                 };
                 self.stack.push(Frame::Mixed(f));
-            }
-            MixedState::SweepOuter { mut done, mut k } => {
-                while k < f.pairs.len() && done[k] {
-                    k += 1;
-                }
-                if k == f.pairs.len() {
-                    self.scratch.done_pool.push(done);
-                    self.recycle_mixed(f.pairs, f.rem);
-                    return; // frame complete
-                }
-                let (id, il) = f.pairs[k];
-                done[k] = true;
-                f.rem[id] -= 1;
-                let deg = f.rem[id];
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
-                // The window query of pair k runs first either way (the
-                // recursion queries, then pins for the drain).
-                if deg == 0 {
-                    f.state = MixedState::SweepOuter { done, k: k + 1 };
-                    self.stack.push(Frame::Mixed(f));
-                    self.window_query_pair(dt, dp, lt, lp, id, il);
-                } else {
-                    let page = RTree::child_page(&self.tree(dt).node(dp).entries[id]);
-                    f.state = MixedState::SweepDrain {
-                        done,
-                        k,
-                        id,
-                        page,
-                        l: k + 1,
-                    };
-                    self.stack.push(Frame::Mixed(f));
-                    self.window_query_pair(dt, dp, lt, lp, id, il);
-                    self.access.pin(dt, page);
-                }
-            }
-            MixedState::SweepDrain {
-                mut done,
-                k,
-                id,
-                page,
-                mut l,
-            } => {
-                if f.rem[id] == 0 {
-                    self.access.unpin(f.dir_tag, page);
-                    f.state = MixedState::SweepOuter { done, k: k + 1 };
-                    self.stack.push(Frame::Mixed(f));
-                    return;
-                }
-                while done[l] || f.pairs[l].0 != id {
-                    l += 1;
-                }
-                let (_, il) = f.pairs[l];
-                done[l] = true;
-                f.rem[id] -= 1;
-                let (dt, dp, lt, lp) = (f.dir_tag, f.dir_page, f.leaf_tag, f.leaf_page);
-                f.state = MixedState::SweepDrain {
-                    done,
-                    k,
-                    id,
-                    page,
-                    l: l + 1,
-                };
-                self.stack.push(Frame::Mixed(f));
-                self.window_query_pair(dt, dp, lt, lp, id, il);
             }
         }
     }

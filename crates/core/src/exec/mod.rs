@@ -14,10 +14,13 @@
 //! * [`recursive_spatial_join`] / [`recursive_subjoin`] — the original
 //!   recursive driver, kept as the accounting oracle for differential
 //!   tests.
-//! * [`schedule`] — the §4.3 read schedule's pair ordering (sweep /
-//!   z-order) extracted out of the cursor, and the emission gate that
-//!   lets a completion-driven cursor run ahead of its demand misses. The
-//!   order is not announced to the backend: every read is a demand.
+//! * [`schedule`] — the §4.3 read schedule: the pair ordering (sweep /
+//!   z-order), each frame's drain schedule (the pairs in descent order
+//!   with SJ4/SJ5's and the sweep-pinned policy's pins in place, which the
+//!   cursor's frames walk and its leaf batches follow), and the emission
+//!   gate that lets a completion-driven cursor run ahead of its demand
+//!   misses. The order is not announced to the backend: every read is a
+//!   demand.
 //!
 //! The two executors are *accounting-equivalent*: for every sequential
 //! plan they report identical `result_pairs`, `disk_accesses`,
@@ -136,8 +139,9 @@ mod tests {
     }
 
     /// The per-side remaining-degree tables that replaced the O(n²)
-    /// `count_remaining` scans must leave the SJ4 pin/drain schedule — and
-    /// therefore every buffer outcome — untouched. Pinning decisions are
+    /// `count_remaining` scans must leave the SJ4 pin/drain schedule, and
+    /// the sweep-pinned policy's mixed-height drains — and therefore every
+    /// buffer outcome — untouched. Pinning decisions are
     /// observable only through I/O, so this pins `disk_accesses` (and the
     /// full stats) against the recursive oracle on a pinning-heavy fixture
     /// across buffer sizes, including the zero-buffer regime where every
@@ -145,26 +149,41 @@ mod tests {
     #[test]
     fn degree_tables_keep_pinning_io_identical() {
         // Dense overlap → high pin degrees and long drains.
-        let a = grid_items(700, 0.0, 4.0, 6.0);
-        let b = grid_items(700, 1.0, 4.1, 6.0);
-        let (tr, ts) = (build_tree(&a, 200), build_tree(&b, 200));
-        for plan in [JoinPlan::sj4(), JoinPlan::sj5()] {
-            for buf_pages in [0usize, 2, 8, 64] {
-                let cfg = JoinConfig::with_buffer(buf_pages * 200);
-                let want = recursive_spatial_join(&tr, &ts, plan, &cfg);
-                let got = crate::spatial_join(&tr, &ts, plan, &cfg);
-                assert_eq!(
-                    got.stats.io.disk_accesses,
-                    want.stats.io.disk_accesses,
-                    "pin schedule diverged: plan {} buf {buf_pages}",
-                    plan.name()
-                );
-                assert_eq!(
-                    got.stats,
-                    want.stats,
-                    "plan {} buf {buf_pages}",
-                    plan.name()
-                );
+        let same = (
+            grid_items(700, 0.0, 4.0, 6.0),
+            grid_items(700, 1.0, 4.1, 6.0),
+            vec![JoinPlan::sj4(), JoinPlan::sj5()],
+        );
+        // A tall R over a dense short S: the mixed-height frames pin and
+        // drain under the sweep-pinned policy.
+        let mixed = (
+            grid_items(900, 0.0, 3.0, 4.0),
+            grid_items(40, 0.5, 3.1, 8.0),
+            vec![JoinPlan {
+                diff_height: DiffHeightPolicy::SweepPinned,
+                ..JoinPlan::sj4()
+            }],
+        );
+        for (a, b, plans) in [same, mixed] {
+            let (tr, ts) = (build_tree(&a, 200), build_tree(&b, 200));
+            for plan in plans {
+                for buf_pages in [0usize, 2, 8, 64] {
+                    let cfg = JoinConfig::with_buffer(buf_pages * 200);
+                    let want = recursive_spatial_join(&tr, &ts, plan, &cfg);
+                    let got = crate::spatial_join(&tr, &ts, plan, &cfg);
+                    assert_eq!(
+                        got.stats.io.disk_accesses,
+                        want.stats.io.disk_accesses,
+                        "pin schedule diverged: plan {} buf {buf_pages}",
+                        plan.name()
+                    );
+                    assert_eq!(
+                        got.stats,
+                        want.stats,
+                        "plan {} buf {buf_pages}",
+                        plan.name()
+                    );
+                }
             }
         }
     }

@@ -8,7 +8,7 @@
 //! * [`streets`] — a Neyman–Scott-style cluster process: town centres are
 //!   drawn uniformly, each town contributes a locally grid-aligned mesh of
 //!   short segments; a small rural fraction is scattered uniformly.
-//! * [`rivers_and_rails`] — correlated random walks (meandering for rivers,
+//! * [`rivers_and_rails_in`] — correlated random walks (meandering for rivers,
 //!   nearly straight for railways) cut into per-segment objects.
 //!
 //! Object sizes are *absolute* (a street block is a street block), while
@@ -127,6 +127,7 @@ pub fn streets_paired(
 
 /// Generates `n` river/railway segment objects in the default [`WORLD`]
 /// (70 % meandering rivers, 30 % straighter railways).
+#[cfg(test)]
 pub fn rivers_and_rails(n: usize, seed: u64) -> Vec<SpatialObject> {
     rivers_and_rails_in(n, seed, &WORLD)
 }

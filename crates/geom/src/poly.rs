@@ -207,6 +207,7 @@ impl Polygon {
     }
 
     /// Twice the signed area of the ring (positive if counter-clockwise).
+    #[cfg(test)]
     pub fn signed_area2(&self) -> f64 {
         let n = self.ring.len();
         let mut acc = 0.0;

@@ -63,13 +63,6 @@ impl BulkPageWriter {
         self.file.flush()?;
         Ok(self.file)
     }
-
-    /// Abandons the build without flushing: the target stays unopenable
-    /// (the crash posture), which is also what dropping the writer does.
-    /// Explicit so tests can name the intent.
-    pub fn abandon(self) -> PageFile {
-        self.file
-    }
 }
 
 #[cfg(test)]
@@ -143,7 +136,7 @@ mod tests {
         let mut w = BulkPageWriter::create_file(&path, 256, slot).unwrap();
         w.emit(&leaf(0..3)).unwrap();
         w.emit(&leaf(3..6)).unwrap();
-        drop(w.abandon()); // no finish, no flush
+        drop(w); // no finish, no flush
 
         match PageFile::open(&path) {
             Ok(f) => assert_eq!(f.page_count(), 0, "unflushed pages must stay invisible"),

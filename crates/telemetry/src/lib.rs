@@ -5,7 +5,7 @@
 //! itself flows through four primitives, all lock-free on the record
 //! path:
 //!
-//! * [`Counter`] — monotonic `AtomicU64` (`inc`/`add`);
+//! * [`Counter`] — monotonic `AtomicU64` (`add`);
 //! * [`Gauge`] — signed instantaneous level (`set`/`add`/`sub`);
 //! * [`FloatGauge`] — an `f64` level for export-time ratios
 //!   (bit-stored in an `AtomicU64`);
@@ -57,11 +57,6 @@ pub struct Counter {
 impl Counter {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
     }
 
     #[inline]
@@ -192,7 +187,7 @@ mod tests {
     #[test]
     fn counter_and_gauge_basics() {
         let c = Counter::new();
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(c.get(), 5);
 
