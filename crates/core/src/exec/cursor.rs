@@ -403,11 +403,8 @@ pub struct JoinCursor<'t, A: NodeAccess, M: Meter = CmpCounter> {
     /// reports the delta, so a borrowed accountant reused across cursors
     /// (e.g. a bench's long-lived `&mut FileNodeAccess`) is not double-counted.
     io_baseline: IoStats,
-    /// Whether the backend services misses through a completion queue
-    /// ([`NodeAccess::completion_driven`] at construction). When false
-    /// the iterator skips the ticket-gating machinery entirely.
-    completion: bool,
-    /// Emission gate of completion-driven mode (see [`TicketGate`]).
+    /// Emission gate: a result waits for the reads it depends on (see
+    /// [`TicketGate`]; over a synchronous backend it never waits).
     gate: TicketGate,
     /// Machine steps taken while the front result was ticket-gated —
     /// the run-ahead budget spent since the last emission or park.
@@ -508,7 +505,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             "distance-join epsilon must be finite and >= 0"
         );
         let io_baseline = access.io_stats();
-        let completion = access.completion_driven();
         JoinCursor {
             r,
             s,
@@ -523,7 +519,6 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             tasks: VecDeque::new(),
             charge_tasks,
             io_baseline,
-            completion,
             gate: TicketGate::default(),
             run_ahead: 0,
             parks: 0,
@@ -628,15 +623,13 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     }
 
     /// Records an emission barrier at the backend's latest miss ticket,
-    /// covering every result not yet pushed (completion-driven mode
-    /// only). Called after each machine step and after constructor-time
-    /// root charges.
+    /// covering every result not yet pushed. Called after the
+    /// constructor-time root charges; [`JoinCursor::step_gated`] does the
+    /// same after each machine step.
     #[inline]
     fn capture_gate(&mut self) {
-        if self.completion {
-            let before = self.emitted + self.pending.len() as u64;
-            self.gate.capture(before, self.access.last_miss_ticket());
-        }
+        let before = self.emitted + self.pending.len() as u64;
+        self.gate.capture(before, self.access.last_miss_ticket());
     }
 
     /// [`JoinCursor::step`] plus barrier capture: results produced by
@@ -646,7 +639,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     fn step_gated(&mut self) -> bool {
         let before = self.emitted + self.pending.len() as u64;
         let advanced = self.step();
-        if advanced && self.completion {
+        if advanced {
             self.gate.capture(before, self.access.last_miss_ticket());
         }
         advanced
@@ -1063,16 +1056,20 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
     }
 }
 
-impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
-    /// Completion-driven `next`: the machine steps (and charges) in the
-    /// exact deterministic schedule order, but a result pair only
-    /// surfaces once every read it transitively depends on has
-    /// completed. While the head pair's barrier is unsettled the cursor
-    /// *runs ahead* — stepping other frames, which submits further reads
-    /// and keeps the queue's lanes busy — up to the run-ahead caps, and
-    /// only then parks on the blocking ticket ([`NodeAccess::await_settled`],
-    /// a blocking wait, never a poll loop).
-    fn next_completion(&mut self) -> Option<(DataId, DataId)> {
+impl<A: NodeAccess, M: Meter> Iterator for JoinCursor<'_, A, M> {
+    type Item = (DataId, DataId);
+
+    /// The machine steps (and charges) in the exact deterministic schedule
+    /// order, but a result pair only surfaces once every read it
+    /// transitively depends on has completed. While the head pair's
+    /// barrier is unsettled the cursor *runs ahead* — stepping other
+    /// frames, which submits further reads and keeps the queue's lanes
+    /// busy — up to the run-ahead caps, and only then parks on the
+    /// blocking ticket ([`NodeAccess::await_settled`], a blocking wait,
+    /// never a poll loop). Over a synchronous backend every ticket is
+    /// [`rsj_storage::Ticket::NONE`], so no barrier is ever recorded and
+    /// each pair surfaces as soon as its step produced it.
+    fn next(&mut self) -> Option<(DataId, DataId)> {
         loop {
             if !self.pending.is_empty() {
                 match self.gate.blocking(self.emitted, &self.access) {
@@ -1100,35 +1097,19 @@ impl<A: NodeAccess, M: Meter> JoinCursor<'_, A, M> {
                 }
             }
             if !self.step_gated() {
-                // Machine exhausted. Settle every outstanding read (the
-                // honesty point: lane reads now cover all charges), which
-                // unblocks any still-gated buffered pairs.
-                let draining = Instant::now();
-                self.access.drain_completions();
-                self.blocked += draining.elapsed();
+                // Machine exhausted. A backend that ever submitted a read
+                // settles every outstanding one (the honesty point: lane
+                // reads now cover all charges), which unblocks any
+                // still-gated buffered pairs. A synchronous one has no
+                // ticket and nothing to wait for.
+                if !self.access.last_miss_ticket().is_none() {
+                    let draining = Instant::now();
+                    self.access.drain_completions();
+                    self.blocked += draining.elapsed();
+                }
                 if self.pending.is_empty() {
                     return None;
                 }
-            }
-        }
-    }
-}
-
-impl<A: NodeAccess, M: Meter> Iterator for JoinCursor<'_, A, M> {
-    type Item = (DataId, DataId);
-
-    #[inline]
-    fn next(&mut self) -> Option<(DataId, DataId)> {
-        if self.completion {
-            return self.next_completion();
-        }
-        loop {
-            if let Some(pair) = self.pending.pop_front() {
-                self.emitted += 1;
-                return Some(pair);
-            }
-            if !self.step() {
-                return None;
             }
         }
     }

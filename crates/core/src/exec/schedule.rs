@@ -36,10 +36,10 @@ pub(crate) struct DirPair {
     pub rect: Rect,
 }
 
-/// The emission gate of a completion-driven join
-/// ([`NodeAccess::completion_driven`]): result pairs produced while their
+/// The emission gate of every join: result pairs produced while their
 /// source pages were still in flight may not surface through the iterator
-/// until those reads complete.
+/// until those reads complete. Over a synchronous backend no read is ever
+/// in flight (every ticket is [`Ticket::NONE`]), so no barrier is recorded.
 ///
 /// The cursor's deterministic machine runs (and charges) in schedule
 /// order regardless of completion order; after each step that may have

@@ -27,10 +27,10 @@
 //! one read path: a page scan over all the files it opens
 //! ([`rsj_storage::scan`]). One claim counter runs over the first file's
 //! pages, then the next's; the readers start at one per core and add up
-//! to [`rsj_storage::QUEUE_DEPTH`] when their first reads vote that the
-//! device is what the open waits for — it measures, there is nothing to
-//! configure — and hand each page to the decode on the reader that read
-//! it. The decode does all per-page work while the slot's bytes are in
+//! to [`rsj_storage::QUEUE_DEPTH`] once their first reads are slow by the
+//! completion queue's own rule, the one a cached join routes its misses
+//! by — it measures, there is nothing to configure — and hand each page
+//! to the decode on the reader that read it. The decode does all per-page work while the slot's bytes are in
 //! that core's cache: the free-set cross-checks, one `Vec` of [`Entry`]s
 //! built straight from the bytes ([`codec::NodeView`]), the leaf
 //! normalisation, and the page's summary for the structural walk (its

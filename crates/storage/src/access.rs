@@ -108,10 +108,9 @@ pub trait NodeAccess {
     /// Inert and never called; kept only because `benchmark/` overrides it.
     fn hint(&mut self, _upcoming: &[PageRef]) {}
 
-    /// Whether demand misses are serviced asynchronously through a
-    /// submission/completion queue (module docs, "Completion-driven
-    /// reads"). Executors may skip the ticket-gating machinery entirely
-    /// when this is `false` (the default).
+    /// Inert and never called; kept only because `benchmark/` overrides it.
+    /// The tickets alone tell a synchronous backend (always
+    /// [`Ticket::NONE`]) from a completion-driven one.
     fn completion_driven(&self) -> bool {
         false
     }
@@ -220,10 +219,6 @@ impl<A: NodeAccess + ?Sized> NodeAccess for &mut A {
 
     fn io_stats(&self) -> IoStats {
         (**self).io_stats()
-    }
-
-    fn completion_driven(&self) -> bool {
-        (**self).completion_driven()
     }
 
     fn last_miss_ticket(&self) -> Ticket {

@@ -36,7 +36,9 @@
 //! inline or by a worker, records its claim→complete time, and while
 //! most of the last eight took under 30 µs (`FAST_READ`) a hand-off would
 //! cost more than the read it hands off — the worker's wake-up, and the
-//! submitter's park, outweigh a page the OS already holds.
+//! submitter's park, outweigh a page the OS already holds. That
+//! classifier (`ReadSpeed`) is the crate's one rule for a slow read: an
+//! open's page scan ([`crate::scan`]) decides its depth by it too.
 //!
 //! ## Depth
 //!
@@ -98,28 +100,38 @@ pub type DelayFn = Arc<dyn Fn(BufKey) -> Option<Duration> + Send + Sync>;
 /// (26–33 ms at `1464f7b`); the sweep has not been repeated.
 pub const QUEUE_DEPTH: usize = 16;
 
-/// A read whose service took less than this is one the demanding thread
-/// serves more cheaply itself than through a worker (module docs,
-/// "Inline reads"). It splits the two populations measured on the repo
-/// benchmark's 2-core box: a page the OS already holds is served in
+/// A read whose service took less than this is fast, and `rsj-storage`
+/// has no other bound on read speed. It serves two users, through
+/// `ReadSpeed`: a join handle reads a miss on its own thread while most
+/// recent reads were fast (module docs, "Inline reads"), and an open's
+/// page scan ([`crate::scan`]) adds readers up to [`QUEUE_DEPTH`] once its
+/// first reads were not. It splits the two populations both see on the
+/// repo benchmark's 2-core box: a page the OS already holds is read in
 /// about 3 µs (a hand-off to a worker alone waits about 9 µs), and a
-/// modelled 100 µs device read takes about 160 µs. The bound sits ten
-/// times above the first and five below the second, so a fast read
-/// that is preempted once, or a debug build's slower one, still counts
-/// as fast.
+/// modelled 100 µs device read takes about 165 µs. The bound sits ten
+/// times above the first and five below the second, so a fast read that
+/// is preempted once, or a debug build's slower one, still counts as
+/// fast.
 const FAST_READ: Duration = Duration::from_micros(30);
 
-/// The speeds of the last eight reads a queue served, inline or by a
-/// worker: bit `i` is set when the `i`-th most recent one was faster than
-/// [`FAST_READ`]. Starts all slow, so a fresh queue hands reads to its
-/// workers until fast ones have been seen.
-#[derive(Default)]
-struct ReadSpeed(AtomicU8);
+/// The speeds of the last eight reads: bit `i` is set when the `i`-th
+/// most recent one was faster than [`FAST_READ`], and the verdict is
+/// "fast" while more than half are. A queue records every read it
+/// serves, inline or by a worker, and starts all slow, so a fresh queue
+/// hands reads to its workers until fast ones have been seen; a page
+/// scan records its first eight and starts all fast, so it keeps one
+/// reader per core until four of them were slow.
+pub(crate) struct ReadSpeed(AtomicU8);
 
 impl ReadSpeed {
-    fn record(&self, service: Duration) {
+    /// A window of eight reads that all count as `fast`, or all as slow.
+    pub(crate) fn new(fast: bool) -> Self {
+        ReadSpeed(AtomicU8::new(if fast { u8::MAX } else { 0 }))
+    }
+
+    pub(crate) fn record(&self, service: Duration) {
         let fast = u8::from(service < FAST_READ);
-        // Statistics only: a lost race drops one sample, never a read.
+        // Always `Ok`: the update retries until it lands.
         let _ = self
             .0
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| {
@@ -128,7 +140,7 @@ impl ReadSpeed {
     }
 
     /// Whether most of the last eight reads were fast.
-    fn fast(&self) -> bool {
+    pub(crate) fn fast(&self) -> bool {
         self.0.load(Ordering::Relaxed).count_ones() > u8::BITS / 2
     }
 }
@@ -295,7 +307,7 @@ impl CompletionQueue {
             lag_max_nanos: AtomicU64::new(0),
             queue_wait: SpanNanos::default(),
             service: SpanNanos::default(),
-            speed: ReadSpeed::default(),
+            speed: ReadSpeed::new(false),
             failed: AtomicBool::new(false),
             delay,
         });
@@ -371,30 +383,15 @@ impl CompletionQueue {
     /// passed it; every call is counted (see
     /// [`CompletionQueue::poll_count`]).
     pub fn is_complete(&self, ticket: Ticket) -> bool {
-        if ticket.is_none() {
-            return true;
-        }
-        let sh = &self.shared;
-        sh.polls.fetch_add(1, Ordering::Relaxed);
-        if ticket.0 < sh.done_floor.load(Ordering::Acquire) {
-            return true;
-        }
-        sh.state.lock().unwrap().is_done(ticket.0)
+        self.poll(ticket, |st| st.is_done(ticket.0))
     }
 
     /// Blocks until `ticket` completes. Panics if any read failed — the
     /// "storage broke mid-join" contract of the blocking backends.
     pub fn await_ticket(&self, ticket: Ticket) {
-        if ticket.is_none() {
-            return;
+        if !ticket.is_none() {
+            self.wait_until(|st| st.is_done(ticket.0));
         }
-        let sh = &self.shared;
-        let mut st = sh.state.lock().unwrap();
-        while !st.is_done(ticket.0) {
-            st = sh.park(st);
-        }
-        drop(st);
-        self.check_failed();
     }
 
     /// Whether every submission up to **and including** `ticket` has
@@ -405,38 +402,41 @@ impl CompletionQueue {
     /// whenever it returns `true` (the frontier mirror suffices) and
     /// counted like any other poll.
     pub fn is_settled(&self, ticket: Ticket) -> bool {
-        if ticket.is_none() {
-            return true;
-        }
-        let sh = &self.shared;
-        sh.polls.fetch_add(1, Ordering::Relaxed);
-        if ticket.0 < sh.done_floor.load(Ordering::Acquire) {
-            return true;
-        }
-        ticket.0 < sh.state.lock().unwrap().done_floor()
+        self.poll(ticket, |st| ticket.0 < st.done_floor())
     }
 
     /// Blocks until [`CompletionQueue::is_settled`] holds for `ticket`.
     /// Panics if any read failed (the mid-join contract).
     pub fn await_settled(&self, ticket: Ticket) {
-        if ticket.is_none() {
-            return;
+        if !ticket.is_none() {
+            self.wait_until(|st| ticket.0 < st.done_floor());
         }
-        let sh = &self.shared;
-        let mut st = sh.state.lock().unwrap();
-        while ticket.0 >= st.done_floor() {
-            st = sh.park(st);
-        }
-        drop(st);
-        self.check_failed();
     }
 
     /// Blocks until every submission has completed — the honesty point at
     /// which lane reads equal the charges that promised them.
     pub fn drain(&self) {
+        self.wait_until(|st| st.outstanding == 0);
+    }
+
+    /// One counted poll of a real ticket: true below the frontier mirror,
+    /// else what `done` says of the tables.
+    #[inline]
+    fn poll(&self, ticket: Ticket, done: impl FnOnce(&InflightTables) -> bool) -> bool {
+        if ticket.is_none() {
+            return true;
+        }
+        let sh = &self.shared;
+        sh.polls.fetch_add(1, Ordering::Relaxed);
+        ticket.0 < sh.done_floor.load(Ordering::Acquire) || done(&sh.state.lock().unwrap())
+    }
+
+    /// Parks until `done` holds of the tables, then panics if any read
+    /// failed.
+    fn wait_until(&self, done: impl Fn(&InflightTables) -> bool) {
         let sh = &self.shared;
         let mut st = sh.state.lock().unwrap();
-        while st.outstanding > 0 {
+        while !done(&st) {
             st = sh.park(st);
         }
         drop(st);
@@ -931,7 +931,7 @@ mod tests {
     /// The inline-or-queue decision over a scripted run of service times:
     /// whether the reads were fast after each one.
     fn decisions(services: &[Duration]) -> Vec<bool> {
-        let speed = ReadSpeed::default();
+        let speed = ReadSpeed::new(false);
         services
             .iter()
             .map(|&s| {
@@ -944,7 +944,7 @@ mod tests {
     #[test]
     fn stalled_reads_among_fast_ones_flip_a_bounded_number_of_decisions() {
         let (fast, stalled) = (Duration::from_micros(3), Duration::from_millis(5));
-        assert!(!ReadSpeed::default().fast(), "a fresh queue starts slow");
+        assert!(!ReadSpeed::new(false).fast(), "a fresh queue starts slow");
         // Five fast reads of eight switch a fresh queue to fast.
         let warm = decisions(&[fast; 5]);
         assert_eq!(warm, [false, false, false, false, true]);

@@ -39,8 +39,9 @@
 //!   counters;
 //! * [`scan`] — the whole-file read every tree open makes: readers claim
 //!   pages in ascending order and decode each on the thread that read it
-//!   — one reader per core, or [`QUEUE_DEPTH`] when the reads are what
-//!   the open waits for — and the decoded pages come back in id order;
+//!   — one reader per core, or [`QUEUE_DEPTH`] when the reads are slow
+//!   by the completion queue's rule — and the decoded pages come back in
+//!   id order;
 //! * [`FileAccess<R>`](FileAccess) — the file-backed [`NodeAccess`]
 //!   stack: a [`BufferPool`] (hence bit-identical `IoStats` at equal
 //!   capacity) over one page file per store, where every miss is served by

@@ -23,19 +23,23 @@
 //!   ([`cores`], at most one per `VOTES` pages), so a quick file's
 //!   decodes overlap from its first page; no page is read before they
 //!   start.
-//! * **Votes.** Until the scan has decided, those readers time each read
-//!   and its decode apart, and a page votes "waits" if its read outlasted
-//!   `READ_BOUND` × its decode. Of the first `VOTES` votes, a majority
-//!   of "waits" starts readers up to [`QUEUE_DEPTH`] — the depth the
-//!   device model grants every join ([`crate::completion`], "Depth") — so
-//!   the reads overlap; otherwise the scan keeps one reader per core, in
-//!   total, across all its files. The vote that settles it is the
-//!   majority's fifth "waits" or the minority's fourth "quick", whichever
-//!   lands first.
+//! * **Depth.** A slow read is what it is to the completion queue: one
+//!   that took `FAST_READ` or longer, judged over a window of eight by
+//!   `ReadSpeed` ([`crate::completion`], "Inline reads"). The scan times
+//!   the reads of its first `VOTES` claims, the read alone, and starts
+//!   from the verdict "fast"; the reader whose read turns it to "slow" —
+//!   the fourth slow read, since a fast verdict needs more than four fast
+//!   reads of eight — starts readers up to [`QUEUE_DEPTH`], the depth the
+//!   device model grants every join ([`crate::completion`], "Depth"), so
+//!   the reads overlap. Otherwise the scan keeps one reader per core, in
+//!   total, across all its files. Three stray reads either way do not
+//!   change the verdict, so one stalled read (a preempted thread, a lone
+//!   page-cache miss) does not decide for the scan.
 //!
-//! Voting page by page rather than comparing totals keeps one stalled
-//! read (a preempted thread, a lone page-cache miss) or one stalled decode
-//! from deciding for the scan.
+//! Each reader hands back, through its join handle, the pages it decoded
+//! in its claim order and the failure it stopped at; a reader that
+//! started others joins them before it returns. What the readers share
+//! and change is the claim counter, the reader count and the verdict.
 //!
 //! ## What the schedule does not change
 //!
@@ -48,7 +52,7 @@
 //! every page before it (in every earlier file, too) has been claimed,
 //! and each is finished before the scan returns; a failure stops further
 //! claims. A panic in any reader or decode stops claims too and is
-//! re-raised on the calling thread once every reader has finished.
+//! re-raised on the calling thread once every reader has been joined.
 //!
 //! ## How the constants were sized
 //!
@@ -73,43 +77,33 @@
 //!   each tree of a pair its own pool (four readers on two cores) opened
 //!   cached pairs 6–25 % slower, so the count is for the scan, not for
 //!   each file.
-//! * `VOTES` = 8, the fewest that leaves a majority standing after three
-//!   stray votes. The votes are cast on pages the readers read anyway, so
-//!   they cost no read of their own; on the modelled device the fifth
-//!   "waits" lands after three rounds of one-per-core reads.
-//! * `READ_BOUND` = 4. Over 186 probes of 8 pages each, the benchmark's
-//!   cached files measure read/decode 0.5 at the median and 0.8 at the
-//!   99th percentile, with no vote of 8 in 185 probes and one in the last;
-//!   the modelled device measures 24 at the median and 4.3 at the least,
-//!   with 8 votes of 8 in every probe. The bound sits between the two
-//!   populations.
+//! * `VOTES` = 8, the window of `ReadSpeed`: the fewest reads that leave
+//!   a majority standing after three stray ones. They are reads the
+//!   readers make anyway, so timing them costs no read of its own; on the
+//!   modelled device the fourth slow read lands after two rounds of
+//!   one-per-core reads.
+//! * `FAST_READ` sits between the benchmark's two devices as the scan
+//!   sees them: a cached page is read in about 3 µs, a modelled one in
+//!   about 165 µs (its doc has the queue's side). Against the scan's own
+//!   read/decode vote it replaced (`de6df6c`; ten alternating 25 s pairs,
+//!   medians) `open_ms` read 16.83 → 16.86 ms on `join_cold`, where both
+//!   rules ramp, and 6.72 → 6.79 ms on `join_mem`, where neither does.
 
-use std::any::Any;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Mutex, OnceLock, PoisonError};
-use std::thread::{self, Scope};
+use std::marker::PhantomData;
+use std::panic;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::OnceLock;
+use std::thread::{self, Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use crate::codec::StorageError;
-use crate::completion::QUEUE_DEPTH;
+use crate::completion::{ReadSpeed, QUEUE_DEPTH};
 use crate::file::PageSource;
 use crate::page::PageId;
 
-/// Votes that decide between one reader per core and [`QUEUE_DEPTH`]
-/// readers (module docs); a scan also starts at most one reader per this
-/// many pages.
-const VOTES: u32 = 8;
-
-/// "Waits" votes that start the readers up to [`QUEUE_DEPTH`].
-const MAJORITY: u32 = VOTES / 2 + 1;
-
-/// A page votes "waits" if its read took more than this many times as
-/// long as its decode.
-const READ_BOUND: u32 = 4;
-
-/// One "quick" vote in [`Scan::ballots`]; a "waits" vote is 1.
-const QUICK: u32 = 1 << 16;
+/// The claims whose reads are timed for the scan's depth (module docs);
+/// a scan also starts at most one reader per this many pages.
+const VOTES: u32 = u8::BITS;
 
 /// The cores this process may run on, asked once per process: the answer
 /// reads the scheduler's affinity mask and the cgroup's quota.
@@ -144,28 +138,23 @@ where
     let scan = Scan {
         read_at,
         decode,
-        ends,
         next: AtomicU64::new(0),
         end,
         readers: AtomicUsize::new(1),
-        ballots: AtomicU32::new(0),
-        parts: Mutex::new(Vec::new()),
-        failure: Mutex::new(None),
-        panicked: Mutex::new(None),
+        speed: ReadSpeed::new(true),
+        ends,
+        decoded: PhantomData,
     };
     let first = cores()
         .min(QUEUE_DEPTH)
         .min(end.div_ceil(u64::from(VOTES)) as usize);
     let share = end.div_ceil(first.max(1) as u64) as usize;
-    thread::scope(|scope| {
-        for _ in 1..first {
-            if !scan.spawn(scope, true, share) {
-                break; // carry on with the readers that did start
-            }
-        }
-        scan.read(scope, true, share);
+    let parts = thread::scope(|scope| {
+        // Carry on with the readers that did start.
+        let helpers = (1..first).map_while(|_| scan.spawn(scope, share)).collect();
+        scan.read(scope, share, helpers)
     });
-    scan.finish()
+    scan.finish(parts)
 }
 
 /// Reads every page of every source through [`PageSource::scan_read`] and
@@ -200,8 +189,15 @@ pub fn scan_sources<T: Send>(
     out
 }
 
-/// One reader's decoded pages with their claim indices, ascending.
-type Part<T> = Vec<(u64, T)>;
+/// What one reader hands back: the pages it decoded with their claim
+/// indices, ascending, and the failure it stopped at.
+struct Part<T> {
+    values: Vec<(u64, T)>,
+    failure: Option<(u64, StorageError)>,
+}
+
+/// A reader's join handle: its part and those of the readers it started.
+type Reader<'scope, T> = ScopedJoinHandle<'scope, Vec<Part<T>>>;
 
 /// What the readers of one scan share.
 struct Scan<T, R, D> {
@@ -211,21 +207,27 @@ struct Scan<T, R, D> {
     ends: Vec<u64>,
     /// The claim index the next claim takes; raised to `end` to stop
     /// claims. `Relaxed` throughout: a claim publishes no data — each
-    /// reader reads its own pages and hands them back through `parts`.
+    /// reader reads its own pages and hands them back when joined.
     next: AtomicU64,
     end: u64,
     /// Readers started, the calling thread included; never past
     /// [`QUEUE_DEPTH`].
     readers: AtomicUsize,
-    /// Votes cast: "waits" in the low 16 bits, "quick" in steps of
-    /// [`QUICK`].
-    ballots: AtomicU32,
-    /// Every finished reader's part.
-    parts: Mutex<Vec<Part<T>>>,
-    /// The failed page lowest in claim order, and its error.
-    failure: Mutex<Option<(u64, StorageError)>>,
-    /// The first panic of a reader or a decode.
-    panicked: Mutex<Option<Box<dyn Any + Send>>>,
+    /// The speeds of the first `VOTES` claims' reads.
+    speed: ReadSpeed,
+    /// What the decode returns: the readers' parts hold it.
+    decoded: PhantomData<fn() -> T>,
+}
+
+/// Stops a scan's claims when the reader holding it unwinds.
+struct StopOnPanic<'a>(&'a AtomicU64, u64);
+
+impl Drop for StopOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.fetch_max(self.1, Relaxed);
+        }
+    }
 }
 
 impl<T, R, D> Scan<T, R, D>
@@ -235,80 +237,76 @@ where
     D: Fn(usize, PageId, &[u8]) -> Result<T, StorageError> + Sync,
 {
     /// Starts one more reader, if the scan has fewer than [`QUEUE_DEPTH`]
-    /// and the OS grants the thread; returns whether it started.
+    /// and the OS grants the thread.
     fn spawn<'scope, 'env>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
-        votes: bool,
         share: usize,
-    ) -> bool {
-        let slot = self
-            .readers
-            .fetch_update(Relaxed, Relaxed, |n| (n < QUEUE_DEPTH).then_some(n + 1));
-        if slot.is_err() {
-            return false;
-        }
-        let started = thread::Builder::new()
+    ) -> Option<Reader<'scope, T>> {
+        self.readers
+            .fetch_update(Relaxed, Relaxed, |n| (n < QUEUE_DEPTH).then_some(n + 1))
+            .ok()?;
+        let reader = thread::Builder::new()
             .name("rsj-scan".into())
-            .spawn_scoped(scope, move || self.read(scope, votes, share))
-            .is_ok();
-        if !started {
+            .spawn_scoped(scope, move || self.read(scope, share, Vec::new()));
+        if reader.is_err() {
             self.readers.fetch_sub(1, Relaxed);
         }
-        started
+        reader.ok()
     }
 
     /// One reader: claims the next page until none is left or the scan
-    /// stopped, reads and decodes each, and leaves what it decoded in
-    /// `parts`; it expects to decode about `share` pages. A reader that
-    /// `votes` times its pages while the scan is undecided; the one whose
-    /// vote settles it on "waits" starts the remaining readers before it
-    /// reads on.
+    /// stopped, reads and decodes each, expecting about `share` pages.
+    /// The reader whose timed read turns the scan's verdict to "slow"
+    /// starts the remaining readers before it reads on. Returns its part,
+    /// then those of `readers` and of the readers it started, once each
+    /// is joined; a panic among them is re-raised (the scope joins the
+    /// rest).
     fn read<'scope, 'env>(
         &'env self,
         scope: &'scope Scope<'scope, 'env>,
-        mut votes: bool,
         share: usize,
-    ) {
+        mut readers: Vec<Reader<'scope, T>>,
+    ) -> Vec<Part<T>> {
+        let _stop = StopOnPanic(&self.next, self.end);
         // Sized up front: parts grown by doubling left their outgrown
         // buffers in the readers' heaps, ~0.2 MB more resident after the
         // benchmark's pair open.
-        let mut part = Vec::with_capacity(share);
+        let mut values = Vec::with_capacity(share);
         let mut buf = Vec::new();
-        let run = panic::catch_unwind(AssertUnwindSafe(|| loop {
+        let failure = loop {
             let claimed = self.next.fetch_add(1, Relaxed);
             if claimed >= self.end {
-                return;
+                break None;
             }
             let (file, id) = self.locate(claimed);
-            votes &= self.undecided();
-            let start = votes.then(Instant::now);
+            let start = (claimed < u64::from(VOTES)).then(Instant::now);
             let read = (self.read_at)(file, id, &mut buf);
-            let timed = start.map(|start| (start, Instant::now()));
-            match read.and_then(|()| (self.decode)(file, id, &buf)) {
-                Ok(value) => part.push((claimed, value)),
-                Err(err) => return self.fail(claimed, err),
-            }
-            if let Some((start, read)) = timed {
-                let waited = read - start > read.elapsed() * READ_BOUND;
-                if self.vote(waited) {
-                    let mut unclaimed = self.end.saturating_sub(self.next.load(Relaxed));
+            if let Some(start) = start {
+                self.speed.record(start.elapsed());
+                if !self.speed.fast() {
+                    let unclaimed = self.end.saturating_sub(self.next.load(Relaxed));
                     let share = unclaimed.div_ceil(QUEUE_DEPTH as u64) as usize;
-                    while unclaimed > 0 && self.spawn(scope, false, share) {
-                        unclaimed -= 1;
-                    }
+                    readers.extend((0..unclaimed).map_while(|_| self.spawn(scope, share)));
                 }
             }
-        }));
-        if let Err(payload) = run {
-            self.stop();
-            let mut panicked = self.panicked.lock().unwrap_or_else(PoisonError::into_inner);
-            panicked.get_or_insert(payload);
+            match read.and_then(|()| (self.decode)(file, id, &buf)) {
+                Ok(value) => values.push((claimed, value)),
+                Err(err) => {
+                    self.next.fetch_max(self.end, Relaxed);
+                    break Some((claimed, err));
+                }
+            }
+        };
+        let mut parts = vec![Part { values, failure }];
+        for reader in readers {
+            parts.extend(
+                reader
+                    .join()
+                    .unwrap_or_else(|payload| panic::resume_unwind(payload)),
+            );
         }
-        self.parts
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(part);
+        parts
     }
 
     /// The file and page of claim index `claimed`.
@@ -318,71 +316,27 @@ where
         (file, PageId((claimed - first) as u32))
     }
 
-    /// Whether neither side of the vote has its count yet.
-    fn undecided(&self) -> bool {
-        let ballots = self.ballots.load(Relaxed);
-        ballots % QUICK < MAJORITY && ballots / QUICK <= VOTES - MAJORITY
-    }
-
-    /// Casts one vote; true for the vote that settles the scan on
-    /// "waits".
-    fn vote(&self, waited: bool) -> bool {
-        let before = self
-            .ballots
-            .fetch_add(if waited { 1 } else { QUICK }, Relaxed);
-        waited && before % QUICK + 1 == MAJORITY && before / QUICK <= VOTES - MAJORITY
-    }
-
-    /// Stops further claims: every later claim lands at or past `end`.
-    fn stop(&self) {
-        self.next.fetch_max(self.end, Relaxed);
-    }
-
-    /// Records claim `claimed`'s failure, and stops claims.
-    fn fail(&self, claimed: u64, err: StorageError) {
-        self.stop();
-        let mut failure = self.failure.lock().unwrap_or_else(PoisonError::into_inner);
-        if failure.as_ref().is_none_or(|&(at, _)| claimed < at) {
-            *failure = Some((claimed, err));
-        }
-    }
-
-    /// Every reader has finished: re-raises a panic, or sorts the parts
-    /// into the files wholly before the first failure, then the failure.
-    fn finish(self) -> Vec<Result<Vec<T>, StorageError>> {
-        if let Some(payload) = self
-            .panicked
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            panic::resume_unwind(payload);
-        }
-        let failure = self
-            .failure
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+    /// Every reader has been joined: merges the parts by claim index, and
+    /// returns the files wholly before the first failure, then the
+    /// failure.
+    fn finish(self, mut parts: Vec<Part<T>>) -> Vec<Result<Vec<T>, StorageError>> {
+        let failure = parts
+            .iter_mut()
+            .filter_map(|part| part.failure.take())
+            .min_by_key(|&(at, _)| at);
         let done = failure.as_ref().map_or(self.end, |&(at, _)| at);
-        // Every claim below `done` succeeded and sits in exactly one
-        // part, and each part is ascending: merge.
-        let mut parts: Vec<_> = self
-            .parts
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-            .into_iter()
-            .map(Vec::into_iter)
-            .collect();
+        let mut decoded = Vec::with_capacity(self.end as usize);
+        for part in parts {
+            decoded.extend(part.values);
+        }
+        // Each part is one ascending run, and every claim below `done`
+        // sits in exactly one: a stable sort merges the runs.
+        decoded.sort_by_key(|&(claimed, _)| claimed);
+        let mut values = decoded.into_iter().map(|(_, value)| value);
         let mut out = Vec::with_capacity(self.ends.len());
         let mut first = 0;
         for &end in self.ends.iter().take_while(|&&end| end <= done) {
-            let mut values = Vec::with_capacity((end - first) as usize);
-            for claimed in first..end {
-                let part = parts
-                    .iter_mut()
-                    .find(|p| p.as_slice().first().is_some_and(|&(at, _)| at == claimed))
-                    .expect("every page is decoded by exactly one reader");
-                values.extend(part.next().map(|(_, value)| value));
-            }
-            out.push(Ok(values));
+            out.push(Ok(values.by_ref().take((end - first) as usize).collect()));
             first = end;
         }
         out.extend(failure.map(|(_, err)| Err(err)));
@@ -398,10 +352,11 @@ mod tests {
     use crate::temp::TempDir;
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering::SeqCst};
+    use std::sync::Mutex;
     use std::thread::ThreadId;
     use std::time::Duration;
 
-    /// A read slow enough that the vote always finds the scan waiting.
+    /// A read slow by the completion queue's rule (`FAST_READ`), always.
     const SLOW: Duration = Duration::from_micros(300);
 
     /// A one-file `scan_files`: its one entry.
@@ -584,7 +539,7 @@ mod tests {
 
     #[test]
     fn instant_reads_take_one_reader_per_core() {
-        // The vote's other side: decodes far slower than reads.
+        // The other side of the rule: instant reads, slow decodes.
         let m = Meter::new(100);
         scan_pages(
             100,
@@ -608,6 +563,47 @@ mod tests {
             .lock()
             .unwrap()
             .contains(&std::thread::current().id()));
+    }
+
+    /// Scans 200 test pages whose reads sleep [`SLOW`] where `slow(id)`
+    /// and take no time elsewhere; returns how many readers read.
+    fn readers_over(slow: impl Fn(u32) -> bool + Sync) -> usize {
+        let m = Meter::new(200);
+        scan_pages(
+            200,
+            |id, buf| {
+                m.read(id, || {
+                    if slow(id.0) {
+                        std::thread::sleep(SLOW);
+                    }
+                });
+                fill(id, buf);
+                Ok(())
+            },
+            |id, _| {
+                m.decode(id);
+                Ok(())
+            },
+        )
+        .unwrap();
+        m.assert_each_once(200);
+        let readers = m.reader_threads.lock().unwrap().len();
+        readers
+    }
+
+    #[test]
+    fn three_stray_reads_among_the_first_votes_decide_nothing() {
+        let strays = [1, 4, 6];
+        // Three slow reads among fast ones: one reader per core.
+        let readers = readers_over(|id| strays.contains(&id));
+        assert!(readers <= cores().min(QUEUE_DEPTH), "{readers} readers");
+        // Three fast reads among slow ones, and slow reads after them:
+        // the queue depth (indistinguishable with that many cores).
+        let readers = readers_over(|id| id >= VOTES || !strays.contains(&id));
+        assert!(readers <= QUEUE_DEPTH, "{readers} readers");
+        if cores() < QUEUE_DEPTH {
+            assert!(readers > cores(), "{readers} readers did not ramp");
+        }
     }
 
     #[test]
@@ -712,7 +708,7 @@ mod tests {
 
     #[test]
     fn the_first_failure_in_page_order_wins_and_stops_new_claims() {
-        // A failed read at k, among the first votes, at the vote's end,
+        // A failed read at k, among the first timed reads, just past them,
         // mid-file and at the last page; every later page's decode fails
         // too, and sooner (its read does not sleep), so an error
         // collected in completion order would name the wrong page.

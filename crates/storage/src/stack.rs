@@ -261,10 +261,6 @@ impl<R: ReadStrategy> NodeAccess for FileAccess<R> {
         self.pool.stats()
     }
 
-    fn completion_driven(&self) -> bool {
-        self.reads.queue().is_some()
-    }
-
     fn last_miss_ticket(&self) -> Ticket {
         self.last_miss
     }

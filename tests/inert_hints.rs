@@ -1,10 +1,12 @@
 //! Nothing announces reads ahead of demand. `NodeAccess::wants_hints`,
 //! `will_access` and `hint` survive only as inert defaults that the repo
 //! benchmark's access wrapper overrides; no driver in the workspace may
-//! call them. A recorder whose three methods panic is driven through every
-//! entry point that runs a `JoinCursor` — the whole-tree and task-list
-//! constructors, the parallel join and stage 0 of the multi-way join —
-//! for SJ1–SJ5, and must account exactly like the `BufferPool` it wraps.
+//! call them, nor `completion_driven`: a cursor's tickets tell it a
+//! synchronous backend. A recorder whose four methods panic is driven
+//! through every entry point that runs a `JoinCursor` — the whole-tree
+//! and task-list constructors, the parallel join and stage 0 of the
+//! multi-way join — for SJ1–SJ5, and must account exactly like the
+//! `BufferPool` it wraps.
 
 mod common;
 
@@ -16,7 +18,7 @@ use rsj_storage::{BufferPool, IoStats, NodeAccess, PageId, PageRef};
 
 const CAP_PAGES: usize = 16;
 
-/// A [`BufferPool`] that fails the test if anything calls a hint method.
+/// A [`BufferPool`] that fails the test if anything calls an inert method.
 struct NoHints(BufferPool);
 
 impl NodeAccess for NoHints {
@@ -46,6 +48,10 @@ impl NodeAccess for NoHints {
 
     fn hint(&mut self, _: &[PageRef]) {
         panic!("hint called")
+    }
+
+    fn completion_driven(&self) -> bool {
+        panic!("completion_driven called")
     }
 }
 

@@ -21,7 +21,8 @@
 //!   and a fast handle pair and through `JoinService::open`, at one
 //!   charged read per page;
 //! * the scan has at most `QUEUE_DEPTH` reads in flight across both
-//!   files, and one reader per core when the files are quick;
+//!   files, and one reader per core when the files are quick — the depth
+//!   a shared cache over those files picks for a join's misses;
 //! * the error is the one of opening R, then S: R's failing read wins
 //!   over an S failure that happened before it, R's structure over S's
 //!   corrupt page, and a corrupt S fails with S's own error when R is
@@ -33,7 +34,7 @@ use std::collections::HashSet;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::ThreadId;
 use std::time::Duration;
 
@@ -41,10 +42,12 @@ use common::sorted_ids;
 use rsj::datagen::synthetic::uniform_rects;
 use rsj::prelude::*;
 use rsj_storage::codec::{HEADER_BYTES, META_BYTES, SLOT_HEADER_BYTES};
+use rsj_storage::completion::DelayFn;
 use rsj_storage::{cores, PageId, PageSource, StorageError, TempDir, QUEUE_DEPTH};
 
-/// Against a decode of a few hundred bytes per page, a read this slow has
-/// every probe page vote for overlap; `None` has none.
+/// A read this slow is slow by the completion queue's rule (30 µs), which
+/// the scan shares: every timed read of a scan counts as slow, and the
+/// scan runs at the queue depth. `None` has every one fast.
 const SLOW: Option<Duration> = Some(Duration::from_micros(300));
 
 fn open_with(path: &Path, latency: Option<Duration>) -> Result<RTree, StorageError> {
@@ -506,6 +509,31 @@ fn a_pair_scan_keeps_the_queue_depth_across_both_files() {
             assert!(
                 readers <= per_core,
                 "{tag}: {readers} readers, {per_core} cores"
+            );
+        }
+        // One rule, two users: a cache over the same files at the same
+        // latency sends a join's misses to its queue's workers exactly
+        // when this scan ran more than one read per core at once. The
+        // cache's own handles add `RSJ_READ_LATENCY_US`, which this scan
+        // never sees, and with `QUEUE_DEPTH` cores the two depths are one.
+        let delay: DelayFn = Arc::new(move |_| latency);
+        let cfg = CacheConfig {
+            delay: Some(delay),
+            ..CacheConfig::default()
+        };
+        let heights = [got_r.height() as usize, got_s.height() as usize];
+        let paths = [r_path.clone(), s_path.clone()];
+        let cache = SharedPageCache::open(&paths, 16, &heights, cfg).unwrap();
+        let pairs = JoinCursor::new(&got_r, &got_s, JoinPlan::sj4(), cache.handle(16)).count();
+        assert!(pairs > 0 && cache.physical_reads() > 8, "{tag}: no misses");
+        let env_latency = PageFile::open(&r_path).unwrap().read_latency();
+        if cores() < QUEUE_DEPTH && (latency.is_some() || env_latency.is_none()) {
+            assert_eq!(
+                cache.inline_reads() == 0,
+                deepest > cores(),
+                "{tag}: {} of {} misses inline, {deepest} scan reads at once",
+                cache.inline_reads(),
+                cache.physical_reads()
             );
         }
     }
