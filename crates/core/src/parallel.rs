@@ -133,9 +133,10 @@ fn merge_results(results: Vec<JoinResult>, root_comparisons: u64, page_bytes: us
 /// [`rsj_storage::SharedPageCache::physical_reads`]), and a repeat join
 /// over the same warm cache reads almost nothing. Such a join is safe
 /// under live updates: an `OpenCachedTree` on a store of the same cache
-/// may insert/delete concurrently — the per-frame write latch arbitrates
-/// (writers wait on the pins this join holds, and a write lands in one
-/// lock hold), and dirty frames evicted by join pressure stay in the
+/// may insert/delete concurrently — a write marks its frame dirty in one
+/// lock hold of the frame table and waits on nothing (the join computes
+/// on its own trees, not on frame bytes, and its §4.3 pins are its own
+/// handles'), and dirty frames evicted by join pressure stay in the
 /// cache's dirty set until the updater's flush writes them (the `latch`
 /// conformance suite).
 ///

@@ -58,9 +58,8 @@ use crate::persist::encode_meta;
 use crate::tree::RTree;
 
 /// An R\*-tree open for incremental updates on one store of a
-/// [`SharedPageCache`] (module docs): updates run through the latched
-/// shared frames while parallel joins may serve reads from the same
-/// cache.
+/// [`SharedPageCache`] (module docs): updates mark the shared frames
+/// dirty while parallel joins may serve reads from the same cache.
 ///
 /// **Dropped unflushed, it abandons its updates since the last flush.**
 /// Their dirty marks are discarded from the cache with it: the in-memory
@@ -93,8 +92,8 @@ impl OpenCachedTree {
 
     /// Opens store `store` of a live [`SharedPageCache`] for incremental
     /// updates: the returned tree shares the cache's frames with every
-    /// concurrent join worker — its writes take the per-frame write
-    /// latch, its dirty marks ride the frames until
+    /// concurrent join worker — a write marks its frame dirty in one lock
+    /// hold and waits on no join, its dirty marks ride the frames until
     /// [`OpenCachedTree::flush`], and its logical [`IoStats`] replay the
     /// private-buffer oracle of capacity `cap_pages` bit-for-bit. One
     /// store has at most one live updater: while another is open on

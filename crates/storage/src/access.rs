@@ -15,9 +15,11 @@
 //!   served by a real read; its read strategy {blocking, queued, cached}
 //!   gives its three aliases ([`crate::stack`]). The cached one,
 //!   [`crate::SharedCacheFileAccess`], is a worker's handle onto the
-//!   latched [`crate::SharedPageCache`]: a private pool for the logical
-//!   side, shared physical frames for the bytes. Its update handle is the
-//!   one backend that writes ([`NodeAccessMut`]).
+//!   [`crate::SharedPageCache`]: a private pool for the logical side
+//!   (its charges and §4.3 pins), shared frames for the physical reads —
+//!   a frame is a ledger entry: residency, single-flight and the dirty
+//!   mark; the read pin is its only pin. Its update handle is the one
+//!   backend that writes ([`NodeAccessMut`]).
 //!
 //! `&mut A` also implements the trait, so an executor can borrow a caller's
 //! accountant instead of owning it — benches re-run joins against one

@@ -1,7 +1,6 @@
-//! The latched shared page cache: pin-counted frames over the
-//! submission/completion queue, so file-backed parallel joins share one
-//! warm buffer — and, through the per-frame write latch, background
-//! updaters can mutate pages *under* that join traffic.
+//! The shared page cache: one frame table over the submission/completion
+//! queue, so file-backed parallel joins share one warm buffer, and
+//! background updaters mark pages dirty under that join traffic.
 //!
 //! This is the one shared-frame owner of the storage layer — the §6
 //! shared-buffer win: a page faulted by one worker is free for the next.
@@ -11,21 +10,21 @@
 //! warm between requests. [`SharedPageCache`]
 //! closes that gap: one frame table under one mutex holds the page budget
 //! for the whole deployment — an [`LruBuffer`] (the paper's §4.1
-//! replacement with §4.3 pinning), the in-flight reads and one set of
-//! dirty page keys. Frames carry a state machine and a pin counter that a
-//! writer waits out (the kv-store `PAGE_BUSY`/`PAGE_WAIT` blueprint),
-//! and all physical reads flow through one [`CompletionQueue`] with a
-//! lane per store.
+//! replacement), the in-flight reads and one set of dirty page keys. A
+//! frame holds no bytes: a frame is a ledger entry — residency,
+//! single-flight and the dirty mark; the read pin is its only pin. The
+//! paper's §4.3 pins are logical and live in each handle's private
+//! [`crate::BufferPool`]. All physical reads flow through one
+//! [`CompletionQueue`] with a lane per store.
 //!
 //! ## Frame states
 //!
 //! ```text
 //!              materialize (miss)           read completes
 //!   Empty ───────────────────────▶ Reading ───────────────▶ Resident
-//!     ▲        submit + pin                  (settle)       │      ▲
-//!     │                                    write            │      │
-//!     │                        (waits: no pin, no read)     ▼      │ clear_dirty /
-//!     │ evict (unpinned only)                                      │ flush_dirty
+//!     ▲      submit + read pin                (settle)      │      ▲
+//!     │                                               write │      │ clear_dirty /
+//!     │ evict (no read pin)                                 ▼      │ flush_dirty
 //!     ├────────────────────────────────────────────────── Dirty ───┘
 //!     │                                                   │    ▲
 //!     │                  evict or clear: the key stays    │    │ materialize:
@@ -33,7 +32,7 @@
 //!     └─────────────── flush_dirty ───────────────── Drained ──┘
 //! ```
 //!
-//! * **Empty → Reading**: a miss installs the frame, pins it for the
+//! * **Empty → Reading**: a miss installs the frame, read-pins it for the
 //!   duration of the read (a reading frame is never an eviction victim)
 //!   and starts a single pread under one queue ticket, on one of two
 //!   paths. *Inline*, the demanding thread claims the ticket and reads
@@ -50,17 +49,17 @@
 //!   A fresh cache starts queued. Concurrent demanders of the same key —
 //!   from any worker — find the frame in `Reading` and adopt the *same*
 //!   in-flight ticket instead of issuing a duplicate pread:
-//!   single-flight.
+//!   single-flight. The read pin keeps the frame, and so its ticket, in
+//!   the table until the read settles.
 //! * **Reading → Resident**: settled lazily, the next time the frame
 //!   table is touched (or explicitly by [`SharedPageCache::drain`]); the
 //!   read pin is released. Every public entry point settles first, so
 //!   state observations within one lock hold can never disagree.
-//! * **Resident/Dirty/Empty → Dirty**: the write latch.
-//!   [`SharedPageCache::write`] waits until the frame holds no pin and no
-//!   read is in flight (**writers wait on pins**), then installs the
-//!   frame and marks it dirty in the same lock hold. A reader therefore
-//!   sees the page either before or after a write, never during one, and
-//!   never waits on a writer.
+//! * **Any state → Dirty**: [`SharedPageCache::write`] settles, installs
+//!   the frame and marks it dirty in one lock hold, and waits on nothing.
+//!   Nobody computes on a frame's bytes — there are none — so neither a
+//!   read in flight nor a reader guards anything a write changes. A write
+//!   to a `Reading` frame leaves it dirty; its read pin goes at settle.
 //! * **Dirty is a mark; the writer holds the bytes.** The dirty set holds
 //!   the key of every page whose newest content is not yet in its file,
 //!   resident or not, and no bytes: the updater's in-memory image of the
@@ -78,7 +77,7 @@
 //!   is gone. A
 //!   re-demand of a drained page reinstalls it without a read — reading
 //!   the file would resurrect stale bytes.
-//! * Eviction skips pinned frames ([`LruBuffer`] semantics: pinned
+//! * Eviction skips read-pinned frames ([`LruBuffer`] semantics: pinned
 //!   overflow beyond capacity is legal, trimmed as pins release).
 //!
 //! ## Logical vs physical accounting
@@ -122,7 +121,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::access::{EncodePage, NodeAccessMut, Ticket};
 use crate::codec::StorageError;
@@ -152,11 +151,10 @@ impl fmt::Debug for CacheConfig {
     }
 }
 
-/// The frame table: residency, recency and pins live in the
-/// [`LruBuffer`]; `reading` carries the in-flight ticket of every frame
-/// currently `Reading` (each such frame also holds one read pin in the
-/// LRU, so it cannot be evicted under it); `dirty` is the
-/// no-lost-updates contract.
+/// The frame table: residency and recency live in the [`LruBuffer`];
+/// `reading` carries the in-flight ticket of every frame currently
+/// `Reading` (each such frame also holds its read pin in the LRU, so it
+/// cannot be evicted under it); `dirty` is the no-lost-updates contract.
 struct Frames {
     lru: LruBuffer,
     reading: HashMap<BufKey, Ticket>,
@@ -164,19 +162,14 @@ struct Frames {
     /// not. A key here the LRU does not hold is *drained*: evicted, not
     /// yet written.
     dirty: HashSet<BufKey>,
-    /// Writers parked on the latch waiting for a pin release — tells
-    /// `unpin` when a notify is worth it.
-    write_waiters: usize,
 }
 
-/// The pin-counted concurrent frame cache. Cheap to share via [`Arc`];
-/// it outlives any single join, which is the whole point — successive
-/// requests hit warm frames. Workers access it through
-/// [`SharedCacheFileAccess`] handles.
+/// The concurrent frame cache. Cheap to share via [`Arc`]; it outlives
+/// any single join, which is the whole point — successive requests hit
+/// warm frames. Workers access it through [`SharedCacheFileAccess`]
+/// handles.
 pub struct SharedPageCache {
     frames: Mutex<Frames>,
-    /// Writers park here while a frame is pinned.
-    latch: Condvar,
     queue: CompletionQueue,
     /// Preads submitted by cache-level misses (every one becomes exactly
     /// one physical read on a queue lane).
@@ -243,9 +236,7 @@ impl SharedPageCache {
                 lru: LruBuffer::new(cap_pages),
                 reading: HashMap::new(),
                 dirty: HashSet::new(),
-                write_waiters: 0,
             }),
-            latch: Condvar::new(),
             queue,
             physical: AtomicU64::new(0),
             inline: AtomicU64::new(0),
@@ -338,14 +329,6 @@ impl SharedPageCache {
         self.frames.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Parks on the latch (poison-recovering, same rationale as
-    /// [`SharedPageCache::lock_frames`]).
-    fn wait_latch<'a>(&'a self, guard: MutexGuard<'a, Frames>) -> MutexGuard<'a, Frames> {
-        self.latch
-            .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Flips every completed `Reading` frame to `Resident` and releases
     /// its read pin. Cheap: the in-flight set is bounded by the queue
     /// depth and the completed check is lock-free once the completion
@@ -426,7 +409,7 @@ impl SharedPageCache {
             // Drained re-demand: the newest content is the writer's, not
             // the file's — a pread would resurrect stale data.
             // Reinstall, no physical read. (If every other slot is
-            // pinned the install is evicted on the spot and the page
+            // read-pinned the install is evicted on the spot and the page
             // simply stays drained, still flushable.)
             s.lru.install(key);
             self.drain_hits.fetch_add(1, Ordering::Relaxed);
@@ -444,64 +427,19 @@ impl SharedPageCache {
         (ticket, true)
     }
 
-    /// Adds one pin to the frame of `(store, page)` if it is resident or
-    /// in flight. Unlike the logical buffers, pinning never *creates* a
-    /// frame — a frame with no read behind it would be a phantom warm
-    /// hit and break read honesty. Settles first, so a frame whose read
-    /// just completed is pinned as a resident (not double-pinned under
-    /// its stale read pin).
-    pub fn pin(&self, store: u8, page: PageId) {
-        let key = BufKey::new(store, page);
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
-        if s.lru.contains(key) {
-            s.lru.pin(key);
-        }
-    }
-
-    /// Releases one pin of `(store, page)` (no-op if absent), waking any
-    /// writer parked on the pin.
-    pub fn unpin(&self, store: u8, page: PageId) {
-        let key = BufKey::new(store, page);
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
-        s.lru.unpin(key);
-        let notify = s.write_waiters > 0;
-        drop(s);
-        if notify {
-            self.latch.notify_all();
-        }
-    }
-
-    /// Latched write of `(store, page)`: waits until the frame holds no
-    /// pin and no read is in flight (**writers wait on pins**; an
-    /// in-flight read is awaited off-lock via its ticket), then — in the
-    /// same lock hold as that last check — installs the frame and marks
-    /// it dirty. It copies nothing: the page is written, from its
-    /// writer's current bytes, at [`SharedPageCache::flush_dirty`] —
-    /// never silently dropped, even if the frame cannot be held at all
-    /// (every slot pinned by other frames): the page is then drained at
-    /// once.
+    /// Marks `(store, page)` dirty: settles, installs the frame and adds
+    /// it to the dirty set, all in one lock hold. It waits on nothing: a
+    /// frame holds no bytes, so no reader computes on what a write
+    /// changes, and a `Reading` frame keeps its read pin and is resident
+    /// and dirty once its read settles. It copies nothing either: the
+    /// page is written, from its writer's current bytes, at
+    /// [`SharedPageCache::flush_dirty`] — never silently dropped, even if
+    /// the frame cannot be held at all (every slot read-pinned by other
+    /// frames): the page is then drained at once.
     pub fn write(&self, store: u8, page: PageId) {
         let key = BufKey::new(store, page);
         let mut s = self.lock_frames();
-        loop {
-            self.settle(&mut s);
-            if let Some(&ticket) = s.reading.get(&key) {
-                // The frame holds a read pin until the ticket settles —
-                // park on the queue (off-lock), then re-evaluate.
-                drop(s);
-                self.queue.await_ticket(ticket);
-                s = self.lock_frames();
-                continue;
-            }
-            if s.lru.pin_count(key) == 0 {
-                break;
-            }
-            s.write_waiters += 1;
-            s = self.wait_latch(s);
-            s.write_waiters -= 1;
-        }
+        self.settle(&mut s);
         s.lru.install(key);
         s.dirty.insert(key);
     }
@@ -553,16 +491,6 @@ impl SharedPageCache {
             s.dirty.remove(&key);
         }
         Ok(())
-    }
-
-    /// Nested pin count of the frame of `(store, page)` — includes the
-    /// read pin while the frame is `Reading`. Settles first (uniform
-    /// discipline), so a completed read's pin is not miscounted.
-    pub fn pin_count(&self, store: u8, page: PageId) -> u32 {
-        let key = BufKey::new(store, page);
-        let mut s = self.lock_frames();
-        self.settle(&mut s);
-        s.lru.pin_count(key)
     }
 
     /// Physical preads submitted by cache misses so far. After
@@ -725,8 +653,6 @@ impl SharedPageCache {
         s.lru.reset_io();
         s.reading.clear();
         drop(s);
-        // Writers parked on vanished pins must re-evaluate.
-        self.latch.notify_all();
         self.queue.reset();
         self.physical.store(0, Ordering::Relaxed);
         self.physical_writes.store(0, Ordering::Relaxed);
@@ -744,11 +670,11 @@ pub type SharedCacheFileAccess<W = ()> = FileAccess<Cached<W>>;
 
 /// Read strategy: a charged miss is [`SharedPageCache::materialize`],
 /// read by a queue worker or on the calling thread (module docs, "Empty
-/// → Reading"), and the stack's pins are mirrored onto the shared
-/// frames. It owns its handle on the cache, the write capability `W`,
-/// the buffer its inline reads land in (and an update handle's flush
-/// encodes into) and two tallies of how its misses were served; the
-/// frames, the queue and the physical reads belong to the cache.
+/// → Reading"); the stack's pins stay in its own pool. It owns its
+/// handle on the cache, the write capability `W`, the buffer its inline
+/// reads land in (and an update handle's flush encodes into) and two
+/// tallies of how its misses were served; the frames, the queue and the
+/// physical reads belong to the cache.
 #[derive(Debug)]
 pub struct Cached<W = ()> {
     cache: Arc<SharedPageCache>,
@@ -829,14 +755,6 @@ impl<W: MissPath> ReadStrategy for Cached<W> {
         ticket
     }
 
-    fn pin(&self, store: u8, page: PageId) {
-        self.cache.pin(store, page);
-    }
-
-    fn unpin(&self, store: u8, page: PageId) {
-        self.cache.unpin(store, page);
-    }
-
     /// [`SharedPageCache::drain`]: also settles the `Reading` frames.
     fn drain(&self) {
         self.cache.drain();
@@ -892,7 +810,7 @@ impl<W> FileAccess<Cached<W>> {
 impl NodeAccessMut for FileAccess<Cached<StoreFile>> {
     /// Registers a mutated page: the *logical* charge is the private
     /// pool's ([`crate::BufferPool::mark_dirty`]), while the dirty mark
-    /// takes the latched shared-frame path ([`SharedPageCache::write`]).
+    /// goes to the shared frames ([`SharedPageCache::write`]).
     fn write(&mut self, store: u8, page: PageId) {
         self.pool.mark_dirty(store, page);
         self.reads.cache.write(store, page);
@@ -998,6 +916,31 @@ mod tests {
                 FrameState::Empty
             }
         }
+
+        /// Pin count of the frame of `(store, page)`: its read pin while
+        /// it is `Reading`, else 0. Settles first, so a completed read's
+        /// pin is not miscounted.
+        fn pin_count(&self, store: u8, page: PageId) -> u32 {
+            let key = BufKey::new(store, page);
+            let mut s = self.lock_frames();
+            self.settle(&mut s);
+            s.lru.pin_count(key)
+        }
+    }
+
+    /// A delay hook that holds every read of `page` until the returned
+    /// sender is dropped (or ten seconds pass, so a failing test cannot
+    /// hang): a read pin that lasts as long as a test needs it.
+    fn gate(page: u32) -> (mpsc::Sender<()>, DelayFn) {
+        let (open, wait) = mpsc::channel::<()>();
+        let wait = Mutex::new(wait);
+        let hook: DelayFn = Arc::new(move |key: BufKey| {
+            if key.page == PageId(page) {
+                let _ = wait.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            }
+            None
+        });
+        (open, hook)
     }
 
     fn demo_file(dir: &TempDir, name: &str, pages: u32) -> PathBuf {
@@ -1101,30 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn pin_lands_immediately_after_completion() {
-        // Regression: `pin` used to skip `settle`, so a frame whose read
-        // had completed (but not yet settled) kept its stale read pin —
-        // a later pin stacked on top of it and the count drifted.
-        let dir = TempDir::new("cache").unwrap();
-        let slow: DelayFn = Arc::new(|_| Some(Duration::from_millis(10)));
-        let c = cache(&dir, 4, 4, Some(slow));
-        let (ticket, fresh) = c.materialize(0, PageId(2));
-        assert!(fresh);
-        // Wait for the completion *without* touching the frame table, so the
-        // frame is complete-but-unsettled when pin arrives.
-        c.queue().await_ticket(ticket);
-        c.pin(0, PageId(2));
-        assert_eq!(
-            c.pin_count(0, PageId(2)),
-            1,
-            "settle must release the read pin before the explicit pin"
-        );
-        assert_eq!(c.frame_state(0, PageId(2)), FrameState::Resident);
-        c.unpin(0, PageId(2));
-        assert_eq!(c.pin_count(0, PageId(2)), 0);
-    }
-
-    #[test]
     fn concurrent_demanders_share_one_read() {
         let dir = TempDir::new("cache").unwrap();
         let slow: DelayFn = Arc::new(|_| Some(Duration::from_millis(25)));
@@ -1154,20 +1073,21 @@ mod tests {
     #[test]
     fn eviction_skips_pinned_frames() {
         let dir = TempDir::new("cache").unwrap();
-        let c = cache(&dir, 8, 2, None);
-        c.materialize(0, PageId(0));
-        c.drain();
-        c.pin(0, PageId(0));
+        let (gate, hook) = gate(0);
+        let c = cache(&dir, 8, 2, Some(hook));
+        let (slow, fresh) = c.materialize(0, PageId(0));
+        assert!(fresh);
         for p in 1..6u32 {
-            c.materialize(0, PageId(p));
+            let (ticket, _) = c.materialize(0, PageId(p));
+            c.queue().await_ticket(ticket);
         }
-        c.drain();
         assert_eq!(
             c.frame_state(0, PageId(0)),
-            FrameState::Resident,
-            "pinned frame survives eviction pressure"
+            FrameState::Reading,
+            "a read-pinned frame survives eviction pressure"
         );
-        c.unpin(0, PageId(0));
+        drop(gate);
+        c.queue().await_ticket(slow);
         for p in 6..8u32 {
             c.materialize(0, PageId(p));
         }
@@ -1175,21 +1095,11 @@ mod tests {
         assert_eq!(
             c.frame_state(0, PageId(0)),
             FrameState::Empty,
-            "unpinned frame is evictable again"
+            "a settled frame is evictable again"
         );
         // A re-miss after eviction is a fresh physical read.
         let (_, fresh) = c.materialize(0, PageId(0));
         assert!(fresh);
-    }
-
-    #[test]
-    fn pinning_an_absent_frame_creates_nothing() {
-        let dir = TempDir::new("cache").unwrap();
-        let c = cache(&dir, 4, 4, None);
-        c.pin(0, PageId(3));
-        assert_eq!(c.frame_state(0, PageId(3)), FrameState::Empty);
-        let (_, fresh) = c.materialize(0, PageId(3));
-        assert!(fresh, "no phantom warm hit");
     }
 
     /// The writer's side of store 0's dirty pages: the current bytes of
@@ -1280,11 +1190,10 @@ mod tests {
     #[test]
     fn write_to_an_unholdable_frame_goes_straight_to_the_drain() {
         let dir = TempDir::new("cache").unwrap();
-        let c = cache(&dir, 4, 1, None);
+        let (gate, hook) = gate(1);
+        let c = cache(&dir, 4, 1, Some(hook));
         let mut img = Image::default();
-        c.materialize(0, PageId(1));
-        c.drain();
-        c.pin(0, PageId(1)); // the only frame slot is now pinned
+        c.materialize(0, PageId(1)); // the only frame slot is read-pinned
         img.write(&c, PageId(2), b"homeless");
         assert_eq!(c.drain_depth(), 1);
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
@@ -1293,7 +1202,8 @@ mod tests {
             vec![(PageId(2), b"homeless".to_vec())],
             "an unbufferable write must still reach the flush"
         );
-        c.unpin(0, PageId(1));
+        drop(gate);
+        c.drain();
     }
 
     #[test]
@@ -1303,11 +1213,10 @@ mod tests {
         // without residency — invisible to flush, leaked forever. It must
         // stay in the drain instead.
         let dir = TempDir::new("cache").unwrap();
-        let c = cache(&dir, 4, 1, None);
+        let (gate, hook) = gate(1);
+        let c = cache(&dir, 4, 1, Some(hook));
         let mut img = Image::default();
-        c.materialize(0, PageId(1));
-        c.drain();
-        c.pin(0, PageId(1)); // the only slot is pinned for the duration
+        c.materialize(0, PageId(1)); // the only slot is read-pinned throughout
         img.write(&c, PageId(2), b"parked");
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
         let (ticket, fresh) = c.materialize(0, PageId(2));
@@ -1316,32 +1225,66 @@ mod tests {
         assert_eq!(c.frame_state(0, PageId(2)), FrameState::Dirty);
         assert_eq!(flushed(&c, &img), vec![(PageId(2), b"parked".to_vec())]);
         assert_eq!(c.pending_write_back(), 0, "nothing may leak");
-        c.unpin(0, PageId(1));
+        drop(gate);
+        c.drain();
     }
 
     #[test]
-    fn write_latch_waits_for_pins() {
+    fn a_write_to_a_reading_frame_waits_for_nothing() {
         let dir = TempDir::new("cache").unwrap();
-        let c = cache(&dir, 4, 4, None);
-        c.materialize(0, PageId(1));
-        c.drain();
-        c.pin(0, PageId(1));
-        let writer = std::thread::spawn({
-            let c = Arc::clone(&c);
-            move || c.write(0, PageId(1))
-        });
-        // The writer must park: the frame stays clean while pinned.
-        std::thread::sleep(Duration::from_millis(40));
+        let (gate, hook) = gate(1);
+        let c = cache(&dir, 4, 4, Some(hook));
+        let (ticket, fresh) = c.materialize(0, PageId(1));
+        assert!(fresh);
+        c.write(0, PageId(1));
         assert_eq!(
             c.frame_state(0, PageId(1)),
-            FrameState::Resident,
-            "a pinned frame must not be mutated"
+            FrameState::Reading,
+            "the write returned with the read still in flight"
         );
-        c.unpin(0, PageId(1));
-        writer.join().unwrap();
+        assert_eq!(c.pending_write_back(), 1);
+        drop(gate);
+        c.queue().await_ticket(ticket);
         assert_eq!(c.frame_state(0, PageId(1)), FrameState::Dirty);
-        assert_eq!(c.drain_depth(), 0, "still resident, nothing drained");
-        c.clear_dirty(0, PageId(1));
+        assert_eq!(c.pin_count(0, PageId(1)), 0, "read pin released at settle");
+        assert_eq!(c.drain_depth(), 0, "resident and dirty");
+        assert_eq!(c.physical_reads(), 1);
+    }
+
+    #[test]
+    fn an_update_handle_writes_a_page_it_pins() {
+        // Regression: a handle's pins used to be mirrored onto the shared
+        // frames, and a write waited until its frame held no pin, so a
+        // thread that wrote a page it pinned waited for itself forever.
+        let dir = TempDir::new("cache").unwrap();
+        let c = cache(&dir, 4, 4, None);
+        let (done, wrote) = mpsc::channel();
+        let writer = std::thread::spawn({
+            let c = Arc::clone(&c);
+            move || {
+                let mut h = c.update_handle(0, 4).unwrap();
+                assert!(h.access(0, PageId(1), 1));
+                h.pin(0, PageId(1));
+                NodeAccessMut::write(&mut h, 0, PageId(1));
+                h.unpin(0, PageId(1));
+                done.send(()).unwrap();
+                h
+            }
+        });
+        wrote
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the write of a pinned page never returned");
+        let mut h = writer.join().unwrap();
+        let mut asked = Vec::new();
+        NodeAccessMut::flush_writes(&mut h, &mut |p, buf| {
+            asked.push(p);
+            *buf = node_bytes(p.0);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(asked, [PageId(1)], "the flush encodes the page once");
+        assert_eq!(c.physical_writes(), 1);
+        assert_eq!(h.store_file().writes(), 1, "and writes it once");
     }
 
     #[test]

@@ -51,13 +51,15 @@
 //!   with one lane per store, served FIFO by ticket and moving no
 //!   `IoStats` number; [`SharedCacheFileAccess`] is a worker's handle
 //!   onto a shared cache (below). Parallel workers each own a stack;
-//! * [`SharedPageCache`] — the latched shared frame cache over the
-//!   completion queue: one LRU frame table of pin-counted frames walking
-//!   an Empty → Reading → Resident → Dirty state machine, one set of
-//!   dirty page keys, single-flight physical reads across concurrent
-//!   demanders, and warm frames that outlive a single join — while every
-//!   worker's handle owns a private [`BufferPool`], so its [`IoStats`]
-//!   are those of a private-buffer worker;
+//! * [`SharedPageCache`] — the shared frame cache over the completion
+//!   queue: one LRU frame table whose frames walk an Empty → Reading →
+//!   Resident → Dirty state machine, one set of dirty page keys,
+//!   single-flight physical reads across concurrent demanders, and warm
+//!   frames that outlive a single join. A frame is a ledger entry:
+//!   residency, single-flight and the dirty mark; the read pin is its
+//!   only pin. Every worker's handle owns a private [`BufferPool`], where
+//!   its §4.3 pins live, so its [`IoStats`] are those of a
+//!   private-buffer worker;
 //! * [`TempDir`] — a dependency-free scratch-directory helper for tests
 //!   and benches (the environment has no `tempfile` crate).
 //!

@@ -44,7 +44,9 @@ use crate::page::PageId;
 use crate::pool::{BufferPool, IoStats};
 
 /// What a charged miss does (module docs). Implemented by [`Blocking`],
-/// [`Queued`] and [`crate::cache::Cached`].
+/// [`Queued`] and [`crate::cache::Cached`]. A strategy only reads: the
+/// stack's §4.3 pins are its pool's, and a shared frame's one pin is its
+/// read pin ([`crate::cache`]).
 pub trait ReadStrategy {
     /// The queue reads are submitted to — `None` when every read has
     /// finished by the time `access()` returns. Constant per type, so the
@@ -54,14 +56,6 @@ pub trait ReadStrategy {
     /// Performs or submits the physical read of a charged miss of
     /// `(store, page)`. Returns the ticket to park on.
     fn read(&mut self, store: u8, page: PageId) -> Ticket;
-
-    /// Mirrors a pin of the stack's pool onto frames other stacks share.
-    #[inline]
-    fn pin(&self, _store: u8, _page: PageId) {}
-
-    /// Mirrors an unpin of the stack's pool (see [`ReadStrategy::pin`]).
-    #[inline]
-    fn unpin(&self, _store: u8, _page: PageId) {}
 
     /// Blocks until every submitted read has completed.
     fn drain(&self) {
@@ -246,15 +240,13 @@ impl<R: ReadStrategy> NodeAccess for FileAccess<R> {
     }
 
     fn pin(&mut self, store: u8, page: PageId) {
-        // The pool's pin shapes eviction decisions, hence the charge
-        // sequence; a shared frame's pin keeps it for every worker.
+        // The §4.3 pin is logical: it shapes the pool's eviction
+        // decisions, hence the charge sequence.
         self.pool.pin(store, page);
-        self.reads.pin(store, page);
     }
 
     fn unpin(&mut self, store: u8, page: PageId) {
         self.pool.unpin(store, page);
-        self.reads.unpin(store, page);
     }
 
     fn io_stats(&self) -> IoStats {

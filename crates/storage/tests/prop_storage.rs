@@ -295,9 +295,7 @@ proptest! {
                     *pins.entry((store, page)).or_insert(0) += 1;
                     owners.iter_mut().for_each(|o| o.pin(store, PageId(page)));
                 }
-                // A well-formed caller releases only pins it holds, and
-                // does not write a page under its own pin (the shared
-                // cache's writers wait on pins).
+                // A well-formed caller releases only pins it holds.
                 Step::Unpin { store, page } => {
                     let held = pins.entry((store, page)).or_insert(0);
                     if *held > 0 {
@@ -305,13 +303,12 @@ proptest! {
                         owners.iter_mut().for_each(|o| o.unpin(store, PageId(page)));
                     }
                 }
+                // Pinned or not: a write waits on no pin.
                 Step::Write { page } => {
-                    if pins.get(&(upd, page)).is_none_or(|&held| held == 0) {
-                        let bytes = page_bytes(upd, page, at as u32 + 1);
-                        owners.iter_mut().for_each(|o| o.write(upd, PageId(page)));
-                        expect.insert((upd, page), Some(bytes));
-                        pending.insert(page);
-                    }
+                    let bytes = page_bytes(upd, page, at as u32 + 1);
+                    owners.iter_mut().for_each(|o| o.write(upd, PageId(page)));
+                    expect.insert((upd, page), Some(bytes));
+                    pending.insert(page);
                 }
                 Step::Discard { page } => {
                     owners.iter_mut().for_each(|o| o.discard(upd, PageId(page)));

@@ -1,4 +1,4 @@
-//! Warm serving: file-backed parallel joins sharing one latched page cache.
+//! Warm serving: file-backed parallel joins sharing one page cache.
 //!
 //! Builds the preset-(A) relations, saves both R*-trees to disk, then
 //! tells the shared-cache story in three acts:

@@ -21,7 +21,9 @@
 //!   demand only — names it: blocking [`storage::FileNodeAccess`] and
 //!   completion-queue [`storage::CompletionFileAccess`], one private stack
 //!   per worker, and [`storage::SharedCacheFileAccess`], a worker's
-//!   handle onto the latched [`storage::SharedPageCache`]. Trees saved with
+//!   handle onto the shared [`storage::SharedPageCache`], whose frames
+//!   are a ledger (residency, single-flight, the dirty mark) with the
+//!   read pin as their only pin. Trees saved with
 //!   [`rtree::RTree::save_to`] reopen cold via [`rtree::RTree::open_from`]
 //!   and join with honest cold/warm buffer behavior — and stay
 //!   **updatable in place**:

@@ -1,6 +1,7 @@
-//! Latched-update conformance: a background `OpenCachedTree` insert/delete
-//! stream driven through a live [`SharedPageCache`] — concurrently with
-//! `parallel_spatial_join` workers on handles onto the same frames — must
+//! Concurrent-update conformance: a background `OpenCachedTree`
+//! insert/delete stream driven through a live [`SharedPageCache`], whose
+//! writes mark frames dirty and wait on no reader, concurrently with
+//! `parallel_spatial_join` workers on handles onto the same frames, must
 //! be indistinguishable from the sequential world:
 //!
 //! * the updater's logical [`IoStats`] are bit-identical to the same

@@ -1,10 +1,11 @@
-//! Shared-page-cache conformance: the latched frame cache
-//! ([`SharedPageCache`]) dedups *physical* reads across concurrent
-//! workers and keeps frames warm across joins, but the *logical* §4.1
-//! accounting — private path buffers, private LRU, per-worker
-//! [`IoStats`] — must stay bit-identical to the private-buffer
-//! [`BufferPool`] oracle, for every plan, worker count and completion
-//! order.
+//! Shared-page-cache conformance: the frame cache ([`SharedPageCache`])
+//! dedups *physical* reads across concurrent workers and keeps frames
+//! warm across joins. A frame is a ledger entry (residency,
+//! single-flight, the dirty mark) whose only pin is its read pin. The
+//! *logical* §4.1 accounting — private path buffers, private LRU, the
+//! §4.3 pins, per-worker [`IoStats`] — must stay bit-identical to the
+//! private-buffer [`BufferPool`] oracle, for every plan, worker count
+//! and completion order.
 
 mod common;
 
@@ -260,11 +261,11 @@ fn working_set_sized_default_cache_never_evicts() {
     assert_eq!(reads[1], reads[0], "the repeat adds no physical reads");
 }
 
-/// Pins must survive cross-worker eviction pressure: SJ4/SJ5 pin the
-/// pages of their sweep frontier, and a tiny shared pool hammered by
-/// four workers must still never evict a pinned frame mid-use. The
-/// logical oracle equality doubles as the proof (a lost pin would move
-/// the charge sequence of some worker).
+/// Logical pins survive cross-worker eviction pressure: SJ4/SJ5 pin the
+/// pages of their sweep frontier in each worker's private pool, and a
+/// tiny shared pool hammered by four workers evicts frames under them
+/// without moving a charge. The logical oracle equality is the proof (a
+/// lost pin would move the charge sequence of some worker).
 #[test]
 fn pinning_plans_survive_a_tiny_shared_pool() {
     let fx = Fixture::new(TestId::A, 0.003);
