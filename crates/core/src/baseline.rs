@@ -57,7 +57,7 @@ pub fn index_nested_loop_join(
         pool.access(0, page, r.depth_of_level(node.level));
         if node.is_leaf() {
             for e in &node.entries {
-                let rid = e.child.data().expect("leaf entry");
+                let rid = e.id();
                 let mut hits = Vec::new();
                 s.window_query_from(
                     s.root(),

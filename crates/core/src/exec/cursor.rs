@@ -355,7 +355,7 @@ pub(crate) fn leaf_pair<M: Meter>(
         meters,
         raw,
     );
-    let id = |e: &Entry| e.child.data().expect("leaf entry");
+    let id = |e: &Entry| e.id();
     if plan.predicate.decided_by_mbr_intersection() {
         out.extend(
             raw.iter()
@@ -975,7 +975,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
         let dir_tree = self.tree(dir_tag);
         let dir_node = dir_tree.node(dir_page);
         let leaf_entry = &self.tree(leaf_tag).node(leaf_page).entries[il];
-        let leaf_id = leaf_entry.child.data().expect("leaf entry");
+        let leaf_id = leaf_entry.id();
         let child = RTree::child_page(&dir_node.entries[id]);
         // The ε expansion commutes across sides, so the query window
         // absorbs it regardless of which tree is the directory side.
@@ -1045,7 +1045,7 @@ impl<'t, A: NodeAccess, M: Meter> JoinCursor<'t, A, M> {
             if !predicate_holds(self.plan.predicate, &r_rect, &s_rect, &mut self.cmp) {
                 continue;
             }
-            let leaf_id = leaf_node.entries[il].child.data().expect("leaf entry");
+            let leaf_id = leaf_node.entries[il].id();
             if dir_tag == TAG_R {
                 self.emit(did, leaf_id);
             } else {

@@ -214,8 +214,8 @@ impl<'a> Runner<'a> {
                     if !self.leaf_predicate_holds(&rn.entries[ir].rect, &sn.entries[js].rect) {
                         continue;
                     }
-                    let rid = rn.entries[ir].child.data().expect("leaf entry");
-                    let sid = sn.entries[js].child.data().expect("leaf entry");
+                    let rid = rn.entries[ir].id();
+                    let sid = sn.entries[js].id();
                     self.emit(rid, sid);
                 }
             }
@@ -476,7 +476,7 @@ impl<'a> Runner<'a> {
         let dir_tree = self.tree(dir_tag);
         let dir_node = dir_tree.node(dir_page);
         let leaf_entry = &self.tree(leaf_tag).node(leaf_page).entries[il];
-        let leaf_id = leaf_entry.child.data().expect("leaf entry");
+        let leaf_id = leaf_entry.id();
         let child = RTree::child_page(&dir_node.entries[id]);
         // The ε expansion commutes across sides (`expand(r, ε) ∩ s ⇔
         // r ∩ expand(s, ε)`), so the query window absorbs it regardless of
@@ -552,7 +552,7 @@ impl<'a> Runner<'a> {
             if !self.leaf_predicate_holds(&r_rect, &s_rect) {
                 continue;
             }
-            let leaf_id = leaf_node.entries[il].child.data().expect("leaf entry");
+            let leaf_id = leaf_node.entries[il].id();
             if dir_tag == TAG_R {
                 self.emit(did, leaf_id);
             } else {

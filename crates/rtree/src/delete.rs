@@ -7,7 +7,7 @@
 //! remember its entries; finally re-insert the orphans at their original
 //! levels and shrink the root while it has a single directory child.
 
-use crate::node::{ChildRef, DataId, Entry};
+use crate::node::{DataId, Entry};
 use crate::tree::RTree;
 use rsj_geom::Rect;
 use rsj_storage::PageId;
@@ -40,7 +40,7 @@ impl RTree {
             let node = self.node(page);
             if node.is_leaf() {
                 for (i, e) in node.entries.iter().enumerate() {
-                    if e.child == ChildRef::Data(id) && e.rect == *rect {
+                    if e.id() == id && e.rect == *rect {
                         return Some((path, page, i));
                     }
                 }

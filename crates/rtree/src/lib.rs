@@ -54,7 +54,7 @@ pub mod stats;
 pub mod tree;
 pub mod validate;
 
-pub use node::{ChildRef, DataId, Entry, Node};
+pub use node::{DataId, Entry, Node};
 pub use open_tree::OpenCachedTree;
 pub use params::{InsertPolicy, RTreeParams};
 pub use stats::TreeStats;

@@ -10,6 +10,15 @@
 //! `height - 1`. (Buffer-pool code counts *depth* from the root; the tree
 //! converts.)
 //!
+//! # Entry layout
+//!
+//! An [`Entry`] is its page slot's 40-byte entry, field for field: the
+//! rectangle's four `f64` and one `u64` `child`, whose meaning the node's
+//! level decides — a page number in a directory node, a data id in a leaf
+//! — exactly as in [`rsj_storage::codec::DiskEntry`]. No tag rides along,
+//! so the bytes a decoded tree holds are the bytes its file holds: a
+//! tree's resident entry bytes are its entries × 40.
+//!
 //! # Entry order
 //!
 //! **A leaf's entries are ordered by `rect.xl`**, ties in the order the
@@ -40,43 +49,21 @@ impl std::fmt::Display for DataId {
     }
 }
 
-/// What an entry's `ref` points at.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChildRef {
-    /// A child node (directory entries).
-    Page(PageId),
-    /// A data object (leaf entries).
-    Data(DataId),
-}
-
-impl ChildRef {
-    /// The page, if this is a directory reference.
-    #[inline]
-    pub fn page(self) -> Option<PageId> {
-        match self {
-            ChildRef::Page(p) => Some(p),
-            ChildRef::Data(_) => None,
-        }
-    }
-
-    /// The data id, if this is a leaf reference.
-    #[inline]
-    pub fn data(self) -> Option<DataId> {
-        match self {
-            ChildRef::Page(_) => None,
-            ChildRef::Data(d) => Some(d),
-        }
-    }
-}
-
-/// One `(rect, ref)` pair.
+/// One `(rect, ref)` pair: its page slot's 40-byte entry
+/// ([`rsj_storage::codec::DiskEntry`]), field for field — four `f64` and
+/// one `u64`. As on disk, the node's level says what `child` is: a page
+/// number in a directory node, a data id in a leaf. No bit of it is
+/// reserved, so a [`DataId`] keeps its full `u64` range.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Entry {
     /// MBR of the referenced child node or data object.
     pub rect: Rect,
-    /// The reference.
-    pub child: ChildRef,
+    /// The reference: read it with [`Entry::page`] in a directory node and
+    /// with [`Entry::id`] in a leaf.
+    pub child: u64,
 }
+
+const _: () = assert!(size_of::<Entry>() == 40);
 
 impl Entry {
     /// Directory entry pointing at a child page.
@@ -84,17 +71,29 @@ impl Entry {
     pub fn dir(rect: Rect, page: PageId) -> Self {
         Entry {
             rect,
-            child: ChildRef::Page(page),
+            child: u64::from(page.0),
         }
     }
 
     /// Leaf entry pointing at a data object.
     #[inline]
     pub fn data(rect: Rect, id: DataId) -> Self {
-        Entry {
-            rect,
-            child: ChildRef::Data(id),
-        }
+        Entry { rect, child: id.0 }
+    }
+
+    /// The child page of a directory entry. Every writer stores a page
+    /// number here, and an open refuses a file whose directory entry
+    /// names no page of it ([`rsj_storage::codec::child_page`]), so this
+    /// panics only on a `child` set by hand past any page number.
+    #[inline]
+    pub fn page(&self) -> PageId {
+        PageId(u32::try_from(self.child).expect("a directory entry's child is a page number"))
+    }
+
+    /// The data id of a leaf entry.
+    #[inline]
+    pub fn id(&self) -> DataId {
+        DataId(self.child)
     }
 }
 
@@ -116,7 +115,7 @@ pub(crate) fn f64_key(v: f64) -> u64 {
 /// — ascending `xl`, ties by index, i.e. a stable sort — so two writers
 /// given the same entries in the same arrival order lay out the same
 /// page. Only these 16-byte pairs move; the bulk loaders cut a node per
-/// ~100 entries and would feel a comparator sort over 48-byte entries.
+/// ~100 entries and would feel a comparator sort over 40-byte entries.
 pub(crate) fn xl_order(entries: &[Entry], order: &mut Vec<(u64, u32)>) {
     order.clear();
     order.extend(
@@ -197,13 +196,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn child_ref_projections() {
-        let p = ChildRef::Page(PageId(3));
-        let d = ChildRef::Data(DataId(9));
-        assert_eq!(p.page(), Some(PageId(3)));
-        assert_eq!(p.data(), None);
-        assert_eq!(d.data(), Some(DataId(9)));
-        assert_eq!(d.page(), None);
+    fn the_level_reads_the_child() {
+        let rect = Rect::from_corners(0., 0., 1., 1.);
+        assert_eq!(Entry::dir(rect, PageId(3)).page(), PageId(3));
+        assert_eq!(Entry::dir(rect, PageId(u32::MAX)).page(), PageId(u32::MAX));
+        for id in [0, 9, (1 << 32) + 1, 1 << 63, u64::MAX] {
+            let e = Entry::data(rect, DataId(id));
+            assert_eq!((e.id(), e.child), (DataId(id), id));
+        }
     }
 
     #[test]

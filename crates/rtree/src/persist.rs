@@ -30,11 +30,13 @@
 //! to [`rsj_storage::QUEUE_DEPTH`] once their first reads are slow by the
 //! completion queue's own rule, the one a cached join routes its misses
 //! by — it measures, there is nothing to configure — and hand each page
-//! to the decode on the reader that read it. The decode does all per-page work while the slot's bytes are in
-//! that core's cache: the free-set cross-checks, one `Vec` of [`Entry`]s
-//! built straight from the bytes ([`codec::NodeView`]), the leaf
-//! normalisation, and the page's summary for the structural walk (its
-//! MBR, whether its leaf entries are sound). What depends on page order
+//! to the decode on the reader that read it. The decode does all
+//! per-page work while the slot's bytes are in that core's cache: the
+//! free-set cross-checks, one `Vec` of [`Entry`]s built straight from the
+//! bytes ([`codec::NodeView`]) — each the slot's 40-byte entry, field for
+//! field, so a decoded tree holds as many entry bytes as its file — the
+//! leaf normalisation, and the page's summary for the structural walk
+//! (its MBR, whether its leaf entries are sound). What depends on page order
 //! stays in page order and on the opening thread: page `i` becomes the
 //! `i`-th allocation of its store, behind its `Arc`, and the one
 //! structural walk ([`crate::validate`]) runs over each tree's summaries
@@ -51,7 +53,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::node::{sort_by_xl, ChildRef, DataId, Entry, Node};
+use crate::node::{sort_by_xl, Entry, Node};
 use crate::params::{InsertPolicy, RTreeParams};
 use crate::tree::RTree;
 use crate::validate::PageSummary;
@@ -142,38 +144,36 @@ pub(crate) fn to_disk(node: &Node) -> DiskNode {
     }
 }
 
-/// One in-memory entry in its on-disk shape (shared with the streaming
-/// bulk packer, which refills a reused [`DiskNode`] instead of building
-/// fresh ones).
+/// One in-memory entry in its on-disk shape, field for field: the two
+/// share one layout, and the node's level, not the entry, says what
+/// `child` is (shared with the streaming bulk packer, which refills a
+/// reused [`DiskNode`] instead of building fresh ones).
 pub(crate) fn disk_entry(e: &Entry) -> DiskEntry {
     DiskEntry {
         rect: [e.rect.xl, e.rect.yl, e.rect.xu, e.rect.yu],
-        child: match e.child {
-            ChildRef::Page(p) => u64::from(p.0),
-            ChildRef::Data(d) => d.0,
-        },
+        child: e.child,
     }
 }
 
 /// Builds a node straight from its slot's bytes: one allocation, the
-/// entries read once.
+/// entries read once and copied field for field, `child` as stored. A
+/// directory entry's child must name a page of the file
+/// ([`codec::child_page`]); a leaf's is a data id, any `u64`.
 fn node_from_view(view: NodeView<'_>, page_count: u32) -> Result<Node, StorageError> {
     let is_leaf = view.level() == 0;
     let view_entries = view.entries();
     let mut entries = Vec::with_capacity(view_entries.len());
     let (mut ordered, mut last_xl) = (true, f64::NEG_INFINITY);
     for e in view_entries {
-        let child = if is_leaf {
-            ChildRef::Data(DataId(e.child))
-        } else {
-            ChildRef::Page(codec::child_page(&e, page_count)?)
-        };
+        if !is_leaf {
+            codec::child_page(&e, page_count)?;
+        }
         ordered &= last_xl <= e.rect[0];
         last_xl = e.rect[0];
         let [xl, yl, xu, yu] = e.rect;
         entries.push(Entry {
             rect: Rect { xl, yl, xu, yu },
-            child,
+            child: e.child,
         });
     }
     // Normalise, never trust: a leaf an older build or a foreign writer
@@ -433,6 +433,7 @@ impl Layout {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::DataId;
     use crate::params::InsertPolicy;
     use rsj_storage::TempDir;
 
@@ -615,10 +616,9 @@ mod tests {
                         && !tree.page_store().free_pages().contains(&p)
                 })
                 .expect("a level-1 node with room");
-            tree.node_mut(parent).entries.push(Entry {
-                rect: Rect::empty(),
-                child: ChildRef::Page(free),
-            });
+            tree.node_mut(parent)
+                .entries
+                .push(Entry::dir(Rect::empty(), free));
             tree.params.min_entries = min_entries;
             let path = dir.file("t.rsj");
             tree.save_to(&path).unwrap();

@@ -48,7 +48,7 @@ impl RTree {
         if node.is_leaf() {
             for e in &node.entries {
                 if e.rect.intersects_counted(window, cmp) {
-                    out.push((e.rect, e.child.data().expect("leaf entry")));
+                    out.push((e.rect, e.id()));
                 }
             }
             return;
@@ -84,7 +84,7 @@ impl RTree {
             for e in &node.entries {
                 for (tag, w) in windows {
                     if e.rect.intersects_counted(w, cmp) {
-                        out.push((*tag, e.rect, e.child.data().expect("leaf entry")));
+                        out.push((*tag, e.rect, e.id()));
                     }
                 }
             }

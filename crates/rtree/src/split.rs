@@ -342,7 +342,7 @@ mod tests {
     }
 
     fn ids(g: &[Entry]) -> Vec<u64> {
-        let mut v: Vec<u64> = g.iter().map(|e| e.child.data().unwrap().0).collect();
+        let mut v: Vec<u64> = g.iter().map(|e| e.child).collect();
         v.sort_unstable();
         v
     }

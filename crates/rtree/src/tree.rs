@@ -1,6 +1,6 @@
 //! The tree handle.
 
-use crate::node::{ChildRef, DataId, Entry, Node};
+use crate::node::{DataId, Entry, Node};
 use crate::params::RTreeParams;
 use rsj_geom::Rect;
 use rsj_storage::{PageId, PageStore};
@@ -128,13 +128,7 @@ impl RTree {
             let node = self.node(page);
             f(page, node);
             if !node.is_leaf() {
-                for e in &node.entries {
-                    stack.push(
-                        e.child
-                            .page()
-                            .expect("directory entry must point to a page"),
-                    );
-                }
+                stack.extend(node.entries.iter().map(Entry::page));
             }
         }
     }
@@ -144,12 +138,7 @@ impl RTree {
         let mut out = Vec::with_capacity(self.len);
         self.for_each_node(|_, node| {
             if node.is_leaf() {
-                for e in &node.entries {
-                    out.push((
-                        e.rect,
-                        e.child.data().expect("leaf entry must point to data"),
-                    ));
-                }
+                out.extend(node.entries.iter().map(|e| (e.rect, e.id())));
             }
         });
         out
@@ -180,13 +169,11 @@ impl RTree {
         self.root = root;
     }
 
-    /// Child page of a directory entry, panicking on leaf entries — a
-    /// convenience for traversal code (used heavily by the join crate).
+    /// Child page of a directory entry ([`Entry::page`]) — a convenience
+    /// for traversal code (used heavily by the join crate).
+    #[inline]
     pub fn child_page(entry: &Entry) -> PageId {
-        match entry.child {
-            ChildRef::Page(p) => p,
-            ChildRef::Data(_) => panic!("expected a directory entry"),
-        }
+        entry.page()
     }
 }
 

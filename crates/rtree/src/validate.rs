@@ -25,7 +25,7 @@
 //! nodes. The validator is used pervasively in tests after random
 //! workloads.
 
-use crate::node::{ChildRef, Entry, Node};
+use crate::node::{Entry, Node};
 use crate::tree::RTree;
 use rsj_geom::Rect;
 use rsj_storage::PageId;
@@ -60,7 +60,6 @@ pub(crate) struct PageSummary {
 /// How a leaf entry breaks the leaf invariants (module docs).
 #[derive(Debug, Clone, Copy)]
 enum LeafFault {
-    PointsToPage,
     Malformed,
     Unordered,
 }
@@ -69,13 +68,12 @@ impl PageSummary {
     pub(crate) fn of(node: &Node, free: bool) -> Self {
         let leaf_fault = if node.is_leaf() {
             node.entries.iter().enumerate().find_map(|(i, e)| {
-                let fault = match e.child {
-                    ChildRef::Page(_) => LeafFault::PointsToPage,
-                    ChildRef::Data(_) if !e.rect.is_well_formed() => LeafFault::Malformed,
-                    ChildRef::Data(_) if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl => {
-                        LeafFault::Unordered
-                    }
-                    ChildRef::Data(_) => return None,
+                let fault = if !e.rect.is_well_formed() {
+                    LeafFault::Malformed
+                } else if i > 0 && node.entries[i - 1].rect.xl > e.rect.xl {
+                    LeafFault::Unordered
+                } else {
+                    return None;
                 };
                 Some((i as u32, fault))
             })
@@ -93,7 +91,6 @@ impl PageSummary {
 impl LeafFault {
     fn error(self, page: PageId, entries: &[Entry], i: usize) -> ValidationError {
         ValidationError(match self {
-            LeafFault::PointsToPage => format!("leaf page {page} entry {i} points to a page"),
             LeafFault::Malformed => format!(
                 "leaf page {page} entry {i} has rect {:?}: a non-finite \
                  coordinate or inverted corners",
@@ -203,12 +200,20 @@ impl RTree {
             return Ok(());
         }
         for (i, e) in node.entries.iter().enumerate() {
-            let ChildRef::Page(child) = e.child else {
+            // The level says `child` is a page number; nothing but this
+            // check says it names one of the store's pages.
+            let Some(child_mbr) = usize::try_from(e.child)
+                .ok()
+                .and_then(|c| pages.get(c))
+                .map(|s| s.mbr)
+            else {
                 return Err(ValidationError(format!(
-                    "directory page {page} entry {i} points to data"
+                    "entry {i} of page {page} points to page {} of a {}-page store",
+                    e.child,
+                    pages.len()
                 )));
             };
-            let child_mbr = pages[child.index()].mbr;
+            let child = e.page();
             if child_mbr != e.rect {
                 return Err(ValidationError(format!(
                     "entry {i} of page {page} has rect {:?} but child {child} has MBR {:?}",
@@ -224,7 +229,7 @@ impl RTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{DataId, Entry, Node};
+    use crate::node::{DataId, Node};
     use crate::params::{InsertPolicy, RTreeParams};
     use rsj_geom::Rect;
 
@@ -287,12 +292,12 @@ mod tests {
         let leaf = t.alloc_node(Node::leaf());
         let root = t.root();
         if t.node(root).level >= 2 {
-            t.node_mut(root).entries[0].child = ChildRef::Page(leaf);
+            t.node_mut(root).entries[0].child = u64::from(leaf.0);
         } else {
             // Height-2 tree: force the mismatch one level down by lying
             // about the leaf's level.
             t.node_mut(leaf).level = 5;
-            t.node_mut(root).entries[0].child = ChildRef::Page(leaf);
+            t.node_mut(root).entries[0].child = u64::from(leaf.0);
         }
         assert!(t.validate().is_err());
     }
@@ -359,7 +364,7 @@ mod tests {
     }
 
     #[test]
-    fn detects_leaf_entry_in_directory() {
+    fn detects_directory_child_past_the_store() {
         let mut t = RTree::new(params());
         for i in 0..40 {
             t.insert(
@@ -368,8 +373,17 @@ mod tests {
             );
         }
         let root = t.root();
-        let rect = t.node(root).entries[0].rect;
-        t.node_mut(root).entries[0] = Entry::data(rect, DataId(999));
-        assert!(t.validate().is_err());
+        let pages = t.allocated_pages() as u64;
+        for child in [pages, 999, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut bad = t.clone();
+            bad.node_mut(root).entries[0].child = child;
+            let err = bad.validate().unwrap_err();
+            assert!(
+                err.0
+                    .contains(&format!("points to page {child} of a {pages}-page store")),
+                "{err}"
+            );
+        }
+        t.validate().unwrap();
     }
 }

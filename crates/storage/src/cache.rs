@@ -331,22 +331,18 @@ impl SharedPageCache {
 
     /// Flips every completed `Reading` frame to `Resident` and releases
     /// its read pin. Cheap: the in-flight set is bounded by the queue
-    /// depth and the completed check is lock-free once the completion
-    /// frontier has passed a ticket. Every public entry point settles on
-    /// entry — the uniform discipline that keeps frame-state observations
-    /// coherent within one lock hold.
+    /// depth, the frames the completion frontier has passed settle
+    /// without the queue's lock, and the rest — reads that completed out
+    /// of order, or not yet — take it once
+    /// ([`CompletionQueue::retain_pending`]). Every public entry point
+    /// settles on entry — the uniform discipline that keeps frame-state
+    /// observations coherent within one lock hold.
     fn settle(&self, s: &mut Frames) {
         if s.reading.is_empty() {
             return;
         }
         let Frames { reading, lru, .. } = s;
-        reading.retain(|&key, &mut ticket| {
-            let done = self.queue.is_complete(ticket);
-            if done {
-                lru.unpin(key);
-            }
-            !done
-        });
+        self.queue.retain_pending(reading, |key| lru.unpin(key));
     }
 
     /// Serves one charged logical miss for `(store, page)`: returns the
@@ -996,6 +992,28 @@ mod tests {
         let mut buf = Vec::new();
         codec::encode_node(&node, slot, &mut buf).unwrap();
         buf
+    }
+
+    #[test]
+    fn a_read_completing_before_an_older_one_is_resident_at_the_next_settle() {
+        let dir = TempDir::new("cache").unwrap();
+        let (open, hook) = gate(1);
+        let c = cache(&dir, 4, 4, Some(hook));
+        let (older, fresh_older) = c.materialize(0, PageId(1));
+        let (younger, fresh_younger) = c.materialize(0, PageId(2));
+        assert!(fresh_older && fresh_younger && older < younger);
+        c.queue().await_ticket(younger);
+        assert!(
+            !c.queue().is_settled(younger),
+            "the gated older read holds the frontier back"
+        );
+        assert_eq!(c.frame_state(0, PageId(2)), FrameState::Resident);
+        assert_eq!(c.pin_count(0, PageId(2)), 0, "read pin released at settle");
+        assert_eq!(c.frame_state(0, PageId(1)), FrameState::Reading);
+        drop(open);
+        c.queue().await_settled(younger);
+        assert_eq!(c.frame_state(0, PageId(1)), FrameState::Resident);
+        assert_eq!(c.pin_count(0, PageId(1)), 0);
     }
 
     #[test]

@@ -75,6 +75,7 @@
 //! poisons the queue; the next wait/drain panics, preserving the blocking
 //! strategy's "storage broke mid-join" contract.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -383,7 +384,7 @@ impl CompletionQueue {
     /// passed it; every call is counted (see
     /// [`CompletionQueue::poll_count`]).
     pub fn is_complete(&self, ticket: Ticket) -> bool {
-        self.poll(ticket, |st| st.is_done(ticket.0))
+        self.below_frontier(ticket) || self.shared.state.lock().unwrap().is_done(ticket.0)
     }
 
     /// Blocks until `ticket` completes. Panics if any read failed — the
@@ -398,11 +399,12 @@ impl CompletionQueue {
     /// completed — the emission-gate predicate
     /// ([`crate::NodeAccess::is_settled`]).
     /// Completions arrive out of submission order, so this is strictly
-    /// stronger than [`CompletionQueue::is_complete`]; it is lock-free
-    /// whenever it returns `true` (the frontier mirror suffices) and
-    /// counted like any other poll.
+    /// stronger than [`CompletionQueue::is_complete`]. It reads only the
+    /// frontier mirror, never the lock: the mirror is stored under the
+    /// lock at every completion and every reset, so it is the frontier.
+    /// Counted like any other poll.
     pub fn is_settled(&self, ticket: Ticket) -> bool {
-        self.poll(ticket, |st| ticket.0 < st.done_floor())
+        self.below_frontier(ticket)
     }
 
     /// Blocks until [`CompletionQueue::is_settled`] holds for `ticket`.
@@ -419,16 +421,40 @@ impl CompletionQueue {
         self.wait_until(|st| st.outstanding == 0);
     }
 
-    /// One counted poll of a real ticket: true below the frontier mirror,
-    /// else what `done` says of the tables.
+    /// Drops from `pending` every frame whose read has completed, handing
+    /// its key to `done`. Tickets below the frontier mirror go without the
+    /// lock; the rest are checked under one hold of it, taken only if one
+    /// is left. Uncounted: the cache's settle, not a cursor's poll.
+    pub(crate) fn retain_pending(
+        &self,
+        pending: &mut HashMap<BufKey, Ticket>,
+        mut done: impl FnMut(BufKey),
+    ) {
+        let sh = &self.shared;
+        let floor = sh.done_floor.load(Ordering::Acquire);
+        let mut st = None;
+        pending.retain(|&key, ticket| {
+            let complete = ticket.0 < floor
+                || st
+                    .get_or_insert_with(|| sh.state.lock().unwrap())
+                    .is_done(ticket.0);
+            if complete {
+                done(key);
+            }
+            !complete
+        });
+    }
+
+    /// Whether `ticket` is none or below the frontier mirror; a real
+    /// ticket counts as one poll.
     #[inline]
-    fn poll(&self, ticket: Ticket, done: impl FnOnce(&InflightTables) -> bool) -> bool {
+    fn below_frontier(&self, ticket: Ticket) -> bool {
         if ticket.is_none() {
             return true;
         }
         let sh = &self.shared;
         sh.polls.fetch_add(1, Ordering::Relaxed);
-        ticket.0 < sh.done_floor.load(Ordering::Acquire) || done(&sh.state.lock().unwrap())
+        ticket.0 < sh.done_floor.load(Ordering::Acquire)
     }
 
     /// Parks until `done` holds of the tables, then panics if any read

@@ -96,7 +96,7 @@ fn profile<M: Meter>(pairs: &[NodePair]) -> Split {
     let mut raw = Vec::new();
     let mut pending: VecDeque<(DataId, DataId)> = VecDeque::new();
     let mut split = Split::default();
-    let id = |e: &Entry| e.child.data().expect("leaf entry");
+    let id = |e: &Entry| e.id();
     for join in 0..JOINS {
         let (mut cmp, mut sort_cmp) = (M::default(), M::default());
         for &(rn, sn, space) in pairs {

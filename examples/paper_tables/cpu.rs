@@ -15,7 +15,6 @@ use std::fmt::{self, Write};
 
 use rsj::join::sweep::sort_indices_by_xl;
 use rsj::prelude::*;
-use rsj::rtree::ChildRef;
 
 use super::{fmt_count, join, page_header, row, Grid, Preset};
 
@@ -114,10 +113,7 @@ fn tree_sort_comparisons(tree: &RTree) -> u64 {
     let mut cmp = CmpCounter::new();
     tree.for_each_node(|_, node| {
         let mut entries = node.entries.clone();
-        entries.sort_by_key(|e| match e.child {
-            ChildRef::Data(d) => d.0,
-            ChildRef::Page(p) => u64::from(p.0),
-        });
+        entries.sort_by_key(|e| e.child);
         let rects: Vec<Rect> = entries.iter().map(|e| e.rect).collect();
         let mut idx: Vec<usize> = (0..rects.len()).collect();
         sort_indices_by_xl(&rects, &mut idx, &mut cmp);

@@ -16,6 +16,9 @@
 //!   the in-memory join over the same items, through **every** file
 //!   backend: the [`rsj_storage::FileAccess`] instantiations — read
 //!   strategy {blocking, queued} — and the latched shared page cache;
+//! * data ids across the whole `u64` range (0, 2³²+1, 2⁶³, `u64::MAX`)
+//!   come back exact from insertion, the streaming loader and
+//!   save/open, and through an SJ4 join against a second tree;
 //! * on the skewed scenario at 4-KByte pages, a cold SJ2 over the streamed
 //!   STR files finds the pairs of, and charges no more disk accesses than,
 //!   the same relations inserted one at a time and saved.
@@ -85,16 +88,23 @@ fn node_sequence(t: &RTree) -> Vec<Vec<NodeEntries>> {
     let mut levels = Vec::new();
     let mut frontier = vec![t.root()];
     while !frontier.is_empty() {
-        let entries = |&id| t.node(id).entries.iter();
+        let nodes: Vec<_> = frontier.iter().map(|&id| t.node(id)).collect();
         levels.push(
-            frontier
+            nodes
                 .iter()
-                .map(|id| entries(id).map(|e| (e.rect, e.child.data())).collect())
+                .map(|n| {
+                    let leaf = n.is_leaf();
+                    n.entries
+                        .iter()
+                        .map(|e| (e.rect, leaf.then(|| e.id())))
+                        .collect()
+                })
                 .collect(),
         );
-        frontier = frontier
+        frontier = nodes
             .iter()
-            .flat_map(|id| entries(id).filter_map(|e| e.child.page()))
+            .filter(|n| !n.is_leaf())
+            .flat_map(|n| n.entries.iter().map(|e| e.page()))
             .collect();
     }
     levels
@@ -172,6 +182,85 @@ fn duplicate_xl_values_build_identically_and_join_to_brute_force() {
             let pool = BufferPool::with_capacity_pages(CAP_PAGES, &heights);
             assert_eq!(run(&fx.r_mem, &fx.s_mem, plan, pool), want, "{tag}/{name}");
         }
+    }
+}
+
+/// Data ids no tag bit may take: a leaf entry's `child` is the whole
+/// `u64`, whatever wrote it.
+const EDGE_IDS: [u64; 4] = [0, (1 << 32) + 1, 1 << 63, u64::MAX];
+
+/// 400 unit squares on a 20 × 20 grid of pitch 2, moved by `shift`; the
+/// squares at `edge_at` carry [`EDGE_IDS`], the rest `1000 + i`.
+fn edge_id_grid(shift: f64, edge_at: [u64; 4]) -> Vec<(Rect, DataId)> {
+    (0..400u64)
+        .map(|i| {
+            let (x, y) = ((i % 20) as f64 * 2.0 + shift, (i / 20) as f64 * 2.0 + shift);
+            let id = edge_at
+                .iter()
+                .position(|&at| at == i)
+                .map_or(1000 + i, |k| EDGE_IDS[k]);
+            (Rect::from_corners(x, y, x + 1.0, y + 1.0), DataId(id))
+        })
+        .collect()
+}
+
+#[test]
+fn the_full_data_id_range_survives_every_writer_and_the_join() {
+    // Each R square overlaps the S square of its own index only, and the
+    // edge ids sit at mirrored indices: R's k-th edge id meets S's (3-k)-th.
+    let r_items = edge_id_grid(0.0, [0, 133, 266, 399]);
+    let s_items = edge_id_grid(0.5, [399, 266, 133, 0]);
+    let params = RTreeParams::for_page_size(PAGE);
+    let inserted = |items: &[(Rect, DataId)]| {
+        let mut t = RTree::new(params);
+        for &(rect, id) in items {
+            t.insert(rect, id);
+        }
+        t
+    };
+    let by_id = |mut entries: Vec<(Rect, DataId)>| {
+        entries.sort_unstable_by_key(|&(_, id)| id);
+        entries
+    };
+    let s = inserted(&s_items);
+    let (mut want, _) = rsj_core::baseline::nested_loop_join(
+        &r_items.iter().map(|&(r, id)| (r, id.0)).collect::<Vec<_>>(),
+        &s_items.iter().map(|&(r, id)| (r, id.0)).collect::<Vec<_>>(),
+    );
+    want.sort_unstable();
+    assert_eq!(want.len(), 400);
+    for k in 0..4 {
+        assert!(
+            want.contains(&(EDGE_IDS[k], EDGE_IDS[3 - k])),
+            "edge pair {k}"
+        );
+    }
+
+    let dir = TempDir::new("bulk-edge-ids").unwrap();
+    let (streamed, saved) = (dir.file("streamed.rsj"), dir.file("saved.rsj"));
+    bulk::load_to_file(
+        params,
+        &r_items,
+        BulkLayout::Str,
+        BulkConfig::default(),
+        &streamed,
+    )
+    .unwrap();
+    inserted(&r_items).save_to(&saved).unwrap();
+    for (r, name) in [
+        (inserted(&r_items), "insert"),
+        (RTree::open_from(&streamed).unwrap(), "load_to_file"),
+        (RTree::open_from(&saved).unwrap(), "save_to/open_from"),
+    ] {
+        r.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert!(
+            r.height() > 1,
+            "{name}: the ids must sit below directory entries"
+        );
+        assert_eq!(by_id(r.data_entries()), by_id(r_items.clone()), "{name}");
+        let pool =
+            BufferPool::with_capacity_pages(CAP_PAGES, &[r.height() as usize, s.height() as usize]);
+        assert_eq!(run(&r, &s, JoinPlan::sj4(), pool), want, "{name}");
     }
 }
 
